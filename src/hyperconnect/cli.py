@@ -147,6 +147,11 @@ def _cmd_connect(args) -> int:
                 relation_id = prefixed[0]
         spec = conn.get_relation(relation_id)
         params = _collect_params(args, backend)
+        if args.method != "closed-form" and backend != "exact":
+            raise DomainError(
+                f"--method {args.method} works on the exact field only;"
+                f" --backend {backend} applies to --method closed-form"
+            )
         if args.method == "closed-form":
             table = conn.connection_table(relation_id, params, args.n_max, field)
         else:
@@ -201,6 +206,9 @@ def _cmd_verify(args) -> int:
     if args.suite:
         if args.suite != "acceptance":
             raise DomainError(f"unknown suite {args.suite!r}")
+        if args.backend != "exact":
+            raise DomainError("the acceptance suite fixes each case's field;"
+                              f" drop --backend {args.backend}")
         cases = verify.acceptance_suite(order=args.order or 12)
     else:
         if not args.identity:

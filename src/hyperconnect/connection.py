@@ -114,7 +114,7 @@ class ConnectionExpansion:
             "n_max": self.n_max,
             "method": self.method,
             "relation": self.relation,
-            "field": self.field.kind,
+            **self.field.as_json(),
             "source": {k: self.field.serialize(v) for k, v in self.source.items()},
             "target": {k: self.field.serialize(v) for k, v in self.target.items()},
             "x_dependent": self.x_dependent,
@@ -129,7 +129,7 @@ class ConnectionExpansion:
 
     @classmethod
     def from_json(cls, doc) -> "ConnectionExpansion":
-        field = EXACT if doc["field"] == "exact" else NUMERIC
+        field = FieldTag.from_json(doc)
         source = {k: field.deserialize(v) for k, v in doc["source"].items()}
         target = {k: field.deserialize(v) for k, v in doc["target"].items()}
         if doc["x_dependent"]:

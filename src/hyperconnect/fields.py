@@ -70,6 +70,21 @@ class FieldTag:
         a, b = complex(a), complex(b)
         return abs(a - b) <= self.atol + self.rtol * max(abs(a), abs(b))
 
+    def as_json(self) -> dict:
+        """The keys a JSON document uses for its field: the kind, plus the
+        tolerances of a numeric field."""
+        if self.is_exact:
+            return {"field": self.kind}
+        return {"field": self.kind, "atol": self.atol, "rtol": self.rtol}
+
+    @staticmethod
+    def from_json(doc: dict) -> "FieldTag":
+        """Inverse of ``as_json``; a numeric field without tolerances gets
+        the defaults."""
+        if doc["field"] == "exact":
+            return EXACT
+        return numeric(doc.get("atol", DEFAULT_ATOL), doc.get("rtol", DEFAULT_RTOL))
+
     def serialize(self, value):
         """Exact scalars as the canonical string 'p/q' ('p' when q = 1),
         numeric scalars as [re, im]."""

@@ -184,13 +184,13 @@ class TruncatedSeries:
     def as_json(self) -> dict:
         return {
             "order": self.order,
-            "field": self.field.kind,
+            **self.field.as_json(),
             "coefficients": [self.field.serialize(c) for c in self.coefficients],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "TruncatedSeries":
-        field = EXACT if payload["field"] == "exact" else NUMERIC
+        field = FieldTag.from_json(payload)
         return cls(field, [field.deserialize(c) for c in payload["coefficients"]])
 
 

@@ -1,14 +1,18 @@
 """Build both sides of every supported identity and compare them.
 
-Generating-function identities are compared as truncated series: the left
-side from elementary factors (exponentials, binomial powers, hypergeometric
-series in t, compositions for arguments of the form lam*t/(1-t)), the right
-side as sum_n coefficient_n(t) P_n t^n with coefficient_n itself a series.
-On the exact field a pass means literal coefficient equality.
+Every generalized generating function has the shape
+
+    lhs(t) = sum_n coeff_n t^n inner_n(t)
+
+so each one is a row of ``GF_IDENTITIES`` (a ``GFSpec``: the lhs, coeff_n,
+inner_n, and whether the sum carries the Krawtchouk degree-N truncation
+brackets) and one builder forms both sides as truncated series.  On the
+exact field a pass means literal coefficient equality.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
-The finite Krawtchouk sums are exact.  The infinite Meixner sums accumulate
-exact rational partial sums up to x_max, with the kernels
+The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
+one lattice-sum engine (``LatticeSum``) that accumulates exact rational
+partial sums up to x_max, with the kernels
 
     f(x) = 1F1(-x; alpha; z)        g(x) = 2F1(-x, gamma; alpha; w)
 
@@ -21,6 +25,9 @@ so no cancellation-prone alternating sums are ever formed.  The discarded
 tail is bounded by a geometric series with the observed term ratio and added
 to the error budget; when the bound alone exceeds the tolerance the verdict
 is 'inconclusive', which is deliberately distinct from 'fail'.
+
+Every route declares the parameter names it needs and checks them before it
+runs, so a malformed case becomes an 'error' report rather than an exception.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import Callable
 
 from . import connection as conn
 from . import families
@@ -83,18 +91,17 @@ class IdentityCase:
             "identity": self.identity,
             "params": {k: _serialize_value(v) for k, v in sorted(self.params.items())},
             "order": self.order,
-            "field": self.field.kind,
+            **self.field.as_json(),
             "x_max": self.x_max,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "IdentityCase":
-        field = EXACT if doc["field"] == "exact" else numeric()
         return cls(
             identity=doc["identity"],
             params={k: _deserialize_value(v) for k, v in doc["params"].items()},
             order=doc.get("order"),
-            field=field,
+            field=FieldTag.from_json(doc),
             x_max=doc.get("x_max", 300),
         )
 
@@ -176,400 +183,20 @@ def _fact(n: int) -> int:
     return math.factorial(n)
 
 
-# -- generalized generating functions: one builder per identity --------------
-
-
-def _build_meixner_1f1_two_param(p, order, field):
-    x, alpha, beta, c, d = p["x"], p["alpha"], p["beta"], p["c"], p["d"]
-    lam = (1 - c) / c
-    ratio = d * (1 - c) / (c * (1 - d))
-    lhs = hyper_series_in_t(pfq((-x,), (alpha,)), linear_arg(lam), order, field)
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = (
-            pochhammer(beta, n) / (pochhammer(alpha, n) * _fact(n)) * ratio**n
-            * _meixner(n, x, beta, d)
-        )
-        inner = hyper_series_in_t(
-            pfq((beta + n,), (alpha + n,)), linear_arg(-ratio), order - n, field
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _build_meixner_1f1_alpha_shift(p, order, field):
-    x, alpha, beta, c = p["x"], p["alpha"], p["beta"], p["c"]
-    lam = (1 - c) / c
-    lhs = exp_series(1, order, field) * hyper_series_in_t(
-        pfq((-x,), (alpha,)), linear_arg(lam), order, field
-    )
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = (
-            pochhammer(beta, n) / (pochhammer(alpha, n) * _fact(n))
-            * _meixner(n, x, beta, c)
-        )
-        inner = hyper_series_in_t(
-            pfq((alpha - beta,), (alpha + n,)), linear_arg(1), order - n, field
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _build_meixner_1f1_c_shift(p, order, field):
-    x, alpha, c, d = p["x"], p["alpha"], p["c"], p["d"]
-    lam = (1 - c) / c
-    lhs = exp_series(1, order, field) * hyper_series_in_t(
-        pfq((-x,), (alpha,)), linear_arg(lam), order, field
-    )
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = _meixner(n, x, alpha, d) / _fact(n)
-        inner = hyper_series_in_t(
-            MultiVarSpec(HUMBERT_PHI2, (x, -x, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c)],
-            order - n, field,
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _build_meixner_1f1_two_param_triple(p, order, field):
-    x, alpha, beta, c, d = p["x"], p["alpha"], p["beta"], p["c"], p["d"]
-    lam = (1 - c) / c
-    lhs = exp_series(1, order, field) * hyper_series_in_t(
-        pfq((-x,), (alpha,)), linear_arg(lam), order, field
-    )
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = (
-            pochhammer(beta, n) / (pochhammer(alpha, n) * _fact(n))
-            * _meixner(n, x, beta, d)
-        )
-        inner = hyper_series_in_t(
-            MultiVarSpec(HUMBERT_PHI2_3, (x, -x, alpha - beta, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)],
-            order - n, field,
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _meixner_2f1_lhs(x, alpha, gamma, c, order, field):
-    lam = (1 - c) / c
-    return binomial_power(1, gamma, order, field) * hyper_series_in_t(
-        pfq((gamma, -x), (alpha,)), mobius_arg(lam), order, field
-    )
-
-
-def _build_meixner_2f1_alpha_shift(p, order, field):
-    x, alpha, beta, c, gamma = p["x"], p["alpha"], p["beta"], p["c"], p["gamma"]
-    lhs = _meixner_2f1_lhs(x, alpha, gamma, c, order, field)
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = (
-            pochhammer(gamma, n) * pochhammer(beta, n)
-            / (pochhammer(alpha, n) * _fact(n)) * _meixner(n, x, beta, c)
-        )
-        inner = hyper_series_in_t(
-            pfq((gamma + n, alpha - beta), (alpha + n,)), linear_arg(1),
-            order - n, field,
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _build_meixner_2f1_two_param(p, order, field):
-    x, alpha, beta, c, d, gamma = (
-        p["x"], p["alpha"], p["beta"], p["c"], p["d"], p["gamma"],
-    )
-    ratio = d * (1 - c) / (c * (1 - d))
-    lhs = _meixner_2f1_lhs(x, alpha, gamma, c, order, field)
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = (
-            pochhammer(gamma, n) * pochhammer(beta, n)
-            / (pochhammer(alpha, n) * _fact(n)) * ratio**n
-            * _meixner(n, x, beta, d)
-        )
-        inner = binomial_power(1, gamma + n, order - n, field) * hyper_series_in_t(
-            pfq((gamma + n, beta + n), (alpha + n,)), mobius_arg(-ratio),
-            order - n, field,
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _build_meixner_2f1_c_shift(p, order, field):
-    x, alpha, c, d, gamma = p["x"], p["alpha"], p["c"], p["d"], p["gamma"]
-    lhs = _meixner_2f1_lhs(x, alpha, gamma, c, order, field)
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = pochhammer(gamma, n) / _fact(n) * _meixner(n, x, alpha, d)
-        inner = hyper_series_in_t(
-            MultiVarSpec(APPELL_F1, (gamma + n, x, -x, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c)],
-            order - n, field,
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-def _build_meixner_2f1_two_param_triple(p, order, field):
-    x, alpha, beta, c, d, gamma = (
-        p["x"], p["alpha"], p["beta"], p["c"], p["d"], p["gamma"],
-    )
-    lhs = _meixner_2f1_lhs(x, alpha, gamma, c, order, field)
-    rhs = TruncatedSeries.zero(order, field)
-    for n in range(order + 1):
-        coeff = (
-            pochhammer(beta, n) * pochhammer(gamma, n)
-            / (pochhammer(alpha, n) * _fact(n)) * _meixner(n, x, beta, d)
-        )
-        inner = hyper_series_in_t(
-            MultiVarSpec(LAURICELLA_FD3, (gamma + n, x, -x, alpha - beta, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)],
-            order - n, field,
-        )
-        rhs = rhs + inner.scale(coeff).shifted(n)
-    return lhs, rhs
-
-
-# Krawtchouk sides carry the degree-N truncation brackets exactly as
-# displayed: inner pieces are built at order N-n, then shifted by t^n.
-
-
-def _kraw_1f1_lhs(x, p_, cap, order, field):
-    work = min(order, cap)
-    lhs = exp_series(1, work, field) * hyper_series_in_t(
-        pfq((-x,), (Fraction(-cap),)), linear_arg(-1 / p_), work, field
-    )
-    return lhs.padded_to(order)
-
-
-def _kraw_2f1_lhs(x, p_, cap, gamma, order, field):
-    work = min(order, cap)
-    lhs = binomial_power(1, gamma, work, field) * hyper_series_in_t(
-        pfq((gamma, -x), (Fraction(-cap),)), mobius_arg(-1 / p_), work, field
-    )
-    return lhs.padded_to(order)
-
-
-def _bracketed_terms(order, cap, inner_builder):
-    """Terms [inner_n]_{cap-n} t^n for n = 0..min(cap, order), padded to order."""
-    for n in range(min(cap, order) + 1):
-        inner_order = min(cap - n, order - n)
-        yield n, inner_builder(n, inner_order).padded_to(order - n).shifted(n)
-
-
-def _build_krawtchouk_1f1_two_param(p, order, field):
-    x, pp, qq = p["x"], p["p"], p["q"]
-    cap, big = as_index(p["N"], "N"), as_index(p["M"], "M")
-    _check_kraw_sizes(cap, big)
-    lhs = _kraw_1f1_lhs(x, pp, cap, order, field)
-
-    def inner(n, inner_order):
-        return exp_series(1, inner_order, field) * hyper_series_in_t(
-            pfq((Fraction(n - big),), (Fraction(n - cap),)),
-            linear_arg(-qq / pp), inner_order, field,
-        )
-
-    rhs = TruncatedSeries.zero(order, field)
-    for n, term in _bracketed_terms(order, cap, inner):
-        coeff = (
-            pochhammer(Fraction(-big), n) / (pochhammer(Fraction(-cap), n) * _fact(n))
-            * (qq / pp) ** n * _krawtchouk(n, x, qq, big)
-        )
-        rhs = rhs + term.scale(coeff)
-    return lhs, rhs
-
-
-def _build_krawtchouk_1f1_degree_shift(p, order, field):
-    x, pp = p["x"], p["p"]
-    cap, big = as_index(p["N"], "N"), as_index(p["M"], "M")
-    _check_kraw_sizes(cap, big)
-    lhs = _kraw_1f1_lhs(x, pp, cap, order, field)
-
-    def inner(n, inner_order):
-        return hyper_series_in_t(
-            pfq((Fraction(big - cap),), (Fraction(n - cap),)),
-            linear_arg(1), inner_order, field,
-        )
-
-    rhs = TruncatedSeries.zero(order, field)
-    for n, term in _bracketed_terms(order, cap, inner):
-        coeff = (
-            pochhammer(Fraction(-big), n) / (pochhammer(Fraction(-cap), n) * _fact(n))
-            * _krawtchouk(n, x, pp, big)
-        )
-        rhs = rhs + term.scale(coeff)
-    return lhs, rhs
-
-
-def _build_krawtchouk_1f1_prob_shift(p, order, field):
-    x, pp, qq = p["x"], p["p"], p["q"]
-    cap = as_index(p["N"], "N")
-    lhs = _kraw_1f1_lhs(x, pp, cap, order, field)
-
-    def inner(n, inner_order):
-        return exp_series(1 - qq / pp, inner_order, field)
-
-    rhs = TruncatedSeries.zero(order, field)
-    for n, term in _bracketed_terms(order, cap, inner):
-        coeff = (qq / pp) ** n / _fact(n) * _krawtchouk(n, x, qq, cap)
-        rhs = rhs + term.scale(coeff)
-    return lhs, rhs
-
-
-def _build_krawtchouk_2f1_two_param(p, order, field):
-    x, pp, qq, gamma = p["x"], p["p"], p["q"], p["gamma"]
-    cap, big = as_index(p["N"], "N"), as_index(p["M"], "M")
-    _check_kraw_sizes(cap, big)
-    lhs = _kraw_2f1_lhs(x, pp, cap, gamma, order, field)
-
-    def inner(n, inner_order):
-        return binomial_power(1, gamma + n, inner_order, field) * hyper_series_in_t(
-            pfq((gamma + n, Fraction(n - big)), (Fraction(n - cap),)),
-            mobius_arg(-qq / pp), inner_order, field,
-        )
-
-    rhs = TruncatedSeries.zero(order, field)
-    for n, term in _bracketed_terms(order, cap, inner):
-        coeff = (
-            (qq / pp) ** n * pochhammer(Fraction(-big), n) * pochhammer(gamma, n)
-            / (pochhammer(Fraction(-cap), n) * _fact(n)) * _krawtchouk(n, x, qq, big)
-        )
-        rhs = rhs + term.scale(coeff)
-    return lhs, rhs
-
-
-def _build_krawtchouk_2f1_degree_shift(p, order, field):
-    x, pp, gamma = p["x"], p["p"], p["gamma"]
-    cap, big = as_index(p["N"], "N"), as_index(p["M"], "M")
-    _check_kraw_sizes(cap, big)
-    lhs = _kraw_2f1_lhs(x, pp, cap, gamma, order, field)
-
-    def inner(n, inner_order):
-        return hyper_series_in_t(
-            pfq((gamma + n, Fraction(big - cap)), (Fraction(n - cap),)),
-            linear_arg(1), inner_order, field,
-        )
-
-    rhs = TruncatedSeries.zero(order, field)
-    for n, term in _bracketed_terms(order, cap, inner):
-        coeff = (
-            pochhammer(Fraction(-big), n) * pochhammer(gamma, n)
-            / (pochhammer(Fraction(-cap), n) * _fact(n))
-            * _krawtchouk(n, x, pp, big)
-        )
-        rhs = rhs + term.scale(coeff)
-    return lhs, rhs
-
-
-def _build_krawtchouk_2f1_prob_shift(p, order, field):
-    x, pp, qq, gamma = p["x"], p["p"], p["q"], p["gamma"]
-    cap = as_index(p["N"], "N")
-    lhs = _kraw_2f1_lhs(x, pp, cap, gamma, order, field)
-
-    def inner(n, inner_order):
-        return binomial_power(1 - qq / pp, gamma + n, inner_order, field)
-
-    rhs = TruncatedSeries.zero(order, field)
-    for n, term in _bracketed_terms(order, cap, inner):
-        coeff = (
-            pochhammer(gamma, n) / _fact(n) * (qq / pp) ** n
-            * _krawtchouk(n, x, qq, cap)
-        )
-        rhs = rhs + term.scale(coeff)
-    return lhs, rhs
-
-
-def _check_kraw_sizes(cap, big):
-    if cap > big:
-        raise DomainError(f"need N <= M, got N = {cap}, M = {big}")
-
-
-GF_IDENTITIES = {
-    "meixner_1f1_two_param": (_build_meixner_1f1_two_param,
-                              ("x", "alpha", "beta", "c", "d")),
-    "meixner_1f1_alpha_shift": (_build_meixner_1f1_alpha_shift,
-                                ("x", "alpha", "beta", "c")),
-    "meixner_1f1_c_shift": (_build_meixner_1f1_c_shift,
-                            ("x", "alpha", "c", "d")),
-    "meixner_1f1_two_param_triple": (_build_meixner_1f1_two_param_triple,
-                                     ("x", "alpha", "beta", "c", "d")),
-    "meixner_2f1_alpha_shift": (_build_meixner_2f1_alpha_shift,
-                                ("x", "alpha", "beta", "c", "gamma")),
-    "meixner_2f1_two_param": (_build_meixner_2f1_two_param,
-                              ("x", "alpha", "beta", "c", "d", "gamma")),
-    "meixner_2f1_c_shift": (_build_meixner_2f1_c_shift,
-                            ("x", "alpha", "c", "d", "gamma")),
-    "meixner_2f1_two_param_triple": (_build_meixner_2f1_two_param_triple,
-                                     ("x", "alpha", "beta", "c", "d", "gamma")),
-    "krawtchouk_1f1_two_param": (_build_krawtchouk_1f1_two_param,
-                                 ("x", "p", "q", "N", "M")),
-    "krawtchouk_1f1_degree_shift": (_build_krawtchouk_1f1_degree_shift,
-                                    ("x", "p", "N", "M")),
-    "krawtchouk_1f1_prob_shift": (_build_krawtchouk_1f1_prob_shift,
-                                  ("x", "p", "q", "N")),
-    "krawtchouk_2f1_two_param": (_build_krawtchouk_2f1_two_param,
-                                 ("x", "p", "q", "N", "M", "gamma")),
-    "krawtchouk_2f1_degree_shift": (_build_krawtchouk_2f1_degree_shift,
-                                    ("x", "p", "N", "M", "gamma")),
-    "krawtchouk_2f1_prob_shift": (_build_krawtchouk_2f1_prob_shift,
-                                  ("x", "p", "q", "N", "gamma")),
-}
-
-
-def identity_ids() -> tuple:
-    return tuple(GF_IDENTITIES)
-
-
-def build_sides(case: IdentityCase):
-    """(lhs, rhs) series for a generating-function identity case."""
-    try:
-        builder, names = GF_IDENTITIES[case.identity]
-    except KeyError:
-        raise UnknownIdentityError(
-            f"unknown identity {case.identity!r}; known: {', '.join(GF_IDENTITIES)}"
-        ) from None
+def _require(case, names, allowed=None, order=False):
+    """DomainError unless the case binds every name in ``names``, no name
+    outside ``allowed`` (when given) and, with ``order``, has an order >= 0."""
     missing = set(names) - set(case.params)
     if missing:
         raise DomainError(f"{case.identity} needs parameter(s) {sorted(missing)}")
-    unknown = set(case.params) - set(names)
+    unknown = set(case.params) - set(allowed) if allowed is not None else ()
     if unknown:
         raise DomainError(
             f"{case.identity} does not take parameter(s) {sorted(unknown)};"
-            f" expected {sorted(names)}"
+            f" expected {sorted(allowed)}"
         )
-    if case.order is None:
-        raise DomainError("generating-function cases need an order")
-    params = {k: case.field.of(v) for k, v in case.params.items() if k in names}
-    if "N" in names:
-        params["N"] = case.params["N"]
-    if "M" in names:
-        params["M"] = case.params["M"]
-    return builder(params, case.order, case.field)
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, (time.perf_counter() - start) * 1000.0
-
-
-def verify_gf_identity(case: IdentityCase) -> VerificationReport:
-    def run():
-        lhs, rhs = build_sides(case)
-        mismatch = lhs.first_mismatch(rhs)
-        deviation = lhs.max_deviation(rhs)
-        if mismatch is None:
-            return VerificationReport(case, "pass", deviation=deviation)
-        return VerificationReport(
-            case, "fail", deviation=deviation, first_failing_order=mismatch
-        )
-
-    return _guard(case, run)
+    if order and (case.order is None or case.order < 0):
+        raise DomainError(f"{case.identity} needs an order >= 0, got {case.order}")
 
 
 def _guard(case, run) -> VerificationReport:
@@ -580,6 +207,254 @@ def _guard(case, run) -> VerificationReport:
         report = VerificationReport(case, "error", detail=f"{type(exc).__name__}: {exc}")
     millis = (time.perf_counter() - start) * 1000.0
     return VerificationReport(**{**report.__dict__, "millis": millis})
+
+
+def _series_report(case, pairs) -> VerificationReport:
+    """pass when every (left, right) pair of series agrees coefficient by
+    coefficient, else fail at the lowest mismatching order."""
+    mismatches = [m for m in (a.first_mismatch(b) for a, b in pairs) if m is not None]
+    deviation = max(a.max_deviation(b) for a, b in pairs)
+    if not mismatches:
+        return VerificationReport(case, "pass", deviation=deviation)
+    return VerificationReport(case, "fail", deviation=deviation,
+                              first_failing_order=min(mismatches))
+
+
+def _agreement(case, field, rows) -> VerificationReport:
+    """rows yields (order, wanted, got, where); fail at the first pair the
+    field tells apart, with ``where`` as the detail."""
+    worst = 0.0
+    for n, wanted, got, where in rows:
+        worst = max(worst, abs(complex(wanted) - complex(got)))
+        if not field.eq(field.of(wanted), field.of(got)):
+            return VerificationReport(case, "fail", deviation=worst,
+                                      first_failing_order=n, detail=where)
+    return VerificationReport(case, "pass", deviation=worst)
+
+
+# -- generalized generating functions: one spec per identity, one builder ----
+
+
+@dataclass(frozen=True)
+class GFSpec:
+    """lhs(t) = sum_n coeff_n t^n inner_n(t).
+
+    ``lhs(order, field, **params)`` and ``inner(n, order, field, **params)``
+    build series, ``coeff(n, **params)`` is a scalar.  A capped spec carries
+    the degree-N truncation brackets exactly as displayed: the sum stops at
+    n = N, lhs is built to order min(N, order) and inner_n to
+    min(N, order) - n, and both are zero-padded to the requested order."""
+
+    lhs: Callable
+    coeff: Callable
+    inner: Callable
+    capped: bool = False
+
+    def _top(self, order, p):
+        return min(as_index(p["N"], "N"), order) if self.capped else order
+
+    def lhs_series(self, order, field, **p) -> TruncatedSeries:
+        return self.lhs(self._top(order, p), field, **p).padded_to(order)
+
+    def __call__(self, p, order, field):
+        lhs = self.lhs_series(order, field, **p)
+        top = self._top(order, p)
+        rhs = TruncatedSeries.zero(order, field)
+        for n in range(top + 1):
+            inner = self.inner(n, top - n, field, **p).padded_to(order - n)
+            rhs = rhs + inner.scale(self.coeff(n, **p)).shifted(n)
+        return lhs, rhs
+
+
+# Spec functions take the order as ``o``, the field as ``f`` and the case
+# parameters by name, ignoring the ones they do not use.
+
+
+def _meixner_1f1(o, f, x, alpha, c, **_):
+    """1F1(-x; alpha; (1-c)t/c)"""
+    return hyper_series_in_t(pfq((-x,), (alpha,)), linear_arg((1 - c) / c), o, f)
+
+
+def _meixner_exp_1f1(o, f, **p):
+    """e^t 1F1(-x; alpha; (1-c)t/c)"""
+    return exp_series(1, o, f) * _meixner_1f1(o, f, **p)
+
+
+def _meixner_2f1(o, f, x, alpha, c, gamma, **_):
+    """(1-t)^(-gamma) 2F1(gamma, -x; alpha; (1-c)t/(c(1-t)))"""
+    return binomial_power(1, gamma, o, f) * hyper_series_in_t(
+        pfq((gamma, -x), (alpha,)), mobius_arg((1 - c) / c), o, f
+    )
+
+
+def _kraw_exp_1f1(o, f, x, p, N, **_):
+    """e^t 1F1(-x; -N; -t/p)"""
+    return exp_series(1, o, f) * hyper_series_in_t(
+        pfq((-x,), (Fraction(-N),)), linear_arg(-1 / p), o, f
+    )
+
+
+def _kraw_2f1(o, f, x, p, N, gamma, **_):
+    """(1-t)^(-gamma) 2F1(gamma, -x; -N; -t/(p(1-t)))"""
+    return binomial_power(1, gamma, o, f) * hyper_series_in_t(
+        pfq((gamma, -x), (Fraction(-N),)), mobius_arg(-1 / p), o, f
+    )
+
+
+def _ratio(c, d):
+    """The argument scale of the two-parameter (c -> d) forms."""
+    return d * (1 - c) / (c * (1 - d))
+
+
+def _beta_over_alpha(n, alpha, beta):
+    return pochhammer(beta, n) / (pochhammer(alpha, n) * _fact(n))
+
+
+def _m_over_n(n, N, M):
+    return pochhammer(Fraction(-M), n) / (pochhammer(Fraction(-N), n) * _fact(n))
+
+
+GF_IDENTITIES = {
+    "meixner_1f1_two_param": (GFSpec(
+        _meixner_1f1,
+        lambda n, x, alpha, beta, c, d, **_: (
+            _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n * _meixner(n, x, beta, d)),
+        lambda n, o, f, alpha, beta, c, d, **_: hyper_series_in_t(
+            pfq((beta + n,), (alpha + n,)), linear_arg(-_ratio(c, d)), o, f),
+    ), ("x", "alpha", "beta", "c", "d")),
+    "meixner_1f1_alpha_shift": (GFSpec(
+        _meixner_exp_1f1,
+        lambda n, x, alpha, beta, c, **_: (
+            _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, c)),
+        lambda n, o, f, alpha, beta, **_: hyper_series_in_t(
+            pfq((alpha - beta,), (alpha + n,)), linear_arg(1), o, f),
+    ), ("x", "alpha", "beta", "c")),
+    "meixner_1f1_c_shift": (GFSpec(
+        _meixner_exp_1f1,
+        lambda n, x, alpha, d, **_: _meixner(n, x, alpha, d) / _fact(n),
+        lambda n, o, f, x, alpha, c, d, **_: hyper_series_in_t(
+            MultiVarSpec(HUMBERT_PHI2, (x, -x, alpha + n)),
+            [linear_arg(1 / d), linear_arg(1 / c)], o, f),
+    ), ("x", "alpha", "c", "d")),
+    "meixner_1f1_two_param_triple": (GFSpec(
+        _meixner_exp_1f1,
+        lambda n, x, alpha, beta, d, **_: (
+            _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, d)),
+        lambda n, o, f, x, alpha, beta, c, d, **_: hyper_series_in_t(
+            MultiVarSpec(HUMBERT_PHI2_3, (x, -x, alpha - beta, alpha + n)),
+            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o, f),
+    ), ("x", "alpha", "beta", "c", "d")),
+    "meixner_2f1_alpha_shift": (GFSpec(
+        _meixner_2f1,
+        lambda n, x, alpha, beta, c, gamma, **_: (
+            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, c)),
+        lambda n, o, f, alpha, beta, gamma, **_: hyper_series_in_t(
+            pfq((gamma + n, alpha - beta), (alpha + n,)), linear_arg(1), o, f),
+    ), ("x", "alpha", "beta", "c", "gamma")),
+    "meixner_2f1_two_param": (GFSpec(
+        _meixner_2f1,
+        lambda n, x, alpha, beta, c, d, gamma, **_: (
+            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n
+            * _meixner(n, x, beta, d)),
+        lambda n, o, f, alpha, beta, c, d, gamma, **_: (
+            binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
+                pfq((gamma + n, beta + n), (alpha + n,)), mobius_arg(-_ratio(c, d)), o, f)),
+    ), ("x", "alpha", "beta", "c", "d", "gamma")),
+    "meixner_2f1_c_shift": (GFSpec(
+        _meixner_2f1,
+        lambda n, x, alpha, d, gamma, **_: (
+            pochhammer(gamma, n) / _fact(n) * _meixner(n, x, alpha, d)),
+        lambda n, o, f, x, alpha, c, d, gamma, **_: hyper_series_in_t(
+            MultiVarSpec(APPELL_F1, (gamma + n, x, -x, alpha + n)),
+            [linear_arg(1 / d), linear_arg(1 / c)], o, f),
+    ), ("x", "alpha", "c", "d", "gamma")),
+    "meixner_2f1_two_param_triple": (GFSpec(
+        _meixner_2f1,
+        lambda n, x, alpha, beta, d, gamma, **_: (
+            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, d)),
+        lambda n, o, f, x, alpha, beta, c, d, gamma, **_: hyper_series_in_t(
+            MultiVarSpec(LAURICELLA_FD3, (gamma + n, x, -x, alpha - beta, alpha + n)),
+            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o, f),
+    ), ("x", "alpha", "beta", "c", "d", "gamma")),
+    "krawtchouk_1f1_two_param": (GFSpec(
+        _kraw_exp_1f1,
+        lambda n, x, p, q, N, M, **_: (
+            _m_over_n(n, N, M) * (q / p) ** n * _krawtchouk(n, x, q, M)),
+        lambda n, o, f, p, q, N, M, **_: exp_series(1, o, f) * hyper_series_in_t(
+            pfq((Fraction(n - M),), (Fraction(n - N),)), linear_arg(-q / p), o, f),
+        capped=True,
+    ), ("x", "p", "q", "N", "M")),
+    "krawtchouk_1f1_degree_shift": (GFSpec(
+        _kraw_exp_1f1,
+        lambda n, x, p, N, M, **_: _m_over_n(n, N, M) * _krawtchouk(n, x, p, M),
+        lambda n, o, f, N, M, **_: hyper_series_in_t(
+            pfq((Fraction(M - N),), (Fraction(n - N),)), linear_arg(1), o, f),
+        capped=True,
+    ), ("x", "p", "N", "M")),
+    "krawtchouk_1f1_prob_shift": (GFSpec(
+        _kraw_exp_1f1,
+        lambda n, x, p, q, N, **_: (q / p) ** n / _fact(n) * _krawtchouk(n, x, q, N),
+        lambda n, o, f, p, q, **_: exp_series(1 - q / p, o, f),
+        capped=True,
+    ), ("x", "p", "q", "N")),
+    "krawtchouk_2f1_two_param": (GFSpec(
+        _kraw_2f1,
+        lambda n, x, p, q, N, M, gamma, **_: (
+            (q / p) ** n * pochhammer(gamma, n) * _m_over_n(n, N, M)
+            * _krawtchouk(n, x, q, M)),
+        lambda n, o, f, p, q, N, M, gamma, **_: (
+            binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
+                pfq((gamma + n, Fraction(n - M)), (Fraction(n - N),)),
+                mobius_arg(-q / p), o, f)),
+        capped=True,
+    ), ("x", "p", "q", "N", "M", "gamma")),
+    "krawtchouk_2f1_degree_shift": (GFSpec(
+        _kraw_2f1,
+        lambda n, x, p, N, M, gamma, **_: (
+            pochhammer(gamma, n) * _m_over_n(n, N, M) * _krawtchouk(n, x, p, M)),
+        lambda n, o, f, N, M, gamma, **_: hyper_series_in_t(
+            pfq((gamma + n, Fraction(M - N)), (Fraction(n - N),)), linear_arg(1), o, f),
+        capped=True,
+    ), ("x", "p", "N", "M", "gamma")),
+    "krawtchouk_2f1_prob_shift": (GFSpec(
+        _kraw_2f1,
+        lambda n, x, p, q, N, gamma, **_: (
+            pochhammer(gamma, n) / _fact(n) * (q / p) ** n * _krawtchouk(n, x, q, N)),
+        lambda n, o, f, p, q, gamma, **_: binomial_power(1 - q / p, gamma + n, o, f),
+        capped=True,
+    ), ("x", "p", "q", "N", "gamma")),
+}
+
+
+def _check_kraw_sizes(cap, big):
+    if cap > big:
+        raise DomainError(f"need N <= M, got N = {cap}, M = {big}")
+
+
+def identity_ids() -> tuple:
+    return tuple(GF_IDENTITIES)
+
+
+def build_sides(case: IdentityCase):
+    """(lhs, rhs) series for a generating-function identity case."""
+    try:
+        spec, names = GF_IDENTITIES[case.identity]
+    except KeyError:
+        raise UnknownIdentityError(
+            f"unknown identity {case.identity!r}; known: {', '.join(GF_IDENTITIES)}"
+        ) from None
+    _require(case, names, allowed=names, order=True)
+    params = {k: case.field.of(v) for k, v in case.params.items()}
+    for k in ("N", "M"):
+        if k in names:
+            params[k] = as_index(case.params[k], k)
+    if "M" in names:
+        _check_kraw_sizes(params["N"], params["M"])
+    return spec(params, case.order, case.field)
+
+
+def verify_gf_identity(case: IdentityCase) -> VerificationReport:
+    return _guard(case, lambda: _series_report(case, [build_sides(case)]))
 
 
 # -- connection-relation verification ----------------------------------------
@@ -603,22 +478,15 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
         source, target = spec.source(params), spec.target(params)
-        worst = 0.0
-        for n in range(n_max + 1):
-            for x in x_samples:
-                wanted = families.family_eval(spec.family, n, x, source)
-                got = sum(
-                    (table.coefficient(n, k, x if spec.x_dependent else None)
-                     * families.family_eval(spec.family, k, x, target))
-                    for k in range(n + 1)
-                )
-                worst = max(worst, abs(complex(wanted) - complex(got)))
-                if not field.eq(field.of(wanted), field.of(got)):
-                    return VerificationReport(
-                        case, "fail", deviation=worst, first_failing_order=n,
-                        detail=f"reconstruction breaks at n = {n}, x = {x}",
-                    )
-        return VerificationReport(case, "pass", deviation=worst)
+        rows = (
+            (n, families.family_eval(spec.family, n, x, source),
+             sum((table.coefficient(n, k, x if spec.x_dependent else None)
+                  * families.family_eval(spec.family, k, x, target))
+                 for k in range(n + 1)),
+             f"reconstruction breaks at n = {n}, x = {x}")
+            for n in range(n_max + 1) for x in x_samples
+        )
+        return _agreement(case, field, rows)
 
     return _guard(case, run)
 
@@ -697,9 +565,13 @@ def _pfq_scalar_exact(nums, dens, z, rel_cut=1e-30, max_terms=4000):
 
 
 def _tail_bound(terms):
-    """Geometric bound on the discarded tail from the observed term decay."""
+    """Geometric bound on the discarded tail from the observed term decay;
+    None (no bound) when one of the last terms vanishes exactly, because a
+    zero says nothing about the decay, or when the terms do not decay."""
+    if any(t == 0 for t in terms[-4:]):
+        return None
     tail_abs = [abs(float(t)) for t in terms[-4:]]
-    if all(t == 0.0 for t in tail_abs):
+    if all(t == 0.0 for t in tail_abs):  # nonzero, but below the double range
         return 0.0
     ratios = [
         tail_abs[i + 1] / tail_abs[i]
@@ -732,174 +604,139 @@ def _orth_report(case, lhs_terms, rhs_value) -> VerificationReport:
     )
 
 
-def _orth_meixner_moments(case: IdentityCase) -> VerificationReport:
-    p = case.params
-    alpha, c = p["alpha"], p["c"]
-    n, m = as_index(p["n"], "n"), as_index(p["m"], "m")
-    _require_orth(alpha > 0 and 0 < c < 1, "needs alpha > 0 and c in (0,1)")
-    count = case.x_max + 1
-    mn = _meixner_on_lattice(n, alpha, c, count)
-    mm = mn if m == n else _meixner_on_lattice(m, alpha, c, count)
-    w = _weights(alpha, c, count)
-    terms = [mn[x] * mm[x] * w[x] for x in range(count)]
-    if m == n:
-        rhs = _fact(n) / (c**n * (1 - c) ** alpha * pochhammer(alpha, n))
-    else:
-        rhs = Fraction(0)
-    return _orth_report(case, terms, rhs)
+@dataclass(frozen=True)
+class LatticeSum:
+    """sum_{x=0}^{x_max} kernel(x) M_n(x; beta, rate) (beta)_x rate^x / x!
+    against a closed-form rhs.
+
+    ``domain(**params)`` says where the identity holds (``needs`` says it in
+    words), ``poly(**params)`` gives (beta, rate), ``kernel(count,
+    **params)`` the kernel values at x = 0..count-1 and ``rhs(n, **params)``
+    the closed form."""
+
+    domain: Callable
+    needs: str
+    poly: Callable
+    kernel: Callable
+    rhs: Callable
+
+    def __call__(self, case: IdentityCase) -> VerificationReport:
+        p = {k: EXACT.of(v) for k, v in case.params.items()}  # partial sums are exact
+        n = as_index(p.pop("n"), "n")
+        if not self.domain(**p):
+            raise DomainError(f"needs {self.needs}")
+        if case.x_max < 0:
+            raise DomainError(f"x_max must be >= 0, got {case.x_max}")
+        count = case.x_max + 1
+        beta, rate = self.poly(**p)
+        kernel = self.kernel(count, **p)
+        mn = _meixner_on_lattice(n, beta, rate, count)
+        w = _weights(beta, rate, count)
+        terms = [kernel[x] * mn[x] * w[x] for x in range(count)]
+        return _orth_report(case, terms, self.rhs(n, **p))
 
 
-def _require_orth(cond: bool, message: str):
-    if not cond:
-        raise DomainError(message)
+def _confluent_kernel(count, alpha, c, t, **_):
+    return _confluent_kernel_values(alpha, t * (1 - c) / c, count)
 
 
-def _orth_meixner_1f1_same_c(case: IdentityCase) -> VerificationReport:
-    p = case.params
-    alpha, beta, c, t = p["alpha"], p["beta"], p["c"], p["t"]
-    n = as_index(p["n"], "n")
-    _require_orth(alpha > 0 and beta > 0 and 0 < c < 1,
-                  "needs alpha, beta > 0 and c in (0,1)")
-    count = case.x_max + 1
-    kernel = _confluent_kernel_values(alpha, t * (1 - c) / c, count)
-    mn = _meixner_on_lattice(n, beta, c, count)
-    w = _weights(beta, c, count)
-    terms = [kernel[x] * mn[x] * w[x] for x in range(count)]
-    hyp = _pfq_scalar_exact((alpha - beta,), (alpha + n,), t)
-    rhs = (
-        float(t**n / (pochhammer(alpha, n) * c**n)) * math.exp(-float(t))
-        * float(1 - c) ** -float(beta) * float(hyp)
-    )
-    return _orth_report(case, terms, rhs)
+def _gauss_kernel(count, alpha, gamma, c, t, **_):
+    return _gauss_kernel_values(gamma, alpha, t * (1 - c) / (c * (1 - t)), count)
 
 
-def _orth_meixner_1f1_two_param(case: IdentityCase) -> VerificationReport:
-    p = case.params
-    alpha, beta, c, d, t = p["alpha"], p["beta"], p["c"], p["d"], p["t"]
-    n = as_index(p["n"], "n")
-    _require_orth(alpha > 0 and beta > 0 and 0 < c < 1 and 0 < d < 1,
-                  "needs alpha, beta > 0 and c, d in (0,1)")
-    count = case.x_max + 1
-    kernel = _confluent_kernel_values(alpha, t * (1 - c) / c, count)
-    mn = _meixner_on_lattice(n, beta, d, count)
-    w = _weights(beta, d, count)
-    terms = [kernel[x] * mn[x] * w[x] for x in range(count)]
-    ratio = d * (1 - c) / (c * (1 - d))
-    hyp = _pfq_scalar_exact((beta + n,), (alpha + n,), -ratio * t)
-    rhs = (
-        float(t**n * (1 - c) ** n / (c**n * (1 - d) ** n * pochhammer(alpha, n)))
-        * float(1 - d) ** -float(beta) * float(hyp)
-    )
-    return _orth_report(case, terms, rhs)
-
-
-def _orth_meixner_2f1_same_c(case: IdentityCase) -> VerificationReport:
-    p = case.params
-    alpha, beta, gamma, c, t = p["alpha"], p["beta"], p["gamma"], p["c"], p["t"]
-    n = as_index(p["n"], "n")
-    _require_orth(alpha > 0 and beta > 0 and 0 < c < 1, "needs alpha, beta > 0, c in (0,1)")
-    _require_orth(abs(t) < 1 and abs(t * (1 - c)) < abs(c * (1 - t)),
-                  "needs |t| < 1 and |t(1-c)| < |c(1-t)|")
-    count = case.x_max + 1
-    w_arg = t * (1 - c) / (c * (1 - t))
-    kernel = _gauss_kernel_values(gamma, alpha, w_arg, count)
-    mn = _meixner_on_lattice(n, beta, c, count)
-    w = _weights(beta, c, count)
-    terms = [kernel[x] * mn[x] * w[x] for x in range(count)]
-    hyp = _pfq_scalar_exact((alpha - beta, gamma + n), (alpha + n,), t)
-    rhs = (
-        float(1 - t) ** float(gamma)
-        * float(pochhammer(gamma, n) * t**n / (pochhammer(alpha, n) * c**n))
-        * float(1 - c) ** -float(beta) * float(hyp)
-    )
-    return _orth_report(case, terms, rhs)
-
-
-def _orth_meixner_2f1_two_param(case: IdentityCase) -> VerificationReport:
-    p = case.params
-    alpha, beta, gamma, c, d, t = (
-        p["alpha"], p["beta"], p["gamma"], p["c"], p["d"], p["t"],
-    )
-    n = as_index(p["n"], "n")
-    _require_orth(alpha > 0 and beta > 0 and 0 < c < 1 and 0 < d < 1,
-                  "needs alpha, beta > 0 and c, d in (0,1)")
-    _require_orth(abs(t) < min(1, abs(c * d / (c + d))),
-                  "needs |t| < min(1, |cd/(c+d)|)")
-    count = case.x_max + 1
-    w_arg = t * (1 - c) / (c * (1 - t))
-    kernel = _gauss_kernel_values(gamma, alpha, w_arg, count)
-    mn = _meixner_on_lattice(n, beta, d, count)
-    w = _weights(beta, d, count)
-    terms = [kernel[x] * mn[x] * w[x] for x in range(count)]
-    ratio = d * (1 - c) / (c * (1 - d))
-    hyp = _pfq_scalar_exact((gamma + n, beta + n), (alpha + n,), -ratio * t / (1 - t))
-    rhs = (
-        float(pochhammer(gamma, n) / ((1 - d) ** n * pochhammer(alpha, n)) * w_arg**n)
-        * float(1 - d) ** -float(beta) * float(hyp)
-    )
-    return _orth_report(case, terms, rhs)
-
-
-def _orth_krawtchouk(case: IdentityCase, with_gamma: bool) -> VerificationReport:
-    p = case.params
-    pp, qq, t = p["p"], p["q"], p["t"]
+def _orth_krawtchouk(case: IdentityCase, gf_id: str) -> VerificationReport:
+    """sum_x binom(M, x) q^x (1-q)^(M-x) [lhs of gf_id]_N(t) K_n(x; q, M)
+    against (t(q-1)/p)^n (gamma)_n / (-N)_n [inner_n of gf_id]_{N-n}(t),
+    with (gamma)_n = 1 for the 1F1 form."""
+    spec, names = GF_IDENTITIES[gf_id]
+    p = {k: case.params[k] for k in names if k != "x"}
     cap, big = as_index(p["N"], "N"), as_index(p["M"], "M")
-    n = as_index(p["n"], "n")
+    p["N"], p["M"] = cap, big
+    n, t, qq = as_index(case.params["n"], "n"), case.params["t"], p["q"]
     _check_kraw_sizes(cap, big)
-    _require_orth(n <= cap, "needs n <= N")
-    gamma = p["gamma"] if with_gamma else None
+    if n > cap:
+        raise DomainError("needs n <= N")
     lhs = Fraction(0)
     for x in range(big + 1):
-        if with_gamma:
-            bracket = _kraw_2f1_lhs(Fraction(x), pp, cap, gamma, cap, EXACT)
-        else:
-            bracket = _kraw_1f1_lhs(Fraction(x), pp, cap, cap, EXACT)
-        weight = (
-            Fraction(math.comb(big, x)) * qq**x * (1 - qq) ** (big - x)
-        )
+        bracket = spec.lhs(cap, EXACT, **p, x=Fraction(x))
+        weight = Fraction(math.comb(big, x)) * qq**x * (1 - qq) ** (big - x)
         lhs += weight * bracket.evaluate(t) * _krawtchouk(n, Fraction(x), qq, big)
-    inner_order = cap - n
-    if with_gamma:
-        inner = binomial_power(1, gamma + n, inner_order, EXACT) * hyper_series_in_t(
-            pfq((gamma + n, Fraction(n - big)), (Fraction(n - cap),)),
-            mobius_arg(-qq / pp), inner_order, EXACT,
-        )
-        prefactor = pochhammer(gamma, n) / pochhammer(Fraction(-cap), n)
-    else:
-        inner = exp_series(1, inner_order, EXACT) * hyper_series_in_t(
-            pfq((Fraction(n - big),), (Fraction(n - cap),)),
-            linear_arg(-qq / pp), inner_order, EXACT,
-        )
-        prefactor = 1 / pochhammer(Fraction(-cap), n)
-    rhs = (t * (qq - 1) / pp) ** n * prefactor * inner.evaluate(t)
+    prefactor = pochhammer(p["gamma"], n) if "gamma" in p else 1
+    rhs = (
+        (t * (qq - 1) / p["p"]) ** n * prefactor / pochhammer(Fraction(-cap), n)
+        * spec.inner(n, cap - n, EXACT, **p).evaluate(t)
+    )
     if case.field.is_exact:
         status = "pass" if lhs == rhs else "fail"
         deviation = abs(float(lhs - rhs))
-        return VerificationReport(
-            case, status, deviation=deviation,
-            terms_summed=big + 1, tail_bound=0.0,
-        )
-    deviation = abs(float(lhs) - float(rhs))
-    tol = case.field.atol + case.field.rtol * abs(float(rhs))
-    return VerificationReport(
-        case, "pass" if deviation <= tol else "fail",
-        deviation=deviation, terms_summed=big + 1, tail_bound=0.0,
-    )
+    else:
+        deviation = abs(float(lhs) - float(rhs))
+        tol = case.field.atol + case.field.rtol * abs(float(rhs))
+        status = "pass" if deviation <= tol else "fail"
+    return VerificationReport(case, status, deviation=deviation,
+                              terms_summed=big + 1, tail_bound=0.0)
 
 
 ORTHOGONALITY_IDS = {
-    "meixner_orthogonality": (_orth_meixner_moments, ("alpha", "c", "n", "m")),
-    "meixner_sum_1f1_same_c": (_orth_meixner_1f1_same_c,
-                               ("alpha", "beta", "c", "t", "n")),
-    "meixner_sum_1f1_two_param": (_orth_meixner_1f1_two_param,
-                                  ("alpha", "beta", "c", "d", "t", "n")),
-    "meixner_sum_2f1_same_c": (_orth_meixner_2f1_same_c,
-                               ("alpha", "beta", "gamma", "c", "t", "n")),
-    "meixner_sum_2f1_two_param": (_orth_meixner_2f1_two_param,
-                                  ("alpha", "beta", "gamma", "c", "d", "t", "n")),
-    "krawtchouk_sum_1f1": (lambda case: _orth_krawtchouk(case, False),
+    "meixner_orthogonality": (LatticeSum(
+        lambda alpha, c, **_: alpha > 0 and 0 < c < 1, "alpha > 0 and c in (0,1)",
+        lambda alpha, c, **_: (alpha, c),
+        lambda count, alpha, c, m, **_: _meixner_on_lattice(
+            as_index(m, "m"), alpha, c, count),
+        lambda n, alpha, c, m, **_: (
+            _fact(n) / (c**n * (1 - c) ** alpha * pochhammer(alpha, n))
+            if as_index(m, "m") == n else Fraction(0)),
+    ), ("alpha", "c", "n", "m")),
+    "meixner_sum_1f1_same_c": (LatticeSum(
+        lambda alpha, beta, c, **_: alpha > 0 and beta > 0 and 0 < c < 1,
+        "alpha, beta > 0 and c in (0,1)",
+        lambda beta, c, **_: (beta, c),
+        _confluent_kernel,
+        lambda n, alpha, beta, c, t, **_: (
+            float(t**n / (pochhammer(alpha, n) * c**n)) * math.exp(-float(t))
+            * float(1 - c) ** -float(beta)
+            * float(_pfq_scalar_exact((alpha - beta,), (alpha + n,), t))),
+    ), ("alpha", "beta", "c", "t", "n")),
+    "meixner_sum_1f1_two_param": (LatticeSum(
+        lambda alpha, beta, c, d, **_: alpha > 0 and beta > 0 and 0 < c < 1 and 0 < d < 1,
+        "alpha, beta > 0 and c, d in (0,1)",
+        lambda beta, d, **_: (beta, d),
+        _confluent_kernel,
+        lambda n, alpha, beta, c, d, t, **_: (
+            float(t**n * (1 - c) ** n / (c**n * (1 - d) ** n * pochhammer(alpha, n)))
+            * float(1 - d) ** -float(beta)
+            * float(_pfq_scalar_exact((beta + n,), (alpha + n,), -_ratio(c, d) * t))),
+    ), ("alpha", "beta", "c", "d", "t", "n")),
+    "meixner_sum_2f1_same_c": (LatticeSum(
+        lambda alpha, beta, c, t, **_: (
+            alpha > 0 and beta > 0 and 0 < c < 1
+            and abs(t) < 1 and abs(t * (1 - c)) < abs(c * (1 - t))),
+        "alpha, beta > 0, c in (0,1), |t| < 1 and |t(1-c)| < |c(1-t)|",
+        lambda beta, c, **_: (beta, c),
+        _gauss_kernel,
+        lambda n, alpha, beta, gamma, c, t, **_: (
+            float(1 - t) ** float(gamma)
+            * float(pochhammer(gamma, n) * t**n / (pochhammer(alpha, n) * c**n))
+            * float(1 - c) ** -float(beta)
+            * float(_pfq_scalar_exact((alpha - beta, gamma + n), (alpha + n,), t))),
+    ), ("alpha", "beta", "gamma", "c", "t", "n")),
+    "meixner_sum_2f1_two_param": (LatticeSum(
+        lambda alpha, beta, c, d, t, **_: (
+            alpha > 0 and beta > 0 and 0 < c < 1 and 0 < d < 1
+            and abs(t) < min(1, abs(c * d / (c + d)))),
+        "alpha, beta > 0, c, d in (0,1) and |t| < min(1, |cd/(c+d)|)",
+        lambda beta, d, **_: (beta, d),
+        _gauss_kernel,
+        lambda n, alpha, beta, gamma, c, d, t, **_: (
+            float(pochhammer(gamma, n) / ((1 - d) ** n * pochhammer(alpha, n))
+                  * (t * (1 - c) / (c * (1 - t))) ** n)
+            * float(1 - d) ** -float(beta)
+            * float(_pfq_scalar_exact((gamma + n, beta + n), (alpha + n,),
+                                      -_ratio(c, d) * t / (1 - t)))),
+    ), ("alpha", "beta", "gamma", "c", "d", "t", "n")),
+    "krawtchouk_sum_1f1": (lambda case: _orth_krawtchouk(case, "krawtchouk_1f1_two_param"),
                            ("p", "q", "N", "M", "t", "n")),
-    "krawtchouk_sum_2f1": (lambda case: _orth_krawtchouk(case, True),
+    "krawtchouk_sum_2f1": (lambda case: _orth_krawtchouk(case, "krawtchouk_2f1_two_param"),
                            ("p", "q", "N", "M", "t", "n", "gamma")),
 }
 
@@ -913,14 +750,7 @@ def verify_orthogonality_sum(case: IdentityCase) -> VerificationReport:
         ) from None
 
     def run():
-        missing = set(names) - set(case.params)
-        unknown = set(case.params) - set(names)
-        if missing:
-            raise DomainError(f"{case.identity} needs parameter(s) {sorted(missing)}")
-        if unknown:
-            raise DomainError(
-                f"{case.identity} does not take parameter(s) {sorted(unknown)}"
-            )
+        _require(case, names, allowed=names)
         return handler(case)
 
     return _guard(case, run)
@@ -929,41 +759,33 @@ def verify_orthogonality_sum(case: IdentityCase) -> VerificationReport:
 # -- invariance of plain generating functions under degenerate relations -----
 
 _PLAIN_GFS = {
-    # id -> (family, builder(params, order, field), normalization c_n)
+    # id -> (family, parameter names, series(order, field, **params),
+    #        normalization c_n(n, **params))
     "meixner_product_gf": (
-        "meixner",
-        lambda p, order, field: binomial_power(1 / p["c"], -p["x"], order, field)
-        * binomial_power(1, p["x"] + p["alpha"], order, field),
-        lambda p, n: pochhammer(p["alpha"], n) / _fact(n),
+        "meixner", ("x", "alpha", "c"),
+        lambda o, f, x, alpha, c, **_: families.gf_expand(
+            "meixner", x, {"alpha": alpha, "c": c}, o, f),
+        lambda n, alpha, **_: pochhammer(alpha, n) / _fact(n),
     ),
     "meixner_exp_gf": (
-        "meixner",
-        lambda p, order, field: exp_series(1, order, field) * hyper_series_in_t(
-            pfq((-p["x"],), (p["alpha"],)), linear_arg((1 - p["c"]) / p["c"]),
-            order, field,
-        ),
-        lambda p, n: Fraction(1, _fact(n)),
+        "meixner", ("x", "alpha", "c"),
+        GF_IDENTITIES["meixner_1f1_alpha_shift"][0].lhs_series,
+        lambda n, **_: Fraction(1, _fact(n)),
     ),
     "meixner_gauss_gf": (
-        "meixner",
-        lambda p, order, field: _meixner_2f1_lhs(
-            p["x"], p["alpha"], p["gamma"], p["c"], order, field
-        ),
-        lambda p, n: pochhammer(p["gamma"], n) / _fact(n),
+        "meixner", ("x", "alpha", "c", "gamma"),
+        GF_IDENTITIES["meixner_2f1_alpha_shift"][0].lhs_series,
+        lambda n, gamma, **_: pochhammer(gamma, n) / _fact(n),
     ),
     "krawtchouk_exp_gf": (
-        "krawtchouk",
-        lambda p, order, field: _kraw_1f1_lhs(
-            p["x"], p["p"], as_index(p["N"], "N"), order, field
-        ),
-        lambda p, n: Fraction(1, _fact(n)),
+        "krawtchouk", ("x", "p", "N"),
+        GF_IDENTITIES["krawtchouk_1f1_prob_shift"][0].lhs_series,
+        lambda n, **_: Fraction(1, _fact(n)),
     ),
     "krawtchouk_gauss_gf": (
-        "krawtchouk",
-        lambda p, order, field: _kraw_2f1_lhs(
-            p["x"], p["p"], as_index(p["N"], "N"), p["gamma"], order, field
-        ),
-        lambda p, n: pochhammer(p["gamma"], n) / _fact(n),
+        "krawtchouk", ("x", "p", "N", "gamma"),
+        GF_IDENTITIES["krawtchouk_2f1_prob_shift"][0].lhs_series,
+        lambda n, gamma, **_: pochhammer(gamma, n) / _fact(n),
     ),
 }
 
@@ -971,23 +793,29 @@ _PLAIN_GFS = {
 def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
     """Re-expand a generating function through a (degenerate) connection table
     and demand the truncated series is literally unchanged."""
-    gf_id = case.params["generating_function"]
-    relation_id = case.params["relation"]
 
     def run():
-        family, build, normalization = _PLAIN_GFS[gf_id]
+        _require(case, ("generating_function", "relation"), order=True)
+        gf_id, relation_id = case.params["generating_function"], case.params["relation"]
+        if gf_id not in _PLAIN_GFS:
+            raise DomainError(
+                f"unknown generating function {gf_id!r}; known: {', '.join(_PLAIN_GFS)}"
+            )
+        family, names, build, normalization = _PLAIN_GFS[gf_id]
         spec = conn.get_relation(relation_id)
         if spec.family != family:
             raise DomainError(f"{relation_id} does not apply to {family}")
+        _require(case, (*names, *spec.names))
         params = {k: v for k, v in case.params.items()
                   if k not in ("generating_function", "relation")}
         order = case.order
         source = spec.source(params)
+        bound = {**source, **params}
         x = params["x"]
         n_cap = order
         if family == "krawtchouk":
             n_cap = min(order, as_index(params["N"], "N"))
-        original = build({**source, **params}, order, case.field)
+        original = build(order, case.field, **bound)
         table = conn.connection_table(relation_id, params, n_cap, case.field)
         rebuilt = TruncatedSeries.zero(order, case.field)
         target = spec.target(params)
@@ -995,183 +823,101 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
             poly = families.family_eval(family, k, x, target)
             coeff_series = [case.field.zero()] * (order + 1)
             for n in range(k, n_cap + 1):
-                c_n = normalization({**source, **params}, n)
+                c_n = normalization(n, **bound)
                 coeff_series[n] = case.field.of(
                     c_n * table.coefficient(n, k, x if spec.x_dependent else None)
                 )
             rebuilt = rebuilt + TruncatedSeries(case.field, coeff_series).scale(poly)
-        mismatch = original.first_mismatch(rebuilt)
-        deviation = original.max_deviation(rebuilt)
-        if mismatch is None:
-            return VerificationReport(case, "pass", deviation=deviation)
-        return VerificationReport(case, "fail", deviation=deviation,
-                                  first_failing_order=mismatch)
+        return _series_report(case, [(original, rebuilt)])
 
     return _guard(case, run)
 
 
 # -- specialization chains ----------------------------------------------------
 
-
-def _chain_sides(case, general_id, general_params, special_id, special_params,
-                 lhs_factor=None):
-    """Compare the degenerate two-parameter identity with the one-parameter
-    identity it collapses to, side by side; lhs_factor multiplies both general
-    sides (the exp(t) that the collapsed form keeps on its left)."""
-    field, order = case.field, case.order
-    general_params = {k: general_params[k] for k in GF_IDENTITIES[general_id][1]}
-    special_params = {k: special_params[k] for k in GF_IDENTITIES[special_id][1]}
-    general = IdentityCase(general_id, general_params, order=order, field=field)
-    special = IdentityCase(special_id, special_params, order=order, field=field)
-    g_lhs, g_rhs = build_sides(general)
-    s_lhs, s_rhs = build_sides(special)
-    if lhs_factor is not None:
-        factor = lhs_factor(order, field)
-        g_lhs, g_rhs = factor * g_lhs, factor * g_rhs
-    mismatch = None
-    deviation = 0.0
-    for left, right in ((g_lhs, s_lhs), (g_rhs, s_rhs)):
-        m = left.first_mismatch(right)
-        deviation = max(deviation, left.max_deviation(right))
-        if m is not None:
-            mismatch = m if mismatch is None else min(mismatch, m)
-    if mismatch is None:
-        return VerificationReport(case, "pass", deviation=deviation)
-    return VerificationReport(case, "fail", deviation=deviation,
-                              first_failing_order=mismatch)
-
-
-def _chain_meixner_1f1(case):
-    p = dict(case.params)
-    general = {**p, "d": p["c"]}
-    special = {k: p[k] for k in ("x", "alpha", "beta", "c")}
-    return _chain_sides(
-        case, "meixner_1f1_two_param", general, "meixner_1f1_alpha_shift", special,
-        lhs_factor=lambda order, field: exp_series(1, order, field),
-    )
-
-
-def _chain_meixner_2f1(case):
-    p = dict(case.params)
-    general = {**p, "d": p["c"]}
-    special = {k: p[k] for k in ("x", "alpha", "beta", "c", "gamma")}
-    return _chain_sides(case, "meixner_2f1_two_param", general,
-                        "meixner_2f1_alpha_shift", special)
-
-
-def _chain_kraw(case, general_id, special_id, degenerate):
-    p = dict(case.params)
-    general = {**p, **degenerate(p)}
-    _, names = GF_IDENTITIES[special_id]
-    special = {k: p[k] for k in names if k in p}
-    if "M" in names and "M" not in special:
-        special["M"] = p["N"]
-    return _chain_sides(case, general_id, general, special_id, special)
-
-
 SPECIALIZATION_CHAINS = {
-    "chain_meixner_1f1_c_equals_d": _chain_meixner_1f1,
-    "chain_meixner_2f1_d_equals_c": _chain_meixner_2f1,
-    "chain_krawtchouk_1f1_p_equals_q": lambda case: _chain_kraw(
-        case, "krawtchouk_1f1_two_param", "krawtchouk_1f1_degree_shift",
-        lambda p: {"q": p["p"]},
-    ),
-    "chain_krawtchouk_1f1_M_equals_N": lambda case: _chain_kraw(
-        case, "krawtchouk_1f1_two_param", "krawtchouk_1f1_prob_shift",
-        lambda p: {"M": p["N"]},
-    ),
-    "chain_krawtchouk_2f1_p_equals_q": lambda case: _chain_kraw(
-        case, "krawtchouk_2f1_two_param", "krawtchouk_2f1_degree_shift",
-        lambda p: {"q": p["p"]},
-    ),
-    "chain_krawtchouk_2f1_M_equals_N": lambda case: _chain_kraw(
-        case, "krawtchouk_2f1_two_param", "krawtchouk_2f1_prob_shift",
-        lambda p: {"M": p["N"]},
-    ),
+    # id -> (general identity, the identity it collapses to, the degenerate
+    #        binding {general name: case name}, whether exp(t) multiplies the
+    #        general sides because the collapsed form keeps it on its left)
+    "chain_meixner_1f1_c_equals_d": (
+        "meixner_1f1_two_param", "meixner_1f1_alpha_shift", {"d": "c"}, True),
+    "chain_meixner_2f1_d_equals_c": (
+        "meixner_2f1_two_param", "meixner_2f1_alpha_shift", {"d": "c"}, False),
+    "chain_krawtchouk_1f1_p_equals_q": (
+        "krawtchouk_1f1_two_param", "krawtchouk_1f1_degree_shift", {"q": "p"}, False),
+    "chain_krawtchouk_1f1_M_equals_N": (
+        "krawtchouk_1f1_two_param", "krawtchouk_1f1_prob_shift", {"M": "N"}, False),
+    "chain_krawtchouk_2f1_p_equals_q": (
+        "krawtchouk_2f1_two_param", "krawtchouk_2f1_degree_shift", {"q": "p"}, False),
+    "chain_krawtchouk_2f1_M_equals_N": (
+        "krawtchouk_2f1_two_param", "krawtchouk_2f1_prob_shift", {"M": "N"}, False),
 }
 
 
-# -- table agreement and bound-grid checks ------------------------------------
-
-
-def _tables_agree(case, left, right, x=None):
-    worst = 0.0
-    for n in range(left.n_max + 1):
-        for k in range(n + 1):
-            a = left.coefficient(n, k, x if left.x_dependent else None)
-            b = right.coefficient(n, k, x if right.x_dependent else None)
-            worst = max(worst, abs(complex(a) - complex(b)))
-            if not case.field.eq(case.field.of(a), case.field.of(b)):
-                return VerificationReport(
-                    case, "fail", deviation=worst, first_failing_order=n,
-                    detail=f"tables disagree at n = {n}, k = {k}",
-                )
-    return VerificationReport(case, "pass", deviation=worst)
-
-
-def _check_power_collect_meixner(case):
-    p = dict(case.params)
-    n_max = as_index(p["n_max"], "n_max")
-    collected = conn.power_collect(
-        "meixner",
-        {"alpha": p["alpha"], "c": p["c"]},
-        {"alpha": p["beta"], "c": p["c"]},
-        n_max,
+def _verify_chain(case: IdentityCase) -> VerificationReport:
+    """Compare the degenerate general identity with the one it collapses to,
+    side by side."""
+    general_id, special_id, binding, with_exp = SPECIALIZATION_CHAINS[case.identity]
+    general_names, special_names = GF_IDENTITIES[general_id][1], GF_IDENTITIES[special_id][1]
+    _require(case, (set(general_names) | set(special_names)) - set(binding), order=True)
+    p = {**case.params, **{k: case.params[v] for k, v in binding.items()}}
+    (g_lhs, g_rhs), (s_lhs, s_rhs) = (
+        build_sides(IdentityCase(identity, {k: p[k] for k in names},
+                                 order=case.order, field=case.field))
+        for identity, names in ((general_id, general_names), (special_id, special_names))
     )
-    if collected.x_dependent:
-        return VerificationReport(case, "fail",
-                                  detail="power collection produced x-dependent output")
-    closed = conn.connection_table("meixner_alpha_to_beta", p, n_max)
-    return _tables_agree(case, collected, closed)
+    if with_exp:
+        factor = exp_series(1, case.order, case.field)
+        g_lhs, g_rhs = factor * g_lhs, factor * g_rhs
+    return _series_report(case, [(g_lhs, s_lhs), (g_rhs, s_rhs)])
 
 
-def _check_oracle_meixner_alpha(case):
+# -- table agreement, bound-grid and catalog checks ---------------------------
+
+TABLE_CHECKS = {
+    # id -> (family, left table, right table, source {family name: case name},
+    #        target {family name: case name}); a table is "power_collect",
+    #        "connect_linear_solve" or a closed-form relation id
+    "power_collect_matches_closed_form": (
+        "meixner", "power_collect", "meixner_alpha_to_beta",
+        {"alpha": "alpha", "c": "c"}, {"alpha": "beta", "c": "c"}),
+    "oracle_meixner_alpha": (
+        "meixner", "connect_linear_solve", "meixner_alpha_to_beta",
+        {"alpha": "alpha", "c": "c"}, {"alpha": "beta", "c": "c"}),
+    "oracle_meixner_two_param": (
+        "meixner", "connect_linear_solve", "meixner_alpha_c_to_beta_d",
+        {"alpha": "alpha", "c": "c"}, {"alpha": "beta", "c": "d"}),
+    "oracle_krawtchouk": (
+        "krawtchouk", "connect_linear_solve", "krawtchouk_p_N_to_q_M",
+        {"p": "p", "N": "N"}, {"p": "q", "N": "M"}),
+    "oracle_al_salam_carlitz_1": (
+        "al_salam_carlitz_1", "power_collect", "connect_linear_solve",
+        {"a": "a_from", "q": "q"}, {"a": "a_to", "q": "q"}),
+}
+
+
+def _check_tables(case: IdentityCase) -> VerificationReport:
+    """Two connection tables for the same source and target agree entry by
+    entry."""
+    family, left, right, source, target = TABLE_CHECKS[case.identity]
+    _require(case, {*source.values(), *target.values(), "n_max"})
     p = dict(case.params)
     n_max = as_index(p["n_max"], "n_max")
-    solved = conn.connect_linear_solve(
-        "meixner",
-        {"alpha": p["alpha"], "c": p["c"]},
-        {"alpha": p["beta"], "c": p["c"]},
-        n_max,
-    )
-    closed = conn.connection_table("meixner_alpha_to_beta", p, n_max)
-    return _tables_agree(case, solved, closed)
+    source = {k: p[v] for k, v in source.items()}
+    target = {k: p[v] for k, v in target.items()}
 
+    def table(how):
+        if how in ("power_collect", "connect_linear_solve"):
+            return getattr(conn, how)(family, source, target, n_max)
+        return conn.connection_table(how, p, n_max)
 
-def _check_oracle_meixner_two_param(case):
-    p = dict(case.params)
-    n_max = as_index(p["n_max"], "n_max")
-    solved = conn.connect_linear_solve(
-        "meixner",
-        {"alpha": p["alpha"], "c": p["c"]},
-        {"alpha": p["beta"], "c": p["d"]},
-        n_max,
-    )
-    closed = conn.connection_table("meixner_alpha_c_to_beta_d", p, n_max)
-    return _tables_agree(case, solved, closed)
-
-
-def _check_oracle_krawtchouk(case):
-    p = dict(case.params)
-    n_max = as_index(p["n_max"], "n_max")
-    solved = conn.connect_linear_solve(
-        "krawtchouk",
-        {"p": p["p"], "N": p["N"]},
-        {"p": p["q"], "N": p["M"]},
-        n_max,
-    )
-    closed = conn.connection_table("krawtchouk_p_N_to_q_M", p, n_max)
-    return _tables_agree(case, solved, closed)
-
-
-def _check_oracle_al_salam_carlitz(case):
-    p = dict(case.params)
-    n_max = as_index(p["n_max"], "n_max")
-    source = {"a": p["a_from"], "q": p["q"]}
-    target = {"a": p["a_to"], "q": p["q"]}
-    collected = conn.power_collect("al_salam_carlitz_1", source, target, n_max)
-    solved = conn.connect_linear_solve("al_salam_carlitz_1", source, target, n_max)
-    return _tables_agree(case, collected, solved)
+    left, right = table(left), table(right)
+    if left.x_dependent or right.x_dependent:
+        return VerificationReport(case, "fail", detail="a compared table depends on x")
+    rows = ((n, left.coefficient(n, k), right.coefficient(n, k),
+             f"tables disagree at n = {n}, k = {k}")
+            for n in range(left.n_max + 1) for k in range(n + 1))
+    return _agreement(case, case.field, rows)
 
 
 _BOUND_GRIDS = {
@@ -1232,34 +978,25 @@ def _check_catalog_complete(case):
 
 
 def _check_gf_matches_eval(case):
-    p = dict(case.params)
-    family = p.pop("family")
-    order = case.order
-    descriptor = families.get_family(family)
-    x = p.pop("x", None)
-    params = p
-    series = families.gf_expand(descriptor, x, params, order)
-    worst = 0.0
-    for n in range(order + 1):
+    _require(case, ("family",), order=True)
+    params = dict(case.params)
+    descriptor = families.get_family(params.pop("family"))
+    x = params.pop("x", None)
+    series = families.gf_expand(descriptor, x, params, case.order)
+
+    def expected(n):
         if descriptor.id == "krawtchouk" and n > as_index(params["N"], "N"):
-            expected = series.field.zero()
-        else:
-            c_n = families.normalization_at(descriptor, n, x, params, series.field)
-            expected = c_n * families.family_eval(descriptor, n, x, params)
-        got = series.coefficient(n)
-        worst = max(worst, abs(complex(expected) - complex(got)))
-        if not series.field.eq(series.field.of(expected), series.field.of(got)):
-            return VerificationReport(case, "fail", deviation=worst,
-                                      first_failing_order=n)
-    return VerificationReport(case, "pass", deviation=worst)
+            return series.field.zero()
+        c_n = families.normalization_at(descriptor, n, x, params, series.field)
+        return c_n * families.family_eval(descriptor, n, x, params)
+
+    rows = ((n, expected(n), series.coefficient(n), None) for n in range(case.order + 1))
+    return _agreement(case, series.field, rows)
 
 
 SPECIAL_CHECKS = {
-    "power_collect_matches_closed_form": _check_power_collect_meixner,
-    "oracle_meixner_alpha": _check_oracle_meixner_alpha,
-    "oracle_meixner_two_param": _check_oracle_meixner_two_param,
-    "oracle_krawtchouk": _check_oracle_krawtchouk,
-    "oracle_al_salam_carlitz_1": _check_oracle_al_salam_carlitz,
+    **{name: _verify_chain for name in SPECIALIZATION_CHAINS},
+    **{name: _check_tables for name in TABLE_CHECKS},
     "catalog_complete": _check_catalog_complete,
     "gf_matches_eval": _check_gf_matches_eval,
     **{name: _check_bound_grid for name in _BOUND_GRIDS},
@@ -1275,8 +1012,6 @@ def verify_case(case: IdentityCase) -> VerificationReport:
         return verify_gf_identity(case)
     if case.identity in ORTHOGONALITY_IDS:
         return verify_orthogonality_sum(case)
-    if case.identity in SPECIALIZATION_CHAINS:
-        return _guard(case, lambda: SPECIALIZATION_CHAINS[case.identity](case))
     if case.identity == "gf_invariance":
         return verify_gf_invariance(case)
     if case.identity in SPECIAL_CHECKS:
@@ -1287,18 +1022,19 @@ def verify_case(case: IdentityCase) -> VerificationReport:
         return VerificationReport(
             case, "error", detail=f"unknown identity {case.identity!r}"
         )
-    params = {k: v for k, v in case.params.items()
-              if k not in ("n_max", "x_samples")}
-    unknown = set(params) - set(spec.names)
-    if unknown:
-        return VerificationReport(
-            case, "error",
-            detail=f"{case.identity} does not take parameter(s) {sorted(unknown)}",
-        )
-    n_max = as_index(case.params.get("n_max", case.order or 8), "n_max")
-    x_samples = case.params.get("x_samples", _DEFAULT_X_SAMPLES)
-    return verify_connection_relation(case.identity, params, n_max, x_samples,
-                                      case.field)
+
+    def run():
+        _require(case, spec.names, allowed=(*spec.names, "n_max", "x_samples"))
+        params = {k: v for k, v in case.params.items()
+                  if k not in ("n_max", "x_samples")}
+        n_max = as_index(case.params.get("n_max", case.order or 8), "n_max")
+        x_samples = case.params.get("x_samples", _DEFAULT_X_SAMPLES)
+        if not isinstance(x_samples, (tuple, list)):
+            raise DomainError("x_samples must be a list of arguments")
+        return verify_connection_relation(case.identity, params, n_max, x_samples,
+                                          case.field)
+
+    return _guard(case, run)
 
 
 def _thread_count() -> int:

@@ -208,3 +208,25 @@ def test_output_path_writes_file(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "0,1"
     assert lines[1].startswith("1,")
+
+
+def test_suite_rejects_backend_it_would_ignore(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "acceptance", "--backend", "numeric")
+    assert code == 2
+    assert "--backend numeric" in err
+    code, out, _ = run(capsys, "verify", "--suite", "acceptance", "--order", "4",
+                       "--output", "json")
+    assert code == 0 and json.loads(out)["summary"]["error"] == 0
+
+
+def test_exact_only_methods_reject_numeric_backend(capsys):
+    args = ("connect", "--relation", "meixner_alpha_to_beta", "--alpha", "3/2",
+            "--beta", "7/3", "--c", "2/5", "--n-max", "3")
+    for method in ("power-collection", "linear-solve"):
+        code, out, err = run(capsys, *args, "--method", method, "--backend", "numeric")
+        assert code == 2 and out == ""
+        assert "--backend numeric" in err
+        code, _, _ = run(capsys, *args, "--method", method)
+        assert code == 0
+    code, out, _ = run(capsys, *args, "--backend", "numeric", "--output", "json")
+    assert code == 0 and json.loads(out)["field"] == "numeric"

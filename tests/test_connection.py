@@ -1,5 +1,6 @@
 """Connection coefficients: closed forms, power collection, linear solve."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hyperconnect import (
     family_eval,
     krawtchouk_connection_coeffs,
     meixner_connection_coeffs,
+    numeric,
     pochhammer,
     power_collect,
     relation_ids,
@@ -343,3 +345,12 @@ def test_relation_registry_lists_all_eight():
         "krawtchouk_p_N_to_q_M", "krawtchouk_p_to_q_same_N",
         "krawtchouk_same_p_N_to_M",
     }
+
+
+def test_connection_table_json_round_trip_keeps_tolerances():
+    field = numeric(1e-10, 0.0)
+    table = connection_table("meixner_alpha_to_beta",
+                             {"alpha": ALPHA, "beta": BETA, "c": C}, 4, field)
+    back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
+    assert back.field == field
+    assert back.matrix() == table.matrix()

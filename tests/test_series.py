@@ -1,5 +1,6 @@
 """Truncated power series arithmetic and constructors."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hyperconnect import (
     geometric_stream,
     linear_factor_product,
     mobius_argument,
+    numeric,
     pochhammer,
     q_binomial_series,
 )
@@ -248,3 +250,10 @@ def test_series_json_round_trip():
     assert TruncatedSeries.from_json(doc) == s
     n = TruncatedSeries(NUMERIC, [complex(1, 2), 0.5])
     assert TruncatedSeries.from_json(n.as_json()) == n
+
+
+def test_series_json_round_trip_keeps_tolerances():
+    field = numeric(1e-10, 0.0)
+    s = TruncatedSeries(field, [complex(1, 2), 0.5])
+    back = TruncatedSeries.from_json(json.loads(json.dumps(s.as_json())))
+    assert back.field == field and back == s

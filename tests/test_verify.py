@@ -417,3 +417,72 @@ def test_kernel_recurrences_match_direct_sums():
     for x in range(25):
         direct = pfq_eval(pfq((Fraction(-x), gamma), (alpha,)), w, TERMINATING)
         assert values[x] == direct
+
+
+def test_malformed_cases_become_error_reports_in_batches():
+    good = IdentityCase("meixner_1f1_alpha_shift",
+                        pick(CANON, "x", "alpha", "beta", "c"), order=4)
+    invariance = {
+        "generating_function": "meixner_exp_gf", "relation": "meixner_alpha_to_beta",
+        "x": CANON["x"], "alpha": CANON["alpha"], "c": CANON["c"],
+        "beta": CANON["alpha"],
+    }
+    malformed = [
+        IdentityCase("oracle_krawtchouk",
+                     {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 4, "M": 7}),
+        IdentityCase("chain_meixner_1f1_c_equals_d",
+                     pick(CANON, "x", "alpha", "c"), order=4),
+        IdentityCase("gf_invariance", {**invariance, "generating_function": "nope"},
+                     order=4),
+        IdentityCase("gf_invariance", invariance),
+    ]
+    reports = batch_verify([good, *malformed, good])
+    assert [r.status for r in reports] == ["pass"] + ["error"] * 4 + ["pass"]
+    assert all(r.detail.startswith("DomainError") for r in reports[1:5])
+    malformed = [
+        IdentityCase("meixner_orthogonality",
+                     {"alpha": complex(2, 1), "c": Fraction(1, 2), "n": 1, "m": 1},
+                     field=numeric(), x_max=10),
+        IdentityCase("meixner_alpha_to_beta",
+                     {**pick(CANON, "alpha", "beta", "c"), "n_max": 3,
+                      "x_samples": Fraction(1)}),
+        IdentityCase("meixner_1f1_alpha_shift",
+                     pick(CANON, "x", "alpha", "beta", "c"), order=-1),
+        # an empty lattice sum used to pass against the zero rhs of m != n
+        IdentityCase("meixner_orthogonality",
+                     {"alpha": Fraction(2), "c": Fraction(1, 2), "n": 1, "m": 0},
+                     field=numeric(), x_max=-1),
+    ]
+    reports = batch_verify(malformed)
+    assert [r.status for r in reports] == ["error"] * 4
+    assert "needs an order >= 0" in reports[2].detail
+
+
+def test_exact_zero_term_gives_no_tail_bound():
+    # M_1(3; 3, 1/2) = 0 exactly, so the last summed term vanishes; its ratio
+    # to the next term says nothing about the tail
+    case = IdentityCase(
+        "meixner_orthogonality",
+        {"alpha": Fraction(3), "c": Fraction(1, 2), "n": 1, "m": 1},
+        field=numeric(), x_max=3,
+    )
+    report = verify_case(case)
+    assert report.status == "inconclusive"
+    assert report.tail_bound == float("inf")
+    assert verify_mod._tail_bound([Fraction(1), Fraction(1, 2), Fraction(0)]) is None
+
+
+def test_case_json_round_trip_keeps_tolerances():
+    for field in (numeric(1e-10, 0.0), numeric(1e-7, 1e-3), numeric()):
+        case = IdentityCase("meixner_orthogonality",
+                            {"alpha": Fraction(2), "c": Fraction(1, 2), "n": 1, "m": 0},
+                            field=field, x_max=40)
+        back = IdentityCase.from_json(json.loads(json.dumps(case.as_json())))
+        assert back == case
+    exact = IdentityCase("meixner_1f1_alpha_shift", pick(CANON, "x", "alpha", "beta", "c"),
+                         order=3)
+    assert IdentityCase.from_json(exact.as_json()) == exact
+    # documents written without tolerances load with the defaults
+    doc = {**case.as_json(), "field": "numeric"}
+    del doc["atol"], doc["rtol"]
+    assert IdentityCase.from_json(doc).field == numeric()
