@@ -26,11 +26,15 @@ _PARAM_FLAGS = (
 _INT_FLAGS = {"N", "M", "n", "m"}
 
 
-def _add_common(parser: argparse.ArgumentParser, with_params: bool = True):
-    parser.add_argument("--backend", choices=("exact", "numeric"), default="exact")
-    parser.add_argument("--output", choices=("json", "csv", "text"), default="text")
+def _add_common(parser: argparse.ArgumentParser, outputs: tuple,
+                with_params: bool = True, backend: str | None = "exact"):
+    """Shared flags.  ``outputs`` are the formats the subcommand writes, the
+    default last; --backend, which decides how values parse, comes with the
+    parameter flags."""
+    parser.add_argument("--output", choices=outputs, default=outputs[-1])
     parser.add_argument("--output-path", default=None)
     if with_params:
+        parser.add_argument("--backend", choices=("exact", "numeric"), default=backend)
         for flag in _PARAM_FLAGS:
             parser.add_argument(f"--{flag}", default=None)
         parser.add_argument(
@@ -137,7 +141,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_connect(args) -> int:
-    backend = args.backend
+    backend = args.backend or "exact"
     field = _field_for(backend)
     if args.relation:
         relation_id = args.relation
@@ -171,6 +175,12 @@ def _cmd_connect(args) -> int:
             table = conn.connect_linear_solve(args.family, source, target, args.n_max)
         else:
             table = conn.power_collect(args.family, source, target, args.n_max)
+        # the family and the bindings fix the field; --backend may only agree
+        if args.backend not in (None, table.field.kind):
+            raise DomainError(
+                f"--family {args.family} with these bindings works on the"
+                f" {table.field.kind} field; drop --backend {args.backend}"
+            )
     if args.output == "json":
         _emit(json.dumps(table.as_json(), indent=2), args.output_path)
     elif args.output == "csv":
@@ -224,7 +234,7 @@ def _cmd_verify(args) -> int:
             args.identity, params, order=args.order, field=field,
             x_max=args.x_max,
         )]
-    reports = verify.batch_verify(cases, threads=args.threads)
+    reports = verify.batch_verify(cases)
     summary = verify.summarize(reports)
     if args.output == "json":
         document = json.dumps(
@@ -268,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
     p_eval.add_argument("--family", required=True)
-    _add_common(p_eval)
+    _add_common(p_eval, ("json", "text"))
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_expand = sub.add_parser("expand", help="expand a generating function")
     p_expand.add_argument("--family", required=True)
     p_expand.add_argument("--order", type=int, required=True)
-    _add_common(p_expand)
+    _add_common(p_expand, ("json", "csv", "text"))
     p_expand.set_defaults(handler=_cmd_expand)
 
     p_conn = sub.add_parser("connect", help="derive a connection table")
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conn.add_argument("--n-max", type=int, required=True)
     p_conn.add_argument("--source", default=None, metavar="NAME=VALUE,...")
     p_conn.add_argument("--target", default=None, metavar="NAME=VALUE,...")
-    _add_common(p_conn)
+    _add_common(p_conn, ("json", "csv", "text"), backend=None)
     p_conn.set_defaults(handler=_cmd_connect)
 
     p_verify = sub.add_parser("verify", help="verify identities")
@@ -297,13 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x-samples", default=None,
                           metavar="X1,X2,...")
     p_verify.add_argument("--x-max", type=int, default=300)
-    p_verify.add_argument("--threads", type=int, default=None)
-    _add_common(p_verify)
+    _add_common(p_verify, ("json", "text"))
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="print the family catalog")
     p_cat.add_argument("--family", default=None)
-    _add_common(p_cat, with_params=False)
+    _add_common(p_cat, ("json",), with_params=False)
     p_cat.set_defaults(handler=_cmd_catalog)
 
     return parser

@@ -9,10 +9,15 @@ Truncated mode sums until the absolute term drops below tol * |partial sum|
 for five consecutive terms (guarding against alternating-term false
 convergence) or the term cap is hit.
 
-Everything can also be lifted to a series in t: single-variable functions
-accept arguments shaped lam*t or lam*t/(1-t); the two- and three-variable
-kinds accept lam*t arguments and extract the t^M coefficient as the finite
-sum over multi-indices of total degree M.
+Everything can also be lifted to a series in t, each coefficient an exact
+finite sum.  pFq at lam*t has coefficients c_k = a_k lam^k, from the term
+ratio; at lam*t/(1-t), which expands as (lam t)^k (1-t)^(-k), the t^j
+coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  The two- and
+three-variable kinds take lam_i*t arguments; the multi-indices of total
+degree M share only (a)_M / (c)_M = joint(M), so the t^M coefficient, the
+shell S_M, is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!: one
+Cauchy product of per-argument factors.  Scalar multivariable sums add
+the same shells.
 """
 
 from __future__ import annotations
@@ -20,18 +25,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .fields import (
     EXACT,
+    NUMERIC,
     FieldTag,
     as_index,
     is_exact_value,
     is_nonpositive_integer,
 )
 from .pochhammer import pochhammer
-from .series import CoefficientStream, TruncatedSeries, compose, mobius_argument
+from .series import CoefficientStream, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -214,19 +222,24 @@ def _sum_truncated(spec: HyperSpec, z, mode: Truncated):
     return total, TailReport(k + 1, last_abs, False)
 
 
-def pfq_eval(spec: HyperSpec, z, mode=TERMINATING):
-    """Scalar value of the generalized hypergeometric series at z."""
-    if spec.is_basic:
-        raise DomainError("use rphis_eval for basic series")
+def _evaluate(spec: HyperSpec, z, mode):
     if isinstance(mode, Terminating):
         degree = _terminating_degree(spec)
         if degree is None:
             raise DomainError(
-                "terminating mode needs a numerator parameter in {0, -1, -2, ...}"
+                "terminating mode needs a numerator parameter "
+                + ("q^-m" if spec.is_basic else "in {0, -1, -2, ...}")
             )
         return _sum_terminating(spec, z, degree)
     value, _ = _sum_truncated(spec, z, mode)
     return value
+
+
+def pfq_eval(spec: HyperSpec, z, mode=TERMINATING):
+    """Scalar value of the generalized hypergeometric series at z."""
+    if spec.is_basic:
+        raise DomainError("use rphis_eval for basic series")
+    return _evaluate(spec, z, mode)
 
 
 def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
@@ -244,13 +257,7 @@ def rphis_eval(spec: HyperSpec, z, mode=TERMINATING):
     """
     if not spec.is_basic:
         raise DomainError("rphis_eval needs a basic spec; use pfq_eval")
-    if isinstance(mode, Terminating):
-        degree = _terminating_degree(spec)
-        if degree is None:
-            raise DomainError("terminating mode needs a numerator parameter q^-m")
-        return _sum_terminating(spec, z, degree)
-    value, _ = _sum_truncated(spec, z, mode)
-    return value
+    return _evaluate(spec, z, mode)
 
 
 # -- multivariable kinds ----------------------------------------------------
@@ -260,8 +267,9 @@ HUMBERT_PHI2 = "humbert_phi2"
 LAURICELLA_FD3 = "lauricella_fd3"
 HUMBERT_PHI2_3 = "humbert_phi2_3"
 
-_KIND_ARITY = {APPELL_F1: 2, HUMBERT_PHI2: 2, LAURICELLA_FD3: 3, HUMBERT_PHI2_3: 3}
-_KIND_PARAMS = {APPELL_F1: 4, HUMBERT_PHI2: 3, LAURICELLA_FD3: 5, HUMBERT_PHI2_3: 4}
+# kind -> (arity, whether a joint numerator leads the parameters)
+_KINDS = {APPELL_F1: (2, True), HUMBERT_PHI2: (2, False),
+          LAURICELLA_FD3: (3, True), HUMBERT_PHI2_3: (3, False)}
 
 
 @dataclass(frozen=True)
@@ -281,132 +289,97 @@ class MultiVarSpec:
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in _KIND_ARITY:
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown multivariable kind {self.kind!r}")
-        if len(self.params) != _KIND_PARAMS[self.kind]:
+        arity, joint = _KINDS[self.kind]
+        if len(self.params) != arity + joint + 1:
             raise DomainError(
-                f"{self.kind} takes {_KIND_PARAMS[self.kind]} parameters,"
+                f"{self.kind} takes {arity + joint + 1} parameters,"
                 f" got {len(self.params)}"
             )
 
     @property
     def arity(self) -> int:
-        return _KIND_ARITY[self.kind]
+        return _KINDS[self.kind][0]
 
     @property
     def joint_numerator(self):
         """Parameter appearing as (a)_{|index|}, or None."""
-        if self.kind in (APPELL_F1, LAURICELLA_FD3):
-            return self.params[0]
-        return None
+        return self.params[0] if _KINDS[self.kind][1] else None
 
     @property
     def separate_numerators(self) -> tuple:
-        if self.kind == APPELL_F1:
-            return self.params[1:3]
-        if self.kind == HUMBERT_PHI2:
-            return self.params[0:2]
-        if self.kind == LAURICELLA_FD3:
-            return self.params[1:4]
-        return self.params[0:3]
+        return self.params[-1 - self.arity:-1]
 
     @property
     def joint_denominator(self):
         return self.params[-1]
 
 
-def _simplex(total: int, arity: int):
-    if arity == 2:
-        for m in range(total + 1):
-            yield (m, total - m)
-    else:
-        for m in range(total + 1):
-            for n in range(total - m + 1):
-                yield (m, n, total - m - n)
+def _pfq_coefficients(spec: HyperSpec, lam, order: int, field: FieldTag) -> list:
+    """Coefficients a_k lam^k, k = 0..order, of pFq at lam*t."""
+    return CoefficientStream(
+        Fraction(1), lambda k: _pfq_term_ratio(spec, lam, k)
+    ).coefficients(order, field)
 
 
-def _shell_value(spec: MultiVarSpec, args, total: int, joint_ratio_cache):
-    """Sum over the simplex |index| = total.
-
-    (a)_M / (c)_M depends on the shell only, the per-index rising factorials
-    are built incrementally inside the loop.
-    """
-    joint = joint_ratio_cache[total]
-    seps = spec.separate_numerators
-    shell = 0
-    for index in _simplex(total, spec.arity):
-        term = joint
-        skip = False
-        for b, m, x in zip(seps, index, args):
-            if m:
-                factor = pochhammer(b, m)
-                if factor == 0:
-                    skip = True
-                    break
-                term = term * factor * x**m / math.factorial(m)
-        if not skip:
-            shell = shell + term
-    return shell
-
-
-def _joint_ratios(spec: MultiVarSpec, max_total: int, field_one):
-    """joint[M] = (a)_M / (c)_M (or 1/(c)_M), with eager pole detection."""
-    c = spec.joint_denominator
+def _joint_ratios(spec: MultiVarSpec, order: int, field: FieldTag) -> list:
+    """joint[M] = (a)_M / (c)_M (or 1/(c)_M), M = 0..order: the coefficients
+    of 2F1(a, 1; c; t) (or 1F1(1; c; t)), with eager pole detection."""
     a = spec.joint_numerator
-    out = [field_one]
-    value = field_one
-    for m in range(max_total):
-        num = 1 if a is None else a + m
-        den = c + m
-        if num == 0:
-            out.extend([0 * field_one] * (max_total - m))
-            break
-        if den == 0:
-            raise PoleError(f"joint denominator parameter {c} hits a pole at shell {m + 1}")
-        value = value * num / den
-        out.append(value)
-    return out
+    joint = pfq((1,) if a is None else (a, 1), (spec.joint_denominator,))
+    return _pfq_coefficients(joint, 1, order, field)
+
+
+def _shells(spec: MultiVarSpec, lams, joint, field: FieldTag) -> list:
+    """Shells S_0..S_M of the series at arguments lam_i, M = len(joint) - 1."""
+    order = len(joint) - 1
+    factors = [
+        TruncatedSeries(field, [
+            pochhammer(b, m) / math.factorial(m) * lam**m for m in range(order + 1)
+        ])
+        for b, lam in zip(spec.separate_numerators, lams)
+    ]
+    return [j * c for j, c in zip(joint, reduce(mul, factors).coefficients)]
 
 
 def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None):
     """Scalar value of the double/triple series at the given arguments.
 
     Terminates exactly when the joint numerator is a nonpositive integer;
-    otherwise sums total-degree shells under the truncated-mode stopping rule.
+    otherwise sums shells under the truncated-mode stopping rule, doubling
+    the number formed until the rule is met or ``max_terms`` is reached.
     """
     if len(args) != spec.arity:
         raise DomainError(f"{spec.kind} takes {spec.arity} arguments")
     a = spec.joint_numerator
-    exact = all(is_exact_value(p) for p in spec.params) and all(
-        is_exact_value(x) for x in args
-    )
-    one = Fraction(1) if exact else complex(1.0)
     if a is not None and is_nonpositive_integer(a):
+        exact = all(is_exact_value(v) for v in (*spec.params, *args))
+        field = EXACT if exact else NUMERIC
         degree = -as_index(a.real if isinstance(a, complex) else a)
-        joint = _joint_ratios(spec, degree, one)
-        total = 0 * one
-        for m in range(degree + 1):
-            total = total + _shell_value(spec, args, m, joint)
-        return total
+        joint = _joint_ratios(spec, degree, field)
+        return sum(_shells(spec, [field.of(x) for x in args], joint, field), field.zero())
     mode = mode or Truncated()
-    joint = _joint_ratios(spec, mode.max_terms, complex(1.0))
+    joint = _joint_ratios(spec, mode.max_terms, NUMERIC)
     args = [complex(x) for x in args]
-    total = complex(0.0)
-    streak = 0
-    shell = complex(0.0)
-    for m in range(mode.max_terms + 1):
-        shell = _shell_value(spec, args, m, joint)
-        total = total + shell
-        if m and abs(shell) <= mode.tol * abs(total):
-            streak += 1
-            if streak >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            streak = 0
-    raise ConvergenceError(
-        f"no {_CONSECUTIVE_SMALL}-shell convergence streak within degree"
-        f" {mode.max_terms}; last |shell| = {abs(shell):.3e}"
-    )
+    order = min(16, mode.max_terms)
+    while True:
+        total = complex(0.0)
+        streak = 0
+        for m, shell in enumerate(_shells(spec, args, joint[: order + 1], NUMERIC)):
+            total = total + shell
+            if m and abs(shell) <= mode.tol * abs(total):
+                streak += 1
+                if streak >= _CONSECUTIVE_SMALL:
+                    return total
+            else:
+                streak = 0
+        if order == mode.max_terms:
+            raise ConvergenceError(
+                f"no {_CONSECUTIVE_SMALL}-shell convergence streak within degree"
+                f" {mode.max_terms}; last |shell| = {abs(shell):.3e}"
+            )
+        order = min(2 * order, mode.max_terms)
 
 
 # -- series in t ------------------------------------------------------------
@@ -428,47 +401,29 @@ def mobius_arg(scale) -> ArgShape:
     return ArgShape(scale, True)
 
 
-def pfq_stream(spec: HyperSpec) -> CoefficientStream:
-    """Coefficient stream a_k = prod (a_i)_k / (prod (b_j)_k k!) of z^k."""
-    if spec.is_basic:
-        raise DomainError("basic series are not supported as t-streams")
-
-    def ratio(k: int):
-        num = 1
-        for a in spec.numerator:
-            num = num * (a + k)
-        if num == 0:
-            return 0
-        den = 1
-        for b in spec.denominator:
-            den = den * (b + k)
-        if den == 0:
-            raise PoleError(
-                f"denominator parameter pole at coefficient {k + 1}"
-            )
-        return num / (den * (k + 1))
-
-    return CoefficientStream(Fraction(1), ratio)
-
-
 def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """Lift a hypergeometric function to a TruncatedSeries in t.
 
-    Single-variable specs take one ArgShape (lam*t or lam*t/(1-t), the latter
-    through composition).  Multivariable specs take one lam*t shape per
-    argument; the t^M coefficient is the exact finite sum over the simplex of
-    total degree M.
+    A pFq spec takes one ArgShape: at lam*t the coefficients are
+    c_k = a_k lam^k; at lam*t/(1-t) they are c_0 and, for j >= 1,
+    sum_{k=1..j} c_k C(j-1, k-1), as (1-t)^(-k) = sum_i C(k+i-1, i) t^i.
+    A multivariable spec takes one lam*t shape per argument; its t^M
+    coefficient is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!.
     """
     if isinstance(shapes, ArgShape):
         shapes = [shapes]
     if isinstance(spec, HyperSpec):
+        if spec.is_basic:
+            raise DomainError("basic series are not supported as t-streams")
         if len(shapes) != 1:
             raise DomainError("single-variable series takes one argument shape")
-        shape = shapes[0]
-        stream = pfq_stream(spec)
-        if shape.over_one_minus_t:
-            return compose(stream, mobius_argument(shape.scale, order, field), order)
-        return stream.scaled_argument(field.of(shape.scale)).series(order, field)
+        c = _pfq_coefficients(spec, field.of(shapes[0].scale), order, field)
+        if shapes[0].over_one_minus_t:
+            c = c[:1] + [
+                sum(c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1) if c[k])
+                for j in range(1, order + 1)
+            ]
+        return TruncatedSeries(field, c)
     if isinstance(spec, MultiVarSpec):
         if len(shapes) != spec.arity:
             raise DomainError(f"{spec.kind} takes {spec.arity} argument shapes")
@@ -477,7 +432,6 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT) -> Trun
                 "multivariable series support lam*t argument shapes only"
             )
         lams = [field.of(s.scale) for s in shapes]
-        joint = _joint_ratios(spec, order, field.one())
-        coeffs = [_shell_value(spec, lams, m, joint) for m in range(order + 1)]
-        return TruncatedSeries(field, coeffs)
+        joint = _joint_ratios(spec, order, field)
+        return TruncatedSeries(field, _shells(spec, lams, joint, field))
     raise DomainError(f"unsupported spec type {type(spec).__name__}")

@@ -33,9 +33,7 @@ runs, so a malformed case becomes an 'error' report rather than an exception.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -1037,27 +1035,16 @@ def verify_case(case: IdentityCase) -> VerificationReport:
     return _guard(case, run)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HYPERCONNECT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def batch_verify(cases, threads: int | None = None):
-    """Verify every case, isolating per-case errors; input order preserved."""
-    cases = list(cases)
-    workers = _thread_count() if threads is None else max(1, threads)
-    if workers == 1 or len(cases) < 2:
-        return [verify_case(case) for case in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(verify_case, cases))
+    """Verify every case in order, isolating per-case errors.
+
+    The cases run one after another: the work is pure-Python arithmetic,
+    which threads cannot overlap.  ``threads`` may be None or 1; any other
+    value is refused rather than ignored.
+    """
+    if threads not in (None, 1):
+        raise DomainError(f"batch_verify runs sequentially; got threads={threads!r}")
+    return [verify_case(case) for case in cases]
 
 
 def summarize(reports) -> dict:

@@ -230,3 +230,49 @@ def test_exact_only_methods_reject_numeric_backend(capsys):
         assert code == 0
     code, out, _ = run(capsys, *args, "--backend", "numeric", "--output", "json")
     assert code == 0 and json.loads(out)["field"] == "numeric"
+
+
+def test_connect_family_path_honours_backend(capsys):
+    cases = (
+        ("meixner", "alpha=3/2,c=2/5", "alpha=7/3,c=2/5", "power-collection", "exact"),
+        ("krawtchouk", "p=1/2,N=4", "p=1/3,N=4", "linear-solve", "exact"),
+        ("charlier", "a=2", "a=3", "linear-solve", "exact"),
+        ("al_salam_carlitz_1", "a=1/4,q=1/3", "a=1/5,q=1/3", "power-collection", "numeric"),
+        ("al_salam_carlitz_2", "a=1/4,q=1/3", "a=1/5,q=1/3", "linear-solve", "numeric"),
+        ("al_salam_chihara", "a=1/4,b=1/5,q=1/3,theta=0", "a=1/3,b=1/5,q=1/3,theta=0",
+         "power-collection", "numeric"),
+    )
+    for family, source, target, method, field in cases:
+        args = ("connect", "--family", family, "--source", source, "--target", target,
+                "--method", method, "--n-max", "3", "--output", "json")
+        code, default, _ = run(capsys, *args)
+        assert code == 0 and json.loads(default)["field"] == field
+        code, out, _ = run(capsys, *args, "--backend", field)
+        assert code == 0 and out == default
+        other = "numeric" if field == "exact" else "exact"
+        code, out, err = run(capsys, *args, "--backend", other)
+        assert code == 2 and out == ""
+        assert f"--backend {other}" in err
+
+
+def test_subcommands_offer_only_the_outputs_they_write(capsys):
+    meixner = ("--family", "meixner", "--n", "1", "--x", "4", "--alpha", "1", "--c", "1/2")
+    rejected = (
+        ("eval", *meixner, "--output", "csv"),
+        ("verify", "--identity", "meixner_1f1_c_shift", "--x", "4", "--alpha", "3/2",
+         "--c", "2/5", "--d", "3/7", "--order", "3", "--output", "csv"),
+        ("catalog", "--output", "text"),
+        ("catalog", "--backend", "exact"),
+        ("verify", "--suite", "acceptance", "--threads", "2"),
+    )
+    for argv in rejected:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, argv
+        assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "eval", *meixner, "--output", "text")
+    assert code == 0 and out.strip() == "-3"
+    code, out, _ = run(capsys, "catalog", "--output", "json")
+    assert code == 0 and len(json.loads(out)["families"]) == 16

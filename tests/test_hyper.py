@@ -1,5 +1,7 @@
 """Generalized, basic, and multivariable hypergeometric evaluation."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,10 @@ from hyperconnect import (
     APPELL_F1,
     EXACT,
     HUMBERT_PHI2,
+    HUMBERT_PHI2_3,
     INFINITE,
+    LAURICELLA_FD3,
+    NUMERIC,
     ConvergenceError,
     DomainError,
     MultiVarSpec,
@@ -27,7 +32,12 @@ from hyperconnect import (
     rphis,
     rphis_eval,
 )
-from hyperconnect.series import binomial_power
+from hyperconnect.series import (
+    CoefficientStream,
+    binomial_power,
+    compose,
+    mobius_argument,
+)
 
 
 def test_pfq_at_zero_is_one():
@@ -214,3 +224,101 @@ def test_multivar_parameter_count_checked():
         MultiVarSpec(APPELL_F1, (Fraction(1), Fraction(2)))
     with pytest.raises(DomainError):
         MultiVarSpec("humbert_phi9", (Fraction(1),))
+
+
+def _simplex_coefficients(spec, lams, order):
+    """[t^M] of the multivariable series at lam_i t, M = 0..order, summed
+    term by term over every multi-index of total degree M."""
+    a, c = spec.joint_numerator, spec.joint_denominator
+    out = []
+    for total in range(order + 1):
+        joint = (1 if a is None else pochhammer(a, total)) / pochhammer(c, total)
+        shell = Fraction(0)
+        for index in itertools.product(range(total + 1), repeat=spec.arity):
+            if sum(index) != total:
+                continue
+            term = joint
+            for b, m, lam in zip(spec.separate_numerators, index, lams):
+                term *= pochhammer(b, m) * lam**m / math.factorial(m)
+            shell += term
+        out.append(shell)
+    return out
+
+
+MULTIVAR_ORACLE_CASES = (
+    # (kind, params, argument scales); each row has a separate numerator in
+    # -N0 or a zero scale, F1 and F_D also a terminating joint numerator
+    (APPELL_F1, (Fraction(3, 4), Fraction(-2), Fraction(4, 3), Fraction(5, 4)),
+     (Fraction(2, 3), Fraction(-5, 7))),
+    (APPELL_F1, (Fraction(-3), Fraction(1, 2), Fraction(4, 3), Fraction(-11, 2)),
+     (Fraction(0), Fraction(7, 3))),
+    (HUMBERT_PHI2, (Fraction(1, 2), Fraction(-3), Fraction(7, 5)),
+     (Fraction(0), Fraction(3, 2))),
+    (LAURICELLA_FD3, (Fraction(5, 2), Fraction(1, 2), Fraction(-1), Fraction(4, 3),
+                      Fraction(9, 4)),
+     (Fraction(2, 3), Fraction(1, 5), Fraction(-5, 7))),
+    (LAURICELLA_FD3, (Fraction(-4), Fraction(1, 2), Fraction(2, 7), Fraction(4, 3),
+                      Fraction(9, 4)),
+     (Fraction(2, 3), Fraction(0), Fraction(-5, 7))),
+    (HUMBERT_PHI2_3, (Fraction(-2), Fraction(5, 3), Fraction(1, 2), Fraction(-7, 2)),
+     (Fraction(1, 3), Fraction(2), Fraction(0))),
+)
+
+
+@pytest.mark.parametrize("kind, params, lams", MULTIVAR_ORACLE_CASES)
+def test_multivar_lift_matches_simplex_sum(kind, params, lams):
+    spec = MultiVarSpec(kind, params)
+    shapes = [linear_arg(lam) for lam in lams]
+    want = _simplex_coefficients(spec, lams, 10)
+    got = hyper_series_in_t(spec, shapes, 10, EXACT)
+    assert got.coefficients == tuple(want)
+    approx = hyper_series_in_t(spec, shapes, 10, NUMERIC)
+    for x, y in zip(approx.coefficients, want):
+        assert abs(x - complex(y)) <= 1e-12 * max(1.0, abs(float(y)))
+
+
+@pytest.mark.parametrize("kind, params, lams", [
+    row for row in MULTIVAR_ORACLE_CASES
+    if row[0] in (APPELL_F1, LAURICELLA_FD3) and row[1][0] <= 0
+])
+def test_terminating_multivar_eval_matches_simplex_sum(kind, params, lams):
+    spec = MultiVarSpec(kind, params)
+    degree = int(-spec.joint_numerator)
+    # the value at arguments lam_i is the series at lam_i t evaluated at t = 1
+    assert multivar_eval(spec, lams) == sum(_simplex_coefficients(spec, lams, degree))
+
+
+def test_mobius_lift_matches_composition():
+    for nums, dens in (
+        ((Fraction(3, 2), Fraction(-1, 3)), (Fraction(5, 4),)),
+        ((Fraction(-4), Fraction(1, 3)), (Fraction(5, 4),)),
+        ((Fraction(2),), ()),
+    ):
+        def ratio(k, nums=nums, dens=dens):
+            return math.prod(a + k for a in nums) / (math.prod(b + k for b in dens) * (k + 1))
+
+        stream = CoefficientStream(Fraction(1), ratio)
+        for lam in (Fraction(2, 3), Fraction(-3), Fraction(0)):
+            got = hyper_series_in_t(pfq(nums, dens), mobius_arg(lam), 10, EXACT)
+            assert got == compose(stream, mobius_argument(lam, 10), 10)
+
+
+def test_multivar_eval_grows_past_the_first_shells():
+    # F1(a, b, b'; c; x, x) = 2F1(a, b + b'; c; x); x = 1/2 needs ~50 shells
+    a, b, b2, c, x = Fraction(3, 4), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4), Fraction(1, 2)
+    got = multivar_eval(MultiVarSpec(APPELL_F1, (a, b, b2, c)), (x, x))
+    want = pfq_eval(pfq((a, b + b2), (c,)), float(x), Truncated(tol=1e-16))
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_multivar_eval_diverges_outside_the_domain():
+    spec = MultiVarSpec(APPELL_F1, (Fraction(3, 4), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4)))
+    with pytest.raises(ConvergenceError):
+        multivar_eval(spec, (2, 2), Truncated(max_terms=40))
+
+
+def test_multivar_eval_reports_joint_pole_before_converging():
+    # (c)_M vanishes at shell 21, after the sum would have converged
+    spec = MultiVarSpec(HUMBERT_PHI2, (Fraction(1, 2), Fraction(1, 3), Fraction(-20)))
+    with pytest.raises(PoleError):
+        multivar_eval(spec, (Fraction(1, 100), Fraction(1, 100)))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperconnect import (
+    DomainError,
     IdentityCase,
     VerificationReport,
     batch_verify,
@@ -222,32 +223,20 @@ def test_empty_batch_has_zero_count_summary():
     }
 
 
-def test_batch_is_order_preserving_with_threads():
+def test_batch_is_order_preserving_and_sequential():
     cases = [
         IdentityCase("meixner_1f1_alpha_shift",
                      pick(CANON, "x", "alpha", "beta", "c"), order=k)
         for k in (2, 3, 4, 5)
     ]
-    reports = batch_verify(cases, threads=4)
-    assert [r.case.order for r in reports] == [2, 3, 4, 5]
-    assert all(r.status == "pass" for r in reports)
-
-
-def test_thread_cap_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("HYPERCONNECT_THREADS", "3")
-    assert verify_mod._thread_count() == 3
-    monkeypatch.setenv("HYPERCONNECT_THREADS", "0")
-    assert verify_mod._thread_count() >= 1  # 0 means auto
-    monkeypatch.delenv("HYPERCONNECT_THREADS")
-    assert verify_mod._thread_count() == 1
-    monkeypatch.setenv("HYPERCONNECT_THREADS", "2")
-    cases = [
-        IdentityCase("meixner_1f1_alpha_shift",
-                     pick(CANON, "x", "alpha", "beta", "c"), order=k)
-        for k in (2, 3, 4)
-    ]
-    reports = batch_verify(cases)
-    assert [r.case.order for r in reports] == [2, 3, 4]
+    for threads in (None, 1):
+        reports = batch_verify(cases, threads=threads)
+        assert [r.case.order for r in reports] == [2, 3, 4, 5]
+        assert all(r.status == "pass" for r in reports)
+    # a thread count the batch would ignore is refused
+    for threads in (0, 2, 4):
+        with pytest.raises(DomainError, match="sequentially"):
+            batch_verify(cases, threads=threads)
 
 
 def test_connection_relation_verifier():
