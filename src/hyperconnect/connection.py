@@ -449,19 +449,18 @@ def _probe_constant(expr, env, field):
 
 
 def _probe_difference(expr, env_from, env_to, field):
-    """expr(from) - expr(to) when x-free (checked on probe points), else None."""
+    """expr(from) - expr(to) when x-free (checked on probe points, equal
+    within the field's tolerance), else None."""
     if "x" not in expressions.variables(expr):
         return expressions.evaluate(expr, env_from, field) - expressions.evaluate(
             expr, env_to, field
         )
-    deltas = set()
-    for probe in _X_PROBES:
-        x = field.of(probe)
-        deltas.add(
-            expressions.evaluate(expr, {**env_from, "x": x}, field)
-            - expressions.evaluate(expr, {**env_to, "x": x}, field)
-        )
-    return deltas.pop() if len(deltas) == 1 else None
+    first, *rest = (
+        expressions.evaluate(expr, {**env_from, "x": x}, field)
+        - expressions.evaluate(expr, {**env_to, "x": x}, field)
+        for x in map(field.of, _X_PROBES)
+    )
+    return first if all(field.eq(first, delta) for delta in rest) else None
 
 
 def power_collect(family_id, from_params, to_params, n_max: int,

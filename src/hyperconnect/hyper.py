@@ -331,13 +331,19 @@ def _joint_ratios(spec: MultiVarSpec, order: int, field: FieldTag) -> list:
     return _pfq_coefficients(joint, 1, order, field)
 
 
+def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
+    """(b)_m lam^m / m!, m = 0..order.  Doubles take the term ratio
+    (b+m) lam / (m+1), because (b)_m and m! leave their range past m = 170."""
+    if field.is_exact:
+        return [pochhammer(b, m) / math.factorial(m) * lam**m for m in range(order + 1)]
+    return _pfq_coefficients(pfq((b,), ()), lam, order, field)
+
+
 def _shells(spec: MultiVarSpec, lams, joint, field: FieldTag) -> list:
     """Shells S_0..S_M of the series at arguments lam_i, M = len(joint) - 1."""
     order = len(joint) - 1
     factors = [
-        TruncatedSeries(field, [
-            pochhammer(b, m) / math.factorial(m) * lam**m for m in range(order + 1)
-        ])
+        TruncatedSeries(field, _argument_factor(b, lam, order, field))
         for b, lam in zip(spec.separate_numerators, lams)
     ]
     return [j * c for j, c in zip(joint, reduce(mul, factors).coefficients)]

@@ -11,8 +11,8 @@ exact field a pass means literal coefficient equality.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
-one lattice-sum engine (``LatticeSum``) that accumulates exact rational
-partial sums up to x_max, with the kernels
+one lattice-sum engine (``LatticeSum``) that forms the exact rational
+partial sum up to x_max, with the kernels
 
     f(x) = 1F1(-x; alpha; z)        g(x) = 2F1(-x, gamma; alpha; w)
 
@@ -21,10 +21,18 @@ produced by the three-term recurrences
     (alpha+x) f(x+1) = (2x+alpha-z) f(x) - x f(x-1)
     (alpha+x) g(x+1) = (2x+alpha-(gamma+x)w) g(x) - x(1-w) g(x-1)
 
-so no cancellation-prone alternating sums are ever formed.  The discarded
-tail is bounded by a geometric series with the observed term ratio and added
-to the error budget; when the bound alone exceeds the tolerance the verdict
-is 'inconclusive', which is deliberately distinct from 'fail'.
+so no cancellation-prone alternating sums are ever formed.  The sum runs on
+integer rows: M_n(x) is an integer row over one denominator (its
+coefficients in (-x)_k cleared once), the kernel times the weight
+(beta)_x rate^x / x! is one integer recurrence whose denominators form a
+chain den_x = den_{x-1} step_x of small integer steps, and a forward Horner
+pass acc = acc step_x + term_x keeps the sum over the current den_x.  The
+sum is reduced to lowest terms once per case, and the loop over x builds no
+``Fraction`` per term.  The discarded tail is estimated by a geometric
+series with the observed ratio of the last four terms (an extrapolation, not
+yet a proven majorant) and added to the error budget; when the estimate
+alone exceeds the tolerance the verdict is 'inconclusive', which is
+deliberately distinct from 'fail'.
 
 Every route declares the parameter names it needs and checks them before it
 runs, so a malformed case becomes an 'error' report rather than an exception.
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -492,53 +501,65 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
 # -- orthogonality sums -------------------------------------------------------
 
 
-def _confluent_kernel_values(alpha, z, count: int):
-    """1F1(-x; alpha; z) for x = 0..count-1, exact, by the recurrence."""
-    values = [Fraction(1)]
-    if count > 1:
-        values.append(1 - z / alpha)
-    for x in range(1, count - 1):
-        values.append(
-            ((2 * x + alpha - z) * values[x] - x * values[x - 1]) / (alpha + x)
-        )
-    return values
+def _integer_linear(*polys):
+    """Linear polynomials c0 + c1 x, given as pairs (c0, c1), scaled by one
+    common positive factor so that every coefficient is an integer."""
+    scale = math.lcm(*(Fraction(c).denominator for poly in polys for c in poly))
+    return [(int(c0 * scale), int(c1 * scale)) for c0, c1 in polys]
 
 
-def _gauss_kernel_values(gamma, alpha, w, count: int):
-    """2F1(-x, gamma; alpha; w) for x = 0..count-1, exact, by the recurrence."""
-    values = [Fraction(1)]
-    if count > 1:
-        values.append(1 - gamma * w / alpha)
-    for x in range(1, count - 1):
-        values.append(
-            ((2 * x + alpha - (gamma + x) * w) * values[x]
-             - x * (1 - w) * values[x - 1]) / (alpha + x)
-        )
-    return values
+def _meixner_row(n: int, beta, d, count: int):
+    """(row, den) with M_n(x; beta, d) = row[x] / den for x = 0..count-1.
 
-
-def _meixner_on_lattice(n: int, beta, d, count: int):
-    """M_n(x; beta, d) for x = 0..count-1 (terminating sums, exact)."""
+    M_n(x) = sum_k a_k (-x)_k with a_k = (-n)_k z^k / ((beta)_k k!) and
+    z = 1 - 1/d; the a_k are put over one denominator once, and each row
+    entry is an integer Horner pass over (-x)_k = (-x)(1-x)...(k-1-x)."""
     z = 1 - 1 / d
-    out = []
+    a = [Fraction(1)]
+    for k in range(n):
+        a.append(a[-1] * (k - n) * z / ((beta + k) * (k + 1)))
+    den = math.lcm(*(c.denominator for c in a))
+    coeffs = [c.numerator * (den // c.denominator) for c in a]
+    row = []
     for x in range(count):
-        term = Fraction(1)
-        total = Fraction(1)
-        for k in range(n):
-            term = term * Fraction((k - n) * (k - x)) * z / ((beta + k) * (k + 1))
-            if term == 0:
-                break
-            total += term
-        out.append(total)
-    return out
+        total = 0
+        for k in range(n, -1, -1):
+            total = coeffs[k] + (k - x) * total
+        row.append(total)
+    return row, den
 
 
-def _weights(beta, d, count: int):
-    """(beta)_x d^x / x! for x = 0..count-1."""
-    out = [Fraction(1)]
-    for x in range(count - 1):
-        out.append(out[-1] * (beta + x) * d / (x + 1))
-    return out
+def _kernel_weight_rows(kernel, beta, d, count: int):
+    """Yield (u_x, step_x) for x = 0..count-1 with
+
+        kernel(x) (beta)_x d^x / x! = u_x / (step_0 step_1 ... step_x),
+
+    all integers.  ``kernel`` is (p, q, s), linear polynomials as pairs, of
+    the recurrence p(x) f(x+1) = q(x) f(x) - s(x) f(x-1) with f(0) = 1 and
+    s(0) = 0.  With the weight ratio a(x)/b(x) = (beta+x) d/(x+1) the product
+    obeys u_{x+1} = a(x) (q(x) u_x - s(x) a(x-1) p(x-1) u_{x-1}) and
+    step_{x+1} = b(x) p(x), so every operation is an integer times a small one."""
+    (p0, p1), (q0, q1), (s0, s1) = _integer_linear(*kernel)
+    (a0, a1), (b0, b1) = _integer_linear((beta * d, d), (1, 1))
+    u_prev, u, ap_prev, step = 0, 1, 0, 1
+    for x in range(count):
+        yield u, step
+        a, p = a0 + a1 * x, p0 + p1 * x
+        u_prev, u = u, a * ((q0 + q1 * x) * u - (s0 + s1 * x) * ap_prev * u_prev)
+        ap_prev, step = a * p, (b0 + b1 * x) * p
+
+
+def _lattice_sum(poly, den, rows):
+    """sum_x poly[x] u_x / (den step_0 ... step_x) over the (u_x, step_x) of
+    ``rows``, by forward Horner on integers with one final reduction, and
+    the last four terms as exact Fractions (for the tail bound)."""
+    acc, chain, tail = 0, den, deque(maxlen=4)
+    for value, (u, step) in zip(poly, rows):
+        chain *= step
+        term = value * u
+        acc = acc * step + term
+        tail.append((term, chain))
+    return Fraction(acc, chain), [Fraction(t, c) for t, c in tail]
 
 
 def _pfq_scalar_exact(nums, dens, z, rel_cut=1e-30, max_terms=4000):
@@ -584,10 +605,11 @@ def _tail_bound(terms):
     return tail_abs[-1] * r / (1.0 - r)
 
 
-def _orth_report(case, lhs_terms, rhs_value) -> VerificationReport:
-    lhs = sum(lhs_terms, Fraction(0))
+def _orth_report(case, lhs, tail, terms_summed, rhs_value) -> VerificationReport:
+    """Verdict on an exact partial sum ``lhs`` of ``terms_summed`` terms whose
+    last terms are ``tail``."""
     deviation = abs(float(lhs) - float(rhs_value))
-    bound = _tail_bound(lhs_terms)
+    bound = _tail_bound(tail)
     tol = case.field.atol + case.field.rtol * abs(float(rhs_value))
     if bound is None or bound > tol:
         status = "inconclusive"
@@ -597,26 +619,28 @@ def _orth_report(case, lhs_terms, rhs_value) -> VerificationReport:
         status = "fail"
     return VerificationReport(
         case, status, deviation=deviation,
-        terms_summed=len(lhs_terms),
+        terms_summed=terms_summed,
         tail_bound=bound if bound is not None else float("inf"),
     )
 
 
 @dataclass(frozen=True)
 class LatticeSum:
-    """sum_{x=0}^{x_max} kernel(x) M_n(x; beta, rate) (beta)_x rate^x / x!
+    """sum_{x=0}^{x_max} kernel(x) prod_k M_k(x; beta, rate) (beta)_x rate^x / x!
     against a closed-form rhs.
 
     ``domain(**params)`` says where the identity holds (``needs`` says it in
-    words), ``poly(**params)`` gives (beta, rate), ``kernel(count,
-    **params)`` the kernel values at x = 0..count-1 and ``rhs(n, **params)``
-    the closed form."""
+    words), ``poly(**params)`` gives (beta, rate), ``kernel(**params)`` the
+    kernel's recurrence (p, q, s) as ``_kernel_weight_rows`` takes it,
+    ``degrees(n, **params)`` the degrees k of the Meixner polynomials in the
+    summand and ``rhs(n, **params)`` the closed form."""
 
     domain: Callable
     needs: str
     poly: Callable
     kernel: Callable
     rhs: Callable
+    degrees: Callable = lambda n, **_: (n,)
 
     def __call__(self, case: IdentityCase) -> VerificationReport:
         p = {k: EXACT.of(v) for k, v in case.params.items()}  # partial sums are exact
@@ -625,21 +649,39 @@ class LatticeSum:
             raise DomainError(f"needs {self.needs}")
         if case.x_max < 0:
             raise DomainError(f"x_max must be >= 0, got {case.x_max}")
-        count = case.x_max + 1
+        lhs, tail = self.partial_sum(n, case.x_max, **p)
+        return _orth_report(case, lhs, tail, case.x_max + 1, self.rhs(n, **p))
+
+    def partial_sum(self, n: int, x_max: int, **p):
+        """The exact lhs summed over x = 0..x_max, and its last four terms.
+        A polynomial that occurs twice in the summand is built once."""
+        count = x_max + 1
         beta, rate = self.poly(**p)
-        kernel = self.kernel(count, **p)
-        mn = _meixner_on_lattice(n, beta, rate, count)
-        w = _weights(beta, rate, count)
-        terms = [kernel[x] * mn[x] * w[x] for x in range(count)]
-        return _orth_report(case, terms, self.rhs(n, **p))
+        degrees = self.degrees(n, **p)
+        rows = {k: _meixner_row(k, beta, rate, count) for k in set(degrees)}
+        poly, den = [1] * count, 1
+        for k in degrees:
+            row, row_den = rows[k]
+            poly, den = [a * b for a, b in zip(poly, row)], den * row_den
+        return _lattice_sum(
+            poly, den, _kernel_weight_rows(self.kernel(**p), beta, rate, count))
 
 
-def _confluent_kernel(count, alpha, c, t, **_):
-    return _confluent_kernel_values(alpha, t * (1 - c) / c, count)
+_CONSTANT_KERNEL = ((1, 0), (1, 0), (0, 0))  # f(x+1) = f(x) = 1
 
 
-def _gauss_kernel(count, alpha, gamma, c, t, **_):
-    return _gauss_kernel_values(gamma, alpha, t * (1 - c) / (c * (1 - t)), count)
+def _confluent_kernel(alpha, c, t, **_):
+    """1F1(-x; alpha; z), z = t(1-c)/c:
+    (alpha+x) f(x+1) = (2x+alpha-z) f(x) - x f(x-1)."""
+    z = t * (1 - c) / c
+    return (alpha, 1), (alpha - z, 2), (0, 1)
+
+
+def _gauss_kernel(alpha, gamma, c, t, **_):
+    """2F1(-x, gamma; alpha; w), w = t(1-c)/(c(1-t)):
+    (alpha+x) g(x+1) = (2x+alpha-(gamma+x)w) g(x) - x(1-w) g(x-1)."""
+    w = t * (1 - c) / (c * (1 - t))
+    return (alpha, 1), (alpha - gamma * w, 2 - w), (0, 1 - w)
 
 
 def _orth_krawtchouk(case: IdentityCase, gf_id: str) -> VerificationReport:
@@ -679,11 +721,11 @@ ORTHOGONALITY_IDS = {
     "meixner_orthogonality": (LatticeSum(
         lambda alpha, c, **_: alpha > 0 and 0 < c < 1, "alpha > 0 and c in (0,1)",
         lambda alpha, c, **_: (alpha, c),
-        lambda count, alpha, c, m, **_: _meixner_on_lattice(
-            as_index(m, "m"), alpha, c, count),
+        lambda **_: _CONSTANT_KERNEL,
         lambda n, alpha, c, m, **_: (
             _fact(n) / (c**n * (1 - c) ** alpha * pochhammer(alpha, n))
             if as_index(m, "m") == n else Fraction(0)),
+        lambda n, m, **_: (n, as_index(m, "m")),
     ), ("alpha", "c", "n", "m")),
     "meixner_sum_1f1_same_c": (LatticeSum(
         lambda alpha, beta, c, **_: alpha > 0 and beta > 0 and 0 < c < 1,

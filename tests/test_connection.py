@@ -354,3 +354,25 @@ def test_connection_table_json_round_trip_keeps_tolerances():
     back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
     assert back.field == field
     assert back.matrix() == table.matrix()
+
+
+def test_power_collect_on_doubles_matches_exact_table_within_tolerance():
+    # alpha 1.3 -> 2.9: the exponent x + alpha differs between the two sides by
+    # the same amount at every x only up to rounding, so its per-probe
+    # differences are compared within the numeric field's tolerance
+    got = power_collect("meixner", {"alpha": 1.3, "c": 0.4}, {"alpha": 2.9, "c": 0.4}, 2)
+    want = power_collect("meixner", {"alpha": Fraction(13, 10), "c": Fraction(2, 5)},
+                         {"alpha": Fraction(29, 10), "c": Fraction(2, 5)}, 2)
+    assert not got.field.is_exact and want.field.is_exact
+    for n in range(3):
+        for k in range(n + 1):
+            assert got.field.eq(got.coefficient(n, k), want.coefficient(n, k)), (n, k)
+
+
+def test_exact_probe_differences_must_be_equal():
+    from hyperconnect.connection import _probe_difference
+    from hyperconnect.fields import EXACT
+
+    one, near = {"alpha": Fraction(1)}, {"alpha": 1 + Fraction(1, 10**20)}
+    assert _probe_difference("x * alpha", one, near, EXACT) is None
+    assert _probe_difference("x + alpha", one, near, EXACT) == Fraction(-1, 10**20)

@@ -322,3 +322,12 @@ def test_multivar_eval_reports_joint_pole_before_converging():
     spec = MultiVarSpec(HUMBERT_PHI2, (Fraction(1, 2), Fraction(1, 3), Fraction(-20)))
     with pytest.raises(PoleError):
         multivar_eval(spec, (Fraction(1, 100), Fraction(1, 100)))
+
+
+def test_multivar_eval_with_double_parameters_past_170_shells():
+    # F1 at (0.85, 0.1) needs more than 170 shells, where (1/2)_m and m!
+    # no longer fit in a double
+    mpmath = pytest.importorskip("mpmath")
+    got = multivar_eval(MultiVarSpec(APPELL_F1, (0.75, 0.5, 4 / 3, 1.25)), (0.85, 0.1))
+    want = complex(mpmath.appellf1(0.75, 0.5, 4 / 3, 1.25, 0.85, 0.1))
+    assert abs(got - want) < 1e-12 * abs(want)

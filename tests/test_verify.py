@@ -1,9 +1,12 @@
 """Identity verifier: builders, comparisons, orthogonality sums, batches."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperconnect import (
     DomainError,
@@ -280,9 +283,10 @@ def test_confluent_sum_at_t_zero_degenerates_to_binomial_theorem():
     )
     report = verify_orthogonality_sum(case)
     assert report.status == "pass"
-    kernel = verify_mod._confluent_kernel_values(Fraction(2), Fraction(0), 40)
-    assert all(v == 1 for v in kernel)
-    weights = verify_mod._weights(Fraction(3), Fraction(1, 2), 200)
+    kernel = verify_mod._confluent_kernel(alpha=Fraction(2), c=Fraction(1, 2), t=Fraction(0))
+    values = kernel_weight_values(kernel, Fraction(3), Fraction(1, 2), 40)
+    assert all(v == weight(Fraction(3), Fraction(1, 2), x) for x, v in enumerate(values))
+    weights = kernel_weight_values(verify_mod._CONSTANT_KERNEL, Fraction(3), Fraction(1, 2), 200)
     assert abs(float(sum(weights)) - (1 - 0.5) ** -3.0) < 1e-12
 
 
@@ -396,16 +400,18 @@ def test_acceptance_suite_shape():
 def test_kernel_recurrences_match_direct_sums():
     from hyperconnect import TERMINATING, pfq, pfq_eval
 
-    alpha, z = Fraction(2), Fraction(1, 4)
-    values = verify_mod._confluent_kernel_values(alpha, z, 25)
+    # at c = 1/2 the kernel arguments are z = t = 1/4 and w = t/(1-t) = 1/3
+    alpha, c, t, beta, d = Fraction(2), Fraction(1, 2), Fraction(1, 4), Fraction(3), Fraction(2, 3)
+    z, w = Fraction(1, 4), Fraction(1, 3)
+    values = kernel_weight_values(verify_mod._confluent_kernel(alpha, c, t), beta, d, 25)
     for x in range(25):
         direct = pfq_eval(pfq((Fraction(-x),), (alpha,)), z, TERMINATING)
-        assert values[x] == direct
-    gamma, w = Fraction(5, 4), Fraction(1, 3)
-    values = verify_mod._gauss_kernel_values(gamma, alpha, w, 25)
+        assert values[x] == direct * weight(beta, d, x)
+    gamma = Fraction(5, 4)
+    values = kernel_weight_values(verify_mod._gauss_kernel(alpha, gamma, c, t), beta, d, 25)
     for x in range(25):
         direct = pfq_eval(pfq((Fraction(-x), gamma), (alpha,)), w, TERMINATING)
-        assert values[x] == direct
+        assert values[x] == direct * weight(beta, d, x)
 
 
 def test_malformed_cases_become_error_reports_in_batches():
@@ -475,3 +481,153 @@ def test_case_json_round_trip_keeps_tolerances():
     doc = {**case.as_json(), "field": "numeric"}
     del doc["atol"], doc["rtol"]
     assert IdentityCase.from_json(doc).field == numeric()
+
+
+# -- Meixner lattice sums against a direct Fraction sum ----------------------
+
+
+def poch(a, k):
+    out = Fraction(1)
+    for j in range(k):
+        out *= a + j
+    return out
+
+
+def kernel_weight_values(kernel, beta, d, count):
+    """kernel(x) (beta)_x d^x / x! as Fractions, from the engine's integer rows."""
+    values, chain = [], 1
+    for u, step in verify_mod._kernel_weight_rows(kernel, beta, d, count):
+        chain *= step
+        values.append(Fraction(u, chain))
+    return values
+
+
+def weight(beta, d, x):
+    return poch(beta, x) * d**x / math.factorial(x)
+
+
+def direct_meixner(n, x, beta, d):
+    """M_n(x; beta, d) = 2F1(-n, -x; beta; 1 - 1/d)."""
+    return sum(poch(-n, k) * poch(-x, k) * (1 - 1 / d) ** k / (poch(beta, k) * math.factorial(k))
+               for k in range(n + 1))
+
+
+def direct_1f1(x, alpha, z):
+    return sum(poch(-x, k) * z**k / (poch(alpha, k) * math.factorial(k)) for k in range(x + 1))
+
+
+def direct_2f1(x, gamma, alpha, w):
+    return sum(poch(-x, k) * poch(gamma, k) * w**k / (poch(alpha, k) * math.factorial(k))
+               for k in range(x + 1))
+
+
+def gauss_arg(c, t):
+    return t * (1 - c) / (c * (1 - t))
+
+
+DIRECT_SUMMANDS = {
+    "meixner_orthogonality": lambda x, n, alpha, c, m: (
+        direct_meixner(n, x, alpha, c) * direct_meixner(m, x, alpha, c) * weight(alpha, c, x)),
+    "meixner_sum_1f1_same_c": lambda x, n, alpha, beta, c, t: (
+        direct_1f1(x, alpha, t * (1 - c) / c) * direct_meixner(n, x, beta, c)
+        * weight(beta, c, x)),
+    "meixner_sum_1f1_two_param": lambda x, n, alpha, beta, c, d, t: (
+        direct_1f1(x, alpha, t * (1 - c) / c) * direct_meixner(n, x, beta, d)
+        * weight(beta, d, x)),
+    "meixner_sum_2f1_same_c": lambda x, n, alpha, beta, gamma, c, t: (
+        direct_2f1(x, gamma, alpha, gauss_arg(c, t)) * direct_meixner(n, x, beta, c)
+        * weight(beta, c, x)),
+    "meixner_sum_2f1_two_param": lambda x, n, alpha, beta, gamma, c, d, t: (
+        direct_2f1(x, gamma, alpha, gauss_arg(c, t)) * direct_meixner(n, x, beta, d)
+        * weight(beta, d, x)),
+}
+
+LATTICE_PARAMS = {
+    "meixner_orthogonality": {"alpha": Fraction(3, 2), "c": Fraction(2, 5), "m": 2},
+    "meixner_sum_1f1_same_c": {"alpha": Fraction(5, 2), "beta": Fraction(7, 3),
+                               "c": Fraction(2, 5), "t": Fraction(1, 5)},
+    "meixner_sum_1f1_two_param": {"alpha": Fraction(5, 2), "beta": Fraction(7, 3),
+                                  "c": Fraction(2, 5), "d": Fraction(1, 3),
+                                  "t": Fraction(-3, 4)},
+    "meixner_sum_2f1_same_c": {"alpha": Fraction(5, 2), "beta": Fraction(7, 3),
+                               "gamma": Fraction(3, 4), "c": Fraction(2, 5),
+                               "t": Fraction(1, 5)},
+    "meixner_sum_2f1_two_param": {"alpha": Fraction(5, 2), "beta": Fraction(7, 3),
+                                  "gamma": Fraction(3, 4), "c": Fraction(1, 2),
+                                  "d": Fraction(2, 5), "t": Fraction(1, 5)},
+}
+
+
+def check_against_direct_sum(identity, n, x_max, params):
+    engine, _ = verify_mod.ORTHOGONALITY_IDS[identity]
+    terms = [DIRECT_SUMMANDS[identity](x, n, **params) for x in range(x_max + 1)]
+    lhs, tail = engine.partial_sum(n, x_max, **params)
+    assert lhs == sum(terms)
+    assert tail == terms[-4:]
+    report = verify_case(IdentityCase(identity, {**params, "n": n},
+                                      field=numeric(1e-9, 1e-9), x_max=x_max))
+    assert report.terms_summed == x_max + 1
+    assert report.deviation == abs(float(sum(terms)) - float(engine.rhs(n, **params)))
+
+
+@pytest.mark.parametrize("x_max", [0, 1, 2, 3, 40])
+@pytest.mark.parametrize("identity", sorted(DIRECT_SUMMANDS))
+def test_lattice_sum_matches_direct_fraction_sum(identity, x_max):
+    # n = 5 exceeds every x_max but 40; the orthogonality rows take m = 2,
+    # so n = 2 is the diagonal and n = 0, 5 are not
+    for n in (0, 2, 5):
+        check_against_direct_sum(identity, n, x_max, LATTICE_PARAMS[identity])
+
+
+def small_rationals(low, high, max_den=9):
+    """Rationals in the open interval (low, high) with denominators <= max_den."""
+    return st.integers(2, max_den).flatmap(
+        lambda den: st.integers(math.floor(low * den) + 1, math.ceil(high * den) - 1).map(
+            lambda num: Fraction(num, den)))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("identity", sorted(DIRECT_SUMMANDS))
+def test_lattice_sum_property(identity, data):
+    engine, names = verify_mod.ORTHOGONALITY_IDS[identity]
+    draw = {
+        "alpha": small_rationals(0, 6), "beta": small_rationals(0, 6),
+        "gamma": small_rationals(-3, 3), "c": small_rationals(0, 1),
+        "d": small_rationals(0, 1), "t": small_rationals(-1, 1), "m": st.integers(0, 6),
+    }
+    params = {k: data.draw(draw[k], label=k) for k in names if k != "n"}
+    assume(engine.domain(**params))
+    n = data.draw(st.integers(0, 6), label="n")
+    x_max = data.draw(st.integers(0, 24), label="x_max")
+    check_against_direct_sum(identity, n, x_max, params)
+
+
+def test_diagonal_orthogonality_builds_the_row_once(monkeypatch):
+    degrees = []
+    row = verify_mod._meixner_row
+
+    def counted(n, *args):
+        degrees.append(n)
+        return row(n, *args)
+
+    monkeypatch.setattr(verify_mod, "_meixner_row", counted)
+    for m, built in ((3, [3]), (1, [1, 3])):
+        degrees.clear()
+        report = verify_case(IdentityCase(
+            "meixner_orthogonality",
+            {"alpha": Fraction(2), "c": Fraction(1, 2), "n": 3, "m": m},
+            field=numeric(1e-9, 1e-9)))
+        assert report.status == "pass"
+        assert sorted(degrees) == built
+
+
+def test_exact_zero_repro_exits_inconclusive(capsys):
+    from hyperconnect.cli import main
+
+    code = main(["verify", "--identity", "meixner_orthogonality", "--alpha", "3",
+                 "--c", "1/2", "--n", "1", "--m", "1", "--x-max", "3",
+                 "--backend", "numeric", "--output", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["reports"][0]["status"] == "inconclusive"
