@@ -72,6 +72,7 @@ from .families import (
     FamilyDescriptor,
     catalog,
     family_eval,
+    family_row,
     get_family,
     gf_expand,
     isolated_parameters,

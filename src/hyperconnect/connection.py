@@ -15,6 +15,13 @@
     p_to_q_same_N       C(n,k) (p-q)^(n-k) q^k / p^n
     same_p_N_to_M       C(n,k) (M-N)_{n-k} (-M)_k / (-N)_n
 
+  An x-dependent entry is an x-free prefactor(n, k) times a kernel(n-k, x):
+  the (x)_{n-k} d^{k-n} 2F1 and the F1 above depend on n and k only through
+  j = n - k.  A table computes each prefactor once per (n, k) and each
+  kernel once per (j, x), both on first use, so c_{k,n}(x) costs one
+  product after its factors exist and a prefactor that cannot be formed
+  still raises from coefficient(n, k, x).
+
 * power_collect: the generic method.  Divide the generating function factor
   holding the varied parameter by its retargeted copy, expand the ratio R(t)
   by the (q-)binomial theorem, and match powers of t:
@@ -23,11 +30,14 @@
 
   Applicable exactly when each varied parameter sits in factors whose
   from/to ratio does not involve the argument x; the coefficients are
-  x-independent by construction.
+  x-independent by construction.  Each normalization c_n is evaluated once
+  per degree and side.
 
 * connect_linear_solve: the independent oracle.  Sample both families on
   n_max+1 distinct abscissae, take divided differences (which grade by
-  degree, making the system triangular), and back-substitute.
+  degree, making the system triangular), and back-substitute.  A family
+  evaluated from its generating function is expanded once per abscissa,
+  to n_max, and every degree is read from that series.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import expressions
@@ -54,7 +65,7 @@ from .hyper import (
     pfq,
     pfq_eval,
 )
-from .families import FamilyDescriptor, family_eval, get_family, normalization_at
+from .families import FamilyDescriptor, family_row, get_family, normalization_at
 from .pochhammer import pochhammer
 from .series import (
     TruncatedSeries,
@@ -180,6 +191,78 @@ def _check_meixner_domains(params, names):
             raise DomainError(f"{name} must avoid 0 and 1")
 
 
+def _c_to_d_prefactor(p, n, k):
+    _check_meixner_domains(p, ("alpha", "c", "d"))
+    alpha = p["alpha"]
+    return math.comb(n, k) * pochhammer(alpha, k) / pochhammer(alpha, n)
+
+
+def _c_to_d_kernel(p, j, x):
+    """(x)_j d^-j 2F1(-j, -x; -x-j+1; d/c)."""
+    c, d = p["c"], p["d"]
+    hyp = pfq_eval(pfq((Fraction(-j), -x), (-x - j + 1,)), d / c, TERMINATING)
+    return pochhammer(x, j) / d**j * hyp
+
+
+def _alpha_c_prefactor(p, n, k):
+    _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
+    alpha, beta = p["alpha"], p["beta"]
+    shifted = pochhammer(beta - alpha - n + 1, k)
+    if shifted == 0:
+        raise SingularConfigurationError(
+            f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
+            " these parameters admit no limiting value"
+        )
+    return (
+        pochhammer(alpha - beta, n) / pochhammer(alpha, n)
+        * pochhammer(beta, k) * pochhammer(Fraction(-n), k)
+        / (math.factorial(k) * shifted)
+    )
+
+
+def _alpha_c_kernel(p, j, x):
+    """F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d)."""
+    alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
+    return multivar_eval(
+        MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1)),
+        (1 / c, 1 / d),
+    )
+
+
+_TYPE_ENTRIES = {
+    "type_c_to_d": (_c_to_d_prefactor, _c_to_d_kernel),
+    "type_alpha_c": (_alpha_c_prefactor, _alpha_c_kernel),
+}
+
+
+class _TypeEntries:
+    """The x-dependent entries of one table.  Each prefactor is computed on
+    first use of its (n, k) and each kernel on first use of its (n - k, x),
+    so a prefactor that cannot be formed raises from the entry that needs
+    it, never from connection_table."""
+
+    __slots__ = ("params", "prefactor", "kernel", "_prefactors", "_kernels")
+
+    def __init__(self, params, prefactor, kernel):
+        self.params = params
+        self.prefactor = prefactor
+        self.kernel = kernel
+        self._prefactors = {}
+        self._kernels = {}
+
+    def __call__(self, n, k, x):
+        pre = self._prefactors.get((n, k))
+        if pre is None:
+            pre = self._prefactors[n, k] = self.prefactor(self.params, n, k)
+        # 1, Fraction(1), 1.0 and -0.0 are equal dict keys but give values of
+        # different types or signs, so the key carries the type and the repr
+        key = (n - k, type(x), repr(x))
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = self.kernel(self.params, n - k, x)
+        return pre * kernel
+
+
 def meixner_connection_coeffs(relation: str, params, n: int, k: int, x=None):
     """One closed-form Meixner coefficient; x only for the type relations."""
     _require(0 <= k <= n, "need 0 <= k <= n")
@@ -208,36 +291,10 @@ def meixner_connection_coeffs(relation: str, params, n: int, k: int, x=None):
             math.comb(n, k) * pochhammer(alpha - beta, n - k) * pochhammer(beta, k)
             / pochhammer(alpha, n)
         )
-    if relation == "type_c_to_d":
-        _require(x is not None, "type_c_to_d coefficients need x")
-        _check_meixner_domains(p, ("alpha", "c", "d"))
-        alpha, c, d = p["alpha"], p["c"], p["d"]
-        hyp = pfq_eval(
-            pfq((Fraction(k - n), -x), (-x + k - n + 1,)), d / c, TERMINATING
-        )
-        return (
-            math.comb(n, k) * pochhammer(alpha, k) * pochhammer(x, n - k)
-            / (d ** (n - k) * pochhammer(alpha, n)) * hyp
-        )
-    if relation == "type_alpha_c":
-        _require(x is not None, "type_alpha_c coefficients need x")
-        _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
-        alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
-        shifted = pochhammer(beta - alpha - n + 1, k)
-        if shifted == 0:
-            raise SingularConfigurationError(
-                f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
-                " these parameters admit no limiting value"
-            )
-        appell = multivar_eval(
-            MultiVarSpec(APPELL_F1, (Fraction(k - n), -x, x, beta - alpha - n + k + 1)),
-            (1 / c, 1 / d),
-        )
-        return (
-            pochhammer(alpha - beta, n) / pochhammer(alpha, n)
-            * pochhammer(beta, k) * pochhammer(Fraction(-n), k)
-            / (math.factorial(k) * shifted) * appell
-        )
+    if relation in _TYPE_ENTRIES:
+        _require(x is not None, f"{relation} coefficients need x")
+        prefactor, kernel = _TYPE_ENTRIES[relation]
+        return prefactor(p, n, k) * kernel(p, n - k, x)
     raise UnknownIdentityError(f"unknown meixner relation {relation!r}")
 
 
@@ -282,44 +339,48 @@ class RelationSpec:
     id: str
     family: str
     names: tuple
-    x_dependent: bool
     coeff: Callable
     source: Callable
     target: Callable
+    split: tuple | None = None  # (prefactor, kernel) of a connection-type relation
+
+    @property
+    def x_dependent(self) -> bool:
+        return self.split is not None
 
 
-def _meix(relation, names, x_dependent, source, target):
+def _meix(relation, names, source, target):
     def coeff(params, n, k, x=None):
         return meixner_connection_coeffs(relation, params, n, k, x)
 
-    return RelationSpec("meixner_" + relation, "meixner", names, x_dependent,
-                        coeff, source, target)
+    return RelationSpec("meixner_" + relation, "meixner", names, coeff, source, target,
+                        _TYPE_ENTRIES.get(relation))
 
 
 def _kraw(relation, names, source, target):
     def coeff(params, n, k, x=None):
         return krawtchouk_connection_coeffs(relation, params, n, k)
 
-    return RelationSpec("krawtchouk_" + relation, "krawtchouk", names, False,
-                        coeff, source, target)
+    return RelationSpec("krawtchouk_" + relation, "krawtchouk", names, coeff,
+                        source, target)
 
 
 _RELATIONS = {
     spec.id: spec
     for spec in (
-        _meix("alpha_c_to_beta_d", ("alpha", "beta", "c", "d"), False,
+        _meix("alpha_c_to_beta_d", ("alpha", "beta", "c", "d"),
               lambda p: {"alpha": p["alpha"], "c": p["c"]},
               lambda p: {"alpha": p["beta"], "c": p["d"]}),
-        _meix("same_alpha_c_to_d", ("alpha", "c", "d"), False,
+        _meix("same_alpha_c_to_d", ("alpha", "c", "d"),
               lambda p: {"alpha": p["alpha"], "c": p["c"]},
               lambda p: {"alpha": p["alpha"], "c": p["d"]}),
-        _meix("alpha_to_beta", ("alpha", "beta", "c"), False,
+        _meix("alpha_to_beta", ("alpha", "beta", "c"),
               lambda p: {"alpha": p["alpha"], "c": p["c"]},
               lambda p: {"alpha": p["beta"], "c": p["c"]}),
-        _meix("type_c_to_d", ("alpha", "c", "d"), True,
+        _meix("type_c_to_d", ("alpha", "c", "d"),
               lambda p: {"alpha": p["alpha"], "c": p["c"]},
               lambda p: {"alpha": p["alpha"], "c": p["d"]}),
-        _meix("type_alpha_c", ("alpha", "beta", "c", "d"), True,
+        _meix("type_alpha_c", ("alpha", "beta", "c", "d"),
               lambda p: {"alpha": p["alpha"], "c": p["c"]},
               lambda p: {"alpha": p["beta"], "c": p["d"]}),
         _kraw("p_N_to_q_M", ("p", "q", "N", "M"),
@@ -372,10 +433,8 @@ def connection_table(relation_id: str, params, n_max: int,
     if missing:
         raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
     if spec.x_dependent:
-        def make_entry(n, k):
-            return lambda x: spec.coeff(params, n, k, x)
-
-        rows = [[make_entry(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+        entries = _TypeEntries(params, *spec.split)
+        rows = [[partial(entries, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     else:
         rows = [
             [field.of(spec.coeff(params, n, k)) for k in range(n + 1)]
@@ -496,16 +555,14 @@ def power_collect(family_id, from_params, to_params, n_max: int,
             ratio = ratio * _factor_ratio_series(factor, env_from, env_to, q, n_max, field)
 
     r = ratio.coefficients
+    target_norms = []
     rows = []
     for n in range(n_max + 1):
         c_n = field.of(normalization_at(descriptor, n, None, from_params, field))
         if c_n == 0:
             raise DomainError(f"source normalization vanishes at n = {n}")
-        row = []
-        for k in range(n + 1):
-            c_k = field.of(normalization_at(descriptor, k, None, to_params, field))
-            row.append(r[n - k] * c_k / c_n)
-        rows.append(row)
+        target_norms.append(field.of(normalization_at(descriptor, n, None, to_params, field)))
+        rows.append([r[n - k] * target_norms[k] / c_n for k in range(n + 1)])
     return ConnectionExpansion(
         n_max, from_params, to_params, rows,
         x_dependent=False, field=field, method="power-collection",
@@ -526,19 +583,14 @@ def default_abscissae(descriptor: FamilyDescriptor, n_max: int):
 
 def _sample(descriptor, params, n_max, points):
     """Values P_n(x_i) plus the polynomial abscissae the solve runs on."""
-    values = []
     if descriptor.uses_theta:
         abscissae = [math.cos(float(theta)) for theta in points]
-        for n in range(n_max + 1):
-            values.append([
-                family_eval(descriptor, n, None, {**params, "theta": theta})
-                for theta in points
-            ])
+        columns = [family_row(descriptor, n_max, None, {**params, "theta": theta})
+                   for theta in points]
     else:
         abscissae = list(points)
-        for n in range(n_max + 1):
-            values.append([family_eval(descriptor, n, x, params) for x in points])
-    return abscissae, values
+        columns = [family_row(descriptor, n_max, x, params) for x in points]
+    return abscissae, [list(row) for row in zip(*columns)]
 
 
 def _divided_differences(values, abscissae):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -41,9 +42,16 @@ _FUNCTIONS = {
 _NUMERIC_ONLY = {"cis", "sqrt", "exp"}
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse(expr: str) -> ast.Expression:
+    """The parse tree of a formula string, parsed once per string.  Trees are
+    only read, never changed, so sharing them is safe."""
+    return ast.parse(expr, mode="eval")
+
+
 def variables(expr: str) -> frozenset:
     """Free variable names of an expression (functions and 'i' excluded)."""
-    tree = ast.parse(expr, mode="eval")
+    tree = _parse(expr)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id not in _FUNCTIONS and node.id != "i":
@@ -65,8 +73,7 @@ def _power(base, exponent):
 
 def evaluate(expr: str, env, field: FieldTag):
     """Evaluate ``expr`` with names bound by ``env`` in the given field."""
-    tree = ast.parse(expr, mode="eval")
-    return _eval_node(tree.body, env, field)
+    return _eval_node(_parse(expr).body, env, field)
 
 
 def _eval_node(node, env, field: FieldTag):

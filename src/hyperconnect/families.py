@@ -15,6 +15,9 @@ Evaluation routes:
 * charlier and the executable q-families: coefficient extraction from the
   generating function divided by the normalization.
 
+family_row gives P_0..P_n_max at one argument, from one expansion to n_max
+for the generating-function families.
+
 The registry is built once at import and never mutated; descriptors are
 frozen, so all lookups and evaluations are thread-safe.
 """
@@ -330,16 +333,20 @@ def normalization_at(descriptor: FamilyDescriptor, n: int, x, params, field: Fie
     return expressions.evaluate(descriptor.normalization, env, field)
 
 
-def poly_from_gf(family_id, n: int, x, params, field: FieldTag | None = None):
-    """P_n as the t^n generating-function coefficient over the normalization."""
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
-    series = gf_expand(descriptor, x, params, n, field)
-    c_n = normalization_at(descriptor, n, x, descriptor.bind(params), series.field)
+def _member_from_series(descriptor, series, n: int, x, params):
+    c_n = normalization_at(descriptor, n, x, params, series.field)
     if c_n == 0:
         raise DomainError(
             f"{descriptor.id}: normalization vanishes at n = {n}"
         )
     return series.coefficient(n) / c_n
+
+
+def poly_from_gf(family_id, n: int, x, params, field: FieldTag | None = None):
+    """P_n as the t^n generating-function coefficient over the normalization."""
+    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    series = gf_expand(descriptor, x, params, n, field)
+    return _member_from_series(descriptor, series, n, x, descriptor.bind(params))
 
 
 def family_eval(family_id, n, x, params, field: FieldTag | None = None):
@@ -365,6 +372,21 @@ def family_eval(family_id, n, x, params, field: FieldTag | None = None):
     raise UnsupportedExpansionError(
         f"family {descriptor.id} is metadata-only and has no evaluator"
     )
+
+
+def family_row(family_id, n_max: int, x, params, field: FieldTag | None = None) -> list:
+    """[P_0, ..., P_n_max] at x (or at cos theta), each equal to family_eval's
+    value.  A family evaluated from its generating function expands it once
+    to n_max: the t^n coefficient of a product does not depend on the order
+    the factors are truncated at, so every degree reads the same bits."""
+    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    if descriptor.id in ("meixner", "krawtchouk") or not descriptor.is_expandable or n_max < 0:
+        return [family_eval(descriptor, n, x, params, field) for n in range(n_max + 1)]
+    if x is None and not descriptor.uses_theta:
+        raise DomainError(f"{descriptor.id} needs the argument x")
+    series = gf_expand(descriptor, x, params, n_max, field)
+    params = descriptor.bind(params)
+    return [_member_from_series(descriptor, series, n, x, params) for n in range(n_max + 1)]
 
 
 def _promote(value):

@@ -474,7 +474,11 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
                                x_samples=_DEFAULT_X_SAMPLES,
                                field: FieldTag = EXACT) -> VerificationReport:
     """Reconstruction check: the table applied to target values gives back
-    the source polynomial at every sample argument and every degree."""
+    the source polynomial at every sample argument and every degree.
+
+    Degrees run outer and samples inner.  Each target value P_k(x_i) is
+    evaluated once, when degree k first needs it, and kept for the degrees
+    above, so a check makes 2 (n_max + 1) evaluations per sample."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -485,13 +489,21 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
         source, target = spec.source(params), spec.target(params)
+        target_rows = [[] for _ in x_samples]
+
+        def target_value(k, i):
+            row = target_rows[i]
+            if k == len(row):
+                row.append(families.family_eval(spec.family, k, x_samples[i], target))
+            return row[k]
+
         rows = (
             (n, families.family_eval(spec.family, n, x, source),
              sum((table.coefficient(n, k, x if spec.x_dependent else None)
-                  * families.family_eval(spec.family, k, x, target))
+                  * target_value(k, i))
                  for k in range(n + 1)),
              f"reconstruction breaks at n = {n}, x = {x}")
-            for n in range(n_max + 1) for x in x_samples
+            for n in range(n_max + 1) for i, x in enumerate(x_samples)
         )
         return _agreement(case, field, rows)
 
@@ -859,13 +871,13 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
         table = conn.connection_table(relation_id, params, n_cap, case.field)
         rebuilt = TruncatedSeries.zero(order, case.field)
         target = spec.target(params)
+        norms = [normalization(n, **bound) for n in range(n_cap + 1)]
         for k in range(n_cap + 1):
             poly = families.family_eval(family, k, x, target)
             coeff_series = [case.field.zero()] * (order + 1)
             for n in range(k, n_cap + 1):
-                c_n = normalization(n, **bound)
                 coeff_series[n] = case.field.of(
-                    c_n * table.coefficient(n, k, x if spec.x_dependent else None)
+                    norms[n] * table.coefficient(n, k, x if spec.x_dependent else None)
                 )
             rebuilt = rebuilt + TruncatedSeries(case.field, coeff_series).scale(poly)
         return _series_report(case, [(original, rebuilt)])

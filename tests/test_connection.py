@@ -5,11 +5,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_verify import small_rationals
 
+from hyperconnect import connection as connection_mod
+from hyperconnect import families as families_mod
 from hyperconnect import (
     ConnectionExpansion,
     DomainError,
     MethodNotApplicableError,
+    PoleError,
     SingularConfigurationError,
     SingularSampleError,
     UnknownIdentityError,
@@ -23,6 +29,7 @@ from hyperconnect import (
     pochhammer,
     power_collect,
     relation_ids,
+    verify_connection_relation,
 )
 
 ALPHA, BETA, C, D = Fraction(3, 2), Fraction(7, 3), Fraction(2, 5), Fraction(3, 7)
@@ -376,3 +383,240 @@ def test_exact_probe_differences_must_be_equal():
     one, near = {"alpha": Fraction(1)}, {"alpha": 1 + Fraction(1, 10**20)}
     assert _probe_difference("x * alpha", one, near, EXACT) is None
     assert _probe_difference("x + alpha", one, near, EXACT) == Fraction(-1, 10**20)
+
+
+# -- every polynomial value and every x-kernel computed once ------------------
+
+
+def rising(a, m):
+    out = Fraction(1)
+    for j in range(m):
+        out *= a + j
+    return out
+
+
+def terminating_2f1(a, b, c, z, top):
+    """sum_{m <= top} (a)_m (b)_m / ((c)_m m!) z^m, stopped at the first
+    vanishing numerator so 0/0 terms past a terminating b are never formed."""
+    total = 0
+    for m in range(top + 1):
+        num = rising(a, m) * rising(b, m)
+        if num == 0:
+            break
+        total += num / (rising(c, m) * math.factorial(m)) * z**m
+    return total
+
+
+def terminating_appell_f1(j, b1, b2, gamma, u, v):
+    """F1(-j; b1, b2; gamma; u, v) as its double sum over m1 + m2 <= j."""
+    return sum(
+        rising(-j, m1 + m2) * rising(b1, m1) * rising(b2, m2)
+        / (rising(gamma, m1 + m2) * math.factorial(m1) * math.factorial(m2))
+        * u**m1 * v**m2
+        for m1 in range(j + 1) for m2 in range(j + 1 - m1)
+    )
+
+
+def direct_type_entry(relation, p, n, k, x):
+    """The displayed connection-type coefficient, unsplit."""
+    alpha, c, d = p["alpha"], p["c"], p["d"]
+    if relation == "type_c_to_d":
+        return (math.comb(n, k) * rising(alpha, k) * rising(x, n - k)
+                / (d ** (n - k) * rising(alpha, n))
+                * terminating_2f1(k - n, -x, -x + k - n + 1, d / c, n - k))
+    beta = p["beta"]
+    return (rising(alpha - beta, n) / rising(alpha, n) * rising(beta, k) * rising(-n, k)
+            / (math.factorial(k) * rising(beta - alpha - n + 1, k))
+            * terminating_appell_f1(n - k, -x, x, beta - alpha - n + k + 1, 1 / c, 1 / d))
+
+
+@pytest.mark.parametrize("relation", ["type_c_to_d", "type_alpha_c"])
+def test_type_entries_equal_the_direct_closed_form(relation):
+    table = connection_table("meixner_" + relation, MEIX, 6)
+    for x in (*X_SAMPLES, Fraction(7)):
+        for n in range(7):
+            for k in range(n + 1):
+                want = direct_type_entry(relation, MEIX, n, k, x)
+                assert table.coefficient(n, k, x) == want, (n, k, x)
+                assert meixner_connection_coeffs(relation, MEIX, n, k, x) == want
+    doubles = {name: float(v) for name, v in MEIX.items()}
+    table = connection_table("meixner_" + relation, doubles, 6, numeric())
+    for x in (complex(0.7, 0.3), complex(-1.25, 2.0), 2.5):
+        for n in range(7):
+            for k in range(n + 1):
+                want = direct_type_entry(relation, doubles, n, k, x)
+                got = table.coefficient(n, k, x)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, k, x)
+
+
+def test_type_entries_keep_the_argument_type():
+    table = connection_table("meixner_type_c_to_d", MEIX, 3)
+    exact = table.row(3, Fraction(1))
+    as_double = table.row(3, 1.0)
+    assert all(isinstance(v, Fraction) for v in exact)
+    assert all(isinstance(v, complex) for v in as_double)
+    assert table.row(3, Fraction(1)) == exact
+
+
+def test_singular_offset_raises_from_the_entry_not_the_table():
+    params = {"alpha": Fraction(3, 2), "beta": Fraction(5, 2), "c": C, "d": D}
+    table = connection_table("meixner_type_alpha_c", params, 4)
+    x = Fraction(1)
+    for n, k in ((0, 0), (1, 0), (1, 1)):
+        assert table.coefficient(n, k, x) == direct_type_entry("type_alpha_c", params, n, k, x)
+    for _ in range(2):  # a failed entry is not remembered as a value
+        with pytest.raises(SingularConfigurationError):
+            table.coefficient(2, 2, x)
+    # at n - k = 2 the kernel's F1 has gamma = beta - alpha - 1 = 0
+    with pytest.raises(PoleError):
+        table.coefficient(2, 0, x)
+    # the reconstruction reaches (2, 0) before (2, 1) and (2, 2)
+    report = verify_connection_relation("meixner_type_alpha_c", params, 3)
+    assert report.status == "error"
+    assert report.detail.startswith("PoleError")
+
+
+def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
+    n_max = 6
+    calls = {"family_eval": 0, "multivar_eval": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(families_mod, "family_eval")
+    counting(connection_mod, "multivar_eval")
+    for relation in ("meixner_type_alpha_c", "meixner_alpha_to_beta", "krawtchouk_p_N_to_q_M"):
+        params = KRAW if relation.startswith("krawtchouk") else MEIX
+        top = min(n_max, KRAW["N"]) if params is KRAW else n_max
+        calls.update(family_eval=0, multivar_eval=0)
+        report = verify_connection_relation(relation, params, top, X_SAMPLES)
+        assert report.status == "pass", report
+        assert calls["family_eval"] == 2 * (top + 1) * len(X_SAMPLES)
+        kernels = (top + 1) * len(X_SAMPLES) if relation == "meixner_type_alpha_c" else 0
+        assert calls["multivar_eval"] == kernels
+
+
+def test_power_collect_evaluates_each_normalization_once(monkeypatch):
+    seen = []
+    inner = connection_mod.normalization_at
+
+    def counted(descriptor, n, x, params, field):
+        seen.append((n, tuple(sorted(params.items()))))
+        return inner(descriptor, n, x, params, field)
+
+    monkeypatch.setattr(connection_mod, "normalization_at", counted)
+    power_collect("meixner", {"alpha": ALPHA, "c": C}, {"alpha": BETA, "c": C}, 8)
+    assert len(seen) == len(set(seen)) == 2 * 9
+
+
+def naive_reconstruction(relation, params, n_max, x_samples, table):
+    """(first failing order, detail, deviation) the way the unshared loop
+    forms them: degrees outer, samples inner, every target value afresh."""
+    spec = connection_mod.get_relation(relation)
+    source, target = spec.source(params), spec.target(params)
+    worst = 0.0
+    for n in range(n_max + 1):
+        for x in x_samples:
+            wanted = family_eval(spec.family, n, x, source)
+            got = sum(table.coefficient(n, k, x if spec.x_dependent else None)
+                      * family_eval(spec.family, k, x, target) for k in range(n + 1))
+            worst = max(worst, abs(complex(wanted) - complex(got)))
+            if wanted != got:
+                return n, f"reconstruction breaks at n = {n}, x = {x}", worst
+    return None, None, worst
+
+
+class PerturbedTable:
+    """A closed-form table with one entry nudged, at one argument or at all."""
+
+    def __init__(self, table, n, k, x=None):
+        self.table, self.at, self.x = table, (n, k), x
+
+    def coefficient(self, n, k, x=None):
+        value = self.table.coefficient(n, k, x)
+        if (n, k) == self.at and (self.x is None or x == self.x):
+            return value + Fraction(1, 1000)
+        return value
+
+
+@pytest.mark.parametrize("relation,at", [
+    ("meixner_alpha_to_beta", (3, 1, None)),
+    ("meixner_type_c_to_d", (3, 1, Fraction(5, 2))),
+    ("meixner_type_alpha_c", (4, 0, Fraction(-3, 7))),
+])
+def test_forced_reconstruction_failure_reports_the_first_break(monkeypatch, relation, at):
+    build = connection_mod.connection_table
+    params = {name: MEIX[name] for name in connection_mod.get_relation(relation).names}
+    monkeypatch.setattr(connection_mod, "connection_table",
+                        lambda *args: PerturbedTable(build(*args), *at))
+    order, detail, deviation = naive_reconstruction(
+        relation, params, 6, X_SAMPLES, PerturbedTable(build(relation, params, 6), *at))
+    report = verify_connection_relation(relation, params, 6, X_SAMPLES)
+    assert report.status == "fail"
+    assert (report.first_failing_order, report.detail, report.deviation) == (
+        order, detail, deviation)
+    assert order == at[0] and deviation > 0
+
+
+def per_degree_sample(descriptor, params, n_max, points):
+    """The sampler that evaluates every degree on its own."""
+    if descriptor.uses_theta:
+        return [math.cos(float(theta)) for theta in points], [
+            [family_eval(descriptor, n, None, {**params, "theta": theta}) for theta in points]
+            for n in range(n_max + 1)]
+    return list(points), [[family_eval(descriptor, n, x, params) for x in points]
+                          for n in range(n_max + 1)]
+
+
+SAMPLED = [
+    ("al_salam_carlitz_1", {"a": complex(0.3, 0.1), "q": 0.4},
+     {"a": complex(0.2, -0.15), "q": 0.4}),
+    ("al_salam_carlitz_2", {"a": complex(0.3, 0.1), "q": 0.4},
+     {"a": complex(0.2, -0.15), "q": 0.4}),
+    ("al_salam_chihara", {"a": 0.25, "b": 0.2, "q": 1 / 3, "theta": math.pi / 3},
+     {"a": 0.4, "b": 0.2, "q": 1 / 3, "theta": math.pi / 3}),
+    ("continuous_big_q_hermite", {"a": 0.3, "q": 0.45, "theta": 0.0},
+     {"a": -0.2, "q": 0.45, "theta": 0.0}),
+    ("charlier", {"a": Fraction(2)}, {"a": Fraction(7, 3)}),
+]
+
+
+@pytest.mark.parametrize("family,source,target", SAMPLED)
+def test_one_expansion_per_abscissa_matches_per_degree_values(monkeypatch, family, source,
+                                                              target):
+    descriptor = families_mod.get_family(family)
+    n_max = 10
+    points = connection_mod.default_abscissae(descriptor, n_max)
+    for params in (source, target):
+        assert connection_mod._sample(descriptor, params, n_max, points) == (
+            per_degree_sample(descriptor, params, n_max, points))
+    expansions = []
+    inner = families_mod.gf_expand
+
+    def counted(*args, **kwargs):
+        expansions.append(args[3])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(families_mod, "gf_expand", counted)
+    table = connect_linear_solve(family, source, target, n_max)
+    assert expansions == [n_max] * (2 * (n_max + 1))
+    monkeypatch.setattr(connection_mod, "_sample", per_degree_sample)
+    assert table.matrix() == connect_linear_solve(family, source, target, n_max).matrix()
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(alpha=small_rationals(-4, 6), beta=small_rationals(-4, 6), c=small_rationals(0, 1),
+       n_max=st.integers(0, 5))
+def test_three_alpha_shift_tables_agree_exactly(alpha, beta, c, n_max):
+    assume(alpha.denominator != 1 and beta.denominator != 1)
+    source, target = {"alpha": alpha, "c": c}, {"alpha": beta, "c": c}
+    closed = connection_table("meixner_alpha_to_beta",
+                              {"alpha": alpha, "beta": beta, "c": c}, n_max).matrix()
+    assert power_collect("meixner", source, target, n_max).matrix() == closed
+    assert connect_linear_solve("meixner", source, target, n_max).matrix() == closed

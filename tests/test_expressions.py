@@ -70,3 +70,25 @@ def test_sandbox_rejects_everything_but_arithmetic():
     for expr in hostile:
         with pytest.raises(DomainError):
             evaluate(expr, {"x": Fraction(1)}, EXACT)
+
+
+def test_each_formula_is_parsed_once_and_values_are_not_kept(monkeypatch):
+    import ast
+
+    from hyperconnect import expressions
+
+    parsed = []
+    parse = ast.parse
+
+    def counted(source, *args, **kwargs):
+        parsed.append(source)
+        return parse(source, *args, **kwargs)
+
+    expressions._parse.cache_clear()
+    monkeypatch.setattr(ast, "parse", counted)
+    expr = "x * alpha + 1"
+    values = [evaluate(expr, {"x": Fraction(j), "alpha": Fraction(1, 3)}, EXACT)
+              for j in range(4)]
+    assert variables(expr) == {"x", "alpha"}
+    assert values == [1, Fraction(4, 3), Fraction(5, 3), 2]
+    assert parsed == [expr]
