@@ -374,13 +374,46 @@ def family_eval(family_id, n, x, params, field: FieldTag | None = None):
     )
 
 
+def _recurrence(descriptor, n_max: int, x, params):
+    """(n, P_n, P_{n-1}) -> P_{n+1} for 0 < n < n_max by the three-term
+    recurrence (Koekoek, Lesky & Swarttouw 2010, 9.10.3 and 9.11.3), or None
+    unless x and every parameter are exact and no divisor vanishes:
+
+        (c-1) x M_n = c(n+beta) M_{n+1} - [n + (n+beta) c] M_n + n M_{n-1}
+        -x K_n = p(N-n) K_{n+1} - [p(N-n) + n(1-p)] K_n + n(1-p) K_{n-1}
+    """
+    if not all(is_exact_value(v) for v in (x, *params.values())):
+        return None
+    if descriptor.id == "meixner":
+        beta, c = Fraction(params["alpha"]), Fraction(params["c"])
+        if all(c * (n + beta) for n in range(n_max)):
+            return lambda n, now, before: (
+                ((n + (n + beta) * c + (c - 1) * x) * now - n * before) / (c * (n + beta)))
+        return None
+    p, cap = Fraction(params["p"]), as_index(params["N"], "N")
+    if n_max <= cap:
+        return lambda n, now, before: (
+            ((p * (cap - n) + n * (1 - p) - x) * now - n * (1 - p) * before) / (p * (cap - n)))
+    return None
+
+
 def family_row(family_id, n_max: int, x, params, field: FieldTag | None = None) -> list:
     """[P_0, ..., P_n_max] at x (or at cos theta), each equal to family_eval's
-    value.  A family evaluated from its generating function expands it once
-    to n_max: the t^n coefficient of a product does not depend on the order
-    the factors are truncated at, so every degree reads the same bits."""
+    value.  Meixner and Krawtchouk rows on exact inputs take P_0 and P_1
+    from family_eval and the rest from the recurrence; elsewhere, or where a
+    divisor of it vanishes, each degree is evaluated on its own.  A family
+    evaluated from its generating function expands it once to n_max: the t^n
+    coefficient of a product does not depend on the order the factors are
+    truncated at, so every degree reads the same bits."""
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
-    if descriptor.id in ("meixner", "krawtchouk") or not descriptor.is_expandable or n_max < 0:
+    if descriptor.id in ("meixner", "krawtchouk"):
+        row = [family_eval(descriptor, n, x, params) for n in range(min(n_max, 1) + 1)]
+        step = row and _recurrence(descriptor, n_max, x, descriptor.bind(params))
+        for n in range(1, n_max):
+            row.append(step(n, row[n], row[n - 1]) if step
+                       else family_eval(descriptor, n + 1, x, params))
+        return row
+    if not descriptor.is_expandable or n_max < 0:
         return [family_eval(descriptor, n, x, params, field) for n in range(n_max + 1)]
     if x is None and not descriptor.uses_theta:
         raise DomainError(f"{descriptor.id} needs the argument x")

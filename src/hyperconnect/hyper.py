@@ -16,8 +16,11 @@ coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  The two- and
 three-variable kinds take lam_i*t arguments; the multi-indices of total
 degree M share only (a)_M / (c)_M = joint(M), so the t^M coefficient, the
 shell S_M, is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!: one
-Cauchy product of per-argument factors.  Scalar multivariable sums add
-the same shells.
+Cauchy product of per-argument factors.  That product does not involve the
+joint parameters, so a caller lifting many series that differ only in them
+(the inner_n of one generating-function build) builds it once with
+``factor_product`` and hands it to every lift.  Scalar multivariable sums
+add the same shells.
 """
 
 from __future__ import annotations
@@ -341,12 +344,8 @@ def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
 
 def _shells(spec: MultiVarSpec, lams, joint, field: FieldTag) -> list:
     """Shells S_0..S_M of the series at arguments lam_i, M = len(joint) - 1."""
-    order = len(joint) - 1
-    factors = [
-        TruncatedSeries(field, _argument_factor(b, lam, order, field))
-        for b, lam in zip(spec.separate_numerators, lams)
-    ]
-    return [j * c for j, c in zip(joint, reduce(mul, factors).coefficients)]
+    product = factor_product(spec, [linear_arg(lam) for lam in lams], len(joint) - 1, field)
+    return [j * c for j, c in zip(joint, product.coefficients)]
 
 
 def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None):
@@ -407,7 +406,23 @@ def mobius_arg(scale) -> ArgShape:
     return ArgShape(scale, True)
 
 
-def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
+def factor_product(spec: MultiVarSpec, shapes, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
+    """prod_i sum_m (b_i)_m (lam_i t)^m / m!: the part of a multivariable
+    lift at lam_i*t that does not depend on the joint parameters."""
+    if len(shapes) != spec.arity:
+        raise DomainError(f"{spec.kind} takes {spec.arity} argument shapes")
+    if any(s.over_one_minus_t for s in shapes):
+        raise DomainError(
+            "multivariable series support lam*t argument shapes only"
+        )
+    return reduce(mul, [
+        TruncatedSeries(field, _argument_factor(b, field.of(s.scale), order, field))
+        for b, s in zip(spec.separate_numerators, shapes)
+    ])
+
+
+def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
+                      product: TruncatedSeries | None = None) -> TruncatedSeries:
     """Lift a hypergeometric function to a TruncatedSeries in t.
 
     A pFq spec takes one ArgShape: at lam*t the coefficients are
@@ -415,6 +430,8 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT) -> Trun
     sum_{k=1..j} c_k C(j-1, k-1), as (1-t)^(-k) = sum_i C(k+i-1, i) t^i.
     A multivariable spec takes one lam*t shape per argument; its t^M
     coefficient is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!.
+    ``product`` hands in that product (``factor_product``, to any order
+    >= ``order``) when lifts that differ only in joint parameters share it.
     """
     if isinstance(shapes, ArgShape):
         shapes = [shapes]
@@ -431,13 +448,9 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT) -> Trun
             ]
         return TruncatedSeries(field, c)
     if isinstance(spec, MultiVarSpec):
-        if len(shapes) != spec.arity:
-            raise DomainError(f"{spec.kind} takes {spec.arity} argument shapes")
-        if any(s.over_one_minus_t for s in shapes):
-            raise DomainError(
-                "multivariable series support lam*t argument shapes only"
-            )
-        lams = [field.of(s.scale) for s in shapes]
+        product = product or factor_product(spec, shapes, order, field)
+        if product.order < order:
+            raise DomainError(f"factor product of order {product.order} < {order}")
         joint = _joint_ratios(spec, order, field)
-        return TruncatedSeries(field, _shells(spec, lams, joint, field))
+        return TruncatedSeries(field, [j * c for j, c in zip(joint, product.coefficients)])
     raise DomainError(f"unsupported spec type {type(spec).__name__}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
-from .fields import EXACT, NUMERIC, FieldTag
+from .fields import EXACT, NUMERIC, FieldTag, as_numeric
 
 
 class TruncatedSeries:
@@ -30,6 +30,17 @@ class TruncatedSeries:
         )
         if not self.coefficients:
             raise DomainError("a series needs at least the constant coefficient")
+
+    @classmethod
+    def _result(cls, field: FieldTag, coefficients) -> "TruncatedSeries":
+        """An arithmetic result: exact coefficients come from Fraction
+        arithmetic on a series and are stored as they are; numeric ones are
+        still checked, so an overflow to inf raises DomainError."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "field", field)
+        object.__setattr__(series, "coefficients", tuple(
+            coefficients if field.is_exact else map(as_numeric, coefficients)))
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -66,7 +77,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_field(other)
         n = min(self.order, other.order)
-        return TruncatedSeries(
+        return TruncatedSeries._result(
             self.field,
             [self.coefficients[i] + other.coefficients[i] for i in range(n + 1)],
         )
@@ -76,13 +87,13 @@ class TruncatedSeries:
             return NotImplemented
         self._check_field(other)
         n = min(self.order, other.order)
-        return TruncatedSeries(
+        return TruncatedSeries._result(
             self.field,
             [self.coefficients[i] - other.coefficients[i] for i in range(n + 1)],
         )
 
     def __neg__(self):
-        return TruncatedSeries(self.field, [-c for c in self.coefficients])
+        return TruncatedSeries._result(self.field, [-c for c in self.coefficients])
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -98,14 +109,14 @@ class TruncatedSeries:
                 b = other.coefficients[j]
                 if b != 0:
                     out[i + j] += a * b
-        return TruncatedSeries(self.field, out)
+        return TruncatedSeries._result(self.field, out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, scalar) -> "TruncatedSeries":
         s = self.field.of(scalar)
-        return TruncatedSeries(self.field, [c * s for c in self.coefficients])
+        return TruncatedSeries._result(self.field, [c * s for c in self.coefficients])
 
     def truncate_to(self, m: int) -> "TruncatedSeries":
         """[f]_m: keep c_0..c_m.  m may not exceed the stored order."""
@@ -113,14 +124,14 @@ class TruncatedSeries:
             raise DomainError(f"cannot truncate order {self.order} series to {m}")
         if m < 0:
             raise DomainError("truncation order must be >= 0")
-        return TruncatedSeries(self.field, self.coefficients[: m + 1])
+        return TruncatedSeries._result(self.field, self.coefficients[: m + 1])
 
     def padded_to(self, order: int) -> "TruncatedSeries":
         """Zero-extend: exact for polynomials and truncated tails."""
         if order < self.order:
             raise DomainError("padded_to cannot shrink; use truncate_to")
         zero = self.field.zero()
-        return TruncatedSeries(
+        return TruncatedSeries._result(
             self.field, self.coefficients + (zero,) * (order - self.order)
         )
 
@@ -129,7 +140,7 @@ class TruncatedSeries:
         if k < 0:
             raise DomainError("shift must be >= 0")
         zero = self.field.zero()
-        return TruncatedSeries(self.field, (zero,) * k + self.coefficients)
+        return TruncatedSeries._result(self.field, (zero,) * k + self.coefficients)
 
     def evaluate(self, t0):
         """Polynomial value sum c_j t0^j by Horner."""

@@ -6,8 +6,13 @@ Every generalized generating function has the shape
 
 so each one is a row of ``GF_IDENTITIES`` (a ``GFSpec``: the lhs, coeff_n,
 inner_n, and whether the sum carries the Krawtchouk degree-N truncation
-brackets) and one builder forms both sides as truncated series.  On the
-exact field a pass means literal coefficient equality.
+brackets) and one builder forms both sides as truncated series.  One
+build makes each piece that does not depend on n once and drops it when it
+returns: the row P_0..P_top of the polynomials in coeff_n
+(``families.family_row``, by the three-term recurrence on exact inputs) and,
+for the multivariable inner_n, the factor product to order top, so only the
+joint ratios are formed per n.  On the exact field a pass means literal
+coefficient equality.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
@@ -64,6 +69,7 @@ from .hyper import (
     HUMBERT_PHI2_3,
     LAURICELLA_FD3,
     MultiVarSpec,
+    factor_product,
     hyper_series_in_t,
     linear_arg,
     mobius_arg,
@@ -178,14 +184,6 @@ class VerificationReport:
         )
 
 
-def _meixner(n, x, alpha, c):
-    return families.family_eval("meixner", n, x, {"alpha": alpha, "c": c})
-
-
-def _krawtchouk(n, x, p, cap):
-    return families.family_eval("krawtchouk", n, x, {"p": p, "N": cap})
-
-
 def _fact(n: int) -> int:
     return math.factorial(n)
 
@@ -247,10 +245,12 @@ class GFSpec:
     """lhs(t) = sum_n coeff_n t^n inner_n(t).
 
     ``lhs(order, field, **params)`` and ``inner(n, order, field, **params)``
-    build series, ``coeff(n, **params)`` is a scalar.  A capped spec carries
-    the degree-N truncation brackets exactly as displayed: the sum stops at
-    n = N, lhs is built to order min(N, order) and inner_n to
-    min(N, order) - n, and both are zero-padded to the requested order."""
+    build series, ``coeff(n, **params)`` is a scalar; inner and coeff also
+    get the call's ``build`` (a ``_Build``), which makes each piece that does
+    not depend on n once.  A capped spec carries the degree-N truncation
+    brackets exactly as displayed: the sum stops at n = N, lhs is built to
+    order min(N, order) and inner_n to min(N, order) - n, and both are
+    zero-padded to the requested order."""
 
     lhs: Callable
     coeff: Callable
@@ -266,11 +266,48 @@ class GFSpec:
     def __call__(self, p, order, field):
         lhs = self.lhs_series(order, field, **p)
         top = self._top(order, p)
+        build = _Build(top, field)
         rhs = TruncatedSeries.zero(order, field)
         for n in range(top + 1):
-            inner = self.inner(n, top - n, field, **p).padded_to(order - n)
-            rhs = rhs + inner.scale(self.coeff(n, **p)).shifted(n)
+            inner = self.inner(n, top - n, field, build=build, **p).padded_to(order - n)
+            rhs = rhs + inner.scale(self.coeff(n, build=build, **p)).shifted(n)
         return lhs, rhs
+
+
+class _Build:
+    """The n-independent pieces of one GFSpec call, each made once, on first
+    use: polynomial rows P_0..P_top and multivariable factor products to
+    order top.  It lives for one call, so nothing outlasts the build."""
+
+    def __init__(self, top, field):
+        self.top, self.field, self._made = top, field, {}
+
+    def meixner(self, n, x, alpha, c):
+        return self._poly("meixner", n, x, {"alpha": alpha, "c": c})
+
+    def krawtchouk(self, n, x, p, cap):
+        return self._poly("krawtchouk", n, x, {"p": p, "N": cap})
+
+    def _poly(self, family, n, x, params):
+        """P_n(x) read from the row ``families.family_row`` builds to top.
+        A row that fails at some degree is not kept: each degree is then
+        evaluated on its own, so an error comes from the n that needs it."""
+        key = (family, x, *params.values())
+        if key not in self._made:
+            try:
+                self._made[key] = families.family_row(family, self.top, x, params)
+            except HyperconnectError:
+                self._made[key] = None
+        row = self._made[key]
+        return families.family_eval(family, n, x, params) if row is None else row[n]
+
+    def multivar(self, spec, shapes, order):
+        """inner_n of a multivariable spec at lam_i*t: only the joint
+        parameters depend on n, so the factor product is shared."""
+        key = (spec.separate_numerators, tuple(shapes))
+        if key not in self._made:
+            self._made[key] = factor_product(spec, shapes, self.top, self.field)
+        return hyper_series_in_t(spec, shapes, order, self.field, product=self._made[key])
 
 
 # Spec functions take the order as ``o``, the field as ``f`` and the case
@@ -324,91 +361,95 @@ def _m_over_n(n, N, M):
 GF_IDENTITIES = {
     "meixner_1f1_two_param": (GFSpec(
         _meixner_1f1,
-        lambda n, x, alpha, beta, c, d, **_: (
-            _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n * _meixner(n, x, beta, d)),
+        lambda n, x, alpha, beta, c, d, build, **_: (
+            _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n
+            * build.meixner(n, x, beta, d)),
         lambda n, o, f, alpha, beta, c, d, **_: hyper_series_in_t(
             pfq((beta + n,), (alpha + n,)), linear_arg(-_ratio(c, d)), o, f),
     ), ("x", "alpha", "beta", "c", "d")),
     "meixner_1f1_alpha_shift": (GFSpec(
         _meixner_exp_1f1,
-        lambda n, x, alpha, beta, c, **_: (
-            _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, c)),
+        lambda n, x, alpha, beta, c, build, **_: (
+            _beta_over_alpha(n, alpha, beta) * build.meixner(n, x, beta, c)),
         lambda n, o, f, alpha, beta, **_: hyper_series_in_t(
             pfq((alpha - beta,), (alpha + n,)), linear_arg(1), o, f),
     ), ("x", "alpha", "beta", "c")),
     "meixner_1f1_c_shift": (GFSpec(
         _meixner_exp_1f1,
-        lambda n, x, alpha, d, **_: _meixner(n, x, alpha, d) / _fact(n),
-        lambda n, o, f, x, alpha, c, d, **_: hyper_series_in_t(
+        lambda n, x, alpha, d, build, **_: build.meixner(n, x, alpha, d) / _fact(n),
+        lambda n, o, f, x, alpha, c, d, build, **_: build.multivar(
             MultiVarSpec(HUMBERT_PHI2, (x, -x, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c)], o, f),
+            [linear_arg(1 / d), linear_arg(1 / c)], o),
     ), ("x", "alpha", "c", "d")),
     "meixner_1f1_two_param_triple": (GFSpec(
         _meixner_exp_1f1,
-        lambda n, x, alpha, beta, d, **_: (
-            _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, d)),
-        lambda n, o, f, x, alpha, beta, c, d, **_: hyper_series_in_t(
+        lambda n, x, alpha, beta, d, build, **_: (
+            _beta_over_alpha(n, alpha, beta) * build.meixner(n, x, beta, d)),
+        lambda n, o, f, x, alpha, beta, c, d, build, **_: build.multivar(
             MultiVarSpec(HUMBERT_PHI2_3, (x, -x, alpha - beta, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o, f),
+            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o),
     ), ("x", "alpha", "beta", "c", "d")),
     "meixner_2f1_alpha_shift": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, beta, c, gamma, **_: (
-            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, c)),
+        lambda n, x, alpha, beta, c, gamma, build, **_: (
+            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta)
+            * build.meixner(n, x, beta, c)),
         lambda n, o, f, alpha, beta, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, alpha - beta), (alpha + n,)), linear_arg(1), o, f),
     ), ("x", "alpha", "beta", "c", "gamma")),
     "meixner_2f1_two_param": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, beta, c, d, gamma, **_: (
+        lambda n, x, alpha, beta, c, d, gamma, build, **_: (
             pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n
-            * _meixner(n, x, beta, d)),
+            * build.meixner(n, x, beta, d)),
         lambda n, o, f, alpha, beta, c, d, gamma, **_: (
             binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
                 pfq((gamma + n, beta + n), (alpha + n,)), mobius_arg(-_ratio(c, d)), o, f)),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "meixner_2f1_c_shift": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, d, gamma, **_: (
-            pochhammer(gamma, n) / _fact(n) * _meixner(n, x, alpha, d)),
-        lambda n, o, f, x, alpha, c, d, gamma, **_: hyper_series_in_t(
+        lambda n, x, alpha, d, gamma, build, **_: (
+            pochhammer(gamma, n) / _fact(n) * build.meixner(n, x, alpha, d)),
+        lambda n, o, f, x, alpha, c, d, gamma, build, **_: build.multivar(
             MultiVarSpec(APPELL_F1, (gamma + n, x, -x, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c)], o, f),
+            [linear_arg(1 / d), linear_arg(1 / c)], o),
     ), ("x", "alpha", "c", "d", "gamma")),
     "meixner_2f1_two_param_triple": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, beta, d, gamma, **_: (
-            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _meixner(n, x, beta, d)),
-        lambda n, o, f, x, alpha, beta, c, d, gamma, **_: hyper_series_in_t(
+        lambda n, x, alpha, beta, d, gamma, build, **_: (
+            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta)
+            * build.meixner(n, x, beta, d)),
+        lambda n, o, f, x, alpha, beta, c, d, gamma, build, **_: build.multivar(
             MultiVarSpec(LAURICELLA_FD3, (gamma + n, x, -x, alpha - beta, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o, f),
+            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "krawtchouk_1f1_two_param": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, q, N, M, **_: (
-            _m_over_n(n, N, M) * (q / p) ** n * _krawtchouk(n, x, q, M)),
+        lambda n, x, p, q, N, M, build, **_: (
+            _m_over_n(n, N, M) * (q / p) ** n * build.krawtchouk(n, x, q, M)),
         lambda n, o, f, p, q, N, M, **_: exp_series(1, o, f) * hyper_series_in_t(
             pfq((Fraction(n - M),), (Fraction(n - N),)), linear_arg(-q / p), o, f),
         capped=True,
     ), ("x", "p", "q", "N", "M")),
     "krawtchouk_1f1_degree_shift": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, N, M, **_: _m_over_n(n, N, M) * _krawtchouk(n, x, p, M),
+        lambda n, x, p, N, M, build, **_: _m_over_n(n, N, M) * build.krawtchouk(n, x, p, M),
         lambda n, o, f, N, M, **_: hyper_series_in_t(
             pfq((Fraction(M - N),), (Fraction(n - N),)), linear_arg(1), o, f),
         capped=True,
     ), ("x", "p", "N", "M")),
     "krawtchouk_1f1_prob_shift": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, q, N, **_: (q / p) ** n / _fact(n) * _krawtchouk(n, x, q, N),
+        lambda n, x, p, q, N, build, **_: (
+            (q / p) ** n / _fact(n) * build.krawtchouk(n, x, q, N)),
         lambda n, o, f, p, q, **_: exp_series(1 - q / p, o, f),
         capped=True,
     ), ("x", "p", "q", "N")),
     "krawtchouk_2f1_two_param": (GFSpec(
         _kraw_2f1,
-        lambda n, x, p, q, N, M, gamma, **_: (
+        lambda n, x, p, q, N, M, gamma, build, **_: (
             (q / p) ** n * pochhammer(gamma, n) * _m_over_n(n, N, M)
-            * _krawtchouk(n, x, q, M)),
+            * build.krawtchouk(n, x, q, M)),
         lambda n, o, f, p, q, N, M, gamma, **_: (
             binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
                 pfq((gamma + n, Fraction(n - M)), (Fraction(n - N),)),
@@ -417,16 +458,16 @@ GF_IDENTITIES = {
     ), ("x", "p", "q", "N", "M", "gamma")),
     "krawtchouk_2f1_degree_shift": (GFSpec(
         _kraw_2f1,
-        lambda n, x, p, N, M, gamma, **_: (
-            pochhammer(gamma, n) * _m_over_n(n, N, M) * _krawtchouk(n, x, p, M)),
+        lambda n, x, p, N, M, gamma, build, **_: (
+            pochhammer(gamma, n) * _m_over_n(n, N, M) * build.krawtchouk(n, x, p, M)),
         lambda n, o, f, N, M, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, Fraction(M - N)), (Fraction(n - N),)), linear_arg(1), o, f),
         capped=True,
     ), ("x", "p", "N", "M", "gamma")),
     "krawtchouk_2f1_prob_shift": (GFSpec(
         _kraw_2f1,
-        lambda n, x, p, q, N, gamma, **_: (
-            pochhammer(gamma, n) / _fact(n) * (q / p) ** n * _krawtchouk(n, x, q, N)),
+        lambda n, x, p, q, N, gamma, build, **_: (
+            pochhammer(gamma, n) / _fact(n) * (q / p) ** n * build.krawtchouk(n, x, q, N)),
         lambda n, o, f, p, q, gamma, **_: binomial_power(1 - q / p, gamma + n, o, f),
         capped=True,
     ), ("x", "p", "q", "N", "gamma")),
@@ -712,7 +753,8 @@ def _orth_krawtchouk(case: IdentityCase, gf_id: str) -> VerificationReport:
     for x in range(big + 1):
         bracket = spec.lhs(cap, EXACT, **p, x=Fraction(x))
         weight = Fraction(math.comb(big, x)) * qq**x * (1 - qq) ** (big - x)
-        lhs += weight * bracket.evaluate(t) * _krawtchouk(n, Fraction(x), qq, big)
+        lhs += weight * bracket.evaluate(t) * families.family_eval(
+            "krawtchouk", n, Fraction(x), {"p": qq, "N": big})
     prefactor = pochhammer(p["gamma"], n) if "gamma" in p else 1
     rhs = (
         (t * (qq - 1) / p["p"]) ** n * prefactor / pochhammer(Fraction(-cap), n)

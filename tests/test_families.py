@@ -4,14 +4,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_verify import small_rationals
 
 import qfamily_oracles
+from hyperconnect import families as families_mod
 from hyperconnect import (
     NUMERIC,
     DomainError,
+    HyperconnectError,
     UnsupportedExpansionError,
     catalog,
     family_eval,
+    family_row,
     get_family,
     gf_expand,
     isolated_parameters,
@@ -277,3 +283,79 @@ def test_normalization_zero_is_an_error():
         {"a": 0.25, "q": 1 / 3}, NUMERIC,
     )
     assert value != 0
+
+
+def per_degree(family, n_max, x, params):
+    return [family_eval(family, n, x, params) for n in range(n_max + 1)]
+
+
+def recurrence_row(family, n_max, x, params):
+    """family_row, checked to take only P_0 and P_1 from family_eval."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families_mod, "family_eval",
+                      lambda *args: calls.append(args[1]) or family_eval(*args))
+        row = family_row(family, n_max, x, params)
+    assert calls == list(range(min(n_max, 1) + 1))
+    return row
+
+
+ARGUMENTS = st.one_of(st.integers(-6, 12), small_rationals(-6, 12))
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(x=ARGUMENTS, beta=small_rationals(-5, 6), c=small_rationals(-3, 3),
+       n_max=st.integers(0, 16))
+def test_meixner_recurrence_row_equals_per_degree_values(x, beta, c, n_max):
+    assume(c not in (0, 1) and not (beta.denominator == 1 and beta <= 0))
+    params = {"alpha": beta, "c": c}
+    row = recurrence_row("meixner", n_max, x, params)
+    assert row == per_degree("meixner", n_max, x, params)
+    assert all(type(v) is Fraction for v in row)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), x=ARGUMENTS, p=small_rationals(-2, 3), cap=st.integers(0, 25))
+def test_krawtchouk_recurrence_row_equals_per_degree_values(data, x, p, cap):
+    assume(p != 0)
+    n_max = data.draw(st.integers(0, cap), label="n_max")
+    params = {"p": p, "N": cap}
+    row = recurrence_row("krawtchouk", n_max, x, params)
+    assert row == per_degree("krawtchouk", n_max, x, params)
+    assert all(type(v) is Fraction for v in row)
+
+
+@pytest.mark.parametrize("beta", [0, -1, -3])
+@pytest.mark.parametrize("x", [Fraction(5, 2), 2, 7, -2])
+def test_meixner_row_at_nonpositive_integer_beta_fails_where_each_degree_does(beta, x):
+    params = {"alpha": Fraction(beta), "c": Fraction(2, 5)}
+    failing = None
+    for n in range(9):
+        try:
+            family_eval("meixner", n, x, params)
+        except HyperconnectError as exc:
+            failing = n, type(exc)
+            break
+    if failing is None:
+        assert family_row("meixner", 8, x, params) == per_degree("meixner", 8, x, params)
+        return
+    n, kind = failing
+    assert family_row("meixner", n - 1, x, params) == per_degree("meixner", n - 1, x, params)
+    with pytest.raises(kind):
+        family_row("meixner", n, x, params)
+
+
+def test_krawtchouk_row_past_the_degree_cap_is_an_error():
+    with pytest.raises(DomainError):
+        family_row("krawtchouk", 5, Fraction(1), {"p": Fraction(1, 2), "N": 4})
+
+
+@pytest.mark.parametrize("family,x,params", [
+    ("meixner", complex(2.5, 0.5), {"alpha": 1.5, "c": 0.4}),
+    ("meixner", Fraction(7, 2), {"alpha": complex(1.5, -0.25), "c": Fraction(2, 5)}),
+    ("krawtchouk", 3.0, {"p": 0.3, "N": 9}),
+    ("krawtchouk", Fraction(3), {"p": complex(0.5, 0.5), "N": 9}),
+])
+def test_numeric_rows_keep_the_per_degree_bits(family, x, params):
+    row = family_row(family, 9, x, params)
+    assert list(map(repr, row)) == list(map(repr, per_degree(family, 9, x, params)))

@@ -32,6 +32,7 @@ from hyperconnect import (
     rphis,
     rphis_eval,
 )
+from hyperconnect.hyper import factor_product
 from hyperconnect.series import (
     CoefficientStream,
     binomial_power,
@@ -272,6 +273,11 @@ def test_multivar_lift_matches_simplex_sum(kind, params, lams):
     want = _simplex_coefficients(spec, lams, 10)
     got = hyper_series_in_t(spec, shapes, 10, EXACT)
     assert got.coefficients == tuple(want)
+    # a factor product built to a higher order is shared; a shorter one is refused
+    shared = factor_product(spec, shapes, 14, EXACT)
+    assert hyper_series_in_t(spec, shapes, 10, EXACT, product=shared) == got
+    with pytest.raises(DomainError):
+        hyper_series_in_t(spec, shapes, 10, EXACT, product=shared.truncate_to(9))
     approx = hyper_series_in_t(spec, shapes, 10, NUMERIC)
     for x, y in zip(approx.coefficients, want):
         assert abs(x - complex(y)) <= 1e-12 * max(1.0, abs(float(y)))

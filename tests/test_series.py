@@ -257,3 +257,29 @@ def test_series_json_round_trip_keeps_tolerances():
     s = TruncatedSeries(field, [complex(1, 2), 0.5])
     back = TruncatedSeries.from_json(json.loads(json.dumps(s.as_json())))
     assert back.field == field and back == s
+
+
+def test_exact_arithmetic_results_equal_constructor_built_series():
+    a, b = S(1, Fraction(1, 2), -3), S(Fraction(2, 3), 0, 5)
+    results = [
+        (a + b, S(Fraction(5, 3), Fraction(1, 2), 2)),
+        (a - b, S(Fraction(1, 3), Fraction(1, 2), -8)),
+        (a * b, S(Fraction(2, 3), Fraction(1, 3), 3)),
+        (a.scale(2), S(2, 1, -6)),
+        (a.scale(Fraction(-1, 4)), S(Fraction(-1, 4), Fraction(-1, 8), Fraction(3, 4))),
+        (a.shifted(2), S(0, 0, 1, Fraction(1, 2), -3)),
+        (a.padded_to(4), S(1, Fraction(1, 2), -3, 0, 0)),
+    ]
+    for got, want in results:
+        assert all(type(c) is Fraction for c in got.coefficients)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_numeric_arithmetic_still_rejects_overflow():
+    big = TruncatedSeries(NUMERIC, [1e200])
+    with pytest.raises(DomainError):
+        big * big
+    with pytest.raises(DomainError):
+        big.scale(1e200)
+    with pytest.raises(DomainError):
+        TruncatedSeries(NUMERIC, [1.7e308]) + TruncatedSeries(NUMERIC, [1.7e308])

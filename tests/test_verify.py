@@ -22,6 +22,8 @@ from hyperconnect import (
     verify_gf_invariance,
     verify_orthogonality_sum,
 )
+from hyperconnect import families as families_mod
+from hyperconnect import hyper as hyper_mod
 from hyperconnect import verify as verify_mod
 
 CANON = {
@@ -631,3 +633,43 @@ def test_exact_zero_repro_exits_inconclusive(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     assert report["reports"][0]["status"] == "inconclusive"
+
+
+def test_each_build_makes_its_n_independent_pieces_once(monkeypatch):
+    factors, rows = [], []
+    argument_factor, family_row = hyper_mod._argument_factor, families_mod.family_row
+
+    def counted_factor(*args):
+        factors.append(args[2])
+        return argument_factor(*args)
+
+    def counted_row(family, n_max, *args):
+        rows.append((family, n_max))
+        return family_row(family, n_max, *args)
+
+    monkeypatch.setattr(hyper_mod, "_argument_factor", counted_factor)
+    monkeypatch.setattr(families_mod, "family_row", counted_row)
+    order = 12
+    for identity, (spec, names) in verify_mod.GF_IDENTITIES.items():
+        family = identity.split("_")[0]
+        params = pick(KRAW if family == "krawtchouk" else CANON, *names)
+        top = min(params["N"], order) if spec.capped else order
+        arity = {"c_shift": 2, "two_param_triple": 3}.get(identity.split("_", 2)[2], 0)
+        for _ in range(2):
+            factors.clear()
+            rows.clear()
+            lhs, rhs = build_sides(IdentityCase(identity, params, order=order))
+            assert lhs == rhs, identity
+            assert factors == [top] * arity, identity
+            assert rows == [(family, top)], identity
+
+
+def test_a_failing_polynomial_row_raises_from_the_degree_that_needs_it():
+    # beta = 0 makes M_1(x; beta, d) a pole, but inner_1 = 1F1(1; -2; .) meets
+    # its pole first: the report names the inner's, as per-degree evaluation did
+    report = verify_gf_identity(IdentityCase("meixner_1f1_two_param", {
+        "x": Fraction(1), "alpha": Fraction(-3), "beta": Fraction(0),
+        "c": Fraction(2, 5), "d": Fraction(3, 7)}, order=6))
+    assert report.status == "error"
+    assert report.detail == (
+        "PoleError: denominator parameter pole at term 3: one of (Fraction(-2, 1),) lies in -N0")
