@@ -15,12 +15,28 @@
     p_to_q_same_N       C(n,k) (p-q)^(n-k) q^k / p^n
     same_p_N_to_M       C(n,k) (M-N)_{n-k} (-M)_k / (-N)_n
 
+  A table builds the factors its entries share once, to n_max: the
+  Pochhammer rows (alpha)_m, (beta)_m, (alpha-beta)_m, (-N)_m, (-M)_m ... by
+  term ratio and the powers E^m, (q/p)^m, (c-d)^m ...  The per-entry
+  functions read from the same code, built to their own n.  The two 2F1
+  entries are differences of one row: with w_i = (beta)_i/(alpha)_i E^i
+  (resp. (-M)_i/(-N)_i (q/p)^i), (beta)_k (k+beta)_m = (beta)_{k+m} gives
+
+      c_{k,n} = C(n,k) sum_m (-1)^m C(n-k, m) w_{k+m},
+
+  and all of them come from the difference rows S_j(k) = S_{j-1}(k) -
+  S_{j-1}(k+1), on integer numerators over one denominator when exact, so
+  a table costs O(n_max^2) operations.
+
   An x-dependent entry is an x-free prefactor(n, k) times a kernel(n-k, x):
   the (x)_{n-k} d^{k-n} 2F1 and the F1 above depend on n and k only through
   j = n - k.  A table computes each prefactor once per (n, k) and each
   kernel once per (j, x), both on first use, so c_{k,n}(x) costs one
   product after its factors exist and a prefactor that cannot be formed
-  still raises from coefficient(n, k, x).
+  still raises from coefficient(n, k, x).  The F1 kernels at one x share
+  the factor product sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!, built
+  once to n_max; each kernel applies only its joint ratios
+  (-j)_M / (beta-alpha-j+1)_M.
 
 * power_collect: the generic method.  Divide the generating function factor
   holding the varied parameter by its retargeted copy, expand the ratio R(t)
@@ -37,7 +53,11 @@
   n_max+1 distinct abscissae, take divided differences (which grade by
   degree, making the system triangular), and back-substitute.  A family
   evaluated from its generating function is expanded once per abscissa,
-  to n_max, and every degree is read from that series.
+  to n_max, and every degree is read from that series; Meixner and
+  Krawtchouk rows come from their three-term recurrences on exact inputs.
+  On the exact field the Newton table runs on integers: values and
+  abscissae over one denominator each, each level over the lcm of its
+  abscissa gaps, and one Fraction per level output.
 """
 
 from __future__ import annotations
@@ -51,6 +71,7 @@ from typing import Callable
 from . import expressions
 from .errors import (
     DomainError,
+    HyperconnectError,
     MethodNotApplicableError,
     SingularConfigurationError,
     SingularSampleError,
@@ -61,7 +82,10 @@ from .hyper import (
     APPELL_F1,
     MultiVarSpec,
     TERMINATING,
+    factor_product,
+    linear_arg,
     multivar_eval,
+    multivar_field,
     pfq,
     pfq_eval,
 )
@@ -191,178 +215,288 @@ def _check_meixner_domains(params, names):
             raise DomainError(f"{name} must avoid 0 and 1")
 
 
-def _c_to_d_prefactor(p, n, k):
+def _pochhammer_row(a, top):
+    """(a)_0, ..., (a)_top by the term ratio (a)_{m+1} = (a)_m (a + m), so
+    every value equals ``pochhammer(a, m)``."""
+    row = [pochhammer(a, 0)]
+    for m in range(top):
+        row.append(row[-1] * (a + m))
+    return row
+
+
+def _powers(z, top):
+    return [z**m for m in range(top + 1)]
+
+
+def _common_denominator(values):
+    """(integer numerators, their common denominator) of exact values."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _terminating_gauss_entries(w):
+    """C(n,k) (beta)_k/(alpha)_k z^k 2F1(k-n, k+beta; k+alpha; z) with
+    w_i = (beta)_i/(alpha)_i z^i, for n < len(w).  As (beta)_k (k+beta)_m =
+    (beta)_{k+m} and (k-n)_m / m! = (-1)^m C(n-k, m), the entry is
+    C(n,k) S_{n-k}(k), S_j(k) = sum_m (-1)^m C(j, m) w_{k+m}, and the rows
+    S_j(k) = S_{j-1}(k) - S_{j-1}(k+1) take O(len(w)^2) subtractions in all.
+    Exact rows run on integer numerators over the common denominator of w,
+    so an entry is one Fraction."""
+    exact = all(is_exact_value(v) for v in w)
+    if exact:
+        w, den = _common_denominator(w)
+    rows = [w]
+    while len(rows[-1]) > 1:
+        rows.append([a - b for a, b in zip(rows[-1], rows[-1][1:])])
+    if exact:
+        return lambda n, k: Fraction(math.comb(n, k) * rows[n - k][k], den)
+    return lambda n, k: math.comb(n, k) * rows[n - k][k]
+
+
+# Each x-free relation maps (params, top) to its entry(n, k), 0 <= k <= n <= top,
+# after the domain checks; the factors shared by the entries are built once.
+
+
+def _alpha_c_to_beta_d(p, top):
+    _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
+    alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
+    ratio = d * (1 - c) / (c * (1 - d))
+    return _terminating_gauss_entries([
+        b / a * z for a, b, z in zip(_pochhammer_row(alpha, top),
+                                     _pochhammer_row(beta, top), _powers(ratio, top))
+    ])
+
+
+def _same_alpha_c_to_d(p, top):
     _check_meixner_domains(p, ("alpha", "c", "d"))
-    alpha = p["alpha"]
-    return math.comb(n, k) * pochhammer(alpha, k) / pochhammer(alpha, n)
+    c, d = p["c"], p["d"]
+    # (c-d)^0 = 1, so d = c collapses to the identity
+    shift, scale, norm = _powers(c - d, top), _powers(d * (1 - c), top), _powers(c * (1 - d), top)
+    return lambda n, k: math.comb(n, k) * shift[n - k] * scale[k] / norm[n]
 
 
-def _c_to_d_kernel(p, j, x):
+def _alpha_to_beta(p, top):
+    _check_meixner_domains(p, ("alpha", "beta"))
+    alpha, beta = p["alpha"], p["beta"]
+    gap, rising, norm = (_pochhammer_row(a, top) for a in (alpha - beta, beta, alpha))
+    return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
+
+
+_MEIXNER_FORMS = {
+    "alpha_c_to_beta_d": _alpha_c_to_beta_d,
+    "same_alpha_c_to_d": _same_alpha_c_to_d,
+    "alpha_to_beta": _alpha_to_beta,
+}
+
+
+def _within_cap(n, cap):
+    _require(n <= cap, f"need n <= N, got n = {n}, N = {cap}")
+
+
+def _p_N_to_q_M(p, cap, top):
+    big = as_index(p["M"], "M")
+    _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
+    _require(p["q"] != 0, "q must be nonzero")
+    upper, lower = _pochhammer_row(Fraction(-big), top), _pochhammer_row(Fraction(-cap), top)
+    return _terminating_gauss_entries([
+        u / v * z for u, v, z in zip(upper, lower, _powers(p["q"] / p["p"], top))
+    ])
+
+
+def _p_to_q_same_N(p, cap, top):
+    _require(p["q"] != 0, "q must be nonzero")
+    shift, scale, norm = _powers(p["p"] - p["q"], top), _powers(p["q"], top), _powers(p["p"], top)
+    return lambda n, k: math.comb(n, k) * shift[n - k] * scale[k] / norm[n]
+
+
+def _same_p_N_to_M(p, cap, top):
+    big = as_index(p["M"], "M")
+    _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
+    gap, rising, norm = (_pochhammer_row(Fraction(a), top) for a in (big - cap, -big, -cap))
+    return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
+
+
+_KRAWTCHOUK_FORMS = {
+    "p_N_to_q_M": _p_N_to_q_M,
+    "p_to_q_same_N": _p_to_q_same_N,
+    "same_p_N_to_M": _same_p_N_to_M,
+}
+
+
+def _krawtchouk_entries(relation, params, top, first=0):
+    """entry(n, k) of a Krawtchouk relation for first <= n <= top.  Every
+    degree n is checked against N, the lowest one before anything else."""
+    p = dict(params)
+    cap = as_index(p["N"], "N")
+    _within_cap(first, cap)
+    _require(p["p"] != 0, "p must be nonzero")
+    if relation not in _KRAWTCHOUK_FORMS:
+        raise UnknownIdentityError(f"unknown krawtchouk relation {relation!r}")
+    form = _KRAWTCHOUK_FORMS[relation](p, cap, min(top, cap))
+
+    def entry(n, k):
+        _within_cap(n, cap)
+        return form(n, k)
+
+    return entry
+
+
+def _c_to_d_prefactors(p, top):
+    _check_meixner_domains(p, ("alpha", "c", "d"))
+    rising = _pochhammer_row(p["alpha"], top)
+    return lambda n, k: math.comb(n, k) * rising[k] / rising[n]
+
+
+def _c_to_d_kernel(p, j, x, product=None):
     """(x)_j d^-j 2F1(-j, -x; -x-j+1; d/c)."""
     c, d = p["c"], p["d"]
     hyp = pfq_eval(pfq((Fraction(-j), -x), (-x - j + 1,)), d / c, TERMINATING)
     return pochhammer(x, j) / d**j * hyp
 
 
-def _alpha_c_prefactor(p, n, k):
+def _alpha_c_prefactors(p, top):
     _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
     alpha, beta = p["alpha"], p["beta"]
-    shifted = pochhammer(beta - alpha - n + 1, k)
-    if shifted == 0:
-        raise SingularConfigurationError(
-            f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
-            " these parameters admit no limiting value"
-        )
-    return (
-        pochhammer(alpha - beta, n) / pochhammer(alpha, n)
-        * pochhammer(beta, k) * pochhammer(Fraction(-n), k)
-        / (math.factorial(k) * shifted)
-    )
+    lead = [g / a for g, a in zip(_pochhammer_row(alpha - beta, top),
+                                  _pochhammer_row(alpha, top))]
+    rising = _pochhammer_row(beta, top)
+    offsets = {}  # n -> (beta - alpha - n + 1)_k, k = 0..n
+
+    def prefactor(n, k):
+        if n not in offsets:
+            offsets[n] = _pochhammer_row(beta - alpha - n + 1, n)
+        shifted = offsets[n][k]
+        if shifted == 0:
+            raise SingularConfigurationError(
+                f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
+                " these parameters admit no limiting value"
+            )
+        # (-n)_k = (-1)^k n!/(n-k)!
+        return lead[n] * rising[k] * (-1) ** k * math.perm(n, k) / (math.factorial(k) * shifted)
+
+    return prefactor
 
 
-def _alpha_c_kernel(p, j, x):
-    """F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d)."""
+def _alpha_c_f1(p, j, x):
+    """F1(-j, -x, x; beta-alpha-j+1) and its arguments (1/c, 1/d)."""
     alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
-    return multivar_eval(
-        MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1)),
-        (1 / c, 1 / d),
-    )
+    return MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1)), (1 / c, 1 / d)
 
 
+def _alpha_c_kernel(p, j, x, product=None):
+    """F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d).  ``product`` is the factor
+    product sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!, which no j changes."""
+    return multivar_eval(*_alpha_c_f1(p, j, x), product=product)
+
+
+def _alpha_c_product(p, x, top):
+    spec, args = _alpha_c_f1(p, 0, x)
+    return factor_product(spec, [linear_arg(a) for a in args], top,
+                          multivar_field(spec, args))
+
+
+# relation -> (prefactors(params, top) giving prefactor(n, k) after the
+# domain checks, kernel(n - k, x), the kernels' shared factor product at x
+# or None)
 _TYPE_ENTRIES = {
-    "type_c_to_d": (_c_to_d_prefactor, _c_to_d_kernel),
-    "type_alpha_c": (_alpha_c_prefactor, _alpha_c_kernel),
+    "type_c_to_d": (_c_to_d_prefactors, _c_to_d_kernel, None),
+    "type_alpha_c": (_alpha_c_prefactors, _alpha_c_kernel, _alpha_c_product),
 }
 
 
 class _TypeEntries:
-    """The x-dependent entries of one table.  Each prefactor is computed on
-    first use of its (n, k) and each kernel on first use of its (n - k, x),
-    so a prefactor that cannot be formed raises from the entry that needs
-    it, never from connection_table."""
+    """The x-dependent entries of one table to degree top.  The prefactor
+    factors are built on first use and each prefactor on first use of its
+    (n, k), each kernel on first use of its (n - k, x) and a kernel factor
+    product on first use of its x, so a prefactor that cannot be formed
+    raises from the entry that needs it, never from connection_table.  What
+    cannot be built is not kept: a failed domain check raises again from
+    the next entry, and the kernels at an x whose product fails form their
+    own."""
 
-    __slots__ = ("params", "prefactor", "kernel", "_prefactors", "_kernels")
+    __slots__ = ("params", "top", "prefactors", "kernel", "product", "_prefactor",
+                 "_prefactors", "_kernels", "_products")
 
-    def __init__(self, params, prefactor, kernel):
-        self.params = params
-        self.prefactor = prefactor
-        self.kernel = kernel
-        self._prefactors = {}
-        self._kernels = {}
+    def __init__(self, params, top, prefactors, kernel, product):
+        self.params, self.top = params, top
+        self.prefactors, self.kernel, self.product = prefactors, kernel, product
+        self._prefactor = None
+        self._prefactors, self._kernels, self._products = {}, {}, {}
 
     def __call__(self, n, k, x):
         pre = self._prefactors.get((n, k))
         if pre is None:
-            pre = self._prefactors[n, k] = self.prefactor(self.params, n, k)
+            if self._prefactor is None:
+                self._prefactor = self.prefactors(self.params, self.top)
+            pre = self._prefactors[n, k] = self._prefactor(n, k)
         # 1, Fraction(1), 1.0 and -0.0 are equal dict keys but give values of
         # different types or signs, so the key carries the type and the repr
-        key = (n - k, type(x), repr(x))
-        kernel = self._kernels.get(key)
+        at = (type(x), repr(x))
+        kernel = self._kernels.get((n - k, *at))
         if kernel is None:
-            kernel = self._kernels[key] = self.kernel(self.params, n - k, x)
+            kernel = self._kernels[(n - k, *at)] = self.kernel(
+                self.params, n - k, x, product=self._product(at, x))
         return pre * kernel
+
+    def _product(self, at, x):
+        if self.product is None:
+            return None
+        if at not in self._products:
+            try:
+                self._products[at] = self.product(self.params, x, self.top)
+            except HyperconnectError:
+                self._products[at] = None
+        return self._products[at]
 
 
 def meixner_connection_coeffs(relation: str, params, n: int, k: int, x=None):
     """One closed-form Meixner coefficient; x only for the type relations."""
     _require(0 <= k <= n, "need 0 <= k <= n")
     p = dict(params)
-    if relation == "alpha_c_to_beta_d":
-        _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
-        alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
-        ratio = d * (1 - c) / (c * (1 - d))
-        hyp = pfq_eval(pfq((Fraction(k - n), k + beta), (k + alpha,)), ratio, TERMINATING)
-        return (
-            math.comb(n, k) * pochhammer(beta, k) / pochhammer(alpha, k)
-            * ratio**k * hyp
-        )
-    if relation == "same_alpha_c_to_d":
-        _check_meixner_domains(p, ("alpha", "c", "d"))
-        c, d = p["c"], p["d"]
-        # single combined power so d = c cleanly collapses to the identity
-        return (
-            math.comb(n, k) * (c - d) ** (n - k) * (d * (1 - c)) ** k
-            / (c * (1 - d)) ** n
-        )
-    if relation == "alpha_to_beta":
-        _check_meixner_domains(p, ("alpha", "beta"))
-        alpha, beta = p["alpha"], p["beta"]
-        return (
-            math.comb(n, k) * pochhammer(alpha - beta, n - k) * pochhammer(beta, k)
-            / pochhammer(alpha, n)
-        )
+    if relation in _MEIXNER_FORMS:
+        return _MEIXNER_FORMS[relation](p, n)(n, k)
     if relation in _TYPE_ENTRIES:
         _require(x is not None, f"{relation} coefficients need x")
-        prefactor, kernel = _TYPE_ENTRIES[relation]
-        return prefactor(p, n, k) * kernel(p, n - k, x)
+        prefactors, kernel, _ = _TYPE_ENTRIES[relation]
+        return prefactors(p, n)(n, k) * kernel(p, n - k, x)
     raise UnknownIdentityError(f"unknown meixner relation {relation!r}")
 
 
 def krawtchouk_connection_coeffs(relation: str, params, n: int, k: int):
     """One closed-form Krawtchouk coefficient."""
     _require(0 <= k <= n, "need 0 <= k <= n")
-    p = dict(params)
-    cap = as_index(p["N"], "N")
-    _require(n <= cap, f"need n <= N, got n = {n}, N = {cap}")
-    _require(p["p"] != 0, "p must be nonzero")
-    if relation == "p_N_to_q_M":
-        big = as_index(p["M"], "M")
-        _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
-        _require(p["q"] != 0, "q must be nonzero")
-        pp, qq = p["p"], p["q"]
-        hyp = pfq_eval(
-            pfq((Fraction(k - n), Fraction(k - big)), (Fraction(k - cap),)),
-            qq / pp, TERMINATING,
-        )
-        return (
-            math.comb(n, k) * qq**k * pochhammer(Fraction(-big), k)
-            / (pp**k * pochhammer(Fraction(-cap), k)) * hyp
-        )
-    if relation == "p_to_q_same_N":
-        _require(p["q"] != 0, "q must be nonzero")
-        pp, qq = p["p"], p["q"]
-        return math.comb(n, k) * (pp - qq) ** (n - k) * qq**k / pp**n
-    if relation == "same_p_N_to_M":
-        big = as_index(p["M"], "M")
-        _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
-        return (
-            math.comb(n, k) * pochhammer(Fraction(big - cap), n - k)
-            * pochhammer(Fraction(-big), k) / pochhammer(Fraction(-cap), n)
-        )
-    raise UnknownIdentityError(f"unknown krawtchouk relation {relation!r}")
+    return _krawtchouk_entries(relation, params, n, first=n)(n, k)
 
 
 @dataclass(frozen=True)
 class RelationSpec:
-    """Registry entry tying a relation id to its family and parameter shape."""
+    """Registry entry tying a relation id to its family and parameter shape.
+    ``entries(params, top)`` gives the table's entry(n, k), or entry(n, k, x)
+    for a connection-type relation."""
 
     id: str
     family: str
     names: tuple
-    coeff: Callable
+    entries: Callable
     source: Callable
     target: Callable
-    split: tuple | None = None  # (prefactor, kernel) of a connection-type relation
-
-    @property
-    def x_dependent(self) -> bool:
-        return self.split is not None
+    x_dependent: bool = False
 
 
 def _meix(relation, names, source, target):
-    def coeff(params, n, k, x=None):
-        return meixner_connection_coeffs(relation, params, n, k, x)
-
-    return RelationSpec("meixner_" + relation, "meixner", names, coeff, source, target,
-                        _TYPE_ENTRIES.get(relation))
+    if relation in _TYPE_ENTRIES:
+        return RelationSpec("meixner_" + relation, "meixner", names,
+                            lambda params, top: _TypeEntries(params, top, *_TYPE_ENTRIES[relation]),
+                            source, target, x_dependent=True)
+    return RelationSpec("meixner_" + relation, "meixner", names,
+                        lambda params, top: _MEIXNER_FORMS[relation](dict(params), top),
+                        source, target)
 
 
 def _kraw(relation, names, source, target):
-    def coeff(params, n, k, x=None):
-        return krawtchouk_connection_coeffs(relation, params, n, k)
-
-    return RelationSpec("krawtchouk_" + relation, "krawtchouk", names, coeff,
-                        source, target)
+    return RelationSpec("krawtchouk_" + relation, "krawtchouk", names,
+                        partial(_krawtchouk_entries, relation), source, target)
 
 
 _RELATIONS = {
@@ -432,14 +566,12 @@ def connection_table(relation_id: str, params, n_max: int,
     missing = set(spec.names) - set(params)
     if missing:
         raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
+    # a negative n_max asks for no entries, so no builder (and no check) runs
+    entry = spec.entries(params, n_max) if n_max >= 0 else None
     if spec.x_dependent:
-        entries = _TypeEntries(params, *spec.split)
-        rows = [[partial(entries, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+        rows = [[partial(entry, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     else:
-        rows = [
-            [field.of(spec.coeff(params, n, k)) for k in range(n + 1)]
-            for n in range(n_max + 1)
-        ]
+        rows = [[field.of(entry(n, k)) for k in range(n + 1)] for n in range(n_max + 1)]
     return ConnectionExpansion(
         n_max, spec.source(params), spec.target(params), rows,
         x_dependent=spec.x_dependent, field=field,
@@ -593,8 +725,10 @@ def _sample(descriptor, params, n_max, points):
     return abscissae, [list(row) for row in zip(*columns)]
 
 
-def _divided_differences(values, abscissae):
+def _divided_differences(values, abscissae, field: FieldTag):
     """Newton coefficients over the abscissae; level j kills degrees < j."""
+    if field.is_exact:
+        return _exact_divided_differences(values, abscissae)
     level = list(values)
     out = [level[0]]
     for j in range(1, len(values)):
@@ -608,6 +742,25 @@ def _divided_differences(values, abscissae):
             nxt.append((level[i + 1] - level[i]) / du)
         level = nxt
         out.append(level[0])
+    return out
+
+
+def _exact_divided_differences(values, abscissae):
+    """The same table on integers.  With the abscissae as X_i / E and level
+    j - 1 as N_i / D, level j is
+    (N_{i+1} - N_i) (L / g_i) / (D L) * E^j, g_i = X_{i+j} - X_i,
+    L = lcm of the gaps g_i; each level output is one Fraction."""
+    level, den = _common_denominator(values)
+    points, scale = _common_denominator(abscissae)
+    out = [Fraction(level[0], den)]
+    for j in range(1, len(level)):
+        gaps = [points[i + j] - points[i] for i in range(len(level) - 1)]
+        if 0 in gaps:
+            raise SingularSampleError("duplicate sample abscissae; choose distinct points")
+        common = math.lcm(*gaps)
+        level = [(b - a) * (common // g) for a, b, g in zip(level, level[1:], gaps)]
+        den *= common
+        out.append(Fraction(level[0] * scale**j, den))
     return out
 
 
@@ -632,10 +785,10 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     _, target_vals = _sample(descriptor, to_params, n_max, points)
     xs = [field.of(v) for v in xs]
     source_dd = [
-        _divided_differences([field.of(v) for v in row], xs) for row in source_vals
+        _divided_differences([field.of(v) for v in row], xs, field) for row in source_vals
     ]
     target_dd = [
-        _divided_differences([field.of(v) for v in row], xs) for row in target_vals
+        _divided_differences([field.of(v) for v in row], xs, field) for row in target_vals
     ]
     rows = []
     for n in range(n_max + 1):

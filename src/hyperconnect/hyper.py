@@ -20,7 +20,9 @@ Cauchy product of per-argument factors.  That product does not involve the
 joint parameters, so a caller lifting many series that differ only in them
 (the inner_n of one generating-function build) builds it once with
 ``factor_product`` and hands it to every lift.  Scalar multivariable sums
-add the same shells.
+add the same shells, and take a shared product the same way
+(``multivar_eval(..., product=...)``, as the connection-type F1 kernels
+at one argument do).
 """
 
 from __future__ import annotations
@@ -342,28 +344,44 @@ def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
     return _pfq_coefficients(pfq((b,), ()), lam, order, field)
 
 
-def _shells(spec: MultiVarSpec, lams, joint, field: FieldTag) -> list:
-    """Shells S_0..S_M of the series at arguments lam_i, M = len(joint) - 1."""
-    product = factor_product(spec, [linear_arg(lam) for lam in lams], len(joint) - 1, field)
+def _shells(spec: MultiVarSpec, lams, joint, field: FieldTag, product=None) -> list:
+    """Shells S_0..S_M of the series at arguments lam_i, M = len(joint) - 1,
+    from ``product`` when one of order >= M is given."""
+    order = len(joint) - 1
+    if product is None:
+        product = factor_product(spec, [linear_arg(lam) for lam in lams], order, field)
+    elif product.order < order:
+        raise DomainError(f"factor product of order {product.order} < {order}")
     return [j * c for j, c in zip(joint, product.coefficients)]
 
 
-def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None):
+def multivar_field(spec: MultiVarSpec, args: Sequence) -> FieldTag:
+    """The field a terminating multivariable sum runs in: exact when every
+    parameter and argument is."""
+    return EXACT if all(is_exact_value(v) for v in (*spec.params, *args)) else NUMERIC
+
+
+def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None,
+                  product: TruncatedSeries | None = None):
     """Scalar value of the double/triple series at the given arguments.
 
     Terminates exactly when the joint numerator is a nonpositive integer;
     otherwise sums shells under the truncated-mode stopping rule, doubling
     the number formed until the rule is met or ``max_terms`` is reached.
+    ``product`` hands in the factor product (``factor_product`` at lam_i*t
+    with the arguments as the lam_i, in the field of the sum) when sums that
+    differ only in joint parameters share it; it must reach the highest
+    shell formed.
     """
     if len(args) != spec.arity:
         raise DomainError(f"{spec.kind} takes {spec.arity} arguments")
     a = spec.joint_numerator
     if a is not None and is_nonpositive_integer(a):
-        exact = all(is_exact_value(v) for v in (*spec.params, *args))
-        field = EXACT if exact else NUMERIC
+        field = multivar_field(spec, args)
         degree = -as_index(a.real if isinstance(a, complex) else a)
         joint = _joint_ratios(spec, degree, field)
-        return sum(_shells(spec, [field.of(x) for x in args], joint, field), field.zero())
+        shells = _shells(spec, [field.of(x) for x in args], joint, field, product)
+        return sum(shells, field.zero())
     mode = mode or Truncated()
     joint = _joint_ratios(spec, mode.max_terms, NUMERIC)
     args = [complex(x) for x in args]
@@ -371,7 +389,7 @@ def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None):
     while True:
         total = complex(0.0)
         streak = 0
-        for m, shell in enumerate(_shells(spec, args, joint[: order + 1], NUMERIC)):
+        for m, shell in enumerate(_shells(spec, args, joint[: order + 1], NUMERIC, product)):
             total = total + shell
             if m and abs(shell) <= mode.tol * abs(total):
                 streak += 1

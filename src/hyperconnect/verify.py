@@ -55,7 +55,7 @@ from typing import Callable
 
 from . import connection as conn
 from . import families
-from .errors import DomainError, HyperconnectError, UnknownIdentityError
+from .errors import DomainError, HyperconnectError, PoleError, UnknownIdentityError
 from .fields import (
     EXACT,
     FieldTag,
@@ -274,6 +274,16 @@ class GFSpec:
         return lhs, rhs
 
 
+def _polynomials(family, top, x, params):
+    """n -> P_n(x), n <= top, read from the row ``families.family_row``
+    builds.  A row that fails at some degree is not kept: each degree is
+    then evaluated on its own, so an error comes from the n that needs it."""
+    try:
+        return families.family_row(family, top, x, params).__getitem__
+    except HyperconnectError:
+        return lambda n: families.family_eval(family, n, x, params)
+
+
 class _Build:
     """The n-independent pieces of one GFSpec call, each made once, on first
     use: polynomial rows P_0..P_top and multivariable factor products to
@@ -289,17 +299,11 @@ class _Build:
         return self._poly("krawtchouk", n, x, {"p": p, "N": cap})
 
     def _poly(self, family, n, x, params):
-        """P_n(x) read from the row ``families.family_row`` builds to top.
-        A row that fails at some degree is not kept: each degree is then
-        evaluated on its own, so an error comes from the n that needs it."""
+        """P_n(x) from one ``_polynomials`` reader to top per argument."""
         key = (family, x, *params.values())
         if key not in self._made:
-            try:
-                self._made[key] = families.family_row(family, self.top, x, params)
-            except HyperconnectError:
-                self._made[key] = None
-        row = self._made[key]
-        return families.family_eval(family, n, x, params) if row is None else row[n]
+            self._made[key] = _polynomials(family, self.top, x, params)
+        return self._made[key](n)
 
     def multivar(self, spec, shapes, order):
         """inner_n of a multivariable spec at lam_i*t: only the joint
@@ -351,7 +355,10 @@ def _ratio(c, d):
 
 
 def _beta_over_alpha(n, alpha, beta):
-    return pochhammer(beta, n) / (pochhammer(alpha, n) * _fact(n))
+    rising = pochhammer(alpha, n)
+    if rising == 0:
+        raise PoleError(f"(alpha)_n vanishes at n = {n}: alpha = {alpha} lies in -N0")
+    return pochhammer(beta, n) / (rising * _fact(n))
 
 
 def _m_over_n(n, N, M):
@@ -517,9 +524,10 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     """Reconstruction check: the table applied to target values gives back
     the source polynomial at every sample argument and every degree.
 
-    Degrees run outer and samples inner.  Each target value P_k(x_i) is
-    evaluated once, when degree k first needs it, and kept for the degrees
-    above, so a check makes 2 (n_max + 1) evaluations per sample."""
+    Degrees run outer and samples inner.  The source and target values at
+    a sample come from one row each (``_polynomials``: the three-term
+    recurrence on exact inputs, so a row takes P_0 and P_1 from
+    ``families.family_eval``), made when the sample is first reached."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -529,19 +537,19 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     def run():
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
-        source, target = spec.source(params), spec.target(params)
-        target_rows = [[] for _ in x_samples]
+        sides = {"source": spec.source(params), "target": spec.target(params)}
+        polynomials = {}
 
-        def target_value(k, i):
-            row = target_rows[i]
-            if k == len(row):
-                row.append(families.family_eval(spec.family, k, x_samples[i], target))
-            return row[k]
+        def value(side, n, i):
+            if (side, i) not in polynomials:
+                polynomials[side, i] = _polynomials(spec.family, n_max, x_samples[i],
+                                                    sides[side])
+            return polynomials[side, i](n)
 
         rows = (
-            (n, families.family_eval(spec.family, n, x, source),
+            (n, value("source", n, i),
              sum((table.coefficient(n, k, x if spec.x_dependent else None)
-                  * target_value(k, i))
+                  * value("target", k, i))
                  for k in range(n + 1)),
              f"reconstruction breaks at n = {n}, x = {x}")
             for n in range(n_max + 1) for i, x in enumerate(x_samples)

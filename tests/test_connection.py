@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from test_verify import small_rationals
 
 from hyperconnect import connection as connection_mod
 from hyperconnect import families as families_mod
+from hyperconnect import hyper as hyper_mod
 from hyperconnect import (
     ConnectionExpansion,
     DomainError,
@@ -25,12 +27,15 @@ from hyperconnect import (
     family_eval,
     krawtchouk_connection_coeffs,
     meixner_connection_coeffs,
+    multivar_eval,
     numeric,
     pochhammer,
     power_collect,
     relation_ids,
     verify_connection_relation,
 )
+from hyperconnect.fields import EXACT, NUMERIC
+from hyperconnect.hyper import APPELL_F1, MultiVarSpec
 
 ALPHA, BETA, C, D = Fraction(3, 2), Fraction(7, 3), Fraction(2, 5), Fraction(3, 7)
 MEIX = {"alpha": ALPHA, "beta": BETA, "c": C, "d": D}
@@ -175,6 +180,13 @@ def test_krawtchouk_size_preconditions():
     bad = {**KRAW, "N": 7, "M": 4}
     with pytest.raises(DomainError):
         krawtchouk_connection_coeffs("p_N_to_q_M", bad, 2, 1)
+    # the degree is checked before p, so a case with both faults names the degree
+    with pytest.raises(DomainError, match="need n <= N, got n = 5, N = 4"):
+        krawtchouk_connection_coeffs("p_N_to_q_M", {**KRAW, "p": 0}, 5, 1)
+    with pytest.raises(DomainError, match="need n <= N, got n = 0, N = -1"):
+        connection_table("krawtchouk_p_to_q_same_N", {**KRAW, "p": 0, "N": -1}, 3)
+    with pytest.raises(DomainError, match="need n <= N, got n = 5, N = 4"):
+        connection_table("krawtchouk_p_N_to_q_M", KRAW, 6)
 
 
 def test_transitivity_of_alpha_shift():
@@ -477,29 +489,38 @@ def test_singular_offset_raises_from_the_entry_not_the_table():
 
 
 def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
+    """Per sample: one recurrence row per side, so family_eval gives only P_0
+    and P_1 of each; one kernel per (n - k, x); and for type_alpha_c one F1
+    factor product, which every kernel at that x shares."""
     n_max = 6
-    calls = {"family_eval": 0, "multivar_eval": 0}
+    calls = {}
 
     def counting(module, name):
         inner = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[module.__name__, name] += 1
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(families_mod, "family_eval")
-    counting(connection_mod, "multivar_eval")
+    for module, name in ((families_mod, "family_eval"), (connection_mod, "multivar_eval"),
+                         (connection_mod, "factor_product"), (hyper_mod, "factor_product")):
+        calls[module.__name__, name] = 0
+        counting(module, name)
     for relation in ("meixner_type_alpha_c", "meixner_alpha_to_beta", "krawtchouk_p_N_to_q_M"):
         params = KRAW if relation.startswith("krawtchouk") else MEIX
         top = min(n_max, KRAW["N"]) if params is KRAW else n_max
-        calls.update(family_eval=0, multivar_eval=0)
+        calls.update(dict.fromkeys(calls, 0))
         report = verify_connection_relation(relation, params, top, X_SAMPLES)
         assert report.status == "pass", report
-        assert calls["family_eval"] == 2 * (top + 1) * len(X_SAMPLES)
-        kernels = (top + 1) * len(X_SAMPLES) if relation == "meixner_type_alpha_c" else 0
-        assert calls["multivar_eval"] == kernels
+        assert calls[families_mod.__name__, "family_eval"] == 2 * 2 * len(X_SAMPLES)
+        type_alpha_c = relation == "meixner_type_alpha_c"
+        kernels = (top + 1) * len(X_SAMPLES) if type_alpha_c else 0
+        assert calls[connection_mod.__name__, "multivar_eval"] == kernels
+        assert calls[connection_mod.__name__, "factor_product"] == (
+            len(X_SAMPLES) if type_alpha_c else 0)
+        assert calls[hyper_mod.__name__, "factor_product"] == 0
 
 
 def test_power_collect_evaluates_each_normalization_once(monkeypatch):
@@ -610,7 +631,7 @@ def test_one_expansion_per_abscissa_matches_per_degree_values(monkeypatch, famil
     assert table.matrix() == connect_linear_solve(family, source, target, n_max).matrix()
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(alpha=small_rationals(-4, 6), beta=small_rationals(-4, 6), c=small_rationals(0, 1),
        n_max=st.integers(0, 5))
 def test_three_alpha_shift_tables_agree_exactly(alpha, beta, c, n_max):
@@ -620,3 +641,150 @@ def test_three_alpha_shift_tables_agree_exactly(alpha, beta, c, n_max):
                               {"alpha": alpha, "beta": beta, "c": c}, n_max).matrix()
     assert power_collect("meixner", source, target, n_max).matrix() == closed
     assert connect_linear_solve("meixner", source, target, n_max).matrix() == closed
+
+
+# -- tables from shared factors, integer Newton tables, shared F1 products ------
+
+
+def closed_form_entry(relation, p, n, k):
+    """The displayed coefficient of an x-free relation, one entry at a time."""
+    comb = math.comb(n, k)
+    if relation == "meixner_alpha_c_to_beta_d":
+        alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
+        ratio = d * (1 - c) / (c * (1 - d))
+        return (comb * rising(beta, k) / rising(alpha, k) * ratio**k
+                * terminating_2f1(k - n, k + beta, k + alpha, ratio, n - k))
+    if relation == "meixner_same_alpha_c_to_d":
+        c, d = p["c"], p["d"]
+        return comb * (c - d) ** (n - k) * (d * (1 - c)) ** k / (c * (1 - d)) ** n
+    if relation == "meixner_alpha_to_beta":
+        alpha, beta = p["alpha"], p["beta"]
+        return comb * rising(alpha - beta, n - k) * rising(beta, k) / rising(alpha, n)
+    pp, cap = p["p"], p["N"]
+    if relation == "krawtchouk_p_N_to_q_M":
+        qq, big = p["q"], p["M"]
+        return (comb * qq**k * rising(-big, k) / (pp**k * rising(-cap, k))
+                * terminating_2f1(k - n, k - big, k - cap, qq / pp, n - k))
+    if relation == "krawtchouk_p_to_q_same_N":
+        qq = p["q"]
+        return comb * (pp - qq) ** (n - k) * qq**k / pp**n
+    big = p["M"]
+    return comb * rising(big - cap, n - k) * rising(-big, k) / rising(-cap, n)
+
+
+X_FREE = [r for r in relation_ids() if "type" not in r]
+OFF_LATTICE = small_rationals(-5, 6).filter(lambda v: v.denominator != 1)
+RATES = small_rationals(-3, 3).filter(lambda v: v not in (0, 1))
+
+
+@settings(max_examples=30)
+@given(data=st.data(), relation=st.sampled_from(X_FREE), n_max=st.integers(0, 8))
+def test_tables_from_shared_factors_equal_the_entrywise_closed_form(data, relation, n_max):
+    if relation.startswith("meixner"):
+        alpha, c = data.draw(OFF_LATTICE, "alpha"), data.draw(RATES, "c")
+        beta = data.draw(st.one_of(st.just(alpha), OFF_LATTICE), "beta")
+        d = data.draw(st.one_of(st.just(c), RATES), "d")
+        params = {"alpha": alpha, "beta": beta, "c": c, "d": d}
+        entry = partial(meixner_connection_coeffs, relation.removeprefix("meixner_"))
+    else:
+        p = data.draw(small_rationals(-2, 3).filter(bool), "p")
+        q = data.draw(st.one_of(st.just(p), small_rationals(-2, 3).filter(bool)), "q")
+        cap = data.draw(st.integers(n_max, n_max + 3), "N")
+        big = data.draw(st.one_of(st.just(cap), st.integers(cap, cap + 4)), "M")
+        params = {"p": p, "q": q, "N": cap, "M": big}
+        entry = partial(krawtchouk_connection_coeffs, relation.removeprefix("krawtchouk_"))
+    params = {name: params[name] for name in connection_mod.get_relation(relation).names}
+    table = connection_table(relation, params, n_max).matrix()
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            want = closed_form_entry(relation, params, n, k)
+            assert table[n][k] == want and type(table[n][k]) is Fraction, (n, k)
+            assert entry(params, n, k) == want
+
+
+@pytest.mark.parametrize("relation,params", [
+    ("meixner_alpha_c_to_beta_d", {"alpha": 1.5, "beta": 7 / 3, "c": 0.4, "d": 3 / 7}),
+    ("meixner_alpha_c_to_beta_d", {"alpha": -2.5, "beta": 1 / 3, "c": -0.4, "d": 9 / 7}),
+    ("meixner_alpha_c_to_beta_d", {"alpha": complex(1.5, 0.5), "beta": 2.0, "c": 0.3,
+                                   "d": 0.6}),
+    ("krawtchouk_p_N_to_q_M", {"p": 0.5, "q": 1 / 3, "N": 10, "M": 14}),
+    ("krawtchouk_p_N_to_q_M", {"p": -1.5, "q": 5 / 3, "N": 10, "M": 10}),
+])
+def test_numeric_gauss_tables_equal_the_displayed_sum_to_rounding(relation, params):
+    """On doubles the difference rows add the displayed 2F1's terms in
+    another order, so an entry may move by rounding: at most 1e-12 times
+    C(n,k) sum_m C(n-k, m) |w_{k+m}|, the size of the terms it cancels."""
+    if relation.startswith("meixner"):
+        alpha, beta, c, d = params["alpha"], params["beta"], params["c"], params["d"]
+        ratio = d * (1 - c) / (c * (1 - d))
+        w = [rising(beta, i) / rising(alpha, i) * ratio**i for i in range(11)]
+    else:
+        w = [rising(-params["M"], i) / rising(-params["N"], i) * (params["q"] / params["p"]) ** i
+             for i in range(11)]
+    table = connection_table(relation, params, 10, numeric()).matrix()
+    for n in range(11):
+        for k in range(n + 1):
+            size = math.comb(n, k) * sum(math.comb(n - k, m) * abs(w[k + m])
+                                         for m in range(n - k + 1))
+            want = closed_form_entry(relation, params, n, k)
+            assert abs(table[n][k] - want) <= 1e-12 * size, (n, k)
+
+
+def fraction_divided_differences(values, abscissae):
+    """Newton coefficients by the plain Fraction loop."""
+    level, out = list(values), [values[0]]
+    for j in range(1, len(values)):
+        level = [(level[i + 1] - level[i]) / (abscissae[i + j] - abscissae[i])
+                 for i in range(len(level) - 1)]
+        out.append(level[0])
+    return out
+
+
+EXACT_POINTS = st.one_of(st.integers(-30, 30), small_rationals(-6, 6, max_den=12))
+
+
+@settings(max_examples=60)
+@given(data=st.data(), abscissae=st.lists(EXACT_POINTS, min_size=1, max_size=10,
+                                          unique_by=Fraction))
+def test_integer_newton_table_equals_the_fraction_loop(data, abscissae):
+    abscissae = [Fraction(a) for a in abscissae]
+    values = data.draw(st.lists(EXACT_POINTS.map(Fraction), min_size=len(abscissae),
+                                max_size=len(abscissae)), "values")
+    got = connection_mod._divided_differences(values, abscissae, EXACT)
+    assert got == fraction_divided_differences(values, abscissae)
+    assert all(type(v) is Fraction for v in got)
+    doubles = [complex(float(v)) for v in values]
+    points = [complex(float(a)) for a in abscissae]
+    assert connection_mod._divided_differences(doubles, points, NUMERIC) == (
+        fraction_divided_differences(doubles, points))
+    if len(abscissae) > 1:
+        repeated = abscissae[:-1] + [data.draw(st.sampled_from(abscissae[:-1]), "repeat")]
+        for field in (EXACT, NUMERIC):
+            with pytest.raises(SingularSampleError):
+                connection_mod._divided_differences(values, repeated, field)
+
+
+def f1_kernel_or_error(spec, args, **kwargs):
+    try:
+        return repr(multivar_eval(spec, args, **kwargs))
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+
+
+@pytest.mark.parametrize("arguments", [
+    st.integers(-4, 8), small_rationals(-4, 8),
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+], ids=["integer", "rational", "complex"])
+@settings(max_examples=15)
+@given(data=st.data(), alpha=small_rationals(-4, 5), beta=small_rationals(-4, 5), c=RATES,
+       d=RATES, n_max=st.integers(0, 8))
+def test_shared_f1_product_gives_each_kernel_bit_for_bit(arguments, data, alpha, beta, c, d,
+                                                         n_max):
+    x = data.draw(arguments, "x")
+    params = {"alpha": alpha, "beta": beta, "c": c, "d": d}
+    product = connection_mod._alpha_c_product(params, x, n_max)
+    assert product.field == (NUMERIC if isinstance(x, complex) else EXACT)
+    for j in range(n_max + 1):
+        spec = MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1))
+        assert f1_kernel_or_error(spec, (1 / c, 1 / d), product=product) == (
+            f1_kernel_or_error(spec, (1 / c, 1 / d)))

@@ -303,7 +303,7 @@ def recurrence_row(family, n_max, x, params):
 ARGUMENTS = st.one_of(st.integers(-6, 12), small_rationals(-6, 12))
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(x=ARGUMENTS, beta=small_rationals(-5, 6), c=small_rationals(-3, 3),
        n_max=st.integers(0, 16))
 def test_meixner_recurrence_row_equals_per_degree_values(x, beta, c, n_max):
@@ -314,7 +314,7 @@ def test_meixner_recurrence_row_equals_per_degree_values(x, beta, c, n_max):
     assert all(type(v) is Fraction for v in row)
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(data=st.data(), x=ARGUMENTS, p=small_rationals(-2, 3), cap=st.integers(0, 25))
 def test_krawtchouk_recurrence_row_equals_per_degree_values(data, x, p, cap):
     assume(p != 0)

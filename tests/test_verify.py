@@ -1,5 +1,6 @@
 """Identity verifier: builders, comparisons, orthogonality sums, batches."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -588,7 +589,7 @@ def small_rationals(low, high, max_den=9):
             lambda num: Fraction(num, den)))
 
 
-@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@settings(max_examples=20)
 @given(data=st.data())
 @pytest.mark.parametrize("identity", sorted(DIRECT_SUMMANDS))
 def test_lattice_sum_property(identity, data):
@@ -673,3 +674,29 @@ def test_a_failing_polynomial_row_raises_from_the_degree_that_needs_it():
     assert report.status == "error"
     assert report.detail == (
         "PoleError: denominator parameter pole at term 3: one of (Fraction(-2, 1),) lies in -N0")
+
+
+def test_vanishing_alpha_pochhammer_is_an_error_report():
+    # (alpha)_4 = (-3)_4 = 0 divides coeff_4; it used to escape as ZeroDivisionError
+    case = IdentityCase("meixner_1f1_two_param", {
+        "x": Fraction(1), "alpha": Fraction(-3), "beta": Fraction(-3),
+        "c": Fraction(2, 5), "d": Fraction(3, 7)}, order=6)
+    [report] = batch_verify([case])
+    assert report.status == "error"
+    assert report.detail == "PoleError: (alpha)_n vanishes at n = 4: alpha = -3 lies in -N0"
+
+
+def test_no_meixner_gf_case_at_nonpositive_integer_parameters_escapes():
+    lattice = (Fraction(0), Fraction(-1), Fraction(-3))
+    cases = []
+    for identity, (_, names) in verify_mod.GF_IDENTITIES.items():
+        if not identity.startswith("meixner"):
+            continue
+        for alpha, beta, gamma in itertools.product(lattice, repeat=3):
+            params = {**CANON, "x": Fraction(1), "alpha": alpha, "beta": beta, "gamma": gamma}
+            cases.append(IdentityCase(identity, pick(params, *names), order=6))
+    reports = batch_verify(cases)
+    assert len(reports) == len(cases) == 8 * 27
+    assert {r.status for r in reports} <= {"pass", "fail", "error"}
+    assert any(r.status == "error" and r.detail.startswith("PoleError: (alpha)_n")
+               for r in reports)
