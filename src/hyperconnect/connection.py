@@ -15,6 +15,13 @@
     p_to_q_same_N       C(n,k) (p-q)^(n-k) q^k / p^n
     same_p_N_to_M       C(n,k) (M-N)_{n-k} (-M)_k / (-N)_n
 
+  Each relation is one row of ``_RELATIONS`` (a ``RelationSpec``): its
+  family, the case parameter bound to each family parameter on the source
+  and on the target side, and its entry builder.  The parameter names, the
+  source and target bindings, their inverse for JSON and the acceptance
+  suite's relation cases all read that row.  Integer bindings enter as
+  Fractions, so exact inputs give exact tables.
+
   A table builds the factors its entries share once, to n_max: the
   Pochhammer rows (alpha)_m, (beta)_m, (alpha-beta)_m, (-N)_m, (-M)_m ... by
   term ratio and the powers E^m, (q/p)^m, (c-d)^m ...  The per-entry
@@ -45,9 +52,10 @@
       c_{k,n} = r_{n-k} c_k(target) / c_n(source).
 
   Applicable exactly when each varied parameter sits in factors whose
-  from/to ratio does not involve the argument x; the coefficients are
-  x-independent by construction.  Each normalization c_n is evaluated once
-  per degree and side.
+  from/to ratio does not involve the argument x, checked on probe points
+  within the field's tolerance; the coefficients are x-independent by
+  construction.  Each normalization c_n is evaluated once per degree and
+  side.
 
 * connect_linear_solve: the independent oracle.  Sample both families on
   n_max+1 distinct abscissae, take divided differences (which grade by
@@ -58,6 +66,9 @@
   On the exact field the Newton table runs on integers: values and
   abscissae over one denominator each, each level over the lcm of its
   abscissa gaps, and one Fraction per level output.
+
+Both generic methods run on the field ``FamilyDescriptor.field_for`` picks,
+as ``families.gf_expand`` does.
 """
 
 from __future__ import annotations
@@ -77,7 +88,7 @@ from .errors import (
     SingularSampleError,
     UnknownIdentityError,
 )
-from .fields import EXACT, NUMERIC, FieldTag, as_index, is_exact_value, is_nonpositive_integer
+from .fields import EXACT, FieldTag, as_index, is_exact_value, is_nonpositive_integer
 from .hyper import (
     APPELL_F1,
     MultiVarSpec,
@@ -170,8 +181,7 @@ class ConnectionExpansion:
         if doc["x_dependent"]:
             if doc.get("relation") is None:
                 raise DomainError("x-dependent table payload needs its relation id")
-            params = dict(source)
-            params.update(_relation_target_overrides(doc["relation"], target))
+            params = get_relation(doc["relation"]).params(source, target)
             return connection_table(doc["relation"], params, doc["n_max"], field)
         rows = [[field.deserialize(c) for c in row] for row in doc["table"]]
         return cls(
@@ -283,13 +293,6 @@ def _alpha_to_beta(p, top):
     return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
 
 
-_MEIXNER_FORMS = {
-    "alpha_c_to_beta_d": _alpha_c_to_beta_d,
-    "same_alpha_c_to_d": _same_alpha_c_to_d,
-    "alpha_to_beta": _alpha_to_beta,
-}
-
-
 def _within_cap(n, cap):
     _require(n <= cap, f"need n <= N, got n = {n}, N = {cap}")
 
@@ -317,29 +320,25 @@ def _same_p_N_to_M(p, cap, top):
     return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
 
 
-_KRAWTCHOUK_FORMS = {
-    "p_N_to_q_M": _p_N_to_q_M,
-    "p_to_q_same_N": _p_to_q_same_N,
-    "same_p_N_to_M": _same_p_N_to_M,
-}
-
-
-def _krawtchouk_entries(relation, params, top, first=0):
-    """entry(n, k) of a Krawtchouk relation for first <= n <= top.  Every
-    degree n is checked against N, the lowest one before anything else."""
-    p = dict(params)
-    cap = as_index(p["N"], "N")
+def _krawtchouk_entries(form, params, top, first=0):
+    """entry(n, k) of the Krawtchouk relation ``form(params, N, top)`` for
+    first <= n <= top.  Every degree n is checked against N, the lowest one
+    before anything else."""
+    cap = as_index(params["N"], "N")
     _within_cap(first, cap)
-    _require(p["p"] != 0, "p must be nonzero")
-    if relation not in _KRAWTCHOUK_FORMS:
-        raise UnknownIdentityError(f"unknown krawtchouk relation {relation!r}")
-    form = _KRAWTCHOUK_FORMS[relation](p, cap, min(top, cap))
+    _require(params["p"] != 0, "p must be nonzero")
+    entries = form(params, cap, min(top, cap))
 
     def entry(n, k):
         _within_cap(n, cap)
-        return form(n, k)
+        return entries(n, k)
 
     return entry
+
+
+# An x-dependent relation is prefactors(params, top) giving prefactor(n, k)
+# after the domain checks, kernel(params, n - k, x, product) and, when the
+# kernels at one x share a factor product, product(params, x, top).
 
 
 def _c_to_d_prefactors(p, top):
@@ -396,15 +395,6 @@ def _alpha_c_product(p, x, top):
                           multivar_field(spec, args))
 
 
-# relation -> (prefactors(params, top) giving prefactor(n, k) after the
-# domain checks, kernel(n - k, x), the kernels' shared factor product at x
-# or None)
-_TYPE_ENTRIES = {
-    "type_c_to_d": (_c_to_d_prefactors, _c_to_d_kernel, None),
-    "type_alpha_c": (_alpha_c_prefactors, _alpha_c_kernel, _alpha_c_product),
-}
-
-
 class _TypeEntries:
     """The x-dependent entries of one table to degree top.  The prefactor
     factors are built on first use and each prefactor on first use of its
@@ -418,9 +408,9 @@ class _TypeEntries:
     __slots__ = ("params", "top", "prefactors", "kernel", "product", "_prefactor",
                  "_prefactors", "_kernels", "_products")
 
-    def __init__(self, params, top, prefactors, kernel, product):
-        self.params, self.top = params, top
+    def __init__(self, prefactors, kernel, product, params, top):
         self.prefactors, self.kernel, self.product = prefactors, kernel, product
+        self.params, self.top = params, top
         self._prefactor = None
         self._prefactors, self._kernels, self._products = {}, {}, {}
 
@@ -450,82 +440,68 @@ class _TypeEntries:
         return self._products[at]
 
 
-def meixner_connection_coeffs(relation: str, params, n: int, k: int, x=None):
-    """One closed-form Meixner coefficient; x only for the type relations."""
-    _require(0 <= k <= n, "need 0 <= k <= n")
-    p = dict(params)
-    if relation in _MEIXNER_FORMS:
-        return _MEIXNER_FORMS[relation](p, n)(n, k)
-    if relation in _TYPE_ENTRIES:
-        _require(x is not None, f"{relation} coefficients need x")
-        prefactors, kernel, _ = _TYPE_ENTRIES[relation]
-        return prefactors(p, n)(n, k) * kernel(p, n - k, x)
-    raise UnknownIdentityError(f"unknown meixner relation {relation!r}")
-
-
-def krawtchouk_connection_coeffs(relation: str, params, n: int, k: int):
-    """One closed-form Krawtchouk coefficient."""
-    _require(0 <= k <= n, "need 0 <= k <= n")
-    return _krawtchouk_entries(relation, params, n, first=n)(n, k)
-
-
 @dataclass(frozen=True)
 class RelationSpec:
-    """Registry entry tying a relation id to its family and parameter shape.
+    """One connection relation.  ``source_names`` and ``target_names`` send
+    each family parameter to the case parameter bound to it on that side;
     ``entries(params, top)`` gives the table's entry(n, k), or entry(n, k, x)
     for a connection-type relation."""
 
     id: str
     family: str
-    names: tuple
+    source_names: dict
+    target_names: dict
     entries: Callable
-    source: Callable
-    target: Callable
     x_dependent: bool = False
 
+    @property
+    def names(self) -> tuple:
+        """The case parameters, in family-parameter order, source before target."""
+        return tuple(dict.fromkeys(
+            case for name in self.source_names
+            for case in (self.source_names[name], self.target_names[name])))
 
-def _meix(relation, names, source, target):
-    if relation in _TYPE_ENTRIES:
-        return RelationSpec("meixner_" + relation, "meixner", names,
-                            lambda params, top: _TypeEntries(params, top, *_TYPE_ENTRIES[relation]),
-                            source, target, x_dependent=True)
-    return RelationSpec("meixner_" + relation, "meixner", names,
-                        lambda params, top: _MEIXNER_FORMS[relation](dict(params), top),
-                        source, target)
+    def source(self, params) -> dict:
+        return {name: params[case] for name, case in self.source_names.items()}
+
+    def target(self, params) -> dict:
+        return {name: params[case] for name, case in self.target_names.items()}
+
+    def params(self, source, target) -> dict:
+        """The case parameters that ``source`` and ``target`` read back."""
+        params = {case: source[name] for name, case in self.source_names.items()}
+        for name, case in self.target_names.items():
+            params.setdefault(case, target[name])
+        return params
 
 
-def _kraw(relation, names, source, target):
-    return RelationSpec("krawtchouk_" + relation, "krawtchouk", names,
-                        partial(_krawtchouk_entries, relation), source, target)
-
+_ALPHA_C = {"alpha": "alpha", "c": "c"}
+_P_N = {"p": "p", "N": "N"}
 
 _RELATIONS = {
     spec.id: spec
     for spec in (
-        _meix("alpha_c_to_beta_d", ("alpha", "beta", "c", "d"),
-              lambda p: {"alpha": p["alpha"], "c": p["c"]},
-              lambda p: {"alpha": p["beta"], "c": p["d"]}),
-        _meix("same_alpha_c_to_d", ("alpha", "c", "d"),
-              lambda p: {"alpha": p["alpha"], "c": p["c"]},
-              lambda p: {"alpha": p["alpha"], "c": p["d"]}),
-        _meix("alpha_to_beta", ("alpha", "beta", "c"),
-              lambda p: {"alpha": p["alpha"], "c": p["c"]},
-              lambda p: {"alpha": p["beta"], "c": p["c"]}),
-        _meix("type_c_to_d", ("alpha", "c", "d"),
-              lambda p: {"alpha": p["alpha"], "c": p["c"]},
-              lambda p: {"alpha": p["alpha"], "c": p["d"]}),
-        _meix("type_alpha_c", ("alpha", "beta", "c", "d"),
-              lambda p: {"alpha": p["alpha"], "c": p["c"]},
-              lambda p: {"alpha": p["beta"], "c": p["d"]}),
-        _kraw("p_N_to_q_M", ("p", "q", "N", "M"),
-              lambda p: {"p": p["p"], "N": p["N"]},
-              lambda p: {"p": p["q"], "N": p["M"]}),
-        _kraw("p_to_q_same_N", ("p", "q", "N"),
-              lambda p: {"p": p["p"], "N": p["N"]},
-              lambda p: {"p": p["q"], "N": p["N"]}),
-        _kraw("same_p_N_to_M", ("p", "N", "M"),
-              lambda p: {"p": p["p"], "N": p["N"]},
-              lambda p: {"p": p["p"], "N": p["M"]}),
+        RelationSpec("meixner_alpha_c_to_beta_d", "meixner", _ALPHA_C,
+                     {"alpha": "beta", "c": "d"}, _alpha_c_to_beta_d),
+        RelationSpec("meixner_same_alpha_c_to_d", "meixner", _ALPHA_C,
+                     {"alpha": "alpha", "c": "d"}, _same_alpha_c_to_d),
+        RelationSpec("meixner_alpha_to_beta", "meixner", _ALPHA_C,
+                     {"alpha": "beta", "c": "c"}, _alpha_to_beta),
+        RelationSpec("meixner_type_c_to_d", "meixner", _ALPHA_C,
+                     {"alpha": "alpha", "c": "d"},
+                     partial(_TypeEntries, _c_to_d_prefactors, _c_to_d_kernel, None),
+                     x_dependent=True),
+        RelationSpec("meixner_type_alpha_c", "meixner", _ALPHA_C,
+                     {"alpha": "beta", "c": "d"},
+                     partial(_TypeEntries, _alpha_c_prefactors, _alpha_c_kernel,
+                             _alpha_c_product),
+                     x_dependent=True),
+        RelationSpec("krawtchouk_p_N_to_q_M", "krawtchouk", _P_N,
+                     {"p": "q", "N": "M"}, partial(_krawtchouk_entries, _p_N_to_q_M)),
+        RelationSpec("krawtchouk_p_to_q_same_N", "krawtchouk", _P_N,
+                     {"p": "q", "N": "N"}, partial(_krawtchouk_entries, _p_to_q_same_N)),
+        RelationSpec("krawtchouk_same_p_N_to_M", "krawtchouk", _P_N,
+                     {"p": "p", "N": "M"}, partial(_krawtchouk_entries, _same_p_N_to_M)),
     )
 }
 
@@ -543,26 +519,40 @@ def get_relation(relation_id: str) -> RelationSpec:
         ) from None
 
 
-def _relation_target_overrides(relation_id: str, target: dict) -> dict:
-    spec = get_relation(relation_id)
-    if spec.id.endswith("alpha_c_to_beta_d") or spec.id.endswith("type_alpha_c"):
-        return {"beta": target["alpha"], "d": target["c"]}
-    if spec.id.endswith("same_alpha_c_to_d") or spec.id.endswith("type_c_to_d"):
-        return {"d": target["c"]}
-    if spec.id.endswith("alpha_to_beta"):
-        return {"beta": target["alpha"]}
-    if spec.id.endswith("p_N_to_q_M"):
-        return {"q": target["p"], "M": target["N"]}
-    if spec.id.endswith("p_to_q_same_N"):
-        return {"q": target["p"]}
-    return {"M": target["N"]}
+def _bind(params) -> dict:
+    """The bindings with every int as a Fraction, so exact inputs stay exact
+    through true division."""
+    return {k: Fraction(v) if is_exact_value(v) else v for k, v in params.items()}
+
+
+def _entry(family, relation, params, n, k, x=None, **options):
+    """One closed-form coefficient of ``family``'s relation, built to degree n."""
+    _require(0 <= k <= n, "need 0 <= k <= n")
+    spec = _RELATIONS.get(f"{family}_{relation}")
+    if spec is None:
+        raise UnknownIdentityError(f"unknown {family} relation {relation!r}")
+    entry = spec.entries(_bind(params), n, **options)
+    if not spec.x_dependent:
+        return entry(n, k)
+    _require(x is not None, f"{relation} coefficients need x")
+    return entry(n, k, x)
+
+
+def meixner_connection_coeffs(relation: str, params, n: int, k: int, x=None):
+    """One closed-form Meixner coefficient; x only for the type relations."""
+    return _entry("meixner", relation, params, n, k, x)
+
+
+def krawtchouk_connection_coeffs(relation: str, params, n: int, k: int):
+    """One closed-form Krawtchouk coefficient."""
+    return _entry("krawtchouk", relation, params, n, k, first=n)
 
 
 def connection_table(relation_id: str, params, n_max: int,
                      field: FieldTag = EXACT) -> ConnectionExpansion:
     """Closed-form table for one of the displayed relations."""
     spec = get_relation(relation_id)
-    params = dict(params)
+    params = _bind(params)
     missing = set(spec.names) - set(params)
     if missing:
         raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
@@ -588,14 +578,14 @@ def _factor_ratio_series(factor, env_from, env_to, q, n_max, field) -> Truncated
     """Series of factor(source params) / factor(target params) in t."""
     kind = factor.kind
     if kind == "binomial":
-        kappa_from = _probe_constant(factor["kappa"], env_from, field)
-        kappa_to = _probe_constant(factor["kappa"], env_to, field)
+        kappa_from = _probe(factor["kappa"], field, env_from)
+        kappa_to = _probe(factor["kappa"], field, env_to)
         if kappa_from is None or kappa_to is None or kappa_from != kappa_to:
             raise MethodNotApplicableError(
                 f"binomial base {factor['kappa']!r} changes with the varied"
                 " parameter, so the ratio is not a single binomial"
             )
-        delta = _probe_difference(factor["exponent"], env_from, env_to, field)
+        delta = _probe(factor["exponent"], field, env_from, env_to)
         if delta is None:
             raise MethodNotApplicableError(
                 f"exponent {factor['exponent']!r} leaves an x-dependent ratio;"
@@ -603,15 +593,15 @@ def _factor_ratio_series(factor, env_from, env_to, q, n_max, field) -> Truncated
             )
         return binomial_power(kappa_from, delta, n_max, field)
     if kind == "exponential":
-        delta = _probe_difference(factor["kappa"], env_from, env_to, field)
+        delta = _probe(factor["kappa"], field, env_from, env_to)
         if delta is None:
             raise MethodNotApplicableError(
                 f"exponential rate {factor['kappa']!r} leaves an x-dependent ratio"
             )
         return exp_series(delta, n_max, field)
     if kind in ("qpoch_num", "qpoch_denom"):
-        kappa_from = _probe_constant(factor["kappa"], env_from, field)
-        kappa_to = _probe_constant(factor["kappa"], env_to, field)
+        kappa_from = _probe(factor["kappa"], field, env_from)
+        kappa_to = _probe(factor["kappa"], field, env_to)
         if kappa_from is None or kappa_to is None:
             raise MethodNotApplicableError(
                 f"q-factor base {factor['kappa']!r} depends on the argument"
@@ -628,30 +618,18 @@ def _factor_ratio_series(factor, env_from, env_to, q, n_max, field) -> Truncated
     )
 
 
-def _probe_constant(expr, env, field):
-    """Value of expr when it is x-free, else None."""
-    if "x" not in expressions.variables(expr):
-        return expressions.evaluate(expr, env, field)
-    values = {
-        expressions.evaluate(expr, {**env, "x": field.of(probe)}, field)
-        for probe in _X_PROBES
-    }
-    return values.pop() if len(values) == 1 else None
+def _probe(expr, field, env, minus=None):
+    """expr at env, less expr at ``minus`` when given, if that value is
+    x-free: equal within the field's tolerance on every probe point.  None
+    when it changes with x."""
+    def value(at):
+        out = expressions.evaluate(expr, {**env, **at}, field)
+        return out if minus is None else out - expressions.evaluate(expr, {**minus, **at}, field)
 
-
-def _probe_difference(expr, env_from, env_to, field):
-    """expr(from) - expr(to) when x-free (checked on probe points, equal
-    within the field's tolerance), else None."""
     if "x" not in expressions.variables(expr):
-        return expressions.evaluate(expr, env_from, field) - expressions.evaluate(
-            expr, env_to, field
-        )
-    first, *rest = (
-        expressions.evaluate(expr, {**env_from, "x": x}, field)
-        - expressions.evaluate(expr, {**env_to, "x": x}, field)
-        for x in map(field.of, _X_PROBES)
-    )
-    return first if all(field.eq(first, delta) for delta in rest) else None
+        return value({})
+    first, *rest = (value({"x": field.of(x)}) for x in _X_PROBES)
+    return first if all(field.eq(first, v) for v in rest) else None
 
 
 def power_collect(family_id, from_params, to_params, n_max: int,
@@ -660,9 +638,7 @@ def power_collect(family_id, from_params, to_params, n_max: int,
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
-    if field is None:
-        exact = all(is_exact_value(v) for v in list(from_params.values()) + list(to_params.values()))
-        field = EXACT if exact and descriptor.expansion != "numeric" else NUMERIC
+    field = field or descriptor.field_for(*from_params.values(), *to_params.values())
     varied = {
         name for name in descriptor.parameters
         if not field.eq(field.of(from_params[name]), field.of(to_params[name]))
@@ -775,9 +751,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
-    if field is None:
-        exact = all(is_exact_value(v) for v in list(from_params.values()) + list(to_params.values()))
-        field = EXACT if exact and descriptor.expansion == "exact" else NUMERIC
+    field = field or descriptor.field_for(*from_params.values(), *to_params.values())
     points = list(abscissae) if abscissae is not None else default_abscissae(descriptor, n_max)
     if len(points) != n_max + 1:
         raise DomainError(f"need exactly {n_max + 1} sample abscissae")

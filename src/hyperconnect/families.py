@@ -108,6 +108,13 @@ class FamilyDescriptor:
     def uses_theta(self) -> bool:
         return self.argument == "cos_theta"
 
+    def field_for(self, *values) -> FieldTag:
+        """The field a computation on these inputs runs in: exact when every
+        value is exact (None, an absent argument, counts as exact) and the
+        catalog does not mark the family numeric-only."""
+        exact = all(v is None or is_exact_value(v) for v in values)
+        return EXACT if exact and self.expansion != "numeric" else NUMERIC
+
     def bind(self, params) -> dict:
         """Validate a name -> value mapping against this descriptor."""
         params = dict(params)
@@ -300,11 +307,7 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
             " is recorded but not expandable"
         )
     params = descriptor.bind(params)
-    if field is None:
-        exact_inputs = all(is_exact_value(v) for v in params.values()) and (
-            x is None or is_exact_value(x)
-        )
-        field = EXACT if descriptor.expansion == "exact" and exact_inputs else NUMERIC
+    field = field or descriptor.field_for(x, *params.values())
     if descriptor.expansion == "numeric" and field.is_exact:
         raise UnsupportedExpansionError(
             f"family {descriptor.id} expands numerically only"

@@ -69,11 +69,13 @@ from .hyper import (
     HUMBERT_PHI2_3,
     LAURICELLA_FD3,
     MultiVarSpec,
+    Truncated,
     factor_product,
     hyper_series_in_t,
     linear_arg,
     mobius_arg,
     pfq,
+    pfq_eval_with_tail,
 )
 from .pochhammer import (
     offset_rising_bound_holds,
@@ -336,10 +338,8 @@ def _meixner_2f1(o, f, x, alpha, c, gamma, **_):
 
 
 def _kraw_exp_1f1(o, f, x, p, N, **_):
-    """e^t 1F1(-x; -N; -t/p)"""
-    return exp_series(1, o, f) * hyper_series_in_t(
-        pfq((-x,), (Fraction(-N),)), linear_arg(-1 / p), o, f
-    )
+    """e^t 1F1(-x; -N; -t/p), the catalog's Krawtchouk generating function"""
+    return families.gf_expand("krawtchouk", x, {"p": p, "N": N}, o, f)
 
 
 def _kraw_2f1(o, f, x, p, N, gamma, **_):
@@ -535,6 +535,7 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     )
 
     def run():
+        _require(case, (), order=True)  # a table with no rows would pass on anything
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
         sides = {"source": spec.source(params), "target": spec.target(params)}
@@ -623,25 +624,13 @@ def _lattice_sum(poly, den, rows):
     return Fraction(acc, chain), [Fraction(t, c) for t, c in tail]
 
 
-def _pfq_scalar_exact(nums, dens, z, rel_cut=1e-30, max_terms=4000):
-    """Infinite-series value at a rational point: exact partial sums cut when
-    the relative term size is far below any tolerance in play."""
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(max_terms):
-        num = Fraction(1)
-        for a in nums:
-            num *= a + k
-        if num == 0:
-            return total
-        den = Fraction(1)
-        for b in dens:
-            den *= b + k
-        term = term * num * z / (den * (k + 1))
-        total += term
-        if abs(float(term)) < rel_cut * max(1.0, abs(float(total))):
-            return total
-    raise DomainError("closed-form series did not settle; argument too large")
+def _pfq_real(nums, dens, z):
+    """The real pFq value of a lattice sum's closed form, summed in doubles
+    until the terms fall below 1e-17 of the total."""
+    value, tail = pfq_eval_with_tail(pfq(nums, dens), z, Truncated(4000, 1e-17))
+    if not tail.converged:
+        raise DomainError("closed-form series did not settle; argument too large")
+    return value.real
 
 
 def _tail_bound(terms):
@@ -797,7 +786,7 @@ ORTHOGONALITY_IDS = {
         lambda n, alpha, beta, c, t, **_: (
             float(t**n / (pochhammer(alpha, n) * c**n)) * math.exp(-float(t))
             * float(1 - c) ** -float(beta)
-            * float(_pfq_scalar_exact((alpha - beta,), (alpha + n,), t))),
+            * _pfq_real((alpha - beta,), (alpha + n,), t)),
     ), ("alpha", "beta", "c", "t", "n")),
     "meixner_sum_1f1_two_param": (LatticeSum(
         lambda alpha, beta, c, d, **_: alpha > 0 and beta > 0 and 0 < c < 1 and 0 < d < 1,
@@ -807,7 +796,7 @@ ORTHOGONALITY_IDS = {
         lambda n, alpha, beta, c, d, t, **_: (
             float(t**n * (1 - c) ** n / (c**n * (1 - d) ** n * pochhammer(alpha, n)))
             * float(1 - d) ** -float(beta)
-            * float(_pfq_scalar_exact((beta + n,), (alpha + n,), -_ratio(c, d) * t))),
+            * _pfq_real((beta + n,), (alpha + n,), -_ratio(c, d) * t)),
     ), ("alpha", "beta", "c", "d", "t", "n")),
     "meixner_sum_2f1_same_c": (LatticeSum(
         lambda alpha, beta, c, t, **_: (
@@ -820,7 +809,7 @@ ORTHOGONALITY_IDS = {
             float(1 - t) ** float(gamma)
             * float(pochhammer(gamma, n) * t**n / (pochhammer(alpha, n) * c**n))
             * float(1 - c) ** -float(beta)
-            * float(_pfq_scalar_exact((alpha - beta, gamma + n), (alpha + n,), t))),
+            * _pfq_real((alpha - beta, gamma + n), (alpha + n,), t)),
     ), ("alpha", "beta", "gamma", "c", "t", "n")),
     "meixner_sum_2f1_two_param": (LatticeSum(
         lambda alpha, beta, c, d, t, **_: (
@@ -833,8 +822,7 @@ ORTHOGONALITY_IDS = {
             float(pochhammer(gamma, n) / ((1 - d) ** n * pochhammer(alpha, n))
                   * (t * (1 - c) / (c * (1 - t))) ** n)
             * float(1 - d) ** -float(beta)
-            * float(_pfq_scalar_exact((gamma + n, beta + n), (alpha + n,),
-                                      -_ratio(c, d) * t / (1 - t)))),
+            * _pfq_real((gamma + n, beta + n), (alpha + n,), -_ratio(c, d) * t / (1 - t))),
     ), ("alpha", "beta", "gamma", "c", "d", "t", "n")),
     "krawtchouk_sum_1f1": (lambda case: _orth_krawtchouk(case, "krawtchouk_1f1_two_param"),
                            ("p", "q", "N", "M", "t", "n")),
@@ -977,41 +965,38 @@ def _verify_chain(case: IdentityCase) -> VerificationReport:
 # -- table agreement, bound-grid and catalog checks ---------------------------
 
 TABLE_CHECKS = {
-    # id -> (family, left table, right table, source {family name: case name},
-    #        target {family name: case name}); a table is "power_collect",
-    #        "connect_linear_solve" or a closed-form relation id
+    # id -> (left table, right table, the relation that binds the case's
+    #        parameters to the source and the target); a table is
+    #        "power_collect", "connect_linear_solve" or the relation's "closed_form"
     "power_collect_matches_closed_form": (
-        "meixner", "power_collect", "meixner_alpha_to_beta",
-        {"alpha": "alpha", "c": "c"}, {"alpha": "beta", "c": "c"}),
+        "power_collect", "closed_form", conn.get_relation("meixner_alpha_to_beta")),
     "oracle_meixner_alpha": (
-        "meixner", "connect_linear_solve", "meixner_alpha_to_beta",
-        {"alpha": "alpha", "c": "c"}, {"alpha": "beta", "c": "c"}),
+        "connect_linear_solve", "closed_form", conn.get_relation("meixner_alpha_to_beta")),
     "oracle_meixner_two_param": (
-        "meixner", "connect_linear_solve", "meixner_alpha_c_to_beta_d",
-        {"alpha": "alpha", "c": "c"}, {"alpha": "beta", "c": "d"}),
+        "connect_linear_solve", "closed_form", conn.get_relation("meixner_alpha_c_to_beta_d")),
     "oracle_krawtchouk": (
-        "krawtchouk", "connect_linear_solve", "krawtchouk_p_N_to_q_M",
-        {"p": "p", "N": "N"}, {"p": "q", "N": "M"}),
-    "oracle_al_salam_carlitz_1": (
-        "al_salam_carlitz_1", "power_collect", "connect_linear_solve",
-        {"a": "a_from", "q": "q"}, {"a": "a_to", "q": "q"}),
+        "connect_linear_solve", "closed_form", conn.get_relation("krawtchouk_p_N_to_q_M")),
+    # a q-family relation with no closed form
+    "oracle_al_salam_carlitz_1": ("power_collect", "connect_linear_solve", conn.RelationSpec(
+        "al_salam_carlitz_1_a", "al_salam_carlitz_1",
+        {"a": "a_from", "q": "q"}, {"a": "a_to", "q": "q"}, entries=None)),
 }
 
 
 def _check_tables(case: IdentityCase) -> VerificationReport:
     """Two connection tables for the same source and target agree entry by
     entry."""
-    family, left, right, source, target = TABLE_CHECKS[case.identity]
-    _require(case, {*source.values(), *target.values(), "n_max"})
+    left, right, spec = TABLE_CHECKS[case.identity]
+    _require(case, (*spec.names, "n_max"))
     p = dict(case.params)
     n_max = as_index(p["n_max"], "n_max")
-    source = {k: p[v] for k, v in source.items()}
-    target = {k: p[v] for k, v in target.items()}
+    if n_max < 0:
+        raise DomainError(f"{case.identity} needs n_max >= 0, got {n_max}")
 
     def table(how):
-        if how in ("power_collect", "connect_linear_solve"):
-            return getattr(conn, how)(family, source, target, n_max)
-        return conn.connection_table(how, p, n_max)
+        if how == "closed_form":
+            return conn.connection_table(spec.id, p, n_max)
+        return getattr(conn, how)(spec.family, spec.source(p), spec.target(p), n_max)
 
     left, right = table(left), table(right)
     if left.x_dependent or right.x_dependent:
@@ -1202,23 +1187,14 @@ def acceptance_suite(order: int = 12) -> list:
 
     # connection relations, exact reconstruction on the sample arguments
     meix_conn = _restrict(_CANONICAL, ("alpha", "beta", "c", "d"))
-    for relation in ("meixner_alpha_c_to_beta_d", "meixner_same_alpha_c_to_d",
-                     "meixner_alpha_to_beta", "meixner_type_c_to_d",
-                     "meixner_type_alpha_c"):
-        names = conn.get_relation(relation).names
-        cases.append(IdentityCase(
-            relation,
-            {**_restrict(meix_conn, names), "n_max": 8,
-             "x_samples": _DEFAULT_X_SAMPLES},
-        ))
-    for relation in ("krawtchouk_p_N_to_q_M", "krawtchouk_p_to_q_same_N",
-                     "krawtchouk_same_p_N_to_M"):
-        names = conn.get_relation(relation).names
-        cases.append(IdentityCase(
-            relation,
-            {**_restrict(_KRAW_CONN, names), "n_max": min(8, _KRAW_CONN["N"]),
-             "x_samples": _DEFAULT_X_SAMPLES},
-        ))
+    for relation in conn.relation_ids():
+        spec = conn.get_relation(relation)
+        kraw = spec.family == "krawtchouk"
+        cases.append(IdentityCase(relation, {
+            **_restrict(_KRAW_CONN if kraw else meix_conn, spec.names),
+            "n_max": min(8, _KRAW_CONN["N"]) if kraw else 8,
+            "x_samples": _DEFAULT_X_SAMPLES,
+        }))
 
     # invariance of the plain generating functions under degenerate relations
     meixner_inv = [
@@ -1278,31 +1254,16 @@ def acceptance_suite(order: int = 12) -> list:
                 {"alpha": Fraction(2), "c": Fraction(1, 2), "n": n, "m": m},
                 field=tol9,
             ))
+    lattice = {"alpha": Fraction(2), "beta": Fraction(3), "gamma": Fraction(5, 4),
+               "c": Fraction(1, 2), "d": Fraction(2, 5)}
     for n in range(4):
-        cases.append(IdentityCase(
-            "meixner_sum_1f1_same_c",
-            {"alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 2),
-             "t": Fraction(1, 4), "n": n},
-            field=tol10,
-        ))
-        cases.append(IdentityCase(
-            "meixner_sum_1f1_two_param",
-            {"alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 2),
-             "d": Fraction(2, 5), "t": Fraction(1, 4), "n": n},
-            field=tol10,
-        ))
-        cases.append(IdentityCase(
-            "meixner_sum_2f1_same_c",
-            {"alpha": Fraction(2), "beta": Fraction(3), "gamma": Fraction(5, 4),
-             "c": Fraction(1, 2), "t": Fraction(1, 4), "n": n},
-            field=tol10,
-        ))
-        cases.append(IdentityCase(
-            "meixner_sum_2f1_two_param",
-            {"alpha": Fraction(2), "beta": Fraction(3), "gamma": Fraction(5, 4),
-             "c": Fraction(1, 2), "d": Fraction(2, 5), "t": Fraction(1, 5), "n": n},
-            field=tol10,
-        ))
+        for identity, t in (("meixner_sum_1f1_same_c", Fraction(1, 4)),
+                            ("meixner_sum_1f1_two_param", Fraction(1, 4)),
+                            ("meixner_sum_2f1_same_c", Fraction(1, 4)),
+                            ("meixner_sum_2f1_two_param", Fraction(1, 5))):
+            names = ORTHOGONALITY_IDS[identity][1]
+            cases.append(IdentityCase(identity, _restrict({**lattice, "t": t, "n": n}, names),
+                                      field=tol10))
     for n in range(3):
         kraw_orth = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5,
                      "t": Fraction(1, 5), "n": n}

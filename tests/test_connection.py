@@ -389,12 +389,12 @@ def test_power_collect_on_doubles_matches_exact_table_within_tolerance():
 
 
 def test_exact_probe_differences_must_be_equal():
-    from hyperconnect.connection import _probe_difference
+    from hyperconnect.connection import _probe
     from hyperconnect.fields import EXACT
 
     one, near = {"alpha": Fraction(1)}, {"alpha": 1 + Fraction(1, 10**20)}
-    assert _probe_difference("x * alpha", one, near, EXACT) is None
-    assert _probe_difference("x + alpha", one, near, EXACT) == Fraction(-1, 10**20)
+    assert _probe("x * alpha", EXACT, one, near) is None
+    assert _probe("x + alpha", EXACT, one, near) == Fraction(-1, 10**20)
 
 
 # -- every polynomial value and every x-kernel computed once ------------------
@@ -788,3 +788,88 @@ def test_shared_f1_product_gives_each_kernel_bit_for_bit(arguments, data, alpha,
         spec = MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1))
         assert f1_kernel_or_error(spec, (1 / c, 1 / d), product=product) == (
             f1_kernel_or_error(spec, (1 / c, 1 / d)))
+
+
+# -- one row per relation, one field rule ------------------------------------
+
+INTEGER_BINDINGS = {
+    "meixner": {"alpha": 2, "beta": 5, "c": 2, "d": 3},
+    "krawtchouk": {"p": 2, "q": 3, "N": 4, "M": 6},
+}
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_params_inverts_source_and_target(relation):
+    spec = connection_mod.get_relation(relation)
+    params = {name: Fraction(i + 2, 7) for i, name in enumerate(spec.names)}
+    assert spec.params(spec.source(params), spec.target(params)) == params
+    assert set(spec.source(params)) == set(spec.target(params))
+    assert set(spec.source(params)) == set(families_mod.get_family(spec.family).parameters)
+
+
+@pytest.mark.parametrize("relation", relation_ids())
+def test_integer_bindings_give_the_fractions_of_fraction_bindings(relation):
+    spec = connection_mod.get_relation(relation)
+    ints = {name: INTEGER_BINDINGS[spec.family][name] for name in spec.names}
+    fractions = {name: Fraction(v) for name, v in ints.items()}
+    short = relation[len(spec.family) + 1:]
+    got, want = connection_table(relation, ints, 3), connection_table(relation, fractions, 3)
+    for x in ((1, Fraction(1), Fraction(5, 2)) if spec.x_dependent else (None,)):
+        for n in range(4):
+            row = got.row(n, x)
+            assert row == want.row(n, x) and all(type(v) is Fraction for v in row), (n, x)
+            for k in range(n + 1):
+                if spec.family == "meixner":
+                    entry = meixner_connection_coeffs(short, ints, n, k, x)
+                else:
+                    entry = krawtchouk_connection_coeffs(short, ints, n, k)
+                assert type(entry) is Fraction and entry == row[k], (n, k, x)
+
+
+def test_integer_binding_repros_stay_exact():
+    same = connection_table("meixner_same_alpha_c_to_d", {"alpha": 2, "c": 2, "d": 3}, 2)
+    assert same.row(1) == [Fraction(1, 4), Fraction(3, 4)]
+    two = connection_table("meixner_alpha_c_to_beta_d",
+                           {"alpha": 2, "beta": Fraction(1, 2), "c": 2, "d": 3}, 2)
+    assert two.row(1) == [Fraction(13, 16), Fraction(3, 16)]
+    typed = connection_table("meixner_type_alpha_c",
+                             {"alpha": Fraction(3, 2), "beta": BETA, "c": 2, "d": 3}, 2)
+    assert all(type(v) is Fraction for v in typed.row(2, Fraction(1)))
+
+
+@pytest.mark.parametrize("relation", ["meixner_type_c_to_d", "meixner_type_alpha_c"])
+@pytest.mark.parametrize("x", [3, Fraction(5, 2)])
+def test_type_tables_round_trip_through_json(relation, x):
+    table = connection_table(relation, MEIX, 4)
+    back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
+    assert back.source == table.source and back.target == table.target
+    for n in range(5):
+        assert back.row(n, x) == table.row(n, x), n
+
+
+EXECUTABLE = [f.id for f in families_mod.catalog() if f.is_expandable]
+BINDINGS = {
+    "meixner": {"alpha": Fraction(3, 2), "c": Fraction(2, 5)},
+    "krawtchouk": {"p": Fraction(1, 2), "N": 4},
+    "charlier": {"a": Fraction(2)},
+    "al_salam_chihara": {"a": Fraction(1, 4), "b": Fraction(1, 5), "q": Fraction(1, 3),
+                         "theta": Fraction(1, 2)},
+    "continuous_big_q_hermite": {"a": Fraction(1, 4), "q": Fraction(1, 3),
+                                 "theta": Fraction(1, 2)},
+    "al_salam_carlitz_1": {"a": Fraction(1, 4), "q": Fraction(1, 3)},
+    "al_salam_carlitz_2": {"a": Fraction(1, 4), "q": Fraction(1, 3)},
+}
+
+
+@pytest.mark.parametrize("family", EXECUTABLE)
+@pytest.mark.parametrize("convert", [Fraction, float], ids=["exact", "float"])
+def test_every_method_picks_the_field_of_field_for(family, convert):
+    descriptor = families_mod.get_family(family)
+    params = {k: v if k == "N" else convert(v) for k, v in BINDINGS[family].items()}
+    x = None if descriptor.uses_theta else convert(Fraction(5, 2))
+    want = descriptor.field_for(x, *params.values())
+    assert want == (EXACT if convert is Fraction and descriptor.expansion == "exact"
+                    else NUMERIC)
+    assert families_mod.gf_expand(family, x, params, 3).field == want
+    assert power_collect(family, params, params, 3).field == want
+    assert connect_linear_solve(family, params, params, 3).field == want

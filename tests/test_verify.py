@@ -700,3 +700,16 @@ def test_no_meixner_gf_case_at_nonpositive_integer_parameters_escapes():
     assert {r.status for r in reports} <= {"pass", "fail", "error"}
     assert any(r.status == "error" and r.detail.startswith("PoleError: (alpha)_n")
                for r in reports)
+
+
+@pytest.mark.parametrize("case", [
+    IdentityCase("meixner_alpha_to_beta", {"alpha": Fraction(3, 2), "beta": Fraction(0),
+                                           "c": Fraction(1, 2), "n_max": -1}),
+    IdentityCase("oracle_meixner_alpha", {"alpha": Fraction(3, 2), "beta": Fraction(0),
+                                          "c": Fraction(1, 2), "n_max": -1}),
+], ids=["relation", "table-check"])
+def test_negative_n_max_is_an_error_report(case):
+    report = verify_case(case)
+    assert report.status == "error"
+    assert report.detail.startswith(f"DomainError: {case.identity} needs ")
+    assert report.detail.endswith(" >= 0, got -1")
