@@ -90,6 +90,7 @@ class TailReport(NamedTuple):
     terms: int
     last_term: float
     converged: bool
+    abs_sum: float  # sum of |term| over the terms added; rounding scales with it
 
 
 def _terminating_degree(spec: HyperSpec):
@@ -202,21 +203,22 @@ def _sum_truncated(spec: HyperSpec, z, mode: Truncated):
     z = complex(z)
     small_streak = 0
     shrinking = False
-    last_abs = 1.0
+    last_abs = abs_sum = 1.0
     k = 0
     while k < mode.max_terms:
         term = term * complex(ratio(spec, z, k))
         k += 1
         if term == 0:
-            return total, TailReport(k + 1, 0.0, True)
+            return total, TailReport(k + 1, 0.0, True, abs_sum)
         if abs(term) < last_abs:
             shrinking = True
         last_abs = abs(term)
+        abs_sum += last_abs
         total = total + term
         if abs(term) <= mode.tol * abs(total):
             small_streak += 1
             if small_streak >= _CONSECUTIVE_SMALL:
-                return total, TailReport(k + 1, abs(term), True)
+                return total, TailReport(k + 1, abs(term), True, abs_sum)
         else:
             small_streak = 0
     if not shrinking:
@@ -224,7 +226,7 @@ def _sum_truncated(spec: HyperSpec, z, mode: Truncated):
             f"terms still growing after {mode.max_terms} terms;"
             f" last |term| = {last_abs:.3e}"
         )
-    return total, TailReport(k + 1, last_abs, False)
+    return total, TailReport(k + 1, last_abs, False, abs_sum)
 
 
 def _evaluate(spec: HyperSpec, z, mode):

@@ -570,7 +570,8 @@ def check_against_direct_sum(identity, n, x_max, params):
     report = verify_case(IdentityCase(identity, {**params, "n": n},
                                       field=numeric(1e-9, 1e-9), x_max=x_max))
     assert report.terms_summed == x_max + 1
-    assert report.deviation == abs(float(sum(terms)) - float(engine.rhs(n, **params)))
+    rhs, _ = engine.rhs(n, **params)
+    assert report.deviation == abs(float(sum(terms)) - float(rhs))
 
 
 @pytest.mark.parametrize("x_max", [0, 1, 2, 3, 40])
@@ -713,3 +714,62 @@ def test_negative_n_max_is_an_error_report(case):
     assert report.status == "error"
     assert report.detail.startswith(f"DomainError: {case.identity} needs ")
     assert report.detail.endswith(" >= 0, got -1")
+
+
+def exact_pfq(nums, dens, z, terms=400):
+    """sum_k prod (a)_k / prod (b)_k z^k / k! in Fractions, to ``terms`` terms."""
+    return sum(math.prod(poch(a, k) for a in nums) * z**k
+               / (math.prod(poch(b, k) for b in dens) * math.factorial(k))
+               for k in range(terms))
+
+
+@pytest.mark.parametrize("identity, params, nums, z", [
+    # z = -d(1-c)/(c(1-d)) t = -56/3: terms near 1e8 cancel to a value near 1e-7
+    ("meixner_sum_1f1_two_param",
+     {"alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 5), "d": Fraction(7, 10),
+      "t": Fraction(2)}, lambda n: (Fraction(3 + n),), Fraction(-56, 3)),
+    ("meixner_sum_1f1_same_c",
+     {"alpha": Fraction(2), "beta": Fraction(7, 2), "c": Fraction(1, 2), "t": Fraction(-12)},
+     lambda n: (Fraction(-3, 2),), Fraction(-12)),
+    ("meixner_sum_2f1_same_c",
+     {"alpha": Fraction(1, 2), "beta": Fraction(7, 2), "gamma": Fraction(9, 4),
+      "c": Fraction(7, 10), "t": Fraction(-9, 10)},
+     lambda n: (Fraction(-3), Fraction(9, 4) + n), Fraction(-9, 10)),
+])
+def test_closed_forms_at_negative_arguments_keep_their_digits(identity, params, nums, z):
+    # the closed forms were summed in Fractions; summed in doubles at z < 0 the
+    # alternating series cancelled to a false fail
+    for n in range(4):
+        dens = (params["alpha"] + n,)
+        value, error = verify_mod._closed_form(1.0, nums(n), dens, z)
+        exact = float(exact_pfq(nums(n), dens, z))
+        assert abs(value - exact) <= 1e-13 * abs(exact)
+        assert error <= 1e-13 * abs(exact)
+        report = verify_case(IdentityCase(identity, {**params, "n": n},
+                                          field=numeric(1e-10, 1e-10)))
+        assert report.status == "pass", (n, report.deviation)
+
+
+def test_cancelled_digits_are_charged_to_the_closed_form():
+    # 1F1(-13/2; 2; 12) cancels from terms near 1e4 to about -8
+    value, error = verify_mod._closed_form(1.0, (Fraction(-13, 2),), (Fraction(2),), Fraction(12))
+    exact = float(exact_pfq((Fraction(-13, 2),), (Fraction(2),), Fraction(12)))
+    assert abs(value - exact) <= error
+    assert error > 1e-4 * 2.0**-52
+    # no term cancels: no error is charged
+    assert verify_mod._closed_form(1.0, (Fraction(3),), (Fraction(2),), Fraction(6))[1] == 0.0
+
+
+@pytest.mark.parametrize("identity, params", [
+    # the terms of 1F1(-3/2; 2; 5000) grow for about 5000 terms, past the cap of 4000
+    ("meixner_sum_1f1_same_c",
+     {"alpha": Fraction(2), "beta": Fraction(7, 2), "c": Fraction(1, 2), "t": Fraction(5000)}),
+    # Kummer's 1F1(-3/2; 2; 2800/3) overflows a double
+    ("meixner_sum_1f1_two_param",
+     {"alpha": Fraction(2), "beta": Fraction(7, 2), "c": Fraction(1, 5), "d": Fraction(7, 10),
+      "t": Fraction(100)}),
+], ids=["terms-grow", "overflow"])
+def test_a_closed_form_that_does_not_settle_is_an_error_report(identity, params):
+    report = verify_case(IdentityCase(identity, {**params, "n": 0}, field=numeric(1e-10, 0.0)))
+    assert report.status == "error"
+    assert report.detail == "DomainError: closed-form series did not settle; argument too large"
