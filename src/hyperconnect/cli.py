@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import families, verify
 from . import connection as conn
 from .errors import DomainError, HyperconnectError
-from .fields import EXACT, numeric, parse_rational
+from .fields import EXACT, is_exact_value, numeric, parse_rational
 
 _PARAM_FLAGS = (
     "alpha", "beta", "c", "d", "gamma", "p", "q", "N", "M",
@@ -109,15 +109,26 @@ def _serialize_scalar(value, field) -> str:
     return repr(v.real) if v.imag == 0 else repr(v)
 
 
+def _agreed_field(args, field):
+    """The field the family and the bindings fixed; a --backend may only agree."""
+    if args.backend not in (None, field.kind):
+        raise DomainError(
+            f"--family {args.family} with these bindings works on the"
+            f" {field.kind} field; drop --backend {args.backend}"
+        )
+    return field
+
+
 def _cmd_eval(args) -> int:
-    params = _collect_params(args, args.backend)
+    params = _collect_params(args, args.backend or "exact")
     n = params.pop("n", None)
     if n is None:
         raise DomainError("eval needs --n (the degree)")
     x = params.pop("x", None)
     params.pop("m", None)
     value = families.family_eval(args.family, n, x, params)
-    field = _field_for(args.backend)
+    field = numeric() if args.backend == "numeric" else _agreed_field(
+        args, EXACT if is_exact_value(value) else numeric())
     if args.output == "json":
         _emit(json.dumps({"value": field.serialize(value)}, indent=2), args.output_path)
     else:
@@ -126,10 +137,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    params = _collect_params(args, args.backend)
+    params = _collect_params(args, args.backend or "exact")
     x = params.pop("x", None)
-    field = None if args.backend == "exact" else numeric()
+    field = numeric() if args.backend == "numeric" else None
     series = families.gf_expand(args.family, x, params, args.order, field)
+    _agreed_field(args, series.field)
     if args.output == "json":
         _emit(json.dumps(series.as_json(), indent=2), args.output_path)
     elif args.output == "csv":
@@ -176,12 +188,7 @@ def _cmd_connect(args) -> int:
             table = conn.connect_linear_solve(args.family, source, target, args.n_max)
         else:
             table = conn.power_collect(args.family, source, target, args.n_max)
-        # the family and the bindings fix the field; --backend may only agree
-        if args.backend not in (None, table.field.kind):
-            raise DomainError(
-                f"--family {args.family} with these bindings works on the"
-                f" {table.field.kind} field; drop --backend {args.backend}"
-            )
+        _agreed_field(args, table.field)
     if args.output == "json":
         _emit(json.dumps(table.as_json(), indent=2), args.output_path)
     elif args.output == "csv":
@@ -283,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
     p_eval.add_argument("--family", required=True)
-    _add_common(p_eval, ("json", "text"))
+    _add_common(p_eval, ("json", "text"), backend=None)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_expand = sub.add_parser("expand", help="expand a generating function")
     p_expand.add_argument("--family", required=True)
     p_expand.add_argument("--order", type=int, required=True)
-    _add_common(p_expand, ("json", "csv", "text"))
+    _add_common(p_expand, ("json", "csv", "text"), backend=None)
     p_expand.set_defaults(handler=_cmd_expand)
 
     p_conn = sub.add_parser("connect", help="derive a connection table")

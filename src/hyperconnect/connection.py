@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from . import expressions
@@ -395,49 +395,35 @@ def _alpha_c_product(p, x, top):
                           multivar_field(spec, args))
 
 
-class _TypeEntries:
-    """The x-dependent entries of one table to degree top.  The prefactor
-    factors are built on first use and each prefactor on first use of its
-    (n, k), each kernel on first use of its (n - k, x) and a kernel factor
-    product on first use of its x, so a prefactor that cannot be formed
-    raises from the entry that needs it, never from connection_table.  What
-    cannot be built is not kept: a failed domain check raises again from
-    the next entry, and the kernels at an x whose product fails form their
-    own."""
+def _type_entries(prefactors, kernel, product, params, top):
+    """The x-dependent entries of one table to degree top.  Each piece (the
+    prefactor factors, prefactor(n, k), the kernel factor product at x, the
+    kernel at (n - k, x)) is built on first use, so a bad prefactor raises
+    from the entry that needs it, never from connection_table.  A cache keeps
+    no exception; a failed product is kept as None and the kernels at its x
+    form their own.  An x is keyed by its type and repr too: 1, Fraction(1),
+    1.0 and -0.0 are equal but give values of different types or signs."""
 
-    __slots__ = ("params", "top", "prefactors", "kernel", "product", "_prefactor",
-                 "_prefactors", "_kernels", "_products")
+    @cache
+    def prefactor_of():
+        return prefactors(params, top)
 
-    def __init__(self, prefactors, kernel, product, params, top):
-        self.prefactors, self.kernel, self.product = prefactors, kernel, product
-        self.params, self.top = params, top
-        self._prefactor = None
-        self._prefactors, self._kernels, self._products = {}, {}, {}
+    @cache
+    def prefactor(n, k):
+        return prefactor_of()(n, k)
 
-    def __call__(self, n, k, x):
-        pre = self._prefactors.get((n, k))
-        if pre is None:
-            if self._prefactor is None:
-                self._prefactor = self.prefactors(self.params, self.top)
-            pre = self._prefactors[n, k] = self._prefactor(n, k)
-        # 1, Fraction(1), 1.0 and -0.0 are equal dict keys but give values of
-        # different types or signs, so the key carries the type and the repr
-        at = (type(x), repr(x))
-        kernel = self._kernels.get((n - k, *at))
-        if kernel is None:
-            kernel = self._kernels[(n - k, *at)] = self.kernel(
-                self.params, n - k, x, product=self._product(at, x))
-        return pre * kernel
-
-    def _product(self, at, x):
-        if self.product is None:
+    @cache
+    def product_at(kind, text, x):
+        try:
+            return product and product(params, x, top)
+        except HyperconnectError:
             return None
-        if at not in self._products:
-            try:
-                self._products[at] = self.product(self.params, x, self.top)
-            except HyperconnectError:
-                self._products[at] = None
-        return self._products[at]
+
+    @cache
+    def kernel_at(j, kind, text, x):
+        return kernel(params, j, x, product=product_at(kind, text, x))
+
+    return lambda n, k, x: prefactor(n, k) * kernel_at(n - k, type(x), repr(x), x)
 
 
 @dataclass(frozen=True)
@@ -489,11 +475,11 @@ _RELATIONS = {
                      {"alpha": "beta", "c": "c"}, _alpha_to_beta),
         RelationSpec("meixner_type_c_to_d", "meixner", _ALPHA_C,
                      {"alpha": "alpha", "c": "d"},
-                     partial(_TypeEntries, _c_to_d_prefactors, _c_to_d_kernel, None),
+                     partial(_type_entries, _c_to_d_prefactors, _c_to_d_kernel, None),
                      x_dependent=True),
         RelationSpec("meixner_type_alpha_c", "meixner", _ALPHA_C,
                      {"alpha": "beta", "c": "d"},
-                     partial(_TypeEntries, _alpha_c_prefactors, _alpha_c_kernel,
+                     partial(_type_entries, _alpha_c_prefactors, _alpha_c_kernel,
                              _alpha_c_product),
                      x_dependent=True),
         RelationSpec("krawtchouk_p_N_to_q_M", "krawtchouk", _P_N,

@@ -7,6 +7,11 @@ the numeric one.  Mixed-order arithmetic truncates to the smaller order, which
 is what "equal up to order N" means; multiplication is the Cauchy product
 truncated at the result order.
 
+Each hypergeometric factor (``binomial_power``, ``exp_series``,
+``q_binomial_series``, ``q_exp_lower``) is a first term plus a term ratio on
+CoefficientStream, whose one loop stops at the first zero coefficient and
+turns a zero divisor into PoleError.
+
 Values are immutable and operations pure.
 """
 
@@ -245,26 +250,16 @@ def geometric_stream() -> CoefficientStream:
 
 
 def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """(1 - kappa t)^(-a) with coefficient pochhammer(a, n) kappa^n / n!.
-
-    Built by the recurrence c_{n+1} = c_n kappa (a+n)/(n+1); exact inputs stay
-    exact and nothing overflows in the numeric field.
-    """
-    kappa = field.of(kappa)
-    a = field.of(a)
-    coeffs = [field.one()]
-    for n in range(order):
-        coeffs.append(coeffs[-1] * kappa * (a + n) / (n + 1))
-    return TruncatedSeries(field, coeffs)
+    """(1 - kappa t)^(-a): coefficient pochhammer(a, n) kappa^n / n!, term
+    ratio kappa (a+n)/(n+1)."""
+    kappa, a = field.of(kappa), field.of(a)
+    return CoefficientStream(1, lambda n: kappa * (a + n) / (n + 1)).series(order, field)
 
 
 def exp_series(kappa, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """exp(kappa t): coefficient kappa^n / n!."""
+    """exp(kappa t): coefficient kappa^n / n!, term ratio kappa/(n+1)."""
     kappa = field.of(kappa)
-    coeffs = [field.one()]
-    for n in range(order):
-        coeffs.append(coeffs[-1] * kappa / (n + 1))
-    return TruncatedSeries(field, coeffs)
+    return CoefficientStream(1, lambda n: kappa / (n + 1)).series(order, field)
 
 
 def linear_factor_product(kappas, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
@@ -280,31 +275,14 @@ def linear_factor_product(kappas, order: int, field: FieldTag = EXACT) -> Trunca
 
 
 def q_binomial_series(a, kappa, q, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """Series with coefficient kappa^n (a;q)_n / (q;q)_n.
-
-    This is the expansion of (a kappa t; q)_inf / (kappa t; q)_inf by the
-    q-binomial theorem.
-    """
-    a = field.of(a)
-    kappa = field.of(kappa)
-    q = field.of(q)
+    """(a kappa t; q)_inf / (kappa t; q)_inf by the q-binomial theorem:
+    coefficient kappa^n (a;q)_n / (q;q)_n, term ratio
+    kappa (1 - a q^n)/(1 - q^{n+1})."""
+    a, kappa, q = field.of(a), field.of(kappa), field.of(q)
     if q == 0:
         raise DomainError("q_binomial_series needs q != 0")
-    coeffs = [field.one()]
-    num = field.one()
-    den = field.one()
-    qn = field.one()
-    kn = field.one()
-    for n in range(order):
-        num = num * (field.one() - a * qn)
-        qn = qn * q
-        den_factor = field.one() - qn
-        if den_factor == 0:
-            raise PoleError(f"(q;q)_{n + 1} vanishes for q = {q}")
-        den = den * den_factor
-        kn = kn * kappa
-        coeffs.append(kn * num / den)
-    return TruncatedSeries(field, coeffs)
+    return CoefficientStream(
+        1, lambda n: kappa * (1 - a * q**n) / (1 - q ** (n + 1))).series(order, field)
 
 
 def mobius_argument(lam, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
@@ -332,22 +310,10 @@ def compose(outer: CoefficientStream, inner: TruncatedSeries, order: int) -> Tru
 
 
 def q_exp_lower(kappa, q, order: int, field: FieldTag = NUMERIC) -> TruncatedSeries:
-    """(kappa t; q)_inf as a series: coefficient (-kappa)^n q^{n(n-1)/2}/(q;q)_n."""
-    kappa = field.of(kappa)
-    q = field.of(q)
-    coeffs = [field.one()]
-    c = field.one()
-    qpow = field.one()  # q^{n-1} entering at step n
-    qn = field.one()
-    for n in range(order):
-        qn = qn * q
-        denom = field.one() - qn
-        if denom == 0:
-            raise PoleError(f"(q;q)_{n + 1} vanishes for q = {q}")
-        c = c * (-kappa) * qpow / denom
-        qpow = qpow * q
-        coeffs.append(c)
-    return TruncatedSeries(field, coeffs)
+    """(kappa t; q)_inf as a series: coefficient (-kappa)^n q^{n(n-1)/2}/(q;q)_n,
+    term ratio -kappa q^n/(1 - q^{n+1})."""
+    kappa, q = field.of(kappa), field.of(q)
+    return CoefficientStream(1, lambda n: -kappa * q**n / (1 - q ** (n + 1))).series(order, field)
 
 
 def q_exp_upper(kappa, q, order: int, field: FieldTag = NUMERIC) -> TruncatedSeries:

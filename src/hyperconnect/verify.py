@@ -208,13 +208,15 @@ def _require(case, names, allowed=None, order=False):
 
 
 def _guard(case, run) -> VerificationReport:
+    """Run one verifier on ``case``, the case its report carries; a domain or
+    arithmetic fault (a zero divisor, a double overflow) is an error report."""
     start = time.perf_counter()
     try:
         report = run()
-    except HyperconnectError as exc:
+    except (HyperconnectError, ArithmeticError) as exc:
         report = VerificationReport(case, "error", detail=f"{type(exc).__name__}: {exc}")
     millis = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(**{**report.__dict__, "millis": millis})
+    return VerificationReport(**{**report.__dict__, "case": case, "millis": millis})
 
 
 def _series_report(case, pairs) -> VerificationReport:
@@ -536,7 +538,8 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     )
 
     def run():
-        _require(case, (), order=True)  # a table with no rows would pass on anything
+        if n_max < 0:  # a table with no rows would pass on anything
+            raise DomainError(f"{relation_id} needs n_max >= 0, got {n_max}")
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
         sides = {"source": spec.source(params), "target": spec.target(params)}
@@ -714,6 +717,9 @@ class LatticeSum:
     degrees: Callable = lambda n, **_: (n,)
 
     def __call__(self, case: IdentityCase) -> VerificationReport:
+        if case.field.is_exact:
+            raise DomainError("an infinite lattice sum is compared in doubles;"
+                              " give a numeric field")
         p = {k: EXACT.of(v) for k, v in case.params.items()}  # partial sums are exact
         n = as_index(p.pop("n"), "n")
         if not self.domain(**p):

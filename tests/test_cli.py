@@ -276,3 +276,36 @@ def test_subcommands_offer_only_the_outputs_they_write(capsys):
     assert code == 0 and out.strip() == "-3"
     code, out, _ = run(capsys, "catalog", "--output", "json")
     assert code == 0 and len(json.loads(out)["families"]) == 16
+
+
+def test_eval_and_expand_show_the_field_the_family_computes_in(capsys):
+    asc = ("--family", "al_salam_carlitz_1", "--x", "1/2", "--param", "a=1/3", "--q", "1/2")
+    code, text, err = run(capsys, "eval", *asc, "--n", "2")
+    assert code == 0 and "Traceback" not in err
+    value = float(text)
+    code, out, _ = run(capsys, "eval", *asc, "--n", "2", "--output", "json")
+    assert code == 0 and json.loads(out) == {"value": [value, 0.0]}
+    code, out, _ = run(capsys, "eval", *asc, "--n", "2", "--backend", "numeric")
+    assert code == 0 and out == text
+    code, out, _ = run(capsys, "expand", *asc, "--order", "3", "--output", "json")
+    assert code == 0 and json.loads(out)["field"] == "numeric"
+    for command in (("eval", *asc, "--n", "2"), ("expand", *asc, "--order", "3")):
+        code, out, err = run(capsys, *command, "--backend", "exact")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "numeric field; drop --backend exact" in err
+    # exact bindings of an exact family: shown exact, or as doubles on request
+    meixner = ("--family", "meixner", "--x", "1/2", "--alpha", "1/3", "--c", "1/2")
+    code, out, _ = run(capsys, "eval", *meixner, "--n", "2")
+    assert code == 0 and out.strip() == "-41/16"
+    code, out, _ = run(capsys, "eval", *meixner, "--n", "2", "--backend", "numeric")
+    assert code == 0 and out.strip() == "-2.5625"
+    code, out, _ = run(capsys, "expand", *meixner, "--order", "2", "--backend", "numeric",
+                       "--output", "json")
+    assert code == 0 and json.loads(out)["field"] == "numeric"
+
+
+def test_lattice_sum_on_the_exact_default_is_an_error_report(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "meixner_orthogonality",
+                         "--alpha", "2", "--c", "1/2", "--n", "1", "--m", "1")
+    assert code == 1 and "Traceback" not in err
+    assert out.startswith("ERROR") and "give a numeric field" in out

@@ -23,7 +23,9 @@ from hyperconnect import (
     numeric,
     pochhammer,
     q_binomial_series,
+    q_pochhammer,
 )
+from hyperconnect.series import q_exp_lower
 
 
 def S(*coeffs):
@@ -83,13 +85,35 @@ def test_binomial_power_finite_binomial():
     assert got.coefficients == want
 
 
+def random_rational(rng, avoid=()):
+    while True:
+        value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if value not in avoid:
+            return value
+
+
 def test_binomial_power_coefficients_are_pochhammer_over_factorial():
+    """Each constructor equals its displayed coefficient exactly: (a)_n k^n/n!,
+    k^n/n!, k^n (a;q)_n/(q;q)_n and (-k)^n q^{n(n-1)/2}/(q;q)_n."""
     import math
 
-    a, kappa = Fraction(5, 4), Fraction(2, 3)
-    series = binomial_power(kappa, a, 8)
-    for n in range(9):
-        assert series.coefficient(n) == pochhammer(a, n) * kappa**n / math.factorial(n)
+    rng = random.Random(2718)
+    cases = [(Fraction(5, 4), Fraction(2, 3), Fraction(1, 2))] + [
+        (random_rational(rng), random_rational(rng), random_rational(rng, (0, 1, -1)))
+        for _ in range(40)
+    ]
+    for a, kappa, q in cases:
+        constructors = (
+            (binomial_power(kappa, a, 8),
+             lambda n: pochhammer(a, n) * kappa**n / math.factorial(n)),
+            (exp_series(kappa, 8), lambda n: kappa**n / math.factorial(n)),
+            (q_binomial_series(a, kappa, q, 8),
+             lambda n: kappa**n * q_pochhammer(a, q, n) / q_pochhammer(q, q, n)),
+            (q_exp_lower(kappa, q, 8, EXACT),
+             lambda n: (-kappa) ** n * q ** (n * (n - 1) // 2) / q_pochhammer(q, q, n)),
+        )
+        for series, coefficient in constructors:
+            assert series.coefficients == tuple(coefficient(n) for n in range(9)), (a, kappa, q)
 
 
 def test_binomial_power_additivity_randomized():
@@ -169,8 +193,6 @@ def test_q_binomial_series_values():
     got = q_binomial_series(q, kappa, q, 5)
     assert got.coefficients == tuple(kappa**n for n in range(6))
     # a = 0, kappa = 1: coefficients 1/(q;q)_n
-    from hyperconnect import q_pochhammer
-
     got = q_binomial_series(0, 1, q, 5)
     assert got.coefficients == tuple(1 / q_pochhammer(q, q, n) for n in range(6))
     assert q_binomial_series(Fraction(1, 2), 3, q, 0).coefficients == (1,)

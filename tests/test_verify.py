@@ -10,9 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperconnect import (
+    EXACT,
     DomainError,
     IdentityCase,
     VerificationReport,
+    acceptance_suite,
     batch_verify,
     build_sides,
     numeric,
@@ -711,9 +713,55 @@ def test_no_meixner_gf_case_at_nonpositive_integer_parameters_escapes():
 ], ids=["relation", "table-check"])
 def test_negative_n_max_is_an_error_report(case):
     report = verify_case(case)
-    assert report.status == "error"
-    assert report.detail.startswith(f"DomainError: {case.identity} needs ")
-    assert report.detail.endswith(" >= 0, got -1")
+    assert report.status == "error" and report.case == case
+    assert report.detail == f"DomainError: {case.identity} needs n_max >= 0, got -1"
+
+
+def test_every_report_carries_the_submitted_case():
+    for case in acceptance_suite(order=6):
+        assert verify_case(case).case is case, case.identity
+
+
+FUZZ_VALUES = (0, 1, -1, -2, Fraction(3, 2), Fraction(-3, 2), Fraction(1, 2), Fraction(1, 3),
+               Fraction(2, 3), 2, Fraction(-7, 3), 5000)
+# a degree or table size of 5000 would only make the case slow
+FUZZ_INDICES = ("n", "m", "N", "M", "n_max")
+ROUTES = {case.identity: case for case in reversed(acceptance_suite(order=6))}
+
+
+@settings(max_examples=400)
+@given(data=st.data(), route=st.sampled_from(sorted(ROUTES)),
+       field=st.sampled_from([EXACT, numeric(1e-10, 0.0)]))
+def test_no_fault_escapes_a_batch(data, route, field):
+    """Zero divisors, double overflows and lattice sums on the exact field
+    become error reports; batch_verify itself never raises."""
+    base = ROUTES[route]
+    params = {
+        name: data.draw(st.sampled_from(
+            FUZZ_VALUES[:-1] if name in FUZZ_INDICES else FUZZ_VALUES), name)
+        if isinstance(value, (int, Fraction)) else value
+        for name, value in base.params.items()
+    }
+    case = IdentityCase(route, params, order=base.order, field=field, x_max=base.x_max)
+    [report] = batch_verify([case])
+    assert report.case is case
+    assert report.status in ("pass", "fail", "error", "inconclusive")
+
+
+def test_arithmetic_faults_are_error_reports():
+    lattice_exact = IdentityCase("meixner_orthogonality",
+                                 {"alpha": Fraction(2), "c": Fraction(1, 2), "n": 1, "m": 1})
+    zero_c = IdentityCase("meixner_1f1_alpha_shift",
+                          {"x": 1, "alpha": 1, "beta": Fraction(1, 2), "c": 0}, order=0)
+    overflow = IdentityCase("meixner_sum_1f1_same_c",
+                            {"alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 2),
+                             "t": Fraction(5000), "n": 0}, field=numeric(1e-10, 0.0))
+    reports = batch_verify([lattice_exact, zero_c, overflow])
+    assert [r.status for r in reports] == ["error"] * 3
+    assert reports[0].detail == ("DomainError: an infinite lattice sum is compared in"
+                                 " doubles; give a numeric field")
+    assert reports[1].detail.startswith("ZeroDivisionError")
+    assert reports[2].detail.startswith("OverflowError")
 
 
 def exact_pfq(nums, dens, z, terms=400):
