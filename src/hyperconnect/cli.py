@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import families, verify
 from . import connection as conn
 from .errors import DomainError, HyperconnectError
-from .fields import EXACT, is_exact_value, numeric, parse_rational
+from .fields import (EXACT, as_index, is_exact_value, is_integer_valued, numeric,
+                     parse_rational)
 
 _PARAM_FLAGS = (
     "alpha", "beta", "c", "d", "gamma", "p", "q", "N", "M",
@@ -56,16 +57,23 @@ def _parse_value(text: str, backend: str):
             raise DomainError(f"cannot parse numeric value {text!r}") from None
 
 
+def _parse_named(name: str, text: str, backend: str):
+    """A value as ``_parse_value`` reads it; an integer flag's value must be
+    an integer, else DomainError (a usage error)."""
+    value = _parse_value(text, backend)
+    if name not in _INT_FLAGS:
+        return value
+    if not is_integer_valued(value):
+        raise DomainError(f"{name} must be an integer, got {text!r}")
+    return as_index(value, name)
+
+
 def _collect_params(args, backend: str) -> dict:
     params = {}
     for flag in _PARAM_FLAGS:
         raw = getattr(args, flag, None)
-        if raw is None:
-            continue
-        if flag in _INT_FLAGS:
-            params[flag] = int(raw)
-        else:
-            params[flag] = _parse_value(raw, backend)
+        if raw is not None:
+            params[flag] = _parse_named(flag, raw, backend)
     for item in getattr(args, "param", []):
         if "=" not in item:
             raise DomainError(f"--param expects NAME=VALUE, got {item!r}")
@@ -81,10 +89,7 @@ def _parse_bindings(text: str, backend: str) -> dict:
             raise DomainError(f"expected NAME=VALUE, got {piece!r}")
         name, raw = piece.split("=", 1)
         name = name.strip()
-        value = _parse_value(raw.strip(), backend)
-        if name in _INT_FLAGS:
-            value = int(value)
-        out[name] = value
+        out[name] = _parse_named(name, raw.strip(), backend)
     return out
 
 

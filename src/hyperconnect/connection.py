@@ -101,9 +101,10 @@ from .hyper import (
     pfq_eval,
 )
 from .families import FamilyDescriptor, family_row, get_family, normalization_at
-from .pochhammer import pochhammer
+from .pochhammer import pochhammer, pochhammer_row
 from .series import (
     TruncatedSeries,
+    _over_one_denominator,
     binomial_power,
     exp_series,
     q_binomial_series,
@@ -131,7 +132,7 @@ class ConnectionExpansion:
         self.field = field
         self.method = method
         self.relation = relation
-        self._rows = tuple(tuple(row) for row in rows)
+        self._rows = tuple([tuple(row) for row in rows])
         if len(self._rows) != n_max + 1 or any(
             len(row) != n + 1 for n, row in enumerate(self._rows)
         ):
@@ -225,24 +226,8 @@ def _check_meixner_domains(params, names):
             raise DomainError(f"{name} must avoid 0 and 1")
 
 
-def _pochhammer_row(a, top):
-    """(a)_0, ..., (a)_top by the term ratio (a)_{m+1} = (a)_m (a + m), so
-    every value equals ``pochhammer(a, m)``."""
-    row = [pochhammer(a, 0)]
-    for m in range(top):
-        row.append(row[-1] * (a + m))
-    return row
-
-
 def _powers(z, top):
     return [z**m for m in range(top + 1)]
-
-
-def _common_denominator(values):
-    """(integer numerators, their common denominator) of exact values."""
-    values = [Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _terminating_gauss_entries(w):
@@ -255,7 +240,7 @@ def _terminating_gauss_entries(w):
     so an entry is one Fraction."""
     exact = all(is_exact_value(v) for v in w)
     if exact:
-        w, den = _common_denominator(w)
+        w, den = _over_one_denominator(w)
     rows = [w]
     while len(rows[-1]) > 1:
         rows.append([a - b for a, b in zip(rows[-1], rows[-1][1:])])
@@ -273,8 +258,8 @@ def _alpha_c_to_beta_d(p, top):
     alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
     ratio = d * (1 - c) / (c * (1 - d))
     return _terminating_gauss_entries([
-        b / a * z for a, b, z in zip(_pochhammer_row(alpha, top),
-                                     _pochhammer_row(beta, top), _powers(ratio, top))
+        b / a * z for a, b, z in zip(pochhammer_row(alpha, top),
+                                     pochhammer_row(beta, top), _powers(ratio, top))
     ])
 
 
@@ -289,7 +274,7 @@ def _same_alpha_c_to_d(p, top):
 def _alpha_to_beta(p, top):
     _check_meixner_domains(p, ("alpha", "beta"))
     alpha, beta = p["alpha"], p["beta"]
-    gap, rising, norm = (_pochhammer_row(a, top) for a in (alpha - beta, beta, alpha))
+    gap, rising, norm = (pochhammer_row(a, top) for a in (alpha - beta, beta, alpha))
     return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
 
 
@@ -301,7 +286,7 @@ def _p_N_to_q_M(p, cap, top):
     big = as_index(p["M"], "M")
     _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
     _require(p["q"] != 0, "q must be nonzero")
-    upper, lower = _pochhammer_row(Fraction(-big), top), _pochhammer_row(Fraction(-cap), top)
+    upper, lower = pochhammer_row(Fraction(-big), top), pochhammer_row(Fraction(-cap), top)
     return _terminating_gauss_entries([
         u / v * z for u, v, z in zip(upper, lower, _powers(p["q"] / p["p"], top))
     ])
@@ -316,7 +301,7 @@ def _p_to_q_same_N(p, cap, top):
 def _same_p_N_to_M(p, cap, top):
     big = as_index(p["M"], "M")
     _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
-    gap, rising, norm = (_pochhammer_row(Fraction(a), top) for a in (big - cap, -big, -cap))
+    gap, rising, norm = (pochhammer_row(Fraction(a), top) for a in (big - cap, -big, -cap))
     return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
 
 
@@ -343,7 +328,7 @@ def _krawtchouk_entries(form, params, top, first=0):
 
 def _c_to_d_prefactors(p, top):
     _check_meixner_domains(p, ("alpha", "c", "d"))
-    rising = _pochhammer_row(p["alpha"], top)
+    rising = pochhammer_row(p["alpha"], top)
     return lambda n, k: math.comb(n, k) * rising[k] / rising[n]
 
 
@@ -357,14 +342,14 @@ def _c_to_d_kernel(p, j, x, product=None):
 def _alpha_c_prefactors(p, top):
     _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
     alpha, beta = p["alpha"], p["beta"]
-    lead = [g / a for g, a in zip(_pochhammer_row(alpha - beta, top),
-                                  _pochhammer_row(alpha, top))]
-    rising = _pochhammer_row(beta, top)
+    lead = [g / a for g, a in zip(pochhammer_row(alpha - beta, top),
+                                  pochhammer_row(alpha, top))]
+    rising = pochhammer_row(beta, top)
     offsets = {}  # n -> (beta - alpha - n + 1)_k, k = 0..n
 
     def prefactor(n, k):
         if n not in offsets:
-            offsets[n] = _pochhammer_row(beta - alpha - n + 1, n)
+            offsets[n] = pochhammer_row(beta - alpha - n + 1, n)
         shifted = offsets[n][k]
         if shifted == 0:
             raise SingularConfigurationError(
@@ -712,8 +697,8 @@ def _exact_divided_differences(values, abscissae):
     j - 1 as N_i / D, level j is
     (N_{i+1} - N_i) (L / g_i) / (D L) * E^j, g_i = X_{i+j} - X_i,
     L = lcm of the gaps g_i; each level output is one Fraction."""
-    level, den = _common_denominator(values)
-    points, scale = _common_denominator(abscissae)
+    level, den = _over_one_denominator(values)
+    points, scale = _over_one_denominator(abscissae)
     out = [Fraction(level[0], den)]
     for j in range(1, len(level)):
         gaps = [points[i + j] - points[i] for i in range(len(level) - 1)]

@@ -272,8 +272,8 @@ def _expand_factor(factor: Factor, env, q, order: int, field: FieldTag) -> Trunc
     if kind == "exponential":
         return exp_series(expressions.evaluate(factor["kappa"], env, field), order, field)
     if kind == "pfq":
-        nums = tuple(expressions.evaluate(e, env, field) for e in factor["numerator"])
-        dens = tuple(expressions.evaluate(e, env, field) for e in factor["denominator"])
+        nums = [expressions.evaluate(e, env, field) for e in factor["numerator"]]
+        dens = [expressions.evaluate(e, env, field) for e in factor["denominator"]]
         scale = expressions.evaluate(factor["argument_scale"], env, field)
         return hyper_series_in_t(pfq(nums, dens), linear_arg(scale), order, field)
     if kind == "qpoch_num":

@@ -12,7 +12,10 @@ convergence) or the term cap is hit.
 Everything can also be lifted to a series in t, each coefficient an exact
 finite sum.  pFq at lam*t has coefficients c_k = a_k lam^k, from the term
 ratio; at lam*t/(1-t), which expands as (lam t)^k (1-t)^(-k), the t^j
-coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  The two- and
+coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  On exact inputs
+both run on integers: the c_k come from ``series.hypergeometric_terms``,
+one ``Fraction`` per k, and the binomial sums from the numerators of the c_k
+over their common denominator, one ``Fraction`` per j.  The two- and
 three-variable kinds take lam_i*t arguments; the multi-indices of total
 degree M share only (a)_M / (c)_M = joint(M), so the t^M coefficient, the
 shell S_M, is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!: one
@@ -44,7 +47,8 @@ from .fields import (
     is_nonpositive_integer,
 )
 from .pochhammer import pochhammer
-from .series import CoefficientStream, TruncatedSeries
+from .series import (CoefficientStream, TruncatedSeries, _over_one_denominator,
+                     hypergeometric_terms)
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,11 @@ class MultiVarSpec:
 
 
 def _pfq_coefficients(spec: HyperSpec, lam, order: int, field: FieldTag) -> list:
-    """Coefficients a_k lam^k, k = 0..order, of pFq at lam*t."""
+    """Coefficients a_k lam^k, k = 0..order, of pFq at lam*t: on integers
+    (``hypergeometric_terms``) when the field and every input are exact,
+    else by the term ratio."""
+    if field.is_exact and _all_exact(spec, lam):
+        return hypergeometric_terms(spec.numerator, spec.denominator, lam, order)
     return CoefficientStream(
         Fraction(1), lambda k: _pfq_term_ratio(spec, lam, k)
     ).coefficients(order, field)
@@ -441,6 +449,24 @@ def factor_product(spec: MultiVarSpec, shapes, order: int, field: FieldTag = EXA
     ])
 
 
+def _mobius_lift(c, field: FieldTag) -> list:
+    """c_0 and, for j >= 1, sum_{k=1..j} c_k C(j-1, k-1): the coefficients
+    at lam*t/(1-t) from those c_k at lam*t.  Exact sums run on the integer
+    numerators of the c_k over their common denominator, one ``Fraction``
+    per j."""
+    if not field.is_exact:
+        return c[:1] + [
+            sum(c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1) if c[k])
+            for j in range(1, len(c))
+        ]
+    nums, den = _over_one_denominator(c)
+    nonzero = [(k, v) for k, v in enumerate(nums) if k and v]
+    return c[:1] + [
+        Fraction(sum([v * math.comb(j - 1, k - 1) for k, v in nonzero if k <= j]), den)
+        for j in range(1, len(c))
+    ]
+
+
 def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
                       product: TruncatedSeries | None = None) -> TruncatedSeries:
     """Lift a hypergeometric function to a TruncatedSeries in t.
@@ -462,11 +488,8 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
             raise DomainError("single-variable series takes one argument shape")
         c = _pfq_coefficients(spec, field.of(shapes[0].scale), order, field)
         if shapes[0].over_one_minus_t:
-            c = c[:1] + [
-                sum(c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1) if c[k])
-                for j in range(1, order + 1)
-            ]
-        return TruncatedSeries(field, c)
+            c = _mobius_lift(c, field)
+        return TruncatedSeries._result(field, c)
     if isinstance(spec, MultiVarSpec):
         product = product or factor_product(spec, shapes, order, field)
         if product.order < order:

@@ -40,6 +40,15 @@ def pochhammer(a, n):
     return result
 
 
+def pochhammer_row(a, top):
+    """(a)_0, ..., (a)_top by the term ratio (a)_{m+1} = (a)_m (a + m): the
+    loop of ``pochhammer``, so every value equals ``pochhammer(a, m)``."""
+    row = [pochhammer(a, 0)]
+    for m in range(top):
+        row.append(row[-1] * (a + m))
+    return row
+
+
 def neg_int_pochhammer(n, k):
     """(-n)_k for n, k >= 0: equals (-1)^k n!/(n-k)! when k <= n, else 0."""
     n = as_index(n, "n")

@@ -12,11 +12,22 @@ Each hypergeometric factor (``binomial_power``, ``exp_series``,
 CoefficientStream, whose one loop stops at the first zero coefficient and
 turns a zero divisor into PoleError.
 
+On the exact field the O(order^2) work runs on integers: a product puts each
+operand over one common denominator and forms one ``Fraction`` per output
+coefficient; ``hypergeometric_terms`` streams prod (a_i)_k / prod (b_j)_k
+lam^k / k! with one ``Fraction`` per k (it serves the exact binomial_power,
+exp_series and pFq lifts); ``linear_combination`` sums s_n t^k_n S_n(t) over
+the lcm of the denominators.  ``Fraction(num, den)`` is canonical, so every
+exact coefficient is the one term-by-term ``Fraction`` arithmetic gives.
+The numeric field keeps its term-by-term loops, so its doubles are those of
+the plain operations.
+
 Values are immutable and operations pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -25,13 +36,38 @@ from .errors import DomainError, FieldError, PoleError
 from .fields import EXACT, NUMERIC, FieldTag, as_numeric
 
 
+def _over_one_denominator(values):
+    """(integer numerators, their common denominator) of exact values
+    (``int`` or ``Fraction``): value i is numerators[i] / den, den the lcm of
+    the denominators."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _cauchy_product(left, right, zero=0):
+    """The first len(left) coefficients of the product of two equally long
+    coefficient lists, skipping zero factors; coefficient m accumulates its
+    terms in increasing index of ``left``."""
+    n = len(left)
+    nonzero = [(j, b) for j, b in enumerate(right) if b != 0]
+    out = [zero] * n
+    for i, a in enumerate(left):
+        if a == 0:
+            continue
+        for j, b in nonzero:
+            if i + j >= n:
+                break
+            out[i + j] += a * b
+    return out
+
+
 class TruncatedSeries:
     __slots__ = ("field", "coefficients")
 
     def __init__(self, field: FieldTag, coefficients):
         object.__setattr__(self, "field", field)
         object.__setattr__(
-            self, "coefficients", tuple(field.of(c) for c in coefficients)
+            self, "coefficients", tuple([field.of(c) for c in coefficients])
         )
         if not self.coefficients:
             raise DomainError("a series needs at least the constant coefficient")
@@ -44,7 +80,7 @@ class TruncatedSeries:
         series = object.__new__(cls)
         object.__setattr__(series, "field", field)
         object.__setattr__(series, "coefficients", tuple(
-            coefficients if field.is_exact else map(as_numeric, coefficients)))
+            coefficients if field.is_exact else [as_numeric(c) for c in coefficients]))
         return series
 
     def __setattr__(self, name, value):
@@ -105,15 +141,14 @@ class TruncatedSeries:
             return self.scale(other)
         self._check_field(other)
         n = min(self.order, other.order)
-        zero = self.field.zero()
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefficients[j]
-                if b != 0:
-                    out[i + j] += a * b
+        if self.field.is_exact:
+            left, da = _over_one_denominator(self.coefficients[: n + 1])
+            right, db = _over_one_denominator(other.coefficients[: n + 1])
+            out = _cauchy_product(left, right)
+            den = da * db
+            return TruncatedSeries._result(self.field, [Fraction(v, den) for v in out])
+        out = _cauchy_product(self.coefficients[: n + 1], other.coefficients[: n + 1],
+                              self.field.zero())
         return TruncatedSeries._result(self.field, out)
 
     def __rmul__(self, other):
@@ -249,17 +284,90 @@ def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))
 
 
+def hypergeometric_terms(tops, bottoms, lam, order: int) -> list:
+    """Exact coefficients c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!,
+    k = 0..order, for exact a_i (``tops``), b_j (``bottoms``) and lam.
+
+    With a = p/q, (a + k) = (p + kq)/q, so each step multiplies the running
+    numerator and denominator by integers and forms one ``Fraction``.  The
+    stream keeps the term ratio's order of checks: a vanishing numerator
+    factor ends it (every later coefficient is zero) before any denominator
+    factor is looked at; a vanishing denominator factor is a PoleError, also
+    when lam = 0; a zero lam then ends it.
+    """
+    tops = [(a.numerator, a.denominator) for a in tops]
+    poles = [(b.numerator, b.denominator) for b in bottoms]
+    num_scale = lam.numerator * math.prod([s for _, s in poles])
+    den_scale = lam.denominator * math.prod([q for _, q in tops])
+    term = Fraction(1)
+    out = [term]
+    for k in range(order):
+        num = 1
+        for p, q in tops:
+            num *= p + k * q
+        if not num:
+            break
+        den = k + 1
+        for r, s in poles:
+            den *= r + k * s
+        if not den:
+            raise PoleError(
+                f"denominator parameter pole at term {k + 1}: "
+                f"one of {tuple(bottoms)} lies in -N0"
+            )
+        term = Fraction(term.numerator * num * num_scale,
+                        term.denominator * den * den_scale)
+        if not term:
+            break
+        out.append(term)
+    return out + [Fraction(0)] * (order + 1 - len(out))
+
+
 def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """(1 - kappa t)^(-a): coefficient pochhammer(a, n) kappa^n / n!, term
-    ratio kappa (a+n)/(n+1)."""
+    ratio kappa (a+n)/(n+1); 1F0(a;; kappa t)."""
     kappa, a = field.of(kappa), field.of(a)
+    if field.is_exact:
+        return TruncatedSeries._result(field, hypergeometric_terms([a], [], kappa, order))
     return CoefficientStream(1, lambda n: kappa * (a + n) / (n + 1)).series(order, field)
 
 
 def exp_series(kappa, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """exp(kappa t): coefficient kappa^n / n!, term ratio kappa/(n+1)."""
+    """exp(kappa t): coefficient kappa^n / n!, term ratio kappa/(n+1);
+    0F0(;; kappa t)."""
     kappa = field.of(kappa)
+    if field.is_exact:
+        return TruncatedSeries._result(field, hypergeometric_terms([], [], kappa, order))
     return CoefficientStream(1, lambda n: kappa / (n + 1)).series(order, field)
+
+
+def linear_combination(terms, order: int, field: FieldTag) -> TruncatedSeries:
+    """sum_n s_n t^k_n S_n(t) to ``order`` for terms (S_n, k_n, s_n), each
+    S_n of order at most order - k_n (zero-padded to it).
+
+    Exact terms are summed on integer numerators over the lcm of the
+    denominators of the s_n S_n, with one reduction per coefficient; numeric
+    ones by padding, scaling, shifting and adding term by term."""
+    if not field.is_exact:
+        total = TruncatedSeries.zero(order, field)
+        for series, shift, scalar in terms:
+            total = total + series.padded_to(order - shift).scale(scalar).shifted(shift)
+        return total
+    parts = []
+    for series, shift, scalar in terms:
+        if series.field != field:
+            raise FieldError(f"field mismatch: {series.field.kind} vs {field.kind}")
+        scalar = field.of(scalar)
+        nums, den = _over_one_denominator(series.padded_to(order - shift).coefficients)
+        parts.append((scalar.numerator, scalar.denominator * den, shift, nums))
+    common = math.lcm(*[den for _, den, _, _ in parts])
+    total = [0] * (order + 1)
+    for scalar, den, shift, nums in parts:
+        if scalar:
+            scalar *= common // den
+            for j, v in enumerate(nums, shift):
+                total[j] += scalar * v
+    return TruncatedSeries._result(field, [Fraction(v, common) for v in total])
 
 
 def linear_factor_product(kappas, order: int, field: FieldTag = EXACT) -> TruncatedSeries:

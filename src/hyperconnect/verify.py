@@ -9,10 +9,12 @@ inner_n, and whether the sum carries the Krawtchouk degree-N truncation
 brackets) and one builder forms both sides as truncated series.  One
 build makes each piece that does not depend on n once and drops it when it
 returns: the row P_0..P_top of the polynomials in coeff_n
-(``families.family_row``, by the three-term recurrence on exact inputs) and,
-for the multivariable inner_n, the factor product to order top, so only the
-joint ratios are formed per n.  On the exact field a pass means literal
-coefficient equality.
+(``families.family_row``, by the three-term recurrence on exact inputs), the
+Pochhammer rows (a)_0..(a)_top of coeff_n and, for the multivariable
+inner_n, the factor product to order top, so only the joint ratios are
+formed per n.  The rhs is one ``series.linear_combination``, on integer
+numerators over one denominator on the exact field.  On the exact field a
+pass means literal coefficient equality.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
@@ -81,11 +83,13 @@ from .hyper import (
 from .pochhammer import (
     offset_rising_bound_holds,
     pochhammer,
+    pochhammer_row,
     rising_abs_lower_bound_holds,
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import TruncatedSeries, binomial_power, exp_series
+from .series import (TruncatedSeries, _over_one_denominator, binomial_power, exp_series,
+                     linear_combination)
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def _deserialize_value(v):
     if isinstance(v, list) and len(v) == 2 and all(isinstance(u, (int, float)) for u in v):
         return complex(v[0], v[1])
     if isinstance(v, list):
-        return tuple(_deserialize_value(item) for item in v)
+        return tuple([_deserialize_value(item) for item in v])
     return Fraction(v)
 
 
@@ -272,10 +276,10 @@ class GFSpec:
         lhs = self.lhs_series(order, field, **p)
         top = self._top(order, p)
         build = _Build(top, field)
-        rhs = TruncatedSeries.zero(order, field)
-        for n in range(top + 1):
-            inner = self.inner(n, top - n, field, build=build, **p).padded_to(order - n)
-            rhs = rhs + inner.scale(self.coeff(n, build=build, **p)).shifted(n)
+        rhs = linear_combination(
+            [(self.inner(n, top - n, field, build=build, **p), n,
+              self.coeff(n, build=build, **p)) for n in range(top + 1)],
+            order, field)
         return lhs, rhs
 
 
@@ -291,11 +295,19 @@ def _polynomials(family, top, x, params):
 
 class _Build:
     """The n-independent pieces of one GFSpec call, each made once, on first
-    use: polynomial rows P_0..P_top and multivariable factor products to
-    order top.  It lives for one call, so nothing outlasts the build."""
+    use: polynomial rows P_0..P_top, Pochhammer rows (a)_0..(a)_top and
+    multivariable factor products to order top.  It lives for one call, so
+    nothing outlasts the build."""
 
     def __init__(self, top, field):
         self.top, self.field, self._made = top, field, {}
+
+    def rising(self, a, n):
+        """(a)_n from one ``pochhammer_row`` to top per a."""
+        key = ("rising", a)
+        if key not in self._made:
+            self._made[key] = pochhammer_row(a, self.top)
+        return self._made[key][n]
 
     def meixner(self, n, x, alpha, c):
         return self._poly("meixner", n, x, {"alpha": alpha, "c": c})
@@ -357,22 +369,22 @@ def _ratio(c, d):
     return d * (1 - c) / (c * (1 - d))
 
 
-def _beta_over_alpha(n, alpha, beta):
-    rising = pochhammer(alpha, n)
+def _beta_over_alpha(build, n, alpha, beta):
+    rising = build.rising(alpha, n)
     if rising == 0:
         raise PoleError(f"(alpha)_n vanishes at n = {n}: alpha = {alpha} lies in -N0")
-    return pochhammer(beta, n) / (rising * _fact(n))
+    return build.rising(beta, n) / (rising * _fact(n))
 
 
-def _m_over_n(n, N, M):
-    return pochhammer(Fraction(-M), n) / (pochhammer(Fraction(-N), n) * _fact(n))
+def _m_over_n(build, n, N, M):
+    return build.rising(Fraction(-M), n) / (build.rising(Fraction(-N), n) * _fact(n))
 
 
 GF_IDENTITIES = {
     "meixner_1f1_two_param": (GFSpec(
         _meixner_1f1,
         lambda n, x, alpha, beta, c, d, build, **_: (
-            _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n
+            _beta_over_alpha(build, n, alpha, beta) * _ratio(c, d) ** n
             * build.meixner(n, x, beta, d)),
         lambda n, o, f, alpha, beta, c, d, **_: hyper_series_in_t(
             pfq((beta + n,), (alpha + n,)), linear_arg(-_ratio(c, d)), o, f),
@@ -380,7 +392,7 @@ GF_IDENTITIES = {
     "meixner_1f1_alpha_shift": (GFSpec(
         _meixner_exp_1f1,
         lambda n, x, alpha, beta, c, build, **_: (
-            _beta_over_alpha(n, alpha, beta) * build.meixner(n, x, beta, c)),
+            _beta_over_alpha(build, n, alpha, beta) * build.meixner(n, x, beta, c)),
         lambda n, o, f, alpha, beta, **_: hyper_series_in_t(
             pfq((alpha - beta,), (alpha + n,)), linear_arg(1), o, f),
     ), ("x", "alpha", "beta", "c")),
@@ -394,7 +406,7 @@ GF_IDENTITIES = {
     "meixner_1f1_two_param_triple": (GFSpec(
         _meixner_exp_1f1,
         lambda n, x, alpha, beta, d, build, **_: (
-            _beta_over_alpha(n, alpha, beta) * build.meixner(n, x, beta, d)),
+            _beta_over_alpha(build, n, alpha, beta) * build.meixner(n, x, beta, d)),
         lambda n, o, f, x, alpha, beta, c, d, build, **_: build.multivar(
             MultiVarSpec(HUMBERT_PHI2_3, (x, -x, alpha - beta, alpha + n)),
             [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o),
@@ -402,7 +414,7 @@ GF_IDENTITIES = {
     "meixner_2f1_alpha_shift": (GFSpec(
         _meixner_2f1,
         lambda n, x, alpha, beta, c, gamma, build, **_: (
-            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta)
+            build.rising(gamma, n) * _beta_over_alpha(build, n, alpha, beta)
             * build.meixner(n, x, beta, c)),
         lambda n, o, f, alpha, beta, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, alpha - beta), (alpha + n,)), linear_arg(1), o, f),
@@ -410,7 +422,7 @@ GF_IDENTITIES = {
     "meixner_2f1_two_param": (GFSpec(
         _meixner_2f1,
         lambda n, x, alpha, beta, c, d, gamma, build, **_: (
-            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta) * _ratio(c, d) ** n
+            build.rising(gamma, n) * _beta_over_alpha(build, n, alpha, beta) * _ratio(c, d) ** n
             * build.meixner(n, x, beta, d)),
         lambda n, o, f, alpha, beta, c, d, gamma, **_: (
             binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
@@ -419,7 +431,7 @@ GF_IDENTITIES = {
     "meixner_2f1_c_shift": (GFSpec(
         _meixner_2f1,
         lambda n, x, alpha, d, gamma, build, **_: (
-            pochhammer(gamma, n) / _fact(n) * build.meixner(n, x, alpha, d)),
+            build.rising(gamma, n) / _fact(n) * build.meixner(n, x, alpha, d)),
         lambda n, o, f, x, alpha, c, d, gamma, build, **_: build.multivar(
             MultiVarSpec(APPELL_F1, (gamma + n, x, -x, alpha + n)),
             [linear_arg(1 / d), linear_arg(1 / c)], o),
@@ -427,7 +439,7 @@ GF_IDENTITIES = {
     "meixner_2f1_two_param_triple": (GFSpec(
         _meixner_2f1,
         lambda n, x, alpha, beta, d, gamma, build, **_: (
-            pochhammer(gamma, n) * _beta_over_alpha(n, alpha, beta)
+            build.rising(gamma, n) * _beta_over_alpha(build, n, alpha, beta)
             * build.meixner(n, x, beta, d)),
         lambda n, o, f, x, alpha, beta, c, d, gamma, build, **_: build.multivar(
             MultiVarSpec(LAURICELLA_FD3, (gamma + n, x, -x, alpha - beta, alpha + n)),
@@ -436,14 +448,14 @@ GF_IDENTITIES = {
     "krawtchouk_1f1_two_param": (GFSpec(
         _kraw_exp_1f1,
         lambda n, x, p, q, N, M, build, **_: (
-            _m_over_n(n, N, M) * (q / p) ** n * build.krawtchouk(n, x, q, M)),
+            _m_over_n(build, n, N, M) * (q / p) ** n * build.krawtchouk(n, x, q, M)),
         lambda n, o, f, p, q, N, M, **_: exp_series(1, o, f) * hyper_series_in_t(
             pfq((Fraction(n - M),), (Fraction(n - N),)), linear_arg(-q / p), o, f),
         capped=True,
     ), ("x", "p", "q", "N", "M")),
     "krawtchouk_1f1_degree_shift": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, N, M, build, **_: _m_over_n(n, N, M) * build.krawtchouk(n, x, p, M),
+        lambda n, x, p, N, M, build, **_: _m_over_n(build, n, N, M) * build.krawtchouk(n, x, p, M),
         lambda n, o, f, N, M, **_: hyper_series_in_t(
             pfq((Fraction(M - N),), (Fraction(n - N),)), linear_arg(1), o, f),
         capped=True,
@@ -458,7 +470,7 @@ GF_IDENTITIES = {
     "krawtchouk_2f1_two_param": (GFSpec(
         _kraw_2f1,
         lambda n, x, p, q, N, M, gamma, build, **_: (
-            (q / p) ** n * pochhammer(gamma, n) * _m_over_n(n, N, M)
+            (q / p) ** n * build.rising(gamma, n) * _m_over_n(build, n, N, M)
             * build.krawtchouk(n, x, q, M)),
         lambda n, o, f, p, q, N, M, gamma, **_: (
             binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
@@ -469,7 +481,7 @@ GF_IDENTITIES = {
     "krawtchouk_2f1_degree_shift": (GFSpec(
         _kraw_2f1,
         lambda n, x, p, N, M, gamma, build, **_: (
-            pochhammer(gamma, n) * _m_over_n(n, N, M) * build.krawtchouk(n, x, p, M)),
+            build.rising(gamma, n) * _m_over_n(build, n, N, M) * build.krawtchouk(n, x, p, M)),
         lambda n, o, f, N, M, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, Fraction(M - N)), (Fraction(n - N),)), linear_arg(1), o, f),
         capped=True,
@@ -477,7 +489,7 @@ GF_IDENTITIES = {
     "krawtchouk_2f1_prob_shift": (GFSpec(
         _kraw_2f1,
         lambda n, x, p, q, N, gamma, build, **_: (
-            pochhammer(gamma, n) / _fact(n) * (q / p) ** n * build.krawtchouk(n, x, q, N)),
+            build.rising(gamma, n) / _fact(n) * (q / p) ** n * build.krawtchouk(n, x, q, N)),
         lambda n, o, f, p, q, gamma, **_: binomial_power(1 - q / p, gamma + n, o, f),
         capped=True,
     ), ("x", "p", "q", "N", "gamma")),
@@ -506,6 +518,8 @@ def build_sides(case: IdentityCase):
     for k in ("N", "M"):
         if k in names:
             params[k] = as_index(case.params[k], k)
+            if params[k] < 0:
+                raise DomainError(f"parameter {k} = {params[k]} must be a nonnegative integer")
     if "M" in names:
         _check_kraw_sizes(params["N"], params["M"])
     return spec(params, case.order, case.field)
@@ -570,7 +584,7 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
 def _integer_linear(*polys):
     """Linear polynomials c0 + c1 x, given as pairs (c0, c1), scaled by one
     common positive factor so that every coefficient is an integer."""
-    scale = math.lcm(*(Fraction(c).denominator for poly in polys for c in poly))
+    scale = math.lcm(*[Fraction(c).denominator for poly in polys for c in poly])
     return [(int(c0 * scale), int(c1 * scale)) for c0, c1 in polys]
 
 
@@ -584,8 +598,7 @@ def _meixner_row(n: int, beta, d, count: int):
     a = [Fraction(1)]
     for k in range(n):
         a.append(a[-1] * (k - n) * z / ((beta + k) * (k + 1)))
-    den = math.lcm(*(c.denominator for c in a))
-    coeffs = [c.numerator * (den // c.denominator) for c in a]
+    coeffs, den = _over_one_denominator(a)
     row = []
     for x in range(count):
         total = 0
@@ -934,17 +947,14 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
             n_cap = min(order, as_index(params["N"], "N"))
         original = build(order, case.field, **bound)
         table = conn.connection_table(relation_id, params, n_cap, case.field)
-        rebuilt = TruncatedSeries.zero(order, case.field)
         target = spec.target(params)
         norms = [normalization(n, **bound) for n in range(n_cap + 1)]
-        for k in range(n_cap + 1):
-            poly = families.family_eval(family, k, x, target)
-            coeff_series = [case.field.zero()] * (order + 1)
-            for n in range(k, n_cap + 1):
-                coeff_series[n] = case.field.of(
-                    norms[n] * table.coefficient(n, k, x if spec.x_dependent else None)
-                )
-            rebuilt = rebuilt + TruncatedSeries(case.field, coeff_series).scale(poly)
+        polys = [families.family_eval(family, k, x, target) for k in range(n_cap + 1)]
+        rebuilt = linear_combination(
+            [(TruncatedSeries(case.field, [
+                norms[n] * table.coefficient(n, k, x if spec.x_dependent else None)
+                for n in range(k, n_cap + 1)]), k, poly) for k, poly in enumerate(polys)],
+            order, case.field)
         return _series_report(case, [(original, rebuilt)])
 
     return _guard(case, run)

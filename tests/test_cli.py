@@ -309,3 +309,23 @@ def test_lattice_sum_on_the_exact_default_is_an_error_report(capsys):
                          "--alpha", "2", "--c", "1/2", "--n", "1", "--m", "1")
     assert code == 1 and "Traceback" not in err
     assert out.startswith("ERROR") and "give a numeric field" in out
+
+
+def test_integer_flags_and_bindings_refuse_non_integers(capsys):
+    code, out, err = run(capsys, "eval", "--family", "meixner", "--n", "1/2", "--x", "4",
+                         "--alpha", "1", "--c", "1/2")
+    assert (code, out) == (2, "")
+    assert "usage error: n must be an integer, got '1/2'" in err and "Traceback" not in err
+    code, out, err = run(capsys, "connect", "--family", "krawtchouk", "--method", "linear-solve",
+                         "--source", "p=1/2,N=5/2", "--target", "p=1/3,N=5/2", "--n-max", "2")
+    assert (code, out) == (2, "")
+    assert "usage error: N must be an integer, got '5/2'" in err
+
+
+def test_integer_flags_take_integer_literals_on_either_backend(capsys):
+    code, out, _ = run(capsys, "eval", "--family", "meixner", "--n", "2", "--x", "4",
+                       "--alpha", "1", "--c", "1/2")
+    assert (code, out.strip()) == (0, "-1")
+    code, out, _ = run(capsys, "eval", "--family", "meixner", "--n", "2.0", "--x", "4",
+                       "--alpha", "1", "--c", "1/2", "--backend", "numeric")
+    assert (code, out.strip()) == (0, "-1.0")

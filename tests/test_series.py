@@ -1,10 +1,13 @@
 """Truncated power series arithmetic and constructors."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconnect import (
     EXACT,
@@ -25,7 +28,10 @@ from hyperconnect import (
     q_binomial_series,
     q_pochhammer,
 )
-from hyperconnect.series import q_exp_lower
+from hyperconnect.hyper import _mobius_lift, _pfq_term_ratio, pfq
+from hyperconnect.series import (hypergeometric_terms, linear_combination,
+                                 q_exp_lower)
+from test_verify import small_rationals
 
 
 def S(*coeffs):
@@ -305,3 +311,84 @@ def test_numeric_arithmetic_still_rejects_overflow():
         big.scale(1e200)
     with pytest.raises(DomainError):
         TruncatedSeries(NUMERIC, [1.7e308]) + TruncatedSeries(NUMERIC, [1.7e308])
+
+
+# -- exact series algebra on integer numerators -------------------------------
+
+COEFFS = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction), small_rationals(-4, 4))
+# rationals plus the points of -N0, where a numerator terminates the series
+# and a denominator is a pole
+PARAMS = st.one_of(small_rationals(-4, 4), st.integers(-4, 0).map(Fraction))
+
+
+def _naive_product(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(n)]
+
+
+@settings(max_examples=80)
+@given(a=st.lists(COEFFS, min_size=1, max_size=9), b=st.lists(COEFFS, min_size=1, max_size=9))
+def test_integer_product_equals_fraction_cauchy_product(a, b):
+    got = (TruncatedSeries(EXACT, a) * TruncatedSeries(EXACT, b)).coefficients
+    assert list(got) == _naive_product(a, b)
+    assert all(type(c) is Fraction for c in got)
+
+
+def _stream_outcome(produce):
+    try:
+        return produce()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+
+
+@settings(max_examples=150)
+@given(tops=st.lists(PARAMS, max_size=3), bottoms=st.lists(PARAMS, max_size=2),
+       lam=st.one_of(st.just(Fraction(0)), small_rationals(-3, 3)), order=st.integers(0, 10))
+def test_hypergeometric_terms_equal_the_term_ratio_stream(tops, bottoms, lam, order):
+    spec = pfq(tops, bottoms)
+    stream = CoefficientStream(Fraction(1), lambda k: _pfq_term_ratio(spec, lam, k))
+    want = _stream_outcome(lambda: stream.coefficients(order, EXACT))
+    got = _stream_outcome(lambda: hypergeometric_terms(spec.numerator, spec.denominator,
+                                                       lam, order))
+    assert got == want
+
+
+def test_hypergeometric_terms_stop_at_a_numerator_in_minus_n0():
+    got = hypergeometric_terms([Fraction(-2), Fraction(1, 3)], [Fraction(-5)], Fraction(1), 6)
+    assert got[3:] == [0] * 4 and got[2] != 0
+
+
+def test_hypergeometric_terms_raise_at_the_pole_index_even_at_zero_argument():
+    with pytest.raises(PoleError, match="pole at term 3"):
+        hypergeometric_terms([Fraction(1, 2)], [Fraction(-2)], Fraction(1), 5)
+    with pytest.raises(PoleError, match="pole at term 1"):
+        hypergeometric_terms([Fraction(1, 2)], [Fraction(0)], Fraction(0), 5)
+    # a numerator vanishing at the same index ends the stream before the pole
+    assert hypergeometric_terms([Fraction(0)], [Fraction(0)], Fraction(0), 3) == [1, 0, 0, 0]
+
+
+@settings(max_examples=60)
+@given(c=st.lists(COEFFS, min_size=1, max_size=10))
+def test_mobius_lift_equals_the_fraction_binomial_sum(c):
+    want = c[:1] + [sum((c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1)), Fraction(0))
+                    for j in range(1, len(c))]
+    assert _mobius_lift(c, EXACT) == want
+
+
+@settings(max_examples=60)
+@given(data=st.data(), order=st.integers(0, 8))
+def test_linear_combination_equals_the_add_scale_shift_loop(data, order):
+    terms = []
+    for shift in range(data.draw(st.integers(0, order + 1), "count")):
+        coeffs = data.draw(st.lists(COEFFS, min_size=1, max_size=order - shift + 1))
+        terms.append((TruncatedSeries(EXACT, coeffs), shift, data.draw(COEFFS)))
+    want = TruncatedSeries.zero(order)
+    for series, shift, scalar in terms:
+        want = want + series.padded_to(order - shift).scale(scalar).shifted(shift)
+    got = linear_combination(terms, order, EXACT)
+    assert got == want and all(type(c) is Fraction for c in got.coefficients)
+
+
+def test_linear_combination_rejects_a_series_of_another_field():
+    with pytest.raises(FieldError):
+        linear_combination([(TruncatedSeries(NUMERIC, [1.0]), 0, 1)], 2, EXACT)

@@ -1,8 +1,10 @@
 """Identity verifier: builders, comparisons, orthogonality sums, batches."""
 
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -821,3 +823,60 @@ def test_a_closed_form_that_does_not_settle_is_an_error_report(identity, params)
     report = verify_case(IdentityCase(identity, {**params, "n": 0}, field=numeric(1e-10, 0.0)))
     assert report.status == "error"
     assert report.detail == "DomainError: closed-form series did not settle; argument too large"
+
+
+@pytest.mark.parametrize("identity, names, bad", [
+    ("krawtchouk_2f1_degree_shift", ("x", "p", "gamma"), {"N": -2, "M": 2}),
+    ("krawtchouk_1f1_two_param", ("x", "p", "q"), {"N": 2, "M": -1}),
+    ("chain_krawtchouk_2f1_p_equals_q", ("x", "p", "gamma"), {"N": -2, "M": 2}),
+])
+def test_krawtchouk_gf_rows_refuse_a_negative_size(identity, names, bad):
+    given = {"x": Fraction(0), "p": Fraction(1, 2), "q": Fraction(1, 3), "gamma": Fraction(5, 4)}
+    params = {**{k: given[k] for k in names}, **{k: Fraction(v) for k, v in bad.items()}}
+    report = verify_case(IdentityCase(identity, params, order=4))
+    name, value = next((k, v) for k, v in bad.items() if v < 0)
+    assert (report.status, report.detail) == (
+        "error", f"DomainError: parameter {name} = {value} must be a nonnegative integer")
+
+
+def test_repeated_gf_passes_leave_traced_memory_flat():
+    """CPython keeps up to 2000 freed tuples of each size 1..20 for reuse, but a
+    tuple built from a generator is sized by realloc instead of taken from
+    that store, so each one freed grows it for good.  Ten extra passes of a
+    few GF cases grew traced memory by about 130 KB that way; the series
+    layer builds its tuples from lists, and the growth is the warm-up of
+    the interpreter's small caches alone (about 11 KB).  Order 16 keeps
+    every series under 20 coefficients: CPython 3.11 fills but never reuses
+    its store of 20-tuples, whoever builds them."""
+    meixner = {"x": Fraction(13, 2), "alpha": Fraction(10, 3), "beta": Fraction(15, 4),
+               "c": Fraction(1, 5), "d": Fraction(1, 7), "gamma": Fraction(5, 4)}
+    krawtchouk = {"x": Fraction(11, 2), "p": Fraction(2, 5), "q": Fraction(3, 7),
+                  "N": 10, "M": 12, "gamma": Fraction(5, 4)}
+    cases = [
+        IdentityCase(identity, {k: source[k] for k in names}, order=16)
+        for identity, source, names in (
+            ("meixner_2f1_two_param", meixner, ("x", "alpha", "beta", "c", "d", "gamma")),
+            ("meixner_1f1_c_shift", meixner, ("x", "alpha", "c", "d")),
+            ("krawtchouk_1f1_two_param", krawtchouk, ("x", "p", "q", "N", "M")),
+            ("chain_krawtchouk_2f1_M_equals_N", krawtchouk, ("x", "p", "q", "N", "M", "gamma")),
+        )
+    ]
+
+    def one_pass():
+        assert [verify_case(case).status for case in cases] == ["pass"] * len(cases)
+
+    collecting = gc.isenabled()
+    gc.collect()  # a full collection empties the tuple store
+    gc.disable()  # and none may empty it while the passes run
+    tracemalloc.start()
+    try:
+        one_pass()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            one_pass()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert grown < 40_000
