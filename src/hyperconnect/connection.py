@@ -63,9 +63,11 @@
   evaluated from its generating function is expanded once per abscissa,
   to n_max, and every degree is read from that series; Meixner and
   Krawtchouk rows come from their three-term recurrences on exact inputs.
-  On the exact field the Newton table runs on integers: values and
-  abscissae over one denominator each, each level over the lcm of its
-  abscissa gaps, and one Fraction per level output.
+  On the exact field the solve is fraction-free: each Newton table runs on
+  integers (values and abscissae over one denominator each, each level over
+  the lcm of its abscissa gaps), the level factors the source and target
+  tables share cancel, and back substitution keeps its unknowns over the
+  product of the pivots, so each entry is one Fraction.
 
 Both generic methods run on the field ``FamilyDescriptor.field_for`` picks,
 as ``families.gf_expand`` does.
@@ -672,10 +674,22 @@ def _sample(descriptor, params, n_max, points):
     return abscissae, [list(row) for row in zip(*columns)]
 
 
+def _degenerate(j):
+    """The error of a vanishing pivot: target degree j on these abscissae."""
+    return SingularSampleError(
+        f"degree-{j} target member degenerates on these abscissae;"
+        " choose different sample points"
+    )
+
+
 def _divided_differences(values, abscissae, field: FieldTag):
-    """Newton coefficients over the abscissae; level j kills degrees < j."""
+    """Newton coefficients over the abscissae; level j kills degrees < j.
+    Exact tables come from ``_integer_newton``, one Fraction per level."""
     if field.is_exact:
-        return _exact_divided_differences(values, abscissae)
+        points, scale = _over_one_denominator(abscissae)
+        tops, den, lcms = _integer_newton(values, points)
+        return [Fraction(top * scale**j, den * math.prod(lcms[:j]))
+                for j, top in enumerate(tops)]
     level = list(values)
     out = [level[0]]
     for j in range(1, len(values)):
@@ -692,23 +706,65 @@ def _divided_differences(values, abscissae, field: FieldTag):
     return out
 
 
-def _exact_divided_differences(values, abscissae):
-    """The same table on integers.  With the abscissae as X_i / E and level
-    j - 1 as N_i / D, level j is
-    (N_{i+1} - N_i) (L / g_i) / (D L) * E^j, g_i = X_{i+j} - X_i,
-    L = lcm of the gaps g_i; each level output is one Fraction."""
+def _back_substitution(source_dd, target_dd, field: FieldTag):
+    """Rows c_{k,n} of S_n[j] = sum_{k=j..n} c_{k,n} T_k[j], j = n..0."""
+    rows = []
+    for n in range(len(source_dd)):
+        coeffs = [field.zero()] * (n + 1)
+        for j in range(n, -1, -1):
+            residue = source_dd[n][j]
+            for k in range(j + 1, n + 1):
+                residue = residue - coeffs[k] * target_dd[k][j]
+            pivot = target_dd[j][j]
+            if pivot == 0:
+                raise _degenerate(j)
+            coeffs[j] = residue / pivot
+        rows.append(coeffs)
+    return rows
+
+
+def _integer_newton(values, points):
+    """The Newton table of exact ``values`` over integer ``points`` as
+    (tops, den, lcms): level j's output is tops[j] / (den L_1 ... L_j),
+    L_j = lcms[j - 1] the lcm of the level-j gaps g_i = X_{i+j} - X_i.
+    With level j - 1 as N_i / D, level j is (N_{i+1} - N_i) (L_j / g_i) /
+    (D L_j), so every level stays on integers."""
     level, den = _over_one_denominator(values)
-    points, scale = _over_one_denominator(abscissae)
-    out = [Fraction(level[0], den)]
+    tops, lcms = [level[0]], []
     for j in range(1, len(level)):
         gaps = [points[i + j] - points[i] for i in range(len(level) - 1)]
         if 0 in gaps:
             raise SingularSampleError("duplicate sample abscissae; choose distinct points")
         common = math.lcm(*gaps)
         level = [(b - a) * (common // g) for a, b, g in zip(level, level[1:], gaps)]
-        den *= common
-        out.append(Fraction(level[0] * scale**j, den))
-    return out
+        tops.append(level[0])
+        lcms.append(common)
+    return tops, den, lcms
+
+
+def _fraction_free_solve(source, target):
+    """``_back_substitution`` on the integer Newton tables (tops, den, _)
+    of ``_integer_newton`` over one set of points.  Level j of every table
+    carries the same factor 1 / (L_1 ... L_j) (E^j at abscissae X_i / E),
+    which cancels, so with y_k = c_{k,n} E_n / D_k (E_n, D_k the tables'
+    dens) the system is s_n[j] = sum_k y_k t_k[j] on integers.  Each y_k
+    is kept over the product P of the pivots t_j[j] used so far: a new
+    pivot scales the known y_k and P, and each entry is one Fraction."""
+    t = [tops for tops, _, _ in target]
+    rows = []
+    for n, (s, source_den, _) in enumerate(source):
+        ys, product = [0] * (n + 1), 1
+        for j in range(n, -1, -1):
+            pivot = t[j][j]
+            if pivot == 0:
+                raise _degenerate(j)
+            residue = s[j] * product - sum([ys[k] * t[k][j] for k in range(j + 1, n + 1)])
+            ys[j + 1:] = [y * pivot for y in ys[j + 1:]]
+            ys[j] = residue
+            product *= pivot
+        rows.append([Fraction(y * den, product * source_den)
+                     for y, (_, den, _) in zip(ys, target)])
+    return rows
 
 
 def connect_linear_solve(family_id, from_params, to_params, n_max: int,
@@ -717,7 +773,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
 
     Divided differences grade both sides by degree: level j of a degree-k
     polynomial vanishes for j > k, so the system is triangular and solved by
-    back substitution, exactly on the exact field.
+    back substitution, exactly and fraction-free on the exact field.
     """
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     from_params = descriptor.bind(from_params)
@@ -729,28 +785,15 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     xs, source_vals = _sample(descriptor, from_params, n_max, points)
     _, target_vals = _sample(descriptor, to_params, n_max, points)
     xs = [field.of(v) for v in xs]
-    source_dd = [
-        _divided_differences([field.of(v) for v in row], xs, field) for row in source_vals
-    ]
-    target_dd = [
-        _divided_differences([field.of(v) for v in row], xs, field) for row in target_vals
-    ]
-    rows = []
-    for n in range(n_max + 1):
-        coeffs = [field.zero()] * (n + 1)
-        for j in range(n, -1, -1):
-            residue = source_dd[n][j]
-            for k in range(j + 1, n + 1):
-                residue = residue - coeffs[k] * target_dd[k][j]
-            pivot = target_dd[j][j]
-            if pivot == 0:
-                raise SingularSampleError(
-                    f"degree-{j} target member degenerates on these abscissae;"
-                    " choose different sample points"
-                )
-            coeffs[j] = residue / pivot
-        rows.append(coeffs)
+    if field.is_exact:
+        xs, _ = _over_one_denominator(xs)
+        newton, solve = _integer_newton, _fraction_free_solve
+    else:
+        newton = partial(_divided_differences, field=field)
+        solve = partial(_back_substitution, field=field)
+    source_dd, target_dd = ([newton([field.of(v) for v in row], xs) for row in vals]
+                            for vals in (source_vals, target_vals))
     return ConnectionExpansion(
-        n_max, from_params, to_params, rows,
+        n_max, from_params, to_params, solve(source_dd, target_dd),
         x_dependent=False, field=field, method="linear-solve",
     )

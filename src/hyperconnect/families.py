@@ -16,7 +16,9 @@ Evaluation routes:
   generating function divided by the normalization.
 
 family_row gives P_0..P_n_max at one argument, from one expansion to n_max
-for the generating-function families.
+for the generating-function families and, for Meixner and Krawtchouk on
+exact inputs, from the three-term recurrence run on integers over one
+running denominator, one Fraction per degree.
 
 The registry is built once at import and never mutated; descriptors are
 frozen, so all lookups and evaluations are thread-safe.
@@ -44,6 +46,8 @@ from .fields import (
 from .hyper import TERMINATING, linear_arg, pfq, pfq_eval, hyper_series_in_t
 from .series import (
     TruncatedSeries,
+    _integer_linear,
+    _over_one_denominator,
     binomial_power,
     exp_series,
     linear_factor_product,
@@ -378,9 +382,10 @@ def family_eval(family_id, n, x, params, field: FieldTag | None = None):
 
 
 def _recurrence(descriptor, n_max: int, x, params):
-    """(n, P_n, P_{n-1}) -> P_{n+1} for 0 < n < n_max by the three-term
-    recurrence (Koekoek, Lesky & Swarttouw 2010, 9.10.3 and 9.11.3), or None
-    unless x and every parameter are exact and no divisor vanishes:
+    """The three-term recurrence (Koekoek, Lesky & Swarttouw 2010, 9.10.3
+    and 9.11.3) as (b(n) P_{n+1} = a(n) P_n - s(n) P_{n-1}) integer pairs
+    ((a0, a1), (b0, b1), (0, s1)) of linear polynomials in n, or None unless
+    x and every parameter are exact and b(n) != 0 for 0 <= n < n_max:
 
         (c-1) x M_n = c(n+beta) M_{n+1} - [n + (n+beta) c] M_n + n M_{n-1}
         -x K_n = p(N-n) K_{n+1} - [p(N-n) + n(1-p)] K_n + n(1-p) K_{n-1}
@@ -389,33 +394,46 @@ def _recurrence(descriptor, n_max: int, x, params):
         return None
     if descriptor.id == "meixner":
         beta, c = Fraction(params["alpha"]), Fraction(params["c"])
-        if all(c * (n + beta) for n in range(n_max)):
-            return lambda n, now, before: (
-                ((n + (n + beta) * c + (c - 1) * x) * now - n * before) / (c * (n + beta)))
-        return None
-    p, cap = Fraction(params["p"]), as_index(params["N"], "N")
-    if n_max <= cap:
-        return lambda n, now, before: (
-            ((p * (cap - n) + n * (1 - p) - x) * now - n * (1 - p) * before) / (p * (cap - n)))
-    return None
+        linear = (beta * c + (c - 1) * x, 1 + c), (beta * c, c), (0, 1)
+    else:
+        p, cap = Fraction(params["p"]), as_index(params["N"], "N")
+        linear = (p * cap - x, 1 - 2 * p), (p * cap, -p), (0, 1 - p)
+    steps = _integer_linear(*linear)
+    b0, b1 = steps[1]
+    return steps if all(b0 + b1 * n for n in range(n_max)) else None
+
+
+def _recurrence_row(first, second, steps, n_max: int) -> list:
+    """[P_0, ..., P_n_max] from P_0, P_1 and the integer ``steps`` of
+    ``_recurrence``: both running values sit over one common denominator,
+    which each step multiplies by b(n), so a degree costs a few integer
+    products and one ``Fraction``."""
+    (a0, a1), (b0, b1), (_, s1) = steps
+    (before, now), den = _over_one_denominator([first, second])
+    row = [first, second]
+    for n in range(1, n_max):
+        scale = b0 + b1 * n
+        before, now = now * scale, (a0 + a1 * n) * now - s1 * n * before
+        den *= scale
+        row.append(Fraction(now, den))
+    return row
 
 
 def family_row(family_id, n_max: int, x, params, field: FieldTag | None = None) -> list:
     """[P_0, ..., P_n_max] at x (or at cos theta), each equal to family_eval's
     value.  Meixner and Krawtchouk rows on exact inputs take P_0 and P_1
-    from family_eval and the rest from the recurrence; elsewhere, or where a
-    divisor of it vanishes, each degree is evaluated on its own.  A family
-    evaluated from its generating function expands it once to n_max: the t^n
-    coefficient of a product does not depend on the order the factors are
-    truncated at, so every degree reads the same bits."""
+    from family_eval and the rest from the recurrence on integers; elsewhere,
+    or where a divisor of it vanishes, each degree is evaluated on its own.
+    A family evaluated from its generating function expands it once to
+    n_max: the t^n coefficient of a product does not depend on the order the
+    factors are truncated at, so every degree reads the same bits."""
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     if descriptor.id in ("meixner", "krawtchouk"):
         row = [family_eval(descriptor, n, x, params) for n in range(min(n_max, 1) + 1)]
-        step = row and _recurrence(descriptor, n_max, x, descriptor.bind(params))
-        for n in range(1, n_max):
-            row.append(step(n, row[n], row[n - 1]) if step
-                       else family_eval(descriptor, n + 1, x, params))
-        return row
+        steps = n_max > 1 and _recurrence(descriptor, n_max, x, descriptor.bind(params))
+        if steps:
+            return _recurrence_row(*row, steps, n_max)
+        return row + [family_eval(descriptor, n, x, params) for n in range(2, n_max + 1)]
     if not descriptor.is_expandable or n_max < 0:
         return [family_eval(descriptor, n, x, params, field) for n in range(n_max + 1)]
     if x is None and not descriptor.uses_theta:

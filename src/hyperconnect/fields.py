@@ -111,6 +111,18 @@ def numeric(atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> FieldTag:
 NUMERIC = numeric()
 
 
+def deviation(a, b) -> float:
+    """|a - b| in doubles, as a report states it: 0.0 for equal values, so
+    equal exact values too large for a double still agree, and inf for
+    unequal values when one of them is too large for a double."""
+    if a == b:
+        return 0.0
+    try:
+        return abs(complex(a) - complex(b))
+    except OverflowError:
+        return math.inf
+
+
 def is_exact_value(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 

@@ -5,6 +5,9 @@ parameter in {0, -1, -2, ...} (or q^{-m} for basic series) and sums the finite
 series exactly, with eager pole detection: a term whose numerator product is
 already zero contributes nothing, but a nonzero term over a vanishing
 denominator factor is reported as a pole instead of being divided through.
+An exact pFq sum runs on integers over one running denominator
+(``series._term_ratios``, the same checks in the same order) and is reduced
+once.
 Truncated mode sums until the absolute term drops below tol * |partial sum|
 for five consecutive terms (guarding against alternating-term false
 convergence) or the term cap is hit.
@@ -48,7 +51,7 @@ from .fields import (
 )
 from .pochhammer import pochhammer
 from .series import (CoefficientStream, TruncatedSeries, _over_one_denominator,
-                     hypergeometric_terms)
+                     _term_ratios, hypergeometric_terms)
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,16 @@ def _all_exact(spec: HyperSpec, z) -> bool:
 
 
 def _sum_terminating(spec: HyperSpec, z, degree: int):
+    if not spec.is_basic and _all_exact(spec, z):
+        # the terms over one running denominator, one reduction at the end
+        term, den, total = 1, 1, 1
+        for step_num, step_den in _term_ratios(spec.numerator, spec.denominator, z, degree):
+            term *= step_num
+            if not term:
+                break
+            den *= step_den
+            total = total * step_den + term
+        return Fraction(total, den)
     ratio = _rphis_term_ratio if spec.is_basic else _pfq_term_ratio
     term = Fraction(1) if _all_exact(spec, z) else complex(1.0)
     total = term

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
-from .fields import EXACT, NUMERIC, FieldTag, as_numeric
+from .fields import EXACT, NUMERIC, FieldTag, as_numeric, deviation
 
 
 def _over_one_denominator(values):
@@ -42,6 +42,14 @@ def _over_one_denominator(values):
     the denominators."""
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_linear(*polys):
+    """Linear polynomials c0 + c1 x, given as pairs (c0, c1) of exact values,
+    scaled by one common positive factor (the lcm of their denominators) so
+    that every coefficient is an integer."""
+    nums, _ = _over_one_denominator([c for poly in polys for c in poly])
+    return list(zip(nums[::2], nums[1::2]))
 
 
 def _cauchy_product(left, right, zero=0):
@@ -212,10 +220,8 @@ class TruncatedSeries:
     def max_deviation(self, other: "TruncatedSeries") -> float:
         self._check_field(other)
         n = min(self.order, other.order)
-        return max(
-            abs(complex(self.coefficients[i]) - complex(other.coefficients[i]))
-            for i in range(n + 1)
-        )
+        return max(deviation(self.coefficients[i], other.coefficients[i])
+                   for i in range(n + 1))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -284,29 +290,27 @@ def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))
 
 
-def hypergeometric_terms(tops, bottoms, lam, order: int) -> list:
-    """Exact coefficients c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!,
-    k = 0..order, for exact a_i (``tops``), b_j (``bottoms``) and lam.
+def _term_ratios(tops, bottoms, lam, count: int):
+    """Integer pairs (num, den), k = 0..count-1, with c_{k+1} = c_k num / den
+    for c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!, exact a_i
+    (``tops``), b_j (``bottoms``) and lam.
 
-    With a = p/q, (a + k) = (p + kq)/q, so each step multiplies the running
-    numerator and denominator by integers and forms one ``Fraction``.  The
-    stream keeps the term ratio's order of checks: a vanishing numerator
-    factor ends it (every later coefficient is zero) before any denominator
-    factor is looked at; a vanishing denominator factor is a PoleError, also
-    when lam = 0; a zero lam then ends it.
+    With a = p/q, (a + k) = (p + kq)/q, so every pair is a product of small
+    integers.  The pairs keep the term ratio's order of checks: a vanishing
+    numerator factor ends them (every later term is zero) before any
+    denominator factor is looked at; a vanishing denominator factor is a
+    PoleError, also when lam = 0, which the caller sees as a zero num.
     """
     tops = [(a.numerator, a.denominator) for a in tops]
     poles = [(b.numerator, b.denominator) for b in bottoms]
     num_scale = lam.numerator * math.prod([s for _, s in poles])
     den_scale = lam.denominator * math.prod([q for _, q in tops])
-    term = Fraction(1)
-    out = [term]
-    for k in range(order):
+    for k in range(count):
         num = 1
         for p, q in tops:
             num *= p + k * q
         if not num:
-            break
+            return
         den = k + 1
         for r, s in poles:
             den *= r + k * s
@@ -315,8 +319,21 @@ def hypergeometric_terms(tops, bottoms, lam, order: int) -> list:
                 f"denominator parameter pole at term {k + 1}: "
                 f"one of {tuple(bottoms)} lies in -N0"
             )
-        term = Fraction(term.numerator * num * num_scale,
-                        term.denominator * den * den_scale)
+        yield num * num_scale, den * den_scale
+
+
+def hypergeometric_terms(tops, bottoms, lam, order: int) -> list:
+    """Exact coefficients c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!,
+    k = 0..order, for exact a_i (``tops``), b_j (``bottoms``) and lam.
+
+    Each step multiplies the previous term's numerator and denominator by
+    the integers of ``_term_ratios`` and forms one ``Fraction``; the stream
+    stops at the first zero term, so a zero lam ends it after the pole check.
+    """
+    term = Fraction(1)
+    out = [term]
+    for num, den in _term_ratios(tops, bottoms, lam, order):
+        term = Fraction(term.numerator * num, term.denominator * den)
         if not term:
             break
         out.append(term)

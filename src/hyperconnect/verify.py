@@ -52,6 +52,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Callable
 
@@ -63,6 +64,7 @@ from .fields import (
     EXACT,
     FieldTag,
     as_index,
+    deviation,
     is_exact_value,
     numeric,
 )
@@ -88,8 +90,8 @@ from .pochhammer import (
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import (TruncatedSeries, _over_one_denominator, binomial_power, exp_series,
-                     linear_combination)
+from .series import (TruncatedSeries, _integer_linear, _over_one_denominator, binomial_power,
+                     exp_series, linear_combination)
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,7 @@ def _agreement(case, field, rows) -> VerificationReport:
     field tells apart, with ``where`` as the detail."""
     worst = 0.0
     for n, wanted, got, where in rows:
-        worst = max(worst, abs(complex(wanted) - complex(got)))
+        worst = max(worst, deviation(wanted, got))
         if not field.eq(field.of(wanted), field.of(got)):
             return VerificationReport(case, "fail", deviation=worst,
                                       first_failing_order=n, detail=where)
@@ -284,13 +286,26 @@ class GFSpec:
 
 
 def _polynomials(family, top, x, params):
-    """n -> P_n(x), n <= top, read from the row ``families.family_row``
-    builds.  A row that fails at some degree is not kept: each degree is
-    then evaluated on its own, so an error comes from the n that needs it."""
+    """P_0(x)..P_top(x) indexed by degree: the list ``families.family_row``
+    builds or, when that row fails at some degree, a ``_PerDegree`` that
+    evaluates each degree on its own, so an error comes from the n that
+    needs it."""
     try:
-        return families.family_row(family, top, x, params).__getitem__
+        return families.family_row(family, top, x, params)
     except HyperconnectError:
-        return lambda n: families.family_eval(family, n, x, params)
+        return _PerDegree(family, x, params)
+
+
+@dataclass(frozen=True)
+class _PerDegree:
+    """P_n(x) indexed by degree, each evaluated on its own when read."""
+
+    family: str
+    x: object
+    params: dict
+
+    def __getitem__(self, n):
+        return families.family_eval(self.family, n, self.x, self.params)
 
 
 class _Build:
@@ -316,11 +331,11 @@ class _Build:
         return self._poly("krawtchouk", n, x, {"p": p, "N": cap})
 
     def _poly(self, family, n, x, params):
-        """P_n(x) from one ``_polynomials`` reader to top per argument."""
+        """P_n(x) from one ``_polynomials`` row to top per argument."""
         key = (family, x, *params.values())
         if key not in self._made:
             self._made[key] = _polynomials(family, self.top, x, params)
-        return self._made[key](n)
+        return self._made[key][n]
 
     def multivar(self, spec, shapes, order):
         """inner_n of a multivariable spec at lam_i*t: only the joint
@@ -544,7 +559,11 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     Degrees run outer and samples inner.  The source and target values at
     a sample come from one row each (``_polynomials``: the three-term
     recurrence on exact inputs, so a row takes P_0 and P_1 from
-    ``families.family_eval``), made when the sample is first reached."""
+    ``families.family_eval``), made when the sample is first reached.  On
+    exact values a reconstructed value is one integer dot product: the
+    target row at a sample is put over one denominator once, the table row
+    (read through ``coefficient``) over another, and one ``Fraction`` is
+    formed per degree and sample."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -557,19 +576,31 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
         sides = {"source": spec.source(params), "target": spec.target(params)}
-        polynomials = {}
+        polynomials, scaled = {}, {}
 
-        def value(side, n, i):
+        def row(side, i):
             if (side, i) not in polynomials:
                 polynomials[side, i] = _polynomials(spec.family, n_max, x_samples[i],
                                                     sides[side])
-            return polynomials[side, i](n)
+            return polynomials[side, i]
+
+        def reconstructed(n, i, x):
+            """sum_k c_{n,k} P_k(x_i; target), on integers when every value
+            is exact: that sum is the same canonical Fraction."""
+            at = x if spec.x_dependent else None
+            target = row("target", i)
+            if not isinstance(target, list):  # degrees read one by one, as needed
+                return sum(table.coefficient(n, k, at) * target[k] for k in range(n + 1))
+            coefficients = [table.coefficient(n, k, at) for k in range(n + 1)]
+            if i not in scaled:
+                scaled[i] = all(map(is_exact_value, target)) and _over_one_denominator(target)
+            if not (scaled[i] and all(map(is_exact_value, coefficients))):
+                return sum(map(mul, coefficients, target))
+            (nums, den), (values, target_den) = _over_one_denominator(coefficients), scaled[i]
+            return Fraction(sum(map(mul, nums, values)), den * target_den)
 
         rows = (
-            (n, value("source", n, i),
-             sum((table.coefficient(n, k, x if spec.x_dependent else None)
-                  * value("target", k, i))
-                 for k in range(n + 1)),
+            (n, row("source", i)[n], reconstructed(n, i, x),
              f"reconstruction breaks at n = {n}, x = {x}")
             for n in range(n_max + 1) for i, x in enumerate(x_samples)
         )
@@ -579,13 +610,6 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
 
 
 # -- orthogonality sums -------------------------------------------------------
-
-
-def _integer_linear(*polys):
-    """Linear polynomials c0 + c1 x, given as pairs (c0, c1), scaled by one
-    common positive factor so that every coefficient is an integer."""
-    scale = math.lcm(*[Fraction(c).denominator for poly in polys for c in poly])
-    return [(int(c0 * scale), int(c1 * scale)) for c0, c1 in polys]
 
 
 def _meixner_row(n: int, beta, d, count: int):

@@ -585,6 +585,24 @@ def test_forced_reconstruction_failure_reports_the_first_break(monkeypatch, rela
     assert order == at[0] and deviation > 0
 
 
+def test_exact_reconstruction_beyond_the_double_range_compares_exactly():
+    """Equal exact values too large for a double deviate by 0.0 (they were an
+    OverflowError report); unequal ones by inf, and the case fails."""
+    params = {"alpha": Fraction(3, 2), "beta": Fraction(5, 2), "c": Fraction(1, 2)}
+    huge = (Fraction(10**90),)
+    report = verify_connection_relation("meixner_alpha_to_beta", params, 4, x_samples=huge)
+    assert (report.status, report.deviation) == ("pass", 0.0)
+    table = connection_table("meixner_alpha_to_beta", params, 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connection_mod, "connection_table",
+                      lambda *args: PerturbedTable(table, 4, 1))
+        report = verify_connection_relation("meixner_alpha_to_beta", params, 4,
+                                            x_samples=huge)
+    # P_4(10^90) is about 10^360, past the largest double
+    assert (report.status, report.first_failing_order, report.deviation) == (
+        "fail", 4, math.inf)
+
+
 def per_degree_sample(descriptor, params, n_max, points):
     """The sampler that evaluates every degree on its own."""
     if descriptor.uses_theta:
@@ -762,6 +780,78 @@ def test_integer_newton_table_equals_the_fraction_loop(data, abscissae):
         for field in (EXACT, NUMERIC):
             with pytest.raises(SingularSampleError):
                 connection_mod._divided_differences(values, repeated, field)
+
+
+def fraction_back_substitution(source_dd, target_dd):
+    """Rows c_{k,n} of S_n[j] = sum_{k=j..n} c_{k,n} T_k[j] by the plain
+    Fraction loop, j = n..0."""
+    rows = []
+    for n in range(len(source_dd)):
+        coeffs = [Fraction(0)] * (n + 1)
+        for j in range(n, -1, -1):
+            if target_dd[j][j] == 0:
+                raise SingularSampleError(f"degree-{j} target member degenerates")
+            coeffs[j] = (source_dd[n][j] - sum(coeffs[k] * target_dd[k][j]
+                                               for k in range(j + 1, n + 1))) / target_dd[j][j]
+        rows.append(coeffs)
+    return rows
+
+
+def solve_or_singular(solve):
+    try:
+        return solve()
+    except SingularSampleError as exc:
+        return f"SingularSampleError: {str(exc).split(' on ')[0]}"
+
+
+@settings(max_examples=80)
+@given(data=st.data(), size=st.integers(1, 7))
+def test_fraction_free_solve_equals_the_fraction_back_substitution(data, size):
+    """Random integer tables (tops, den) with small entries, so pivots vanish
+    too, and one nonzero factor per level shared by every table."""
+    entries = st.integers(-4, 4)
+    factors = data.draw(st.lists(small_rationals(-3, 3).filter(bool), min_size=size,
+                                 max_size=size), "factors")
+
+    def tables(label):
+        drawn = data.draw(st.lists(st.tuples(st.lists(entries, min_size=size, max_size=size),
+                                             st.integers(1, 12)),
+                                   min_size=size, max_size=size), label)
+        return ([(tops, den, None) for tops, den in drawn],
+                [[Fraction(t) * g / den for t, g in zip(tops, factors)] for tops, den in drawn])
+
+    (source, source_dd), (target, target_dd) = tables("source"), tables("target")
+    got = solve_or_singular(lambda: connection_mod._fraction_free_solve(source, target))
+    assert got == solve_or_singular(lambda: fraction_back_substitution(source_dd, target_dd))
+    if isinstance(got, list):
+        assert all(type(c) is Fraction for row in got for c in row)
+
+
+@settings(max_examples=30)
+@given(data=st.data(), family=st.sampled_from(["meixner", "krawtchouk", "charlier"]),
+       n_max=st.integers(0, 6))
+def test_exact_linear_solve_equals_the_fraction_solve_on_random_abscissae(data, family,
+                                                                          n_max):
+    if family == "meixner":
+        rates = small_rationals(0, 1)
+        source, target = ({"alpha": data.draw(small_rationals(0, 6)), "c": data.draw(rates)}
+                          for _ in range(2))
+    elif family == "krawtchouk":
+        cap = data.draw(st.integers(n_max, n_max + 4), "N")
+        source, target = ({"p": data.draw(small_rationals(0, 1)), "N": cap} for _ in range(2))
+    else:
+        source, target = ({"a": data.draw(small_rationals(0, 5))} for _ in range(2))
+    points = data.draw(st.lists(EXACT_POINTS.map(Fraction), min_size=n_max + 1,
+                                max_size=n_max + 1, unique=True), "abscissae")
+    descriptor = families_mod.get_family(family)
+    xs, source_vals = connection_mod._sample(descriptor, source, n_max, points)
+    _, target_vals = connection_mod._sample(descriptor, target, n_max, points)
+    want = fraction_back_substitution(
+        *([fraction_divided_differences(row, xs) for row in vals]
+          for vals in (source_vals, target_vals)))
+    table = connect_linear_solve(family, source, target, n_max, abscissae=points)
+    assert table.matrix() == want
+    assert all(type(c) is Fraction for row in table.matrix() for c in row)
 
 
 def f1_kernel_or_error(spec, args, **kwargs):

@@ -5,6 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_verify import small_rationals
 
 from hyperconnect import (
     APPELL_F1,
@@ -68,6 +71,66 @@ def test_terminating_zero_numerator_wins_over_pole():
     # numerator dies at s = 1 before the denominator pole can matter
     got = pfq_eval(pfq((Fraction(-3), Fraction(0)), (Fraction(-2),)), Fraction(1, 5))
     assert got == 1
+
+
+def plain_terminating_sum(nums, dens, z):
+    """sum_k prod (a)_k / prod (b)_k z^k / k! term by term in Fractions, up to
+    the first numerator in -N0: a vanishing numerator ends the sum before the
+    denominator is looked at, a vanishing denominator is a pole."""
+    degree = min(-int(a) for a in nums if a.denominator == 1 and a <= 0)
+    term = total = Fraction(1)
+    for k in range(degree):
+        num = math.prod(a + k for a in nums)
+        if num == 0:
+            break
+        den = math.prod(b + k for b in dens)
+        if den == 0:
+            raise PoleError(f"denominator parameter pole at term {k + 1}:"
+                            f" one of {tuple(dens)} lies in -N0")
+        term = term * num * z / (den * (k + 1))
+        if term == 0:
+            break
+        total = total + term
+    return total
+
+
+def sum_or_pole(produce):
+    try:
+        value = produce()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+    return type(value), value
+
+
+# integers as well as Fractions; -N0 values both end a sum and are poles
+PARAMETERS = st.one_of(small_rationals(-5, 5), st.integers(-5, 0).map(Fraction),
+                       st.integers(-5, 3))
+
+
+@settings(max_examples=200)
+@given(terminator=st.integers(-9, 0), tops=st.lists(PARAMETERS, max_size=2),
+       bottoms=st.lists(PARAMETERS, max_size=2),
+       z=st.one_of(st.just(Fraction(0)), st.integers(-3, 3), small_rationals(-4, 4)))
+def test_exact_terminating_sum_equals_the_fraction_term_sum(terminator, tops, bottoms, z):
+    nums = (Fraction(terminator), *tops)
+    want = sum_or_pole(lambda: plain_terminating_sum(nums, bottoms, z))
+    assert sum_or_pole(lambda: pfq_eval(pfq(nums, bottoms), z)) == want
+    assert want[0] is Fraction or want.startswith("PoleError")
+
+
+def test_exact_terminating_sum_checks_the_numerator_before_the_pole():
+    # a pole at term 1 is one also at z = 0 ...
+    with pytest.raises(PoleError, match="pole at term 1"):
+        pfq_eval(pfq((Fraction(-4),), (0,)), 0)
+    # ... where the second term is zero and ends the sum before a later pole
+    got = pfq_eval(pfq((Fraction(-4), Fraction(1, 2)), (Fraction(-2),)), Fraction(0))
+    assert got == 1 and type(got) is Fraction
+    with pytest.raises(PoleError, match="pole at term 3"):
+        pfq_eval(pfq((Fraction(-4), Fraction(1, 2)), (Fraction(-2),)), Fraction(1, 3))
+    # a numerator vanishing at or before the pole's index ends the sum first
+    assert pfq_eval(pfq((Fraction(-2), Fraction(1, 3)), (Fraction(-2),)), Fraction(3)) == 4
+    assert pfq_eval(pfq((Fraction(-2), Fraction(1, 3)), (Fraction(-3),)), Fraction(3)) == (
+        1 + Fraction(2, 3) + Fraction(2, 3))
 
 
 def test_eager_pole_detection():

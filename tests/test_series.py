@@ -321,6 +321,14 @@ COEFFS = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction), small
 PARAMS = st.one_of(small_rationals(-4, 4), st.integers(-4, 0).map(Fraction))
 
 
+def test_max_deviation_compares_exact_values_beyond_the_double_range():
+    huge = Fraction(10**400, 3)
+    assert S(huge, 1).max_deviation(S(huge, 1)) == 0.0
+    assert S(huge, 1).max_deviation(S(huge + 1, 1)) == math.inf
+    assert S(Fraction(1, 3), 2).max_deviation(S(Fraction(1, 2), 2)) == abs(
+        complex(Fraction(1, 3)) - complex(Fraction(1, 2)))
+
+
 def _naive_product(a, b):
     n = min(len(a), len(b))
     return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(n)]

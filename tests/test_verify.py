@@ -767,10 +767,14 @@ def test_arithmetic_faults_are_error_reports():
 
 
 def exact_pfq(nums, dens, z, terms=400):
-    """sum_k prod (a)_k / prod (b)_k z^k / k! in Fractions, to ``terms`` terms."""
-    return sum(math.prod(poch(a, k) for a in nums) * z**k
-               / (math.prod(poch(b, k) for b in dens) * math.factorial(k))
-               for k in range(terms))
+    """sum_k prod (a)_k / prod (b)_k z^k / k! in Fractions, to ``terms`` terms,
+    each term from the one before by the term ratio."""
+    term = total = Fraction(1)
+    for k in range(terms - 1):
+        term = term * math.prod(a + k for a in nums) * z / (
+            math.prod(b + k for b in dens) * (k + 1))
+        total += term
+    return total
 
 
 @pytest.mark.parametrize("identity, params, nums, z", [
@@ -823,6 +827,16 @@ def test_a_closed_form_that_does_not_settle_is_an_error_report(identity, params)
     report = verify_case(IdentityCase(identity, {**params, "n": 0}, field=numeric(1e-10, 0.0)))
     assert report.status == "error"
     assert report.detail == "DomainError: closed-form series did not settle; argument too large"
+
+
+def test_exact_gf_case_beyond_the_double_range_compares_exactly():
+    # both sides agree literally; their coefficients pass 10^308 from t^4 on,
+    # which made the double deviation an OverflowError report
+    case = IdentityCase("meixner_1f1_alpha_shift",
+                        {"x": Fraction(10**80), "alpha": Fraction(3, 2),
+                         "beta": Fraction(5, 2), "c": Fraction(1, 2)}, order=6)
+    report = verify_case(case)
+    assert (report.status, report.deviation) == ("pass", 0.0)
 
 
 @pytest.mark.parametrize("identity, names, bad", [
