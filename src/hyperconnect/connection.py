@@ -682,14 +682,9 @@ def _degenerate(j):
     )
 
 
-def _divided_differences(values, abscissae, field: FieldTag):
+def _divided_differences(values, abscissae):
     """Newton coefficients over the abscissae; level j kills degrees < j.
-    Exact tables come from ``_integer_newton``, one Fraction per level."""
-    if field.is_exact:
-        points, scale = _over_one_denominator(abscissae)
-        tops, den, lcms = _integer_newton(values, points)
-        return [Fraction(top * scale**j, den * math.prod(lcms[:j]))
-                for j, top in enumerate(tops)]
+    Exact tables come from ``_integer_newton`` instead."""
     level = list(values)
     out = [level[0]]
     for j in range(1, len(values)):
@@ -789,7 +784,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
         xs, _ = _over_one_denominator(xs)
         newton, solve = _integer_newton, _fraction_free_solve
     else:
-        newton = partial(_divided_differences, field=field)
+        newton = _divided_differences
         solve = partial(_back_substitution, field=field)
     source_dd, target_dd = ([newton([field.of(v) for v in row], xs) for row in vals]
                             for vals in (source_vals, target_vals))

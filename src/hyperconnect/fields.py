@@ -114,13 +114,19 @@ NUMERIC = numeric()
 def deviation(a, b) -> float:
     """|a - b| in doubles, as a report states it: 0.0 for equal values, so
     equal exact values too large for a double still agree, and inf for
-    unequal values when one of them is too large for a double."""
+    unequal values when one of them is too large for a double.  Unequal
+    exact values whose doubles coincide deviate by their exact difference
+    rounded once, and by the smallest positive double when that rounds to
+    0.0, so a fail never reads 0.0."""
     if a == b:
         return 0.0
     try:
-        return abs(complex(a) - complex(b))
+        gap = abs(complex(a) - complex(b))
     except OverflowError:
         return math.inf
+    if gap == 0.0 and is_exact_value(a) and is_exact_value(b):
+        return float(abs(Fraction(a) - Fraction(b))) or math.ulp(0.0)
+    return gap
 
 
 def is_exact_value(value) -> bool:

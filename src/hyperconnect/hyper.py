@@ -49,7 +49,7 @@ from .fields import (
     is_exact_value,
     is_nonpositive_integer,
 )
-from .pochhammer import pochhammer
+from .pochhammer import pochhammer_row
 from .series import (CoefficientStream, TruncatedSeries, _over_one_denominator,
                      _term_ratios, hypergeometric_terms)
 
@@ -363,7 +363,8 @@ def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
     """(b)_m lam^m / m!, m = 0..order.  Doubles take the term ratio
     (b+m) lam / (m+1), because (b)_m and m! leave their range past m = 170."""
     if field.is_exact:
-        return [pochhammer(b, m) / math.factorial(m) * lam**m for m in range(order + 1)]
+        return [rising / math.factorial(m) * lam**m
+                for m, rising in enumerate(pochhammer_row(b, order))]
     return _pfq_coefficients(pfq((b,), ()), lam, order, field)
 
 

@@ -4,17 +4,17 @@ Every generalized generating function has the shape
 
     lhs(t) = sum_n coeff_n t^n inner_n(t)
 
-so each one is a row of ``GF_IDENTITIES`` (a ``GFSpec``: the lhs, coeff_n,
-inner_n, and whether the sum carries the Krawtchouk degree-N truncation
-brackets) and one builder forms both sides as truncated series.  One
-build makes each piece that does not depend on n once and drops it when it
-returns: the row P_0..P_top of the polynomials in coeff_n
-(``families.family_row``, by the three-term recurrence on exact inputs), the
-Pochhammer rows (a)_0..(a)_top of coeff_n and, for the multivariable
-inner_n, the factor product to order top, so only the joint ratios are
-formed per n.  The rhs is one ``series.linear_combination``, on integer
-numerators over one denominator on the exact field.  On the exact field a
-pass means literal coefficient equality.
+with coeff_n = prod_a (a)_n z^n / ((b)_n n!) P_n(x), P_n one Meixner or
+Krawtchouk polynomial.  Each is a row of ``GF_IDENTITIES`` (a ``GFSpec``:
+the lhs, coeff_n declared as its tops a, bottom b, z and P_n, inner_n, and
+whether the sum has the Krawtchouk degree-N truncation brackets), and one
+builder forms both sides as truncated series.  A local memo of the call
+makes each piece that does not depend on n once, on first use, and drops it
+on return: the row P_0..P_top (``families.family_row``, by the three-term
+recurrence on exact inputs), the Pochhammer rows (a)_0..(a)_top and, for a
+multivariable inner_n, the factor product to order top.  The rhs is one
+``series.linear_combination``, on integer numerators over one denominator on
+the exact field, where a pass means literal coefficient equality.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
@@ -253,15 +253,19 @@ def _agreement(case, field, rows) -> VerificationReport:
 
 @dataclass(frozen=True)
 class GFSpec:
-    """lhs(t) = sum_n coeff_n t^n inner_n(t).
+    """lhs(t) = sum_n coeff_n t^n inner_n(t) with
 
-    ``lhs(order, field, **params)`` and ``inner(n, order, field, **params)``
-    build series, ``coeff(n, **params)`` is a scalar; inner and coeff also
-    get the call's ``build`` (a ``_Build``), which makes each piece that does
-    not depend on n once.  A capped spec carries the degree-N truncation
-    brackets exactly as displayed: the sum stops at n = N, lhs is built to
-    order min(N, order) and inner_n to min(N, order) - n, and both are
-    zero-padded to the requested order."""
+        coeff_n = prod_a (a)_n z^n / ((b)_n n!) P_n(x),
+
+    P_n a Meixner or Krawtchouk polynomial.  ``lhs(order, field, **params)``
+    builds a series.  ``coeff(**params)`` declares coeff_n as (tops a,
+    bottom b or None, z, (family, x, params of P_n)).  ``inner(n, order,
+    field, **params)`` builds inner_n, or gives (MultiVarSpec, shapes) for a
+    multivariable inner_n, which the call lifts with one shared factor
+    product.  A capped spec carries the degree-N truncation brackets exactly
+    as displayed: the sum stops at n = N, lhs is built to order min(N, order)
+    and inner_n to min(N, order) - n, and both are zero-padded to the
+    requested order."""
 
     lhs: Callable
     coeff: Callable
@@ -277,11 +281,36 @@ class GFSpec:
     def __call__(self, p, order, field):
         lhs = self.lhs_series(order, field, **p)
         top = self._top(order, p)
-        build = _Build(top, field)
-        rhs = linear_combination(
-            [(self.inner(n, top - n, field, build=build, **p), n,
-              self.coeff(n, build=build, **p)) for n in range(top + 1)],
-            order, field)
+        tops, bottom, z, (family, x, params) = self.coeff(**p)
+        made = {}  # the pieces that do not depend on n, each made once, on first use
+
+        def once(key, make, *args):
+            if key not in made:
+                made[key] = make(*args)
+            return made[key]
+
+        def inner(n):
+            got = self.inner(n, top - n, field, **p)
+            if isinstance(got, TruncatedSeries):
+                return got
+            spec, shapes = got
+            product = once("product", factor_product, spec, shapes, top, field)
+            return hyper_series_in_t(spec, shapes, top - n, field, product=product)
+
+        def coeff(n):
+            small, under = field.of(z) ** n, _fact(n)
+            for a in tops:
+                small *= once(("rising", a), pochhammer_row, a, top)[n]
+            if bottom is not None:  # only a Meixner (alpha)_n can vanish: (-N)_n != 0 for n <= N
+                rising = once(("rising", bottom), pochhammer_row, bottom, top)[n]
+                if rising == 0:
+                    raise PoleError(
+                        f"(alpha)_n vanishes at n = {n}: alpha = {bottom} lies in -N0")
+                under *= rising
+            return small / under * once("poly", _polynomials, family, top, x, params)[n]
+
+        rhs = linear_combination([(inner(n), n, coeff(n)) for n in range(top + 1)],
+                                 order, field)
         return lhs, rhs
 
 
@@ -306,44 +335,6 @@ class _PerDegree:
 
     def __getitem__(self, n):
         return families.family_eval(self.family, n, self.x, self.params)
-
-
-class _Build:
-    """The n-independent pieces of one GFSpec call, each made once, on first
-    use: polynomial rows P_0..P_top, Pochhammer rows (a)_0..(a)_top and
-    multivariable factor products to order top.  It lives for one call, so
-    nothing outlasts the build."""
-
-    def __init__(self, top, field):
-        self.top, self.field, self._made = top, field, {}
-
-    def rising(self, a, n):
-        """(a)_n from one ``pochhammer_row`` to top per a."""
-        key = ("rising", a)
-        if key not in self._made:
-            self._made[key] = pochhammer_row(a, self.top)
-        return self._made[key][n]
-
-    def meixner(self, n, x, alpha, c):
-        return self._poly("meixner", n, x, {"alpha": alpha, "c": c})
-
-    def krawtchouk(self, n, x, p, cap):
-        return self._poly("krawtchouk", n, x, {"p": p, "N": cap})
-
-    def _poly(self, family, n, x, params):
-        """P_n(x) from one ``_polynomials`` row to top per argument."""
-        key = (family, x, *params.values())
-        if key not in self._made:
-            self._made[key] = _polynomials(family, self.top, x, params)
-        return self._made[key][n]
-
-    def multivar(self, spec, shapes, order):
-        """inner_n of a multivariable spec at lam_i*t: only the joint
-        parameters depend on n, so the factor product is shared."""
-        key = (spec.separate_numerators, tuple(shapes))
-        if key not in self._made:
-            self._made[key] = factor_product(spec, shapes, self.top, self.field)
-        return hyper_series_in_t(spec, shapes, order, self.field, product=self._made[key])
 
 
 # Spec functions take the order as ``o``, the field as ``f`` and the case
@@ -384,109 +375,94 @@ def _ratio(c, d):
     return d * (1 - c) / (c * (1 - d))
 
 
-def _beta_over_alpha(build, n, alpha, beta):
-    rising = build.rising(alpha, n)
-    if rising == 0:
-        raise PoleError(f"(alpha)_n vanishes at n = {n}: alpha = {alpha} lies in -N0")
-    return build.rising(beta, n) / (rising * _fact(n))
+def _meixner(x, alpha, c):
+    """P_n = M_n(x; alpha, c) in a coefficient declaration."""
+    return "meixner", x, {"alpha": alpha, "c": c}
 
 
-def _m_over_n(build, n, N, M):
-    return build.rising(Fraction(-M), n) / (build.rising(Fraction(-N), n) * _fact(n))
+def _krawtchouk(x, p, N):
+    """P_n = K_n(x; p, N) in a coefficient declaration."""
+    return "krawtchouk", x, {"p": p, "N": N}
 
 
 GF_IDENTITIES = {
     "meixner_1f1_two_param": (GFSpec(
         _meixner_1f1,
-        lambda n, x, alpha, beta, c, d, build, **_: (
-            _beta_over_alpha(build, n, alpha, beta) * _ratio(c, d) ** n
-            * build.meixner(n, x, beta, d)),
+        lambda x, alpha, beta, c, d, **_: ((beta,), alpha, _ratio(c, d), _meixner(x, beta, d)),
         lambda n, o, f, alpha, beta, c, d, **_: hyper_series_in_t(
             pfq((beta + n,), (alpha + n,)), linear_arg(-_ratio(c, d)), o, f),
     ), ("x", "alpha", "beta", "c", "d")),
     "meixner_1f1_alpha_shift": (GFSpec(
         _meixner_exp_1f1,
-        lambda n, x, alpha, beta, c, build, **_: (
-            _beta_over_alpha(build, n, alpha, beta) * build.meixner(n, x, beta, c)),
+        lambda x, alpha, beta, c, **_: ((beta,), alpha, 1, _meixner(x, beta, c)),
         lambda n, o, f, alpha, beta, **_: hyper_series_in_t(
             pfq((alpha - beta,), (alpha + n,)), linear_arg(1), o, f),
     ), ("x", "alpha", "beta", "c")),
     "meixner_1f1_c_shift": (GFSpec(
         _meixner_exp_1f1,
-        lambda n, x, alpha, d, build, **_: build.meixner(n, x, alpha, d) / _fact(n),
-        lambda n, o, f, x, alpha, c, d, build, **_: build.multivar(
+        lambda x, alpha, d, **_: ((), None, 1, _meixner(x, alpha, d)),
+        lambda n, o, f, x, alpha, c, d, **_: (
             MultiVarSpec(HUMBERT_PHI2, (x, -x, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c)], o),
+            [linear_arg(1 / d), linear_arg(1 / c)]),
     ), ("x", "alpha", "c", "d")),
     "meixner_1f1_two_param_triple": (GFSpec(
         _meixner_exp_1f1,
-        lambda n, x, alpha, beta, d, build, **_: (
-            _beta_over_alpha(build, n, alpha, beta) * build.meixner(n, x, beta, d)),
-        lambda n, o, f, x, alpha, beta, c, d, build, **_: build.multivar(
+        lambda x, alpha, beta, d, **_: ((beta,), alpha, 1, _meixner(x, beta, d)),
+        lambda n, o, f, x, alpha, beta, c, d, **_: (
             MultiVarSpec(HUMBERT_PHI2_3, (x, -x, alpha - beta, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o),
+            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)]),
     ), ("x", "alpha", "beta", "c", "d")),
     "meixner_2f1_alpha_shift": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, beta, c, gamma, build, **_: (
-            build.rising(gamma, n) * _beta_over_alpha(build, n, alpha, beta)
-            * build.meixner(n, x, beta, c)),
+        lambda x, alpha, beta, c, gamma, **_: ((gamma, beta), alpha, 1, _meixner(x, beta, c)),
         lambda n, o, f, alpha, beta, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, alpha - beta), (alpha + n,)), linear_arg(1), o, f),
     ), ("x", "alpha", "beta", "c", "gamma")),
     "meixner_2f1_two_param": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, beta, c, d, gamma, build, **_: (
-            build.rising(gamma, n) * _beta_over_alpha(build, n, alpha, beta) * _ratio(c, d) ** n
-            * build.meixner(n, x, beta, d)),
+        lambda x, alpha, beta, c, d, gamma, **_: (
+            (gamma, beta), alpha, _ratio(c, d), _meixner(x, beta, d)),
         lambda n, o, f, alpha, beta, c, d, gamma, **_: (
             binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
                 pfq((gamma + n, beta + n), (alpha + n,)), mobius_arg(-_ratio(c, d)), o, f)),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "meixner_2f1_c_shift": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, d, gamma, build, **_: (
-            build.rising(gamma, n) / _fact(n) * build.meixner(n, x, alpha, d)),
-        lambda n, o, f, x, alpha, c, d, gamma, build, **_: build.multivar(
+        lambda x, alpha, d, gamma, **_: ((gamma,), None, 1, _meixner(x, alpha, d)),
+        lambda n, o, f, x, alpha, c, d, gamma, **_: (
             MultiVarSpec(APPELL_F1, (gamma + n, x, -x, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c)], o),
+            [linear_arg(1 / d), linear_arg(1 / c)]),
     ), ("x", "alpha", "c", "d", "gamma")),
     "meixner_2f1_two_param_triple": (GFSpec(
         _meixner_2f1,
-        lambda n, x, alpha, beta, d, gamma, build, **_: (
-            build.rising(gamma, n) * _beta_over_alpha(build, n, alpha, beta)
-            * build.meixner(n, x, beta, d)),
-        lambda n, o, f, x, alpha, beta, c, d, gamma, build, **_: build.multivar(
+        lambda x, alpha, beta, d, gamma, **_: ((gamma, beta), alpha, 1, _meixner(x, beta, d)),
+        lambda n, o, f, x, alpha, beta, c, d, gamma, **_: (
             MultiVarSpec(LAURICELLA_FD3, (gamma + n, x, -x, alpha - beta, alpha + n)),
-            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)], o),
+            [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)]),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "krawtchouk_1f1_two_param": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, q, N, M, build, **_: (
-            _m_over_n(build, n, N, M) * (q / p) ** n * build.krawtchouk(n, x, q, M)),
+        lambda x, p, q, N, M, **_: ((-M,), -N, q / p, _krawtchouk(x, q, M)),
         lambda n, o, f, p, q, N, M, **_: exp_series(1, o, f) * hyper_series_in_t(
             pfq((Fraction(n - M),), (Fraction(n - N),)), linear_arg(-q / p), o, f),
         capped=True,
     ), ("x", "p", "q", "N", "M")),
     "krawtchouk_1f1_degree_shift": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, N, M, build, **_: _m_over_n(build, n, N, M) * build.krawtchouk(n, x, p, M),
+        lambda x, p, N, M, **_: ((-M,), -N, 1, _krawtchouk(x, p, M)),
         lambda n, o, f, N, M, **_: hyper_series_in_t(
             pfq((Fraction(M - N),), (Fraction(n - N),)), linear_arg(1), o, f),
         capped=True,
     ), ("x", "p", "N", "M")),
     "krawtchouk_1f1_prob_shift": (GFSpec(
         _kraw_exp_1f1,
-        lambda n, x, p, q, N, build, **_: (
-            (q / p) ** n / _fact(n) * build.krawtchouk(n, x, q, N)),
+        lambda x, p, q, N, **_: ((), None, q / p, _krawtchouk(x, q, N)),
         lambda n, o, f, p, q, **_: exp_series(1 - q / p, o, f),
         capped=True,
     ), ("x", "p", "q", "N")),
     "krawtchouk_2f1_two_param": (GFSpec(
         _kraw_2f1,
-        lambda n, x, p, q, N, M, gamma, build, **_: (
-            (q / p) ** n * build.rising(gamma, n) * _m_over_n(build, n, N, M)
-            * build.krawtchouk(n, x, q, M)),
+        lambda x, p, q, N, M, gamma, **_: ((gamma, -M), -N, q / p, _krawtchouk(x, q, M)),
         lambda n, o, f, p, q, N, M, gamma, **_: (
             binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
                 pfq((gamma + n, Fraction(n - M)), (Fraction(n - N),)),
@@ -495,16 +471,14 @@ GF_IDENTITIES = {
     ), ("x", "p", "q", "N", "M", "gamma")),
     "krawtchouk_2f1_degree_shift": (GFSpec(
         _kraw_2f1,
-        lambda n, x, p, N, M, gamma, build, **_: (
-            build.rising(gamma, n) * _m_over_n(build, n, N, M) * build.krawtchouk(n, x, p, M)),
+        lambda x, p, N, M, gamma, **_: ((gamma, -M), -N, 1, _krawtchouk(x, p, M)),
         lambda n, o, f, N, M, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, Fraction(M - N)), (Fraction(n - N),)), linear_arg(1), o, f),
         capped=True,
     ), ("x", "p", "N", "M", "gamma")),
     "krawtchouk_2f1_prob_shift": (GFSpec(
         _kraw_2f1,
-        lambda n, x, p, q, N, gamma, build, **_: (
-            build.rising(gamma, n) / _fact(n) * (q / p) ** n * build.krawtchouk(n, x, q, N)),
+        lambda x, p, q, N, gamma, **_: ((gamma,), None, q / p, _krawtchouk(x, q, N)),
         lambda n, o, f, p, q, gamma, **_: binomial_power(1 - q / p, gamma + n, o, f),
         capped=True,
     ), ("x", "p", "q", "N", "gamma")),
@@ -573,6 +547,8 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     def run():
         if n_max < 0:  # a table with no rows would pass on anything
             raise DomainError(f"{relation_id} needs n_max >= 0, got {n_max}")
+        if not x_samples:  # and so would one compared at no argument
+            raise DomainError(f"{relation_id} needs at least one x sample")
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
         sides = {"source": spec.source(params), "target": spec.target(params)}
@@ -763,6 +739,9 @@ class LatticeSum:
             raise DomainError(f"needs {self.needs}")
         if case.x_max < 0:
             raise DomainError(f"x_max must be >= 0, got {case.x_max}")
+        degrees = self.degrees(n, **p)
+        if min(degrees) < 0:
+            raise DomainError(f"degrees must be >= 0, got {degrees}")
         lhs, tail = self.partial_sum(n, case.x_max, **p)
         return _orth_report(case, lhs, tail, case.x_max + 1, *self.rhs(n, **p))
 

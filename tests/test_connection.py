@@ -36,6 +36,7 @@ from hyperconnect import (
 )
 from hyperconnect.fields import EXACT, NUMERIC
 from hyperconnect.hyper import APPELL_F1, MultiVarSpec
+from hyperconnect.series import _over_one_denominator
 
 ALPHA, BETA, C, D = Fraction(3, 2), Fraction(7, 3), Fraction(2, 5), Fraction(3, 7)
 MEIX = {"alpha": ALPHA, "beta": BETA, "c": C, "d": D}
@@ -603,6 +604,24 @@ def test_exact_reconstruction_beyond_the_double_range_compares_exactly():
         "fail", 4, math.inf)
 
 
+
+def test_an_exact_fail_past_double_resolution_reads_a_nonzero_deviation():
+    """Nudging c_{3,1} by 1/1000 moves the reconstructed P_3(10^90) by about
+    4e86, far below one rounding of P_3 (about 10^270): the two doubles
+    coincide, so the deviation is the exact difference rounded once."""
+    params = {"alpha": Fraction(3, 2), "beta": Fraction(5, 2), "c": Fraction(1, 2)}
+    x = Fraction(10**90)
+    table = connection_table("meixner_alpha_to_beta", params, 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connection_mod, "connection_table",
+                      lambda *args: PerturbedTable(table, 3, 1))
+        report = verify_connection_relation("meixner_alpha_to_beta", params, 4,
+                                            x_samples=(x,))
+    target = connection_mod.get_relation("meixner_alpha_to_beta").target(params)
+    gap = Fraction(1, 1000) * family_eval("meixner", 1, x, target)
+    assert (report.status, report.first_failing_order) == ("fail", 3)
+    assert report.deviation == float(abs(gap)) > 1e86
+
 def per_degree_sample(descriptor, params, n_max, points):
     """The sampler that evaluates every degree on its own."""
     if descriptor.uses_theta:
@@ -761,6 +780,14 @@ def fraction_divided_differences(values, abscissae):
 EXACT_POINTS = st.one_of(st.integers(-30, 30), small_rationals(-6, 6, max_den=12))
 
 
+def integer_newton_levels(values, abscissae):
+    """The Newton coefficients from ``_integer_newton``'s (tops, den, lcms)
+    over the abscissae put over one denominator, one Fraction per level."""
+    points, scale = _over_one_denominator(abscissae)
+    tops, den, lcms = connection_mod._integer_newton(values, points)
+    return [Fraction(top * scale**j, den * math.prod(lcms[:j])) for j, top in enumerate(tops)]
+
+
 @settings(max_examples=60)
 @given(data=st.data(), abscissae=st.lists(EXACT_POINTS, min_size=1, max_size=10,
                                           unique_by=Fraction))
@@ -768,18 +795,18 @@ def test_integer_newton_table_equals_the_fraction_loop(data, abscissae):
     abscissae = [Fraction(a) for a in abscissae]
     values = data.draw(st.lists(EXACT_POINTS.map(Fraction), min_size=len(abscissae),
                                 max_size=len(abscissae)), "values")
-    got = connection_mod._divided_differences(values, abscissae, EXACT)
+    got = integer_newton_levels(values, abscissae)
     assert got == fraction_divided_differences(values, abscissae)
     assert all(type(v) is Fraction for v in got)
     doubles = [complex(float(v)) for v in values]
     points = [complex(float(a)) for a in abscissae]
-    assert connection_mod._divided_differences(doubles, points, NUMERIC) == (
+    assert connection_mod._divided_differences(doubles, points) == (
         fraction_divided_differences(doubles, points))
     if len(abscissae) > 1:
         repeated = abscissae[:-1] + [data.draw(st.sampled_from(abscissae[:-1]), "repeat")]
-        for field in (EXACT, NUMERIC):
+        for newton in (integer_newton_levels, connection_mod._divided_differences):
             with pytest.raises(SingularSampleError):
-                connection_mod._divided_differences(values, repeated, field)
+                newton(values, repeated)
 
 
 def fraction_back_substitution(source_dd, target_dd):

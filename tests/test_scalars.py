@@ -19,6 +19,7 @@ from hyperconnect import (
     pochhammer,
     q_pochhammer,
 )
+from hyperconnect.fields import deviation
 from hyperconnect.pochhammer import (
     offset_rising_bound_holds,
     rising_abs_lower_bound_holds,
@@ -222,3 +223,14 @@ def test_bound_offset_grid():
     ]
     assert len(points) >= 100
     assert all(offset_rising_bound_holds(z, n, k) for z, n, k in points)
+
+
+def test_unequal_exact_values_never_deviate_by_zero():
+    big = Fraction(10**30)
+    assert complex(big + 1) == complex(big)  # the doubles coincide
+    assert deviation(big + 1, big) == 1.0
+    tiny = Fraction(1, 10**400)  # the exact difference underflows too
+    assert deviation(1 + tiny, Fraction(1)) == math.ulp(0.0) > 0.0
+    assert deviation(big, big) == 0.0
+    assert deviation(Fraction(1, 3), Fraction(1, 4)) == abs(complex(Fraction(1, 3)) - 0.25)
+    assert deviation(complex(1.0), complex(1.0 + 2**-52)) == 2**-52

@@ -894,3 +894,59 @@ def test_repeated_gf_passes_leave_traced_memory_flat():
         if collecting:
             gc.enable()
     assert grown < 40_000
+
+
+@pytest.mark.parametrize("n, m", [(-1, -1), (-1, 0), (1, -2)])
+def test_a_negative_orthogonality_degree_is_an_error_report(n, m):
+    # (-1, -1) escaped the batch as factorial's ValueError; the others read inconclusive
+    case = IdentityCase("meixner_orthogonality", {"alpha": Fraction(2), "c": Fraction(1, 2),
+                                                  "n": Fraction(n), "m": Fraction(m)},
+                        field=numeric(1e-9, 1e-9))
+    [report] = batch_verify([case])
+    assert (report.status, report.detail) == (
+        "error", f"DomainError: degrees must be >= 0, got {(n, m)}")
+
+
+def test_a_negative_orthogonality_degree_exits_without_a_traceback(capsys):
+    from hyperconnect.cli import main
+
+    code = main(["verify", "--identity", "meixner_orthogonality", "--alpha", "2",
+                 "--c", "1/2", "--n", "-1", "--m", "-1", "--backend", "numeric"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert "DomainError: degrees must be >= 0" in out
+
+
+def test_a_reconstruction_at_no_sample_is_an_error_report():
+    params = {"alpha": Fraction(3, 2), "beta": Fraction(5, 2), "c": Fraction(1, 2)}
+    direct = verify_connection_relation("meixner_alpha_to_beta", params, 4, x_samples=())
+    routed = verify_case(IdentityCase("meixner_alpha_to_beta",
+                                      {**params, "n_max": 4, "x_samples": ()}))
+    for report in (direct, routed):
+        assert (report.status, report.detail) == (
+            "error", "DomainError: meixner_alpha_to_beta needs at least one x sample")
+
+
+NON_INTEGERS = small_rationals(-5, 9).filter(lambda v: v.denominator != 1)
+GF_DOMAIN = {
+    "x": NON_INTEGERS, "alpha": small_rationals(0, 5), "beta": small_rationals(0, 5),
+    "gamma": small_rationals(0, 5), "c": small_rationals(0, 1), "d": small_rationals(0, 1),
+    "p": small_rationals(0, 1), "q": small_rationals(0, 1),
+}
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+@pytest.mark.parametrize("identity", sorted(verify_mod.GF_IDENTITIES))
+def test_every_declared_coefficient_passes_exactly_inside_its_domain(identity, data):
+    """Each row's declared coeff_n (tops, bottom, z, P_n) at random parameters:
+    Meixner alpha, beta, gamma > 0, c, d in (0, 1) and non-integer x;
+    Krawtchouk p, q in (0, 1) and 0 <= N <= M <= 8."""
+    _, names = verify_mod.GF_IDENTITIES[identity]
+    big = data.draw(st.integers(0, 8), "M")
+    sizes = {"M": st.just(big), "N": st.integers(0, big)}
+    params = {name: data.draw({**GF_DOMAIN, **sizes}[name], name) for name in names}
+    report = verify_gf_identity(IdentityCase(identity, params,
+                                             order=data.draw(st.integers(0, 8), "order")))
+    assert report.status == "pass", (report.first_failing_order, report.detail)
