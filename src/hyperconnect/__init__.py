@@ -82,8 +82,6 @@ from .connection import (
     ConnectionExpansion,
     connect_linear_solve,
     connection_table,
-    krawtchouk_connection_coeffs,
-    meixner_connection_coeffs,
     power_collect,
     relation_ids,
 )
@@ -93,7 +91,6 @@ from .verify import (
     acceptance_suite,
     batch_verify,
     build_sides,
-    identity_ids,
     summarize,
     verify_case,
     verify_connection_relation,

@@ -118,7 +118,7 @@ def _agreed_field(args, field):
     """The field the family and the bindings fixed; a --backend may only agree."""
     if args.backend not in (None, field.kind):
         raise DomainError(
-            f"--family {args.family} with these bindings works on the"
+            f"{args.family or args.relation} with these bindings works on the"
             f" {field.kind} field; drop --backend {args.backend}"
         )
     return field
@@ -130,7 +130,6 @@ def _cmd_eval(args) -> int:
     if n is None:
         raise DomainError("eval needs --n (the degree)")
     x = params.pop("x", None)
-    params.pop("m", None)
     value = families.family_eval(args.family, n, x, params)
     field = numeric() if args.backend == "numeric" else _agreed_field(
         args, EXACT if is_exact_value(value) else numeric())
@@ -158,41 +157,55 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+# --method -> the name of the connection function that derives the table; the
+# name is looked up on the module at each call, so a wrapper installed there
+# (the benchmark's tracing) sees the call
+_METHODS = {"power-collection": "power_collect", "linear-solve": "connect_linear_solve"}
+
+
+def _refuse_unused(given, allowed, owner: str):
+    """A usage error naming every flag in ``given`` outside ``allowed``."""
+    unused = sorted(set(given) - set(allowed))
+    if unused:
+        raise DomainError(f"{owner} takes no {', '.join('--' + name for name in unused)}")
+
+
 def _cmd_connect(args) -> int:
+    """One (family, source, target) triple, from --relation or from --family
+    with --source and --target, then one method; --method defaults to
+    closed-form with --relation and to power-collection with --family."""
     backend = args.backend or "exact"
-    field = _field_for(backend)
+    params = _collect_params(args, backend)
     if args.relation:
+        if args.family or args.source or args.target:
+            raise DomainError("--relation fixes the family, source and target;"
+                              " drop --family, --source and --target")
         relation_id = args.relation
         if relation_id not in conn.relation_ids():
             prefixed = [r for r in conn.relation_ids() if r.endswith(relation_id)]
             if len(prefixed) == 1:
                 relation_id = prefixed[0]
         spec = conn.get_relation(relation_id)
-        params = _collect_params(args, backend)
-        if args.method != "closed-form" and backend != "exact":
-            raise DomainError(
-                f"--method {args.method} works on the exact field only;"
-                f" --backend {backend} applies to --method closed-form"
-            )
-        if args.method == "closed-form":
-            table = conn.connection_table(relation_id, params, args.n_max, field)
-        else:
-            source, target = spec.source(params), spec.target(params)
-            if args.method == "power-collection":
-                table = conn.power_collect(spec.family, source, target, args.n_max)
-            else:
-                table = conn.connect_linear_solve(spec.family, source, target, args.n_max)
+        _refuse_unused(params, spec.names, f"--relation {relation_id}")
+        missing = [name for name in spec.names if name not in params]
+        if missing:
+            raise DomainError(f"{relation_id} needs parameter(s) {missing}")
+        family, source, target = spec.family, spec.source(params), spec.target(params)
     else:
         if not (args.source and args.target and args.family):
             raise DomainError(
                 "connect needs --relation, or --family with --source and --target"
             )
-        source = _parse_bindings(args.source, backend)
-        target = _parse_bindings(args.target, backend)
-        if args.method == "linear-solve":
-            table = conn.connect_linear_solve(args.family, source, target, args.n_max)
-        else:
-            table = conn.power_collect(args.family, source, target, args.n_max)
+        _refuse_unused(params, (), "--family with --source and --target")
+        family = args.family
+        source, target = (_parse_bindings(b, backend) for b in (args.source, args.target))
+    method = args.method or ("closed-form" if args.relation else "power-collection")
+    if method == "closed-form":
+        if not args.relation:
+            raise DomainError("--method closed-form needs --relation")
+        table = conn.connection_table(relation_id, params, args.n_max, _field_for(backend))
+    else:
+        table = getattr(conn, _METHODS[method])(family, source, target, args.n_max)
         _agreed_field(args, table.field)
     if args.output == "json":
         _emit(json.dumps(table.as_json(), indent=2), args.output_path)
@@ -232,6 +245,10 @@ def _cmd_verify(args) -> int:
         if args.backend != "exact":
             raise DomainError("the acceptance suite fixes each case's field;"
                               f" drop --backend {args.backend}")
+        given = [*_collect_params(args, args.backend)] + [
+            flag for flag, value in (("identity", args.identity), ("n-max", args.n_max),
+                                     ("x-samples", args.x_samples)) if value is not None]
+        _refuse_unused(given, (), "--suite")
         cases = verify.acceptance_suite(order=args.order or 12)
     else:
         if not args.identity:
@@ -308,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conn.add_argument("--relation", default=None)
     p_conn.add_argument("--family", default=None)
     p_conn.add_argument("--method",
-                        choices=("closed-form", "power-collection", "linear-solve"),
-                        default="closed-form")
+                        choices=("closed-form", *_METHODS), default=None)
     p_conn.add_argument("--n-max", type=int, required=True)
     p_conn.add_argument("--source", default=None, metavar="NAME=VALUE,...")
     p_conn.add_argument("--target", default=None, metavar="NAME=VALUE,...")

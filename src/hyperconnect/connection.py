@@ -24,8 +24,7 @@
 
   A table builds the factors its entries share once, to n_max: the
   Pochhammer rows (alpha)_m, (beta)_m, (alpha-beta)_m, (-N)_m, (-M)_m ... by
-  term ratio and the powers E^m, (q/p)^m, (c-d)^m ...  The per-entry
-  functions read from the same code, built to their own n.  The two 2F1
+  term ratio and the powers E^m, (q/p)^m, (c-d)^m ...  The two 2F1
   entries are differences of one row: with w_i = (beta)_i/(alpha)_i E^i
   (resp. (-M)_i/(-N)_i (q/p)^i), (beta)_k (k+beta)_m = (beta)_{k+m} gives
 
@@ -103,7 +102,7 @@ from .hyper import (
     pfq_eval,
 )
 from .families import FamilyDescriptor, family_row, get_family, normalization_at
-from .pochhammer import pochhammer, pochhammer_row
+from .pochhammer import neg_int_pochhammer, pochhammer, pochhammer_row
 from .series import (
     TruncatedSeries,
     _over_one_denominator,
@@ -307,12 +306,12 @@ def _same_p_N_to_M(p, cap, top):
     return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
 
 
-def _krawtchouk_entries(form, params, top, first=0):
+def _krawtchouk_entries(form, params, top):
     """entry(n, k) of the Krawtchouk relation ``form(params, N, top)`` for
-    first <= n <= top.  Every degree n is checked against N, the lowest one
-    before anything else."""
+    n <= top.  Every degree n is checked against N, degree 0 before anything
+    else."""
     cap = as_index(params["N"], "N")
-    _within_cap(first, cap)
+    _within_cap(0, cap)
     _require(params["p"] != 0, "p must be nonzero")
     entries = form(params, cap, min(top, cap))
 
@@ -358,8 +357,7 @@ def _alpha_c_prefactors(p, top):
                 f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
                 " these parameters admit no limiting value"
             )
-        # (-n)_k = (-1)^k n!/(n-k)!
-        return lead[n] * rising[k] * (-1) ** k * math.perm(n, k) / (math.factorial(k) * shifted)
+        return lead[n] * rising[k] * neg_int_pochhammer(n, k) / (math.factorial(k) * shifted)
 
     return prefactor
 
@@ -498,29 +496,6 @@ def _bind(params) -> dict:
     return {k: Fraction(v) if is_exact_value(v) else v for k, v in params.items()}
 
 
-def _entry(family, relation, params, n, k, x=None, **options):
-    """One closed-form coefficient of ``family``'s relation, built to degree n."""
-    _require(0 <= k <= n, "need 0 <= k <= n")
-    spec = _RELATIONS.get(f"{family}_{relation}")
-    if spec is None:
-        raise UnknownIdentityError(f"unknown {family} relation {relation!r}")
-    entry = spec.entries(_bind(params), n, **options)
-    if not spec.x_dependent:
-        return entry(n, k)
-    _require(x is not None, f"{relation} coefficients need x")
-    return entry(n, k, x)
-
-
-def meixner_connection_coeffs(relation: str, params, n: int, k: int, x=None):
-    """One closed-form Meixner coefficient; x only for the type relations."""
-    return _entry("meixner", relation, params, n, k, x)
-
-
-def krawtchouk_connection_coeffs(relation: str, params, n: int, k: int):
-    """One closed-form Krawtchouk coefficient."""
-    return _entry("krawtchouk", relation, params, n, k, first=n)
-
-
 def connection_table(relation_id: str, params, n_max: int,
                      field: FieldTag = EXACT) -> ConnectionExpansion:
     """Closed-form table for one of the displayed relations."""
@@ -605,13 +580,12 @@ def _probe(expr, field, env, minus=None):
     return first if all(field.eq(first, v) for v in rest) else None
 
 
-def power_collect(family_id, from_params, to_params, n_max: int,
-                  field: FieldTag | None = None) -> ConnectionExpansion:
+def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionExpansion:
     """Connection coefficients by ratio expansion and power matching."""
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
-    field = field or descriptor.field_for(*from_params.values(), *to_params.values())
+    field = descriptor.field_for(*from_params.values(), *to_params.values())
     varied = {
         name for name in descriptor.parameters
         if not field.eq(field.of(from_params[name]), field.of(to_params[name]))
@@ -763,7 +737,7 @@ def _fraction_free_solve(source, target):
 
 
 def connect_linear_solve(family_id, from_params, to_params, n_max: int,
-                         abscissae=None, field: FieldTag | None = None) -> ConnectionExpansion:
+                         abscissae=None) -> ConnectionExpansion:
     """Solve P_n(x_i; source) = sum_k c_{k,n} P_k(x_i; target) exactly.
 
     Divided differences grade both sides by degree: level j of a degree-k
@@ -773,7 +747,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
-    field = field or descriptor.field_for(*from_params.values(), *to_params.values())
+    field = descriptor.field_for(*from_params.values(), *to_params.values())
     points = list(abscissae) if abscissae is not None else default_abscissae(descriptor, n_max)
     if len(points) != n_max + 1:
         raise DomainError(f"need exactly {n_max + 1} sample abscissae")

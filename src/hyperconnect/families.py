@@ -2,9 +2,10 @@
 
 The catalog (catalog.json, shipped with the package) records one descriptor
 per family: parameter domains, the generating function as a list of
-elementary factors, the normalization c_n multiplying P_n t^n, and the
-metadata carried by the catalog (free-parameter counts, symmetry notes,
-connection-relation counts).  Factors of executable families expand to
+elementary factors and the normalization c_n multiplying P_n t^n.  The
+catalog's metadata (free-parameter counts, symmetry notes,
+connection-relation counts) stays in the file: ``catalog_as_json`` prints
+it and no computation reads it.  Factors of executable families expand to
 TruncatedSeries; metadata-only families keep their factor lists as data and
 refuse expansion.
 
@@ -87,22 +88,12 @@ class Factor:
 @dataclass(frozen=True)
 class FamilyDescriptor:
     id: str
-    display_name: str
     parameters: MappingProxyType
     argument: str
-    argument_note: str | None
     expansion: str | None
     normalization: str
     factors: tuple
     truncate_at: str | None
-    connection_parameters: tuple
-    free_parameters: int
-    known_generating_functions: int
-    connection_relations: int
-    connection_type_relations: int
-    symmetric_parameters: tuple
-    notes: str
-    citation_note: str | None = None
 
     @property
     def is_expandable(self) -> bool:
@@ -186,22 +177,12 @@ def _load_registry():
         )
         descriptor = FamilyDescriptor(
             id=entry["id"],
-            display_name=entry["display_name"],
             parameters=_freeze(entry["parameters"]),
             argument=entry["argument"],
-            argument_note=entry.get("argument_note"),
             expansion=entry.get("expansion"),
             normalization=entry["normalization"],
             factors=factors,
             truncate_at=entry.get("truncate_at"),
-            connection_parameters=tuple(entry.get("connection_parameters", ())),
-            free_parameters=entry["free_parameters"],
-            known_generating_functions=entry["known_generating_functions"],
-            connection_relations=entry["connection_relations"],
-            connection_type_relations=entry.get("connection_type_relations", 0),
-            symmetric_parameters=tuple(entry.get("symmetric_parameters", ())),
-            notes=entry.get("notes", ""),
-            citation_note=entry.get("citation_note"),
         )
         families[descriptor.id] = descriptor
     return MappingProxyType(families)
@@ -349,14 +330,14 @@ def _member_from_series(descriptor, series, n: int, x, params):
     return series.coefficient(n) / c_n
 
 
-def poly_from_gf(family_id, n: int, x, params, field: FieldTag | None = None):
+def poly_from_gf(family_id, n: int, x, params):
     """P_n as the t^n generating-function coefficient over the normalization."""
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
-    series = gf_expand(descriptor, x, params, n, field)
+    series = gf_expand(descriptor, x, params, n)
     return _member_from_series(descriptor, series, n, x, descriptor.bind(params))
 
 
-def family_eval(family_id, n, x, params, field: FieldTag | None = None):
+def family_eval(family_id, n, x, params):
     """Value of the degree-n family member at x (or at cos theta)."""
     descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
     n = as_index(n, "degree")
@@ -375,7 +356,7 @@ def family_eval(family_id, n, x, params, field: FieldTag | None = None):
             raise DomainError(f"krawtchouk needs n <= N, got n = {n}, N = {cap}")
         return pfq_eval(pfq((-Fraction(n), -x), (-Fraction(cap),)), 1 / _promote(p), TERMINATING)
     if descriptor.is_expandable:
-        return poly_from_gf(descriptor, n, x, params, field)
+        return poly_from_gf(descriptor, n, x, params)
     raise UnsupportedExpansionError(
         f"family {descriptor.id} is metadata-only and has no evaluator"
     )
@@ -419,7 +400,7 @@ def _recurrence_row(first, second, steps, n_max: int) -> list:
     return row
 
 
-def family_row(family_id, n_max: int, x, params, field: FieldTag | None = None) -> list:
+def family_row(family_id, n_max: int, x, params) -> list:
     """[P_0, ..., P_n_max] at x (or at cos theta), each equal to family_eval's
     value.  Meixner and Krawtchouk rows on exact inputs take P_0 and P_1
     from family_eval and the rest from the recurrence on integers; elsewhere,
@@ -435,10 +416,10 @@ def family_row(family_id, n_max: int, x, params, field: FieldTag | None = None) 
             return _recurrence_row(*row, steps, n_max)
         return row + [family_eval(descriptor, n, x, params) for n in range(2, n_max + 1)]
     if not descriptor.is_expandable or n_max < 0:
-        return [family_eval(descriptor, n, x, params, field) for n in range(n_max + 1)]
+        return [family_eval(descriptor, n, x, params) for n in range(n_max + 1)]
     if x is None and not descriptor.uses_theta:
         raise DomainError(f"{descriptor.id} needs the argument x")
-    series = gf_expand(descriptor, x, params, n_max, field)
+    series = gf_expand(descriptor, x, params, n_max)
     params = descriptor.bind(params)
     return [_member_from_series(descriptor, series, n, x, params) for n in range(n_max + 1)]
 

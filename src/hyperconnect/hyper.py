@@ -368,12 +368,13 @@ def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
     return _pfq_coefficients(pfq((b,), ()), lam, order, field)
 
 
-def _shells(spec: MultiVarSpec, lams, joint, field: FieldTag, product=None) -> list:
-    """Shells S_0..S_M of the series at arguments lam_i, M = len(joint) - 1,
-    from ``product`` when one of order >= M is given."""
+def _shells(spec: MultiVarSpec, shapes, joint, field: FieldTag, product=None) -> list:
+    """Shells S_0..S_M of the series at the argument shapes, M = len(joint) - 1:
+    joint[M] times the t^M coefficient of the factor product, taken from
+    ``product`` when one of order >= M is given."""
     order = len(joint) - 1
     if product is None:
-        product = factor_product(spec, [linear_arg(lam) for lam in lams], order, field)
+        product = factor_product(spec, shapes, order, field)
     elif product.order < order:
         raise DomainError(f"factor product of order {product.order} < {order}")
     return [j * c for j, c in zip(joint, product.coefficients)]
@@ -404,16 +405,16 @@ def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None,
         field = multivar_field(spec, args)
         degree = -as_index(a.real if isinstance(a, complex) else a)
         joint = _joint_ratios(spec, degree, field)
-        shells = _shells(spec, [field.of(x) for x in args], joint, field, product)
+        shells = _shells(spec, [linear_arg(field.of(x)) for x in args], joint, field, product)
         return sum(shells, field.zero())
     mode = mode or Truncated()
     joint = _joint_ratios(spec, mode.max_terms, NUMERIC)
-    args = [complex(x) for x in args]
+    shapes = [linear_arg(complex(x)) for x in args]
     order = min(16, mode.max_terms)
     while True:
         total = complex(0.0)
         streak = 0
-        for m, shell in enumerate(_shells(spec, args, joint[: order + 1], NUMERIC, product)):
+        for m, shell in enumerate(_shells(spec, shapes, joint[: order + 1], NUMERIC, product)):
             total = total + shell
             if m and abs(shell) <= mode.tol * abs(total):
                 streak += 1
@@ -505,9 +506,6 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
             c = _mobius_lift(c, field)
         return TruncatedSeries._result(field, c)
     if isinstance(spec, MultiVarSpec):
-        product = product or factor_product(spec, shapes, order, field)
-        if product.order < order:
-            raise DomainError(f"factor product of order {product.order} < {order}")
         joint = _joint_ratios(spec, order, field)
-        return TruncatedSeries(field, [j * c for j, c in zip(joint, product.coefficients)])
+        return TruncatedSeries(field, _shells(spec, shapes, joint, field, product))
     raise DomainError(f"unsupported spec type {type(spec).__name__}")

@@ -200,15 +200,6 @@ class TruncatedSeries:
 
     # -- comparison ---------------------------------------------------------
 
-    def equals(self, other: "TruncatedSeries") -> bool:
-        """Coefficientwise equality up to the shared order, per the field."""
-        self._check_field(other)
-        n = min(self.order, other.order)
-        return all(
-            self.field.eq(self.coefficients[i], other.coefficients[i])
-            for i in range(n + 1)
-        )
-
     def first_mismatch(self, other: "TruncatedSeries"):
         self._check_field(other)
         n = min(self.order, other.order)
@@ -280,11 +271,6 @@ class CoefficientStream:
 
     def series(self, order: int, field: FieldTag) -> TruncatedSeries:
         return TruncatedSeries(field, self.coefficients(order, field))
-
-    def scaled_argument(self, lam) -> "CoefficientStream":
-        """Stream of a_k lam^k: the same function evaluated at lam*t."""
-        return CoefficientStream(self.first, lambda k: self.ratio(k) * lam)
-
 
 def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))

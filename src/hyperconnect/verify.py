@@ -490,10 +490,6 @@ def _check_kraw_sizes(cap, big):
         raise DomainError(f"need N <= M, got N = {cap}, M = {big}")
 
 
-def identity_ids() -> tuple:
-    return tuple(GF_IDENTITIES)
-
-
 def build_sides(case: IdentityCase):
     """(lhs, rhs) series for a generating-function identity case."""
     try:
@@ -875,14 +871,13 @@ ORTHOGONALITY_IDS = {
 
 
 def verify_orthogonality_sum(case: IdentityCase) -> VerificationReport:
-    try:
-        handler, names = ORTHOGONALITY_IDS[case.identity]
-    except KeyError:
-        raise UnknownIdentityError(
-            f"unknown orthogonality id {case.identity!r}"
-        ) from None
-
     def run():
+        try:
+            handler, names = ORTHOGONALITY_IDS[case.identity]
+        except KeyError:
+            raise UnknownIdentityError(
+                f"unknown orthogonality id {case.identity!r}"
+            ) from None
         _require(case, names, allowed=names)
         return handler(case)
 
@@ -1159,7 +1154,8 @@ def verify_case(case: IdentityCase) -> VerificationReport:
         _require(case, spec.names, allowed=(*spec.names, "n_max", "x_samples"))
         params = {k: v for k, v in case.params.items()
                   if k not in ("n_max", "x_samples")}
-        n_max = as_index(case.params.get("n_max", case.order or 8), "n_max")
+        n_max = as_index(case.params.get("n_max", 8 if case.order is None else case.order),
+                         "n_max")
         x_samples = case.params.get("x_samples", _DEFAULT_X_SAMPLES)
         if not isinstance(x_samples, (tuple, list)):
             raise DomainError("x_samples must be a list of arguments")

