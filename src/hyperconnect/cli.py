@@ -13,13 +13,11 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import families, verify
 from . import connection as conn
 from .errors import DomainError, HyperconnectError
-from .fields import (EXACT, as_index, is_exact_value, is_integer_valued, numeric,
-                     parse_rational)
+from .fields import EXACT, as_index, field_of, is_integer_valued, numeric, parse_rational
 
 _PARAM_FLAGS = (
     "alpha", "beta", "c", "d", "gamma", "p", "q", "N", "M",
@@ -29,14 +27,14 @@ _INT_FLAGS = {"N", "M", "n", "m"}
 
 
 def _add_common(parser: argparse.ArgumentParser, outputs: tuple,
-                with_params: bool = True, backend: str | None = "exact"):
+                with_params: bool = True):
     """Shared flags.  ``outputs`` are the formats the subcommand writes, the
-    default last; --backend, which decides how values parse, comes with the
-    parameter flags."""
+    default last; --backend, which decides how values parse and is None
+    unless given, comes with the parameter flags."""
     parser.add_argument("--output", choices=outputs, default=outputs[-1])
     parser.add_argument("--output-path", default=None)
     if with_params:
-        parser.add_argument("--backend", choices=("exact", "numeric"), default=backend)
+        parser.add_argument("--backend", choices=("exact", "numeric"), default=None)
         for flag in _PARAM_FLAGS:
             parser.add_argument(f"--{flag}", default=None)
         parser.add_argument(
@@ -107,13 +105,6 @@ def _field_for(backend: str):
     return EXACT if backend == "exact" else numeric()
 
 
-def _serialize_scalar(value, field) -> str:
-    if field.is_exact:
-        return str(Fraction(value))
-    v = complex(value)
-    return repr(v.real) if v.imag == 0 else repr(v)
-
-
 def _agreed_field(args, field):
     """The field the family and the bindings fixed; a --backend may only agree."""
     if args.backend not in (None, field.kind):
@@ -131,12 +122,11 @@ def _cmd_eval(args) -> int:
         raise DomainError("eval needs --n (the degree)")
     x = params.pop("x", None)
     value = families.family_eval(args.family, n, x, params)
-    field = numeric() if args.backend == "numeric" else _agreed_field(
-        args, EXACT if is_exact_value(value) else numeric())
+    field = numeric() if args.backend == "numeric" else _agreed_field(args, field_of(value))
     if args.output == "json":
         _emit(json.dumps({"value": field.serialize(value)}, indent=2), args.output_path)
     else:
-        _emit(_serialize_scalar(value, field), args.output_path)
+        _emit(field.text(value), args.output_path)
     return 0
 
 
@@ -149,7 +139,7 @@ def _cmd_expand(args) -> int:
     if args.output == "json":
         _emit(json.dumps(series.as_json(), indent=2), args.output_path)
     elif args.output == "csv":
-        rows = [f"{j},{_serialize_scalar(c, series.field)}"
+        rows = [f"{j},{series.field.text(c)}"
                 for j, c in enumerate(series.coefficients)]
         _emit("\n".join(["order," + str(series.order)] + rows), args.output_path)
     else:
@@ -217,7 +207,7 @@ def _cmd_connect(args) -> int:
                   args.output_path)
         else:
             lines = [
-                " ".join(_serialize_scalar(c, table.field) for c in row)
+                " ".join(table.field.text(c) for c in row)
                 for row in table.matrix()
             ]
             _emit("\n".join(lines), args.output_path)
@@ -238,31 +228,35 @@ def _status_line(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    field = _field_for(args.backend)
     if args.suite:
         if args.suite != "acceptance":
             raise DomainError(f"unknown suite {args.suite!r}")
-        if args.backend != "exact":
+        if args.backend is not None:
             raise DomainError("the acceptance suite fixes each case's field;"
                               f" drop --backend {args.backend}")
-        given = [*_collect_params(args, args.backend)] + [
+        given = [*_collect_params(args, "exact")] + [
             flag for flag, value in (("identity", args.identity), ("n-max", args.n_max),
-                                     ("x-samples", args.x_samples)) if value is not None]
+                                     ("x-samples", args.x_samples), ("x-max", args.x_max))
+            if value is not None]
         _refuse_unused(given, (), "--suite")
         cases = verify.acceptance_suite(order=args.order or 12)
     else:
         if not args.identity:
             raise DomainError("verify needs --suite or --identity")
-        params = _collect_params(args, args.backend)
+        if args.x_max is not None and not isinstance(
+                verify.ORTHOGONALITY_IDS.get(args.identity, (None,))[0], verify.LatticeSum):
+            raise DomainError(f"{args.identity} is no infinite lattice sum; drop --x-max")
+        backend = args.backend or "exact"
+        params = _collect_params(args, backend)
         if args.n_max is not None:
             params["n_max"] = args.n_max
         if args.x_samples:
             params["x_samples"] = tuple(
-                _parse_value(v, args.backend) for v in args.x_samples.split(",")
+                _parse_value(v, backend) for v in args.x_samples.split(",")
             )
         cases = [verify.IdentityCase(
-            args.identity, params, order=args.order, field=field,
-            x_max=args.x_max,
+            args.identity, params, order=args.order, field=_field_for(backend),
+            **({} if args.x_max is None else {"x_max": args.x_max}),
         )]
     reports = verify.batch_verify(cases)
     summary = verify.summarize(reports)
@@ -312,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one polynomial value")
     p_eval.add_argument("--family", required=True)
-    _add_common(p_eval, ("json", "text"), backend=None)
+    _add_common(p_eval, ("json", "text"))
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_expand = sub.add_parser("expand", help="expand a generating function")
     p_expand.add_argument("--family", required=True)
     p_expand.add_argument("--order", type=int, required=True)
-    _add_common(p_expand, ("json", "csv", "text"), backend=None)
+    _add_common(p_expand, ("json", "csv", "text"))
     p_expand.set_defaults(handler=_cmd_expand)
 
     p_conn = sub.add_parser("connect", help="derive a connection table")
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conn.add_argument("--n-max", type=int, required=True)
     p_conn.add_argument("--source", default=None, metavar="NAME=VALUE,...")
     p_conn.add_argument("--target", default=None, metavar="NAME=VALUE,...")
-    _add_common(p_conn, ("json", "csv", "text"), backend=None)
+    _add_common(p_conn, ("json", "csv", "text"))
     p_conn.set_defaults(handler=_cmd_connect)
 
     p_verify = sub.add_parser("verify", help="verify identities")
@@ -339,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--x-samples", default=None,
                           metavar="X1,X2,...")
-    p_verify.add_argument("--x-max", type=int, default=300)
+    p_verify.add_argument("--x-max", type=int, default=None)
     _add_common(p_verify, ("json", "text"))
     p_verify.set_defaults(handler=_cmd_verify)
 

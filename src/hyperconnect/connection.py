@@ -89,7 +89,8 @@ from .errors import (
     SingularSampleError,
     UnknownIdentityError,
 )
-from .fields import EXACT, FieldTag, as_index, is_exact_value, is_nonpositive_integer
+from .fields import (EXACT, NUMERIC, FieldTag, as_index, field_of, is_exact_value,
+                     is_nonpositive_integer)
 from .hyper import (
     APPELL_F1,
     MultiVarSpec,
@@ -97,7 +98,6 @@ from .hyper import (
     factor_product,
     linear_arg,
     multivar_eval,
-    multivar_field,
     pfq,
     pfq_eval,
 )
@@ -198,19 +198,12 @@ class ConnectionExpansion:
             lines.append("relation," + str(self.relation))
             for name, value in sorted({**{f"source.{k}": v for k, v in self.source.items()},
                                        **{f"target.{k}": v for k, v in self.target.items()}}.items()):
-                lines.append(f"{name},{_csv_cell(value, self.field)}")
+                lines.append(f"{name},{self.field.text(value)}")
             return "\n".join(lines) + "\n"
         for n, row in enumerate(self._rows):
-            cells = [str(n)] + [_csv_cell(c, self.field) for c in row]
+            cells = [str(n)] + [self.field.text(c) for c in row]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value, field: FieldTag) -> str:
-    if field.is_exact:
-        return str(Fraction(value))
-    v = complex(value)
-    return f"{v.real!r}+{v.imag!r}j" if v.imag else repr(v.real)
 
 
 def _require(condition: bool, message: str):
@@ -239,7 +232,7 @@ def _terminating_gauss_entries(w):
     S_j(k) = S_{j-1}(k) - S_{j-1}(k+1) take O(len(w)^2) subtractions in all.
     Exact rows run on integer numerators over the common denominator of w,
     so an entry is one Fraction."""
-    exact = all(is_exact_value(v) for v in w)
+    exact = field_of(*w).is_exact
     if exact:
         w, den = _over_one_denominator(w)
     rows = [w]
@@ -377,7 +370,7 @@ def _alpha_c_kernel(p, j, x, product=None):
 def _alpha_c_product(p, x, top):
     spec, args = _alpha_c_f1(p, 0, x)
     return factor_product(spec, [linear_arg(a) for a in args], top,
-                          multivar_field(spec, args))
+                          field_of(*spec.params, *args))
 
 
 def _type_entries(prefactors, kernel, product, params, top):
@@ -627,11 +620,12 @@ def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionEx
 # -- linear-solve oracle ------------------------------------------------------
 
 
-def default_abscissae(descriptor: FamilyDescriptor, n_max: int):
-    """n_max+1 distinct sample points; theta grids for x = cos(theta) families."""
+def default_abscissae(descriptor: FamilyDescriptor, n_max: int, field: FieldTag = NUMERIC):
+    """n_max+1 distinct sample points for a solve on ``field``: theta for an
+    x = cos(theta) family, a cosine grid for doubles and a base q, else x = 0..n_max."""
     if descriptor.uses_theta:
         return [math.pi * (i + Fraction(1, 2)) / (n_max + 1) for i in range(n_max + 1)]
-    if descriptor.expansion == "exact":
+    if field.is_exact or "q" not in descriptor.parameters:
         return [Fraction(i) for i in range(n_max + 1)]
     return [math.cos(math.pi * (i + 0.5) / (n_max + 1)) for i in range(n_max + 1)]
 
@@ -748,7 +742,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
     field = descriptor.field_for(*from_params.values(), *to_params.values())
-    points = list(abscissae) if abscissae is not None else default_abscissae(descriptor, n_max)
+    points = default_abscissae(descriptor, n_max, field) if abscissae is None else list(abscissae)
     if len(points) != n_max + 1:
         raise DomainError(f"need exactly {n_max + 1} sample abscissae")
     xs, source_vals = _sample(descriptor, from_params, n_max, points)

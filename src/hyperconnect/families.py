@@ -6,8 +6,8 @@ elementary factors and the normalization c_n multiplying P_n t^n.  The
 catalog's metadata (free-parameter counts, symmetry notes,
 connection-relation counts) stays in the file: ``catalog_as_json`` prints
 it and no computation reads it.  Factors of executable families expand to
-TruncatedSeries; metadata-only families keep their factor lists as data and
-refuse expansion.
+TruncatedSeries, on the field ``FamilyDescriptor.field_for`` picks from the
+bindings (the catalog marks no field); metadata-only families refuse it.
 
 Evaluation routes:
 
@@ -36,11 +36,10 @@ from types import MappingProxyType
 from . import expressions
 from .errors import DomainError, UnknownIdentityError, UnsupportedExpansionError
 from .fields import (
-    EXACT,
     NUMERIC,
     FieldTag,
     as_index,
-    is_exact_value,
+    field_of,
     is_integer_valued,
     is_nonpositive_integer,
 )
@@ -104,11 +103,10 @@ class FamilyDescriptor:
         return self.argument == "cos_theta"
 
     def field_for(self, *values) -> FieldTag:
-        """The field a computation on these inputs runs in: exact when every
-        value is exact (None, an absent argument, counts as exact) and the
-        catalog does not mark the family numeric-only."""
-        exact = all(v is None or is_exact_value(v) for v in values)
-        return EXACT if exact and self.expansion != "numeric" else NUMERIC
+        """The field a computation on these inputs runs in: numeric for an
+        x = cos theta family, as cos theta is irrational in general, else
+        ``field_of`` the values (exact when every value is exact)."""
+        return NUMERIC if self.uses_theta else field_of(*values)
 
     def bind(self, params) -> dict:
         """Validate a name -> value mapping against this descriptor."""
@@ -293,10 +291,6 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
         )
     params = descriptor.bind(params)
     field = field or descriptor.field_for(x, *params.values())
-    if descriptor.expansion == "numeric" and field.is_exact:
-        raise UnsupportedExpansionError(
-            f"family {descriptor.id} expands numerically only"
-        )
     env = _environment(descriptor, x, params, field)
     q = env.get("q")
     work_order = order
@@ -348,13 +342,13 @@ def family_eval(family_id, n, x, params):
     if descriptor.id == "meixner":
         params = descriptor.bind(params)
         alpha, c = params["alpha"], params["c"]
-        return pfq_eval(pfq((-Fraction(n), -x), (alpha,)), 1 - 1 / _promote(c), TERMINATING)
+        return pfq_eval(pfq((-Fraction(n), -x), (alpha,)), 1 - 1 / field_of(c).of(c), TERMINATING)
     if descriptor.id == "krawtchouk":
         params = descriptor.bind(params)
         p, cap = params["p"], as_index(params["N"], "N")
         if n > cap:
             raise DomainError(f"krawtchouk needs n <= N, got n = {n}, N = {cap}")
-        return pfq_eval(pfq((-Fraction(n), -x), (-Fraction(cap),)), 1 / _promote(p), TERMINATING)
+        return pfq_eval(pfq((-Fraction(n), -x), (-Fraction(cap),)), 1 / field_of(p).of(p), TERMINATING)
     if descriptor.is_expandable:
         return poly_from_gf(descriptor, n, x, params)
     raise UnsupportedExpansionError(
@@ -371,7 +365,7 @@ def _recurrence(descriptor, n_max: int, x, params):
         (c-1) x M_n = c(n+beta) M_{n+1} - [n + (n+beta) c] M_n + n M_{n-1}
         -x K_n = p(N-n) K_{n+1} - [p(N-n) + n(1-p)] K_n + n(1-p) K_{n-1}
     """
-    if not all(is_exact_value(v) for v in (x, *params.values())):
+    if not field_of(x, *params.values()).is_exact:
         return None
     if descriptor.id == "meixner":
         beta, c = Fraction(params["alpha"]), Fraction(params["c"])
@@ -422,7 +416,3 @@ def family_row(family_id, n_max: int, x, params) -> list:
     series = gf_expand(descriptor, x, params, n_max)
     params = descriptor.bind(params)
     return [_member_from_series(descriptor, series, n, x, params) for n in range(n_max + 1)]
-
-
-def _promote(value):
-    return Fraction(value) if is_exact_value(value) else complex(value)

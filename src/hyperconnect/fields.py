@@ -85,6 +85,15 @@ class FieldTag:
             return EXACT
         return numeric(doc.get("atol", DEFAULT_ATOL), doc.get("rtol", DEFAULT_RTOL))
 
+    def text(self, value) -> str:
+        """A scalar as the CLI and CSV cells write it, which ``Fraction`` or
+        ``complex`` reads back: 'p/q' on the exact field, else the repr of
+        a real or of a complex value."""
+        if self.is_exact:
+            return str(Fraction(value))
+        v = complex(value)
+        return repr(v.real) if v.imag == 0 else repr(v)
+
     def serialize(self, value):
         """Exact scalars as the canonical string 'p/q' ('p' when q = 1),
         numeric scalars as [re, im]."""
@@ -124,13 +133,22 @@ def deviation(a, b) -> float:
         gap = abs(complex(a) - complex(b))
     except OverflowError:
         return math.inf
-    if gap == 0.0 and is_exact_value(a) and is_exact_value(b):
+    if gap == 0.0 and field_of(a, b).is_exact:
         return float(abs(Fraction(a) - Fraction(b))) or math.ulp(0.0)
     return gap
 
 
 def is_exact_value(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def field_of(*values) -> FieldTag:
+    """The field a computation on these values runs in: exact when every
+    value is exact (None, an absent value, counts as exact), else numeric."""
+    for value in values:
+        if value is not None and not is_exact_value(value):
+            return NUMERIC
+    return EXACT
 
 
 def as_exact(value) -> Fraction:

@@ -46,7 +46,7 @@ from .fields import (
     NUMERIC,
     FieldTag,
     as_index,
-    is_exact_value,
+    field_of,
     is_nonpositive_integer,
 )
 from .pochhammer import pochhammer_row
@@ -119,7 +119,7 @@ def _terminating_degree(spec: HyperSpec):
 
 def _q_terminating_index(a, q):
     """m >= 0 with a = q^{-m}, or None."""
-    if is_exact_value(a) and is_exact_value(q):
+    if field_of(a, q).is_exact:
         value = Fraction(a)
         step = Fraction(q)
         m = 0
@@ -185,14 +185,9 @@ def _rphis_term_ratio(spec: HyperSpec, z, k: int):
     return num * z * extra / den
 
 
-def _all_exact(spec: HyperSpec, z) -> bool:
-    exact = all(is_exact_value(p) for p in spec.numerator + spec.denominator)
-    exact = exact and is_exact_value(z)
-    return exact and (not spec.is_basic or is_exact_value(spec.q))
-
-
 def _sum_terminating(spec: HyperSpec, z, degree: int):
-    if not spec.is_basic and _all_exact(spec, z):
+    field = field_of(*spec.numerator, *spec.denominator, z, spec.q)
+    if not spec.is_basic and field.is_exact:
         # the terms over one running denominator, one reduction at the end
         term, den, total = 1, 1, 1
         for step_num, step_den in _term_ratios(spec.numerator, spec.denominator, z, degree):
@@ -203,7 +198,7 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
             total = total * step_den + term
         return Fraction(total, den)
     ratio = _rphis_term_ratio if spec.is_basic else _pfq_term_ratio
-    term = Fraction(1) if _all_exact(spec, z) else complex(1.0)
+    term = field.one()
     total = term
     for k in range(degree):
         term = term * ratio(spec, z, k)
@@ -344,7 +339,7 @@ def _pfq_coefficients(spec: HyperSpec, lam, order: int, field: FieldTag) -> list
     """Coefficients a_k lam^k, k = 0..order, of pFq at lam*t: on integers
     (``hypergeometric_terms``) when the field and every input are exact,
     else by the term ratio."""
-    if field.is_exact and _all_exact(spec, lam):
+    if field.is_exact and field_of(*spec.numerator, *spec.denominator, lam).is_exact:
         return hypergeometric_terms(spec.numerator, spec.denominator, lam, order)
     return CoefficientStream(
         Fraction(1), lambda k: _pfq_term_ratio(spec, lam, k)
@@ -380,12 +375,6 @@ def _shells(spec: MultiVarSpec, shapes, joint, field: FieldTag, product=None) ->
     return [j * c for j, c in zip(joint, product.coefficients)]
 
 
-def multivar_field(spec: MultiVarSpec, args: Sequence) -> FieldTag:
-    """The field a terminating multivariable sum runs in: exact when every
-    parameter and argument is."""
-    return EXACT if all(is_exact_value(v) for v in (*spec.params, *args)) else NUMERIC
-
-
 def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None,
                   product: TruncatedSeries | None = None):
     """Scalar value of the double/triple series at the given arguments.
@@ -402,7 +391,7 @@ def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None,
         raise DomainError(f"{spec.kind} takes {spec.arity} arguments")
     a = spec.joint_numerator
     if a is not None and is_nonpositive_integer(a):
-        field = multivar_field(spec, args)
+        field = field_of(*spec.params, *args)
         degree = -as_index(a.real if isinstance(a, complex) else a)
         joint = _joint_ratios(spec, degree, field)
         shells = _shells(spec, [linear_arg(field.of(x)) for x in args], joint, field, product)

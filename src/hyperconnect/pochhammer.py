@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, FieldError
-from .fields import as_index, is_exact_value
+from .fields import as_index, field_of, is_exact_value
 
 #: Sentinel for the infinite q-shifted factorial (a;q)_inf.
 INFINITE = math.inf
@@ -34,7 +34,7 @@ def pochhammer(a, n):
     n = as_index(n, "n")
     if n < 0:
         raise DomainError("pochhammer needs n >= 0")
-    result = Fraction(1) if is_exact_value(a) else complex(1.0)
+    result = field_of(a).one()
     for j in range(n):
         result = result * (a + j)
     return result
@@ -87,7 +87,7 @@ def q_pochhammer(a, q, n):
     n = as_index(n, "n")
     if n < 0:
         raise DomainError("q_pochhammer needs n >= 0 or INFINITE")
-    one = Fraction(1) if is_exact_value(a) and is_exact_value(q) else complex(1.0)
+    one = field_of(a, q).one()
     result = one
     power = one
     for _ in range(n):

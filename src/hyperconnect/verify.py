@@ -65,6 +65,7 @@ from .fields import (
     FieldTag,
     as_index,
     deviation,
+    field_of,
     is_exact_value,
     numeric,
 )
@@ -565,8 +566,8 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
                 return sum(table.coefficient(n, k, at) * target[k] for k in range(n + 1))
             coefficients = [table.coefficient(n, k, at) for k in range(n + 1)]
             if i not in scaled:
-                scaled[i] = all(map(is_exact_value, target)) and _over_one_denominator(target)
-            if not (scaled[i] and all(map(is_exact_value, coefficients))):
+                scaled[i] = field_of(*target).is_exact and _over_one_denominator(target)
+            if not (scaled[i] and field_of(*coefficients).is_exact):
                 return sum(map(mul, coefficients, target))
             (nums, den), (values, target_den) = _over_one_denominator(coefficients), scaled[i]
             return Fraction(sum(map(mul, nums, values)), den * target_den)

@@ -88,7 +88,7 @@ def test_connect_generic_source_target(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "power-collection"
-    assert payload["field"] == "numeric"
+    assert payload["field"] == "exact"
 
 
 def test_connect_type_relation_outputs(capsys):
@@ -151,7 +151,7 @@ def test_verify_relation_with_x_samples(capsys):
 
 def test_verify_acceptance_suite_exit_zero(capsys):
     code, out, _ = run(
-        capsys, "verify", "--suite", "acceptance", "--backend", "exact",
+        capsys, "verify", "--suite", "acceptance",
         "--order", "8", "--output", "json",
     )
     assert code == 0
@@ -159,6 +159,32 @@ def test_verify_acceptance_suite_exit_zero(capsys):
     assert payload["summary"]["fail"] == 0
     assert payload["summary"]["error"] == 0
     assert payload["summary"]["total"] == payload["summary"]["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "acceptance", "--order", "2", "--x-max", "5"),
+    ("--identity", "meixner_1f1_alpha_shift", "--x", "4", "--alpha", "3/2", "--beta", "7/3",
+     "--c", "2/5", "--order", "3", "--x-max", "5"),
+    ("--suite", "acceptance", "--order", "2", "--backend", "exact"),
+], ids=["suite-x-max", "gf-x-max", "suite-backend"])
+def test_verify_refuses_flags_it_would_ignore(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_verify_x_max_and_backend_reach_the_case(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "meixner_orthogonality", "--alpha", "2",
+                       "--c", "1/2", "--n", "1", "--m", "1", "--backend", "numeric",
+                       "--x-max", "50", "--output", "json")
+    assert code == 0 and json.loads(out)["reports"][0]["terms_summed"] == 51
+    # an unset --backend means exact, for the values and for the case's field
+    gf = ("verify", "--identity", "meixner_1f1_alpha_shift", "--x", "4", "--beta", "7/3",
+          "--c", "2/5", "--order", "3", "--output", "json")
+    code, out, _ = run(capsys, *gf, "--alpha", "3/2")
+    assert code == 0 and json.loads(out)["reports"][0]["case"]["field"] == "exact"
+    code, out, err = run(capsys, *gf, "--alpha", "1.5")
+    assert (code, out) == (2, "") and "rational literals" in err
 
 
 def test_verify_inconclusive_exit_three(capsys):
@@ -280,8 +306,8 @@ def test_connect_family_path_honours_backend(capsys):
         ("meixner", "alpha=3/2,c=2/5", "alpha=7/3,c=2/5", "power-collection", "exact"),
         ("krawtchouk", "p=1/2,N=4", "p=1/3,N=4", "linear-solve", "exact"),
         ("charlier", "a=2", "a=3", "linear-solve", "exact"),
-        ("al_salam_carlitz_1", "a=1/4,q=1/3", "a=1/5,q=1/3", "power-collection", "numeric"),
-        ("al_salam_carlitz_2", "a=1/4,q=1/3", "a=1/5,q=1/3", "linear-solve", "numeric"),
+        ("al_salam_carlitz_1", "a=1/4,q=1/3", "a=1/5,q=1/3", "power-collection", "exact"),
+        ("al_salam_carlitz_2", "a=1/4,q=1/3", "a=1/5,q=1/3", "linear-solve", "exact"),
         ("al_salam_chihara", "a=1/4,b=1/5,q=1/3,theta=0", "a=1/3,b=1/5,q=1/3,theta=0",
          "power-collection", "numeric"),
     )
@@ -325,14 +351,17 @@ def test_eval_and_expand_show_the_field_the_family_computes_in(capsys):
     asc = ("--family", "al_salam_carlitz_1", "--x", "1/2", "--param", "a=1/3", "--q", "1/2")
     code, text, err = run(capsys, "eval", *asc, "--n", "2")
     assert code == 0 and "Traceback" not in err
-    value = float(text)
+    value = Fraction(text.strip())
     code, out, _ = run(capsys, "eval", *asc, "--n", "2", "--output", "json")
-    assert code == 0 and json.loads(out) == {"value": [value, 0.0]}
-    code, out, _ = run(capsys, "eval", *asc, "--n", "2", "--backend", "numeric")
+    assert code == 0 and json.loads(out) == {"value": str(value)}
+    code, out, _ = run(capsys, "eval", *asc, "--n", "2", "--backend", "exact")
     assert code == 0 and out == text
     code, out, _ = run(capsys, "expand", *asc, "--order", "3", "--output", "json")
-    assert code == 0 and json.loads(out)["field"] == "numeric"
-    for command in (("eval", *asc, "--n", "2"), ("expand", *asc, "--order", "3")):
+    assert code == 0 and json.loads(out)["field"] == "exact"
+    # an x = cos theta family computes in doubles, so it refuses --backend exact
+    chihara = ("--family", "al_salam_chihara", "--param", "a=1/4", "--b", "1/5",
+               "--q", "1/3", "--theta", "1/2")
+    for command in (("eval", *chihara, "--n", "2"), ("expand", *chihara, "--order", "3")):
         code, out, err = run(capsys, *command, "--backend", "exact")
         assert code == 2 and out == "" and "Traceback" not in err
         assert "numeric field; drop --backend exact" in err

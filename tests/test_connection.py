@@ -981,8 +981,46 @@ def test_every_method_picks_the_field_of_field_for(family, convert):
     params = {k: v if k == "N" else convert(v) for k, v in BINDINGS[family].items()}
     x = None if descriptor.uses_theta else convert(Fraction(5, 2))
     want = descriptor.field_for(x, *params.values())
-    assert want == (EXACT if convert is Fraction and descriptor.expansion == "exact"
+    assert want == (EXACT if convert is Fraction and not descriptor.uses_theta
                     else NUMERIC)
     assert families_mod.gf_expand(family, x, params, 3).field == want
     assert power_collect(family, params, params, 3).field == want
     assert connect_linear_solve(family, params, params, 3).field == want
+
+
+@settings(max_examples=30)
+@given(family=st.sampled_from(["al_salam_carlitz_1", "al_salam_carlitz_2"]),
+       a_from=small_rationals(-2, 2), a_to=small_rationals(-2, 2), q=small_rationals(0, 1),
+       n_max=st.integers(0, 8))
+def test_q_family_methods_agree_exactly_on_rational_bindings(family, a_from, a_to, q, n_max):
+    # the q-binomial theorem expands every Al-Salam-Carlitz factor on rationals
+    assume(a_from != 0 and a_to != 0 and a_from != a_to)
+    source, target = {"a": a_from, "q": q}, {"a": a_to, "q": q}
+    collected = power_collect(family, source, target, n_max)
+    solved = connect_linear_solve(family, source, target, n_max)
+    assert collected.field == solved.field == EXACT
+    assert collected.matrix() == solved.matrix()
+    descriptor = families_mod.get_family(family)
+    assert descriptor.field_for(float(a_from), q) == NUMERIC
+    # cos theta is irrational in general, so a theta family stays on doubles
+    chihara = {"a": a_from, "b": a_to, "q": q, "theta": Fraction(1, 2)}
+    assert power_collect("al_salam_chihara", chihara, chihara, n_max).field == NUMERIC
+
+
+@pytest.mark.parametrize("family,source,target", [
+    ("meixner", {"alpha": ALPHA, "c": C}, {"alpha": BETA, "c": C}),
+    ("meixner", {"alpha": 1.5, "c": 0.4}, {"alpha": 2.25, "c": 0.4}),
+    ("al_salam_carlitz_1", {"a": complex(0.25, 0.5), "q": 0.5},
+     {"a": complex(0.2, 0.1), "q": 0.5}),
+], ids=["exact", "double", "complex"])
+def test_csv_cells_read_back_to_the_table(family, source, target):
+    table = power_collect(family, source, target, 4)
+    parse = Fraction if table.field.is_exact else complex
+    lines = table.to_csv().splitlines()
+    assert len(lines) == table.n_max + 1
+    for n, line in enumerate(lines):
+        index, *cells = line.split(",")
+        assert int(index) == n
+        assert [parse(cell) for cell in cells] == table.row(n)
+    if family == "al_salam_carlitz_1":
+        assert any(c.imag for row in table.matrix() for c in row)

@@ -11,8 +11,10 @@ from test_verify import small_rationals
 import qfamily_oracles
 from hyperconnect import families as families_mod
 from hyperconnect import (
+    EXACT,
     NUMERIC,
     DomainError,
+    FieldError,
     HyperconnectError,
     UnsupportedExpansionError,
     catalog,
@@ -213,17 +215,24 @@ def test_metadata_only_families_refuse_expansion():
                     {"a": Fraction(1), "b": Fraction(1), "c": Fraction(1)})
 
 
+def test_an_x_cos_theta_family_refuses_the_exact_field():
+    # cis(theta) is irrational in general, whatever the bindings
+    bindings = {"a": Fraction(1, 4), "q": Fraction(1, 3), "theta": Fraction(1, 2)}
+    assert get_family("continuous_big_q_hermite").field_for(*bindings.values()) == NUMERIC
+    with pytest.raises(FieldError, match="cis"):
+        gf_expand("continuous_big_q_hermite", None, bindings, 3, EXACT)
+
+
 def test_catalog_contents():
     ids = {d.id for d in catalog()}
     assert len(ids) == 16  # 14 catalog families + meixner + krawtchouk
     for d in catalog():
         assert d.factors, d.id
         assert d.normalization
+    assert {d.expansion for d in catalog()} == {"exact", None}
     exact = {d.id for d in catalog() if d.expansion == "exact"}
-    assert exact == {"meixner", "krawtchouk", "charlier"}
-    numeric_ids = {d.id for d in catalog() if d.expansion == "numeric"}
-    assert numeric_ids == {
-        "al_salam_carlitz_1", "al_salam_carlitz_2",
+    assert exact == {
+        "meixner", "krawtchouk", "charlier", "al_salam_carlitz_1", "al_salam_carlitz_2",
         "al_salam_chihara", "continuous_big_q_hermite",
     }
 
