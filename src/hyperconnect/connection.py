@@ -31,8 +31,9 @@
       c_{k,n} = C(n,k) sum_m (-1)^m C(n-k, m) w_{k+m},
 
   and all of them come from the difference rows S_j(k) = S_{j-1}(k) -
-  S_{j-1}(k+1), on integer numerators over one denominator when exact, so
-  a table costs O(n_max^2) operations.
+  S_{j-1}(k+1), so a table costs O(n_max^2) operations.  The rows run once
+  for both fields on the numerators of w over one denominator
+  (``FieldTag.common``): integers, and one Fraction per entry, when exact.
 
   An x-dependent entry is an x-free prefactor(n, k) times a kernel(n-k, x):
   the (x)_{n-k} d^{k-n} 2F1 and the F1 above depend on n and k only through
@@ -62,11 +63,12 @@
   evaluated from its generating function is expanded once per abscissa,
   to n_max, and every degree is read from that series; Meixner and
   Krawtchouk rows come from their three-term recurrences on exact inputs.
-  On the exact field the solve is fraction-free: each Newton table runs on
-  integers (values and abscissae over one denominator each, each level over
-  the lcm of its abscissa gaps), the level factors the source and target
-  tables share cancel, and back substitution keeps its unknowns over the
-  product of the pivots, so each entry is one Fraction.
+  On the exact field the solve is a different algorithm, fraction-free:
+  each Newton table runs on integers (values and abscissae over one
+  denominator each, each level over the lcm of its abscissa gaps, which
+  doubles lack), the level factors the source and target tables share
+  cancel, and back substitution keeps its unknowns over the product of the
+  pivots, so each entry is one Fraction.
 
 Both generic methods run on the field ``FamilyDescriptor.field_for`` picks,
 as ``families.gf_expand`` does.
@@ -105,7 +107,6 @@ from .families import FamilyDescriptor, family_row, get_family, normalization_at
 from .pochhammer import neg_int_pochhammer, pochhammer, pochhammer_row
 from .series import (
     TruncatedSeries,
-    _over_one_denominator,
     binomial_power,
     exp_series,
     q_binomial_series,
@@ -230,17 +231,14 @@ def _terminating_gauss_entries(w):
     (beta)_{k+m} and (k-n)_m / m! = (-1)^m C(n-k, m), the entry is
     C(n,k) S_{n-k}(k), S_j(k) = sum_m (-1)^m C(j, m) w_{k+m}, and the rows
     S_j(k) = S_{j-1}(k) - S_{j-1}(k+1) take O(len(w)^2) subtractions in all.
-    Exact rows run on integer numerators over the common denominator of w,
-    so an entry is one Fraction."""
-    exact = field_of(*w).is_exact
-    if exact:
-        w, den = _over_one_denominator(w)
+    The rows run on the numerators of w over their common denominator, so
+    an exact entry is one Fraction."""
+    field = field_of(*w)
+    w, den = field.common(w)
     rows = [w]
     while len(rows[-1]) > 1:
         rows.append([a - b for a, b in zip(rows[-1], rows[-1][1:])])
-    if exact:
-        return lambda n, k: Fraction(math.comb(n, k) * rows[n - k][k], den)
-    return lambda n, k: math.comb(n, k) * rows[n - k][k]
+    return lambda n, k: field.over([math.comb(n, k) * rows[n - k][k]], den)[0]
 
 
 # Each x-free relation maps (params, top) to its entry(n, k), 0 <= k <= n <= top,
@@ -575,7 +573,7 @@ def _probe(expr, field, env, minus=None):
 
 def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionExpansion:
     """Connection coefficients by ratio expansion and power matching."""
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    descriptor = get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
     field = descriptor.field_for(*from_params.values(), *to_params.values())
@@ -692,7 +690,7 @@ def _integer_newton(values, points):
     L_j = lcms[j - 1] the lcm of the level-j gaps g_i = X_{i+j} - X_i.
     With level j - 1 as N_i / D, level j is (N_{i+1} - N_i) (L_j / g_i) /
     (D L_j), so every level stays on integers."""
-    level, den = _over_one_denominator(values)
+    level, den = EXACT.common(values)
     tops, lcms = [level[0]], []
     for j in range(1, len(level)):
         gaps = [points[i + j] - points[i] for i in range(len(level) - 1)]
@@ -738,7 +736,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     polynomial vanishes for j > k, so the system is triangular and solved by
     back substitution, exactly and fraction-free on the exact field.
     """
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    descriptor = get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
     field = descriptor.field_for(*from_params.values(), *to_params.values())
@@ -747,13 +745,9 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
         raise DomainError(f"need exactly {n_max + 1} sample abscissae")
     xs, source_vals = _sample(descriptor, from_params, n_max, points)
     _, target_vals = _sample(descriptor, to_params, n_max, points)
-    xs = [field.of(v) for v in xs]
-    if field.is_exact:
-        xs, _ = _over_one_denominator(xs)
-        newton, solve = _integer_newton, _fraction_free_solve
-    else:
-        newton = _divided_differences
-        solve = partial(_back_substitution, field=field)
+    xs, _ = field.common([field.of(v) for v in xs])
+    newton, solve = ((_integer_newton, _fraction_free_solve) if field.is_exact else
+                     (_divided_differences, partial(_back_substitution, field=field)))
     source_dd, target_dd = ([newton([field.of(v) for v in row], xs) for row in vals]
                             for vals in (source_vals, target_vals))
     return ConnectionExpansion(

@@ -36,18 +36,18 @@ from types import MappingProxyType
 from . import expressions
 from .errors import DomainError, UnknownIdentityError, UnsupportedExpansionError
 from .fields import (
+    EXACT,
     NUMERIC,
     FieldTag,
     as_index,
     field_of,
+    integer_linear,
     is_integer_valued,
     is_nonpositive_integer,
 )
 from .hyper import TERMINATING, linear_arg, pfq, pfq_eval, hyper_series_in_t
 from .series import (
     TruncatedSeries,
-    _integer_linear,
-    _over_one_denominator,
     binomial_power,
     exp_series,
     linear_factor_product,
@@ -194,7 +194,10 @@ def catalog() -> tuple:
     return tuple(_REGISTRY.values())
 
 
-def get_family(family_id: str) -> FamilyDescriptor:
+def get_family(family_id) -> FamilyDescriptor:
+    """The descriptor of a catalog id; a descriptor is returned as it is."""
+    if isinstance(family_id, FamilyDescriptor):
+        return family_id
     try:
         return _REGISTRY[family_id]
     except KeyError:
@@ -283,7 +286,7 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
     Krawtchouk generating function equals its own degree-N truncation), so
     coefficients past the cutoff come back as exact zeros.
     """
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    descriptor = get_family(family_id)
     if not descriptor.is_expandable:
         raise UnsupportedExpansionError(
             f"family {descriptor.id} is metadata-only; its generating function"
@@ -326,14 +329,14 @@ def _member_from_series(descriptor, series, n: int, x, params):
 
 def poly_from_gf(family_id, n: int, x, params):
     """P_n as the t^n generating-function coefficient over the normalization."""
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    descriptor = get_family(family_id)
     series = gf_expand(descriptor, x, params, n)
     return _member_from_series(descriptor, series, n, x, descriptor.bind(params))
 
 
 def family_eval(family_id, n, x, params):
     """Value of the degree-n family member at x (or at cos theta)."""
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    descriptor = get_family(family_id)
     n = as_index(n, "degree")
     if n < 0:
         raise DomainError("degree must be >= 0")
@@ -373,7 +376,7 @@ def _recurrence(descriptor, n_max: int, x, params):
     else:
         p, cap = Fraction(params["p"]), as_index(params["N"], "N")
         linear = (p * cap - x, 1 - 2 * p), (p * cap, -p), (0, 1 - p)
-    steps = _integer_linear(*linear)
+    steps = integer_linear(*linear)
     b0, b1 = steps[1]
     return steps if all(b0 + b1 * n for n in range(n_max)) else None
 
@@ -384,7 +387,7 @@ def _recurrence_row(first, second, steps, n_max: int) -> list:
     which each step multiplies by b(n), so a degree costs a few integer
     products and one ``Fraction``."""
     (a0, a1), (b0, b1), (_, s1) = steps
-    (before, now), den = _over_one_denominator([first, second])
+    (before, now), den = EXACT.common([first, second])
     row = [first, second]
     for n in range(1, n_max):
         scale = b0 + b1 * n
@@ -402,7 +405,7 @@ def family_row(family_id, n_max: int, x, params) -> list:
     A family evaluated from its generating function expands it once to
     n_max: the t^n coefficient of a product does not depend on the order the
     factors are truncated at, so every degree reads the same bits."""
-    descriptor = family_id if isinstance(family_id, FamilyDescriptor) else get_family(family_id)
+    descriptor = get_family(family_id)
     if descriptor.id in ("meixner", "krawtchouk"):
         row = [family_eval(descriptor, n, x, params) for n in range(min(n_max, 1) + 1)]
         steps = n_max > 1 and _recurrence(descriptor, n_max, x, descriptor.bind(params))

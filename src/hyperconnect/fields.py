@@ -13,6 +13,11 @@ A ``FieldTag`` names the field a value or series lives in and carries the
 numeric tolerances.  Values themselves are plain ``Fraction``/``complex``
 objects; all operations on them are pure, so they are safe to share across
 threads.
+
+A ``FieldTag`` also owns the form the hot loops run on, so each loop is
+written once for both fields: ``common`` puts values over one denominator
+(integers when exact, the values over 1 on doubles) and ``over`` turns the
+loop's results back into values.
 """
 
 from __future__ import annotations
@@ -63,6 +68,19 @@ class FieldTag:
 
     def one(self):
         return Fraction(1) if self.is_exact else complex(1.0)
+
+    def common(self, values):
+        """(numerators, den), value i = numerators[i] / den: integers over the
+        lcm of the denominators when exact, the values over 1 on doubles."""
+        if not self.is_exact:
+            return list(values), 1
+        den = math.lcm(*[v.denominator for v in values])
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def over(self, numerators, den) -> list:
+        """The values numerators[i] / den: a ``Fraction`` each when exact, the
+        numerators as they are on doubles, as complex(-0.0, 1) / 1 is 1j."""
+        return [Fraction(v, den) for v in numerators] if self.is_exact else list(numerators)
 
     def eq(self, a, b) -> bool:
         if self.is_exact:
@@ -118,6 +136,14 @@ def numeric(atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> FieldTag:
 
 
 NUMERIC = numeric()
+
+
+def integer_linear(*polys):
+    """Linear polynomials c0 + c1 x, given as pairs (c0, c1) of exact values,
+    scaled by one common positive factor (the lcm of their denominators) so
+    that every coefficient is an integer."""
+    nums, _ = EXACT.common([c for poly in polys for c in poly])
+    return list(zip(nums[::2], nums[1::2]))
 
 
 def deviation(a, b) -> float:

@@ -6,8 +6,8 @@ series exactly, with eager pole detection: a term whose numerator product is
 already zero contributes nothing, but a nonzero term over a vanishing
 denominator factor is reported as a pole instead of being divided through.
 An exact pFq sum runs on integers over one running denominator
-(``series._term_ratios``, the same checks in the same order) and is reduced
-once.
+(``series.integer_term_ratios``, the same checks in the same order) and is
+reduced once.
 Truncated mode sums until the absolute term drops below tol * |partial sum|
 for five consecutive terms (guarding against alternating-term false
 convergence) or the term cap is hit.
@@ -15,10 +15,11 @@ convergence) or the term cap is hit.
 Everything can also be lifted to a series in t, each coefficient an exact
 finite sum.  pFq at lam*t has coefficients c_k = a_k lam^k, from the term
 ratio; at lam*t/(1-t), which expands as (lam t)^k (1-t)^(-k), the t^j
-coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  On exact inputs
-both run on integers: the c_k come from ``series.hypergeometric_terms``,
-one ``Fraction`` per k, and the binomial sums from the numerators of the c_k
-over their common denominator, one ``Fraction`` per j.  The two- and
+coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  The c_k come from
+``series.hypergeometric_terms`` (on integers, one ``Fraction`` per k, for
+exact inputs), and the binomial sums run once for both fields on the
+numerators of the c_k over their common denominator (``FieldTag.common``):
+integers and one ``Fraction`` per j when exact.  The two- and
 three-variable kinds take lam_i*t arguments; the multi-indices of total
 degree M share only (a)_M / (c)_M = joint(M), so the t^M coefficient, the
 shell S_M, is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!: one
@@ -50,8 +51,7 @@ from .fields import (
     is_nonpositive_integer,
 )
 from .pochhammer import pochhammer_row
-from .series import (CoefficientStream, TruncatedSeries, _over_one_denominator,
-                     _term_ratios, hypergeometric_terms)
+from .series import TruncatedSeries, hypergeometric_terms, integer_term_ratios, term_ratio
 
 
 @dataclass(frozen=True)
@@ -142,26 +142,8 @@ def _q_terminating_index(a, q):
 
 
 def _pfq_term_ratio(spec: HyperSpec, z, k: int):
-    """Multiplier taking term k to term k+1.
-
-    A vanishing numerator product zeroes the term (and everything after it)
-    before any division happens; a nonzero term over a vanishing denominator
-    factor is a genuine pole and is raised eagerly.
-    """
-    num = 1
-    for a in spec.numerator:
-        num = num * (a + k)
-    if num == 0:
-        return 0
-    den = 1
-    for b in spec.denominator:
-        den = den * (b + k)
-    if den == 0:
-        raise PoleError(
-            f"denominator parameter pole at term {k + 1}: "
-            f"one of {spec.denominator} lies in -N0"
-        )
-    return num * z / (den * (k + 1))
+    """Multiplier taking term k to term k+1 (``series.term_ratio``)."""
+    return term_ratio(spec.numerator, spec.denominator, z, k)
 
 
 def _rphis_term_ratio(spec: HyperSpec, z, k: int):
@@ -190,7 +172,7 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
     if not spec.is_basic and field.is_exact:
         # the terms over one running denominator, one reduction at the end
         term, den, total = 1, 1, 1
-        for step_num, step_den in _term_ratios(spec.numerator, spec.denominator, z, degree):
+        for step_num, step_den in integer_term_ratios(spec.numerator, spec.denominator, z, degree):
             term *= step_num
             if not term:
                 break
@@ -335,23 +317,12 @@ class MultiVarSpec:
         return self.params[-1]
 
 
-def _pfq_coefficients(spec: HyperSpec, lam, order: int, field: FieldTag) -> list:
-    """Coefficients a_k lam^k, k = 0..order, of pFq at lam*t: on integers
-    (``hypergeometric_terms``) when the field and every input are exact,
-    else by the term ratio."""
-    if field.is_exact and field_of(*spec.numerator, *spec.denominator, lam).is_exact:
-        return hypergeometric_terms(spec.numerator, spec.denominator, lam, order)
-    return CoefficientStream(
-        Fraction(1), lambda k: _pfq_term_ratio(spec, lam, k)
-    ).coefficients(order, field)
-
-
 def _joint_ratios(spec: MultiVarSpec, order: int, field: FieldTag) -> list:
     """joint[M] = (a)_M / (c)_M (or 1/(c)_M), M = 0..order: the coefficients
     of 2F1(a, 1; c; t) (or 1F1(1; c; t)), with eager pole detection."""
     a = spec.joint_numerator
-    joint = pfq((1,) if a is None else (a, 1), (spec.joint_denominator,))
-    return _pfq_coefficients(joint, 1, order, field)
+    return hypergeometric_terms((1,) if a is None else (a, 1), (spec.joint_denominator,),
+                                1, order, field)
 
 
 def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
@@ -360,7 +331,7 @@ def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
     if field.is_exact:
         return [rising / math.factorial(m) * lam**m
                 for m, rising in enumerate(pochhammer_row(b, order))]
-    return _pfq_coefficients(pfq((b,), ()), lam, order, field)
+    return hypergeometric_terms((b,), (), lam, order, field)
 
 
 def _shells(spec: MultiVarSpec, shapes, joint, field: FieldTag, product=None) -> list:
@@ -455,20 +426,15 @@ def factor_product(spec: MultiVarSpec, shapes, order: int, field: FieldTag = EXA
 
 def _mobius_lift(c, field: FieldTag) -> list:
     """c_0 and, for j >= 1, sum_{k=1..j} c_k C(j-1, k-1): the coefficients
-    at lam*t/(1-t) from those c_k at lam*t.  Exact sums run on the integer
-    numerators of the c_k over their common denominator, one ``Fraction``
-    per j."""
-    if not field.is_exact:
-        return c[:1] + [
-            sum(c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1) if c[k])
-            for j in range(1, len(c))
-        ]
-    nums, den = _over_one_denominator(c)
+    at lam*t/(1-t) from those c_k at lam*t, summed on the numerators of the
+    c_k over their common denominator (``FieldTag.common``): on the exact
+    field integers and one ``Fraction`` per j."""
+    nums, den = field.common(c)
     nonzero = [(k, v) for k, v in enumerate(nums) if k and v]
-    return c[:1] + [
-        Fraction(sum([v * math.comb(j - 1, k - 1) for k, v in nonzero if k <= j]), den)
+    return c[:1] + field.over([
+        sum([v * math.comb(j - 1, k - 1) for k, v in nonzero if k <= j])
         for j in range(1, len(c))
-    ]
+    ], den)
 
 
 def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
@@ -490,7 +456,8 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
             raise DomainError("basic series are not supported as t-streams")
         if len(shapes) != 1:
             raise DomainError("single-variable series takes one argument shape")
-        c = _pfq_coefficients(spec, field.of(shapes[0].scale), order, field)
+        c = hypergeometric_terms(spec.numerator, spec.denominator, field.of(shapes[0].scale),
+                                 order, field)
         if shapes[0].over_one_minus_t:
             c = _mobius_lift(c, field)
         return TruncatedSeries._result(field, c)

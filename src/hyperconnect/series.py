@@ -12,15 +12,15 @@ Each hypergeometric factor (``binomial_power``, ``exp_series``,
 CoefficientStream, whose one loop stops at the first zero coefficient and
 turns a zero divisor into PoleError.
 
-On the exact field the O(order^2) work runs on integers: a product puts each
-operand over one common denominator and forms one ``Fraction`` per output
-coefficient; ``hypergeometric_terms`` streams prod (a_i)_k / prod (b_j)_k
-lam^k / k! with one ``Fraction`` per k (it serves the exact binomial_power,
-exp_series and pFq lifts); ``linear_combination`` sums s_n t^k_n S_n(t) over
-the lcm of the denominators.  ``Fraction(num, den)`` is canonical, so every
-exact coefficient is the one term-by-term ``Fraction`` arithmetic gives.
-The numeric field keeps its term-by-term loops, so its doubles are those of
-the plain operations.
+The O(order^2) loops run once for both fields on the form ``FieldTag.common``
+gives: a product takes the Cauchy product of its operands' numerators over
+one denominator each, ``linear_combination`` sums s_n t^k_n S_n(t) over one
+denominator for all terms, and ``FieldTag.over`` turns the results back into
+values.  An exact coefficient is an integer sum reduced once, the canonical
+``Fraction`` term-by-term arithmetic gives; doubles are those of the plain
+operations.  ``hypergeometric_terms`` gives prod (a_i)_k / prod (b_j)_k
+lam^k / k!, on exact inputs from ``integer_term_ratios`` with one
+``Fraction`` per k, otherwise by streaming ``term_ratio``.
 
 Values are immutable and operations pure.
 """
@@ -33,32 +33,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
-from .fields import EXACT, NUMERIC, FieldTag, as_numeric, deviation
+from .fields import EXACT, NUMERIC, FieldTag, as_numeric, deviation, field_of
 
 
-def _over_one_denominator(values):
-    """(integer numerators, their common denominator) of exact values
-    (``int`` or ``Fraction``): value i is numerators[i] / den, den the lcm of
-    the denominators."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _integer_linear(*polys):
-    """Linear polynomials c0 + c1 x, given as pairs (c0, c1) of exact values,
-    scaled by one common positive factor (the lcm of their denominators) so
-    that every coefficient is an integer."""
-    nums, _ = _over_one_denominator([c for poly in polys for c in poly])
-    return list(zip(nums[::2], nums[1::2]))
-
-
-def _cauchy_product(left, right, zero=0):
+def _cauchy_product(left, right):
     """The first len(left) coefficients of the product of two equally long
     coefficient lists, skipping zero factors; coefficient m accumulates its
     terms in increasing index of ``left``."""
     n = len(left)
     nonzero = [(j, b) for j, b in enumerate(right) if b != 0]
-    out = [zero] * n
+    out = [0] * n
     for i, a in enumerate(left):
         if a == 0:
             continue
@@ -148,16 +132,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_field(other)
-        n = min(self.order, other.order)
-        if self.field.is_exact:
-            left, da = _over_one_denominator(self.coefficients[: n + 1])
-            right, db = _over_one_denominator(other.coefficients[: n + 1])
-            out = _cauchy_product(left, right)
-            den = da * db
-            return TruncatedSeries._result(self.field, [Fraction(v, den) for v in out])
-        out = _cauchy_product(self.coefficients[: n + 1], other.coefficients[: n + 1],
-                              self.field.zero())
-        return TruncatedSeries._result(self.field, out)
+        n, field = min(self.order, other.order), self.field
+        left, da = field.common(self.coefficients[: n + 1])
+        right, db = field.common(other.coefficients[: n + 1])
+        return TruncatedSeries._result(field, field.over(_cauchy_product(left, right), da * db))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -276,13 +254,32 @@ def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))
 
 
-def _term_ratios(tops, bottoms, lam, count: int):
+def term_ratio(tops, bottoms, z, k: int):
+    """Multiplier taking term k of prod_i (a_i)_k / prod_j (b_j)_k z^k / k!
+    to term k+1, a_i in ``tops``, b_j in ``bottoms``.  A vanishing numerator
+    product zeroes the term (and every later one) before any division; a
+    nonzero term over a vanishing denominator factor is a pole, raised eagerly."""
+    num = 1
+    for a in tops:
+        num = num * (a + k)
+    if num == 0:
+        return 0
+    den = 1
+    for b in bottoms:
+        den = den * (b + k)
+    if den == 0:
+        raise PoleError(f"denominator parameter pole at term {k + 1}: "
+                        f"one of {tuple(bottoms)} lies in -N0")
+    return num * z / (den * (k + 1))
+
+
+def integer_term_ratios(tops, bottoms, lam, count: int):
     """Integer pairs (num, den), k = 0..count-1, with c_{k+1} = c_k num / den
     for c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!, exact a_i
     (``tops``), b_j (``bottoms``) and lam.
 
     With a = p/q, (a + k) = (p + kq)/q, so every pair is a product of small
-    integers.  The pairs keep the term ratio's order of checks: a vanishing
+    integers.  The pairs keep ``term_ratio``'s order of checks: a vanishing
     numerator factor ends them (every later term is zero) before any
     denominator factor is looked at; a vanishing denominator factor is a
     PoleError, also when lam = 0, which the caller sees as a zero num.
@@ -308,17 +305,22 @@ def _term_ratios(tops, bottoms, lam, count: int):
         yield num * num_scale, den * den_scale
 
 
-def hypergeometric_terms(tops, bottoms, lam, order: int) -> list:
-    """Exact coefficients c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!,
-    k = 0..order, for exact a_i (``tops``), b_j (``bottoms``) and lam.
+def hypergeometric_terms(tops, bottoms, lam, order: int, field: FieldTag = EXACT) -> list:
+    """Coefficients c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!,
+    k = 0..order, of the a_i (``tops``), b_j (``bottoms``) and lam.
 
-    Each step multiplies the previous term's numerator and denominator by
-    the integers of ``_term_ratios`` and forms one ``Fraction``; the stream
+    On the exact field with exact inputs each step multiplies the previous
+    term's numerator and denominator by the integers of
+    ``integer_term_ratios`` and forms one ``Fraction``; otherwise the terms
+    stream ``term_ratio`` on ``CoefficientStream``.  Either way the stream
     stops at the first zero term, so a zero lam ends it after the pole check.
     """
+    if not (field.is_exact and field_of(*tops, *bottoms, lam).is_exact):
+        return CoefficientStream(
+            Fraction(1), lambda k: term_ratio(tops, bottoms, lam, k)).coefficients(order, field)
     term = Fraction(1)
     out = [term]
-    for num, den in _term_ratios(tops, bottoms, lam, order):
+    for num, den in integer_term_ratios(tops, bottoms, lam, order):
         term = Fraction(term.numerator * num, term.denominator * den)
         if not term:
             break
@@ -331,7 +333,7 @@ def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSe
     ratio kappa (a+n)/(n+1); 1F0(a;; kappa t)."""
     kappa, a = field.of(kappa), field.of(a)
     if field.is_exact:
-        return TruncatedSeries._result(field, hypergeometric_terms([a], [], kappa, order))
+        return TruncatedSeries._result(field, hypergeometric_terms([a], [], kappa, order, field))
     return CoefficientStream(1, lambda n: kappa * (a + n) / (n + 1)).series(order, field)
 
 
@@ -340,7 +342,7 @@ def exp_series(kappa, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     0F0(;; kappa t)."""
     kappa = field.of(kappa)
     if field.is_exact:
-        return TruncatedSeries._result(field, hypergeometric_terms([], [], kappa, order))
+        return TruncatedSeries._result(field, hypergeometric_terms([], [], kappa, order, field))
     return CoefficientStream(1, lambda n: kappa / (n + 1)).series(order, field)
 
 
@@ -348,29 +350,24 @@ def linear_combination(terms, order: int, field: FieldTag) -> TruncatedSeries:
     """sum_n s_n t^k_n S_n(t) to ``order`` for terms (S_n, k_n, s_n), each
     S_n of order at most order - k_n (zero-padded to it).
 
-    Exact terms are summed on integer numerators over the lcm of the
-    denominators of the s_n S_n, with one reduction per coefficient; numeric
-    ones by padding, scaling, shifting and adding term by term."""
-    if not field.is_exact:
-        total = TruncatedSeries.zero(order, field)
-        for series, shift, scalar in terms:
-            total = total + series.padded_to(order - shift).scale(scalar).shifted(shift)
-        return total
-    parts = []
-    for series, shift, scalar in terms:
+    The coefficients of all the S_n go over one denominator and the s_n over
+    another (``FieldTag.common``), and the products are summed term by term
+    into one row: on the exact field integers with one reduction per
+    coefficient, on doubles the plain products and sums."""
+    rows = []
+    for series, shift, _ in terms:
         if series.field != field:
             raise FieldError(f"field mismatch: {series.field.kind} vs {field.kind}")
-        scalar = field.of(scalar)
-        nums, den = _over_one_denominator(series.padded_to(order - shift).coefficients)
-        parts.append((scalar.numerator, scalar.denominator * den, shift, nums))
-    common = math.lcm(*[den for _, den, _, _ in parts])
-    total = [0] * (order + 1)
-    for scalar, den, shift, nums in parts:
+        rows.append(series.padded_to(order - shift).coefficients)
+    nums, den = field.common([c for row in rows for c in row])
+    scalars, scalar_den = field.common([field.of(scalar) for _, _, scalar in terms])
+    total, start = [0] * (order + 1), 0
+    for (_, shift, _), scalar, row in zip(terms, scalars, rows):
         if scalar:
-            scalar *= common // den
-            for j, v in enumerate(nums, shift):
+            for j, v in enumerate(nums[start:start + len(row)], shift):
                 total[j] += scalar * v
-    return TruncatedSeries._result(field, [Fraction(v, common) for v in total])
+        start += len(row)
+    return TruncatedSeries._result(field, field.over(total, scalar_den * den))
 
 
 def linear_factor_product(kappas, order: int, field: FieldTag = EXACT) -> TruncatedSeries:

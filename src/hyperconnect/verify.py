@@ -66,6 +66,7 @@ from .fields import (
     as_index,
     deviation,
     field_of,
+    integer_linear,
     is_exact_value,
     numeric,
 )
@@ -91,8 +92,7 @@ from .pochhammer import (
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import (TruncatedSeries, _integer_linear, _over_one_denominator, binomial_power,
-                     exp_series, linear_combination)
+from .series import TruncatedSeries, binomial_power, exp_series, linear_combination
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,10 @@ def _fact(n: int) -> int:
     return math.factorial(n)
 
 
-def _require(case, names, allowed=None, order=False):
+def _require(case, names, allowed=None, order=None):
     """DomainError unless the case binds every name in ``names``, no name
-    outside ``allowed`` (when given) and, with ``order``, has an order >= 0."""
+    outside ``allowed`` (when given) and has an order >= 0 when ``order`` is
+    True, none when it is False."""
     missing = set(names) - set(case.params)
     if missing:
         raise DomainError(f"{case.identity} needs parameter(s) {sorted(missing)}")
@@ -212,6 +213,8 @@ def _require(case, names, allowed=None, order=False):
         )
     if order and (case.order is None or case.order < 0):
         raise DomainError(f"{case.identity} needs an order >= 0, got {case.order}")
+    if order is False and case.order is not None:
+        raise DomainError(f"{case.identity} reads no order; drop order {case.order}")
 
 
 def _guard(case, run) -> VerificationReport:
@@ -530,11 +533,12 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     Degrees run outer and samples inner.  The source and target values at
     a sample come from one row each (``_polynomials``: the three-term
     recurrence on exact inputs, so a row takes P_0 and P_1 from
-    ``families.family_eval``), made when the sample is first reached.  On
-    exact values a reconstructed value is one integer dot product: the
-    target row at a sample is put over one denominator once, the table row
-    (read through ``coefficient``) over another, and one ``Fraction`` is
-    formed per degree and sample."""
+    ``families.family_eval``), made when the sample is first reached.  A
+    reconstructed value is one dot product on numerators
+    (``FieldTag.common``): the target row at a sample is put over one
+    denominator once per field, the table row (read through
+    ``coefficient``) over another, so on exact values it is an integer sum
+    and one ``Fraction`` per degree and sample."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -565,12 +569,13 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
             if not isinstance(target, list):  # degrees read one by one, as needed
                 return sum(table.coefficient(n, k, at) * target[k] for k in range(n + 1))
             coefficients = [table.coefficient(n, k, at) for k in range(n + 1)]
-            if i not in scaled:
-                scaled[i] = field_of(*target).is_exact and _over_one_denominator(target)
-            if not (scaled[i] and field_of(*coefficients).is_exact):
-                return sum(map(mul, coefficients, target))
-            (nums, den), (values, target_den) = _over_one_denominator(coefficients), scaled[i]
-            return Fraction(sum(map(mul, nums, values)), den * target_den)
+            key = i, field_of(*coefficients)
+            if key not in scaled:  # the field of the dot product, and the target in it
+                dot = field_of(*coefficients, *target)
+                scaled[key] = dot, dot.common(target)
+            dot, (values, target_den) = scaled[key]
+            nums, den = dot.common(coefficients)
+            return dot.over([sum(map(mul, nums, values))], den * target_den)[0]
 
         rows = (
             (n, row("source", i)[n], reconstructed(n, i, x),
@@ -595,7 +600,7 @@ def _meixner_row(n: int, beta, d, count: int):
     a = [Fraction(1)]
     for k in range(n):
         a.append(a[-1] * (k - n) * z / ((beta + k) * (k + 1)))
-    coeffs, den = _over_one_denominator(a)
+    coeffs, den = EXACT.common(a)
     row = []
     for x in range(count):
         total = 0
@@ -615,8 +620,8 @@ def _kernel_weight_rows(kernel, beta, d, count: int):
     s(0) = 0.  With the weight ratio a(x)/b(x) = (beta+x) d/(x+1) the product
     obeys u_{x+1} = a(x) (q(x) u_x - s(x) a(x-1) p(x-1) u_{x-1}) and
     step_{x+1} = b(x) p(x), so every operation is an integer times a small one."""
-    (p0, p1), (q0, q1), (s0, s1) = _integer_linear(*kernel)
-    (a0, a1), (b0, b1) = _integer_linear((beta * d, d), (1, 1))
+    (p0, p1), (q0, q1), (s0, s1) = integer_linear(*kernel)
+    (a0, a1), (b0, b1) = integer_linear((beta * d, d), (1, 1))
     u_prev, u, ap_prev, step = 0, 1, 0, 1
     for x in range(count):
         yield u, step
@@ -879,7 +884,7 @@ def verify_orthogonality_sum(case: IdentityCase) -> VerificationReport:
             raise UnknownIdentityError(
                 f"unknown orthogonality id {case.identity!r}"
             ) from None
-        _require(case, names, allowed=names)
+        _require(case, names, allowed=names, order=False)
         return handler(case)
 
     return _guard(case, run)
@@ -934,7 +939,8 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
         spec = conn.get_relation(relation_id)
         if spec.family != family:
             raise DomainError(f"{relation_id} does not apply to {family}")
-        _require(case, (*names, *spec.names))
+        _require(case, (*names, *spec.names),
+                 allowed=("generating_function", "relation", *names, *spec.names))
         params = {k: v for k, v in case.params.items()
                   if k not in ("generating_function", "relation")}
         order = case.order
@@ -1027,7 +1033,8 @@ def _check_tables(case: IdentityCase) -> VerificationReport:
         spec = conn.get_relation(relation)
         binding = (spec.family, spec.source_names, spec.target_names)
     family, source, target = binding
-    _require(case, {*source.values(), *target.values(), "n_max"})
+    names = {*source.values(), *target.values(), "n_max"}
+    _require(case, names, allowed=names, order=False)
     p = dict(case.params)
     n_max = as_index(p["n_max"], "n_max")
     if n_max < 0:
@@ -1080,12 +1087,14 @@ _BOUND_GRIDS = {
 
 
 def _check_bound_grid(case):
+    _require(case, (), allowed=(), order=False)
     holds = _BOUND_GRIDS[case.identity]()
     status = "pass" if holds else "fail"
     return VerificationReport(case, status, deviation=0.0 if holds else None)
 
 
 def _check_catalog_complete(case):
+    _require(case, (), allowed=(), order=False)
     expected = {
         "continuous_dual_hahn", "dual_hahn", "bessel", "charlier",
         "continuous_dual_q_hahn", "dual_q_hahn", "al_salam_chihara",
@@ -1157,6 +1166,9 @@ def verify_case(case: IdentityCase) -> VerificationReport:
                   if k not in ("n_max", "x_samples")}
         n_max = as_index(case.params.get("n_max", 8 if case.order is None else case.order),
                          "n_max")
+        if case.order not in (None, n_max):
+            raise DomainError(f"{case.identity} checks degrees to n_max = {n_max};"
+                              f" drop order {case.order}")
         x_samples = case.params.get("x_samples", _DEFAULT_X_SAMPLES)
         if not isinstance(x_samples, (tuple, list)):
             raise DomainError("x_samples must be a list of arguments")

@@ -173,6 +173,19 @@ def test_verify_refuses_flags_it_would_ignore(capsys, argv):
     assert err.startswith("usage error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle_meixner_alpha", "--alpha", "3/2", "--beta", "7/3", "--c", "2/5", "--d", "1/9",
+     "--n-max", "4", "--order", "7", "--x-samples", "1,2"),
+    ("catalog_complete", "--alpha", "3"),
+    ("pochhammer_bound_shifted", "--order", "3"),
+    ("meixner_orthogonality", "--alpha", "2", "--c", "1/2", "--n", "1", "--m", "1",
+     "--backend", "numeric", "--order", "5"),
+], ids=["table", "catalog", "grid", "lattice"])
+def test_verify_reports_an_error_for_values_a_route_does_not_read(capsys, argv):
+    code, out, _ = run(capsys, "verify", "--identity", *argv)
+    assert code == 1 and out.startswith("ERROR")
+
+
 def test_verify_x_max_and_backend_reach_the_case(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "meixner_orthogonality", "--alpha", "2",
                        "--c", "1/2", "--n", "1", "--m", "1", "--backend", "numeric",

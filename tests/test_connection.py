@@ -33,7 +33,6 @@ from hyperconnect import (
 )
 from hyperconnect.fields import EXACT, NUMERIC
 from hyperconnect.hyper import APPELL_F1, MultiVarSpec
-from hyperconnect.series import _over_one_denominator
 
 ALPHA, BETA, C, D = Fraction(3, 2), Fraction(7, 3), Fraction(2, 5), Fraction(3, 7)
 MEIX = {"alpha": ALPHA, "beta": BETA, "c": C, "d": D}
@@ -783,7 +782,7 @@ EXACT_POINTS = st.one_of(st.integers(-30, 30), small_rationals(-6, 6, max_den=12
 def integer_newton_levels(values, abscissae):
     """The Newton coefficients from ``_integer_newton``'s (tops, den, lcms)
     over the abscissae put over one denominator, one Fraction per level."""
-    points, scale = _over_one_denominator(abscissae)
+    points, scale = EXACT.common(abscissae)
     tops, den, lcms = connection_mod._integer_newton(values, points)
     return [Fraction(top * scale**j, den * math.prod(lcms[:j])) for j, top in enumerate(tops)]
 

@@ -251,6 +251,13 @@ def test_catalog_metadata_matches_statements():
     assert "no generalized generating functions" in asc1["notes"]
 
 
+def test_get_family_takes_an_id_or_a_descriptor():
+    descriptor = get_family("charlier")
+    assert get_family(descriptor) is descriptor
+    with pytest.raises(families_mod.UnknownIdentityError, match="unknown family"):
+        get_family("no_such_family")
+
+
 def test_isolated_parameters():
     assert isolated_parameters(get_family("meixner")) == ("alpha",)
     assert isolated_parameters(get_family("charlier")) == ()  # a also sets kappa

@@ -215,6 +215,48 @@ def test_stray_parameters_are_rejected_before_execution():
         assert "does not take" in report.detail
 
 
+_ORACLE = IdentityCase("oracle_meixner_alpha", {**pick(CANON, "alpha", "beta", "c"), "n_max": 4})
+_INVARIANCE = IdentityCase("gf_invariance", {
+    "generating_function": "meixner_exp_gf", "relation": "meixner_alpha_to_beta",
+    **pick(CANON, "x", "alpha", "c"), "beta": CANON["alpha"]}, order=4)
+_KRAW_SUM = IdentityCase("krawtchouk_sum_1f1", {
+    "p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5, "t": Fraction(1, 5), "n": 1})
+_ORTH = IdentityCase("meixner_orthogonality",
+                     {"alpha": Fraction(2), "c": Fraction(1, 2), "n": 1, "m": 1},
+                     field=numeric(1e-9, 1e-9))
+# an order equal to n_max agrees with it; another one would be dropped
+_RELATION = IdentityCase("meixner_alpha_to_beta", {**pick(CANON, "alpha", "beta", "c"),
+                                                   "n_max": 3}, order=3)
+_ASC = IdentityCase("oracle_al_salam_carlitz_1", {
+    "a_from": Fraction(1, 4), "a_to": Fraction(1, 5), "q": Fraction(1, 3), "n_max": 3},
+    field=numeric())
+
+
+@pytest.mark.parametrize("case, stray, order, refusal", [
+    (_ORACLE, {"d": CANON["d"]}, None, "does not take parameter(s) ['d']"),
+    (_ORACLE, {"x_samples": (1, 2)}, None, "['x_samples']"),
+    (_ORACLE, {}, 7, "reads no order"),
+    (_ASC, {}, 3, "reads no order"),
+    (IdentityCase("catalog_complete", {}), {"alpha": Fraction(3)}, None, "['alpha']"),
+    (IdentityCase("catalog_complete", {}), {}, 2, "reads no order"),
+    (IdentityCase("pochhammer_bound_shifted", {}), {"n": 2}, None, "['n']"),
+    (IdentityCase("pochhammer_bound_shifted", {}), {}, 3, "reads no order"),
+    (_ORTH, {}, 5, "reads no order"),
+    (_KRAW_SUM, {}, 5, "reads no order"),
+    (_INVARIANCE, {"gamma": Fraction(9)}, None, "['gamma']"),
+    (_RELATION, {}, 7, "drop order 7"),
+], ids=["table-param", "table-samples", "table-order", "q-table-order", "catalog-param",
+        "catalog-order", "grid-param", "grid-order", "lattice-order", "kraw-sum-order",
+        "invariance-param", "relation-order-beside-n-max"])
+def test_routes_refuse_parameters_and_orders_they_do_not_read(case, stray, order, refusal):
+    assert verify_case(case).status == "pass"
+    report = verify_case(IdentityCase(case.identity, {**case.params, **stray},
+                                      order=case.order if order is None else order,
+                                      field=case.field))
+    assert report.status == "error"
+    assert refusal in report.detail
+
+
 def test_unknown_identity_is_isolated_in_batches():
     good = IdentityCase("meixner_1f1_alpha_shift",
                         pick(CANON, "x", "alpha", "beta", "c"), order=4)
