@@ -7,7 +7,7 @@ The package is organized as:
   the rising/q-shifted factorial kernels everything else consumes.
 * series: truncated formal power series in t, the object every identity is
   compared on.
-* hyper: generalized, basic, and two/three-variable hypergeometric series,
+* hyper: generalized and two/three-variable hypergeometric series,
   as scalars and lifted to series in t.
 * families: the generating-function catalog and polynomial evaluators.
 * connection: closed-form connection tables, the power collection method,
@@ -32,7 +32,6 @@ from .errors import (
 from .fields import EXACT, NUMERIC, FieldTag, numeric, parse_rational
 from .pochhammer import (
     INFINITE,
-    binomial_coefficient,
     neg_int_pochhammer,
     pochhammer,
     q_pochhammer,
@@ -44,7 +43,6 @@ from .series import (
     compose,
     exp_series,
     geometric_stream,
-    linear_factor_product,
     mobius_argument,
     q_binomial_series,
 )
@@ -65,8 +63,6 @@ from .hyper import (
     pfq,
     pfq_eval,
     pfq_eval_with_tail,
-    rphis,
-    rphis_eval,
 )
 from .families import (
     FamilyDescriptor,
@@ -75,7 +71,6 @@ from .families import (
     family_row,
     get_family,
     gf_expand,
-    isolated_parameters,
     poly_from_gf,
 )
 from .connection import (

@@ -10,6 +10,7 @@ pass, 1 verification failure, 2 usage error, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -50,9 +51,12 @@ def _parse_value(text: str, backend: str):
         return parse_rational(text)
     except DomainError:
         try:
-            return complex(text)
+            value = complex(text)
         except ValueError:
             raise DomainError(f"cannot parse numeric value {text!r}") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"values must be finite, got {text!r}")
+    return value
 
 
 def _parse_named(name: str, text: str, backend: str):

@@ -212,6 +212,12 @@ def _require(condition: bool, message: str):
         raise DomainError(message)
 
 
+def _require_rows(n_max):
+    """DomainError unless a table to degree n_max has a row: a table with no
+    rows would read as an answer."""
+    _require(n_max >= 0, f"connection tables need n_max >= 0, got {n_max}")
+
+
 def _check_meixner_domains(params, names):
     for name in names:
         v = params[name]
@@ -490,13 +496,13 @@ def _bind(params) -> dict:
 def connection_table(relation_id: str, params, n_max: int,
                      field: FieldTag = EXACT) -> ConnectionExpansion:
     """Closed-form table for one of the displayed relations."""
+    _require_rows(n_max)
     spec = get_relation(relation_id)
     params = _bind(params)
     missing = set(spec.names) - set(params)
     if missing:
         raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
-    # a negative n_max asks for no entries, so no builder (and no check) runs
-    entry = spec.entries(params, n_max) if n_max >= 0 else None
+    entry = spec.entries(params, n_max)
     if spec.x_dependent:
         rows = [[partial(entry, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     else:
@@ -573,6 +579,7 @@ def _probe(expr, field, env, minus=None):
 
 def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionExpansion:
     """Connection coefficients by ratio expansion and power matching."""
+    _require_rows(n_max)
     descriptor = get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)
@@ -736,6 +743,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     polynomial vanishes for j > k, so the system is triangular and solved by
     back substitution, exactly and fraction-free on the exact field.
     """
+    _require_rows(n_max)
     descriptor = get_family(family_id)
     from_params = descriptor.bind(from_params)
     to_params = descriptor.bind(to_params)

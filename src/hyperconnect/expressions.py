@@ -7,8 +7,8 @@ ast module and evaluated against a name -> scalar environment, so the catalog
 stays a plain data file while remaining executable and introspectable.
 
 Allowed syntax: +, -, *, /, **, integer literals, names, and calls to
-poch(a, n), qpoch(a, q, n), factorial(n), comb(n, k), cis(theta), sqrt(z),
-exp(z).  ``i`` is the imaginary unit (numeric field only).  Exponents must be
+poch(a, n), qpoch(a, q, n), factorial(n), cis(theta), sqrt(z), exp(z).
+``i`` is the imaginary unit (numeric field only).  Exponents must be
 integers after simplification on the exact field.
 """
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DomainError, FieldError
 from .fields import FieldTag, as_index, is_exact_value
-from .pochhammer import binomial_coefficient, pochhammer, q_pochhammer
+from .pochhammer import pochhammer, q_pochhammer
 
 
 def _cis(theta):
@@ -33,7 +33,6 @@ _FUNCTIONS = {
     "poch": pochhammer,
     "qpoch": q_pochhammer,
     "factorial": lambda n: math.factorial(as_index(n, "factorial argument")),
-    "comb": binomial_coefficient,
     "cis": _cis,
     "sqrt": lambda z: cmath.sqrt(complex(z)),
     "exp": lambda z: cmath.exp(complex(z)),

@@ -50,7 +50,6 @@ from .series import (
     TruncatedSeries,
     binomial_power,
     exp_series,
-    linear_factor_product,
     q_exp_lower,
     q_exp_upper,
 )
@@ -63,9 +62,6 @@ class Factor:
 
     def __getitem__(self, key):
         return self.data[key]
-
-    def get(self, key, default=None):
-        return self.data.get(key, default)
 
     def expressions(self):
         """All expression strings carried by this factor."""
@@ -212,27 +208,6 @@ def catalog_as_json() -> dict:
         return json.load(fh)
 
 
-def isolated_parameters(descriptor: FamilyDescriptor) -> tuple:
-    """Parameters whose source/target factor ratio stays free of the argument:
-    inside exactly one binomial exponent (base unchanged), or inside the base
-    of exactly one infinite q-shifted factor that does not involve x itself."""
-    out = []
-    for name in descriptor.parameters:
-        if name in ("q", "theta"):
-            continue
-        hits = [f for f in descriptor.factors if name in f.free_variables()]
-        if len(hits) != 1:
-            continue
-        factor = hits[0]
-        if factor.kind == "binomial":
-            if name not in expressions.variables(factor["kappa"]):
-                out.append(name)
-        elif factor.kind in ("qpoch_num", "qpoch_denom"):
-            if "x" not in expressions.variables(factor["kappa"]):
-                out.append(name)
-    return tuple(out)
-
-
 # -- expansion ---------------------------------------------------------------
 
 
@@ -268,14 +243,6 @@ def _expand_factor(factor: Factor, env, q, order: int, field: FieldTag) -> Trunc
     if kind == "qpoch_denom":
         kappa = expressions.evaluate(factor["kappa"], env, field)
         return q_exp_upper(kappa, q, order, field)
-    if kind == "finite_qpoch":
-        kappa = expressions.evaluate(factor["kappa"], env, field)
-        count = as_index(expressions.evaluate(factor["count"], env, field), "factor count")
-        if count < 0:
-            raise DomainError("finite q-Pochhammer factor needs count >= 0")
-        return linear_factor_product(
-            [kappa * q**j for j in range(count)], order, field
-        )
     raise UnsupportedExpansionError(f"factor kind {kind!r} has no executable expansion")
 
 
@@ -292,6 +259,8 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
             f"family {descriptor.id} is metadata-only; its generating function"
             " is recorded but not expandable"
         )
+    if order < 0:
+        raise DomainError(f"gf_expand needs order >= 0, got {order}")
     params = descriptor.bind(params)
     field = field or descriptor.field_for(x, *params.values())
     env = _environment(descriptor, x, params, field)

@@ -1,13 +1,12 @@
-"""Generalized, basic, and multivariable hypergeometric evaluation.
+"""Generalized and multivariable hypergeometric evaluation.
 
 Scalar evaluation comes in two modes.  Terminating mode requires a numerator
-parameter in {0, -1, -2, ...} (or q^{-m} for basic series) and sums the finite
-series exactly, with eager pole detection: a term whose numerator product is
-already zero contributes nothing, but a nonzero term over a vanishing
-denominator factor is reported as a pole instead of being divided through.
-An exact pFq sum runs on integers over one running denominator
-(``series.integer_term_ratios``, the same checks in the same order) and is
-reduced once.
+parameter in {0, -1, -2, ...} and sums the finite series exactly, with eager
+pole detection: a term whose numerator product is already zero contributes
+nothing, but a nonzero term over a vanishing denominator factor is reported
+as a pole instead of being divided through.  An exact sum runs on integers
+over one running denominator (``series.integer_term_ratios``, the same checks
+in the same order) and is reduced once.
 Truncated mode sums until the absolute term drops below tol * |partial sum|
 for five consecutive terms (guarding against alternating-term false
 convergence) or the term cap is hit.
@@ -41,7 +40,7 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 from .fields import (
     EXACT,
     NUMERIC,
@@ -56,27 +55,14 @@ from .series import TruncatedSeries, hypergeometric_terms, integer_term_ratios, 
 
 @dataclass(frozen=True)
 class HyperSpec:
-    """Parameter lists of rFs (ordinary) or r-phi-s (basic, q set)."""
+    """Parameter lists of rFs."""
 
     numerator: tuple
     denominator: tuple
-    q: object = None
-
-    @property
-    def is_basic(self) -> bool:
-        return self.q is not None
-
-    def __post_init__(self):
-        if self.q is not None and not (0 < abs(complex(self.q)) < 1):
-            raise DomainError("basic series need 0 < |q| < 1")
 
 
 def pfq(numerator, denominator) -> HyperSpec:
     return HyperSpec(tuple(numerator), tuple(denominator))
-
-
-def rphis(numerator, denominator, q) -> HyperSpec:
-    return HyperSpec(tuple(numerator), tuple(denominator), q)
 
 
 class Terminating(NamedTuple):
@@ -100,76 +86,9 @@ class TailReport(NamedTuple):
     abs_sum: float  # sum of |term| over the terms added; rounding scales with it
 
 
-def _terminating_degree(spec: HyperSpec):
-    """Smallest m with some numerator parameter forcing term m+1 to vanish."""
-    best = None
-    if spec.is_basic:
-        for a in spec.numerator:
-            m = _q_terminating_index(a, spec.q)
-            if m is not None and (best is None or m < best):
-                best = m
-    else:
-        for a in spec.numerator:
-            if is_nonpositive_integer(a):
-                m = -as_index(a.real if isinstance(a, complex) else a)
-                if best is None or m < best:
-                    best = m
-    return best
-
-
-def _q_terminating_index(a, q):
-    """m >= 0 with a = q^{-m}, or None."""
-    if field_of(a, q).is_exact:
-        value = Fraction(a)
-        step = Fraction(q)
-        m = 0
-        while value > 1:
-            value = value * step
-            m += 1
-            if m > 4096:
-                return None
-        return m if value == 1 else None
-    a = complex(a)
-    q = complex(q)
-    if a == 0:
-        return None
-    m = round(math.log(abs(a)) / -math.log(abs(q)))
-    if m < 0:
-        return None
-    if abs(a * q**m - 1.0) < 1e-12:
-        return m
-    return None
-
-
-def _pfq_term_ratio(spec: HyperSpec, z, k: int):
-    """Multiplier taking term k to term k+1 (``series.term_ratio``)."""
-    return term_ratio(spec.numerator, spec.denominator, z, k)
-
-
-def _rphis_term_ratio(spec: HyperSpec, z, k: int):
-    q = spec.q
-    qk = q**k
-    num = 1
-    for a in spec.numerator:
-        num = num * (1 - a * qk)
-    if num == 0:
-        return 0
-    den = 1 - q ** (k + 1)
-    for b in spec.denominator:
-        den = den * (1 - b * qk)
-    if den == 0:
-        raise PoleError(f"basic-series denominator pole at term {k + 1}")
-    extra = 1
-    exponent = 1 + len(spec.denominator) - len(spec.numerator)
-    if exponent:
-        base = -qk
-        extra = base**exponent if exponent > 0 else 1 / base ** (-exponent)
-    return num * z * extra / den
-
-
 def _sum_terminating(spec: HyperSpec, z, degree: int):
-    field = field_of(*spec.numerator, *spec.denominator, z, spec.q)
-    if not spec.is_basic and field.is_exact:
+    field = field_of(*spec.numerator, *spec.denominator, z)
+    if field.is_exact:
         # the terms over one running denominator, one reduction at the end
         term, den, total = 1, 1, 1
         for step_num, step_den in integer_term_ratios(spec.numerator, spec.denominator, z, degree):
@@ -179,19 +98,18 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
             den *= step_den
             total = total * step_den + term
         return Fraction(total, den)
-    ratio = _rphis_term_ratio if spec.is_basic else _pfq_term_ratio
     term = field.one()
     total = term
     for k in range(degree):
-        term = term * ratio(spec, z, k)
+        term = term * term_ratio(spec.numerator, spec.denominator, z, k)
         if term == 0:
             break
         total = total + term
     return total
 
 
-def _sum_truncated(spec: HyperSpec, z, mode: Truncated):
-    ratio = _rphis_term_ratio if spec.is_basic else _pfq_term_ratio
+def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
+    """As pfq_eval in truncated mode, also reporting the bound used."""
     term = complex(1.0)
     total = complex(1.0)
     z = complex(z)
@@ -200,7 +118,7 @@ def _sum_truncated(spec: HyperSpec, z, mode: Truncated):
     last_abs = abs_sum = 1.0
     k = 0
     while k < mode.max_terms:
-        term = term * complex(ratio(spec, z, k))
+        term = term * complex(term_ratio(spec.numerator, spec.denominator, z, k))
         k += 1
         if term == 0:
             return total, TailReport(k + 1, 0.0, True, abs_sum)
@@ -223,42 +141,16 @@ def _sum_truncated(spec: HyperSpec, z, mode: Truncated):
     return total, TailReport(k + 1, last_abs, False, abs_sum)
 
 
-def _evaluate(spec: HyperSpec, z, mode):
-    if isinstance(mode, Terminating):
-        degree = _terminating_degree(spec)
-        if degree is None:
-            raise DomainError(
-                "terminating mode needs a numerator parameter "
-                + ("q^-m" if spec.is_basic else "in {0, -1, -2, ...}")
-            )
-        return _sum_terminating(spec, z, degree)
-    value, _ = _sum_truncated(spec, z, mode)
-    return value
-
-
 def pfq_eval(spec: HyperSpec, z, mode=TERMINATING):
     """Scalar value of the generalized hypergeometric series at z."""
-    if spec.is_basic:
-        raise DomainError("use rphis_eval for basic series")
-    return _evaluate(spec, z, mode)
-
-
-def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
-    """As pfq_eval in truncated mode, also reporting the bound used."""
-    if spec.is_basic:
-        raise DomainError("use rphis_eval for basic series")
-    return _sum_truncated(spec, z, mode)
-
-
-def rphis_eval(spec: HyperSpec, z, mode=TERMINATING):
-    """Scalar value of the basic hypergeometric series at z.
-
-    Includes the ((-1)^k q^binom(k,2))^(1+s-r) factor, so the value matches
-    the series exactly as displayed for any r, s.
-    """
-    if not spec.is_basic:
-        raise DomainError("rphis_eval needs a basic spec; use pfq_eval")
-    return _evaluate(spec, z, mode)
+    if not isinstance(mode, Terminating):
+        return pfq_eval_with_tail(spec, z, mode)[0]
+    # the smallest m with a numerator parameter -m: every term past the m-th vanishes
+    degree = min([-as_index(a.real if isinstance(a, complex) else a)
+                  for a in spec.numerator if is_nonpositive_integer(a)], default=None)
+    if degree is None:
+        raise DomainError("terminating mode needs a numerator parameter in {0, -1, -2, ...}")
+    return _sum_terminating(spec, z, degree)
 
 
 # -- multivariable kinds ----------------------------------------------------
@@ -452,8 +344,6 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
     if isinstance(shapes, ArgShape):
         shapes = [shapes]
     if isinstance(spec, HyperSpec):
-        if spec.is_basic:
-            raise DomainError("basic series are not supported as t-streams")
         if len(shapes) != 1:
             raise DomainError("single-variable series takes one argument shape")
         c = hypergeometric_terms(spec.numerator, spec.denominator, field.of(shapes[0].scale),

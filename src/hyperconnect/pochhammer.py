@@ -96,17 +96,6 @@ def q_pochhammer(a, q, n):
     return result
 
 
-def binomial_coefficient(n, k):
-    """n!/(k!(n-k)!); returns 0 when k > n (documented convention)."""
-    n = as_index(n, "n")
-    k = as_index(k, "k")
-    if n < 0 or k < 0:
-        raise DomainError("binomial_coefficient needs n, k >= 0")
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
 # Bound predicates for rising factorials.  Each returns True when the stated
 # inequality holds at the given point; preconditions are enforced.
 

@@ -370,18 +370,6 @@ def linear_combination(terms, order: int, field: FieldTag) -> TruncatedSeries:
     return TruncatedSeries._result(field, field.over(total, scalar_den * den))
 
 
-def linear_factor_product(kappas, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """prod_j (1 - kappa_j t), exact polynomial when there are <= order factors."""
-    result = TruncatedSeries.one(order, field)
-    for kappa in kappas:
-        factor = TruncatedSeries(
-            field,
-            [field.one(), -field.of(kappa)] + [field.zero()] * max(0, order - 1),
-        )
-        result = result * factor.truncate_to(order)
-    return result
-
-
 def q_binomial_series(a, kappa, q, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """(a kappa t; q)_inf / (kappa t; q)_inf by the q-binomial theorem:
     coefficient kappa^n (a;q)_n / (q;q)_n, term ratio

@@ -47,6 +47,7 @@ runs, so a malformed case becomes an 'error' report rather than an exception.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from collections import deque
@@ -153,6 +154,16 @@ def _deserialize_value(v):
     return Fraction(v)
 
 
+def _json_float(value):
+    """A float as standard JSON, which has no infinities or NaN: a non-finite
+    one as its text ('inf', '-inf', 'nan'), which float() reads back."""
+    return value if value is None or math.isfinite(value) else str(value)
+
+
+def _read_float(value):
+    return float(value) if isinstance(value, str) else value
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     case: IdentityCase
@@ -164,18 +175,14 @@ class VerificationReport:
     millis: float = 0.0
     detail: str | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def as_json(self) -> dict:
         return {
             "case": self.case.as_json(),
             "status": self.status,
-            "deviation": self.deviation,
+            "deviation": _json_float(self.deviation),
             "first_failing_order": self.first_failing_order,
             "terms_summed": self.terms_summed,
-            "tail_bound": self.tail_bound,
+            "tail_bound": _json_float(self.tail_bound),
             "detail": self.detail,
             "millis": self.millis,
         }
@@ -185,17 +192,13 @@ class VerificationReport:
         return cls(
             case=IdentityCase.from_json(doc["case"]),
             status=doc["status"],
-            deviation=doc.get("deviation"),
+            deviation=_read_float(doc.get("deviation")),
             first_failing_order=doc.get("first_failing_order"),
             terms_summed=doc.get("terms_summed"),
-            tail_bound=doc.get("tail_bound"),
+            tail_bound=_read_float(doc.get("tail_bound")),
             millis=doc.get("millis", 0.0),
             detail=doc.get("detail"),
         )
-
-
-def _fact(n: int) -> int:
-    return math.factorial(n)
 
 
 def _require(case, names, allowed=None, order=None):
@@ -217,11 +220,35 @@ def _require(case, names, allowed=None, order=None):
         raise DomainError(f"{case.identity} reads no order; drop order {case.order}")
 
 
+def _finite(value) -> bool:
+    return is_exact_value(value) or (isinstance(value, (float, complex)) and cmath.isfinite(value))
+
+
+def _check_values(case):
+    """DomainError unless the order is None or an integer and every parameter
+    a finite number: a name where a route reads one, a sequence of them for
+    x_samples."""
+    if case.order is not None and not (isinstance(case.order, int) and is_exact_value(case.order)):
+        raise DomainError(f"{case.identity}: order {case.order!r} must be an integer")
+    for name, value in case.params.items():
+        if name in ("generating_function", "relation", "family"):
+            ok, what = isinstance(value, str), "a name"
+        elif name == "x_samples":
+            ok = isinstance(value, (tuple, list)) and all(map(_finite, value))
+            what = "a sequence of finite numbers"
+        else:
+            ok, what = _finite(value), "a finite number"
+        if not ok:
+            raise DomainError(f"{case.identity}: parameter {name} = {value!r} must be {what}")
+
+
 def _guard(case, run) -> VerificationReport:
-    """Run one verifier on ``case``, the case its report carries; a domain or
-    arithmetic fault (a zero divisor, a double overflow) is an error report."""
+    """Run one verifier on ``case``, the case its report carries, once its
+    values pass ``_check_values``; a domain or arithmetic fault (a zero
+    divisor, a double overflow) is an error report."""
     start = time.perf_counter()
     try:
+        _check_values(case)
         report = run()
     except (HyperconnectError, ArithmeticError) as exc:
         report = VerificationReport(case, "error", detail=f"{type(exc).__name__}: {exc}")
@@ -302,7 +329,7 @@ class GFSpec:
             return hyper_series_in_t(spec, shapes, top - n, field, product=product)
 
         def coeff(n):
-            small, under = field.of(z) ** n, _fact(n)
+            small, under = field.of(z) ** n, math.factorial(n)
             for a in tops:
                 small *= once(("rising", a), pochhammer_row, a, top)[n]
             if bottom is not None:  # only a Meixner (alpha)_n can vanish: (-N)_n != 0 for n <= N
@@ -546,9 +573,7 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     )
 
     def run():
-        if n_max < 0:  # a table with no rows would pass on anything
-            raise DomainError(f"{relation_id} needs n_max >= 0, got {n_max}")
-        if not x_samples:  # and so would one compared at no argument
+        if not x_samples:  # a table compared at no argument would pass on anything
             raise DomainError(f"{relation_id} needs at least one x sample")
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
@@ -819,7 +844,7 @@ ORTHOGONALITY_IDS = {
         lambda alpha, c, **_: (alpha, c),
         lambda **_: _CONSTANT_KERNEL,
         lambda n, alpha, c, m, **_: (
-            _fact(n) / (c**n * (1 - c) ** alpha * pochhammer(alpha, n))
+            math.factorial(n) / (c**n * (1 - c) ** alpha * pochhammer(alpha, n))
             if as_index(m, "m") == n else Fraction(0), 0.0),
         lambda n, m, **_: (n, as_index(m, "m")),
     ), ("alpha", "c", "n", "m")),
@@ -899,27 +924,27 @@ _PLAIN_GFS = {
         "meixner", ("x", "alpha", "c"),
         lambda o, f, x, alpha, c, **_: families.gf_expand(
             "meixner", x, {"alpha": alpha, "c": c}, o, f),
-        lambda n, alpha, **_: pochhammer(alpha, n) / _fact(n),
+        lambda n, alpha, **_: pochhammer(alpha, n) / math.factorial(n),
     ),
     "meixner_exp_gf": (
         "meixner", ("x", "alpha", "c"),
         GF_IDENTITIES["meixner_1f1_alpha_shift"][0].lhs_series,
-        lambda n, **_: Fraction(1, _fact(n)),
+        lambda n, **_: Fraction(1, math.factorial(n)),
     ),
     "meixner_gauss_gf": (
         "meixner", ("x", "alpha", "c", "gamma"),
         GF_IDENTITIES["meixner_2f1_alpha_shift"][0].lhs_series,
-        lambda n, gamma, **_: pochhammer(gamma, n) / _fact(n),
+        lambda n, gamma, **_: pochhammer(gamma, n) / math.factorial(n),
     ),
     "krawtchouk_exp_gf": (
         "krawtchouk", ("x", "p", "N"),
         GF_IDENTITIES["krawtchouk_1f1_prob_shift"][0].lhs_series,
-        lambda n, **_: Fraction(1, _fact(n)),
+        lambda n, **_: Fraction(1, math.factorial(n)),
     ),
     "krawtchouk_gauss_gf": (
         "krawtchouk", ("x", "p", "N", "gamma"),
         GF_IDENTITIES["krawtchouk_2f1_prob_shift"][0].lhs_series,
-        lambda n, gamma, **_: pochhammer(gamma, n) / _fact(n),
+        lambda n, gamma, **_: pochhammer(gamma, n) / math.factorial(n),
     ),
 }
 
@@ -1037,8 +1062,6 @@ def _check_tables(case: IdentityCase) -> VerificationReport:
     _require(case, names, allowed=names, order=False)
     p = dict(case.params)
     n_max = as_index(p["n_max"], "n_max")
-    if n_max < 0:
-        raise DomainError(f"{case.identity} needs n_max >= 0, got {n_max}")
 
     def table(how):
         if how == "closed_form":
@@ -1170,8 +1193,6 @@ def verify_case(case: IdentityCase) -> VerificationReport:
             raise DomainError(f"{case.identity} checks degrees to n_max = {n_max};"
                               f" drop order {case.order}")
         x_samples = case.params.get("x_samples", _DEFAULT_X_SAMPLES)
-        if not isinstance(x_samples, (tuple, list)):
-            raise DomainError("x_samples must be a list of arguments")
         return verify_connection_relation(case.identity, params, n_max, x_samples,
                                           case.field)
 

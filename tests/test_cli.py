@@ -1,11 +1,13 @@
 """Command-line interface: grammar, outputs, exit codes, round-trips."""
 
 import json
+import math
+import shlex
 from fractions import Fraction
 
 import pytest
 
-from hyperconnect import ConnectionExpansion, TruncatedSeries
+from hyperconnect import ConnectionExpansion, TruncatedSeries, VerificationReport, verify_case
 from hyperconnect.cli import main
 
 
@@ -414,3 +416,58 @@ def test_integer_flags_take_integer_literals_on_either_backend(capsys):
     code, out, _ = run(capsys, "eval", "--family", "meixner", "--n", "2.0", "--x", "4",
                        "--alpha", "1", "--c", "1/2", "--backend", "numeric")
     assert (code, out.strip()) == (0, "-1.0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "nan+1j"])
+def test_non_finite_values_are_usage_errors(capsys, value):
+    code, out, err = run(capsys, "eval", "--family", "meixner", "--n", "2", f"--x={value}",
+                         "--alpha", "1", "--c", "1/2", "--backend", "numeric")
+    assert (code, out) == (2, "")
+    assert f"usage error: values must be finite, got '{value}'" in err
+    assert "Traceback" not in err
+
+
+def test_expand_refuses_a_negative_order(capsys):
+    code, out, err = run(capsys, "expand", "--family", "krawtchouk", "--order", "-2",
+                         "--x", "1", "--p", "1/2", "--N", "3")
+    assert (code, out) == (2, "")
+    assert "usage error: gf_expand needs order >= 0, got -2" in err
+
+
+@pytest.mark.parametrize("n_max", ["-1", "-2"])
+@pytest.mark.parametrize("argv", [
+    ("--family", "meixner", "--source", "alpha=1,c=1/2", "--target", "alpha=2,c=1/2"),
+    ("--family", "meixner", "--method", "linear-solve",
+     "--source", "alpha=1,c=1/2", "--target", "alpha=2,c=1/2"),
+    ("--relation", "meixner_alpha_to_beta", "--alpha", "1", "--beta", "2", "--c", "1/2"),
+], ids=["power-collection", "linear-solve", "closed-form"])
+def test_connect_refuses_a_negative_n_max(capsys, argv, n_max):
+    code, out, err = run(capsys, "connect", *argv, "--n-max", n_max)
+    assert (code, out) == (2, "")
+    assert f"usage error: connection tables need n_max >= 0, got {n_max}" in err
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is no JSON token")
+
+
+def test_json_outputs_are_standard_json(capsys):
+    from test_readme import COMMANDS
+
+    for command, _ in COMMANDS:
+        argv = shlex.split(command, comments=True)[1:]
+        if "--output" not in argv:
+            argv += ["--output", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        json.loads(out, parse_constant=_strict)
+    code, out, _ = run(capsys, "verify", "--identity", "meixner_orthogonality", "--alpha", "2",
+                       "--c", "9/10", "--n", "0", "--m", "0", "--backend", "numeric",
+                       "--x-max", "3", "--output", "json")
+    assert code == 3
+    [doc] = json.loads(out, parse_constant=_strict)["reports"]
+    assert doc["tail_bound"] == "inf"
+    report = verify_case(VerificationReport.from_json(doc).case)
+    assert report.tail_bound == math.inf
+    assert VerificationReport.from_json(json.loads(json.dumps(report.as_json()),
+                                                   parse_constant=_strict)) == report

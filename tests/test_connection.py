@@ -20,7 +20,6 @@ from hyperconnect import (
     SingularConfigurationError,
     SingularSampleError,
     UnknownIdentityError,
-    binomial_coefficient,
     connect_linear_solve,
     connection_table,
     family_eval,
@@ -215,7 +214,7 @@ def test_power_collect_matches_alpha_shift_table():
     for n in range(11):
         for k in range(n + 1):
             want = (
-                binomial_coefficient(n, k) * pochhammer(ALPHA - BETA, n - k)
+                math.comb(n, k) * pochhammer(ALPHA - BETA, n - k)
                 * pochhammer(BETA, k) / pochhammer(ALPHA, n)
             )
             assert table.coefficient(n, k) == want

@@ -31,7 +31,6 @@ def test_functions():
     env = {"alpha": Fraction(3, 2), "n": Fraction(3)}
     assert evaluate("poch(alpha, n)", env, EXACT) == Fraction(105, 8)
     assert evaluate("factorial(n)", env, EXACT) == 6
-    assert evaluate("comb(n, 2)", env, EXACT) == 3
     got = evaluate("cis(theta)", {"theta": complex(math.pi / 3)}, NUMERIC)
     assert abs(got - complex(0.5, math.sin(math.pi / 3))) < 1e-15
 

@@ -22,7 +22,6 @@ from hyperconnect import (
     family_row,
     get_family,
     gf_expand,
-    isolated_parameters,
     pochhammer,
     poly_from_gf,
 )
@@ -256,14 +255,6 @@ def test_get_family_takes_an_id_or_a_descriptor():
     assert get_family(descriptor) is descriptor
     with pytest.raises(families_mod.UnknownIdentityError, match="unknown family"):
         get_family("no_such_family")
-
-
-def test_isolated_parameters():
-    assert isolated_parameters(get_family("meixner")) == ("alpha",)
-    assert isolated_parameters(get_family("charlier")) == ()  # a also sets kappa
-    assert "a" in isolated_parameters(get_family("al_salam_carlitz_1"))
-    assert isolated_parameters(get_family("dual_hahn")) == ("N",)
-    assert isolated_parameters(get_family("krawtchouk")) == ()
 
 
 def test_bind_validates_names_and_domains():

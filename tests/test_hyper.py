@@ -14,7 +14,6 @@ from hyperconnect import (
     EXACT,
     HUMBERT_PHI2,
     HUMBERT_PHI2_3,
-    INFINITE,
     LAURICELLA_FD3,
     NUMERIC,
     ConvergenceError,
@@ -31,9 +30,6 @@ from hyperconnect import (
     pfq_eval,
     pfq_eval_with_tail,
     pochhammer,
-    q_pochhammer,
-    rphis,
-    rphis_eval,
 )
 from hyperconnect.hyper import factor_product
 from hyperconnect.series import (
@@ -159,39 +155,6 @@ def test_truncated_mode_reports_tail():
 def test_truncated_mode_flags_divergence():
     with pytest.raises(ConvergenceError):
         pfq_eval(pfq((Fraction(2), Fraction(3)), ()), 1.5, Truncated(max_terms=60))
-
-
-def test_rphis_at_zero():
-    spec = rphis((Fraction(1, 4),), (Fraction(1, 5),), Fraction(1, 3))
-    assert rphis_eval(spec, 0, Truncated()) == 1
-
-
-def test_rphis_numerator_one_terminates_immediately():
-    # (1; q)_k = 0 for k >= 1
-    spec = rphis((1,), (Fraction(1, 5),), Fraction(1, 3))
-    assert rphis_eval(spec, Fraction(2, 3), TERMINATING) == 1
-
-
-def test_1phi0_matches_infinite_products():
-    a, q, z = 0.4, 0.3, 0.25
-    got = rphis_eval(rphis((a,), (), q), z, Truncated(tol=1e-16))
-    want = q_pochhammer(a * z, q, INFINITE) / q_pochhammer(z, q, INFINITE)
-    assert abs(got - want) < 1e-12
-
-
-def test_rphis_terminating_q_power_detection():
-    q = Fraction(1, 3)
-    spec = rphis((q**-4, Fraction(1, 7)), (Fraction(1, 2),), q)
-    exact = rphis_eval(spec, Fraction(1, 5), TERMINATING)
-    # exact rational evaluation: compare with a direct 5-term sum
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(5):
-        total += term
-        num = (1 - q ** (k - 4)) * (1 - Fraction(1, 7) * q**k)
-        den = (1 - q ** (k + 1)) * (1 - Fraction(1, 2) * q**k)
-        term = term * num / den * Fraction(1, 5)
-    assert exact == total
 
 
 def test_multivar_all_zero_args():

@@ -12,7 +12,6 @@ from hyperconnect import (
     NUMERIC,
     DomainError,
     FieldError,
-    binomial_coefficient,
     neg_int_pochhammer,
     numeric,
     parse_rational,
@@ -106,15 +105,6 @@ def test_q_pochhammer_infinite_rejects_exact():
 def test_q_pochhammer_infinite_needs_base_in_unit_interval():
     with pytest.raises(DomainError):
         q_pochhammer(0.3, 1.5, INFINITE)
-
-
-def test_binomial_coefficient():
-    assert binomial_coefficient(5, 2) == 10
-    assert binomial_coefficient(7, 0) == 1
-    assert binomial_coefficient(7, 7) == 1
-    assert binomial_coefficient(4, 9) == 0  # documented convention
-    with pytest.raises(DomainError):
-        binomial_coefficient(-1, 0)
 
 
 def test_exact_field_algebra_randomized():

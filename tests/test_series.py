@@ -21,16 +21,15 @@ from hyperconnect import (
     compose,
     exp_series,
     geometric_stream,
-    linear_factor_product,
     mobius_argument,
     numeric,
     pochhammer,
     q_binomial_series,
     q_pochhammer,
 )
-from hyperconnect.hyper import _mobius_lift, _pfq_term_ratio, pfq
+from hyperconnect.hyper import _mobius_lift, pfq
 from hyperconnect.series import (hypergeometric_terms, linear_combination,
-                                 q_exp_lower)
+                                 q_exp_lower, term_ratio)
 from test_verify import small_rationals
 
 
@@ -182,17 +181,6 @@ def test_stream_pole_rejected():
     stream = CoefficientStream(Fraction(1), lambda k: Fraction(1, k - 2))
     with pytest.raises(PoleError):
         stream.coefficients(5, EXACT)
-
-
-def test_linear_factor_product():
-    assert linear_factor_product([], 3) == TruncatedSeries.one(3)
-    assert linear_factor_product([1, 1], 3).coefficients == (1, -2, 1, 0)
-    # (ct; q)_3 with c = 1, q = 1/2: (1-t)(1-t/2)(1-t/4)
-    q = Fraction(1, 2)
-    got = linear_factor_product([q**j for j in range(3)], 4)
-    assert got.coefficients == (
-        1, Fraction(-7, 4), Fraction(7, 8), Fraction(-1, 8), 0,
-    )
 
 
 def test_q_binomial_series_values():
@@ -357,7 +345,7 @@ def _stream_outcome(produce):
        lam=st.one_of(st.just(Fraction(0)), small_rationals(-3, 3)), order=st.integers(0, 10))
 def test_hypergeometric_terms_equal_the_term_ratio_stream(tops, bottoms, lam, order):
     spec = pfq(tops, bottoms)
-    stream = CoefficientStream(Fraction(1), lambda k: _pfq_term_ratio(spec, lam, k))
+    stream = CoefficientStream(Fraction(1), lambda k: term_ratio(spec.numerator, spec.denominator, lam, k))
     want = _stream_outcome(lambda: stream.coefficients(order, EXACT))
     got = _stream_outcome(lambda: hypergeometric_terms(spec.numerator, spec.denominator,
                                                        lam, order))

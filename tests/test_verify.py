@@ -758,7 +758,7 @@ def test_no_meixner_gf_case_at_nonpositive_integer_parameters_escapes():
 def test_negative_n_max_is_an_error_report(case):
     report = verify_case(case)
     assert report.status == "error" and report.case == case
-    assert report.detail == f"DomainError: {case.identity} needs n_max >= 0, got -1"
+    assert report.detail == "DomainError: connection tables need n_max >= 0, got -1"
 
 
 def test_every_report_carries_the_submitted_case():
@@ -790,6 +790,45 @@ def test_no_fault_escapes_a_batch(data, route, field):
     [report] = batch_verify([case])
     assert report.case is case
     assert report.status in ("pass", "fail", "error", "inconclusive")
+
+
+# values that are no finite number: each is refused wherever it is bound, a
+# name (generating_function, relation, family) included, and x_samples too
+NOT_FINITE_NUMBERS = (None, "", "alpha", "1/2", (), (Fraction(1), None), ("a",),
+                      (float("nan"),), float("nan"), float("inf"), -float("inf"),
+                      complex(float("inf"), 0.0), complex(0.0, float("nan")))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), route=st.sampled_from(sorted(ROUTES)),
+       field=st.sampled_from([EXACT, numeric()]))
+def test_values_that_are_no_finite_numbers_are_error_reports(data, route, field):
+    base = ROUTES[route]
+    names = data.draw(st.lists(st.sampled_from(sorted(base.params) + ["x_samples"]),
+                               min_size=1, unique=True), "names")
+    params = {**base.params,
+              **{name: data.draw(st.sampled_from(NOT_FINITE_NUMBERS), name) for name in names}}
+    case = IdentityCase(route, params, order=base.order, field=field, x_max=base.x_max)
+    for report in (verify_case(case), *batch_verify([case])):
+        assert report.case is case
+        assert report.status == "error", report
+
+
+def test_the_reported_escapes_of_non_numeric_values_are_error_reports():
+    cases = [
+        IdentityCase("meixner_alpha_to_beta",
+                     {"alpha": Fraction(3, 2), "beta": None, "c": Fraction(1, 2)}),
+        IdentityCase("meixner_alpha_to_beta", {"alpha": float("nan"), "beta": 2.5, "c": 0.5},
+                     field=numeric()),
+        IdentityCase("gf_invariance", {"generating_function": "meixner_exp_gf",
+                                       "relation": "meixner_alpha_to_beta", "x": 4,
+                                       "alpha": None, "beta": None, "c": Fraction(2, 5)},
+                     order=3),
+    ]
+    reports = batch_verify(cases)
+    assert [r.status for r in reports] == ["error"] * 3
+    assert reports[0].detail == ("DomainError: meixner_alpha_to_beta: parameter beta = None"
+                                 " must be a finite number")
 
 
 def test_arithmetic_faults_are_error_reports():
