@@ -69,6 +69,7 @@ from .families import (
     catalog,
     family_eval,
     family_row,
+    family_rows,
     get_family,
     gf_expand,
     poly_from_gf,

@@ -59,9 +59,11 @@
 
 * connect_linear_solve: the independent oracle.  Sample both families on
   n_max+1 distinct abscissae, take divided differences (which grade by
-  degree, making the system triangular), and back-substitute.  A family
-  evaluated from its generating function is expanded once per abscissa,
-  to n_max, and every degree is read from that series; Meixner and
+  degree, making the system triangular), and back-substitute.  Each side
+  is sampled by one ``families.family_rows`` call (one per theta for an
+  x = cos theta family): a family evaluated from its generating function
+  is expanded once per abscissa, to n_max, every degree is read from that
+  series, and its normalizations are evaluated once per side; Meixner and
   Krawtchouk rows come from their three-term recurrences on exact inputs.
   On the exact field the solve is a different algorithm, fraction-free:
   each Newton table runs on integers (values and abscissae over one
@@ -103,7 +105,13 @@ from .hyper import (
     pfq,
     pfq_eval,
 )
-from .families import FamilyDescriptor, family_row, get_family, normalization_at
+from .families import (
+    FamilyDescriptor,
+    family_row,
+    family_rows,
+    get_family,
+    normalization_at,
+)
 from .pochhammer import neg_int_pochhammer, pochhammer, pochhammer_row
 from .series import (
     TruncatedSeries,
@@ -643,7 +651,7 @@ def _sample(descriptor, params, n_max, points):
                    for theta in points]
     else:
         abscissae = list(points)
-        columns = [family_row(descriptor, n_max, x, params) for x in points]
+        columns = family_rows(descriptor, n_max, points, params)
     return abscissae, [list(row) for row in zip(*columns)]
 
 

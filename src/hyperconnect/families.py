@@ -16,10 +16,12 @@ Evaluation routes:
 * charlier and the executable q-families: coefficient extraction from the
   generating function divided by the normalization.
 
-family_row gives P_0..P_n_max at one argument, from one expansion to n_max
-for the generating-function families and, for Meixner and Krawtchouk on
-exact inputs, from the three-term recurrence run on integers over one
-running denominator, one Fraction per degree.
+family_rows gives P_0..P_n_max at each of several arguments of one binding
+(family_row at one): one expansion to n_max per argument for the
+generating-function families, over normalizations c_0..c_n_max evaluated
+once, as no c_n reads x, and, for Meixner and Krawtchouk on exact inputs,
+the three-term recurrence run on integers over one running denominator,
+one Fraction per degree.
 
 The registry is built once at import and never mutated; descriptors are
 frozen, so all lookups and evaluations are thread-safe.
@@ -272,8 +274,9 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
             expressions.evaluate(descriptor.truncate_at, env, field), "truncation order"
         )
         work_order = min(order, cutoff)
-    result = TruncatedSeries.one(work_order, field)
-    for factor in descriptor.factors:
+    first, *rest = descriptor.factors
+    result = _expand_factor(first, env, q, work_order, field)
+    for factor in rest:
         result = result * _expand_factor(factor, env, q, work_order, field)
     if cutoff is not None and order > work_order:
         result = result.padded_to(order)
@@ -287,20 +290,21 @@ def normalization_at(descriptor: FamilyDescriptor, n: int, x, params, field: Fie
     return expressions.evaluate(descriptor.normalization, env, field)
 
 
-def _member_from_series(descriptor, series, n: int, x, params):
-    c_n = normalization_at(descriptor, n, x, params, series.field)
+def _normalization(descriptor, n: int, params, field: FieldTag):
+    """c_n at x = None, as no catalog normalization reads x; DomainError
+    when it vanishes."""
+    c_n = normalization_at(descriptor, n, None, params, field)
     if c_n == 0:
-        raise DomainError(
-            f"{descriptor.id}: normalization vanishes at n = {n}"
-        )
-    return series.coefficient(n) / c_n
+        raise DomainError(f"{descriptor.id}: normalization vanishes at n = {n}")
+    return c_n
 
 
 def poly_from_gf(family_id, n: int, x, params):
     """P_n as the t^n generating-function coefficient over the normalization."""
     descriptor = get_family(family_id)
     series = gf_expand(descriptor, x, params, n)
-    return _member_from_series(descriptor, series, n, x, descriptor.bind(params))
+    return series.coefficient(n) / _normalization(descriptor, n, descriptor.bind(params),
+                                                  series.field)
 
 
 def family_eval(family_id, n, x, params):
@@ -311,12 +315,15 @@ def family_eval(family_id, n, x, params):
         raise DomainError("degree must be >= 0")
     if x is None and not descriptor.uses_theta:
         raise DomainError(f"{descriptor.id} needs the argument x")
-    if descriptor.id == "meixner":
+    if descriptor.id in ("meixner", "krawtchouk"):
         params = descriptor.bind(params)
+        field = field_of(x, *params.values())
+        for value in (x, *params.values()):
+            field.of(value)  # a non-finite double is refused, as the expanded families do
+    if descriptor.id == "meixner":
         alpha, c = params["alpha"], params["c"]
         return pfq_eval(pfq((-Fraction(n), -x), (alpha,)), 1 - 1 / field_of(c).of(c), TERMINATING)
     if descriptor.id == "krawtchouk":
-        params = descriptor.bind(params)
         p, cap = params["p"], as_index(params["N"], "N")
         if n > cap:
             raise DomainError(f"krawtchouk needs n <= N, got n = {n}, N = {cap}")
@@ -366,25 +373,48 @@ def _recurrence_row(first, second, steps, n_max: int) -> list:
     return row
 
 
-def family_row(family_id, n_max: int, x, params) -> list:
-    """[P_0, ..., P_n_max] at x (or at cos theta), each equal to family_eval's
-    value.  Meixner and Krawtchouk rows on exact inputs take P_0 and P_1
-    from family_eval and the rest from the recurrence on integers; elsewhere,
-    or where a divisor of it vanishes, each degree is evaluated on its own.
-    A family evaluated from its generating function expands it once to
-    n_max: the t^n coefficient of a product does not depend on the order the
-    factors are truncated at, so every degree reads the same bits."""
+def family_rows(family_id, n_max: int, xs, params) -> list:
+    """[P_0, ..., P_n_max] at each x of ``xs`` (None for an x = cos theta
+    family, whose theta is a binding), each equal to family_eval's value.
+
+    Meixner and Krawtchouk rows on exact inputs take P_0 and P_1 from
+    family_eval and the rest from the recurrence on integers; elsewhere, or
+    where a divisor of it vanishes, each degree is evaluated on its own.  A
+    family evaluated from its generating function expands it once to n_max
+    per x: the t^n coefficient of a product does not depend on the order the
+    factors are truncated at, so every degree reads the same bits.  The
+    normalizations c_0..c_n_max read no x, so they are evaluated once per
+    field the rows run in, not once per x."""
     descriptor = get_family(family_id)
     if descriptor.id in ("meixner", "krawtchouk"):
-        row = [family_eval(descriptor, n, x, params) for n in range(min(n_max, 1) + 1)]
-        steps = n_max > 1 and _recurrence(descriptor, n_max, x, descriptor.bind(params))
-        if steps:
-            return _recurrence_row(*row, steps, n_max)
-        return row + [family_eval(descriptor, n, x, params) for n in range(2, n_max + 1)]
+        return [_recurrence_or_degrees(descriptor, n_max, x, params) for x in xs]
     if not descriptor.is_expandable or n_max < 0:
-        return [family_eval(descriptor, n, x, params) for n in range(n_max + 1)]
-    if x is None and not descriptor.uses_theta:
+        return [[family_eval(descriptor, n, x, params) for n in range(n_max + 1)]
+                for x in xs]
+    if not descriptor.uses_theta and any(x is None for x in xs):
         raise DomainError(f"{descriptor.id} needs the argument x")
-    series = gf_expand(descriptor, x, params, n_max)
     params = descriptor.bind(params)
-    return [_member_from_series(descriptor, series, n, x, params) for n in range(n_max + 1)]
+    norms = {}
+    rows = []
+    for x in xs:
+        series = gf_expand(descriptor, x, params, n_max)
+        if series.field not in norms:
+            norms[series.field] = [_normalization(descriptor, n, params, series.field)
+                                   for n in range(n_max + 1)]
+        rows.append([c / c_n for c, c_n in zip(series.coefficients, norms[series.field])])
+    return rows
+
+
+def _recurrence_or_degrees(descriptor, n_max: int, x, params) -> list:
+    """A Meixner or Krawtchouk row at x: P_0 and P_1, then the recurrence
+    where ``_recurrence`` gives one, else each degree on its own."""
+    row = [family_eval(descriptor, n, x, params) for n in range(min(n_max, 1) + 1)]
+    steps = n_max > 1 and _recurrence(descriptor, n_max, x, descriptor.bind(params))
+    if steps:
+        return _recurrence_row(*row, steps, n_max)
+    return row + [family_eval(descriptor, n, x, params) for n in range(2, n_max + 1)]
+
+
+def family_row(family_id, n_max: int, x, params) -> list:
+    """[P_0, ..., P_n_max] at x (or at cos theta): ``family_rows`` at [x]."""
+    return family_rows(family_id, n_max, [x], params)[0]

@@ -178,6 +178,8 @@ def field_of(*values) -> FieldTag:
 
 
 def as_exact(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         if isinstance(value, str):
             return parse_rational(value)
@@ -189,11 +191,14 @@ def as_exact(value) -> Fraction:
 
 
 def as_numeric(value) -> complex:
-    if isinstance(value, bool):
+    if type(value) is complex:
+        v = value
+    elif isinstance(value, bool):
         raise FieldError("bool is not a scalar")
-    if isinstance(value, Fraction):
-        value = value.numerator / value.denominator
-    v = complex(value)
+    else:
+        if isinstance(value, Fraction):
+            value = value.numerator / value.denominator
+        v = complex(value)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise DomainError(f"numeric scalar must be finite, got {value!r}")
     return v
@@ -221,9 +226,9 @@ def is_integer_valued(value) -> bool:
     if isinstance(value, Fraction):
         return value.denominator == 1
     if isinstance(value, float):
-        return value == int(value)
+        return value.is_integer()
     if isinstance(value, complex):
-        return value.imag == 0.0 and value.real == int(value.real)
+        return value.imag == 0.0 and value.real.is_integer()
     return False
 
 

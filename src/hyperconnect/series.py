@@ -65,15 +65,20 @@ class TruncatedSeries:
             raise DomainError("a series needs at least the constant coefficient")
 
     @classmethod
+    def _stored(cls, field: FieldTag, coefficients) -> "TruncatedSeries":
+        """A series of values already in ``field``, stored as they are."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "field", field)
+        object.__setattr__(series, "coefficients", tuple(coefficients))
+        return series
+
+    @classmethod
     def _result(cls, field: FieldTag, coefficients) -> "TruncatedSeries":
         """An arithmetic result: exact coefficients come from Fraction
         arithmetic on a series and are stored as they are; numeric ones are
         still checked, so an overflow to inf raises DomainError."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "field", field)
-        object.__setattr__(series, "coefficients", tuple(
-            coefficients if field.is_exact else [as_numeric(c) for c in coefficients]))
-        return series
+        return cls._stored(
+            field, coefficients if field.is_exact else [as_numeric(c) for c in coefficients])
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -248,7 +253,8 @@ class CoefficientStream:
         return out
 
     def series(self, order: int, field: FieldTag) -> TruncatedSeries:
-        return TruncatedSeries(field, self.coefficients(order, field))
+        """The series of ``coefficients``, which ``field.of`` has checked."""
+        return TruncatedSeries._stored(field, self.coefficients(order, field))
 
 def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))

@@ -131,17 +131,25 @@ class IdentityCase:
 
 
 def _serialize_value(v):
+    """A parameter as standard JSON: a name or None as it is, a sequence item
+    by item, an exact value as 'p/q', a finite double as [re, im], and any
+    other value (a non-finite double, a bool) as its repr, which reads back
+    as a string, so the case read back is refused as the case was."""
+    if v is None or isinstance(v, str):
+        return v
     if isinstance(v, (tuple, list)):
         return [_serialize_value(item) for item in v]
-    if isinstance(v, str):
-        return v
     if is_exact_value(v):
         return str(Fraction(v))
+    if not _finite(v):
+        return repr(v)
     c = complex(v)
     return [c.real, c.imag]
 
 
 def _deserialize_value(v):
+    if v is None:
+        return None
     if isinstance(v, str):
         try:
             return Fraction(v)

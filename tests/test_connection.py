@@ -537,6 +537,26 @@ def test_power_collect_evaluates_each_normalization_once(monkeypatch):
     assert len(seen) == len(set(seen)) == 2 * 9
 
 
+@pytest.mark.parametrize("family", ["al_salam_carlitz_1", "al_salam_carlitz_2"])
+@pytest.mark.parametrize("a_from,a_to,q", [
+    (Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)),
+    (complex(0.2, 0.1), complex(0.3, -0.05), 0.4),
+])
+def test_linear_solve_evaluates_each_normalization_once_per_side(monkeypatch, family, a_from,
+                                                                  a_to, q):
+    seen = []
+    inner = families_mod.normalization_at
+
+    def counted(descriptor, n, x, params, field):
+        seen.append((n, params["a"]))
+        return inner(descriptor, n, x, params, field)
+
+    monkeypatch.setattr(families_mod, "normalization_at", counted)
+    n_max = 6
+    connect_linear_solve(family, {"a": a_from, "q": q}, {"a": a_to, "q": q}, n_max)
+    assert len(seen) == len(set(seen)) == 2 * (n_max + 1)
+
+
 def naive_reconstruction(relation, params, n_max, x_samples, table):
     """(first failing order, detail, deviation) the way the unshared loop
     forms them: degrees outer, samples inner, every target value afresh."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from test_verify import small_rationals
 
 import qfamily_oracles
+from hyperconnect import expressions, fields
 from hyperconnect import families as families_mod
 from hyperconnect import (
     EXACT,
@@ -20,6 +21,7 @@ from hyperconnect import (
     catalog,
     family_eval,
     family_row,
+    family_rows,
     get_family,
     gf_expand,
     pochhammer,
@@ -367,3 +369,90 @@ def test_krawtchouk_row_past_the_degree_cap_is_an_error():
 def test_numeric_rows_keep_the_per_degree_bits(family, x, params):
     row = family_row(family, 9, x, params)
     assert list(map(repr, row)) == list(map(repr, per_degree(family, 9, x, params)))
+
+
+SIGNED_ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0))
+Q_ROW_ARGUMENTS = st.one_of(
+    st.sampled_from(SIGNED_ZEROS),
+    small_rationals(-3, 3),
+    st.floats(-3, 3),
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+)
+
+
+def nonzero(values):
+    return values.filter(lambda v: v != 0)
+
+
+@st.composite
+def gf_family_bindings(draw):
+    """(family, params) of Charlier or an Al-Salam-Carlitz family, with all
+    rational or all complex-double bindings."""
+    family = draw(st.sampled_from(["al_salam_carlitz_1", "al_salam_carlitz_2", "charlier"]))
+    if draw(st.booleans()):
+        a = draw(nonzero(small_rationals(-2, 2)))
+        q = draw(small_rationals(0, 1))
+    else:
+        a = draw(nonzero(st.builds(complex, st.floats(-2, 2), st.floats(-1, 1))))
+        q = draw(st.floats(0.1, 0.9))
+    return family, {"a": a} if family == "charlier" else {"a": a, "q": q}
+
+
+@settings(max_examples=60)
+@given(binding=gf_family_bindings(), xs=st.lists(Q_ROW_ARGUMENTS, min_size=1, max_size=4),
+       n_max=st.integers(0, 10))
+def test_rows_at_many_abscissae_keep_the_per_degree_bits(binding, xs, n_max):
+    """One family_rows call, whose abscissae may mix exact values and doubles
+    (so rows on both fields), reads every degree with family_eval's bits:
+    compared by repr, so a signed zero counts."""
+    family, params = binding
+    rows = family_rows(family, n_max, xs, params)
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        assert list(map(repr, row)) == list(map(repr, per_degree(family, n_max, x, params)))
+        assert family_row(family, n_max, x, params) == row
+
+
+def test_no_executable_normalization_reads_x():
+    for descriptor in catalog():
+        if descriptor.is_expandable:
+            assert "x" not in expressions.variables(descriptor.normalization), descriptor.id
+
+
+def test_family_rows_evaluates_each_normalization_once_per_field(monkeypatch):
+    seen = []
+    inner = families_mod.normalization_at
+
+    def counted(descriptor, n, x, params, field):
+        seen.append((n, x, field.is_exact))
+        return inner(descriptor, n, x, params, field)
+
+    monkeypatch.setattr(families_mod, "normalization_at", counted)
+    params = {"a": Fraction(1, 5), "q": Fraction(2, 5)}
+    xs = [Fraction(1, 3), 0.5, Fraction(2), -0.0, 3]
+    family_rows("al_salam_carlitz_2", 6, xs, params)
+    assert sorted(seen) == sorted((n, None, exact) for n in range(7) for exact in (True, False))
+
+
+def test_family_rows_refuses_a_missing_argument():
+    with pytest.raises(DomainError, match="needs the argument"):
+        family_rows("charlier", 3, [Fraction(1), None], {"a": Fraction(2)})
+    assert family_rows("charlier", 3, [], {"a": Fraction(2)}) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 complex(1.0, float("nan")), complex(float("inf"), 0.0)])
+@pytest.mark.parametrize("family,params,name", [
+    ("meixner", {"alpha": 1.0, "c": 0.5}, "alpha"),
+    ("krawtchouk", {"p": 0.5, "N": 4}, "p"),
+    ("charlier", {"a": 0.5}, "a"),
+])
+def test_non_finite_arguments_and_parameters_are_domain_errors(bad, family, params, name):
+    assert not fields.is_integer_valued(bad)
+    assert not fields.is_nonpositive_integer(bad)
+    with pytest.raises(DomainError):
+        fields.as_index(bad)
+    with pytest.raises(DomainError):
+        family_eval(family, 2, bad, params)
+    with pytest.raises(DomainError):
+        family_eval(family, 2, 1.5, {**params, name: bad})

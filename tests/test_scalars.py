@@ -144,6 +144,48 @@ def test_numeric_field_rejects_non_finite():
         NUMERIC.of(complex(1.0, float("inf")))
 
 
+class Ratio(Fraction):
+    """A Fraction subclass: coerced like any other rational."""
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"), complex(float("nan"), 0.0),
+              complex(0.0, float("inf")), complex(-float("inf"), float("nan")))
+
+
+@pytest.mark.parametrize("field", [EXACT, NUMERIC])
+def test_coercion_refuses_bools_on_both_fields(field):
+    for value in (True, False):
+        with pytest.raises(FieldError):
+            field.of(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_coercion_refuses_non_finite_parts(value):
+    with pytest.raises(DomainError, match="finite"):
+        NUMERIC.of(value)
+    with pytest.raises(FieldError):
+        EXACT.of(value)
+
+
+@pytest.mark.parametrize("text", ["0.4", "1e3", "2.5/3", "-.5"])
+def test_exact_coercion_refuses_decimal_strings(text):
+    with pytest.raises(DomainError, match="rational literals"):
+        EXACT.of(text)
+
+
+def test_coercion_keeps_types_and_values():
+    for value in (Ratio(3, 7), 5, -2, Fraction(-9, 4), "7/3"):
+        got = EXACT.of(value)
+        assert type(got) is Fraction and got == Fraction(value)
+    for value in (Ratio(3, 7), 5, 2.5, complex(-0.0, 1.0), Fraction(1, 3)):
+        got = NUMERIC.of(value)
+        assert type(got) is complex
+        assert repr(got) == repr(complex(value.numerator / value.denominator
+                                         if isinstance(value, Fraction) else value))
+    value = complex(0.25, -0.0)
+    assert NUMERIC.of(value) is value
+
+
 def test_numeric_comparison_uses_mixed_tolerance():
     tag = numeric(atol=1e-10, rtol=1e-10)
     assert tag.eq(1.0, 1.0 + 5e-11)

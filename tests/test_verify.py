@@ -814,6 +814,28 @@ def test_values_that_are_no_finite_numbers_are_error_reports(data, route, field)
         assert report.status == "error", report
 
 
+@settings(max_examples=100)
+@given(data=st.data(), route=st.sampled_from(sorted(ROUTES)),
+       field=st.sampled_from([EXACT, numeric()]))
+def test_error_reports_of_values_that_are_no_finite_numbers_are_standard_json(data, route,
+                                                                            field):
+    """None is written as null and a non-finite number as its text, so the
+    document is standard JSON and the case read back is an error again."""
+    base = ROUTES[route]
+    names = data.draw(st.lists(st.sampled_from(sorted(base.params) + ["x_samples"]),
+                               min_size=1, unique=True), "names")
+    bad = (None, float("nan"), float("inf"), -float("inf"), complex(float("inf"), 0.0),
+           complex(0.0, float("nan")), (float("nan"),), (Fraction(1), None), True)
+    params = {**base.params, **{name: data.draw(st.sampled_from(bad), name) for name in names}}
+    case = IdentityCase(route, params, order=base.order, field=field, x_max=base.x_max)
+    report = verify_case(case)
+    assert report.status == "error"
+    text = json.dumps(report.as_json(), allow_nan=False)
+    back = VerificationReport.from_json(json.loads(text))
+    assert (back.status, back.detail) == (report.status, report.detail)
+    assert verify_case(back.case).status == "error"
+
+
 def test_the_reported_escapes_of_non_numeric_values_are_error_reports():
     cases = [
         IdentityCase("meixner_alpha_to_beta",
@@ -829,6 +851,9 @@ def test_the_reported_escapes_of_non_numeric_values_are_error_reports():
     assert [r.status for r in reports] == ["error"] * 3
     assert reports[0].detail == ("DomainError: meixner_alpha_to_beta: parameter beta = None"
                                  " must be a finite number")
+    docs = [json.loads(json.dumps(r.as_json(), allow_nan=False)) for r in reports]
+    assert docs[0]["case"]["params"]["beta"] is None
+    assert docs[1]["case"]["params"]["alpha"] == "nan"
 
 
 def test_arithmetic_faults_are_error_reports():
