@@ -32,7 +32,6 @@ from .errors import (
 from .fields import EXACT, NUMERIC, FieldTag, numeric, parse_rational
 from .pochhammer import (
     INFINITE,
-    neg_int_pochhammer,
     pochhammer,
     q_pochhammer,
 )
@@ -54,8 +53,6 @@ from .hyper import (
     ArgShape,
     HyperSpec,
     MultiVarSpec,
-    TERMINATING,
-    Truncated,
     hyper_series_in_t,
     linear_arg,
     mobius_arg,

@@ -98,7 +98,6 @@ from .fields import (EXACT, NUMERIC, FieldTag, as_index, field_of, is_exact_valu
 from .hyper import (
     APPELL_F1,
     MultiVarSpec,
-    TERMINATING,
     factor_product,
     linear_arg,
     multivar_eval,
@@ -112,7 +111,7 @@ from .families import (
     get_family,
     normalization_at,
 )
-from .pochhammer import neg_int_pochhammer, pochhammer, pochhammer_row
+from .pochhammer import pochhammer, pochhammer_row
 from .series import (
     TruncatedSeries,
     binomial_power,
@@ -341,7 +340,7 @@ def _c_to_d_prefactors(p, top):
 def _c_to_d_kernel(p, j, x, product=None):
     """(x)_j d^-j 2F1(-j, -x; -x-j+1; d/c)."""
     c, d = p["c"], p["d"]
-    hyp = pfq_eval(pfq((Fraction(-j), -x), (-x - j + 1,)), d / c, TERMINATING)
+    hyp = pfq_eval(pfq((Fraction(-j), -x), (-x - j + 1,)), d / c)
     return pochhammer(x, j) / d**j * hyp
 
 
@@ -362,7 +361,7 @@ def _alpha_c_prefactors(p, top):
                 f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
                 " these parameters admit no limiting value"
             )
-        return lead[n] * rising[k] * neg_int_pochhammer(n, k) / (math.factorial(k) * shifted)
+        return lead[n] * rising[k] * ((-1) ** k * math.perm(n, k)) / (math.factorial(k) * shifted)
 
     return prefactor
 

@@ -26,7 +26,7 @@ class SingularConfigurationError(DomainError):
 
 
 class ConvergenceError(HyperconnectError):
-    """A truncated evaluation could not certify convergence."""
+    """A non-terminating sum could not certify convergence."""
 
 
 class UnsupportedExpansionError(HyperconnectError):

@@ -47,7 +47,7 @@ from .fields import (
     is_integer_valued,
     is_nonpositive_integer,
 )
-from .hyper import TERMINATING, linear_arg, pfq, pfq_eval, hyper_series_in_t
+from .hyper import linear_arg, pfq, pfq_eval, hyper_series_in_t
 from .series import (
     TruncatedSeries,
     binomial_power,
@@ -322,12 +322,12 @@ def family_eval(family_id, n, x, params):
             field.of(value)  # a non-finite double is refused, as the expanded families do
     if descriptor.id == "meixner":
         alpha, c = params["alpha"], params["c"]
-        return pfq_eval(pfq((-Fraction(n), -x), (alpha,)), 1 - 1 / field_of(c).of(c), TERMINATING)
+        return pfq_eval(pfq((-Fraction(n), -x), (alpha,)), 1 - 1 / field_of(c).of(c))
     if descriptor.id == "krawtchouk":
         p, cap = params["p"], as_index(params["N"], "N")
         if n > cap:
             raise DomainError(f"krawtchouk needs n <= N, got n = {n}, N = {cap}")
-        return pfq_eval(pfq((-Fraction(n), -x), (-Fraction(cap),)), 1 / field_of(p).of(p), TERMINATING)
+        return pfq_eval(pfq((-Fraction(n), -x), (-Fraction(cap),)), 1 / field_of(p).of(p))
     if descriptor.is_expandable:
         return poly_from_gf(descriptor, n, x, params)
     raise UnsupportedExpansionError(

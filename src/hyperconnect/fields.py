@@ -165,6 +165,14 @@ def deviation(a, b) -> float:
 
 
 def is_exact_value(value) -> bool:
+    """True for an int or a Fraction, a subclass of either too, never for a
+    bool.  The four common types are told by their type alone, before the
+    ``Fraction`` ABC check every double would otherwise take."""
+    kind = type(value)
+    if kind is int or kind is Fraction:
+        return True
+    if kind is float or kind is complex:
+        return False
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 

@@ -1,15 +1,16 @@
 """Generalized and multivariable hypergeometric evaluation.
 
-Scalar evaluation comes in two modes.  Terminating mode requires a numerator
-parameter in {0, -1, -2, ...} and sums the finite series exactly, with eager
-pole detection: a term whose numerator product is already zero contributes
-nothing, but a nonzero term over a vanishing denominator factor is reported
-as a pole instead of being divided through.  An exact sum runs on integers
-over one running denominator (``series.integer_term_ratios``, the same checks
-in the same order) and is reduced once.
-Truncated mode sums until the absolute term drops below tol * |partial sum|
-for five consecutive terms (guarding against alternating-term false
-convergence) or the term cap is hit.
+Every scalar sum the relations form terminates: ``pfq_eval`` requires a
+numerator parameter in {0, -1, -2, ...} and sums the finite series exactly,
+with eager pole detection: a term whose numerator product is already zero
+contributes nothing, but a nonzero term over a vanishing denominator factor
+is reported as a pole instead of being divided through.  An exact sum runs
+on integers over one running denominator (``series.integer_term_ratios``,
+the same checks in the same order) and is reduced once.  The one
+non-terminating sum, a lattice sum's closed form, goes through
+``pfq_eval_with_tail``: complex doubles until the absolute term drops below
+1e-17 |partial sum| for five consecutive terms (guarding against
+alternating-term false convergence) or 4,000 terms are summed.
 
 Everything can also be lifted to a series in t, each coefficient an exact
 finite sum.  pFq at lam*t has coefficients c_k = a_k lam^k, from the term
@@ -26,9 +27,9 @@ Cauchy product of per-argument factors.  That product does not involve the
 joint parameters, so a caller lifting many series that differ only in them
 (the inner_n of one generating-function build) builds it once with
 ``factor_product`` and hands it to every lift.  Scalar multivariable sums
-add the same shells, and take a shared product the same way
-(``multivar_eval(..., product=...)``, as the connection-type F1 kernels
-at one argument do).
+terminate on a joint numerator in {0, -1, -2, ...}, add the same shells,
+and take a shared product the same way (``multivar_eval(..., product=...)``,
+as the connection-type F1 kernels at one argument do).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import NamedTuple, Sequence
 from .errors import ConvergenceError, DomainError
 from .fields import (
     EXACT,
-    NUMERIC,
     FieldTag,
     as_index,
     field_of,
@@ -65,17 +65,8 @@ def pfq(numerator, denominator) -> HyperSpec:
     return HyperSpec(tuple(numerator), tuple(denominator))
 
 
-class Terminating(NamedTuple):
-    """Sum the finite series exactly; valid on either field."""
-
-
-class Truncated(NamedTuple):
-    max_terms: int = 512
-    tol: float = 1e-15
-
-
-TERMINATING = Terminating()
-
+_TAIL_MAX_TERMS = 4000
+_TAIL_TOL = 1e-17
 _CONSECUTIVE_SMALL = 5
 
 
@@ -108,8 +99,10 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
     return total
 
 
-def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
-    """As pfq_eval in truncated mode, also reporting the bound used."""
+def pfq_eval_with_tail(spec: HyperSpec, z):
+    """Value of a non-terminating series at z in complex doubles and the
+    tail it stopped at: summed until five consecutive terms fall below
+    1e-17 of the total, or 4,000 terms are summed."""
     term = complex(1.0)
     total = complex(1.0)
     z = complex(z)
@@ -117,7 +110,7 @@ def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
     shrinking = False
     last_abs = abs_sum = 1.0
     k = 0
-    while k < mode.max_terms:
+    while k < _TAIL_MAX_TERMS:
         term = term * complex(term_ratio(spec.numerator, spec.denominator, z, k))
         k += 1
         if term == 0:
@@ -127,7 +120,7 @@ def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
         last_abs = abs(term)
         abs_sum += last_abs
         total = total + term
-        if abs(term) <= mode.tol * abs(total):
+        if abs(term) <= _TAIL_TOL * abs(total):
             small_streak += 1
             if small_streak >= _CONSECUTIVE_SMALL:
                 return total, TailReport(k + 1, abs(term), True, abs_sum)
@@ -135,21 +128,19 @@ def pfq_eval_with_tail(spec: HyperSpec, z, mode: Truncated):
             small_streak = 0
     if not shrinking:
         raise ConvergenceError(
-            f"terms still growing after {mode.max_terms} terms;"
+            f"terms still growing after {_TAIL_MAX_TERMS} terms;"
             f" last |term| = {last_abs:.3e}"
         )
     return total, TailReport(k + 1, last_abs, False, abs_sum)
 
 
-def pfq_eval(spec: HyperSpec, z, mode=TERMINATING):
-    """Scalar value of the generalized hypergeometric series at z."""
-    if not isinstance(mode, Terminating):
-        return pfq_eval_with_tail(spec, z, mode)[0]
+def pfq_eval(spec: HyperSpec, z):
+    """Scalar value of the terminating generalized hypergeometric series at z."""
     # the smallest m with a numerator parameter -m: every term past the m-th vanishes
     degree = min([-as_index(a.real if isinstance(a, complex) else a)
                   for a in spec.numerator if is_nonpositive_integer(a)], default=None)
     if degree is None:
-        raise DomainError("terminating mode needs a numerator parameter in {0, -1, -2, ...}")
+        raise DomainError("a terminating sum needs a numerator parameter in {0, -1, -2, ...}")
     return _sum_terminating(spec, z, degree)
 
 
@@ -238,13 +229,10 @@ def _shells(spec: MultiVarSpec, shapes, joint, field: FieldTag, product=None) ->
     return [j * c for j, c in zip(joint, product.coefficients)]
 
 
-def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None,
+def multivar_eval(spec: MultiVarSpec, args: Sequence,
                   product: TruncatedSeries | None = None):
-    """Scalar value of the double/triple series at the given arguments.
-
-    Terminates exactly when the joint numerator is a nonpositive integer;
-    otherwise sums shells under the truncated-mode stopping rule, doubling
-    the number formed until the rule is met or ``max_terms`` is reached.
+    """Scalar value of the terminating double/triple series at the given
+    arguments: the joint numerator must lie in {0, -1, -2, ...}.
     ``product`` hands in the factor product (``factor_product`` at lam_i*t
     with the arguments as the lam_i, in the field of the sum) when sums that
     differ only in joint parameters share it; it must reach the highest
@@ -253,33 +241,13 @@ def multivar_eval(spec: MultiVarSpec, args: Sequence, mode=None,
     if len(args) != spec.arity:
         raise DomainError(f"{spec.kind} takes {spec.arity} arguments")
     a = spec.joint_numerator
-    if a is not None and is_nonpositive_integer(a):
-        field = field_of(*spec.params, *args)
-        degree = -as_index(a.real if isinstance(a, complex) else a)
-        joint = _joint_ratios(spec, degree, field)
-        shells = _shells(spec, [linear_arg(field.of(x)) for x in args], joint, field, product)
-        return sum(shells, field.zero())
-    mode = mode or Truncated()
-    joint = _joint_ratios(spec, mode.max_terms, NUMERIC)
-    shapes = [linear_arg(complex(x)) for x in args]
-    order = min(16, mode.max_terms)
-    while True:
-        total = complex(0.0)
-        streak = 0
-        for m, shell in enumerate(_shells(spec, shapes, joint[: order + 1], NUMERIC, product)):
-            total = total + shell
-            if m and abs(shell) <= mode.tol * abs(total):
-                streak += 1
-                if streak >= _CONSECUTIVE_SMALL:
-                    return total
-            else:
-                streak = 0
-        if order == mode.max_terms:
-            raise ConvergenceError(
-                f"no {_CONSECUTIVE_SMALL}-shell convergence streak within degree"
-                f" {mode.max_terms}; last |shell| = {abs(shell):.3e}"
-            )
-        order = min(2 * order, mode.max_terms)
+    if a is None or not is_nonpositive_integer(a):
+        raise DomainError(f"{spec.kind} sums need a joint numerator in {{0, -1, -2, ...}}")
+    field = field_of(*spec.params, *args)
+    degree = -as_index(a.real if isinstance(a, complex) else a)
+    joint = _joint_ratios(spec, degree, field)
+    shells = _shells(spec, [linear_arg(field.of(x)) for x in args], joint, field, product)
+    return sum(shells, field.zero())
 
 
 # -- series in t ------------------------------------------------------------

@@ -49,18 +49,6 @@ def pochhammer_row(a, top):
     return row
 
 
-def neg_int_pochhammer(n, k):
-    """(-n)_k for n, k >= 0: equals (-1)^k n!/(n-k)! when k <= n, else 0."""
-    n = as_index(n, "n")
-    k = as_index(k, "k")
-    if n < 0 or k < 0:
-        raise DomainError("neg_int_pochhammer needs n, k >= 0")
-    if k > n:
-        return Fraction(0)
-    sign = -1 if k % 2 else 1
-    return Fraction(sign * math.factorial(n), math.factorial(n - k))
-
-
 def q_pochhammer(a, q, n):
     """q-shifted factorial (a;q)_n; pass n=INFINITE for the infinite product.
 

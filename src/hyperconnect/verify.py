@@ -77,7 +77,6 @@ from .hyper import (
     HUMBERT_PHI2_3,
     LAURICELLA_FD3,
     MultiVarSpec,
-    Truncated,
     factor_product,
     hyper_series_in_t,
     linear_arg,
@@ -113,7 +112,7 @@ class IdentityCase:
     def as_json(self) -> dict:
         return {
             "identity": self.identity,
-            "params": {k: _serialize_value(v) for k, v in sorted(self.params.items())},
+            "params": {k: _serialize_value(v, k) for k, v in sorted(self.params.items())},
             "order": self.order,
             **self.field.as_json(),
             "x_max": self.x_max,
@@ -123,19 +122,24 @@ class IdentityCase:
     def from_json(cls, doc: dict) -> "IdentityCase":
         return cls(
             identity=doc["identity"],
-            params={k: _deserialize_value(v) for k, v in doc["params"].items()},
+            params={k: _deserialize_value(v, k) for k, v in doc["params"].items()},
             order=doc.get("order"),
             field=FieldTag.from_json(doc),
             x_max=doc.get("x_max", 300),
         )
 
 
-def _serialize_value(v):
-    """A parameter as standard JSON: a name or None as it is, a sequence item
-    by item, an exact value as 'p/q', a finite double as [re, im], and any
-    other value (a non-finite double, a bool) as its repr, which reads back
-    as a string, so the case read back is refused as the case was."""
-    if v is None or isinstance(v, str):
+# the parameters a route reads as names, not as numbers
+_NAME_SLOTS = ("generating_function", "relation", "family")
+
+
+def _serialize_value(v, slot=None):
+    """A parameter as standard JSON: None, or a string in a name slot, as it
+    is, a sequence item by item, an exact value as 'p/q', a finite double as
+    [re, im], and any other value (a string outside the name slots, a
+    non-finite double, a bool) as its repr, which reads back as a string, so
+    the case read back is refused as the case was."""
+    if v is None or (slot in _NAME_SLOTS and isinstance(v, str)):
         return v
     if isinstance(v, (tuple, list)):
         return [_serialize_value(item) for item in v]
@@ -147,14 +151,14 @@ def _serialize_value(v):
     return [c.real, c.imag]
 
 
-def _deserialize_value(v):
-    if v is None:
-        return None
+def _deserialize_value(v, slot=None):
+    if v is None or (slot in _NAME_SLOTS and isinstance(v, str)):
+        return v
     if isinstance(v, str):
         try:
             return Fraction(v)
         except ValueError:
-            return v  # identity ids and other names pass through
+            return v  # a repr written for a value that is no number
     if isinstance(v, list) and len(v) == 2 and all(isinstance(u, (int, float)) for u in v):
         return complex(v[0], v[1])
     if isinstance(v, list):
@@ -239,7 +243,7 @@ def _check_values(case):
     if case.order is not None and not (isinstance(case.order, int) and is_exact_value(case.order)):
         raise DomainError(f"{case.identity}: order {case.order!r} must be an integer")
     for name, value in case.params.items():
-        if name in ("generating_function", "relation", "family"):
+        if name in _NAME_SLOTS:
             ok, what = isinstance(value, str), "a name"
         elif name == "x_samples":
             ok = isinstance(value, (tuple, list)) and all(map(_finite, value))
@@ -346,34 +350,11 @@ class GFSpec:
                     raise PoleError(
                         f"(alpha)_n vanishes at n = {n}: alpha = {bottom} lies in -N0")
                 under *= rising
-            return small / under * once("poly", _polynomials, family, top, x, params)[n]
+            return small / under * once("poly", families.family_row, family, top, x, params)[n]
 
         rhs = linear_combination([(inner(n), n, coeff(n)) for n in range(top + 1)],
                                  order, field)
         return lhs, rhs
-
-
-def _polynomials(family, top, x, params):
-    """P_0(x)..P_top(x) indexed by degree: the list ``families.family_row``
-    builds or, when that row fails at some degree, a ``_PerDegree`` that
-    evaluates each degree on its own, so an error comes from the n that
-    needs it."""
-    try:
-        return families.family_row(family, top, x, params)
-    except HyperconnectError:
-        return _PerDegree(family, x, params)
-
-
-@dataclass(frozen=True)
-class _PerDegree:
-    """P_n(x) indexed by degree, each evaluated on its own when read."""
-
-    family: str
-    x: object
-    params: dict
-
-    def __getitem__(self, n):
-        return families.family_eval(self.family, n, self.x, self.params)
 
 
 # Spec functions take the order as ``o``, the field as ``f`` and the case
@@ -566,7 +547,7 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     the source polynomial at every sample argument and every degree.
 
     Degrees run outer and samples inner.  The source and target values at
-    a sample come from one row each (``_polynomials``: the three-term
+    a sample come from one row each (``families.family_row``: the three-term
     recurrence on exact inputs, so a row takes P_0 and P_1 from
     ``families.family_eval``), made when the sample is first reached.  A
     reconstructed value is one dot product on numerators
@@ -590,8 +571,8 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
 
         def row(side, i):
             if (side, i) not in polynomials:
-                polynomials[side, i] = _polynomials(spec.family, n_max, x_samples[i],
-                                                    sides[side])
+                polynomials[side, i] = families.family_row(spec.family, n_max, x_samples[i],
+                                                           sides[side])
             return polynomials[side, i]
 
         def reconstructed(n, i, x):
@@ -599,8 +580,6 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
             is exact: that sum is the same canonical Fraction."""
             at = x if spec.x_dependent else None
             target = row("target", i)
-            if not isinstance(target, list):  # degrees read one by one, as needed
-                return sum(table.coefficient(n, k, at) * target[k] for k in range(n + 1))
             coefficients = [table.coefficient(n, k, at) for k in range(n + 1)]
             key = i, field_of(*coefficients)
             if key not in scaled:  # the field of the dot product, and the target in it
@@ -696,7 +675,7 @@ def _closed_form(prefactor, nums, dens, z):
         (a, b), (c,) = nums, dens
         prefactor, nums, z = prefactor * float(1 - z) ** -float(b), (c - a, b), z / (z - 1)
     try:
-        value, tail = pfq_eval_with_tail(pfq(nums, dens), z, Truncated(4000, 1e-17))
+        value, tail = pfq_eval_with_tail(pfq(nums, dens), z)
     except ConvergenceError:  # the terms never shrank
         value, tail = math.nan, None
     value = value.real

@@ -20,8 +20,6 @@ from hyperconnect import (
     DomainError,
     MultiVarSpec,
     PoleError,
-    TERMINATING,
-    Truncated,
     hyper_series_in_t,
     linear_arg,
     mobius_arg,
@@ -47,7 +45,7 @@ def test_pfq_at_zero_is_one():
 def test_1f0_is_binomial_theorem():
     # 1F0(a; -; z) = (1-z)^{-a} for |z| < 1
     a, z = Fraction(5, 2), 0.3
-    value = pfq_eval(pfq((a,), ()), z, Truncated(tol=1e-16))
+    value, _ = pfq_eval_with_tail(pfq((a,), ()), z)
     assert abs(value - (1 - z) ** (-float(a))) < 1e-13
 
 
@@ -60,7 +58,7 @@ def test_2f1_single_term():
 
 def test_terminating_needs_nonpositive_integer():
     with pytest.raises(DomainError):
-        pfq_eval(pfq((Fraction(1, 2),), (Fraction(3),)), Fraction(1, 3), TERMINATING)
+        pfq_eval(pfq((Fraction(1, 2),), (Fraction(3),)), Fraction(1, 3))
 
 
 def test_terminating_zero_numerator_wins_over_pole():
@@ -146,28 +144,42 @@ def test_terminating_permutation_invariance():
 def test_truncated_mode_reports_tail():
     import math
 
-    value, tail = pfq_eval_with_tail(pfq((), ()), 0.5, Truncated(tol=1e-15))
+    value, tail = pfq_eval_with_tail(pfq((), ()), 0.5)
     assert abs(value - math.exp(0.5)) < 1e-12
     assert tail.converged
     assert tail.terms > 5
 
 
 def test_truncated_mode_flags_divergence():
-    with pytest.raises(ConvergenceError):
-        pfq_eval(pfq((Fraction(2), Fraction(3)), ()), 1.5, Truncated(max_terms=60))
+    # 2F0 diverges everywhere off 0: its terms never shrink in 4,000
+    with pytest.raises(ConvergenceError, match="still growing after 4000 terms"):
+        pfq_eval_with_tail(pfq((Fraction(2), Fraction(3)), ()), 1.5)
 
 
 def test_multivar_all_zero_args():
-    spec = MultiVarSpec(HUMBERT_PHI2, (Fraction(1, 2), Fraction(1, 3), Fraction(5, 4)))
-    assert abs(multivar_eval(spec, (0, 0)) - 1) < 1e-14
+    for spec in (
+        MultiVarSpec(APPELL_F1, (Fraction(-3), Fraction(1, 2), Fraction(1, 3), Fraction(5, 4))),
+        MultiVarSpec(LAURICELLA_FD3, (Fraction(-4), Fraction(1, 2), Fraction(1, 3), Fraction(2),
+                                      Fraction(5, 4))),
+        MultiVarSpec(APPELL_F1, (-3.0, 0.5, 1 / 3, 1.25)),
+    ):
+        assert multivar_eval(spec, (0,) * spec.arity) == 1
 
 
-def test_phi2_collapses_when_y_is_zero():
-    # Phi2(beta, beta'; gamma; x, 0) = 1F1(beta; gamma; x)
-    beta, beta2, gamma, x = Fraction(1, 2), Fraction(7, 3), Fraction(5, 4), Fraction(1, 5)
-    got = multivar_eval(MultiVarSpec(HUMBERT_PHI2, (beta, beta2, gamma)), (x, 0))
-    want = pfq_eval(pfq((beta,), (gamma,)), float(x), Truncated(tol=1e-16))
-    assert abs(got - want) < 1e-12
+def test_f1_equal_arguments_reduce_to_2f1_brute_force():
+    # terminating case against a brute-force double sum at x = 1/10
+    a, b, b2, c = Fraction(-9), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4)
+    x = Fraction(1, 10)
+    got = multivar_eval(MultiVarSpec(APPELL_F1, (a, b, b2, c)), (x, x))
+    brute = Fraction(0)
+    for m in range(12):
+        for n in range(12 - m):
+            brute += (
+                pochhammer(a, m + n) * pochhammer(b, m) * pochhammer(b2, n)
+                / pochhammer(c, m + n) * x ** (m + n)
+                / (math.factorial(m) * math.factorial(n))
+            )
+    assert got == brute
 
 
 def test_f1_equal_arguments_reduce_to_2f1_exact():
@@ -176,24 +188,6 @@ def test_f1_equal_arguments_reduce_to_2f1_exact():
     got = multivar_eval(MultiVarSpec(APPELL_F1, (a, b, b2, c)), (x, x))
     want = pfq_eval(pfq((a, b + b2), (c,)), x)
     assert got == want
-
-
-def test_f1_equal_arguments_reduce_to_2f1_brute_force():
-    # non-terminating case against a brute-force double sum at x = 1/10
-    a, b, b2, c = Fraction(3, 4), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4)
-    x = Fraction(1, 10)
-    got = multivar_eval(MultiVarSpec(APPELL_F1, (a, b, b2, c)), (x, x))
-    brute = Fraction(0)
-    import math
-
-    for m in range(40):
-        for n in range(40 - m):
-            brute += (
-                pochhammer(a, m + n) * pochhammer(b, m) * pochhammer(b2, n)
-                / pochhammer(c, m + n) * x ** (m + n)
-                / (math.factorial(m) * math.factorial(n))
-            )
-    assert abs(got - float(brute)) < 1e-12
 
 
 def test_f1_y_zero_reduces_coefficientwise():
@@ -342,31 +336,34 @@ def test_mobius_lift_matches_composition():
             assert got == compose(stream, mobius_argument(lam, 10), 10)
 
 
-def test_multivar_eval_grows_past_the_first_shells():
-    # F1(a, b, b'; c; x, x) = 2F1(a, b + b'; c; x); x = 1/2 needs ~50 shells
-    a, b, b2, c, x = Fraction(3, 4), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4), Fraction(1, 2)
-    got = multivar_eval(MultiVarSpec(APPELL_F1, (a, b, b2, c)), (x, x))
-    want = pfq_eval(pfq((a, b + b2), (c,)), float(x), Truncated(tol=1e-16))
-    assert abs(got - want) < 1e-12 * abs(want)
-
-
-def test_multivar_eval_diverges_outside_the_domain():
-    spec = MultiVarSpec(APPELL_F1, (Fraction(3, 4), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4)))
-    with pytest.raises(ConvergenceError):
-        multivar_eval(spec, (2, 2), Truncated(max_terms=40))
+@pytest.mark.parametrize("spec", [
+    # (c)_M vanishes at shell 21; the sum is refused before any shell is formed
+    MultiVarSpec(HUMBERT_PHI2, (Fraction(1, 2), Fraction(1, 3), Fraction(-20))),
+    MultiVarSpec(HUMBERT_PHI2_3, (Fraction(-2), Fraction(5, 3), Fraction(1, 2), Fraction(7, 2))),
+    MultiVarSpec(APPELL_F1, (Fraction(3, 4), Fraction(1, 2), Fraction(4, 3), Fraction(5, 4))),
+    MultiVarSpec(APPELL_F1, (0.75, 0.5, 4 / 3, 1.25)),
+    MultiVarSpec(LAURICELLA_FD3, (Fraction(5, 2), Fraction(-1), Fraction(1, 2), Fraction(4, 3),
+                                  Fraction(9, 4))),
+], ids=["phi2_pole", "phi2_3", "f1", "f1_double", "fd3"])
+def test_multivar_eval_refuses_a_non_terminating_joint_numerator(spec):
+    with pytest.raises(DomainError, match="joint numerator in") as refused:
+        multivar_eval(spec, (Fraction(1, 100),) * spec.arity)
+    assert type(refused.value) is DomainError
 
 
 def test_multivar_eval_reports_joint_pole_before_converging():
-    # (c)_M vanishes at shell 21, after the sum would have converged
-    spec = MultiVarSpec(HUMBERT_PHI2, (Fraction(1, 2), Fraction(1, 3), Fraction(-20)))
-    with pytest.raises(PoleError):
+    # (c)_M vanishes at shell 21, before the sum would end at shell 31
+    spec = MultiVarSpec(APPELL_F1, (Fraction(-30), Fraction(1, 2), Fraction(1, 3), Fraction(-20)))
+    with pytest.raises(PoleError, match="pole at term 21"):
         multivar_eval(spec, (Fraction(1, 100), Fraction(1, 100)))
 
 
-def test_multivar_eval_with_double_parameters_past_170_shells():
+def test_double_multivar_lift_past_170_shells():
     # F1 at (0.85, 0.1) needs more than 170 shells, where (1/2)_m and m!
     # no longer fit in a double
     mpmath = pytest.importorskip("mpmath")
-    got = multivar_eval(MultiVarSpec(APPELL_F1, (0.75, 0.5, 4 / 3, 1.25)), (0.85, 0.1))
+    spec = MultiVarSpec(APPELL_F1, (0.75, 0.5, 4 / 3, 1.25))
+    lifted = hyper_series_in_t(spec, [linear_arg(0.85), linear_arg(0.1)], 400, NUMERIC)
+    got = lifted.evaluate(1.0)
     want = complex(mpmath.appellf1(0.75, 0.5, 4 / 3, 1.25, 0.85, 0.1))
     assert abs(got - want) < 1e-12 * abs(want)

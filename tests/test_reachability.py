@@ -76,7 +76,6 @@ ALLOWLIST = {
     "connection._degenerate": "raises on a singular sample set",
     "families._check_domain.<locals>.fail": "raises on a parameter outside its domain",
     "series.TruncatedSeries.__setattr__": "raises on an attempt to mutate a series",
-    "verify._PerDegree.__getitem__": "reads degrees one by one after a row fails",
     # read by the benchmark's gate, not by a route
     "connection.ConnectionExpansion.row": "perfbench's exactness gate reads rows",
     # x = cos theta families only, which the routes leave out

@@ -12,13 +12,12 @@ from hyperconnect import (
     NUMERIC,
     DomainError,
     FieldError,
-    neg_int_pochhammer,
     numeric,
     parse_rational,
     pochhammer,
     q_pochhammer,
 )
-from hyperconnect.fields import deviation
+from hyperconnect.fields import deviation, field_of, is_exact_value
 from hyperconnect.pochhammer import (
     offset_rising_bound_holds,
     rising_abs_lower_bound_holds,
@@ -68,18 +67,6 @@ def test_pochhammer_reflection(a):
         if partner == 0:
             continue
         assert pochhammer(a, n) * Fraction((-1) ** n, 1) / partner == 1
-
-
-def test_neg_int_pochhammer_values():
-    assert neg_int_pochhammer(3, 2) == 6  # (-3)(-2)
-    assert neg_int_pochhammer(3, 5) == 0
-    assert neg_int_pochhammer(9, 0) == 1
-
-
-def test_neg_int_pochhammer_matches_pochhammer():
-    for n in range(8):
-        for k in range(10):
-            assert neg_int_pochhammer(n, k) == pochhammer(Fraction(-n), k)
 
 
 def test_q_pochhammer_finite():
@@ -184,6 +171,19 @@ def test_coercion_keeps_types_and_values():
                                          if isinstance(value, Fraction) else value))
     value = complex(0.25, -0.0)
     assert NUMERIC.of(value) is value
+
+
+class Count(int):
+    """An int subclass: exact like any other integer."""
+
+
+def test_exact_values_are_ints_and_fractions_subclasses_too_never_bools():
+    for value in (0, -7, 10**40, Fraction(-2, 3), Ratio(3, 7), Count(4)):
+        assert is_exact_value(value) and field_of(value) is EXACT
+    for value in (True, False, 0.5, -0.0, complex(1.0, 0.0), "1/2", None, [1]):
+        assert not is_exact_value(value)
+    assert field_of(Count(1), Ratio(1, 2), 0.5) is NUMERIC
+    assert field_of(Count(1), True) is NUMERIC
 
 
 def test_numeric_comparison_uses_mixed_tolerance():

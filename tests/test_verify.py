@@ -447,19 +447,19 @@ def test_acceptance_suite_shape():
 
 
 def test_kernel_recurrences_match_direct_sums():
-    from hyperconnect import TERMINATING, pfq, pfq_eval
+    from hyperconnect import pfq, pfq_eval
 
     # at c = 1/2 the kernel arguments are z = t = 1/4 and w = t/(1-t) = 1/3
     alpha, c, t, beta, d = Fraction(2), Fraction(1, 2), Fraction(1, 4), Fraction(3), Fraction(2, 3)
     z, w = Fraction(1, 4), Fraction(1, 3)
     values = kernel_weight_values(verify_mod._confluent_kernel(alpha, c, t), beta, d, 25)
     for x in range(25):
-        direct = pfq_eval(pfq((Fraction(-x),), (alpha,)), z, TERMINATING)
+        direct = pfq_eval(pfq((Fraction(-x),), (alpha,)), z)
         assert values[x] == direct * weight(beta, d, x)
     gamma = Fraction(5, 4)
     values = kernel_weight_values(verify_mod._gauss_kernel(alpha, gamma, c, t), beta, d, 25)
     for x in range(25):
-        direct = pfq_eval(pfq((Fraction(-x), gamma), (alpha,)), w, TERMINATING)
+        direct = pfq_eval(pfq((Fraction(-x), gamma), (alpha,)), w)
         assert values[x] == direct * weight(beta, d, x)
 
 
@@ -712,15 +712,15 @@ def test_each_build_makes_its_n_independent_pieces_once(monkeypatch):
             assert rows == [(family, top)], identity
 
 
-def test_a_failing_polynomial_row_raises_from_the_degree_that_needs_it():
-    # beta = 0 makes M_1(x; beta, d) a pole, but inner_1 = 1F1(1; -2; .) meets
-    # its pole first: the report names the inner's, as per-degree evaluation did
+def test_a_failing_polynomial_row_is_an_error_report():
+    # beta = 0 makes M_1(x; beta, d) a pole; the row P_0..P_6 is built whole
+    # on first use, before inner_1 = 1F1(1; -2; .) meets its own pole
     report = verify_gf_identity(IdentityCase("meixner_1f1_two_param", {
         "x": Fraction(1), "alpha": Fraction(-3), "beta": Fraction(0),
         "c": Fraction(2, 5), "d": Fraction(3, 7)}, order=6))
     assert report.status == "error"
     assert report.detail == (
-        "PoleError: denominator parameter pole at term 3: one of (Fraction(-2, 1),) lies in -N0")
+        "PoleError: denominator parameter pole at term 1: one of (Fraction(0, 1),) lies in -N0")
 
 
 def test_vanishing_alpha_pochhammer_is_an_error_report():
@@ -846,14 +846,61 @@ def test_the_reported_escapes_of_non_numeric_values_are_error_reports():
                                        "relation": "meixner_alpha_to_beta", "x": 4,
                                        "alpha": None, "beta": None, "c": Fraction(2, 5)},
                      order=3),
+        # '3/2' is no number; read back as Fraction(3, 2) the case would pass
+        IdentityCase("meixner_alpha_to_beta",
+                     {"alpha": "3/2", "beta": Fraction(5, 2), "c": Fraction(1, 2)}),
     ]
     reports = batch_verify(cases)
-    assert [r.status for r in reports] == ["error"] * 3
+    assert [r.status for r in reports] == ["error"] * 4
     assert reports[0].detail == ("DomainError: meixner_alpha_to_beta: parameter beta = None"
                                  " must be a finite number")
     docs = [json.loads(json.dumps(r.as_json(), allow_nan=False)) for r in reports]
     assert docs[0]["case"]["params"]["beta"] is None
     assert docs[1]["case"]["params"]["alpha"] == "nan"
+    assert docs[3]["case"]["params"]["alpha"] == "'3/2'"
+    assert verify_case(IdentityCase.from_json(docs[3]["case"])).status == "error"
+    # a name slot keeps its string as it is, a number-like one too
+    named = IdentityCase("gf_invariance", {**cases[2].params, "relation": "1/2"}, order=3)
+    assert IdentityCase.from_json(named.as_json()) == named
+
+
+# one value of each kind a parameter may hold: exact, double (-0.0 too),
+# complex, a name, a tuple, None, a non-finite double and a string
+ANY_PARAMETER = st.one_of(
+    small_rationals(-4, 6), st.integers(-3, 8),
+    st.floats(-4, 6, allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    st.sampled_from(["meixner", "krawtchouk", "meixner_exp_gf", "meixner_alpha_to_beta"]),
+    st.lists(small_rationals(-4, 6), min_size=1, max_size=3).map(tuple),
+    st.just(None),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan"))]),
+    st.sampled_from(["3/2", "-1", "0.5", "", "nan"]),
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), route=st.sampled_from(sorted(ROUTES)),
+       field=st.sampled_from([EXACT, numeric(1e-10, 0.0)]))
+def test_json_round_trip_keeps_the_verdict(data, route, field):
+    base = ROUTES[route]
+    names = data.draw(st.lists(st.sampled_from(sorted(base.params) + ["x_samples"]),
+                               max_size=2, unique=True), "names")
+    # the base value written as a string, too: a number-like string is no number
+    params = {**base.params, **{
+        name: data.draw(st.one_of(ANY_PARAMETER, st.just(str(base.params.get(name)))), name)
+        for name in names}}
+    case = IdentityCase(route, params, order=base.order, field=field, x_max=base.x_max)
+    report = verify_case(case)
+    back = IdentityCase.from_json(json.loads(json.dumps(case.as_json(), allow_nan=False)))
+    back_report = VerificationReport.from_json(
+        json.loads(json.dumps(report.as_json(), allow_nan=False)))
+    assert back_report.case == back
+    assert (back_report.status, back_report.detail, back_report.first_failing_order,
+            back_report.terms_summed) == (report.status, report.detail,
+                                          report.first_failing_order, report.terms_summed)
+    assert repr((back_report.deviation, back_report.tail_bound)) == repr(
+        (report.deviation, report.tail_bound))
+    assert verify_case(back).status == report.status, (case, back)
 
 
 def test_arithmetic_faults_are_error_reports():
