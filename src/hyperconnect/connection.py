@@ -24,9 +24,10 @@
 
   A table builds the factors its entries share once, to n_max: the
   Pochhammer rows (alpha)_m, (beta)_m, (alpha-beta)_m, (-N)_m, (-M)_m ... by
-  term ratio and the powers E^m, (q/p)^m, (c-d)^m ...  The two 2F1
-  entries are differences of one row: with w_i = (beta)_i/(alpha)_i E^i
-  (resp. (-M)_i/(-N)_i (q/p)^i), (beta)_k (k+beta)_m = (beta)_{k+m} gives
+  term ratio and the powers (c-d)^m, (p-q)^m ...  The two 2F1 entries are
+  differences of one ``series.hypergeometric_terms`` row, w_i =
+  (beta)_i (1)_i / ((alpha)_i i!) E^i (resp. -M, -N and q/p): as
+  (beta)_k (k+beta)_m = (beta)_{k+m},
 
       c_{k,n} = C(n,k) sum_m (-1)^m C(n-k, m) w_{k+m},
 
@@ -116,6 +117,7 @@ from .series import (
     TruncatedSeries,
     binomial_power,
     exp_series,
+    hypergeometric_terms,
     q_binomial_series,
     q_exp_lower,
 )
@@ -262,10 +264,8 @@ def _alpha_c_to_beta_d(p, top):
     _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
     alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
     ratio = d * (1 - c) / (c * (1 - d))
-    return _terminating_gauss_entries([
-        b / a * z for a, b, z in zip(pochhammer_row(alpha, top),
-                                     pochhammer_row(beta, top), _powers(ratio, top))
-    ])
+    return _terminating_gauss_entries(
+        hypergeometric_terms((beta, 1), (alpha,), ratio, top, field_of(alpha, beta, ratio)))
 
 
 def _same_alpha_c_to_d(p, top):
@@ -291,10 +291,9 @@ def _p_N_to_q_M(p, cap, top):
     big = as_index(p["M"], "M")
     _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
     _require(p["q"] != 0, "q must be nonzero")
-    upper, lower = pochhammer_row(Fraction(-big), top), pochhammer_row(Fraction(-cap), top)
-    return _terminating_gauss_entries([
-        u / v * z for u, v, z in zip(upper, lower, _powers(p["q"] / p["p"], top))
-    ])
+    ratio = p["q"] / p["p"]
+    return _terminating_gauss_entries(
+        hypergeometric_terms((-big, 1), (-cap,), ratio, top, field_of(ratio)))
 
 
 def _p_to_q_same_N(p, cap, top):

@@ -6,7 +6,8 @@ with eager pole detection: a term whose numerator product is already zero
 contributes nothing, but a nonzero term over a vanishing denominator factor
 is reported as a pole instead of being divided through.  An exact sum runs
 on integers over one running denominator (``series.integer_term_ratios``,
-the same checks in the same order) and is reduced once.  The one
+the same checks in the same order) and is reduced once; a double sum adds
+the ``series.hypergeometric_terms`` row up to its first zero.  The one
 non-terminating sum, a lattice sum's closed form, goes through
 ``pfq_eval_with_tail``: complex doubles until the absolute term drops below
 1e-17 |partial sum| for five consecutive terms (guarding against
@@ -89,10 +90,8 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
             den *= step_den
             total = total * step_den + term
         return Fraction(total, den)
-    term = field.one()
-    total = term
-    for k in range(degree):
-        term = term * term_ratio(spec.numerator, spec.denominator, z, k)
+    total, *terms = hypergeometric_terms(spec.numerator, spec.denominator, z, degree, field)
+    for term in terms:
         if term == 0:
             break
         total = total + term

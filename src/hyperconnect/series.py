@@ -7,10 +7,12 @@ the numeric one.  Mixed-order arithmetic truncates to the smaller order, which
 is what "equal up to order N" means; multiplication is the Cauchy product
 truncated at the result order.
 
-Each hypergeometric factor (``binomial_power``, ``exp_series``,
-``q_binomial_series``, ``q_exp_lower``) is a first term plus a term ratio on
-CoefficientStream, whose one loop stops at the first zero coefficient and
-turns a zero divisor into PoleError.
+``hypergeometric_terms`` builds every row prod (a_i)_k / prod (b_j)_k
+lam^k / k! in the package, ``binomial_power`` (1F0) and ``exp_series``
+(0F0) among them, but for ``hyper``'s exact argument factors, exact sums
+and tail sum: on exact inputs from ``integer_term_ratios``, one ``Fraction``
+per k, otherwise by ``term_ratio`` on CoefficientStream, whose one loop (the
+q-series' too) stops at the first zero term and raises PoleError eagerly.
 
 The O(order^2) loops run once for both fields on the form ``FieldTag.common``
 gives: a product takes the Cauchy product of its operands' numerators over
@@ -18,9 +20,7 @@ one denominator each, ``linear_combination`` sums s_n t^k_n S_n(t) over one
 denominator for all terms, and ``FieldTag.over`` turns the results back into
 values.  An exact coefficient is an integer sum reduced once, the canonical
 ``Fraction`` term-by-term arithmetic gives; doubles are those of the plain
-operations.  ``hypergeometric_terms`` gives prod (a_i)_k / prod (b_j)_k
-lam^k / k!, on exact inputs from ``integer_term_ratios`` with one
-``Fraction`` per k, otherwise by streaming ``term_ratio``.
+operations.
 
 Values are immutable and operations pure.
 """
@@ -335,21 +335,15 @@ def hypergeometric_terms(tops, bottoms, lam, order: int, field: FieldTag = EXACT
 
 
 def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """(1 - kappa t)^(-a): coefficient pochhammer(a, n) kappa^n / n!, term
-    ratio kappa (a+n)/(n+1); 1F0(a;; kappa t)."""
+    """(1 - kappa t)^(-a) = 1F0(a;; kappa t): coefficient (a)_n kappa^n / n!."""
     kappa, a = field.of(kappa), field.of(a)
-    if field.is_exact:
-        return TruncatedSeries._result(field, hypergeometric_terms([a], [], kappa, order, field))
-    return CoefficientStream(1, lambda n: kappa * (a + n) / (n + 1)).series(order, field)
+    return TruncatedSeries._stored(field, hypergeometric_terms([a], [], kappa, order, field))
 
 
 def exp_series(kappa, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
-    """exp(kappa t): coefficient kappa^n / n!, term ratio kappa/(n+1);
-    0F0(;; kappa t)."""
-    kappa = field.of(kappa)
-    if field.is_exact:
-        return TruncatedSeries._result(field, hypergeometric_terms([], [], kappa, order, field))
-    return CoefficientStream(1, lambda n: kappa / (n + 1)).series(order, field)
+    """exp(kappa t) = 0F0(;; kappa t): coefficient kappa^n / n!."""
+    return TruncatedSeries._stored(
+        field, hypergeometric_terms([], [], field.of(kappa), order, field))
 
 
 def linear_combination(terms, order: int, field: FieldTag) -> TruncatedSeries:

@@ -11,8 +11,9 @@ whether the sum has the Krawtchouk degree-N truncation brackets), and one
 builder forms both sides as truncated series.  A local memo of the call
 makes each piece that does not depend on n once, on first use, and drops it
 on return: the row P_0..P_top (``families.family_row``, by the three-term
-recurrence on exact inputs), the Pochhammer rows (a)_0..(a)_top and, for a
-multivariable inner_n, the factor product to order top.  The rhs is one
+recurrence on exact inputs), the ``series.hypergeometric_terms`` row of
+prod_a (a)_n z^n / n!, the row (b)_n and, for a multivariable inner_n,
+the factor product to order top.  The rhs is one
 ``series.linear_combination``, on integer numerators over one denominator on
 the exact field, where a pass means literal coefficient equality.
 
@@ -30,7 +31,8 @@ produced by the three-term recurrences
 
 so no cancellation-prone alternating sums are ever formed.  The sum runs on
 integer rows: M_n(x) is an integer row over one denominator (its
-coefficients in (-x)_k cleared once), the kernel times the weight
+coefficients in (-x)_k, a ``hypergeometric_terms`` row, cleared once), the
+kernel times the weight
 (beta)_x rate^x / x! is one integer recurrence whose denominators form a
 chain den_x = den_{x-1} step_x of small integer steps, and a forward Horner
 pass acc = acc step_x + term_x keeps the sum over the current den_x.  The
@@ -92,7 +94,8 @@ from .pochhammer import (
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import TruncatedSeries, binomial_power, exp_series, linear_combination
+from .series import (TruncatedSeries, binomial_power, exp_series, hypergeometric_terms,
+                     linear_combination)
 
 
 @dataclass(frozen=True)
@@ -341,16 +344,12 @@ class GFSpec:
             return hyper_series_in_t(spec, shapes, top - n, field, product=product)
 
         def coeff(n):
-            small, under = field.of(z) ** n, math.factorial(n)
-            for a in tops:
-                small *= once(("rising", a), pochhammer_row, a, top)[n]
-            if bottom is not None:  # only a Meixner (alpha)_n can vanish: (-N)_n != 0 for n <= N
-                rising = once(("rising", bottom), pochhammer_row, bottom, top)[n]
-                if rising == 0:
-                    raise PoleError(
-                        f"(alpha)_n vanishes at n = {n}: alpha = {bottom} lies in -N0")
-                under *= rising
-            return small / under * once("poly", families.family_row, family, top, x, params)[n]
+            value = (once("terms", hypergeometric_terms, tops, (), z, top, field)[n]
+                     * once("poly", families.family_row, family, top, x, params)[n])
+            rising = 1 if bottom is None else once("bottom", pochhammer_row, bottom, top)[n]
+            if rising == 0:  # only a Meixner (alpha)_n can vanish: (-N)_n != 0 for n <= N
+                raise PoleError(f"(alpha)_n vanishes at n = {n}: alpha = {bottom} lies in -N0")
+            return value / rising
 
         rhs = linear_combination([(inner(n), n, coeff(n)) for n in range(top + 1)],
                                  order, field)
@@ -608,11 +607,7 @@ def _meixner_row(n: int, beta, d, count: int):
     M_n(x) = sum_k a_k (-x)_k with a_k = (-n)_k z^k / ((beta)_k k!) and
     z = 1 - 1/d; the a_k are put over one denominator once, and each row
     entry is an integer Horner pass over (-x)_k = (-x)(1-x)...(k-1-x)."""
-    z = 1 - 1 / d
-    a = [Fraction(1)]
-    for k in range(n):
-        a.append(a[-1] * (k - n) * z / ((beta + k) * (k + 1)))
-    coeffs, den = EXACT.common(a)
+    coeffs, den = EXACT.common(hypergeometric_terms((-n,), (beta,), 1 - 1 / d, n))
     row = []
     for x in range(count):
         total = 0
@@ -905,33 +900,33 @@ def verify_orthogonality_sum(case: IdentityCase) -> VerificationReport:
 # -- invariance of plain generating functions under degenerate relations -----
 
 _PLAIN_GFS = {
-    # id -> (family, parameter names, series(order, field, **params),
-    #        normalization c_n(n, **params))
+    # id -> (family, parameter names, series(order, field, **params), the
+    #        parameters a whose (a)_n / n! is the normalization c_n)
     "meixner_product_gf": (
         "meixner", ("x", "alpha", "c"),
         lambda o, f, x, alpha, c, **_: families.gf_expand(
             "meixner", x, {"alpha": alpha, "c": c}, o, f),
-        lambda n, alpha, **_: pochhammer(alpha, n) / math.factorial(n),
+        ("alpha",),
     ),
     "meixner_exp_gf": (
         "meixner", ("x", "alpha", "c"),
         GF_IDENTITIES["meixner_1f1_alpha_shift"][0].lhs_series,
-        lambda n, **_: Fraction(1, math.factorial(n)),
+        (),
     ),
     "meixner_gauss_gf": (
         "meixner", ("x", "alpha", "c", "gamma"),
         GF_IDENTITIES["meixner_2f1_alpha_shift"][0].lhs_series,
-        lambda n, gamma, **_: pochhammer(gamma, n) / math.factorial(n),
+        ("gamma",),
     ),
     "krawtchouk_exp_gf": (
         "krawtchouk", ("x", "p", "N"),
         GF_IDENTITIES["krawtchouk_1f1_prob_shift"][0].lhs_series,
-        lambda n, **_: Fraction(1, math.factorial(n)),
+        (),
     ),
     "krawtchouk_gauss_gf": (
         "krawtchouk", ("x", "p", "N", "gamma"),
         GF_IDENTITIES["krawtchouk_2f1_prob_shift"][0].lhs_series,
-        lambda n, gamma, **_: pochhammer(gamma, n) / math.factorial(n),
+        ("gamma",),
     ),
 }
 
@@ -947,7 +942,7 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
             raise DomainError(
                 f"unknown generating function {gf_id!r}; known: {', '.join(_PLAIN_GFS)}"
             )
-        family, names, build, normalization = _PLAIN_GFS[gf_id]
+        family, names, build, tops = _PLAIN_GFS[gf_id]
         spec = conn.get_relation(relation_id)
         if spec.family != family:
             raise DomainError(f"{relation_id} does not apply to {family}")
@@ -965,7 +960,7 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
         original = build(order, case.field, **bound)
         table = conn.connection_table(relation_id, params, n_cap, case.field)
         target = spec.target(params)
-        norms = [normalization(n, **bound) for n in range(n_cap + 1)]
+        norms = hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap, case.field)
         polys = [families.family_eval(family, k, x, target) for k in range(n_cap + 1)]
         rebuilt = linear_combination(
             [(TruncatedSeries(case.field, [

@@ -4,17 +4,22 @@ the exact common-denominator form round-trips.
 
 Each oracle below is the term-by-term double loop as it was written before
 the loops were merged; ``repr`` tells -0.0 from 0.0, so the comparisons are
-bit for bit."""
+bit for bit.  The binomial and exponential rows, now
+``series.hypergeometric_terms`` rows, are the one exception: they keep
+every value, but not every sign of a zero part."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconnect import (EXACT, NUMERIC, CoefficientStream, DomainError, PoleError,
-                          TruncatedSeries, hyper_series_in_t, linear_arg, pfq)
+                          TruncatedSeries, binomial_power, exp_series, hyper_series_in_t,
+                          linear_arg, pfq, pfq_eval)
 from hyperconnect.connection import _terminating_gauss_entries
+from hyperconnect.fields import as_index, is_nonpositive_integer
 from hyperconnect.hyper import _mobius_lift
 from hyperconnect.series import linear_combination
 from test_verify import small_rationals
@@ -152,3 +157,64 @@ def test_pfq_lift_keeps_the_bits_of_the_double_stream(tops, bottoms, lam, order)
     want = _outcome(lambda: TruncatedSeries._result(
         NUMERIC, stream.coefficients(order, NUMERIC)).coefficients)
     assert got == want
+
+
+# The hand-written double rows that ``series.hypergeometric_terms`` replaced.
+# Its ratio starts from the integer 1 and is the integer 0 once it vanishes,
+# so at a kappa with a -0.0 part, and from the first zero of a terminating
+# binomial on, a zero part of a coefficient may carry the other sign.  The
+# rows are therefore compared with ==, which on doubles tells every bit apart
+# except the sign of a zero.
+
+def _old_binomial_power(kappa, a, order):
+    kappa, a = NUMERIC.of(kappa), NUMERIC.of(a)
+    return CoefficientStream(1, lambda n: kappa * (a + n) / (n + 1)).series(order, NUMERIC)
+
+
+def _old_exp_series(kappa, order):
+    kappa = NUMERIC.of(kappa)
+    return CoefficientStream(1, lambda n: kappa / (n + 1)).series(order, NUMERIC)
+
+
+def _old_pfq_eval(spec, z):
+    degree = min([-as_index(a.real if isinstance(a, complex) else a)
+                  for a in spec.numerator if is_nonpositive_integer(a)])
+    term = NUMERIC.one()
+    total = term
+    for k in range(degree):
+        term = term * _old_pfq_ratio(spec.numerator, spec.denominator, z, k)
+        if term == 0:
+            break
+        total = total + term
+    return total
+
+
+SCALARS = st.one_of(PARTS, COMPLEX, st.sampled_from([-0.0, complex(-0.0, -0.0)]))
+# a terminating numerator, as an int, a double or a complex double
+NEGATIVE_INDICES = st.integers(-6, 0).flatmap(
+    lambda m: st.sampled_from([m, float(m), complex(m), complex(m, -0.0)]))
+
+
+@settings(max_examples=200)
+@given(kappa=SCALARS, a=st.one_of(SCALARS, NEGATIVE_INDICES), order=st.integers(0, 9))
+def test_double_binomial_and_exponential_rows_keep_the_removed_formulas(kappa, a, order):
+    got = binomial_power(kappa, a, order, NUMERIC).coefficients
+    assert got == _old_binomial_power(kappa, a, order).coefficients
+    got = exp_series(kappa, order, NUMERIC).coefficients
+    assert got == _old_exp_series(kappa, order).coefficients
+    assert {type(c) for c in got} == {complex}
+
+
+@settings(max_examples=200)
+@given(data=st.data(), lead=NEGATIVE_INDICES, tops=st.lists(PFQ_PARAMS, max_size=2),
+       bottoms=st.lists(st.one_of(PFQ_PARAMS, PARTS), max_size=2), z=SCALARS)
+def test_double_terminating_sums_keep_the_removed_loop(data, lead, tops, bottoms, z):
+    spec = pfq([*tops, lead][::data.draw(st.sampled_from([1, -1]))], bottoms)
+    assert _outcome(lambda: pfq_eval(spec, z)) == _outcome(lambda: _old_pfq_eval(spec, z))
+
+
+def test_a_non_finite_double_term_is_refused_where_the_removed_loop_summed_it():
+    spec = pfq((-400.0,), ())
+    assert repr(_old_pfq_eval(spec, 1e300)) == "(nan+nanj)"
+    with pytest.raises(DomainError, match="numeric scalar must be finite"):
+        pfq_eval(spec, 1e300)
