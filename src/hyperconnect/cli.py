@@ -79,8 +79,9 @@ def _collect_params(args, backend: str) -> dict:
     for item in getattr(args, "param", []):
         if "=" not in item:
             raise DomainError(f"--param expects NAME=VALUE, got {item!r}")
-        name, raw = item.split("=", 1)
-        params[name.strip()] = _parse_value(raw.strip(), backend)
+        name, raw = (part.strip() for part in item.split("=", 1))
+        # a name slot such as relation holds a name, not a number
+        params[name] = raw if name in verify._NAME_SLOTS else _parse_value(raw, backend)
     return params
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
-from .fields import EXACT, NUMERIC, FieldTag, as_numeric, deviation, field_of
+from .fields import EXACT, NUMERIC, FieldTag, as_numeric, field_of
 
 
 def _cauchy_product(left, right):
@@ -182,20 +182,6 @@ class TruncatedSeries:
         return acc
 
     # -- comparison ---------------------------------------------------------
-
-    def first_mismatch(self, other: "TruncatedSeries"):
-        self._check_field(other)
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            if not self.field.eq(self.coefficients[i], other.coefficients[i]):
-                return i
-        return None
-
-    def max_deviation(self, other: "TruncatedSeries") -> float:
-        self._check_field(other)
-        n = min(self.order, other.order)
-        return max(deviation(self.coefficients[i], other.coefficients[i])
-                   for i in range(n + 1))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -15,7 +15,7 @@ recurrence on exact inputs), the ``series.hypergeometric_terms`` row of
 prod_a (a)_n z^n / n!, the row (b)_n and, for a multivariable inner_n,
 the factor product to order top.  The rhs is one
 ``series.linear_combination``, on integer numerators over one denominator on
-the exact field, where a pass means literal coefficient equality.
+the exact field.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
@@ -39,9 +39,17 @@ pass acc = acc step_x + term_x keeps the sum over the current den_x.  The
 sum is reduced to lowest terms once per case, and the loop over x builds no
 ``Fraction`` per term.  The discarded tail is estimated by a geometric
 series with the observed ratio of the last four terms (an extrapolation, not
-yet a proven majorant) and added to the error budget; when the estimate
-alone exceeds the tolerance the verdict is 'inconclusive', which is
-deliberately distinct from 'fail'.
+yet a proven majorant).
+
+Every verdict follows one of two rules.  ``_agreement`` compares values one
+by one (series coefficients lowest order first, table entries, reconstructed
+values, the exact Krawtchouk sums): literal equality on the exact field,
+|a - b| <= atol + rtol max(|a|, |b|) on doubles; the first pair that differs
+fails at its order, with the worst |a - b| up to it as the deviation.
+``_orth_report`` judges a sum against a closed form: pass when deviation +
+tail bound + rhs error <= atol + rtol |rhs|, 'inconclusive' (not 'fail')
+when the bound and the rhs error alone exceed that; the finite Krawtchouk
+sums on doubles take it with both at 0.
 
 Every route declares the parameter names it needs and checks them before it
 runs, so a malformed case becomes an 'error' report rather than an exception.
@@ -53,7 +61,7 @@ import cmath
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -138,20 +146,15 @@ _NAME_SLOTS = ("generating_function", "relation", "family")
 
 def _serialize_value(v, slot=None):
     """A parameter as standard JSON: None, or a string in a name slot, as it
-    is, a sequence item by item, an exact value as 'p/q', a finite double as
-    [re, im], and any other value (a string outside the name slots, a
-    non-finite double, a bool) as its repr, which reads back as a string, so
-    the case read back is refused as the case was."""
+    is, a sequence item by item, a finite number as its field writes it
+    ('p/q' exact, [re, im] double), and any other value (a string outside the
+    name slots, a non-finite double, a bool) as its repr, which reads back as
+    a string, so the case read back is refused as the case was."""
     if v is None or (slot in _NAME_SLOTS and isinstance(v, str)):
         return v
     if isinstance(v, (tuple, list)):
         return [_serialize_value(item) for item in v]
-    if is_exact_value(v):
-        return str(Fraction(v))
-    if not _finite(v):
-        return repr(v)
-    c = complex(v)
-    return [c.real, c.imag]
+    return field_of(v).serialize(v) if _finite(v) else repr(v)
 
 
 def _deserialize_value(v, slot=None):
@@ -271,20 +274,10 @@ def _guard(case, run) -> VerificationReport:
     return VerificationReport(**{**report.__dict__, "case": case, "millis": millis})
 
 
-def _series_report(case, pairs) -> VerificationReport:
-    """pass when every (left, right) pair of series agrees coefficient by
-    coefficient, else fail at the lowest mismatching order."""
-    mismatches = [m for m in (a.first_mismatch(b) for a, b in pairs) if m is not None]
-    deviation = max(a.max_deviation(b) for a, b in pairs)
-    if not mismatches:
-        return VerificationReport(case, "pass", deviation=deviation)
-    return VerificationReport(case, "fail", deviation=deviation,
-                              first_failing_order=min(mismatches))
-
-
 def _agreement(case, field, rows) -> VerificationReport:
     """rows yields (order, wanted, got, where); fail at the first pair the
-    field tells apart, with ``where`` as the detail."""
+    field tells apart, with ``where`` as the detail and the worst gap up to
+    it as the deviation."""
     worst = 0.0
     for n, wanted, got, where in rows:
         worst = max(worst, deviation(wanted, got))
@@ -292,6 +285,13 @@ def _agreement(case, field, rows) -> VerificationReport:
             return VerificationReport(case, "fail", deviation=worst,
                                       first_failing_order=n, detail=where)
     return VerificationReport(case, "pass", deviation=worst)
+
+
+def _coefficient_rows(pairs):
+    """The ``_agreement`` rows of pairs (left, right) of series of one order:
+    (i, left_i, right_i, None), lowest order first across every pair."""
+    return ((i, left.coefficients[i], right.coefficients[i], None)
+            for i in range(pairs[0][0].order + 1) for left, right in pairs)
 
 
 # -- generalized generating functions: one spec per identity, one builder ----
@@ -530,7 +530,8 @@ def build_sides(case: IdentityCase):
 
 
 def verify_gf_identity(case: IdentityCase) -> VerificationReport:
-    return _guard(case, lambda: _series_report(case, [build_sides(case)]))
+    return _guard(case, lambda: _agreement(case, case.field,
+                                           _coefficient_rows([build_sides(case)])))
 
 
 # -- connection-relation verification ----------------------------------------
@@ -545,13 +546,12 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     """Reconstruction check: the table applied to target values gives back
     the source polynomial at every sample argument and every degree.
 
-    Degrees run outer and samples inner.  The source and target values at
-    a sample come from one row each (``families.family_row``: the three-term
+    Degrees run outer and samples inner.  The source and target values
+    come from one ``families.family_rows`` call per side (the three-term
     recurrence on exact inputs, so a row takes P_0 and P_1 from
-    ``families.family_eval``), made when the sample is first reached.  A
-    reconstructed value is one dot product on numerators
-    (``FieldTag.common``): the target row at a sample is put over one
-    denominator once per field, the table row (read through
+    ``families.family_eval``).  A reconstructed value is one dot product on
+    numerators (``FieldTag.common``): the target row at a sample is put over
+    one denominator once per field, the table row (read through
     ``coefficient``) over another, so on exact values it is an integer sum
     and one ``Fraction`` per degree and sample."""
     case = IdentityCase(
@@ -565,31 +565,25 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
             raise DomainError(f"{relation_id} needs at least one x sample")
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
-        sides = {"source": spec.source(params), "target": spec.target(params)}
-        polynomials, scaled = {}, {}
-
-        def row(side, i):
-            if (side, i) not in polynomials:
-                polynomials[side, i] = families.family_row(spec.family, n_max, x_samples[i],
-                                                           sides[side])
-            return polynomials[side, i]
+        source, target = (families.family_rows(spec.family, n_max, x_samples, binding)
+                          for binding in (spec.source(params), spec.target(params)))
+        scaled = {}
 
         def reconstructed(n, i, x):
             """sum_k c_{n,k} P_k(x_i; target), on integers when every value
             is exact: that sum is the same canonical Fraction."""
             at = x if spec.x_dependent else None
-            target = row("target", i)
             coefficients = [table.coefficient(n, k, at) for k in range(n + 1)]
             key = i, field_of(*coefficients)
             if key not in scaled:  # the field of the dot product, and the target in it
-                dot = field_of(*coefficients, *target)
-                scaled[key] = dot, dot.common(target)
+                dot = field_of(*coefficients, *target[i])
+                scaled[key] = dot, dot.common(target[i])
             dot, (values, target_den) = scaled[key]
             nums, den = dot.common(coefficients)
             return dot.over([sum(map(mul, nums, values))], den * target_den)[0]
 
         rows = (
-            (n, row("source", i)[n], reconstructed(n, i, x),
+            (n, source[i][n], reconstructed(n, i, x),
              f"reconstruction breaks at n = {n}, x = {x}")
             for n in range(n_max + 1) for i, x in enumerate(x_samples)
         )
@@ -701,11 +695,11 @@ def _tail_bound(terms):
     return tail_abs[-1] * r / (1.0 - r)
 
 
-def _orth_report(case, lhs, tail, terms_summed, rhs_value, rhs_error) -> VerificationReport:
-    """Verdict on an exact partial sum ``lhs`` of ``terms_summed`` terms whose
-    last terms are ``tail``, against ``rhs_value`` known to ``rhs_error``."""
+def _orth_report(case, lhs, bound, terms_summed, rhs_value, rhs_error) -> VerificationReport:
+    """Verdict on an exact sum ``lhs`` of ``terms_summed`` terms whose
+    discarded tail is at most ``bound`` (None when nothing bounds it),
+    against ``rhs_value`` known to ``rhs_error``."""
     deviation = abs(float(lhs) - float(rhs_value))
-    bound = _tail_bound(tail)
     tol = case.field.atol + case.field.rtol * abs(float(rhs_value))
     if bound is None or bound + rhs_error > tol:
         status = "inconclusive"
@@ -713,11 +707,8 @@ def _orth_report(case, lhs, tail, terms_summed, rhs_value, rhs_error) -> Verific
         status = "pass"
     else:
         status = "fail"
-    return VerificationReport(
-        case, status, deviation=deviation,
-        terms_summed=terms_summed,
-        tail_bound=bound if bound is not None else float("inf"),
-    )
+    return VerificationReport(case, status, deviation=deviation, terms_summed=terms_summed,
+                              tail_bound=math.inf if bound is None else bound)
 
 
 @dataclass(frozen=True)
@@ -752,7 +743,8 @@ class LatticeSum:
         if min(degrees) < 0:
             raise DomainError(f"degrees must be >= 0, got {degrees}")
         lhs, tail = self.partial_sum(n, case.x_max, **p)
-        return _orth_report(case, lhs, tail, case.x_max + 1, *self.rhs(n, **p))
+        rhs, rhs_error = self.rhs(n, **p)  # a closed form that does not settle raises first
+        return _orth_report(case, lhs, _tail_bound(tail), case.x_max + 1, rhs, rhs_error)
 
     def partial_sum(self, n: int, x_max: int, **p):
         """The exact lhs summed over x = 0..x_max, and its last four terms.
@@ -809,15 +801,10 @@ def _orth_krawtchouk(case: IdentityCase, gf_id: str) -> VerificationReport:
         (t * (qq - 1) / p["p"]) ** n * prefactor / pochhammer(Fraction(-cap), n)
         * spec.inner(n, cap - n, EXACT, **p).evaluate(t)
     )
-    if case.field.is_exact:
-        status = "pass" if lhs == rhs else "fail"
-        deviation = abs(float(lhs - rhs))
-    else:
-        deviation = abs(float(lhs) - float(rhs))
-        tol = case.field.atol + case.field.rtol * abs(float(rhs))
-        status = "pass" if deviation <= tol else "fail"
-    return VerificationReport(case, status, deviation=deviation,
-                              terms_summed=big + 1, tail_bound=0.0)
+    if case.field.is_exact:  # the residual against 0: its deviation is rounded once
+        return replace(_agreement(case, EXACT, [(None, lhs - rhs, 0, None)]),
+                       terms_summed=big + 1, tail_bound=0.0)
+    return _orth_report(case, lhs, 0.0, big + 1, rhs, 0.0)  # a finite sum leaves no tail
 
 
 ORTHOGONALITY_IDS = {
@@ -961,13 +948,13 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
         table = conn.connection_table(relation_id, params, n_cap, case.field)
         target = spec.target(params)
         norms = hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap, case.field)
-        polys = [families.family_eval(family, k, x, target) for k in range(n_cap + 1)]
+        polys = families.family_row(family, n_cap, x, target)
         rebuilt = linear_combination(
             [(TruncatedSeries(case.field, [
                 norms[n] * table.coefficient(n, k, x if spec.x_dependent else None)
                 for n in range(k, n_cap + 1)]), k, poly) for k, poly in enumerate(polys)],
             order, case.field)
-        return _series_report(case, [(original, rebuilt)])
+        return _agreement(case, case.field, _coefficient_rows([(original, rebuilt)]))
 
     return _guard(case, run)
 
@@ -1008,7 +995,7 @@ def _verify_chain(case: IdentityCase) -> VerificationReport:
     if with_exp:
         factor = exp_series(1, case.order, case.field)
         g_lhs, g_rhs = factor * g_lhs, factor * g_rhs
-    return _series_report(case, [(g_lhs, s_lhs), (g_rhs, s_rhs)])
+    return _agreement(case, case.field, _coefficient_rows([(g_lhs, s_lhs), (g_rhs, s_rhs)]))
 
 
 # -- table agreement, bound-grid and catalog checks ---------------------------

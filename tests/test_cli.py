@@ -151,6 +151,24 @@ def test_verify_relation_with_x_samples(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("gf_invariance", "--param", "generating_function=meixner_exp_gf",
+     "--param", "relation=meixner_alpha_to_beta", "--x", "4", "--alpha", "3/2", "--c", "2/5",
+     "--beta", "3/2", "--order", "4"),
+    ("gf_matches_eval", "--param", "family=meixner", "--x", "4", "--alpha", "3/2",
+     "--c", "2/5", "--order", "6"),
+], ids=["gf-invariance", "gf-matches-eval"])
+def test_verify_reads_a_name_slot_param_as_a_name(capsys, argv):
+    # a --param for generating_function, relation or family is a name, not a number
+    code, out, err = run(capsys, "verify", "--identity", *argv, "--output", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["reports"][0]
+    assert report["status"] == "pass"
+    assert all(isinstance(report["case"]["params"][name], str)
+               for name in ("generating_function", "relation", "family")
+               if name in report["case"]["params"])
+
+
 def test_verify_acceptance_suite_exit_zero(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "acceptance",

@@ -264,5 +264,8 @@ def test_unequal_exact_values_never_deviate_by_zero():
     tiny = Fraction(1, 10**400)  # the exact difference underflows too
     assert deviation(1 + tiny, Fraction(1)) == math.ulp(0.0) > 0.0
     assert deviation(big, big) == 0.0
+    huge = Fraction(10**400, 3)  # beyond the double range
+    assert deviation(huge, huge) == 0.0
+    assert deviation(huge + 1, huge) == math.inf
     assert deviation(Fraction(1, 3), Fraction(1, 4)) == abs(complex(Fraction(1, 3)) - 0.25)
     assert deviation(complex(1.0), complex(1.0 + 2**-52)) == 2**-52

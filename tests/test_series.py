@@ -253,7 +253,8 @@ def test_q_shifted_factor_expansions_match_infinite_products():
     want = q_pochhammer(kappa * t, q, INFINITE)
     assert abs(lower.evaluate(t) - want) < 1e-13
     assert abs(upper.evaluate(t) - 1 / want) < 1e-13
-    assert (lower * upper).max_deviation(TruncatedSeries.one(40, NUMERIC)) < 1e-14
+    product = (lower * upper).coefficients
+    assert abs(product[0] - 1) < 1e-14 and max(map(abs, product[1:])) < 1e-14
 
 
 def test_series_values_are_immutable():
@@ -310,14 +311,6 @@ COEFFS = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction), small
 # rationals plus the points of -N0, where a numerator terminates the series
 # and a denominator is a pole
 PARAMS = st.one_of(small_rationals(-4, 4), st.integers(-4, 0).map(Fraction))
-
-
-def test_max_deviation_compares_exact_values_beyond_the_double_range():
-    huge = Fraction(10**400, 3)
-    assert S(huge, 1).max_deviation(S(huge, 1)) == 0.0
-    assert S(huge, 1).max_deviation(S(huge + 1, 1)) == math.inf
-    assert S(Fraction(1, 3), 2).max_deviation(S(Fraction(1, 2), 2)) == abs(
-        complex(Fraction(1, 3)) - complex(Fraction(1, 2)))
 
 
 def _naive_product(a, b):

@@ -1,10 +1,12 @@
 """Identity verifier: builders, comparisons, orthogonality sums, batches."""
 
+import dataclasses
 import gc
 import itertools
 import json
 import math
 import tracemalloc
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -27,9 +29,11 @@ from hyperconnect import (
     verify_gf_invariance,
     verify_orthogonality_sum,
 )
+from hyperconnect import TruncatedSeries, exp_series, pochhammer
 from hyperconnect import families as families_mod
 from hyperconnect import hyper as hyper_mod
 from hyperconnect import verify as verify_mod
+from hyperconnect.fields import deviation
 
 CANON = {
     "x": Fraction(4), "alpha": Fraction(3, 2), "beta": Fraction(7, 3),
@@ -101,7 +105,7 @@ def test_two_param_collapses_to_alpha_shift_when_rates_match():
         "meixner_2f1_alpha_shift", pick(CANON, "x", "alpha", "beta", "c", "gamma"),
         order=9))
     assert lhs14 == lhs13
-    assert rhs14.first_mismatch(rhs13) is None
+    assert rhs14.coefficients == rhs13.coefficients
 
 
 def test_argument_pairing_is_forced():
@@ -141,8 +145,9 @@ def test_argument_pairing_is_forced():
             rhs = rhs + inner.scale(coeff).shifted(n)
         return rhs
 
-    assert lhs.first_mismatch(rhs_with((1 / d, 1 / c))) is None
-    assert lhs.first_mismatch(rhs_with((1 / c, 1 / d))) == 1
+    assert lhs.coefficients == rhs_with((1 / d, 1 / c)).coefficients
+    swapped = rhs_with((1 / c, 1 / d)).coefficients
+    assert swapped[0] == lhs.coefficients[0] and swapped[1] != lhs.coefficients[1]
 
 
 def test_gauss_two_param_prefactor_is_forced():
@@ -154,9 +159,55 @@ def test_gauss_two_param_prefactor_is_forced():
                         pick(CANON, "x", "alpha", "beta", "c", "d", "gamma"),
                         order=4)
     lhs, rhs = build_sides(case)
-    assert lhs.first_mismatch(rhs) is None
-    stripped = rhs * binomial_power(1, -CANON["gamma"], 4)
-    assert lhs.first_mismatch(stripped) == 1
+    assert lhs.coefficients == rhs.coefficients
+    stripped = (rhs * binomial_power(1, -CANON["gamma"], 4)).coefficients
+    assert stripped[0] == lhs.coefficients[0] and stripped[1] != lhs.coefficients[1]
+
+
+_SERIES_CASES = [case for case in acceptance_suite(16)
+                 if case.identity in verify_mod.GF_IDENTITIES
+                 or case.identity in verify_mod.SPECIALIZATION_CHAINS]
+
+
+@pytest.mark.parametrize("field", [EXACT, numeric()], ids=["exact", "numeric"])
+@pytest.mark.parametrize("case", _SERIES_CASES, ids=[case.identity for case in _SERIES_CASES])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_perturbed_rhs_coefficient_fails_at_its_order(case, field, data):
+    # one rhs coefficient moved past the tolerance: the report fails at its
+    # order, and its deviation is the worst gap of every pair of sides up to
+    # that order (a chain moves the rhs of the identity it collapses to, and
+    # its lhs at a later order, which must not win: orders run outer)
+    order = data.draw(st.integers(0, case.order), label="order")
+    i = data.draw(st.integers(0, order), label="i")
+    case = dataclasses.replace(case, order=order, field=field)
+    chain = verify_mod.SPECIALIZATION_CHAINS.get(case.identity)
+    later = data.draw(st.integers(i + 1, order), label="later") if chain and i < order else None
+    build, built = verify_mod.build_sides, []
+
+    def moved(series, j):
+        coefficients = list(series.coefficients)
+        coefficients[j] += (1 + abs(coefficients[j])) * (
+            Fraction(1, 10**9) if field.is_exact else 1e-9)
+        return TruncatedSeries(field, coefficients)
+
+    def perturbed(sub):
+        lhs, rhs = build(sub)
+        if sub.identity == (chain[1] if chain else case.identity):
+            rhs = moved(rhs, i)
+            lhs = lhs if later is None else moved(lhs, later)
+        built.append((lhs, rhs))
+        return lhs, rhs
+
+    with unittest.mock.patch.object(verify_mod, "build_sides", perturbed):
+        report = verify_case(case)
+    pairs = list(zip(*built)) if chain else built  # a chain: general against special
+    if chain and chain[3]:  # exp(t) multiplies the general sides
+        pairs = [(exp_series(1, order, field) * g, s) for g, s in pairs]
+    worst = max(deviation(a.coefficients[j], b.coefficients[j])
+                for a, b in pairs for j in range(i + 1))
+    assert (report.status, report.first_failing_order) == ("fail", i)
+    assert report.deviation == worst
 
 
 def test_specialization_chains_pass():
@@ -403,6 +454,42 @@ def test_krawtchouk_sums_exact():
         IdentityCase("krawtchouk_sum_2f1", {**params, "gamma": Fraction(5, 4)})
     )
     assert report.status == "pass" and report.deviation == 0.0
+
+
+def _inline_krawtchouk_verdict(field, lhs, rhs, terms):
+    """(status, repr(deviation), terms_summed, tail_bound) of a finite
+    Krawtchouk sum by the rule it once had inline: literal equality on the
+    exact field, |lhs - rhs| <= atol + rtol |rhs| on doubles."""
+    if field.is_exact:
+        status, deviation = "pass" if lhs == rhs else "fail", abs(float(lhs - rhs))
+    else:
+        deviation = abs(float(lhs) - float(rhs))
+        status = "pass" if deviation <= field.atol + field.rtol * abs(float(rhs)) else "fail"
+    return status, repr(deviation), terms, 0.0
+
+
+@pytest.mark.parametrize("field", [EXACT, numeric()], ids=["exact", "numeric"])
+@pytest.mark.parametrize("scale", [1, Fraction(1001, 1000)], ids=["pass", "perturbed"])
+@pytest.mark.parametrize("identity, gf_id", [
+    ("krawtchouk_sum_1f1", "krawtchouk_1f1_two_param"),
+    ("krawtchouk_sum_2f1", "krawtchouk_2f1_two_param"),
+])
+def test_krawtchouk_sums_keep_their_inline_verdict(monkeypatch, identity, gf_id, scale, field):
+    # the rhs is (t(q-1)/p)^n (gamma)_n / (-N)_n inner_n(t), so scaling inner_n
+    # scales it; unscaled, it equals the exact lhs
+    spec, names = verify_mod.GF_IDENTITIES[gf_id]
+    monkeypatch.setitem(verify_mod.GF_IDENTITIES, gf_id, (dataclasses.replace(
+        spec, inner=lambda *args, **kw: spec.inner(*args, **kw).scale(scale)), names))
+    params = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5, "t": Fraction(1, 5),
+              "n": 2, **({"gamma": Fraction(5, 4)} if "gamma" in names else {})}
+    p, q, N, t, n = (params[k] for k in ("p", "q", "N", "t", "n"))
+    lhs = ((t * (q - 1) / p) ** n / pochhammer(-N, n)
+           * (pochhammer(params["gamma"], n) if "gamma" in params else 1)
+           * spec.inner(n, N - n, EXACT, **pick(params, *names[1:])).evaluate(t))
+    report = verify_orthogonality_sum(IdentityCase(identity, params, field=field))
+    assert report.status == ("pass" if scale == 1 else "fail")
+    assert (report.status, repr(report.deviation), report.terms_summed, report.tail_bound) \
+        == _inline_krawtchouk_verdict(field, lhs, lhs * scale, params["M"] + 1)
 
 
 def test_invariance_under_degenerate_relations():
