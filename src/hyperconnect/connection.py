@@ -264,8 +264,9 @@ def _alpha_c_to_beta_d(p, top):
     _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
     alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
     ratio = d * (1 - c) / (c * (1 - d))
+    field = field_of(alpha, beta, ratio)
     return _terminating_gauss_entries(
-        hypergeometric_terms((beta, 1), (alpha,), ratio, top, field_of(alpha, beta, ratio)))
+        field.over(*hypergeometric_terms((beta, 1), (alpha,), ratio, top, field)))
 
 
 def _same_alpha_c_to_d(p, top):
@@ -292,8 +293,9 @@ def _p_N_to_q_M(p, cap, top):
     _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
     _require(p["q"] != 0, "q must be nonzero")
     ratio = p["q"] / p["p"]
+    field = field_of(ratio)
     return _terminating_gauss_entries(
-        hypergeometric_terms((-big, 1), (-cap,), ratio, top, field_of(ratio)))
+        field.over(*hypergeometric_terms((-big, 1), (-cap,), ratio, top, field)))
 
 
 def _p_to_q_same_N(p, cap, top):

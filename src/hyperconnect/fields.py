@@ -17,7 +17,8 @@ threads.
 A ``FieldTag`` also owns the form the hot loops run on, so each loop is
 written once for both fields: ``common`` puts values over one denominator
 (integers when exact, the values over 1 on doubles) and ``over`` turns the
-loop's results back into values.
+loop's results back into values.  An exact ``TruncatedSeries`` is stored in
+that form, so its ``Fraction``s are formed by ``over`` when first read.
 """
 
 from __future__ import annotations

@@ -16,21 +16,24 @@ alternating-term false convergence) or 4,000 terms are summed.
 Everything can also be lifted to a series in t, each coefficient an exact
 finite sum.  pFq at lam*t has coefficients c_k = a_k lam^k, from the term
 ratio; at lam*t/(1-t), which expands as (lam t)^k (1-t)^(-k), the t^j
-coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  The c_k come from
-``series.hypergeometric_terms`` (on integers, one ``Fraction`` per k, for
-exact inputs), and the binomial sums run once for both fields on the
-numerators of the c_k over their common denominator (``FieldTag.common``):
-integers and one ``Fraction`` per j when exact.  The two- and
-three-variable kinds take lam_i*t arguments; the multi-indices of total
-degree M share only (a)_M / (c)_M = joint(M), so the t^M coefficient, the
-shell S_M, is joint(M) [t^M] prod_i sum_m (b_i)_m (lam_i t)^m / m!: one
-Cauchy product of per-argument factors.  That product does not involve the
+coefficient is sum_{k=1..j} c_k C(j-1, k-1) for j >= 1.  The c_k are the
+row of ``series.hypergeometric_terms`` (integer numerators over one
+denominator for exact inputs, the values over 1 on doubles), the binomial
+sums run once for both fields on its numerators, and the lifted row is
+reduced once as it is stored: no ``Fraction`` is formed until a coefficient
+is read.  The two- and three-variable kinds take lam_i*t arguments; the
+multi-indices of total degree M share only (a)_M / (c)_M = joint(M), so the
+t^M coefficient, the shell S_M, is joint(M) [t^M] prod_i sum_m (b_i)_m
+(lam_i t)^m / m!: one Cauchy product of per-argument factors, and the
+shells are the joint row times the product's row, numerators pairwise over
+the product of the two denominators.  That product does not involve the
 joint parameters, so a caller lifting many series that differ only in them
 (the inner_n of one generating-function build) builds it once with
 ``factor_product`` and hands it to every lift.  Scalar multivariable sums
-terminate on a joint numerator in {0, -1, -2, ...}, add the same shells,
-and take a shared product the same way (``multivar_eval(..., product=...)``,
-as the connection-type F1 kernels at one argument do).
+terminate on a joint numerator in {0, -1, -2, ...}, add the same shells on
+their numerators into one value, and take a shared product the same way
+(``multivar_eval(..., product=...)``, as the connection-type F1 kernels at
+one argument do).
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
             den *= step_den
             total = total * step_den + term
         return Fraction(total, den)
-    total, *terms = hypergeometric_terms(spec.numerator, spec.denominator, z, degree, field)
+    total, *terms = field.over(*hypergeometric_terms(spec.numerator, spec.denominator, z,
+                                                     degree, field))
     for term in terms:
         if term == 0:
             break
@@ -199,33 +203,31 @@ class MultiVarSpec:
         return self.params[-1]
 
 
-def _joint_ratios(spec: MultiVarSpec, order: int, field: FieldTag) -> list:
-    """joint[M] = (a)_M / (c)_M (or 1/(c)_M), M = 0..order: the coefficients
-    of 2F1(a, 1; c; t) (or 1F1(1; c; t)), with eager pole detection."""
-    a = spec.joint_numerator
-    return hypergeometric_terms((1,) if a is None else (a, 1), (spec.joint_denominator,),
-                                1, order, field)
-
-
-def _argument_factor(b, lam, order: int, field: FieldTag) -> list:
-    """(b)_m lam^m / m!, m = 0..order.  Doubles take the term ratio
-    (b+m) lam / (m+1), because (b)_m and m! leave their range past m = 170."""
+def _argument_factor(b, lam, order: int, field: FieldTag) -> tuple:
+    """The row of (b)_m lam^m / m!, m = 0..order.  Doubles take the term
+    ratio (b+m) lam / (m+1), because (b)_m and m! leave their range past
+    m = 170."""
     if field.is_exact:
-        return [rising / math.factorial(m) * lam**m
-                for m, rising in enumerate(pochhammer_row(b, order))]
+        return field.common([rising / math.factorial(m) * lam**m
+                             for m, rising in enumerate(pochhammer_row(b, order))])
     return hypergeometric_terms((b,), (), lam, order, field)
 
 
-def _shells(spec: MultiVarSpec, shapes, joint, field: FieldTag, product=None) -> list:
-    """Shells S_0..S_M of the series at the argument shapes, M = len(joint) - 1:
-    joint[M] times the t^M coefficient of the factor product, taken from
-    ``product`` when one of order >= M is given."""
-    order = len(joint) - 1
+def _multivar_row(spec: MultiVarSpec, shapes, order: int, field: FieldTag,
+                  product=None) -> tuple:
+    """The row of the shells S_0..S_order at the argument shapes: the row of
+    joint(M) = (a)_M / (c)_M (or 1/(c)_M), the coefficients of 2F1(a, 1; c; t)
+    (or 1F1(1; c; t)), times that of the factor product, taken from
+    ``product`` when one of order >= ``order`` is given."""
+    a = spec.joint_numerator
+    joint, joint_den = hypergeometric_terms((1,) if a is None else (a, 1),
+                                            (spec.joint_denominator,), 1, order, field)
     if product is None:
         product = factor_product(spec, shapes, order, field)
     elif product.order < order:
         raise DomainError(f"factor product of order {product.order} < {order}")
-    return [j * c for j, c in zip(joint, product.coefficients)]
+    nums, den = product.row
+    return [j * c for j, c in zip(joint, nums)], joint_den * den
 
 
 def multivar_eval(spec: MultiVarSpec, args: Sequence,
@@ -244,9 +246,9 @@ def multivar_eval(spec: MultiVarSpec, args: Sequence,
         raise DomainError(f"{spec.kind} sums need a joint numerator in {{0, -1, -2, ...}}")
     field = field_of(*spec.params, *args)
     degree = -as_index(a.real if isinstance(a, complex) else a)
-    joint = _joint_ratios(spec, degree, field)
-    shells = _shells(spec, [linear_arg(field.of(x)) for x in args], joint, field, product)
-    return sum(shells, field.zero())
+    shells, den = _multivar_row(spec, [linear_arg(field.of(x)) for x in args], degree, field,
+                                product)
+    return field.over([sum(shells)], den)[0]
 
 
 # -- series in t ------------------------------------------------------------
@@ -278,22 +280,22 @@ def factor_product(spec: MultiVarSpec, shapes, order: int, field: FieldTag = EXA
             "multivariable series support lam*t argument shapes only"
         )
     return reduce(mul, [
-        TruncatedSeries(field, _argument_factor(b, field.of(s.scale), order, field))
+        TruncatedSeries._result(field, *_argument_factor(b, field.of(s.scale), order, field))
         for b, s in zip(spec.separate_numerators, shapes)
     ])
 
 
-def _mobius_lift(c, field: FieldTag) -> list:
-    """c_0 and, for j >= 1, sum_{k=1..j} c_k C(j-1, k-1): the coefficients
-    at lam*t/(1-t) from those c_k at lam*t, summed on the numerators of the
-    c_k over their common denominator (``FieldTag.common``): on the exact
-    field integers and one ``Fraction`` per j."""
-    nums, den = field.common(c)
-    nonzero = [(k, v) for k, v in enumerate(nums) if k and v]
-    return c[:1] + field.over([
-        sum([v * math.comb(j - 1, k - 1) for k, v in nonzero if k <= j])
-        for j in range(1, len(c))
-    ], den)
+def _mobius_lift(nums) -> list:
+    """nums[0] and, for j >= 1, sum_{k=1..j} nums[k] C(j-1, k-1): from the
+    numerators of a row at lam*t, those of the row at lam*t/(1-t) over the
+    same denominator."""
+    lifted = [0] * len(nums)
+    lifted[0] = nums[0]
+    for k, v in enumerate(nums):
+        if k and v:  # coefficient j >= k gathers its terms in increasing k
+            for j in range(k, len(nums)):
+                lifted[j] += v * math.comb(j - 1, k - 1)
+    return lifted
 
 
 def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
@@ -313,12 +315,11 @@ def hyper_series_in_t(spec, shapes, order: int, field: FieldTag = EXACT,
     if isinstance(spec, HyperSpec):
         if len(shapes) != 1:
             raise DomainError("single-variable series takes one argument shape")
-        c = hypergeometric_terms(spec.numerator, spec.denominator, field.of(shapes[0].scale),
-                                 order, field)
+        nums, den = hypergeometric_terms(spec.numerator, spec.denominator,
+                                         field.of(shapes[0].scale), order, field)
         if shapes[0].over_one_minus_t:
-            c = _mobius_lift(c, field)
-        return TruncatedSeries._result(field, c)
+            nums = _mobius_lift(nums)
+        return TruncatedSeries._result(field, nums, den)
     if isinstance(spec, MultiVarSpec):
-        joint = _joint_ratios(spec, order, field)
-        return TruncatedSeries(field, _shells(spec, shapes, joint, field, product))
+        return TruncatedSeries._result(field, *_multivar_row(spec, shapes, order, field, product))
     raise DomainError(f"unsupported spec type {type(spec).__name__}")

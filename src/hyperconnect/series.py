@@ -7,20 +7,26 @@ the numeric one.  Mixed-order arithmetic truncates to the smaller order, which
 is what "equal up to order N" means; multiplication is the Cauchy product
 truncated at the result order.
 
+An exact series is stored as its row: integer numerators over one positive
+denominator, reduced once by a single ``math.gcd(den, *nums)`` when the row
+is stored.  The canonical ``Fraction``s are formed the first time
+``coefficients`` is read, and kept.  A double series stores its values over
+1, so every double keeps its bits.
+
 ``hypergeometric_terms`` builds every row prod (a_i)_k / prod (b_j)_k
 lam^k / k! in the package, ``binomial_power`` (1F0) and ``exp_series``
-(0F0) among them, but for ``hyper``'s exact argument factors, exact sums
-and tail sum: on exact inputs from ``integer_term_ratios``, one ``Fraction``
-per k, otherwise by ``term_ratio`` on CoefficientStream, whose one loop (the
-q-series' too) stops at the first zero term and raises PoleError eagerly.
+(0F0) among them: on exact inputs the running products of
+``integer_term_ratios`` over their last denominator, otherwise by
+``term_ratio`` on CoefficientStream, whose one loop (the q-series' too)
+stops at the first zero term and raises PoleError eagerly.
 
-The O(order^2) loops run once for both fields on the form ``FieldTag.common``
-gives: a product takes the Cauchy product of its operands' numerators over
-one denominator each, ``linear_combination`` sums s_n t^k_n S_n(t) over one
-denominator for all terms, and ``FieldTag.over`` turns the results back into
-values.  An exact coefficient is an integer sum reduced once, the canonical
-``Fraction`` term-by-term arithmetic gives; doubles are those of the plain
-operations.
+The O(order^2) loops run once for both fields on rows: a product takes the
+Cauchy product of its operands' numerators over the product of their
+denominators, and ``linear_combination`` sums s_n t^k_n S_n(t) over one
+denominator for all terms.  ``FieldTag.common`` is the one way a list of
+values enters row form and ``FieldTag.over`` the one way a row leaves it.
+An exact coefficient is the canonical ``Fraction`` term-by-term arithmetic
+gives; doubles are those of the plain operations.
 
 Values are immutable and operations pure.
 """
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
@@ -53,39 +60,58 @@ def _cauchy_product(left, right):
     return out
 
 
+def _reduced(nums, den):
+    """The row nums / den over a positive denominator, in lowest terms: one
+    multi-argument gcd, and a division only when it is not 1."""
+    common = math.gcd(den, *nums)
+    if den < 0:
+        common = -common
+    if common == 1:
+        return nums, den
+    return [v // common for v in nums], den // common
+
+
 class TruncatedSeries:
-    __slots__ = ("field", "coefficients")
+    __slots__ = ("field", "row", "_values")
 
     def __init__(self, field: FieldTag, coefficients):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "coefficients", tuple([field.of(c) for c in coefficients])
-        )
-        if not self.coefficients:
+        values = tuple([field.of(c) for c in coefficients])
+        if not values:
             raise DomainError("a series needs at least the constant coefficient")
+        nums, den = field.common(values)
+        self._fill(field, nums, den, values)
+
+    def _fill(self, field, nums, den, values):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "row", (tuple(nums), den))
+        object.__setattr__(self, "_values", values)
 
     @classmethod
-    def _stored(cls, field: FieldTag, coefficients) -> "TruncatedSeries":
-        """A series of values already in ``field``, stored as they are."""
+    def _result(cls, field: FieldTag, nums, den=1) -> "TruncatedSeries":
+        """The series of the row nums[i] / den (den 1 on doubles).  An exact
+        row is stored reduced; doubles are checked, so an overflow to inf
+        raises DomainError."""
         series = object.__new__(cls)
-        object.__setattr__(series, "field", field)
-        object.__setattr__(series, "coefficients", tuple(coefficients))
+        if field.is_exact:
+            series._fill(field, *_reduced(nums, den), None)
+        else:
+            values = tuple([as_numeric(v) for v in nums])
+            series._fill(field, values, 1, values)
         return series
 
-    @classmethod
-    def _result(cls, field: FieldTag, coefficients) -> "TruncatedSeries":
-        """An arithmetic result: exact coefficients come from Fraction
-        arithmetic on a series and are stored as they are; numeric ones are
-        still checked, so an overflow to inf raises DomainError."""
-        return cls._stored(
-            field, coefficients if field.is_exact else [as_numeric(c) for c in coefficients])
+    @property
+    def coefficients(self) -> tuple:
+        """The values of the row, formed on first read and kept."""
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self.field.over(*self.row)))
+        return self._values
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.row[0]) - 1
 
     @classmethod
     def zero(cls, order: int, field: FieldTag = EXACT) -> "TruncatedSeries":
@@ -114,40 +140,32 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_field(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries._result(
-            self.field,
-            [self.coefficients[i] + other.coefficients[i] for i in range(n + 1)],
-        )
+        return TruncatedSeries(self.field, map(add, self.coefficients, other.coefficients))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_field(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries._result(
-            self.field,
-            [self.coefficients[i] - other.coefficients[i] for i in range(n + 1)],
-        )
+        return TruncatedSeries(self.field, map(sub, self.coefficients, other.coefficients))
 
     def __neg__(self):
-        return TruncatedSeries._result(self.field, [-c for c in self.coefficients])
+        return TruncatedSeries(self.field, [-c for c in self.coefficients])
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_field(other)
-        n, field = min(self.order, other.order), self.field
-        left, da = field.common(self.coefficients[: n + 1])
-        right, db = field.common(other.coefficients[: n + 1])
-        return TruncatedSeries._result(field, field.over(_cauchy_product(left, right), da * db))
+        n = min(self.order, other.order) + 1
+        (left, da), (right, db) = self.row, other.row
+        return TruncatedSeries._result(
+            self.field, _cauchy_product(left[:n], right[:n]), da * db)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, scalar) -> "TruncatedSeries":
         s = self.field.of(scalar)
-        return TruncatedSeries._result(self.field, [c * s for c in self.coefficients])
+        return TruncatedSeries(self.field, [c * s for c in self.coefficients])
 
     def truncate_to(self, m: int) -> "TruncatedSeries":
         """[f]_m: keep c_0..c_m.  m may not exceed the stored order."""
@@ -155,23 +173,24 @@ class TruncatedSeries:
             raise DomainError(f"cannot truncate order {self.order} series to {m}")
         if m < 0:
             raise DomainError("truncation order must be >= 0")
-        return TruncatedSeries._result(self.field, self.coefficients[: m + 1])
+        nums, den = self.row
+        return TruncatedSeries._result(self.field, nums[: m + 1], den)
 
     def padded_to(self, order: int) -> "TruncatedSeries":
         """Zero-extend: exact for polynomials and truncated tails."""
         if order < self.order:
             raise DomainError("padded_to cannot shrink; use truncate_to")
-        zero = self.field.zero()
-        return TruncatedSeries._result(
-            self.field, self.coefficients + (zero,) * (order - self.order)
-        )
+        if order == self.order:
+            return self
+        nums, den = self.row
+        zero = 0 if self.field.is_exact else self.field.zero()
+        return TruncatedSeries._result(self.field, nums + (zero,) * (order - self.order), den)
 
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k; order grows by k."""
         if k < 0:
             raise DomainError("shift must be >= 0")
-        zero = self.field.zero()
-        return TruncatedSeries._result(self.field, (zero,) * k + self.coefficients)
+        return TruncatedSeries(self.field, (self.field.zero(),) * k + self.coefficients)
 
     def evaluate(self, t0):
         """Polynomial value sum c_j t0^j by Horner."""
@@ -186,10 +205,11 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.field == other.field and self.coefficients == other.coefficients
+        # a stored row is canonical: exact rows are reduced with den > 0
+        return self.field == other.field and self.row == other.row
 
     def __hash__(self):
-        return hash((self.field, self.coefficients))
+        return hash((self.field, self.row))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coefficients[:5])
@@ -240,7 +260,7 @@ class CoefficientStream:
 
     def series(self, order: int, field: FieldTag) -> TruncatedSeries:
         """The series of ``coefficients``, which ``field.of`` has checked."""
-        return TruncatedSeries._stored(field, self.coefficients(order, field))
+        return TruncatedSeries._result(field, *field.common(self.coefficients(order, field)))
 
 def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))
@@ -297,63 +317,72 @@ def integer_term_ratios(tops, bottoms, lam, count: int):
         yield num * num_scale, den * den_scale
 
 
-def hypergeometric_terms(tops, bottoms, lam, order: int, field: FieldTag = EXACT) -> list:
-    """Coefficients c_k = prod_i (a_i)_k / prod_j (b_j)_k lam^k / k!,
-    k = 0..order, of the a_i (``tops``), b_j (``bottoms``) and lam.
+def hypergeometric_terms(tops, bottoms, lam, order: int, field: FieldTag = EXACT) -> tuple:
+    """The row (nums, den) of c_k = nums[k] / den = prod_i (a_i)_k /
+    prod_j (b_j)_k lam^k / k!, k = 0..order, of the a_i (``tops``), b_j
+    (``bottoms``) and lam; ``field.over`` of it gives the values.
 
-    On the exact field with exact inputs each step multiplies the previous
-    term's numerator and denominator by the integers of
-    ``integer_term_ratios`` and forms one ``Fraction``; otherwise the terms
-    stream ``term_ratio`` on ``CoefficientStream``.  Either way the stream
-    stops at the first zero term, so a zero lam ends it after the pole check.
+    On the exact field with exact inputs the terms are the running products
+    of ``integer_term_ratios``, put over the last term's denominator and
+    reduced once, so den > 0 and gcd(den, *nums) = 1; otherwise the terms
+    stream ``term_ratio`` on ``CoefficientStream`` and stand over 1.  Either
+    way the stream stops at the first zero term, so a zero lam ends it after
+    the pole check, and the row is zero-padded to ``order``.
     """
     if not (field.is_exact and field_of(*tops, *bottoms, lam).is_exact):
-        return CoefficientStream(
-            Fraction(1), lambda k: term_ratio(tops, bottoms, lam, k)).coefficients(order, field)
-    term = Fraction(1)
-    out = [term]
+        return field.common(CoefficientStream(
+            Fraction(1), lambda k: term_ratio(tops, bottoms, lam, k)).coefficients(order, field))
+    nums, steps = [1], []
     for num, den in integer_term_ratios(tops, bottoms, lam, order):
-        term = Fraction(term.numerator * num, term.denominator * den)
+        term = nums[-1] * num
         if not term:
             break
-        out.append(term)
-    return out + [Fraction(0)] * (order + 1 - len(out))
+        nums.append(term)
+        steps.append(den)
+    # term k stands over steps[0..k-1]: scale it by the steps after it
+    den = 1
+    for k in range(len(steps) - 1, -1, -1):
+        den *= steps[k]
+        nums[k] *= den
+    nums, den = _reduced(nums, den)
+    return nums + [0] * (order + 1 - len(nums)), den
 
 
 def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """(1 - kappa t)^(-a) = 1F0(a;; kappa t): coefficient (a)_n kappa^n / n!."""
     kappa, a = field.of(kappa), field.of(a)
-    return TruncatedSeries._stored(field, hypergeometric_terms([a], [], kappa, order, field))
+    return TruncatedSeries._result(field, *hypergeometric_terms([a], [], kappa, order, field))
 
 
 def exp_series(kappa, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """exp(kappa t) = 0F0(;; kappa t): coefficient kappa^n / n!."""
-    return TruncatedSeries._stored(
-        field, hypergeometric_terms([], [], field.of(kappa), order, field))
+    return TruncatedSeries._result(
+        field, *hypergeometric_terms([], [], field.of(kappa), order, field))
 
 
 def linear_combination(terms, order: int, field: FieldTag) -> TruncatedSeries:
     """sum_n s_n t^k_n S_n(t) to ``order`` for terms (S_n, k_n, s_n), each
     S_n of order at most order - k_n (zero-padded to it).
 
-    The coefficients of all the S_n go over one denominator and the s_n over
-    another (``FieldTag.common``), and the products are summed term by term
-    into one row: on the exact field integers with one reduction per
-    coefficient, on doubles the plain products and sums."""
+    The rows of the S_n go over the lcm of their denominators and the s_n
+    over one denominator (``FieldTag.common``), and the products are summed
+    term by term into one row: on the exact field integers reduced once, on
+    doubles the plain products and sums."""
     rows = []
     for series, shift, _ in terms:
         if series.field != field:
             raise FieldError(f"field mismatch: {series.field.kind} vs {field.kind}")
-        rows.append(series.padded_to(order - shift).coefficients)
-    nums, den = field.common([c for row in rows for c in row])
+        rows.append(series.padded_to(order - shift).row)
+    den = math.lcm(*[d for _, d in rows])
     scalars, scalar_den = field.common([field.of(scalar) for _, _, scalar in terms])
-    total, start = [0] * (order + 1), 0
-    for (_, shift, _), scalar, row in zip(terms, scalars, rows):
+    total = [0] * (order + 1)
+    for (_, shift, _), scalar, (nums, d) in zip(terms, scalars, rows):
         if scalar:
-            for j, v in enumerate(nums[start:start + len(row)], shift):
+            if d != den:
+                scalar *= den // d
+            for j, v in enumerate(nums, shift):
                 total[j] += scalar * v
-        start += len(row)
-    return TruncatedSeries._result(field, field.over(total, scalar_den * den))
+    return TruncatedSeries._result(field, total, scalar_den * den)
 
 
 def q_binomial_series(a, kappa, q, order: int, field: FieldTag = EXACT) -> TruncatedSeries:

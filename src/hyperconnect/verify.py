@@ -344,7 +344,8 @@ class GFSpec:
             return hyper_series_in_t(spec, shapes, top - n, field, product=product)
 
         def coeff(n):
-            value = (once("terms", hypergeometric_terms, tops, (), z, top, field)[n]
+            row = once("terms", hypergeometric_terms, tops, (), z, top, field)
+            value = (field.over([row[0][n]], row[1])[0]
                      * once("poly", families.family_row, family, top, x, params)[n])
             rising = 1 if bottom is None else once("bottom", pochhammer_row, bottom, top)[n]
             if rising == 0:  # only a Meixner (alpha)_n can vanish: (-N)_n != 0 for n <= N
@@ -601,7 +602,7 @@ def _meixner_row(n: int, beta, d, count: int):
     M_n(x) = sum_k a_k (-x)_k with a_k = (-n)_k z^k / ((beta)_k k!) and
     z = 1 - 1/d; the a_k are put over one denominator once, and each row
     entry is an integer Horner pass over (-x)_k = (-x)(1-x)...(k-1-x)."""
-    coeffs, den = EXACT.common(hypergeometric_terms((-n,), (beta,), 1 - 1 / d, n))
+    coeffs, den = hypergeometric_terms((-n,), (beta,), 1 - 1 / d, n)
     row = []
     for x in range(count):
         total = 0
@@ -947,7 +948,8 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
         original = build(order, case.field, **bound)
         table = conn.connection_table(relation_id, params, n_cap, case.field)
         target = spec.target(params)
-        norms = hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap, case.field)
+        norms = case.field.over(*hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap,
+                                                      case.field))
         polys = families.family_row(family, n_cap, x, target)
         rebuilt = linear_combination(
             [(TruncatedSeries(case.field, [

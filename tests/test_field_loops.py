@@ -133,7 +133,7 @@ def test_linear_combination_keeps_the_bits_of_the_double_loop(data, order, count
 @settings(max_examples=120)
 @given(ROWS)
 def test_mobius_lift_keeps_the_bits_of_the_double_loop(c):
-    assert repr(_mobius_lift(c, NUMERIC)) == repr(_old_mobius_lift(c))
+    assert repr(_mobius_lift(c)) == repr(_old_mobius_lift(c))
 
 
 @settings(max_examples=120)

@@ -10,27 +10,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperconnect import (
+    APPELL_F1,
     EXACT,
+    HUMBERT_PHI2,
     NUMERIC,
     CoefficientStream,
     DomainError,
     FieldError,
+    IdentityCase,
+    MultiVarSpec,
     PoleError,
     TruncatedSeries,
     binomial_power,
+    build_sides,
     compose,
     exp_series,
     geometric_stream,
+    hyper_series_in_t,
+    linear_arg,
+    mobius_arg,
     mobius_argument,
     numeric,
     pochhammer,
     q_binomial_series,
     q_pochhammer,
 )
-from hyperconnect.hyper import _mobius_lift, pfq
+from hyperconnect.hyper import _mobius_lift, factor_product, pfq
 from hyperconnect.series import (hypergeometric_terms, linear_combination,
                                  q_exp_lower, term_ratio)
-from test_verify import small_rationals
+from test_verify import CANON, small_rationals
 
 
 def S(*coeffs):
@@ -261,6 +269,14 @@ def test_series_values_are_immutable():
     s = S(1, 2, 3)
     with pytest.raises(AttributeError):
         s.coefficients = (4, 5, 6)
+    # a row-built series forms its values on first read; it stays immutable after
+    product = S(1, Fraction(1, 2)) * S(Fraction(1, 3), 1)
+    assert product.coefficients == (Fraction(1, 3), Fraction(7, 6))
+    for name in ("coefficients", "row", "_values", "field"):
+        with pytest.raises(AttributeError):
+            setattr(product, name, None)
+    assert product.coefficients == (Fraction(1, 3), Fraction(7, 6))
+    assert product.row == ((2, 7), 6)
 
 
 def test_series_json_round_trip():
@@ -321,9 +337,7 @@ def _naive_product(a, b):
 @settings(max_examples=80)
 @given(a=st.lists(COEFFS, min_size=1, max_size=9), b=st.lists(COEFFS, min_size=1, max_size=9))
 def test_integer_product_equals_fraction_cauchy_product(a, b):
-    got = (TruncatedSeries(EXACT, a) * TruncatedSeries(EXACT, b)).coefficients
-    assert list(got) == _naive_product(a, b)
-    assert all(type(c) is Fraction for c in got)
+    _assert_matches(TruncatedSeries(EXACT, a) * TruncatedSeries(EXACT, b), _naive_product(a, b))
 
 
 def _stream_outcome(produce):
@@ -340,13 +354,14 @@ def test_hypergeometric_terms_equal_the_term_ratio_stream(tops, bottoms, lam, or
     spec = pfq(tops, bottoms)
     stream = CoefficientStream(Fraction(1), lambda k: term_ratio(spec.numerator, spec.denominator, lam, k))
     want = _stream_outcome(lambda: stream.coefficients(order, EXACT))
-    got = _stream_outcome(lambda: hypergeometric_terms(spec.numerator, spec.denominator,
-                                                       lam, order))
+    got = _stream_outcome(lambda: EXACT.over(*hypergeometric_terms(
+        spec.numerator, spec.denominator, lam, order)))
     assert got == want
 
 
 def test_hypergeometric_terms_stop_at_a_numerator_in_minus_n0():
-    got = hypergeometric_terms([Fraction(-2), Fraction(1, 3)], [Fraction(-5)], Fraction(1), 6)
+    got = EXACT.over(*hypergeometric_terms([Fraction(-2), Fraction(1, 3)], [Fraction(-5)],
+                                           Fraction(1), 6))
     assert got[3:] == [0] * 4 and got[2] != 0
 
 
@@ -356,7 +371,7 @@ def test_hypergeometric_terms_raise_at_the_pole_index_even_at_zero_argument():
     with pytest.raises(PoleError, match="pole at term 1"):
         hypergeometric_terms([Fraction(1, 2)], [Fraction(0)], Fraction(0), 5)
     # a numerator vanishing at the same index ends the stream before the pole
-    assert hypergeometric_terms([Fraction(0)], [Fraction(0)], Fraction(0), 3) == [1, 0, 0, 0]
+    assert hypergeometric_terms([Fraction(0)], [Fraction(0)], Fraction(0), 3) == ([1, 0, 0, 0], 1)
 
 
 @settings(max_examples=60)
@@ -364,7 +379,8 @@ def test_hypergeometric_terms_raise_at_the_pole_index_even_at_zero_argument():
 def test_mobius_lift_equals_the_fraction_binomial_sum(c):
     want = c[:1] + [sum((c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1)), Fraction(0))
                     for j in range(1, len(c))]
-    assert _mobius_lift(c, EXACT) == want
+    nums, den = EXACT.common(c)
+    assert EXACT.over(_mobius_lift(nums), den) == want
 
 
 @settings(max_examples=60)
@@ -384,3 +400,125 @@ def test_linear_combination_equals_the_add_scale_shift_loop(data, order):
 def test_linear_combination_rejects_a_series_of_another_field():
     with pytest.raises(FieldError):
         linear_combination([(TruncatedSeries(NUMERIC, [1.0]), 0, 1)], 2, EXACT)
+
+
+# -- exact series stored as rows: every result against a Fraction oracle ------
+
+def _rising(a, k):
+    return math.prod([a + i for i in range(k)], start=Fraction(1))
+
+
+def _fraction_terms(tops, bottoms, lam, order):
+    """prod (a)_k / prod (b)_k lam^k / k!, each term on its own in Fractions."""
+    return [math.prod([_rising(a, k) for a in tops], start=Fraction(1)) * lam**k
+            / (math.prod([_rising(b, k) for b in bottoms], start=Fraction(1)) * math.factorial(k))
+            for k in range(order + 1)]
+
+
+def _fraction_mobius(c):
+    return c[:1] + [sum((c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1)), Fraction(0))
+                    for j in range(1, len(c))]
+
+
+def _fraction_double_series(spec, lams, order):
+    """t^M coefficient of a two-argument kind: the sum over m + n = M of its
+    term at m, n, each term on its own in Fractions."""
+    *joint, b1, b2, c = spec.params
+    out = []
+    for total in range(order + 1):
+        top = _rising(joint[0], total) if joint else 1
+        out.append(sum((top * _rising(b1, m) * _rising(b2, total - m) * lams[0]**m
+                        * lams[1]**(total - m) / (_rising(c, total) * math.factorial(m)
+                                                   * math.factorial(total - m))
+                        for m in range(total + 1)), Fraction(0)))
+    return out
+
+
+def _assert_canonical(series):
+    """The stored row of an exact series: integers over den > 0, reduced."""
+    nums, den = series.row
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert den > 0 and math.gcd(den, *nums) == 1
+
+
+def _assert_matches(got, want):
+    """``got``, built on rows, equals the Fraction oracle ``want`` value by
+    value, as canonical Fractions, and as a series built from the values."""
+    _assert_canonical(got)
+    assert list(got.coefficients) == want
+    assert all(type(c) is Fraction for c in got.coefficients)
+    built = TruncatedSeries(EXACT, want)
+    assert got == built and hash(got) == hash(built)
+
+
+POSITIVE = small_rationals(0, 4)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), order=st.integers(0, 9),
+       tops=st.lists(PARAMS, max_size=2), bottoms=st.lists(POSITIVE, max_size=2),
+       lam=st.one_of(st.just(Fraction(0)), small_rationals(-3, 3)))
+def test_row_built_results_equal_a_fraction_oracle(data, order, tops, bottoms, lam):
+    b = data.draw(st.lists(COEFFS, min_size=1, max_size=order + 1), "b")
+    _assert_matches(TruncatedSeries(EXACT, b).padded_to(order),
+                    b + [Fraction(0)] * (order + 1 - len(b)))
+
+    # shifted terms, one of them with a zero scalar
+    terms, want = [], [Fraction(0)] * (order + 1)
+    for shift in range(min(order, 3) + 1):
+        coeffs = data.draw(st.lists(COEFFS, min_size=1, max_size=order - shift + 1))
+        scalar = Fraction(0) if shift == 1 else data.draw(COEFFS)
+        terms.append((TruncatedSeries(EXACT, coeffs), shift, scalar))
+        for j, c in enumerate(coeffs, shift):
+            want[j] += scalar * c
+    _assert_matches(linear_combination(terms, order, EXACT), want)
+
+    terms_at_lam = _fraction_terms(tops, bottoms, lam, order)
+    spec = pfq(tops, bottoms)
+    _assert_matches(hyper_series_in_t(spec, linear_arg(lam), order, EXACT), terms_at_lam)
+    _assert_matches(hyper_series_in_t(spec, mobius_arg(lam), order, EXACT),
+                    _fraction_mobius(terms_at_lam))
+    _assert_matches(binomial_power(lam, tops[0] if tops else 1, order),
+                    _fraction_terms(tops[:1] or [1], [], lam, order))
+    _assert_matches(exp_series(lam, order), _fraction_terms([], [], lam, order))
+
+
+@settings(max_examples=40)
+@given(joint=st.lists(PARAMS, min_size=0, max_size=1), b=st.lists(PARAMS, min_size=2, max_size=2),
+       c=POSITIVE, lams=st.lists(small_rationals(-2, 2), min_size=2, max_size=2),
+       order=st.integers(0, 8), extra=st.integers(0, 3))
+def test_multivariable_lift_with_a_shared_product_equals_a_fraction_oracle(joint, b, c, lams,
+                                                                           order, extra):
+    spec = MultiVarSpec(APPELL_F1 if joint else HUMBERT_PHI2, (*joint, *b, c))
+    shapes = [linear_arg(lam) for lam in lams]
+    shared = factor_product(spec, shapes, order + extra, EXACT)
+    _assert_canonical(shared)
+    got = hyper_series_in_t(spec, shapes, order, EXACT, product=shared)
+    _assert_matches(got, _fraction_double_series(spec, lams, order))
+    assert hyper_series_in_t(spec, shapes, order, EXACT) == got
+
+
+def test_every_stored_row_of_a_high_order_build_is_reduced():
+    # rows that skip their reduction grow fastest at high orders
+    params = {k: CANON[k] for k in ("x", "alpha", "beta", "c", "d", "gamma")}
+    lhs, rhs = build_sides(IdentityCase("meixner_2f1_two_param", params, order=48))
+    for side in (lhs, rhs):
+        _assert_canonical(side)
+    assert lhs == rhs
+
+
+def test_a_terminating_row_pads_with_zeros_and_a_pole_keeps_its_index():
+    nums, den = hypergeometric_terms([Fraction(-3), Fraction(1, 2)], [Fraction(5, 3)],
+                                     Fraction(2, 7), 8)
+    assert len(nums) == 9 and nums[3] != 0 and nums[4:] == [0] * 5
+    assert den > 0 and math.gcd(den, *nums) == 1
+    lift = hyper_series_in_t(pfq([Fraction(-3)], [Fraction(5, 3)]), mobius_arg(Fraction(2)), 8)
+    _assert_canonical(lift)
+    stream = CoefficientStream(Fraction(1), lambda k: term_ratio([Fraction(1, 2)], [Fraction(-4)],
+                                                                 Fraction(3), k))
+    for produce in (lambda: stream.coefficients(8, EXACT),
+                    lambda: hypergeometric_terms([Fraction(1, 2)], [Fraction(-4)], Fraction(3), 8),
+                    lambda: hyper_series_in_t(pfq([Fraction(1, 2)], [Fraction(-4)]),
+                                              linear_arg(Fraction(3)), 8)):
+        with pytest.raises(PoleError, match="pole at term 5"):
+            produce()
