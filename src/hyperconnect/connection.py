@@ -17,16 +17,22 @@
 
   Each relation is one row of ``_RELATIONS`` (a ``RelationSpec``): its
   family, the case parameter bound to each family parameter on the source
-  and on the target side, and its entry builder.  The parameter names, the
-  source and target bindings, their inverse for JSON and the acceptance
-  suite's relation cases all read that row.  Integer bindings enter as
-  Fractions, so exact inputs give exact tables.
+  and on the target side, and the declaration of its entries.  The
+  parameter names, the source and target bindings, their inverse for JSON,
+  the family's domain rule and the acceptance suite's relation cases all
+  read that row.  Integer bindings enter as Fractions, so exact inputs give
+  exact tables.
 
-  A table builds the factors its entries share once, to n_max: the
-  Pochhammer rows (alpha)_m, (beta)_m, (alpha-beta)_m, (-N)_m, (-M)_m ... by
-  term ratio and the powers (c-d)^m, (p-q)^m ...  The two 2F1 entries are
-  differences of one ``series.hypergeometric_terms`` row, w_i =
-  (beta)_i (1)_i / ((alpha)_i i!) E^i (resp. -M, -N and q/p): as
+  A table builds the rows its entries share once, to n_max, each a
+  ``series.hypergeometric_terms`` row.  The four term entries (and the
+  type_c_to_d prefactor) are C(n,k) g_{n-k} r_k / h_n, each row declared as
+  (tops, z) for prod (a)_m z^m: alpha_to_beta is ((alpha-beta,), 1),
+  ((beta,), 1), ((alpha,), 1) and same_alpha_c_to_d ((), c-d),
+  ((), d(1-c)), ((), c(1-d)).  The type_alpha_c prefactor is the
+  alpha_to_beta entry, as (beta-alpha-n+1)_k = (-1)^k (alpha-beta+n-k)_k,
+  save at its 0/0 points.  The two 2F1 entries are declared as (tops,
+  bottom, z), ((beta, 1), alpha, E) and ((-M, 1), -N, q/p), and are
+  differences of that row, w_i = (beta)_i (1)_i / ((alpha)_i i!) E^i: as
   (beta)_k (k+beta)_m = (beta)_{k+m},
 
       c_{k,n} = C(n,k) sum_m (-1)^m C(n-k, m) w_{k+m},
@@ -112,7 +118,7 @@ from .families import (
     get_family,
     normalization_at,
 )
-from .pochhammer import pochhammer, pochhammer_row
+from .pochhammer import pochhammer
 from .series import (
     TruncatedSeries,
     binomial_power,
@@ -227,17 +233,50 @@ def _require_rows(n_max):
     _require(n_max >= 0, f"connection tables need n_max >= 0, got {n_max}")
 
 
-def _check_meixner_domains(params, names):
-    for name in names:
-        v = params[name]
-        if name in ("alpha", "beta") and is_nonpositive_integer(v):
-            raise DomainError(f"{name} must avoid {{0, -1, -2, ...}}")
-        if name in ("c", "d") and (v == 0 or v == 1):
-            raise DomainError(f"{name} must avoid 0 and 1")
+def _check_domain(spec, p, top):
+    """The family's rule on every case parameter the relation binds: alpha
+    and beta avoid {0, -1, ...}, c and d avoid 0 and 1, p and q are nonzero,
+    and N <= M are integers.  A Krawtchouk table has degrees 0..N, so N >= 0
+    is checked first and degree N + 1 last."""
+    if spec.family == "krawtchouk":
+        cap = as_index(p["N"], "N")
+        _require(cap >= 0, f"need n <= N, got n = 0, N = {cap}")
+    for name in spec.names:
+        v = p[name]
+        if name in ("alpha", "beta"):
+            _require(not is_nonpositive_integer(v), f"{name} must avoid {{0, -1, -2, ...}}")
+        elif name in ("c", "d"):
+            _require(v != 0 and v != 1, f"{name} must avoid 0 and 1")
+        elif name in ("p", "q"):
+            _require(v != 0, f"{name} must be nonzero")
+        elif name == "M":
+            big = as_index(v, "M")
+            _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
+    if spec.family == "krawtchouk":
+        _require(top <= cap, f"need n <= N, got n = {cap + 1}, N = {cap}")
 
 
-def _powers(z, top):
-    return [z**m for m in range(top + 1)]
+def _terms(declare, p, top):
+    """entry(n, k) = C(n,k) g_{n-k} r_k / h_n, n <= top, of the three rows
+    ``declare(**p)`` gives as (tops, z): g_m = prod (a)_m z^m, the
+    ``series.hypergeometric_terms`` row of the tops and 1, as (1)_m = m!.
+    C(n,k) stays out of the rows: on doubles z^m / m! underflows to 0 for m
+    past about 150 where z^m does not."""
+    rows = declare(**p)
+    field = field_of(*[v for tops, z in rows for v in (*tops, z)])
+    g, r, h = (field.over(*hypergeometric_terms((*tops, 1), (), z, top, field))
+               for tops, z in rows)
+    return lambda n, k: math.comb(n, k) * g[n - k] * r[k] / h[n]
+
+
+def _gauss(declare, p, top):
+    """entry(n, k), n <= top, of the row w that ``declare(**p)`` gives as
+    (tops, bottom, z): C(n,k) (b)_k/(a)_k z^k 2F1(k-n, k+b; k+a; z) for
+    tops (b, 1) and bottom a."""
+    tops, bottom, z = declare(**p)
+    field = field_of(*tops, bottom, z)
+    return _terminating_gauss_entries(
+        field.over(*hypergeometric_terms(tops, (bottom,), z, top, field)))
 
 
 def _terminating_gauss_entries(w):
@@ -256,86 +295,9 @@ def _terminating_gauss_entries(w):
     return lambda n, k: field.over([math.comb(n, k) * rows[n - k][k]], den)[0]
 
 
-# Each x-free relation maps (params, top) to its entry(n, k), 0 <= k <= n <= top,
-# after the domain checks; the factors shared by the entries are built once.
-
-
-def _alpha_c_to_beta_d(p, top):
-    _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
-    alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
-    ratio = d * (1 - c) / (c * (1 - d))
-    field = field_of(alpha, beta, ratio)
-    return _terminating_gauss_entries(
-        field.over(*hypergeometric_terms((beta, 1), (alpha,), ratio, top, field)))
-
-
-def _same_alpha_c_to_d(p, top):
-    _check_meixner_domains(p, ("alpha", "c", "d"))
-    c, d = p["c"], p["d"]
-    # (c-d)^0 = 1, so d = c collapses to the identity
-    shift, scale, norm = _powers(c - d, top), _powers(d * (1 - c), top), _powers(c * (1 - d), top)
-    return lambda n, k: math.comb(n, k) * shift[n - k] * scale[k] / norm[n]
-
-
-def _alpha_to_beta(p, top):
-    _check_meixner_domains(p, ("alpha", "beta"))
-    alpha, beta = p["alpha"], p["beta"]
-    gap, rising, norm = (pochhammer_row(a, top) for a in (alpha - beta, beta, alpha))
-    return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
-
-
-def _within_cap(n, cap):
-    _require(n <= cap, f"need n <= N, got n = {n}, N = {cap}")
-
-
-def _p_N_to_q_M(p, cap, top):
-    big = as_index(p["M"], "M")
-    _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
-    _require(p["q"] != 0, "q must be nonzero")
-    ratio = p["q"] / p["p"]
-    field = field_of(ratio)
-    return _terminating_gauss_entries(
-        field.over(*hypergeometric_terms((-big, 1), (-cap,), ratio, top, field)))
-
-
-def _p_to_q_same_N(p, cap, top):
-    _require(p["q"] != 0, "q must be nonzero")
-    shift, scale, norm = _powers(p["p"] - p["q"], top), _powers(p["q"], top), _powers(p["p"], top)
-    return lambda n, k: math.comb(n, k) * shift[n - k] * scale[k] / norm[n]
-
-
-def _same_p_N_to_M(p, cap, top):
-    big = as_index(p["M"], "M")
-    _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
-    gap, rising, norm = (pochhammer_row(Fraction(a), top) for a in (big - cap, -big, -cap))
-    return lambda n, k: math.comb(n, k) * gap[n - k] * rising[k] / norm[n]
-
-
-def _krawtchouk_entries(form, params, top):
-    """entry(n, k) of the Krawtchouk relation ``form(params, N, top)`` for
-    n <= top.  Every degree n is checked against N, degree 0 before anything
-    else."""
-    cap = as_index(params["N"], "N")
-    _within_cap(0, cap)
-    _require(params["p"] != 0, "p must be nonzero")
-    entries = form(params, cap, min(top, cap))
-
-    def entry(n, k):
-        _within_cap(n, cap)
-        return entries(n, k)
-
-    return entry
-
-
-# An x-dependent relation is prefactors(params, top) giving prefactor(n, k)
-# after the domain checks, kernel(params, n - k, x, product) and, when the
-# kernels at one x share a factor product, product(params, x, top).
-
-
-def _c_to_d_prefactors(p, top):
-    _check_meixner_domains(p, ("alpha", "c", "d"))
-    rising = pochhammer_row(p["alpha"], top)
-    return lambda n, k: math.comb(n, k) * rising[k] / rising[n]
+# An x-dependent relation is prefactors(params, top) giving prefactor(n, k),
+# kernel(params, n - k, x, product) and, when the kernels at one x share a
+# factor product, product(params, x, top).
 
 
 def _c_to_d_kernel(p, j, x, product=None):
@@ -346,23 +308,21 @@ def _c_to_d_kernel(p, j, x, product=None):
 
 
 def _alpha_c_prefactors(p, top):
-    _check_meixner_domains(p, ("alpha", "beta", "c", "d"))
-    alpha, beta = p["alpha"], p["beta"]
-    lead = [g / a for g, a in zip(pochhammer_row(alpha - beta, top),
-                                  pochhammer_row(alpha, top))]
-    rising = pochhammer_row(beta, top)
-    offsets = {}  # n -> (beta - alpha - n + 1)_k, k = 0..n
+    """(alpha-beta)_n/(alpha)_n (beta)_k (-n)_k / (k! (beta-alpha-n+1)_k).  As
+    (beta-alpha-n+1)_k = (-1)^k (alpha-beta+n-k)_k and (alpha-beta)_n =
+    (alpha-beta)_{n-k} (alpha-beta+n-k)_k, it is the meixner_alpha_to_beta
+    entry, save where the displayed form is 0/0: (beta-alpha-n+1)_k = 0, so
+    beta - alpha is an integer in {n-k, ..., n-1}."""
+    entry = get_relation("meixner_alpha_to_beta").entries(p, top)
+    gap = p["beta"] - p["alpha"]
 
     def prefactor(n, k):
-        if n not in offsets:
-            offsets[n] = pochhammer_row(beta - alpha - n + 1, n)
-        shifted = offsets[n][k]
-        if shifted == 0:
+        if gap in range(n - k, n):
             raise SingularConfigurationError(
                 f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
                 " these parameters admit no limiting value"
             )
-        return lead[n] * rising[k] * ((-1) ** k * math.perm(n, k)) / (math.factorial(k) * shifted)
+        return entry(n, k)
 
     return prefactor
 
@@ -386,21 +346,14 @@ def _alpha_c_product(p, x, top):
 
 
 def _type_entries(prefactors, kernel, product, params, top):
-    """The x-dependent entries of one table to degree top.  Each piece (the
-    prefactor factors, prefactor(n, k), the kernel factor product at x, the
-    kernel at (n - k, x)) is built on first use, so a bad prefactor raises
-    from the entry that needs it, never from connection_table.  A cache keeps
-    no exception; a failed product is kept as None and the kernels at its x
+    """The x-dependent entries of one table to degree top.  The prefactor
+    rows are built here; prefactor(n, k), the kernel factor product at x and
+    the kernel at (n - k, x) on first use, so a bad prefactor raises from the
+    entry that needs it, never from connection_table.  A cache keeps no
+    exception; a failed product is kept as None and the kernels at its x
     form their own.  An x is keyed by its type and repr too: 1, Fraction(1),
     1.0 and -0.0 are equal but give values of different types or signs."""
-
-    @cache
-    def prefactor_of():
-        return prefactors(params, top)
-
-    @cache
-    def prefactor(n, k):
-        return prefactor_of()(n, k)
+    prefactor = cache(prefactors(params, top))
 
     @cache
     def product_at(kind, text, x):
@@ -421,7 +374,10 @@ class RelationSpec:
     """One connection relation.  ``source_names`` and ``target_names`` send
     each family parameter to the case parameter bound to it on that side;
     ``entries(params, top)`` gives the table's entry(n, k), or entry(n, k, x)
-    for a connection-type relation."""
+    for a connection-type relation, after the family's domain rule.  An
+    x-free entry, and a connection-type prefactor, is a declaration read by
+    an engine: ``_terms`` for three (tops, z) rows, ``_gauss`` for one
+    (tops, bottom, z) row."""
 
     id: str
     family: str
@@ -454,18 +410,28 @@ class RelationSpec:
 _ALPHA_C = {"alpha": "alpha", "c": "c"}
 _P_N = {"p": "p", "N": "N"}
 
+# The declarations take the relation's case parameters by name.  A term
+# entry's rows g, r, h are (tops, z) each; a Gauss entry's row is
+# (tops, bottom, z).
 _RELATIONS = {
     spec.id: spec
     for spec in (
         RelationSpec("meixner_alpha_c_to_beta_d", "meixner", _ALPHA_C,
-                     {"alpha": "beta", "c": "d"}, _alpha_c_to_beta_d),
+                     {"alpha": "beta", "c": "d"},
+                     partial(_gauss, lambda alpha, beta, c, d: (
+                         (beta, 1), alpha, d * (1 - c) / (c * (1 - d))))),
         RelationSpec("meixner_same_alpha_c_to_d", "meixner", _ALPHA_C,
-                     {"alpha": "alpha", "c": "d"}, _same_alpha_c_to_d),
+                     {"alpha": "alpha", "c": "d"},
+                     partial(_terms, lambda c, d, **_: (
+                         ((), c - d), ((), d * (1 - c)), ((), c * (1 - d))))),
         RelationSpec("meixner_alpha_to_beta", "meixner", _ALPHA_C,
-                     {"alpha": "beta", "c": "c"}, _alpha_to_beta),
+                     {"alpha": "beta", "c": "c"},
+                     partial(_terms, lambda alpha, beta, **_: (
+                         ((alpha - beta,), 1), ((beta,), 1), ((alpha,), 1)))),
         RelationSpec("meixner_type_c_to_d", "meixner", _ALPHA_C,
                      {"alpha": "alpha", "c": "d"},
-                     partial(_type_entries, _c_to_d_prefactors, _c_to_d_kernel, None),
+                     partial(_type_entries, partial(_terms, lambda alpha, **_: (
+                         ((), 1), ((alpha,), 1), ((alpha,), 1))), _c_to_d_kernel, None),
                      x_dependent=True),
         RelationSpec("meixner_type_alpha_c", "meixner", _ALPHA_C,
                      {"alpha": "beta", "c": "d"},
@@ -473,11 +439,15 @@ _RELATIONS = {
                              _alpha_c_product),
                      x_dependent=True),
         RelationSpec("krawtchouk_p_N_to_q_M", "krawtchouk", _P_N,
-                     {"p": "q", "N": "M"}, partial(_krawtchouk_entries, _p_N_to_q_M)),
+                     {"p": "q", "N": "M"},
+                     partial(_gauss, lambda p, q, N, M: ((-M, 1), -N, q / p))),
         RelationSpec("krawtchouk_p_to_q_same_N", "krawtchouk", _P_N,
-                     {"p": "q", "N": "N"}, partial(_krawtchouk_entries, _p_to_q_same_N)),
+                     {"p": "q", "N": "N"},
+                     partial(_terms, lambda p, q, **_: (((), p - q), ((), q), ((), p)))),
         RelationSpec("krawtchouk_same_p_N_to_M", "krawtchouk", _P_N,
-                     {"p": "p", "N": "M"}, partial(_krawtchouk_entries, _same_p_N_to_M)),
+                     {"p": "p", "N": "M"},
+                     partial(_terms, lambda N, M, **_: (
+                         ((M - N,), 1), ((-M,), 1), ((-N,), 1)))),
     )
 }
 
@@ -510,6 +480,8 @@ def connection_table(relation_id: str, params, n_max: int,
     missing = set(spec.names) - set(params)
     if missing:
         raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
+    params = {name: params[name] for name in spec.names}
+    _check_domain(spec, params, n_max)
     entry = spec.entries(params, n_max)
     if spec.x_dependent:
         rows = [[partial(entry, n, k) for k in range(n + 1)] for n in range(n_max + 1)]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shlex
 from fractions import Fraction
 
@@ -323,6 +324,16 @@ def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, argv, message)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and message in err
+
+
+def test_every_connect_method_refuses_a_rate_outside_the_domain(capsys):
+    # meixner_alpha_to_beta binds c on both sides; c = 0 is no Meixner rate
+    args = ("connect", "--relation", "meixner_alpha_to_beta", "--alpha", "3/2",
+            "--beta", "5/2", "--c", "0", "--n-max", "2")
+    for method in ("closed-form", "power-collection"):
+        code, out, err = run(capsys, *args, "--method", method)
+        assert (code, out) == (2, "") and err.startswith("usage error: ")
+        assert re.search(r"\bc\b.* must ", err), err
 
 
 def test_connect_method_defaults_follow_the_source_of_the_triple(capsys):

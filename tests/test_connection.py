@@ -135,6 +135,16 @@ def test_meixner_domain_checks():
         coefficient("meixner_alpha_to_gamma", MEIX, 1, 0)
 
 
+@pytest.mark.parametrize("relation", [r for r in relation_ids() if r.startswith("meixner")])
+def test_every_meixner_relation_checks_every_parameter_it_binds(relation):
+    # meixner_alpha_to_beta binds c on both sides, so c = 0 is refused there too
+    for name in connection_mod.get_relation(relation).names:
+        bad = (0, -2) if name in ("alpha", "beta") else (0, 1)
+        for value in map(Fraction, bad):
+            with pytest.raises(DomainError, match=f"^{name} must avoid"):
+                connection_table(relation, {**MEIX, name: value}, 2)
+
+
 def test_krawtchouk_degenerate_tables():
     same_p = {"p": Fraction(1, 2), "q": Fraction(1, 2), "N": 4}
     same_n = {"p": Fraction(1, 2), "N": 4, "M": 4}
@@ -460,6 +470,37 @@ def test_type_entries_equal_the_direct_closed_form(relation):
                 want = direct_type_entry(relation, doubles, n, k, x)
                 got = table.coefficient(n, k, x)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, k, x)
+
+
+ARGUMENTS = st.one_of(st.integers(-4, 6).map(Fraction), small_rationals(-5, 6))
+
+
+@settings(max_examples=40)
+@given(data=st.data(), relation=st.sampled_from(["type_c_to_d", "type_alpha_c"]))
+def test_type_entries_equal_the_direct_closed_form_on_random_bindings(data, relation):
+    """Each entry is the unsplit displayed form where that is defined;
+    SingularConfigurationError exactly where (beta-alpha-n+1)_k = 0, and
+    PoleError where the kernel's 2F1 or F1 has a pole, so the displayed
+    form divides by zero."""
+    alpha, c, d = (data.draw(s, name) for s, name in ((OFF_LATTICE, "alpha"), (RATES, "c"),
+                                                       (RATES, "d")))
+    beta = data.draw(st.one_of(st.integers(-3, 6).map(lambda j: alpha + j), OFF_LATTICE), "beta")
+    params = {"alpha": alpha, "beta": beta, "c": c, "d": d}
+    xs = data.draw(st.lists(ARGUMENTS, min_size=1, max_size=3), "xs")
+    table = connection_table("meixner_" + relation, params, 6)
+    for x, n in ((x, n) for x in xs for n in range(7)):
+        for k in range(n + 1):
+            if relation == "type_alpha_c" and rising(beta - alpha - n + 1, k) == 0:
+                with pytest.raises(SingularConfigurationError):
+                    table.coefficient(n, k, x)
+                continue
+            try:
+                want = direct_type_entry(relation, params, n, k, x)
+            except ZeroDivisionError:
+                with pytest.raises(PoleError):
+                    table.coefficient(n, k, x)
+                continue
+            assert table.coefficient(n, k, x) == want, (n, k, x)
 
 
 def test_type_entries_keep_the_argument_type():
