@@ -11,7 +11,9 @@ the ``series.hypergeometric_terms`` row up to its first zero.  The one
 non-terminating sum, a lattice sum's closed form, goes through
 ``pfq_eval_with_tail``: complex doubles until the absolute term drops below
 1e-17 |partial sum| for five consecutive terms (guarding against
-alternating-term false convergence) or 4,000 terms are summed.
+alternating-term false convergence) or 4,000 terms are summed, each step on
+exact parameters taken from ``series.integer_term_ratios`` as two correctly
+rounded integer quotients, the doubles ``term_ratio`` would give.
 
 Everything can also be lifted to a series in t, each coefficient an exact
 finite sum.  pFq at lam*t has coefficients c_k = a_k lam^k, from the term
@@ -105,16 +107,29 @@ def _sum_terminating(spec: HyperSpec, z, degree: int):
 def pfq_eval_with_tail(spec: HyperSpec, z):
     """Value of a non-terminating series at z in complex doubles and the
     tail it stopped at: summed until five consecutive terms fall below
-    1e-17 of the total, or 4,000 terms are summed."""
+    1e-17 of the total, or 4,000 terms are summed.
+
+    On exact parameters the step k is complex(A / scale) z / complex(B / scale)
+    for the ``integer_term_ratios`` pair (A, B) at lam = 1 and scale the
+    product of the parameters' denominators: A / scale and B / scale are the
+    exact numerator and denominator products of ``term_ratio``, each rounded
+    once, so the doubles are those of ``term_ratio`` without a ``Fraction``."""
+    tops, bottoms = spec.numerator, spec.denominator
+    z = complex(z)
+    if field_of(*tops, *bottoms).is_exact:
+        scale = math.prod([a.denominator for a in (*tops, *bottoms)])
+        ratios = (complex(a / scale) * z / complex(b / scale)
+                  for a, b in integer_term_ratios(tops, bottoms, 1, _TAIL_MAX_TERMS))
+    else:
+        ratios = (complex(term_ratio(tops, bottoms, z, k)) for k in range(_TAIL_MAX_TERMS))
     term = complex(1.0)
     total = complex(1.0)
-    z = complex(z)
     small_streak = 0
     shrinking = False
     last_abs = abs_sum = 1.0
     k = 0
-    while k < _TAIL_MAX_TERMS:
-        term = term * complex(term_ratio(spec.numerator, spec.denominator, z, k))
+    for ratio in ratios:
+        term = term * ratio
         k += 1
         if term == 0:
             return total, TailReport(k + 1, 0.0, True, abs_sum)
@@ -129,6 +144,8 @@ def pfq_eval_with_tail(spec: HyperSpec, z):
                 return total, TailReport(k + 1, abs(term), True, abs_sum)
         else:
             small_streak = 0
+    if k < _TAIL_MAX_TERMS:  # the exact steps stopped at a vanishing numerator
+        return total, TailReport(k + 2, 0.0, True, abs_sum)
     if not shrinking:
         raise ConvergenceError(
             f"terms still growing after {_TAIL_MAX_TERMS} terms;"

@@ -36,10 +36,13 @@ kernel times the weight
 (beta)_x rate^x / x! is one integer recurrence whose denominators form a
 chain den_x = den_{x-1} step_x of small integer steps, and a forward Horner
 pass acc = acc step_x + term_x keeps the sum over the current den_x.  The
-sum is reduced to lowest terms once per case, and the loop over x builds no
-``Fraction`` per term.  The discarded tail is estimated by a geometric
-series with the observed ratio of the last four terms (an extrapolation, not
-yet a proven majorant).
+sum is never reduced: the verdict reads its double as the integer quotient
+acc / den_{x_max}, which Python rounds correctly, so it is the double of the
+reduced fraction without a gcd of the ~8,000-bit pair, and the loop over x
+builds no ``Fraction`` per term.  The discarded tail is estimated by a
+geometric series with the observed ratio of the last four terms, read the
+same way from their (term, den_x) pairs (an extrapolation, not yet a proven
+majorant).
 
 Every verdict follows one of two rules.  ``_agreement`` compares values one
 by one (series coefficients lowest order first, table entries, reconstructed
@@ -634,15 +637,16 @@ def _kernel_weight_rows(kernel, beta, d, count: int):
 
 def _lattice_sum(poly, den, rows):
     """sum_x poly[x] u_x / (den step_0 ... step_x) over the (u_x, step_x) of
-    ``rows``, by forward Horner on integers with one final reduction, and
-    the last four terms as exact Fractions (for the tail bound)."""
+    ``rows``, by forward Horner on integers, as the unreduced pair
+    (acc, chain) with sum = acc / chain, and the last four terms as
+    (term, chain) pairs (for the tail bound)."""
     acc, chain, tail = 0, den, deque(maxlen=4)
     for value, (u, step) in zip(poly, rows):
         chain *= step
         term = value * u
         acc = acc * step + term
         tail.append((term, chain))
-    return Fraction(acc, chain), [Fraction(t, c) for t, c in tail]
+    return (acc, chain), list(tail)
 
 
 def _closed_form(prefactor, nums, dens, z):
@@ -675,12 +679,15 @@ def _closed_form(prefactor, nums, dens, z):
 
 
 def _tail_bound(terms):
-    """Geometric bound on the discarded tail from the observed term decay;
-    None (no bound) when one of the last terms vanishes exactly, because a
-    zero says nothing about the decay, or when the terms do not decay."""
-    if any(t == 0 for t in terms[-4:]):
+    """Geometric bound on the discarded tail from the observed decay of the
+    last four terms, each an exact (term, chain) pair worth term / chain;
+    None (no bound) when one of them vanishes exactly, because a zero says
+    nothing about the decay, or when the terms do not decay.  The integer
+    quotient term / chain is correctly rounded, so each magnitude is the
+    double of the reduced fraction without reducing it."""
+    if any(term == 0 for term, _ in terms[-4:]):
         return None
-    tail_abs = [abs(float(t)) for t in terms[-4:]]
+    tail_abs = [abs(term / chain) for term, chain in terms[-4:]]
     if all(t == 0.0 for t in tail_abs):  # nonzero, but below the double range
         return 0.0
     ratios = [
@@ -697,9 +704,9 @@ def _tail_bound(terms):
 
 
 def _orth_report(case, lhs, bound, terms_summed, rhs_value, rhs_error) -> VerificationReport:
-    """Verdict on an exact sum ``lhs`` of ``terms_summed`` terms whose
-    discarded tail is at most ``bound`` (None when nothing bounds it),
-    against ``rhs_value`` known to ``rhs_error``."""
+    """Verdict on a sum ``lhs`` (exact, or the double of an exact sum) of
+    ``terms_summed`` terms whose discarded tail is at most ``bound`` (None
+    when nothing bounds it), against ``rhs_value`` known to ``rhs_error``."""
     deviation = abs(float(lhs) - float(rhs_value))
     tol = case.field.atol + case.field.rtol * abs(float(rhs_value))
     if bound is None or bound + rhs_error > tol:
@@ -743,13 +750,17 @@ class LatticeSum:
         degrees = self.degrees(n, **p)
         if min(degrees) < 0:
             raise DomainError(f"degrees must be >= 0, got {degrees}")
-        lhs, tail = self.partial_sum(n, case.x_max, **p)
+        (acc, chain), tail = self.partial_sum(n, case.x_max, **p)
         rhs, rhs_error = self.rhs(n, **p)  # a closed form that does not settle raises first
-        return _orth_report(case, lhs, _tail_bound(tail), case.x_max + 1, rhs, rhs_error)
+        # int / int is correctly rounded: the double of the reduced sum, with no gcd
+        return _orth_report(case, acc / chain, _tail_bound(tail), case.x_max + 1, rhs,
+                            rhs_error)
 
     def partial_sum(self, n: int, x_max: int, **p):
-        """The exact lhs summed over x = 0..x_max, and its last four terms.
-        A polynomial that occurs twice in the summand is built once."""
+        """The exact lhs summed over x = 0..x_max as an unreduced integer pair
+        (acc, chain), lhs = acc / chain, and its last four terms as (term,
+        chain) pairs.  A polynomial that occurs twice in the summand is built
+        once."""
         count = x_max + 1
         beta, rate = self.poly(**p)
         degrees = self.degrees(n, **p)

@@ -29,12 +29,19 @@ from hyperconnect import (
     pfq_eval_with_tail,
     pochhammer,
 )
-from hyperconnect.hyper import factor_product
+from hyperconnect.hyper import (
+    _CONSECUTIVE_SMALL,
+    _TAIL_MAX_TERMS,
+    _TAIL_TOL,
+    TailReport,
+    factor_product,
+)
 from hyperconnect.series import (
     CoefficientStream,
     binomial_power,
     compose,
     mobius_argument,
+    term_ratio,
 )
 
 
@@ -45,8 +52,9 @@ def test_pfq_at_zero_is_one():
 def test_1f0_is_binomial_theorem():
     # 1F0(a; -; z) = (1-z)^{-a} for |z| < 1
     a, z = Fraction(5, 2), 0.3
-    value, _ = pfq_eval_with_tail(pfq((a,), ()), z)
-    assert abs(value - (1 - z) ** (-float(a))) < 1e-13
+    for top in (a, float(a)):  # exact parameters step on integers, doubles by term_ratio
+        value, _ = pfq_eval_with_tail(pfq((top,), ()), z)
+        assert abs(value - (1 - z) ** (-float(a))) < 1e-13
 
 
 def test_2f1_single_term():
@@ -154,6 +162,70 @@ def test_truncated_mode_flags_divergence():
     # 2F0 diverges everywhere off 0: its terms never shrink in 4,000
     with pytest.raises(ConvergenceError, match="still growing after 4000 terms"):
         pfq_eval_with_tail(pfq((Fraction(2), Fraction(3)), ()), 1.5)
+
+
+def term_ratio_loop(spec, z):
+    """pfq_eval_with_tail as a loop of complex(term_ratio(...)) steps on the
+    parameters as given: the oracle of the exact route's doubles."""
+    term = total = complex(1.0)
+    z = complex(z)
+    small_streak = 0
+    shrinking = False
+    last_abs = abs_sum = 1.0
+    k = 0
+    while k < _TAIL_MAX_TERMS:
+        term = term * complex(term_ratio(spec.numerator, spec.denominator, z, k))
+        k += 1
+        if term == 0:
+            return total, TailReport(k + 1, 0.0, True, abs_sum)
+        if abs(term) < last_abs:
+            shrinking = True
+        last_abs = abs(term)
+        abs_sum += last_abs
+        total = total + term
+        if abs(term) <= _TAIL_TOL * abs(total):
+            small_streak += 1
+            if small_streak >= _CONSECUTIVE_SMALL:
+                return total, TailReport(k + 1, abs(term), True, abs_sum)
+        else:
+            small_streak = 0
+    if not shrinking:
+        raise ConvergenceError(f"terms still growing after {_TAIL_MAX_TERMS} terms;"
+                               f" last |term| = {last_abs:.3e}")
+    return total, TailReport(k + 1, last_abs, False, abs_sum)
+
+
+def tail_outcome(evaluate, spec, z):
+    """The value and report bit for bit, or the error raised."""
+    try:
+        value, tail = evaluate(spec, z)
+    except (ConvergenceError, PoleError) as exc:
+        return type(exc).__name__, str(exc)
+    return ([v.hex() for v in (value.real, value.imag, tail.last_term, tail.abs_sum)],
+            tail.terms, tail.converged)
+
+
+def test_exact_closed_form_ends_where_the_term_ratio_loop_ends():
+    # (-3)_k vanishes from k = 4 on; (-2 + k) is a pole at the third step
+    ends = pfq((Fraction(-3), Fraction(1, 2)), (Fraction(5, 4),))
+    pole = pfq((Fraction(1, 2),), (Fraction(-2),))
+    for spec, z in ((ends, Fraction(1, 3)), (ends, Fraction(0)), (pole, Fraction(1, 3))):
+        assert tail_outcome(pfq_eval_with_tail, spec, z) == tail_outcome(term_ratio_loop, spec, z)
+    assert tail_outcome(pfq_eval_with_tail, ends, Fraction(1, 3))[1] == 5
+    assert tail_outcome(pfq_eval_with_tail, ends, Fraction(0))[1] == 2
+    assert tail_outcome(pfq_eval_with_tail, pole, Fraction(1, 3)) == (
+        "PoleError", "denominator parameter pole at term 3: one of (Fraction(-2, 1),) lies in -N0")
+
+
+EXACT_PARAMETERS = st.one_of(small_rationals(-6, 6), st.integers(-6, 6).map(Fraction))
+
+
+@settings(max_examples=150)
+@given(tops=st.lists(EXACT_PARAMETERS, min_size=1, max_size=2),
+       bottoms=st.lists(EXACT_PARAMETERS, max_size=2), z=small_rationals(-2, 2))
+def test_exact_closed_form_keeps_the_bits_of_the_term_ratio_loop(tops, bottoms, z):
+    spec = pfq(tops, bottoms)
+    assert tail_outcome(pfq_eval_with_tail, spec, z) == tail_outcome(term_ratio_loop, spec, z)
 
 
 def test_multivar_all_zero_args():

@@ -600,7 +600,19 @@ def test_exact_zero_term_gives_no_tail_bound():
     report = verify_case(case)
     assert report.status == "inconclusive"
     assert report.tail_bound == float("inf")
-    assert verify_mod._tail_bound([Fraction(1), Fraction(1, 2), Fraction(0)]) is None
+    assert verify_mod._tail_bound([(1, 1), (1, 2), (0, 4)]) is None
+
+
+def test_tail_bound_reads_each_pair_as_its_quotient():
+    # each (term, chain) pair is read as term / chain, reduced or not: terms
+    # 8, 4, 2, 1 decay by 1/2 and leave a geometric tail of 1
+    assert verify_mod._tail_bound([(8, 1), (4, 1), (2, 1), (1, 1)]) == 1.0
+    assert verify_mod._tail_bound([(16, 2), (-12, 3), (8, 4), (5, 5)]) == 1.0
+    # nonzero pairs that all round to 0.0 leave nothing a double can see,
+    # an exact zero no bound
+    tiny = [(1, 10**400), (-1, 10**401), (1, 10**402), (1, 10**403)]
+    assert verify_mod._tail_bound(tiny) == 0.0
+    assert verify_mod._tail_bound(tiny[:3] + [(0, 10**403)]) is None
 
 
 def test_case_json_round_trip_keeps_tolerances():
@@ -697,9 +709,9 @@ LATTICE_PARAMS = {
 def check_against_direct_sum(identity, n, x_max, params):
     engine, _ = verify_mod.ORTHOGONALITY_IDS[identity]
     terms = [DIRECT_SUMMANDS[identity](x, n, **params) for x in range(x_max + 1)]
-    lhs, tail = engine.partial_sum(n, x_max, **params)
-    assert lhs == sum(terms)
-    assert tail == terms[-4:]
+    (acc, chain), tail = engine.partial_sum(n, x_max, **params)
+    assert Fraction(acc, chain) == sum(terms)
+    assert [Fraction(term, den) for term, den in tail] == terms[-4:]
     report = verify_case(IdentityCase(identity, {**params, "n": n},
                                       field=numeric(1e-9, 1e-9), x_max=x_max))
     assert report.terms_summed == x_max + 1
@@ -738,6 +750,22 @@ def test_lattice_sum_property(identity, data):
     n = data.draw(st.integers(0, 6), label="n")
     x_max = data.draw(st.integers(0, 24), label="x_max")
     check_against_direct_sum(identity, n, x_max, params)
+
+
+@pytest.mark.parametrize("identity", sorted(DIRECT_SUMMANDS))
+def test_lattice_verdict_reads_the_double_of_the_reduced_sum(identity):
+    # at workload size the sum and its tail are read as integer quotients:
+    # the deviation and the tail bound are those of the reduced Fractions
+    params = LATTICE_PARAMS[identity]
+    engine, _ = verify_mod.ORTHOGONALITY_IDS[identity]
+    (acc, chain), tail = engine.partial_sum(3, 300, **params)
+    rhs, _ = engine.rhs(3, **params)
+    report = verify_case(IdentityCase(identity, {**params, "n": 3}, field=numeric(),
+                                      x_max=300))
+    assert report.deviation == abs(float(Fraction(acc, chain)) - float(rhs))
+    reduced = [Fraction(term, den) for term, den in tail]
+    assert report.tail_bound == verify_mod._tail_bound(
+        [(f.numerator, f.denominator) for f in reduced])
 
 
 def test_diagonal_orthogonality_builds_the_row_once(monkeypatch):
