@@ -19,6 +19,10 @@ lam^k / k! in the package, ``binomial_power`` (1F0) and ``exp_series``
 ``integer_term_ratios`` over their last denominator, otherwise by
 ``term_ratio`` on CoefficientStream, whose one loop (the q-series' too)
 stops at the first zero term and raises PoleError eagerly.
+``gauss_degree_row`` builds the row 2F1(-k, a; b; w), k = 0..order, by
+Gauss's contiguous relation in -k: a fraction-free recurrence, O(order)
+steps on growing integers, over the Gaussian integers for doubles, whose
+entries are then rounded once.
 
 The O(order^2) loops run once for both fields on rows: a product takes the
 Cauchy product of its operands' numerators over the product of their
@@ -40,7 +44,8 @@ from operator import add, sub
 from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
-from .fields import EXACT, NUMERIC, FieldTag, as_numeric, field_of
+from .fields import (EXACT, NUMERIC, FieldTag, as_numeric, field_of, integer_linear,
+                     is_nonpositive_integer)
 
 
 def _cauchy_product(left, right):
@@ -339,13 +344,76 @@ def hypergeometric_terms(tops, bottoms, lam, order: int, field: FieldTag = EXACT
             break
         nums.append(term)
         steps.append(den)
-    # term k stands over steps[0..k-1]: scale it by the steps after it
+    nums, den = _reduced(*_over_last(nums, steps))
+    return nums + [0] * (order + 1 - len(nums)), den
+
+
+def _over_last(nums, steps):
+    """Entries nums[k] over steps[0] ... steps[k-1] as one row over the
+    product of all the steps: entry k is scaled by the steps after it."""
     den = 1
     for k in range(len(steps) - 1, -1, -1):
         den *= steps[k]
         nums[k] *= den
-    nums, den = _reduced(nums, den)
-    return nums + [0] * (order + 1 - len(nums)), den
+    return nums, den
+
+
+def gauss_degree_row(a, b, w, order: int, field: FieldTag = EXACT) -> tuple:
+    """The row (nums, den) of F_k = 2F1(-k, a; b; w), k = 0..order, by
+    Gauss's contiguous relation in the first parameter (DLMF 15.5.11):
+
+        (b+k) F_{k+1} = ((2-w)k + b - a w) F_k + (w-1) k F_{k-1}
+
+    On exact inputs the relation runs on its ``integer_linear`` coefficients
+    with both running values over one denominator, which each step
+    multiplies by the divisor, and every entry is put over the last one
+    (den > 0, not reduced).  Where a divisor b+k vanishes, k < order, every
+    F_k is the sum of its ``hypergeometric_terms`` row instead, which stops
+    at the first zero term and raises PoleError at a nonzero term over a
+    vanishing (b)_j, as the terms of 2F1(-k, a; b; w) do on their own.
+
+    Otherwise doubles take the exact row at their own values (a finite
+    double is a rational), each entry rounded once, over 1: the relation
+    runs on Gaussian integers x + iy, each step multiplied through by the
+    conjugate of its divisor, so the running denominator is |b+k|^2 times
+    the last.  The relation run on doubles loses up to 8 digits where b+k
+    nears 0, as the Krawtchouk b = n - N makes it near k = N - n.
+    """
+    a, b, w = field.of(a), field.of(b), field.of(w)
+    if is_nonpositive_integer(b) and -b.real < order:
+        return field.common([
+            field.over([sum(nums)], den)[0]
+            for nums, den in (hypergeometric_terms((-k, a), (b,), w, k, field)
+                              for k in range(order + 1))])
+    if not field.is_exact:
+        ar, ai, br, bi, wr, wi = [Fraction(v) for z in (a, b, w) for v in (z.real, z.imag)]
+        # the coefficients' real and imaginary parts, scaled to integers together
+        (a0, a0i, a1, a1i, d0, di, s1, s1i, d1), _ = EXACT.common([
+            br - ar * wr + ai * wi, bi - ar * wi - ai * wr, 2 - wr, -wi, br, bi, wr - 1, wi,
+            Fraction(1)])
+        re, im, steps = [1], [0], []
+        (x0, y0), (x, y) = (0, 0), (1, 0)  # F_{k-1} and F_k over the running denominator
+        for k in range(order):
+            dr, ak, aki = d0 + d1 * k, a0 + a1 * k, a0i + a1i * k
+            tr = ak * x - aki * y + k * (s1 * x0 - s1i * y0)
+            ti = ak * y + aki * x + k * (s1 * y0 + s1i * x0)
+            scale = dr * dr + di * di
+            (x0, y0), (x, y) = (x * scale, y * scale), (dr * tr + di * ti, dr * ti - di * tr)
+            re.append(x)
+            im.append(y)
+            steps.append(scale)
+        (re, den), (im, _) = _over_last(re, steps), _over_last(im, steps)
+        return [complex(u / den, v / den) for u, v in zip(re, im)], 1
+    (a0, a1), (d0, d1), (_, s1) = integer_linear((b - a * w, 2 - w), (b, 1), (0, w - 1))
+    nums, steps = [1], []
+    before, now = 0, 1
+    for k in range(order):
+        scale = d0 + d1 * k
+        before, now = now * scale, (a0 + a1 * k) * now + s1 * k * before
+        nums.append(now)
+        steps.append(scale)
+    nums, den = _over_last(nums, steps)
+    return ([-v for v in nums], -den) if den < 0 else (nums, den)
 
 
 def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSeries:

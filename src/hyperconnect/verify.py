@@ -15,7 +15,13 @@ recurrence on exact inputs), the ``series.hypergeometric_terms`` row of
 prod_a (a)_n z^n / n!, the row (b)_n and, for a multivariable inner_n,
 the factor product to order top.  The rhs is one
 ``series.linear_combination``, on integer numerators over one denominator on
-the exact field.
+the exact field.  The three two-parameter Gauss inner_n,
+(1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) and, in the Krawtchouk 1F1 row,
+e^t 1F1(a; b; -w t), have the t^k coefficients (lam)_k / k! 2F1(-k, a; b; w)
+and 2F1(-k, a; b; w) / k!: each is one ``hypergeometric_terms`` row times
+one ``series.gauss_degree_row``, not a lift and a product per degree.  Their
+lhs keep the displayed Mobius lift, so that transformation is checked, not
+assumed.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
@@ -105,8 +111,8 @@ from .pochhammer import (
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import (TruncatedSeries, binomial_power, exp_series, hypergeometric_terms,
-                     linear_combination)
+from .series import (TruncatedSeries, binomial_power, exp_series, gauss_degree_row,
+                     hypergeometric_terms, linear_combination)
 
 
 @dataclass(frozen=True)
@@ -393,6 +399,18 @@ def _kraw_2f1(o, f, x, p, N, gamma, **_):
     )
 
 
+def _gauss_inner(tops, a, b, w, o, f):
+    """sum_k prod (lam)_k / k! 2F1(-k, a; b; w) t^k over lam in ``tops``:
+    the ``hypergeometric_terms`` row times the ``gauss_degree_row`` up to the
+    last nonzero term, as (1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) and
+    e^t 1F1(a; b; -w t) expand."""
+    terms, den = hypergeometric_terms(tops, (), 1, o, f)
+    count = next((k for k, v in enumerate(terms) if not v), o + 1) - 1
+    gauss, gauss_den = gauss_degree_row(a, b, w, count, f)
+    return TruncatedSeries._result(f, [v * g for v, g in zip(terms, gauss)] + terms[count + 1:],
+                                   den * gauss_den)
+
+
 def _ratio(c, d):
     """The argument scale of the two-parameter (c -> d) forms."""
     return d * (1 - c) / (c * (1 - d))
@@ -445,9 +463,8 @@ GF_IDENTITIES = {
         _meixner_2f1,
         lambda x, alpha, beta, c, d, gamma, **_: (
             (gamma, beta), alpha, _ratio(c, d), _meixner(x, beta, d)),
-        lambda n, o, f, alpha, beta, c, d, gamma, **_: (
-            binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
-                pfq((gamma + n, beta + n), (alpha + n,)), mobius_arg(-_ratio(c, d)), o, f)),
+        lambda n, o, f, alpha, beta, c, d, gamma, **_: _gauss_inner(
+            (gamma + n,), beta + n, alpha + n, _ratio(c, d), o, f),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "meixner_2f1_c_shift": (GFSpec(
         _meixner_2f1,
@@ -466,8 +483,7 @@ GF_IDENTITIES = {
     "krawtchouk_1f1_two_param": (GFSpec(
         _kraw_exp_1f1,
         lambda x, p, q, N, M, **_: ((-M,), -N, q / p, _krawtchouk(x, q, M)),
-        lambda n, o, f, p, q, N, M, **_: exp_series(1, o, f) * hyper_series_in_t(
-            pfq((Fraction(n - M),), (Fraction(n - N),)), linear_arg(-q / p), o, f),
+        lambda n, o, f, p, q, N, M, **_: _gauss_inner((), n - M, n - N, q / p, o, f),
         capped=True,
     ), ("x", "p", "q", "N", "M")),
     "krawtchouk_1f1_degree_shift": (GFSpec(
@@ -486,10 +502,8 @@ GF_IDENTITIES = {
     "krawtchouk_2f1_two_param": (GFSpec(
         _kraw_2f1,
         lambda x, p, q, N, M, gamma, **_: ((gamma, -M), -N, q / p, _krawtchouk(x, q, M)),
-        lambda n, o, f, p, q, N, M, gamma, **_: (
-            binomial_power(1, gamma + n, o, f) * hyper_series_in_t(
-                pfq((gamma + n, Fraction(n - M)), (Fraction(n - N),)),
-                mobius_arg(-q / p), o, f)),
+        lambda n, o, f, p, q, N, M, gamma, **_: _gauss_inner(
+            (gamma + n,), n - M, n - N, q / p, o, f),
         capped=True,
     ), ("x", "p", "q", "N", "M", "gamma")),
     "krawtchouk_2f1_degree_shift": (GFSpec(

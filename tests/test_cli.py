@@ -142,6 +142,17 @@ def test_verify_single_identity(capsys):
     assert "1/1 pass" in out
 
 
+def test_numeric_gauss_two_param_passes_at_order_24(capsys):
+    # the inners come from the Gauss degree row, rounded once per degree;
+    # the Mobius lift per degree read FAIL at t^19 here
+    code, out, _ = run(
+        capsys, "verify", "--identity", "meixner_2f1_two_param", "--x", "4", "--alpha", "3/2",
+        "--beta", "7/3", "--c", "2/5", "--d", "3/7", "--gamma", "5/4", "--order", "24",
+        "--backend", "numeric",
+    )
+    assert code == 0 and out.startswith("PASS") and "1/1 pass" in out
+
+
 def test_verify_relation_with_x_samples(capsys):
     code, out, _ = run(
         capsys, "verify", "--identity", "meixner_alpha_to_beta",

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperconnect import (
@@ -36,9 +36,9 @@ from hyperconnect import (
     q_pochhammer,
 )
 from hyperconnect.hyper import _mobius_lift, factor_product, pfq
-from hyperconnect.series import (hypergeometric_terms, linear_combination,
+from hyperconnect.series import (gauss_degree_row, hypergeometric_terms, linear_combination,
                                  q_exp_lower, term_ratio)
-from test_verify import CANON, small_rationals
+from test_verify import CANON, _pole_or, _stream_terms, small_rationals
 
 
 def S(*coeffs):
@@ -522,3 +522,63 @@ def test_a_terminating_row_pads_with_zeros_and_a_pole_keeps_its_index():
                                               linear_arg(Fraction(3)), 8)):
         with pytest.raises(PoleError, match="pole at term 5"):
             produce()
+
+
+# -- the Gauss degree row: 2F1(-k, a; b; w), k = 0..order ----------------------
+
+
+@settings(max_examples=200)
+@given(a=PARAMS, b=PARAMS, order=st.integers(0, 10),
+       w=st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), small_rationals(-3, 3)))
+def test_gauss_degree_row_equals_the_sum_of_each_degree(a, b, w, order):
+    # b in -N0 makes a divisor b+k vanish: a pole, or a sum a terminates first
+    def row():
+        nums, den = gauss_degree_row(a, b, w, order)
+        assert all(type(v) is int for v in nums) and type(den) is int and den > 0
+        return EXACT.over(nums, den)
+
+    want = _pole_or(lambda: [sum(_stream_terms((-k, a), (b,), w, k)) for k in range(order + 1)])
+    assert _pole_or(row) == want
+
+
+@settings(max_examples=100)
+@given(a=PARAMS, b=PARAMS, w=small_rationals(-3, 3), order=st.integers(0, 10))
+def test_gauss_degree_row_on_real_doubles_is_the_exact_row_rounded_once(a, b, w, order):
+    a, b, w = float(a), float(b), float(w)
+    assume(not (b <= 0 and b.is_integer() and -b < order))  # there each degree sums its terms
+    exact = EXACT.over(*gauss_degree_row(Fraction(a), Fraction(b), Fraction(w), order))
+    assert gauss_degree_row(a, b, w, order, NUMERIC) == ([complex(v) for v in exact], 1)
+
+
+def _gaussian_mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+@pytest.mark.parametrize("a, b, w, order", [
+    # Krawtchouk inners: b + k = -1 at the last degree, where the relation
+    # run on doubles is off by about 1e-8 relative
+    (-30, -24, 5 / 28, 24),
+    (-30, -24, complex(0.6, 0.2) / complex(0.3, -0.1), 24),
+    (1.5 + 0.5j, 2.25 - 0.25j, 0.3 + 0.4j, 16),
+])
+def test_gauss_degree_row_on_doubles_is_the_exact_row_rounded_once(a, b, w, order):
+    # the exact value of each degree is the sum of its terms, each from the
+    # last by the term ratio, in Gaussian rationals: pairs of parts
+    a, b, w = ((Fraction(complex(v).real), Fraction(complex(v).imag)) for v in (a, b, w))
+    want = []
+    for k in range(order + 1):
+        total = term = (Fraction(1), Fraction(0))
+        for j in range(k):
+            step = _gaussian_mul(_gaussian_mul((j - k, 0), (a[0] + j, a[1])), w)
+            div = ((b[0] + j) * (j + 1), b[1] * (j + 1))
+            term = _gaussian_mul(_gaussian_mul(term, step), (div[0], -div[1]))
+            term = (term[0] / (div[0] ** 2 + div[1] ** 2), term[1] / (div[0] ** 2 + div[1] ** 2))
+            total = (total[0] + term[0], total[1] + term[1])
+        want.append(complex(float(total[0]), float(total[1])))
+    assert gauss_degree_row(complex(*a), complex(*b), complex(*w), order, NUMERIC) == (want, 1)
+
+
+def test_gauss_degree_row_at_unit_argument_is_chu_vandermonde():
+    a, b = Fraction(7, 3), Fraction(3, 2)
+    want = [_rising(b - a, k) / _rising(b, k) for k in range(11)]
+    assert EXACT.over(*gauss_degree_row(a, b, Fraction(1), 10)) == want

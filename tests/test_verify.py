@@ -17,6 +17,7 @@ from hyperconnect import (
     EXACT,
     DomainError,
     IdentityCase,
+    PoleError,
     VerificationReport,
     acceptance_suite,
     batch_verify,
@@ -733,6 +734,85 @@ def small_rationals(low, high, max_den=9):
     return st.integers(2, max_den).flatmap(
         lambda den: st.integers(math.floor(low * den) + 1, math.ceil(high * den) - 1).map(
             lambda num: Fraction(num, den)))
+
+
+# -- the Gauss inners against the series they expand --------------------------
+
+
+def _stream_terms(tops, bottoms, z, order):
+    """prod (a)_k / prod (b)_k z^k / k!, k = 0..order, one term from the
+    last: zero from the first zero term on, PoleError at a nonzero term whose
+    next ratio meets a vanishing (b)_k."""
+    out = [Fraction(1)]
+    for k in range(order):
+        num = math.prod([a + k for a in tops], start=Fraction(1))
+        if out[-1] == 0 or num == 0:
+            out.append(Fraction(0))
+            continue
+        den = math.prod([b + k for b in bottoms], start=Fraction(k + 1))
+        if den == 0:
+            raise PoleError(f"pole at term {k + 1}")
+        out.append(out[-1] * num * z / den)
+    return out
+
+
+def _cauchy(left, right):
+    return [sum((left[i] * right[m - i] for i in range(m + 1)), Fraction(0))
+            for m in range(len(left))]
+
+
+def _inner_oracle(tops, a, b, w, order):
+    """(1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) for tops = (lam,), by the
+    binomial sums of the 2F1 row at -w t times the (1-t)^(-lam) row; e^t
+    1F1(a; b; -w t) for tops = (), by the Cauchy product."""
+    if not tops:
+        return _cauchy(_stream_terms((), (), 1, order), _stream_terms((a,), (b,), -w, order))
+    c = _stream_terms((*tops, a), (b,), -w, order)
+    lifted = c[:1] + [sum((c[k] * math.comb(j - 1, k - 1) for k in range(1, j + 1)), Fraction(0))
+                      for j in range(1, order + 1)]
+    return _cauchy(_stream_terms(tops, (), 1, order), lifted)
+
+
+def _pole_or(produce):
+    try:
+        return produce()
+    except PoleError:
+        return "PoleError"
+
+
+EDGES = st.one_of(small_rationals(-4, 4), st.integers(-5, 0).map(Fraction))
+RATES = small_rationals(0, 1)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(0, 4), order=st.integers(0, 8))
+def test_meixner_gauss_inner_equals_the_mobius_series_it_expands(data, n, order):
+    # alpha and gamma reach -N0: a vanishing (alpha+n)_k and a terminating gamma+n
+    alpha, beta, gamma = (data.draw(EDGES, name) for name in ("alpha", "beta", "gamma"))
+    c = data.draw(RATES, "c")
+    d = data.draw(st.one_of(st.just(c), RATES), "d")
+    spec = verify_mod.GF_IDENTITIES["meixner_2f1_two_param"][0]
+    got = _pole_or(lambda: list(spec.inner(n, order, EXACT, alpha=alpha, beta=beta, c=c, d=d,
+                                           gamma=gamma).coefficients))
+    w = d * (1 - c) / (c * (1 - d))
+    assert got == _pole_or(lambda: _inner_oracle((gamma + n,), beta + n, alpha + n, w, order))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), identity=st.sampled_from(["krawtchouk_1f1_two_param",
+                                                 "krawtchouk_2f1_two_param"]))
+def test_krawtchouk_gauss_inners_equal_the_series_they_expand(data, identity):
+    cap = data.draw(st.integers(0, 8), "N")
+    big = data.draw(st.one_of(st.just(cap), st.integers(cap, 10)), "M")
+    p = data.draw(RATES, "p")
+    q = data.draw(st.one_of(st.just(p), RATES), "q")
+    gamma = data.draw(EDGES, "gamma")
+    n = data.draw(st.integers(0, cap), "n")
+    order = data.draw(st.integers(0, cap - n), "order")  # the capped builder's inner order
+    spec = verify_mod.GF_IDENTITIES[identity][0]
+    got = list(spec.inner(n, order, EXACT, p=p, q=q, N=cap, M=big, gamma=gamma).coefficients)
+    tops = (gamma + n,) if "2f1" in identity else ()
+    assert got == _inner_oracle(tops, Fraction(n - big), Fraction(n - cap), q / p, order)
 
 
 @settings(max_examples=20)
