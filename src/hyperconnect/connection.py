@@ -70,8 +70,8 @@
   is sampled by one ``families.family_rows`` call (one per theta for an
   x = cos theta family): a family evaluated from its generating function
   is expanded once per abscissa, to n_max, every degree is read from that
-  series, and its normalizations are evaluated once per side; Meixner and
-  Krawtchouk rows come from their three-term recurrences on exact inputs.
+  series, and its normalizations are evaluated once per side; a Meixner or
+  Krawtchouk row is one ``series.gauss_degree_row`` on either field.
   On the exact field the solve is a different algorithm, fraction-free:
   each Newton table runs on integers (values and abscissae over one
   denominator each, each level over the lcm of its abscissa gaps, which

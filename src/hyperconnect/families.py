@@ -16,12 +16,14 @@ Evaluation routes:
 * charlier and the executable q-families: coefficient extraction from the
   generating function divided by the normalization.
 
-family_rows gives P_0..P_n_max at each of several arguments of one binding
-(family_row at one): one expansion to n_max per argument for the
-generating-function families, over normalizations c_0..c_n_max evaluated
-once, as no c_n reads x, and, for Meixner and Krawtchouk on exact inputs,
-the three-term recurrence run on integers over one running denominator,
-one Fraction per degree.
+Meixner and Krawtchouk values come from one kernel on both fields: the row
+2F1(-k, -x; b; w), k = 0..n, of ``series.gauss_degree_row``, Gauss's
+contiguous relation in the degree, exact on rationals and the exact sum at
+the double arguments, rounded once, on doubles.  family_rows gives
+P_0..P_n_max at each of several arguments of one binding (family_row at
+one): one such row per argument for these two, and for the
+generating-function families one expansion to n_max per argument, over
+normalizations c_0..c_n_max evaluated once, as no c_n reads x.
 
 The registry is built once at import and never mutated; descriptors are
 frozen, so all lookups and evaluations are thread-safe.
@@ -31,27 +33,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from types import MappingProxyType
 
 from . import expressions
 from .errors import DomainError, UnknownIdentityError, UnsupportedExpansionError
 from .fields import (
-    EXACT,
     NUMERIC,
     FieldTag,
     as_index,
     field_of,
-    integer_linear,
     is_integer_valued,
     is_nonpositive_integer,
 )
-from .hyper import linear_arg, pfq, pfq_eval, hyper_series_in_t
+from .hyper import linear_arg, pfq, hyper_series_in_t
 from .series import (
     TruncatedSeries,
     binomial_power,
     exp_series,
+    gauss_degree_row,
     q_exp_lower,
     q_exp_upper,
 )
@@ -313,21 +313,10 @@ def family_eval(family_id, n, x, params):
     n = as_index(n, "degree")
     if n < 0:
         raise DomainError("degree must be >= 0")
+    if descriptor.id in ("meixner", "krawtchouk"):
+        return _gauss_row(descriptor, n, x, params)[n]
     if x is None and not descriptor.uses_theta:
         raise DomainError(f"{descriptor.id} needs the argument x")
-    if descriptor.id in ("meixner", "krawtchouk"):
-        params = descriptor.bind(params)
-        field = field_of(x, *params.values())
-        for value in (x, *params.values()):
-            field.of(value)  # a non-finite double is refused, as the expanded families do
-    if descriptor.id == "meixner":
-        alpha, c = params["alpha"], params["c"]
-        return pfq_eval(pfq((-Fraction(n), -x), (alpha,)), 1 - 1 / field_of(c).of(c))
-    if descriptor.id == "krawtchouk":
-        p, cap = params["p"], as_index(params["N"], "N")
-        if n > cap:
-            raise DomainError(f"krawtchouk needs n <= N, got n = {n}, N = {cap}")
-        return pfq_eval(pfq((-Fraction(n), -x), (-Fraction(cap),)), 1 / field_of(p).of(p))
     if descriptor.is_expandable:
         return poly_from_gf(descriptor, n, x, params)
     raise UnsupportedExpansionError(
@@ -335,62 +324,44 @@ def family_eval(family_id, n, x, params):
     )
 
 
-def _recurrence(descriptor, n_max: int, x, params):
-    """The three-term recurrence (Koekoek, Lesky & Swarttouw 2010, 9.10.3
-    and 9.11.3) as (b(n) P_{n+1} = a(n) P_n - s(n) P_{n-1}) integer pairs
-    ((a0, a1), (b0, b1), (0, s1)) of linear polynomials in n, or None unless
-    x and every parameter are exact and b(n) != 0 for 0 <= n < n_max:
-
-        (c-1) x M_n = c(n+beta) M_{n+1} - [n + (n+beta) c] M_n + n M_{n-1}
-        -x K_n = p(N-n) K_{n+1} - [p(N-n) + n(1-p)] K_n + n(1-p) K_{n-1}
-    """
-    if not field_of(x, *params.values()).is_exact:
-        return None
+def _gauss_row(descriptor, n_max: int, x, params) -> list:
+    """[P_0, ..., P_n_max] of Meixner or Krawtchouk at x: the row
+    2F1(-k, -x; b; w), k = 0..n_max, of ``gauss_degree_row``, with
+    (b, w) = (alpha, 1 - 1/c) or (-N, 1/p)."""
+    if x is None:
+        raise DomainError(f"{descriptor.id} needs the argument x")
+    params = descriptor.bind(params)
+    field = field_of(x, *params.values())
+    for value in (x, *params.values()):
+        field.of(value)  # a non-finite double is refused, as the expanded families do
     if descriptor.id == "meixner":
-        beta, c = Fraction(params["alpha"]), Fraction(params["c"])
-        linear = (beta * c + (c - 1) * x, 1 + c), (beta * c, c), (0, 1)
+        c = params["c"]
+        b, w = params["alpha"], 1 - 1 / field_of(c).of(c)
     else:
-        p, cap = Fraction(params["p"]), as_index(params["N"], "N")
-        linear = (p * cap - x, 1 - 2 * p), (p * cap, -p), (0, 1 - p)
-    steps = integer_linear(*linear)
-    b0, b1 = steps[1]
-    return steps if all(b0 + b1 * n for n in range(n_max)) else None
-
-
-def _recurrence_row(first, second, steps, n_max: int) -> list:
-    """[P_0, ..., P_n_max] from P_0, P_1 and the integer ``steps`` of
-    ``_recurrence``: both running values sit over one common denominator,
-    which each step multiplies by b(n), so a degree costs a few integer
-    products and one ``Fraction``."""
-    (a0, a1), (b0, b1), (_, s1) = steps
-    (before, now), den = EXACT.common([first, second])
-    row = [first, second]
-    for n in range(1, n_max):
-        scale = b0 + b1 * n
-        before, now = now * scale, (a0 + a1 * n) * now - s1 * n * before
-        den *= scale
-        row.append(Fraction(now, den))
-    return row
+        p, b = params["p"], -as_index(params["N"], "N")
+        if n_max > -b:
+            raise DomainError(f"krawtchouk needs n <= N, got n = {n_max}, N = {-b}")
+        w = 1 / field_of(p).of(p)
+    return field.over(*gauss_degree_row(-x, b, w, n_max, field))
 
 
 def family_rows(family_id, n_max: int, xs, params) -> list:
     """[P_0, ..., P_n_max] at each x of ``xs`` (None for an x = cos theta
     family, whose theta is a binding), each equal to family_eval's value.
 
-    Meixner and Krawtchouk rows on exact inputs take P_0 and P_1 from
-    family_eval and the rest from the recurrence on integers; elsewhere, or
-    where a divisor of it vanishes, each degree is evaluated on its own.  A
-    family evaluated from its generating function expands it once to n_max
-    per x: the t^n coefficient of a product does not depend on the order the
-    factors are truncated at, so every degree reads the same bits.  The
-    normalizations c_0..c_n_max read no x, so they are evaluated once per
-    field the rows run in, not once per x."""
+    Meixner and Krawtchouk rows are one ``gauss_degree_row`` each, the
+    kernel family_eval reads too.  A family evaluated from its generating
+    function expands it once to n_max per x: the t^n coefficient of a
+    product does not depend on the order the factors are truncated at, so
+    every degree reads the same bits.  The normalizations c_0..c_n_max read
+    no x, so they are evaluated once per field the rows run in, not once
+    per x."""
     descriptor = get_family(family_id)
-    if descriptor.id in ("meixner", "krawtchouk"):
-        return [_recurrence_or_degrees(descriptor, n_max, x, params) for x in xs]
     if not descriptor.is_expandable or n_max < 0:
         return [[family_eval(descriptor, n, x, params) for n in range(n_max + 1)]
                 for x in xs]
+    if descriptor.id in ("meixner", "krawtchouk"):
+        return [_gauss_row(descriptor, n_max, x, params) for x in xs]
     if not descriptor.uses_theta and any(x is None for x in xs):
         raise DomainError(f"{descriptor.id} needs the argument x")
     params = descriptor.bind(params)
@@ -403,16 +374,6 @@ def family_rows(family_id, n_max: int, xs, params) -> list:
                                    for n in range(n_max + 1)]
         rows.append([c / c_n for c, c_n in zip(series.coefficients, norms[series.field])])
     return rows
-
-
-def _recurrence_or_degrees(descriptor, n_max: int, x, params) -> list:
-    """A Meixner or Krawtchouk row at x: P_0 and P_1, then the recurrence
-    where ``_recurrence`` gives one, else each degree on its own."""
-    row = [family_eval(descriptor, n, x, params) for n in range(min(n_max, 1) + 1)]
-    steps = n_max > 1 and _recurrence(descriptor, n_max, x, descriptor.bind(params))
-    if steps:
-        return _recurrence_row(*row, steps, n_max)
-    return row + [family_eval(descriptor, n, x, params) for n in range(2, n_max + 1)]
 
 
 def family_row(family_id, n_max: int, x, params) -> list:

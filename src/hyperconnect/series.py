@@ -373,11 +373,12 @@ def gauss_degree_row(a, b, w, order: int, field: FieldTag = EXACT) -> tuple:
     vanishing (b)_j, as the terms of 2F1(-k, a; b; w) do on their own.
 
     Otherwise doubles take the exact row at their own values (a finite
-    double is a rational), each entry rounded once, over 1: the relation
-    runs on Gaussian integers x + iy, each step multiplied through by the
-    conjugate of its divisor, so the running denominator is |b+k|^2 times
-    the last.  The relation run on doubles loses up to 8 digits where b+k
-    nears 0, as the Krawtchouk b = n - N makes it near k = N - n.
+    double is a rational), each entry rounded once, over 1; an entry past
+    the double range is a DomainError, as a non-finite double is.  The
+    relation runs on Gaussian integers x + iy, each step multiplied through
+    by the conjugate of its divisor, so the running denominator is |b+k|^2
+    times the last.  The relation run on doubles loses up to 8 digits where
+    b+k nears 0, as the Krawtchouk b = n - N makes it near k = N - n.
     """
     a, b, w = field.of(a), field.of(b), field.of(w)
     if is_nonpositive_integer(b) and -b.real < order:
@@ -403,7 +404,11 @@ def gauss_degree_row(a, b, w, order: int, field: FieldTag = EXACT) -> tuple:
             im.append(y)
             steps.append(scale)
         (re, den), (im, _) = _over_last(re, steps), _over_last(im, steps)
-        return [complex(u / den, v / den) for u, v in zip(re, im)], 1
+        try:
+            return [complex(u / den, v / den) for u, v in zip(re, im)], 1
+        except OverflowError:
+            raise DomainError("numeric scalar must be finite, got a 2F1(-k, a; b; w)"
+                              " past the double range") from None
     (a0, a1), (d0, d1), (_, s1) = integer_linear((b - a * w, 2 - w), (b, 1), (0, w - 1))
     nums, steps = [1], []
     before, now = 0, 1

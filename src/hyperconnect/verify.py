@@ -10,8 +10,8 @@ the lhs, coeff_n declared as its tops a, bottom b, z and P_n, inner_n, and
 whether the sum has the Krawtchouk degree-N truncation brackets), and one
 builder forms both sides as truncated series.  A local memo of the call
 makes each piece that does not depend on n once, on first use, and drops it
-on return: the row P_0..P_top (``families.family_row``, by the three-term
-recurrence on exact inputs), the ``series.hypergeometric_terms`` row of
+on return: the row P_0..P_top (``families.family_row``, one
+``series.gauss_degree_row``), the ``series.hypergeometric_terms`` row of
 prod_a (a)_n z^n / n!, the row (b)_n and, for a multivariable inner_n,
 the factor product to order top.  The rhs is one
 ``series.linear_combination``, on integer numerators over one denominator on
@@ -565,11 +565,11 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     the source polynomial at every sample argument and every degree.
 
     Degrees run outer and samples inner.  The source and target values
-    come from one ``families.family_rows`` call per side (the three-term
-    recurrence on exact inputs, so a row takes P_0 and P_1 from
-    ``families.family_eval``).  A reconstructed value is one dot product on
-    numerators (``FieldTag.common``): the target row at a sample is put over
-    one denominator once per field, the table row (read through
+    come from one ``families.family_rows`` call per side (one
+    ``series.gauss_degree_row`` per sample, so ``families.family_eval``
+    evaluates no degree on its own).  A reconstructed value is one dot
+    product on numerators (``FieldTag.common``): the target row at a sample
+    is put over one denominator once per field, the table row (read through
     ``coefficient``) over another, so on exact values it is an integer sum
     and one ``Fraction`` per degree and sample."""
     case = IdentityCase(

@@ -10,6 +10,7 @@ import pytest
 
 from hyperconnect import ConnectionExpansion, TruncatedSeries, VerificationReport, verify_case
 from hyperconnect.cli import main
+from hyperconnect.hyper import pfq, pfq_eval
 
 
 def run(capsys, *argv):
@@ -43,6 +44,19 @@ def test_eval_rejects_decimals_on_exact_backend(capsys):
     )
     assert code == 2
     assert "rational literals" in err
+
+
+def test_eval_on_doubles_is_the_exact_sum_at_the_double_arguments(capsys):
+    code, out, _ = run(
+        capsys, "eval", "--family", "meixner", "--n", "24", "--x", "10.5",
+        "--alpha", "2.5", "--c", "0.7", "--backend", "numeric",
+    )
+    assert code == 0
+    # 2F1(-24, -10.5; 2.5; w) at the double w = 1 - 1/0.7, summed exactly,
+    # rounded once; a sum in doubles reads -2.513216142440214, 8e-13 off
+    exact = pfq_eval(pfq((Fraction(-24), Fraction(-10.5)), (Fraction(2.5),)),
+                     Fraction(1 - 1 / 0.7))
+    assert out.strip() == repr(float(exact)) == "-2.5132161424422894"
 
 
 def test_connect_identity_table(capsys):

@@ -531,8 +531,8 @@ def test_singular_offset_raises_from_the_entry_not_the_table():
 
 
 def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
-    """Per sample: one recurrence row per side, so family_eval gives only P_0
-    and P_1 of each; one kernel per (n - k, x); and for type_alpha_c one F1
+    """Per sample: one Gauss degree row per side, so family_eval gives no
+    degree on its own; one kernel per (n - k, x); and for type_alpha_c one F1
     factor product, which every kernel at that x shares."""
     n_max = 6
     calls = {}
@@ -556,7 +556,7 @@ def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         report = verify_connection_relation(relation, params, top, X_SAMPLES)
         assert report.status == "pass", report
-        assert calls[families_mod.__name__, "family_eval"] == 2 * 2 * len(X_SAMPLES)
+        assert calls[families_mod.__name__, "family_eval"] == 0
         type_alpha_c = relation == "meixner_type_alpha_c"
         kernels = (top + 1) * len(X_SAMPLES) if type_alpha_c else 0
         assert calls[connection_mod.__name__, "multivar_eval"] == kernels

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_series import exact_degree_sums
 from test_verify import small_rationals
 
 import qfamily_oracles
@@ -28,6 +29,7 @@ from hyperconnect import (
     poly_from_gf,
 )
 from hyperconnect.families import catalog_as_json, normalization_at
+from hyperconnect.hyper import pfq, pfq_eval
 from hyperconnect.pochhammer import q_pochhammer
 
 MEIXNER = {"alpha": Fraction(3, 2), "c": Fraction(2, 5)}
@@ -299,15 +301,33 @@ def per_degree(family, n_max, x, params):
     return [family_eval(family, n, x, params) for n in range(n_max + 1)]
 
 
-def recurrence_row(family, n_max, x, params):
-    """family_row, checked to take only P_0 and P_1 from family_eval."""
+def kernel_row(family, n_max, x, params):
+    """family_row, checked to evaluate no degree on its own with family_eval."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(families_mod, "family_eval",
                       lambda *args: calls.append(args[1]) or family_eval(*args))
         row = family_row(family, n_max, x, params)
-    assert calls == list(range(min(n_max, 1) + 1))
+    assert calls == []
     return row
+
+
+def gauss_arguments(family, params):
+    """(b, w) of P_n(x) = 2F1(-n, -x; b; w), w formed as the route forms it:
+    exact from an exact c or p, else in doubles."""
+    if family == "meixner":
+        c = params["c"]
+        return params["alpha"], 1 - 1 / (c if fields.is_exact_value(c) else complex(c))
+    p = params["p"]
+    return -Fraction(params["N"]), 1 / (p if fields.is_exact_value(p) else complex(p))
+
+
+def terminating_sums(family, n_max, x, params):
+    """[P_0, ..., P_n_max] on exact inputs, each degree its own terminating
+    2F1 summed term by term by ``pfq_eval``."""
+    b, w = gauss_arguments(family, params)
+    return [pfq_eval(pfq((-Fraction(n), -Fraction(x)), (Fraction(b),)), Fraction(w))
+            for n in range(n_max + 1)]
 
 
 ARGUMENTS = st.one_of(st.integers(-6, 12), small_rationals(-6, 12))
@@ -316,23 +336,25 @@ ARGUMENTS = st.one_of(st.integers(-6, 12), small_rationals(-6, 12))
 @settings(max_examples=25)
 @given(x=ARGUMENTS, beta=small_rationals(-5, 6), c=small_rationals(-3, 3),
        n_max=st.integers(0, 16))
-def test_meixner_recurrence_row_equals_per_degree_values(x, beta, c, n_max):
+def test_meixner_row_equals_the_terminating_sum_of_each_degree(x, beta, c, n_max):
     assume(c not in (0, 1) and not (beta.denominator == 1 and beta <= 0))
     params = {"alpha": beta, "c": c}
-    row = recurrence_row("meixner", n_max, x, params)
-    assert row == per_degree("meixner", n_max, x, params)
+    row = kernel_row("meixner", n_max, x, params)
+    assert row == terminating_sums("meixner", n_max, x, params)
     assert all(type(v) is Fraction for v in row)
+    assert per_degree("meixner", n_max, x, params) == row
 
 
 @settings(max_examples=25)
 @given(data=st.data(), x=ARGUMENTS, p=small_rationals(-2, 3), cap=st.integers(0, 25))
-def test_krawtchouk_recurrence_row_equals_per_degree_values(data, x, p, cap):
+def test_krawtchouk_row_equals_the_terminating_sum_of_each_degree(data, x, p, cap):
     assume(p != 0)
     n_max = data.draw(st.integers(0, cap), label="n_max")
     params = {"p": p, "N": cap}
-    row = recurrence_row("krawtchouk", n_max, x, params)
-    assert row == per_degree("krawtchouk", n_max, x, params)
+    row = kernel_row("krawtchouk", n_max, x, params)
+    assert row == terminating_sums("krawtchouk", n_max, x, params)
     assert all(type(v) is Fraction for v in row)
+    assert per_degree("krawtchouk", n_max, x, params) == row
 
 
 @pytest.mark.parametrize("beta", [0, -1, -3])
@@ -342,17 +364,30 @@ def test_meixner_row_at_nonpositive_integer_beta_fails_where_each_degree_does(be
     failing = None
     for n in range(9):
         try:
-            family_eval("meixner", n, x, params)
+            terminating_sums("meixner", n, x, params)
         except HyperconnectError as exc:
             failing = n, type(exc)
             break
     if failing is None:
-        assert family_row("meixner", 8, x, params) == per_degree("meixner", 8, x, params)
+        assert family_row("meixner", 8, x, params) == terminating_sums("meixner", 8, x, params)
         return
     n, kind = failing
-    assert family_row("meixner", n - 1, x, params) == per_degree("meixner", n - 1, x, params)
+    assert family_row("meixner", n - 1, x, params) == terminating_sums("meixner", n - 1, x,
+                                                                       params)
     with pytest.raises(kind):
         family_row("meixner", n, x, params)
+    with pytest.raises(kind):
+        family_eval("meixner", n, x, params)
+
+
+def test_a_double_value_past_the_double_range_is_a_domain_error():
+    # M_n(3.5; 1.5, 0.01) is about 10^73 at n = 40 and 10^389 at n = 200
+    params = {"alpha": 1.5, "c": 0.01}
+    assert 1e72 < abs(family_eval("meixner", 40, 3.5, params)) < 1e74
+    with pytest.raises(DomainError, match="double range"):
+        family_eval("meixner", 200, 3.5, params)
+    with pytest.raises(DomainError, match="double range"):
+        family_row("meixner", 200, 3.5, params)
 
 
 def test_krawtchouk_row_past_the_degree_cap_is_an_error():
@@ -363,12 +398,22 @@ def test_krawtchouk_row_past_the_degree_cap_is_an_error():
 @pytest.mark.parametrize("family,x,params", [
     ("meixner", complex(2.5, 0.5), {"alpha": 1.5, "c": 0.4}),
     ("meixner", Fraction(7, 2), {"alpha": complex(1.5, -0.25), "c": Fraction(2, 5)}),
+    ("meixner", 10.5, {"alpha": 2.5, "c": 0.7}),
+    ("meixner", Fraction(3), {"alpha": 0.1, "c": Fraction(-7, 3)}),
     ("krawtchouk", 3.0, {"p": 0.3, "N": 9}),
+    ("krawtchouk", 4.25, {"p": 0.7, "N": 24}),
     ("krawtchouk", Fraction(3), {"p": complex(0.5, 0.5), "N": 9}),
 ])
-def test_numeric_rows_keep_the_per_degree_bits(family, x, params):
-    row = family_row(family, 9, x, params)
-    assert list(map(repr, row)) == list(map(repr, per_degree(family, 9, x, params)))
+def test_numeric_rows_are_the_exact_sums_rounded_once(family, x, params):
+    """A double row is the exact 2F1 of each degree at the double arguments
+    the route forms, rounded once per entry; compared by repr, so a signed
+    zero counts."""
+    n_max = min(24, params.get("N", 24))
+    b, w = gauss_arguments(family, params)
+    want = exact_degree_sums(-complex(x), b, w, n_max)
+    row = kernel_row(family, n_max, x, params)
+    assert list(map(repr, row)) == list(map(repr, want))
+    assert per_degree(family, n_max, x, params) == row
 
 
 SIGNED_ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0))

@@ -554,18 +554,13 @@ def _gaussian_mul(p, q):
     return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
 
-@pytest.mark.parametrize("a, b, w, order", [
-    # Krawtchouk inners: b + k = -1 at the last degree, where the relation
-    # run on doubles is off by about 1e-8 relative
-    (-30, -24, 5 / 28, 24),
-    (-30, -24, complex(0.6, 0.2) / complex(0.3, -0.1), 24),
-    (1.5 + 0.5j, 2.25 - 0.25j, 0.3 + 0.4j, 16),
-])
-def test_gauss_degree_row_on_doubles_is_the_exact_row_rounded_once(a, b, w, order):
-    # the exact value of each degree is the sum of its terms, each from the
-    # last by the term ratio, in Gaussian rationals: pairs of parts
+def exact_degree_sums(a, b, w, order):
+    """2F1(-k, a; b; w), k = 0..order, at the double (or rational) values
+    a, b, w taken exactly, each rounded once to a complex double: the sum of
+    its terms, each from the last by the term ratio, in Gaussian rationals
+    (pairs of parts)."""
     a, b, w = ((Fraction(complex(v).real), Fraction(complex(v).imag)) for v in (a, b, w))
-    want = []
+    sums = []
     for k in range(order + 1):
         total = term = (Fraction(1), Fraction(0))
         for j in range(k):
@@ -574,8 +569,20 @@ def test_gauss_degree_row_on_doubles_is_the_exact_row_rounded_once(a, b, w, orde
             term = _gaussian_mul(_gaussian_mul(term, step), (div[0], -div[1]))
             term = (term[0] / (div[0] ** 2 + div[1] ** 2), term[1] / (div[0] ** 2 + div[1] ** 2))
             total = (total[0] + term[0], total[1] + term[1])
-        want.append(complex(float(total[0]), float(total[1])))
-    assert gauss_degree_row(complex(*a), complex(*b), complex(*w), order, NUMERIC) == (want, 1)
+        sums.append(complex(float(total[0]), float(total[1])))
+    return sums
+
+
+@pytest.mark.parametrize("a, b, w, order", [
+    # Krawtchouk inners: b + k = -1 at the last degree, where the relation
+    # run on doubles is off by about 1e-8 relative
+    (-30, -24, 5 / 28, 24),
+    (-30, -24, complex(0.6, 0.2) / complex(0.3, -0.1), 24),
+    (1.5 + 0.5j, 2.25 - 0.25j, 0.3 + 0.4j, 16),
+])
+def test_gauss_degree_row_on_doubles_is_the_exact_row_rounded_once(a, b, w, order):
+    want = exact_degree_sums(a, b, w, order)
+    assert gauss_degree_row(complex(a), complex(b), complex(w), order, NUMERIC) == (want, 1)
 
 
 def test_gauss_degree_row_at_unit_argument_is_chu_vandermonde():
