@@ -17,40 +17,37 @@
 
   Each relation is one row of ``_RELATIONS`` (a ``RelationSpec``): its
   family, the case parameter bound to each family parameter on the source
-  and on the target side, and the declaration of its entries.  The
-  parameter names, the source and target bindings, their inverse for JSON,
-  the family's domain rule and the acceptance suite's relation cases all
-  read that row.  Integer bindings enter as Fractions, so exact inputs give
-  exact tables.
+  and on the target side, and the declaration of its entries, which the
+  parameter names, the bindings, their inverse for JSON, the domain rule
+  and the acceptance suite's relation cases all read.  Integer bindings
+  enter as Fractions, so exact inputs give exact tables.
 
-  A table builds the rows its entries share once, to n_max, each a
+  A table keeps each row in one form, (numerators, denominator) as
+  ``FieldTag.common`` gives it: integers over one denominator when exact,
+  the values over 1 on doubles.  The engines emit that form, with no
+  Fraction per entry, from rows built once to n_max, each a
   ``series.hypergeometric_terms`` row.  The four term entries (and the
   type_c_to_d prefactor) are C(n,k) g_{n-k} r_k / h_n, each row declared as
-  (tops, z) for prod (a)_m z^m: alpha_to_beta is ((alpha-beta,), 1),
-  ((beta,), 1), ((alpha,), 1) and same_alpha_c_to_d ((), c-d),
-  ((), d(1-c)), ((), c(1-d)).  The type_alpha_c prefactor is the
-  alpha_to_beta entry, as (beta-alpha-n+1)_k = (-1)^k (alpha-beta+n-k)_k,
-  save at its 0/0 points.  The two 2F1 entries are declared as (tops,
-  bottom, z), ((beta, 1), alpha, E) and ((-M, 1), -N, q/p), and are
-  differences of that row, w_i = (beta)_i (1)_i / ((alpha)_i i!) E^i: as
-  (beta)_k (k+beta)_m = (beta)_{k+m},
+  (tops, z) for prod (a)_m z^m, e.g. alpha_to_beta ((alpha-beta,), 1),
+  ((beta,), 1), ((alpha,), 1); exact row n is [C(n,k) g_{n-k} r_k h_den]
+  over g_den r_den h_n.  The type_alpha_c prefactor is the alpha_to_beta
+  entry, as (beta-alpha-n+1)_k = (-1)^k (alpha-beta+n-k)_k, save at its
+  0/0 points.  The two 2F1 entries are declared as (tops, bottom, z),
+  ((beta, 1), alpha, E) and ((-M, 1), -N, q/p): with w_i = (beta)_i
+  (1)_i / ((alpha)_i i!) E^i and (beta)_k (k+beta)_m = (beta)_{k+m},
+  c_{k,n} = C(n,k) S_{n-k}(k), S_j(k) = sum_m (-1)^m C(j, m) w_{k+m} =
+  S_{j-1}(k) - S_{j-1}(k+1), O(n_max^2) operations on w's numerators.
 
-      c_{k,n} = C(n,k) sum_m (-1)^m C(n-k, m) w_{k+m},
-
-  and all of them come from the difference rows S_j(k) = S_{j-1}(k) -
-  S_{j-1}(k+1), so a table costs O(n_max^2) operations.  The rows run once
-  for both fields on the numerators of w over one denominator
-  (``FieldTag.common``): integers, and one Fraction per entry, when exact.
-
-  An x-dependent entry is an x-free prefactor(n, k) times a kernel(n-k, x):
-  the (x)_{n-k} d^{k-n} 2F1 and the F1 above depend on n and k only through
-  j = n - k.  A table computes each prefactor once per (n, k) and each
-  kernel once per (j, x), both on first use, so c_{k,n}(x) costs one
-  product after its factors exist and a prefactor that cannot be formed
-  still raises from coefficient(n, k, x).  The F1 kernels at one x share
-  the factor product sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!, built
-  once to n_max; each kernel applies only its joint ratios
-  (-j)_M / (beta-alpha-j+1)_M.
+  An x-dependent entry is an x-free prefactor(n, k) times a kernel K_{n-k}
+  at x, as the (x)_{n-k} d^{k-n} 2F1 and the F1 above depend on n and k
+  only through j = n - k.  A table builds the prefactor rows once and the
+  kernel row K_0..K_n_max once per x; row n at x is the prefactor row
+  times K_n..K_0, entry by entry.  As (x)_j / (-x-j+1)_m = (-1)^m
+  (x)_{j-m}, the type_c_to_d kernel is K_j d^j / j! = [t^j] (1 - t d/c)^x
+  (1 - t)^-x, one Cauchy product of two rows.  The F1 kernels at one x
+  share the factor product sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!.
+  An entry that cannot be formed (a prefactor at a 0/0 point, a kernel at
+  a pole) holds its error and raises it where it is read.
 
 * power_collect: the generic method.  Divide the generating function factor
   holding the varied parameter by its retargeted copy, expand the ratio R(t)
@@ -65,19 +62,14 @@
   side.
 
 * connect_linear_solve: the independent oracle.  Sample both families on
-  n_max+1 distinct abscissae, take divided differences (which grade by
-  degree, making the system triangular), and back-substitute.  Each side
-  is sampled by one ``families.family_rows`` call (one per theta for an
-  x = cos theta family): a family evaluated from its generating function
-  is expanded once per abscissa, to n_max, every degree is read from that
-  series, and its normalizations are evaluated once per side; a Meixner or
-  Krawtchouk row is one ``series.gauss_degree_row`` on either field.
-  On the exact field the solve is a different algorithm, fraction-free:
-  each Newton table runs on integers (values and abscissae over one
-  denominator each, each level over the lcm of its abscissa gaps, which
-  doubles lack), the level factors the source and target tables share
-  cancel, and back substitution keeps its unknowns over the product of the
-  pivots, so each entry is one Fraction.
+  n_max+1 distinct abscissae (one ``families.family_rows`` call per side,
+  one per theta for an x = cos theta family), take divided differences
+  (which grade by degree, making the system triangular), and
+  back-substitute.  On the exact field the solve is fraction-free: each
+  Newton table runs on integers (each level over the lcm of its abscissa
+  gaps), the level factors the source and target tables share cancel, and
+  back substitution keeps its unknowns over the product of the pivots,
+  which is every row's denominator.
 
 Both generic methods run on the field ``FamilyDescriptor.field_for`` picks,
 as ``families.gf_expand`` does.
@@ -88,7 +80,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
+from operator import mul
 from typing import Callable
 
 from . import expressions
@@ -102,15 +95,7 @@ from .errors import (
 )
 from .fields import (EXACT, NUMERIC, FieldTag, as_index, field_of, is_exact_value,
                      is_nonpositive_integer)
-from .hyper import (
-    APPELL_F1,
-    MultiVarSpec,
-    factor_product,
-    linear_arg,
-    multivar_eval,
-    pfq,
-    pfq_eval,
-)
+from .hyper import APPELL_F1, MultiVarSpec, factor_product, linear_arg, multivar_eval
 from .families import (
     FamilyDescriptor,
     family_row,
@@ -118,7 +103,6 @@ from .families import (
     get_family,
     normalization_at,
 )
-from .pochhammer import pochhammer
 from .series import (
     TruncatedSeries,
     binomial_power,
@@ -126,52 +110,88 @@ from .series import (
     hypergeometric_terms,
     q_binomial_series,
     q_exp_lower,
+    term_ratio,
 )
 
 
 class ConnectionExpansion:
     """Lower-triangular table c_{k,n} expanding P_n(source) over P_k(target).
 
-    Entries are scalars for connection relations and single-argument callables
-    for connection-type relations, whose coefficients genuinely depend on x
-    and are therefore never baked at one argument value.
-    """
+    Every reader goes through ``row_form``: row n as (nums, den), the
+    ``FieldTag.common`` form.  A connection-type table, whose coefficients
+    genuinely depend on x, takes (field, rows) at x from ``rows_at(x)``,
+    once per x; an entry there that cannot be formed holds its error, which
+    raises where the entry is read."""
 
     __slots__ = ("n_max", "source", "target", "x_dependent", "field", "method",
-                 "relation", "_rows")
+                 "relation", "_rows", "_read")
 
-    def __init__(self, n_max, source, target, rows, *, x_dependent, field,
-                 method, relation=None):
+    def __init__(self, n_max, source, target, rows, *, field, method, relation=None,
+                 rows_at=None):
         self.n_max = n_max
         self.source = dict(source)
         self.target = dict(target)
-        self.x_dependent = x_dependent
+        self.x_dependent = rows_at is not None
         self.field = field
         self.method = method
         self.relation = relation
-        self._rows = tuple([tuple(row) for row in rows])
-        if len(self._rows) != n_max + 1 or any(
-            len(row) != n + 1 for n, row in enumerate(self._rows)
-        ):
+        # (field, rows) of an x-free table, or rows_at; what has been read:
+        # an x-free row's values by n, and (field, rows) by x, whose type and
+        # repr tell 1, Fraction(1), 1.0 and -0.0 apart
+        self._rows = rows_at or (field, tuple(rows))
+        self._read = {}
+        if not self.x_dependent and (len(rows) != n_max + 1 or any(
+                len(nums) != n + 1 for n, (nums, _) in enumerate(rows))):
             raise DomainError("connection table must be lower triangular")
 
-    def coefficient(self, n: int, k: int, x=None):
-        if not 0 <= k <= n <= self.n_max:
+    def _at(self, n, x):
+        if not 0 <= n <= self.n_max:
             raise DomainError(f"need 0 <= k <= n <= {self.n_max}")
-        entry = self._rows[n][k]
-        if self.x_dependent:
-            if x is None:
-                raise DomainError("connection-type coefficients need the argument x")
-            return entry(x)
-        return entry
+        if not self.x_dependent:
+            return self._rows[0], self._rows[1][n]
+        if x is None:
+            raise DomainError("connection-type coefficients need the argument x")
+        key = type(x), repr(x)
+        if key not in self._read:
+            self._read[key] = self._rows(x)
+        field, rows = self._read[key]
+        return field, rows[n]
+
+    def row_form(self, n: int, x=None):
+        """(field, nums, den): row n, at x for a connection-type table, as the
+        values nums[k] / den; the error of its first failing entry raises."""
+        field, (nums, den) = self._at(n, x)
+        for v in nums:
+            if isinstance(v, Exception):
+                raise v.with_traceback(None)  # a held error is read again and again
+        return field, nums, den
+
+    def coefficient(self, n: int, k: int, x=None):
+        if not 0 <= k <= n:
+            raise DomainError(f"need 0 <= k <= n <= {self.n_max}")
+        if not self.x_dependent:
+            return self._values(n)[k]
+        field, (nums, den) = self._at(n, x)
+        if isinstance(nums[k], Exception):
+            raise nums[k].with_traceback(None)
+        return field.over([nums[k]], den)[0]
 
     def row(self, n: int, x=None):
-        return [self.coefficient(n, k, x) for k in range(n + 1)]
+        return list(self._values(n, x))
+
+    def _values(self, n, x=None):
+        if not self.x_dependent and n in self._read:
+            return self._read[n]
+        field, nums, den = self.row_form(n, x)
+        values = field.over(nums, den)
+        if not self.x_dependent:
+            self._read[n] = values
+        return values
 
     def matrix(self):
         if self.x_dependent:
             raise DomainError("x-dependent tables have no plain matrix; pass x to row()")
-        return [list(row) for row in self._rows]
+        return [self.row(n) for n in range(self.n_max + 1)]
 
     def as_json(self) -> dict:
         doc = {
@@ -182,13 +202,10 @@ class ConnectionExpansion:
             "source": {k: self.field.serialize(v) for k, v in self.source.items()},
             "target": {k: self.field.serialize(v) for k, v in self.target.items()},
             "x_dependent": self.x_dependent,
+            "table": None,
         }
-        if self.x_dependent:
-            doc["table"] = None
-        else:
-            doc["table"] = [
-                [self.field.serialize(c) for c in row] for row in self._rows
-            ]
+        if not self.x_dependent:
+            doc["table"] = [[self.field.serialize(c) for c in row] for row in self.matrix()]
         return doc
 
     @classmethod
@@ -201,11 +218,10 @@ class ConnectionExpansion:
                 raise DomainError("x-dependent table payload needs its relation id")
             params = get_relation(doc["relation"]).params(source, target)
             return connection_table(doc["relation"], params, doc["n_max"], field)
-        rows = [[field.deserialize(c) for c in row] for row in doc["table"]]
         return cls(
-            doc["n_max"], source, target, rows,
-            x_dependent=False, field=field,
-            method=doc["method"], relation=doc.get("relation"),
+            doc["n_max"], source, target,
+            [field.common([field.deserialize(c) for c in row]) for row in doc["table"]],
+            field=field, method=doc["method"], relation=doc.get("relation"),
         )
 
     def to_csv(self) -> str:
@@ -216,10 +232,18 @@ class ConnectionExpansion:
                                        **{f"target.{k}": v for k, v in self.target.items()}}.items()):
                 lines.append(f"{name},{self.field.text(value)}")
             return "\n".join(lines) + "\n"
-        for n, row in enumerate(self._rows):
+        for n, row in enumerate(self.matrix()):
             cells = [str(n)] + [self.field.text(c) for c in row]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
+
+
+def _held(f, *args, **kwargs):
+    """f(*args, **kwargs), or the error it raises, held in its entry."""
+    try:
+        return f(*args, **kwargs)
+    except (HyperconnectError, ArithmeticError) as exc:
+        return exc.with_traceback(None)
 
 
 def _require(condition: bool, message: str):
@@ -257,54 +281,66 @@ def _check_domain(spec, p, top):
 
 
 def _terms(declare, p, top):
-    """entry(n, k) = C(n,k) g_{n-k} r_k / h_n, n <= top, of the three rows
+    """(field, rows n <= top) of C(n,k) g_{n-k} r_k / h_n, of the three rows
     ``declare(**p)`` gives as (tops, z): g_m = prod (a)_m z^m, the
     ``series.hypergeometric_terms`` row of the tops and 1, as (1)_m = m!.
     C(n,k) stays out of the rows: on doubles z^m / m! underflows to 0 for m
     past about 150 where z^m does not."""
     rows = declare(**p)
     field = field_of(*[v for tops, z in rows for v in (*tops, z)])
-    g, r, h = (field.over(*hypergeometric_terms((*tops, 1), (), z, top, field))
-               for tops, z in rows)
-    return lambda n, k: math.comb(n, k) * g[n - k] * r[k] / h[n]
+    (g, g_den), (r, r_den), (h, h_den) = (hypergeometric_terms((*tops, 1), (), z, top, field)
+                                          for tops, z in rows)
+    if not field.is_exact:
+        return field, [([math.comb(n, k) * g[n - k] * r[k] / h[n] for k in range(n + 1)], 1)
+                       for n in range(top + 1)]
+    r = [v * h_den for v in r]
+    return field, [([math.comb(n, k) * g[n - k] * r[k] for k in range(n + 1)],
+                    g_den * r_den * h[n]) for n in range(top + 1)]
 
 
 def _gauss(declare, p, top):
-    """entry(n, k), n <= top, of the row w that ``declare(**p)`` gives as
-    (tops, bottom, z): C(n,k) (b)_k/(a)_k z^k 2F1(k-n, k+b; k+a; z) for
-    tops (b, 1) and bottom a."""
+    """(field, rows n <= top) of the row w that ``declare(**p)`` gives as
+    (tops, bottom, z): C(n,k) (b)_k/(a)_k z^k 2F1(k-n, k+b; k+a; z) for tops
+    (b, 1) and bottom a."""
     tops, bottom, z = declare(**p)
     field = field_of(*tops, bottom, z)
-    return _terminating_gauss_entries(
-        field.over(*hypergeometric_terms(tops, (bottom,), z, top, field)))
+    return field, _terminating_gauss_rows(hypergeometric_terms(tops, (bottom,), z, top, field))
 
 
-def _terminating_gauss_entries(w):
-    """C(n,k) (beta)_k/(alpha)_k z^k 2F1(k-n, k+beta; k+alpha; z) with
-    w_i = (beta)_i/(alpha)_i z^i, for n < len(w).  As (beta)_k (k+beta)_m =
-    (beta)_{k+m} and (k-n)_m / m! = (-1)^m C(n-k, m), the entry is
-    C(n,k) S_{n-k}(k), S_j(k) = sum_m (-1)^m C(j, m) w_{k+m}, and the rows
-    S_j(k) = S_{j-1}(k) - S_{j-1}(k+1) take O(len(w)^2) subtractions in all.
-    The rows run on the numerators of w over their common denominator, so
-    an exact entry is one Fraction."""
-    field = field_of(*w)
-    w, den = field.common(w)
+def _terminating_gauss_rows(row):
+    """Rows [C(n,k) S_{n-k}(k)] over den, n < len(w), of C(n,k)
+    (beta)_k/(alpha)_k z^k 2F1(k-n, k+beta; k+alpha; z) for the row (w, den)
+    of w_i = (beta)_i/(alpha)_i z^i: S_j(k) = sum_m (-1)^m C(j, m) w_{k+m} =
+    S_{j-1}(k) - S_{j-1}(k+1) on the numerators of w."""
+    w, den = row
     rows = [w]
     while len(rows[-1]) > 1:
         rows.append([a - b for a, b in zip(rows[-1], rows[-1][1:])])
-    return lambda n, k: field.over([math.comb(n, k) * rows[n - k][k]], den)[0]
+    return [([math.comb(n, k) * rows[n - k][k] for k in range(n + 1)], den)
+            for n in range(len(w))]
 
 
-# An x-dependent relation is prefactors(params, top) giving prefactor(n, k),
-# kernel(params, n - k, x, product) and, when the kernels at one x share a
-# factor product, product(params, x, top).
+# A connection-type relation declares prefactors(params, top), which gives
+# (field, rows) as the x-free engines do, and kernels(params, x, top), which
+# gives (field, (nums, den)) of K_0..K_top at x, a failing K_j holding its
+# error.
 
 
-def _c_to_d_kernel(p, j, x, product=None):
-    """(x)_j d^-j 2F1(-j, -x; -x-j+1; d/c)."""
+def _c_to_d_kernels(p, x, top):
+    """K_j = (x)_j d^-j 2F1(-j, -x; -x-j+1; d/c) = j!/d^j [t^j] (1 - t d/c)^x
+    (1 - t)^-x.  At a negative integer x the displayed 2F1 meets the pole of
+    (-x-j+1)_m at m = x+j-1 before -j ends it, for every j > -x: K_j holds
+    the PoleError its term ratio raises there."""
     c, d = p["c"], p["d"]
-    hyp = pfq_eval(pfq((Fraction(-j), -x), (-x - j + 1,)), d / c)
-    return pochhammer(x, j) / d**j * hyp
+    field = field_of(x, c, d)
+    u, u_den = (binomial_power(d / c, -x, top, field) * binomial_power(1, x, top, field)).row
+    s, s_den = hypergeometric_terms((1, 1), (), 1 / d, top, field)
+    row = list(map(mul, s, u))
+    if is_nonpositive_integer(x) and x != 0:
+        m = as_index(x)
+        row[1 - m:] = [_held(term_ratio, (-j, -x), (-x - j + 1,), d / c, m + j - 1)
+                       for j in range(1 - m, top + 1)]
+    return field, (row, s_den * u_den)
 
 
 def _alpha_c_prefactors(p, top):
@@ -312,19 +348,14 @@ def _alpha_c_prefactors(p, top):
     (beta-alpha-n+1)_k = (-1)^k (alpha-beta+n-k)_k and (alpha-beta)_n =
     (alpha-beta)_{n-k} (alpha-beta+n-k)_k, it is the meixner_alpha_to_beta
     entry, save where the displayed form is 0/0: (beta-alpha-n+1)_k = 0, so
-    beta - alpha is an integer in {n-k, ..., n-1}."""
-    entry = get_relation("meixner_alpha_to_beta").entries(p, top)
-    gap = p["beta"] - p["alpha"]
-
-    def prefactor(n, k):
-        if gap in range(n - k, n):
-            raise SingularConfigurationError(
+    beta - alpha = g, an integer in {n-k, ..., n-1}."""
+    field, rows = get_relation("meixner_alpha_to_beta").entries(p, top)
+    for g in [g for g in range(top) if p["beta"] - p["alpha"] == g]:
+        for n in range(g + 1, top + 1):
+            rows[n][0][n - g:] = [SingularConfigurationError(
                 f"(beta - alpha - n + 1)_k vanishes at n = {n}, k = {k};"
-                " these parameters admit no limiting value"
-            )
-        return entry(n, k)
-
-    return prefactor
+                " these parameters admit no limiting value") for k in range(n - g, n + 1)]
+    return field, rows
 
 
 def _alpha_c_f1(p, j, x):
@@ -333,51 +364,63 @@ def _alpha_c_f1(p, j, x):
     return MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1)), (1 / c, 1 / d)
 
 
-def _alpha_c_kernel(p, j, x, product=None):
-    """F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d).  ``product`` is the factor
-    product sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!, which no j changes."""
-    return multivar_eval(*_alpha_c_f1(p, j, x), product=product)
-
-
 def _alpha_c_product(p, x, top):
     spec, args = _alpha_c_f1(p, 0, x)
     return factor_product(spec, [linear_arg(a) for a in args], top,
                           field_of(*spec.params, *args))
 
 
-def _type_entries(prefactors, kernel, product, params, top):
-    """The x-dependent entries of one table to degree top.  The prefactor
-    rows are built here; prefactor(n, k), the kernel factor product at x and
-    the kernel at (n - k, x) on first use, so a bad prefactor raises from the
-    entry that needs it, never from connection_table.  A cache keeps no
-    exception; a failed product is kept as None and the kernels at its x
-    form their own.  An x is keyed by its type and repr too: 1, Fraction(1),
-    1.0 and -0.0 are equal but give values of different types or signs."""
-    prefactor = cache(prefactors(params, top))
+def _alpha_c_kernels(p, x, top):
+    """F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d), each over the factor product
+    sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!, which no j changes; a
+    product that cannot be formed leaves each kernel its own."""
+    field = field_of(x, *p.values())
+    product = _held(_alpha_c_product, p, x, top)
+    values = [_held(multivar_eval, *_alpha_c_f1(p, j, x),
+                    product=None if isinstance(product, Exception) else product)
+              for j in range(top + 1)]
+    nums, den = field.common([0 if isinstance(v, Exception) else v for v in values])
+    return field, ([v if isinstance(v, Exception) else m for v, m in zip(values, nums)], den)
 
-    @cache
-    def product_at(kind, text, x):
-        try:
-            return product and product(params, x, top)
-        except HyperconnectError:
-            return None
 
-    @cache
-    def kernel_at(j, kind, text, x):
-        return kernel(params, j, x, product=product_at(kind, text, x))
+def _type_entries(prefactors, kernels, params, top):
+    """rows_at(x) of a connection-type table: (field, rows) at x, row n the
+    prefactor row n times K_n..K_0, entry by entry.  Where one of the two is
+    exact and the other doubles, a row is the values of one times the values
+    of the other over 1, as ``Fraction`` * ``complex`` is."""
+    made, rows = prefactors(params, top)
 
-    return lambda n, k, x: prefactor(n, k) * kernel_at(n - k, type(x), repr(x), x)
+    def rows_at(x):
+        field, (kernel, kernel_den) = kernels(params, x, top)
+        if made.is_exact == field.is_exact:
+            return field, [([_times(v, kernel[n - k]) for k, v in enumerate(nums)],
+                            den * kernel_den) for n, (nums, den) in enumerate(rows)]
+        kernel = [v if isinstance(v, Exception) else field.over([v], kernel_den)[0]
+                  for v in kernel]
+        return made if field.is_exact else field, [
+            ([_held(_times, v if isinstance(v, Exception) else made.over([v], den)[0],
+                    kernel[n - k]) for k, v in enumerate(nums)], 1)
+            for n, (nums, den) in enumerate(rows)]
+
+    return rows_at
+
+
+def _times(a, b):
+    """a * b, or the held error of a, else of b."""
+    if isinstance(a, Exception):
+        return a
+    return b if isinstance(b, Exception) else a * b
 
 
 @dataclass(frozen=True)
 class RelationSpec:
     """One connection relation.  ``source_names`` and ``target_names`` send
     each family parameter to the case parameter bound to it on that side;
-    ``entries(params, top)`` gives the table's entry(n, k), or entry(n, k, x)
-    for a connection-type relation, after the family's domain rule.  An
-    x-free entry, and a connection-type prefactor, is a declaration read by
-    an engine: ``_terms`` for three (tops, z) rows, ``_gauss`` for one
-    (tops, bottom, z) row."""
+    ``entries(params, top)`` gives the table's (field, rows n <= top), or
+    the ``rows_at`` of a connection-type table, after the family's domain
+    rule.  An x-free entry, and a connection-type prefactor, is a
+    declaration read by an engine: ``_terms`` for three (tops, z) rows,
+    ``_gauss`` for one (tops, bottom, z) row."""
 
     id: str
     family: str
@@ -431,12 +474,11 @@ _RELATIONS = {
         RelationSpec("meixner_type_c_to_d", "meixner", _ALPHA_C,
                      {"alpha": "alpha", "c": "d"},
                      partial(_type_entries, partial(_terms, lambda alpha, **_: (
-                         ((), 1), ((alpha,), 1), ((alpha,), 1))), _c_to_d_kernel, None),
+                         ((), 1), ((alpha,), 1), ((alpha,), 1))), _c_to_d_kernels),
                      x_dependent=True),
         RelationSpec("meixner_type_alpha_c", "meixner", _ALPHA_C,
                      {"alpha": "beta", "c": "d"},
-                     partial(_type_entries, _alpha_c_prefactors, _alpha_c_kernel,
-                             _alpha_c_product),
+                     partial(_type_entries, _alpha_c_prefactors, _alpha_c_kernels),
                      x_dependent=True),
         RelationSpec("krawtchouk_p_N_to_q_M", "krawtchouk", _P_N,
                      {"p": "q", "N": "M"},
@@ -482,16 +524,14 @@ def connection_table(relation_id: str, params, n_max: int,
         raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
     params = {name: params[name] for name in spec.names}
     _check_domain(spec, params, n_max)
-    entry = spec.entries(params, n_max)
+    table = dict(n_max=n_max, source=spec.source(params), target=spec.target(params),
+                 field=field, method="closed-form", relation=relation_id)
     if spec.x_dependent:
-        rows = [[partial(entry, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
-    else:
-        rows = [[field.of(entry(n, k)) for k in range(n + 1)] for n in range(n_max + 1)]
-    return ConnectionExpansion(
-        n_max, spec.source(params), spec.target(params), rows,
-        x_dependent=spec.x_dependent, field=field,
-        method="closed-form", relation=relation_id,
-    )
+        return ConnectionExpansion(rows=(), rows_at=spec.entries(params, n_max), **table)
+    made, rows = spec.entries(params, n_max)
+    if not (made.is_exact and field.is_exact):
+        rows = [field.common([field.of(v) for v in made.over(*row)]) for row in rows]
+    return ConnectionExpansion(rows=rows, **table)
 
 
 # -- power collection ---------------------------------------------------------
@@ -595,11 +635,9 @@ def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionEx
         if c_n == 0:
             raise DomainError(f"source normalization vanishes at n = {n}")
         target_norms.append(field.of(normalization_at(descriptor, n, None, to_params, field)))
-        rows.append([r[n - k] * target_norms[k] / c_n for k in range(n + 1)])
-    return ConnectionExpansion(
-        n_max, from_params, to_params, rows,
-        x_dependent=False, field=field, method="power-collection",
-    )
+        rows.append(field.common([r[n - k] * target_norms[k] / c_n for k in range(n + 1)]))
+    return ConnectionExpansion(n_max, from_params, to_params, rows, field=field,
+                               method="power-collection")
 
 
 # -- linear-solve oracle ------------------------------------------------------
@@ -655,7 +693,8 @@ def _divided_differences(values, abscissae):
 
 
 def _back_substitution(source_dd, target_dd, field: FieldTag):
-    """Rows c_{k,n} of S_n[j] = sum_{k=j..n} c_{k,n} T_k[j], j = n..0."""
+    """Rows c_{k,n} of S_n[j] = sum_{k=j..n} c_{k,n} T_k[j], j = n..0, each
+    its values over 1."""
     rows = []
     for n in range(len(source_dd)):
         coeffs = [field.zero()] * (n + 1)
@@ -667,7 +706,7 @@ def _back_substitution(source_dd, target_dd, field: FieldTag):
             if pivot == 0:
                 raise _degenerate(j)
             coeffs[j] = residue / pivot
-        rows.append(coeffs)
+        rows.append((coeffs, 1))
     return rows
 
 
@@ -697,7 +736,7 @@ def _fraction_free_solve(source, target):
     which cancels, so with y_k = c_{k,n} E_n / D_k (E_n, D_k the tables'
     dens) the system is s_n[j] = sum_k y_k t_k[j] on integers.  Each y_k
     is kept over the product P of the pivots t_j[j] used so far: a new
-    pivot scales the known y_k and P, and each entry is one Fraction."""
+    pivot scales the known y_k and P.  Row n is [y_k D_k] over P E_n."""
     t = [tops for tops, _, _ in target]
     rows = []
     for n, (s, source_den, _) in enumerate(source):
@@ -710,8 +749,7 @@ def _fraction_free_solve(source, target):
             ys[j + 1:] = [y * pivot for y in ys[j + 1:]]
             ys[j] = residue
             product *= pivot
-        rows.append([Fraction(y * den, product * source_den)
-                     for y, (_, den, _) in zip(ys, target)])
+        rows.append(([y * den for y, (_, den, _) in zip(ys, target)], product * source_den))
     return rows
 
 
@@ -738,7 +776,5 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
                      (_divided_differences, partial(_back_substitution, field=field)))
     source_dd, target_dd = ([newton([field.of(v) for v in row], xs) for row in vals]
                             for vals in (source_vals, target_vals))
-    return ConnectionExpansion(
-        n_max, from_params, to_params, solve(source_dd, target_dd),
-        x_dependent=False, field=field, method="linear-solve",
-    )
+    return ConnectionExpansion(n_max, from_params, to_params, solve(source_dd, target_dd),
+                               field=field, method="linear-solve")

@@ -205,9 +205,11 @@ def as_numeric(value) -> complex:
     elif isinstance(value, bool):
         raise FieldError("bool is not a scalar")
     else:
-        if isinstance(value, Fraction):
-            value = value.numerator / value.denominator
-        v = complex(value)
+        try:  # an exact value past the double range is as infinite as its double
+            v = complex(value.numerator / value.denominator if isinstance(value, Fraction)
+                        else value)
+        except OverflowError:
+            v = complex(math.inf if value > 0 else -math.inf)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise DomainError(f"numeric scalar must be finite, got {value!r}")
     return v

@@ -1,7 +1,7 @@
 """Generalized and multivariable hypergeometric evaluation.
 
-Every scalar sum the relations form terminates: ``pfq_eval`` requires a
-numerator parameter in {0, -1, -2, ...} and sums the finite series exactly,
+``pfq_eval``, the public scalar sum, requires a numerator parameter in
+{0, -1, -2, ...} and sums the finite series exactly,
 with eager pole detection: a term whose numerator product is already zero
 contributes nothing, but a nonzero term over a vanishing denominator factor
 is reported as a pole instead of being divided through.  An exact sum runs
@@ -83,27 +83,6 @@ class TailReport(NamedTuple):
     abs_sum: float  # sum of |term| over the terms added; rounding scales with it
 
 
-def _sum_terminating(spec: HyperSpec, z, degree: int):
-    field = field_of(*spec.numerator, *spec.denominator, z)
-    if field.is_exact:
-        # the terms over one running denominator, one reduction at the end
-        term, den, total = 1, 1, 1
-        for step_num, step_den in integer_term_ratios(spec.numerator, spec.denominator, z, degree):
-            term *= step_num
-            if not term:
-                break
-            den *= step_den
-            total = total * step_den + term
-        return Fraction(total, den)
-    total, *terms = field.over(*hypergeometric_terms(spec.numerator, spec.denominator, z,
-                                                     degree, field))
-    for term in terms:
-        if term == 0:
-            break
-        total = total + term
-    return total
-
-
 def pfq_eval_with_tail(spec: HyperSpec, z):
     """Value of a non-terminating series at z in complex doubles and the
     tail it stopped at: summed until five consecutive terms fall below
@@ -161,7 +140,24 @@ def pfq_eval(spec: HyperSpec, z):
                   for a in spec.numerator if is_nonpositive_integer(a)], default=None)
     if degree is None:
         raise DomainError("a terminating sum needs a numerator parameter in {0, -1, -2, ...}")
-    return _sum_terminating(spec, z, degree)
+    field = field_of(*spec.numerator, *spec.denominator, z)
+    if field.is_exact:
+        # the terms over one running denominator, one reduction at the end
+        term, den, total = 1, 1, 1
+        for step_num, step_den in integer_term_ratios(spec.numerator, spec.denominator, z, degree):
+            term *= step_num
+            if not term:
+                break
+            den *= step_den
+            total = total * step_den + term
+        return Fraction(total, den)
+    total, *terms = field.over(*hypergeometric_terms(spec.numerator, spec.denominator, z,
+                                                     degree, field))
+    for term in terms:
+        if term == 0:
+            break
+        total = total + term
+    return total
 
 
 # -- multivariable kinds ----------------------------------------------------

@@ -568,10 +568,11 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     come from one ``families.family_rows`` call per side (one
     ``series.gauss_degree_row`` per sample, so ``families.family_eval``
     evaluates no degree on its own).  A reconstructed value is one dot
-    product on numerators (``FieldTag.common``): the target row at a sample
-    is put over one denominator once per field, the table row (read through
-    ``coefficient``) over another, so on exact values it is an integer sum
-    and one ``Fraction`` per degree and sample."""
+    product of the table's row form (``ConnectionExpansion.row_form``, read
+    once per degree for an x-free table) with the target row: on exact
+    values the target row is put over one denominator once per sample, the
+    sum runs on integers and forms one ``Fraction`` per degree and sample;
+    otherwise it is the plain sum of the products of the values."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -585,27 +586,25 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
         table = conn.connection_table(relation_id, params, n_max, field)
         source, target = (families.family_rows(spec.family, n_max, x_samples, binding)
                           for binding in (spec.source(params), spec.target(params)))
-        scaled = {}
+        fields = [field_of(*values) for values in target]
+        scaled = [f.common(values) for f, values in zip(fields, target)]
 
-        def reconstructed(n, i, x):
-            """sum_k c_{n,k} P_k(x_i; target), on integers when every value
-            is exact: that sum is the same canonical Fraction."""
-            at = x if spec.x_dependent else None
-            coefficients = [table.coefficient(n, k, at) for k in range(n + 1)]
-            key = i, field_of(*coefficients)
-            if key not in scaled:  # the field of the dot product, and the target in it
-                dot = field_of(*coefficients, *target[i])
-                scaled[key] = dot, dot.common(target[i])
-            dot, (values, target_den) = scaled[key]
-            nums, den = dot.common(coefficients)
-            return dot.over([sum(map(mul, nums, values))], den * target_den)[0]
+        def reconstructed(form, i):
+            """sum_k c_{n,k} P_k(x_i; target) for the row form of c_{n,k}."""
+            row_field, nums, den = form
+            if not (row_field.is_exact and fields[i].is_exact):
+                return sum(map(mul, row_field.over(nums, den), target[i]))
+            values, target_den = scaled[i]
+            return Fraction(sum(map(mul, nums, values)), den * target_den)
 
-        rows = (
-            (n, source[i][n], reconstructed(n, i, x),
-             f"reconstruction breaks at n = {n}, x = {x}")
-            for n in range(n_max + 1) for i, x in enumerate(x_samples)
-        )
-        return _agreement(case, field, rows)
+        def rows():
+            for n in range(n_max + 1):
+                form = None if spec.x_dependent else table.row_form(n)
+                for i, x in enumerate(x_samples):
+                    yield (n, source[i][n], reconstructed(form or table.row_form(n, x), i),
+                           f"reconstruction breaks at n = {n}, x = {x}")
+
+        return _agreement(case, field, rows())
 
     return _guard(case, run)
 
@@ -1068,9 +1067,9 @@ def _check_tables(case: IdentityCase) -> VerificationReport:
     left, right = table(left), table(right)
     if left.x_dependent or right.x_dependent:
         return VerificationReport(case, "fail", detail="a compared table depends on x")
-    rows = ((n, left.coefficient(n, k), right.coefficient(n, k),
-             f"tables disagree at n = {n}, k = {k}")
-            for n in range(left.n_max + 1) for k in range(n + 1))
+    rows = ((n, a, b, f"tables disagree at n = {n}, k = {k}")
+            for n in range(left.n_max + 1)
+            for k, (a, b) in enumerate(zip(left.row(n), right.row(n))))
     return _agreement(case, case.field, rows)
 
 

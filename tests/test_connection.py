@@ -2,6 +2,7 @@
 
 import json
 import math
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hyperconnect import hyper as hyper_mod
 from hyperconnect import (
     ConnectionExpansion,
     DomainError,
+    HyperconnectError,
     MethodNotApplicableError,
     PoleError,
     SingularConfigurationError,
@@ -463,13 +465,20 @@ def test_type_entries_equal_the_direct_closed_form(relation):
                 assert table.coefficient(n, k, x) == want, (n, k, x)
                 assert coefficient("meixner_" + relation, MEIX, n, k, x) == want
     doubles = {name: float(v) for name, v in MEIX.items()}
-    table = connection_table("meixner_" + relation, doubles, 6, numeric())
-    for x in (complex(0.7, 0.3), complex(-1.25, 2.0), 2.5):
-        for n in range(7):
-            for k in range(n + 1):
-                want = direct_type_entry(relation, doubles, n, k, x)
-                got = table.coefficient(n, k, x)
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, k, x)
+    # a double alpha with exact c, d and x: in type_c_to_d a double prefactor
+    # times exact kernels
+    for params, xs in ((doubles, (complex(0.7, 0.3), complex(-1.25, 2.0), 2.5)),
+                       ({**MEIX, "alpha": float(ALPHA)}, X_SAMPLES)):
+        table = connection_table("meixner_" + relation, params, 6, numeric())
+        for x in xs:
+            for n in range(7):
+                row = table.row(n, x)
+                for k in range(n + 1):
+                    want = direct_type_entry(relation, params, n, k, x)
+                    assert row[k] == table.coefficient(n, k, x) and isinstance(row[k], complex)
+                    assert abs(row[k] - want) <= 1e-12 * max(1.0, abs(want)), (n, k, x)
+        report = verify_connection_relation("meixner_" + relation, params, 6, xs, numeric())
+        assert report.status == "pass", report.detail
 
 
 ARGUMENTS = st.one_of(st.integers(-4, 6).map(Fraction), small_rationals(-5, 6))
@@ -518,9 +527,15 @@ def test_singular_offset_raises_from_the_entry_not_the_table():
     x = Fraction(1)
     for n, k in ((0, 0), (1, 0), (1, 1)):
         assert table.coefficient(n, k, x) == direct_type_entry("type_alpha_c", params, n, k, x)
-    for _ in range(2):  # a failed entry is not remembered as a value
-        with pytest.raises(SingularConfigurationError):
-            table.coefficient(2, 2, x)
+    depths = set()
+    for read, error in ((lambda: table.coefficient(2, 2, x), SingularConfigurationError),
+                        (lambda: table.row(2, x), PoleError)) * 3:
+        # a failed entry is not remembered as a value, and a held error
+        # raises afresh, with no traceback kept from an earlier read
+        with pytest.raises(error) as raised:
+            read()
+        depths.add((error, len(traceback.extract_tb(raised.value.__traceback__))))
+    assert len(depths) == 2
     # at n - k = 2 the kernel's F1 has gamma = beta - alpha - 1 = 0
     with pytest.raises(PoleError):
         table.coefficient(2, 0, x)
@@ -616,16 +631,28 @@ def naive_reconstruction(relation, params, n_max, x_samples, table):
 
 
 class PerturbedTable:
-    """A closed-form table with one entry nudged, at one argument or at all."""
+    """A closed-form table with one entry nudged by 1/1000, at one argument
+    or at all: in its entries and in its row forms, which the verifier reads."""
 
     def __init__(self, table, n, k, x=None):
         self.table, self.at, self.x = table, (n, k), x
 
+    def _nudged(self, n, x):
+        return n == self.at[0] and (self.x is None or x == self.x)
+
     def coefficient(self, n, k, x=None):
         value = self.table.coefficient(n, k, x)
-        if (n, k) == self.at and (self.x is None or x == self.x):
+        if k == self.at[1] and self._nudged(n, x):
             return value + Fraction(1, 1000)
         return value
+
+    def row_form(self, n, x=None):
+        field, nums, den = self.table.row_form(n, x)
+        if not self._nudged(n, x):
+            return field, nums, den
+        nums = [v * 1000 for v in nums]
+        nums[self.at[1]] += den
+        return field, nums, den * 1000
 
 
 @pytest.mark.parametrize("relation,at", [
@@ -682,6 +709,111 @@ def test_an_exact_fail_past_double_resolution_reads_a_nonzero_deviation():
     gap = Fraction(1, 1000) * family_eval("meixner", 1, x, target)
     assert (report.status, report.first_failing_order) == ("fail", 3)
     assert report.deviation == float(abs(gap)) > 1e86
+
+# -- the row forms against the entries, on random bindings ------------------
+
+RELATION_ARGUMENTS = st.one_of(st.integers(-5, 6).map(Fraction), small_rationals(-5, 6))
+
+
+def relation_binding(data, relation):
+    """(params, n_max): rationals, an integer beta - alpha offset half the
+    time, and N <= 8 with N <= M <= N + 4."""
+    if relation.startswith("meixner"):
+        alpha = data.draw(OFF_LATTICE, "alpha")
+        beta = data.draw(st.one_of(st.integers(-3, 6).map(lambda j: alpha + j), OFF_LATTICE),
+                         "beta")
+        params = {"alpha": alpha, "beta": beta, "c": data.draw(RATES, "c"),
+                  "d": data.draw(RATES, "d")}
+        n_max = data.draw(st.integers(0, 6), "n_max")
+    else:
+        cap = data.draw(st.integers(0, 8), "N")
+        params = {"p": data.draw(small_rationals(-2, 3).filter(bool), "p"),
+                  "q": data.draw(small_rationals(-2, 3).filter(bool), "q"),
+                  "N": cap, "M": data.draw(st.integers(cap, cap + 4), "M")}
+        n_max = data.draw(st.integers(0, cap), "n_max")
+    return {name: params[name] for name in connection_mod.get_relation(relation).names}, n_max
+
+
+def outcome(read):
+    try:
+        return read()
+    except (HyperconnectError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def displayed_entry(relation, params, n, k, x):
+    """The displayed coefficient, or None where it divides by zero."""
+    try:
+        if relation in ("meixner_type_c_to_d", "meixner_type_alpha_c"):
+            return direct_type_entry(relation.removeprefix("meixner_"), params, n, k, x)
+        return closed_form_entry(relation, params, n, k)
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=300)
+@given(data=st.data(), relation=st.sampled_from(relation_ids()))
+def test_row_forms_reconstruct_as_the_entries_do(data, relation):
+    """The reconstruction, which reads row forms, reports what the entry by
+    entry loop reports, and never a fail, as every relation holds.  Every
+    row equals its entries, and a row raises the error of its first failing
+    entry; an entry is the displayed coefficient, and an error exactly where
+    that divides by zero."""
+    params, n_max = relation_binding(data, relation)
+    xs = (data.draw(st.integers(-5, 6).map(Fraction), "x"),
+          *data.draw(st.lists(RELATION_ARGUMENTS, max_size=2), "xs"))
+    report = verify_connection_relation(relation, params, n_max, xs)
+    table = outcome(lambda: connection_table(relation, params, n_max))
+    want = table if isinstance(table, str) else outcome(
+        lambda: naive_reconstruction(relation, params, n_max, xs, table))
+    if isinstance(want, str):
+        assert (report.status, report.detail) == ("error", want)
+    else:
+        assert (report.status, report.first_failing_order, report.detail,
+                report.deviation) == ("pass", None, None, want[2]) and want[:2] == (None, None)
+    if isinstance(table, str):
+        return
+    for x in xs if table.x_dependent else (None,):
+        for n in range(n_max + 1):
+            entries = [outcome(lambda: table.coefficient(n, k, x)) for k in range(n + 1)]
+            failed = [e for e in entries if isinstance(e, str)]
+            assert outcome(lambda: table.row(n, x)) == (failed[0] if failed else entries)
+            for k, entry in enumerate(entries):
+                displayed = displayed_entry(relation, params, n, k, x)
+                assert entry == displayed or displayed is None and entry in failed, (n, k, x)
+
+
+@settings(max_examples=40)
+@given(data=st.data(), relation=st.sampled_from(relation_ids()),
+       field=st.sampled_from([EXACT, numeric(1e-9, 1e-8)]))
+def test_closed_form_tables_round_trip_through_json(data, relation, field):
+    """Every row reads back equal and the CSV identically, for x-free tables
+    on both fields and connection-type tables at sampled x."""
+    params, n_max = relation_binding(data, relation)
+    if not field.is_exact:  # the field's scalars, which JSON writes as [re, im]
+        params = {k: v if k in ("N", "M") else field.of(v) for k, v in params.items()}
+    table = outcome(lambda: connection_table(relation, params, n_max, field))
+    assume(not isinstance(table, str))
+    back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
+    assert back.to_csv() == table.to_csv()
+    xs = data.draw(st.lists(RELATION_ARGUMENTS, min_size=1, max_size=2), "xs")
+    for x in xs if table.x_dependent else (None,):
+        for n in range(n_max + 1):
+            assert outcome(lambda: back.row(n, x)) == outcome(lambda: table.row(n, x)), (n, x)
+
+
+@settings(max_examples=30)
+@given(data=st.data(), method=st.sampled_from([power_collect, connect_linear_solve]),
+       convert=st.sampled_from([Fraction, float]), n_max=st.integers(0, 6))
+def test_generic_tables_round_trip_through_json(data, method, convert, n_max):
+    c = convert(data.draw(small_rationals(0, 1), "c"))
+    source, target = ({"alpha": convert(data.draw(small_rationals(0, 6), "alpha")), "c": c}
+                      for _ in range(2))
+    table = method("meixner", source, target, n_max)
+    back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
+    assert back.matrix() == table.matrix()
+    assert back.to_csv() == table.to_csv()
+
 
 def per_degree_sample(descriptor, params, n_max, points):
     """The sampler that evaluates every degree on its own."""
@@ -907,10 +1039,9 @@ def test_fraction_free_solve_equals_the_fraction_back_substitution(data, size):
                 [[Fraction(t) * g / den for t, g in zip(tops, factors)] for tops, den in drawn])
 
     (source, source_dd), (target, target_dd) = tables("source"), tables("target")
-    got = solve_or_singular(lambda: connection_mod._fraction_free_solve(source, target))
+    got = solve_or_singular(lambda: [EXACT.over(*row) for row in
+                                     connection_mod._fraction_free_solve(source, target)])
     assert got == solve_or_singular(lambda: fraction_back_substitution(source_dd, target_dd))
-    if isinstance(got, list):
-        assert all(type(c) is Fraction for row in got for c in row)
 
 
 @settings(max_examples=30)

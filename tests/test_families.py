@@ -501,3 +501,18 @@ def test_non_finite_arguments_and_parameters_are_domain_errors(bad, family, para
         family_eval(family, 2, bad, params)
     with pytest.raises(DomainError):
         family_eval(family, 2, 1.5, {**params, name: bad})
+
+
+@pytest.mark.parametrize("family,params", [
+    ("meixner", {"alpha": Fraction(10**400), "c": 0.5}),
+    ("charlier", {"a": Fraction(10**400) + Fraction(1, 3)}),
+])
+def test_exact_parameters_past_the_double_range_are_domain_errors(family, params):
+    """An exact value whose double would be infinite enters the numeric
+    field as a DomainError, as a non-finite double does (it was an
+    OverflowError)."""
+    with pytest.raises(DomainError, match="numeric scalar must be finite"):
+        family_eval(family, 2, 1.5, params)
+    for huge in (10**400, -Fraction(10**400, 3)):
+        with pytest.raises(DomainError, match="numeric scalar must be finite"):
+            fields.as_numeric(huge)

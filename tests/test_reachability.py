@@ -58,6 +58,8 @@ ALLOWLIST = {
     "verify._read_float": "JSON read side",
     # the oracle the tests check the Mobius lift against
     "series.compose": "oracle of the Mobius lift; the benchmark tracer wraps it",
+    "hyper.pfq_eval": "public terminating sum, the tests' oracle of the Gauss degree rows;"
+                      " the benchmark tracer wraps it",
     "series.mobius_argument": "oracle of the Mobius lift",
     "series.geometric_stream": "series constructor of the public API, tested directly",
     "series.TruncatedSeries.constant": "the compose oracle's Horner step",
@@ -76,8 +78,6 @@ ALLOWLIST = {
     "connection._degenerate": "raises on a singular sample set",
     "families._check_domain.<locals>.fail": "raises on a parameter outside its domain",
     "series.TruncatedSeries.__setattr__": "raises on an attempt to mutate a series",
-    # read by the benchmark's gate, not by a route
-    "connection.ConnectionExpansion.row": "perfbench's exactness gate reads rows",
     # x = cos theta families only, which the routes leave out
     "expressions._cis": "cis(theta) of the theta families' formulas",
 }
