@@ -13,6 +13,7 @@ import argparse
 import cmath
 import functools
 import json
+import os
 import sys
 
 from . import families, verify
@@ -354,7 +355,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone, as in ``... | head -1``
+        # what is left goes to devnull, so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

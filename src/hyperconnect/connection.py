@@ -135,9 +135,8 @@ class ConnectionExpansion:
         self.field = field
         self.method = method
         self.relation = relation
-        # (field, rows) of an x-free table, or rows_at; what has been read:
-        # an x-free row's values by n, and (field, rows) by x, whose type and
-        # repr tell 1, Fraction(1), 1.0 and -0.0 apart
+        # (field, rows) of an x-free table, or rows_at; the (field, rows) read at
+        # each x, keyed by type and repr, which tell 1, Fraction(1), 1.0, -0.0 apart
         self._rows = rows_at or (field, tuple(rows))
         self._read = {}
         if not self.x_dependent and (len(rows) != n_max + 1 or any(
@@ -169,24 +168,14 @@ class ConnectionExpansion:
     def coefficient(self, n: int, k: int, x=None):
         if not 0 <= k <= n:
             raise DomainError(f"need 0 <= k <= n <= {self.n_max}")
-        if not self.x_dependent:
-            return self._values(n)[k]
         field, (nums, den) = self._at(n, x)
         if isinstance(nums[k], Exception):
             raise nums[k].with_traceback(None)
         return field.over([nums[k]], den)[0]
 
     def row(self, n: int, x=None):
-        return list(self._values(n, x))
-
-    def _values(self, n, x=None):
-        if not self.x_dependent and n in self._read:
-            return self._read[n]
         field, nums, den = self.row_form(n, x)
-        values = field.over(nums, den)
-        if not self.x_dependent:
-            self._read[n] = values
-        return values
+        return field.over(nums, den)
 
     def matrix(self):
         if self.x_dependent:
@@ -199,8 +188,9 @@ class ConnectionExpansion:
             "method": self.method,
             "relation": self.relation,
             **self.field.as_json(),
-            "source": {k: self.field.serialize(v) for k, v in self.source.items()},
-            "target": {k: self.field.serialize(v) for k, v in self.target.items()},
+            # each binding in its own field: a numeric table may have exact ones
+            "source": {k: field_of(v).serialize(v) for k, v in self.source.items()},
+            "target": {k: field_of(v).serialize(v) for k, v in self.target.items()},
             "x_dependent": self.x_dependent,
             "table": None,
         }
@@ -211,8 +201,8 @@ class ConnectionExpansion:
     @classmethod
     def from_json(cls, doc) -> "ConnectionExpansion":
         field = FieldTag.from_json(doc)
-        source = {k: field.deserialize(v) for k, v in doc["source"].items()}
-        target = {k: field.deserialize(v) for k, v in doc["target"].items()}
+        source, target = ({k: (EXACT if isinstance(v, str) else field).deserialize(v)
+                           for k, v in doc[side].items()} for side in ("source", "target"))
         if doc["x_dependent"]:
             if doc.get("relation") is None:
                 raise DomainError("x-dependent table payload needs its relation id")

@@ -50,6 +50,11 @@ geometric series with the observed ratio of the last four terms, read the
 same way from their (term, den_x) pairs (an extrapolation, not yet a proven
 majorant).
 
+Connection tables have one reader, ``ConnectionExpansion.row_form``, and
+one dot product ``_dot`` of row n with P_0(x; target), P_1, ...: the
+reconstruction check compares it with P_n(x; source), and c_n times it is
+the t^n coefficient of the plain GF sum_n c_n t^n P_n(x; source).
+
 Every verdict follows one of two rules.  ``_agreement`` compares values one
 by one (series coefficients lowest order first, table entries, reconstructed
 values, the exact Krawtchouk sums): literal equality on the exact field,
@@ -558,6 +563,23 @@ _DEFAULT_X_SAMPLES = (Fraction(0), Fraction(1), Fraction(5, 2), Fraction(4),
                       Fraction(-3, 7))
 
 
+def _dot_target(values):
+    """The target row P_0, P_1, ... at one x as ``_dot`` reads it."""
+    field = field_of(*values)
+    return values, field.common(values) if field.is_exact else None
+
+
+def _dot(form, target):
+    """sum_k c_{n,k} P_k for the row form (field, nums, den) of c_{n,k} and
+    a ``_dot_target`` row P: one integer dot product and one ``Fraction`` on
+    exact values, else the plain sum of the products of the values."""
+    (field, nums, den), (values, scaled) = form, target
+    if scaled is None or not field.is_exact:
+        return sum(map(mul, field.over(nums, den), values))
+    target_nums, target_den = scaled
+    return Fraction(sum(map(mul, nums, target_nums)), den * target_den)
+
+
 def verify_connection_relation(relation_id: str, params, n_max: int,
                                x_samples=_DEFAULT_X_SAMPLES,
                                field: FieldTag = EXACT) -> VerificationReport:
@@ -567,12 +589,10 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     Degrees run outer and samples inner.  The source and target values
     come from one ``families.family_rows`` call per side (one
     ``series.gauss_degree_row`` per sample, so ``families.family_eval``
-    evaluates no degree on its own).  A reconstructed value is one dot
-    product of the table's row form (``ConnectionExpansion.row_form``, read
-    once per degree for an x-free table) with the target row: on exact
-    values the target row is put over one denominator once per sample, the
-    sum runs on integers and forms one ``Fraction`` per degree and sample;
-    otherwise it is the plain sum of the products of the values."""
+    evaluates no degree on its own).  A reconstructed value is one ``_dot``
+    of the table's row form (``ConnectionExpansion.row_form``, read once
+    per degree for an x-free table) with the target row, put over one
+    denominator once per sample."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -586,22 +606,13 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
         table = conn.connection_table(relation_id, params, n_max, field)
         source, target = (families.family_rows(spec.family, n_max, x_samples, binding)
                           for binding in (spec.source(params), spec.target(params)))
-        fields = [field_of(*values) for values in target]
-        scaled = [f.common(values) for f, values in zip(fields, target)]
-
-        def reconstructed(form, i):
-            """sum_k c_{n,k} P_k(x_i; target) for the row form of c_{n,k}."""
-            row_field, nums, den = form
-            if not (row_field.is_exact and fields[i].is_exact):
-                return sum(map(mul, row_field.over(nums, den), target[i]))
-            values, target_den = scaled[i]
-            return Fraction(sum(map(mul, nums, values)), den * target_den)
+        target = [_dot_target(values) for values in target]
 
         def rows():
             for n in range(n_max + 1):
                 form = None if spec.x_dependent else table.row_form(n)
                 for i, x in enumerate(x_samples):
-                    yield (n, source[i][n], reconstructed(form or table.row_form(n, x), i),
+                    yield (n, source[i][n], _dot(form or table.row_form(n, x), target[i]),
                            f"reconstruction breaks at n = {n}, x = {x}")
 
         return _agreement(case, field, rows())
@@ -944,8 +955,9 @@ _PLAIN_GFS = {
 
 
 def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
-    """Re-expand a generating function through a (degenerate) connection table
-    and demand the truncated series is literally unchanged."""
+    """Re-expand a plain generating function sum_n c_n t^n P_n(x; source)
+    through a connection table and demand the truncated series is literally
+    unchanged: its t^n coefficient is c_n times the reconstructed value."""
 
     def run():
         _require(case, ("generating_function", "relation"), order=True)
@@ -962,25 +974,18 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
                  allowed=("generating_function", "relation", *names, *spec.names))
         params = {k: v for k, v in case.params.items()
                   if k not in ("generating_function", "relation")}
-        order = case.order
-        source = spec.source(params)
-        bound = {**source, **params}
-        x = params["x"]
-        n_cap = order
-        if family == "krawtchouk":
-            n_cap = min(order, as_index(params["N"], "N"))
+        order, x = case.order, params["x"]
+        bound = {**spec.source(params), **params}
+        n_cap = min(order, as_index(params["N"], "N")) if family == "krawtchouk" else order
         original = build(order, case.field, **bound)
         table = conn.connection_table(relation_id, params, n_cap, case.field)
-        target = spec.target(params)
         norms = case.field.over(*hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap,
                                                       case.field))
-        polys = families.family_row(family, n_cap, x, target)
-        rebuilt = linear_combination(
-            [(TruncatedSeries(case.field, [
-                norms[n] * table.coefficient(n, k, x if spec.x_dependent else None)
-                for n in range(k, n_cap + 1)]), k, poly) for k, poly in enumerate(polys)],
-            order, case.field)
-        return _agreement(case, case.field, _coefficient_rows([(original, rebuilt)]))
+        polys = _dot_target(families.family_row(family, n_cap, x, spec.target(params)))
+        rebuilt = TruncatedSeries(case.field, [
+            c_n * _dot(table.row_form(n, x), polys) for n, c_n in enumerate(norms)])
+        return _agreement(case, case.field,
+                          _coefficient_rows([(original, rebuilt.padded_to(order))]))
 
     return _guard(case, run)
 
@@ -1138,15 +1143,13 @@ def _check_gf_matches_eval(case):
     descriptor = families.get_family(params.pop("family"))
     x = params.pop("x", None)
     series = families.gf_expand(descriptor, x, params, case.order)
-
-    def expected(n):
-        if descriptor.id == "krawtchouk" and n > as_index(params["N"], "N"):
-            return series.field.zero()
-        c_n = families.normalization_at(descriptor, n, x, params, series.field)
-        return c_n * families.family_eval(descriptor, n, x, params)
-
-    rows = ((n, expected(n), series.coefficient(n), None) for n in range(case.order + 1))
-    return _agreement(case, series.field, rows)
+    kraw = descriptor.id == "krawtchouk"
+    top = min(case.order, as_index(params["N"], "N")) if kraw else case.order
+    expected = TruncatedSeries(series.field, [
+        families.normalization_at(descriptor, n, x, params, series.field) * p_n
+        for n, p_n in enumerate(families.family_row(descriptor, top, x, params))])
+    return _agreement(case, series.field,
+                      _coefficient_rows([(expected.padded_to(case.order), series)]))
 
 
 SPECIAL_CHECKS = {

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -525,3 +529,25 @@ def test_json_outputs_are_standard_json(capsys):
     assert report.tail_bound == math.inf
     assert VerificationReport.from_json(json.loads(json.dumps(report.as_json()),
                                                    parse_constant=_strict)) == report
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "acceptance", "--order", "2"),  # fills the pipe while writing
+    ("eval", "--family", "meixner", "--n", "1", "--x", "4", "--alpha", "1", "--c", "1/2"),
+], ids=["suite", "one-line"])
+def test_closed_stdout_is_not_a_crash(argv):
+    """Output into a pipe whose reader has gone, as ``... | head -1`` leaves
+    it, exits 1 with no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from hyperconnect.cli import main;"
+             " sys.exit(main())", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

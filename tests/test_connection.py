@@ -1140,14 +1140,33 @@ def test_integer_binding_repros_stay_exact():
     assert all(type(v) is Fraction for v in typed.row(2, Fraction(1)))
 
 
+def typed(values):
+    """The values with their types, which tell Fraction(1) from (1+0j)."""
+    return [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize("field", [EXACT, NUMERIC], ids=["exact", "numeric"])
 @pytest.mark.parametrize("relation", ["meixner_type_c_to_d", "meixner_type_alpha_c"])
 @pytest.mark.parametrize("x", [3, Fraction(5, 2)])
-def test_type_tables_round_trip_through_json(relation, x):
-    table = connection_table(relation, MEIX, 4)
+def test_type_tables_round_trip_through_json(relation, x, field):
+    """A numeric connection-type table rebuilt from exact bindings keeps
+    exact entries, so its JSON must give the bindings back exact."""
+    table = connection_table(relation, MEIX, 4, field)
     back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
-    assert back.source == table.source and back.target == table.target
+    assert back.field == field
+    for side in ("source", "target"):
+        assert typed(getattr(back, side).values()) == typed(getattr(table, side).values())
     for n in range(5):
-        assert back.row(n, x) == table.row(n, x), n
+        assert typed(back.row(n, x)) == typed(table.row(n, x)), n
+
+
+def test_x_free_numeric_table_reads_its_bindings_back_in_their_fields():
+    params = {**MEIX, "beta": 2.25}
+    table = connection_table("meixner_alpha_to_beta", params, 4, NUMERIC)
+    back = ConnectionExpansion.from_json(json.loads(json.dumps(table.as_json())))
+    assert back.source == {"alpha": ALPHA, "c": C}
+    assert typed(back.target.values()) == [(complex, 2.25), (Fraction, C)]
+    assert typed(back.matrix()[3]) == typed(table.matrix()[3])
 
 
 EXECUTABLE = [f.id for f in families_mod.catalog() if f.is_expandable]

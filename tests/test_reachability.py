@@ -60,6 +60,9 @@ ALLOWLIST = {
     "series.compose": "oracle of the Mobius lift; the benchmark tracer wraps it",
     "hyper.pfq_eval": "public terminating sum, the tests' oracle of the Gauss degree rows;"
                       " the benchmark tracer wraps it",
+    "connection.ConnectionExpansion.coefficient": "public entry reader; the benchmark's"
+                                                  " q-family check reads it and its"
+                                                  " tracer wraps it",
     "series.mobius_argument": "oracle of the Mobius lift",
     "series.geometric_stream": "series constructor of the public API, tested directly",
     "series.TruncatedSeries.constant": "the compose oracle's Horner step",

@@ -1,6 +1,7 @@
 """Identity verifier: builders, comparisons, orthogonality sums, batches."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -508,6 +509,49 @@ def test_invariance_under_degenerate_relations():
         "gamma": KRAW["gamma"],
     }, order=4)
     assert verify_gf_invariance(case).status == "pass"
+
+
+INVARIANCE_UNDER_REAL_RELATIONS = [
+    (gf_id, relation)
+    for gf_id, (family, *_) in verify_mod._PLAIN_GFS.items()
+    for relation in verify_mod.conn.relation_ids()
+    if verify_mod.conn.get_relation(relation).family == family
+]
+
+
+def real_invariance_case(gf_id, relation, order=12):
+    """gf_invariance at bindings that make the table a real one: beta !=
+    alpha, d != c, q != p and M > N, with Krawtchouk's N below the order."""
+    family, names, _, _ = verify_mod._PLAIN_GFS[gf_id]
+    binding = CANON if family == "meixner" else KRAW
+    spec = verify_mod.conn.get_relation(relation)
+    return IdentityCase("gf_invariance", {
+        "generating_function": gf_id, "relation": relation,
+        **pick(binding, *names, *spec.names)}, order=order)
+
+
+@pytest.mark.parametrize("gf_id, relation", INVARIANCE_UNDER_REAL_RELATIONS)
+def test_invariance_under_real_relations(gf_id, relation):
+    report = verify_gf_invariance(real_invariance_case(gf_id, relation))
+    assert (report.status, report.deviation) == ("pass", 0.0), report.detail
+
+
+def test_invariance_fails_for_a_wrong_table(monkeypatch):
+    """The table must be the relation's own: one built for another beta,
+    or from a mutated declaration, changes the re-expanded series."""
+    case = real_invariance_case("meixner_gauss_gf", "meixner_alpha_to_beta")
+    table = verify_mod.conn.connection_table
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod.conn, "connection_table", lambda relation, params, *rest:
+                      table(relation, {**params, "beta": params["beta"] + 1}, *rest))
+        assert verify_gf_invariance(case).status == "fail"
+    spec = verify_mod.conn.get_relation("meixner_alpha_to_beta")
+    mutant = dataclasses.replace(spec, entries=functools.partial(
+        verify_mod.conn._terms, lambda alpha, beta, **_: (
+            ((alpha - beta,), 1), ((beta,), Fraction(11, 10)), ((alpha,), 1))))
+    monkeypatch.setitem(verify_mod.conn._RELATIONS, spec.id, mutant)
+    report = verify_gf_invariance(case)
+    assert (report.status, report.first_failing_order) == ("fail", 1)
 
 
 def test_report_json_round_trip():
