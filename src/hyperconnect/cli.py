@@ -245,7 +245,7 @@ def _cmd_verify(args) -> int:
                                      ("x-samples", args.x_samples), ("x-max", args.x_max))
             if value is not None]
         _refuse_unused(given, (), "--suite")
-        cases = verify.acceptance_suite(order=args.order or 12)
+        cases = verify.acceptance_suite(order=12 if args.order is None else args.order)
     else:
         if not args.identity:
             raise DomainError("verify needs --suite or --identity")

@@ -67,6 +67,7 @@ sums on doubles take it with both at 0.
 
 Every route declares the parameter names it needs and checks them before it
 runs, so a malformed case becomes an 'error' report rather than an exception.
+``acceptance_suite`` binds each of its cases from those declarations.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _require(case, names, allowed=None, order=None):
     if unknown:
         raise DomainError(
             f"{case.identity} does not take parameter(s) {sorted(unknown)};"
-            f" expected {sorted(allowed)}"
+            f" expected {sorted(set(allowed))}"
         )
     if order and (case.order is None or case.order < 0):
         raise DomainError(f"{case.identity} needs an order >= 0, got {case.order}")
@@ -618,6 +619,25 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
         return _agreement(case, field, rows())
 
     return _guard(case, run)
+
+
+_RELATION_N_MAX = 8  # a relation case's n_max when it binds neither n_max nor an order
+
+
+def _check_relation(case: IdentityCase) -> VerificationReport:
+    """A relation id as a case: its names, optional n_max (or an order equal
+    to it) and x_samples, then the reconstruction check."""
+    spec = conn.get_relation(case.identity)
+    _require(case, spec.names, allowed=(*spec.names, "n_max", "x_samples"))
+    params = {k: v for k, v in case.params.items() if k not in ("n_max", "x_samples")}
+    default = _RELATION_N_MAX if case.order is None else case.order
+    n_max = as_index(case.params.get("n_max", default), "n_max")
+    if case.order not in (None, n_max):
+        raise DomainError(f"{case.identity} checks degrees to n_max = {n_max};"
+                          f" drop order {case.order}")
+    return verify_connection_relation(case.identity, params, n_max,
+                                      case.params.get("x_samples", _DEFAULT_X_SAMPLES),
+                                      case.field)
 
 
 # -- orthogonality sums -------------------------------------------------------
@@ -1011,12 +1031,19 @@ SPECIALIZATION_CHAINS = {
 }
 
 
+def _chain_names(chain):
+    """The parameters a chain reads: both identities' names less its binding."""
+    general_id, special_id, binding, _ = SPECIALIZATION_CHAINS[chain]
+    return tuple(name for name in dict.fromkeys(
+        (*GF_IDENTITIES[general_id][1], *GF_IDENTITIES[special_id][1])) if name not in binding)
+
+
 def _verify_chain(case: IdentityCase) -> VerificationReport:
     """Compare the degenerate general identity with the one it collapses to,
     side by side."""
     general_id, special_id, binding, with_exp = SPECIALIZATION_CHAINS[case.identity]
     general_names, special_names = GF_IDENTITIES[general_id][1], GF_IDENTITIES[special_id][1]
-    _require(case, (set(general_names) | set(special_names)) - set(binding), order=True)
+    _require(case, _chain_names(case.identity), order=True)
     p = {**case.params, **{k: case.params[v] for k, v in binding.items()}}
     (g_lhs, g_rhs), (s_lhs, s_rhs) = (
         build_sides(IdentityCase(identity, {k: p[k] for k in names},
@@ -1154,6 +1181,7 @@ def _check_gf_matches_eval(case):
 
 SPECIAL_CHECKS = {
     **{name: _verify_chain for name in SPECIALIZATION_CHAINS},
+    **{name: _check_relation for name in conn.relation_ids()},
     **{name: _check_tables for name in TABLE_CHECKS},
     "catalog_complete": _check_catalog_complete,
     "gf_matches_eval": _check_gf_matches_eval,
@@ -1172,29 +1200,10 @@ def verify_case(case: IdentityCase) -> VerificationReport:
         return verify_orthogonality_sum(case)
     if case.identity == "gf_invariance":
         return verify_gf_invariance(case)
-    if case.identity in SPECIAL_CHECKS:
-        return _guard(case, lambda: SPECIAL_CHECKS[case.identity](case))
-    try:
-        spec = conn.get_relation(case.identity)
-    except UnknownIdentityError:
-        return VerificationReport(
-            case, "error", detail=f"unknown identity {case.identity!r}"
-        )
-
-    def run():
-        _require(case, spec.names, allowed=(*spec.names, "n_max", "x_samples"))
-        params = {k: v for k, v in case.params.items()
-                  if k not in ("n_max", "x_samples")}
-        n_max = as_index(case.params.get("n_max", 8 if case.order is None else case.order),
-                         "n_max")
-        if case.order not in (None, n_max):
-            raise DomainError(f"{case.identity} checks degrees to n_max = {n_max};"
-                              f" drop order {case.order}")
-        x_samples = case.params.get("x_samples", _DEFAULT_X_SAMPLES)
-        return verify_connection_relation(case.identity, params, n_max, x_samples,
-                                          case.field)
-
-    return _guard(case, run)
+    check = SPECIAL_CHECKS.get(case.identity)
+    if check is None:
+        return VerificationReport(case, "error", detail=f"unknown identity {case.identity!r}")
+    return _guard(case, lambda: check(case))
 
 
 def batch_verify(cases, threads: int | None = None):
@@ -1219,6 +1228,8 @@ def summarize(reports) -> dict:
 
 # -- the named built-in acceptance suite --------------------------------------
 
+# The canonical bindings: each case takes from one of them the names its
+# route declares.
 _CANONICAL = {
     "x": Fraction(4), "alpha": Fraction(3, 2), "beta": Fraction(7, 3),
     "c": Fraction(2, 5), "d": Fraction(3, 7), "gamma": Fraction(5, 4),
@@ -1228,153 +1239,91 @@ _KRAW_GF = {
     "N": 4, "M": 6, "gamma": Fraction(5, 4),
 }
 _KRAW_CONN = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 4, "M": 7}
+_LATTICE = {"alpha": Fraction(2), "beta": Fraction(3), "gamma": Fraction(5, 4),
+            "c": Fraction(1, 2), "d": Fraction(2, 5), "t": Fraction(1, 4)}
+_KRAW_SUM = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5,
+             "t": Fraction(1, 5), "gamma": Fraction(5, 4)}
+_Q_FAMILY = {"a_from": Fraction(1, 4), "a_to": Fraction(1, 5), "q": Fraction(1, 3)}
+# the degenerate relations, whose tables are the identity, of the invariance cases
+_INVARIANCE_RELATIONS = ("meixner_alpha_to_beta", "meixner_type_c_to_d",
+                         "krawtchouk_p_to_q_same_N", "krawtchouk_same_p_N_to_M")
+_TABLE_N_MAX = {"power_collect_matches_closed_form": 10, "oracle_meixner_alpha": 10,
+                "oracle_meixner_two_param": 8, "oracle_krawtchouk": 4,
+                "oracle_al_salam_carlitz_1": 6}
 
 
 def _restrict(params, names):
     return {k: params[k] for k in names}
 
 
+def _relation_params(relation):
+    spec = conn.get_relation(relation)
+    return _restrict(_KRAW_CONN if spec.family == "krawtchouk" else _CANONICAL, spec.names)
+
+
 def acceptance_suite(order: int = 12) -> list:
-    """Every acceptance criterion as a runnable case list."""
-    tol10 = numeric(1e-10, 0.0)
-    cases = []
-
-    # generalized generating functions, exact to the requested order
-    for identity, (_, names) in GF_IDENTITIES.items():
-        source = _KRAW_GF if identity.startswith("krawtchouk") else _CANONICAL
-        case_order = min(order, as_index(source["N"], "N")) \
-            if identity.startswith("krawtchouk") else order
-        cases.append(IdentityCase(identity, _restrict(source, names),
-                                  order=case_order))
-
-    # specialization chains
-    cases.append(IdentityCase("chain_meixner_1f1_c_equals_d",
-                              _restrict(_CANONICAL, ("x", "alpha", "beta", "c")),
-                              order=order))
-    cases.append(IdentityCase("chain_meixner_2f1_d_equals_c",
-                              _restrict(_CANONICAL, ("x", "alpha", "beta", "c", "gamma")),
-                              order=order))
-    for chain in ("chain_krawtchouk_1f1_p_equals_q", "chain_krawtchouk_1f1_M_equals_N",
-                  "chain_krawtchouk_2f1_p_equals_q", "chain_krawtchouk_2f1_M_equals_N"):
-        cases.append(IdentityCase(chain, _KRAW_GF, order=_KRAW_GF["N"]))
-
-    # connection relations, exact reconstruction on the sample arguments
-    meix_conn = _restrict(_CANONICAL, ("alpha", "beta", "c", "d"))
+    """Every acceptance criterion as a runnable case list.  Each case takes
+    the parameter names its route declares from a canonical binding."""
+    if order < 0:
+        raise DomainError(f"the acceptance suite needs an order >= 0, got {order}")
+    tol9, tol10 = numeric(1e-9, 1e-9), numeric(1e-10, 0.0)
+    kraw_n = _KRAW_GF["N"]
+    cases = [
+        IdentityCase(identity, _restrict(_KRAW_GF if spec.capped else _CANONICAL, names),
+                     order=min(order, kraw_n) if spec.capped else order)
+        for identity, (spec, names) in GF_IDENTITIES.items()
+    ]
+    for chain, (general, *_) in SPECIALIZATION_CHAINS.items():
+        if GF_IDENTITIES[general][0].capped:  # every name of _KRAW_GF, read or not
+            cases.append(IdentityCase(chain, _KRAW_GF, order=kraw_n))
+        else:
+            cases.append(IdentityCase(chain, _restrict(_CANONICAL, _chain_names(chain)),
+                                      order=order))
     for relation in conn.relation_ids():
-        spec = conn.get_relation(relation)
-        kraw = spec.family == "krawtchouk"
+        params = _relation_params(relation)  # a Krawtchouk table needs n_max <= N
         cases.append(IdentityCase(relation, {
-            **_restrict(_KRAW_CONN if kraw else meix_conn, spec.names),
-            "n_max": min(8, _KRAW_CONN["N"]) if kraw else 8,
+            **params, "n_max": min(_RELATION_N_MAX, params.get("N", _RELATION_N_MAX)),
             "x_samples": _DEFAULT_X_SAMPLES,
         }))
+    # each plain GF under each degenerate relation of its family: the target
+    # parameters take the source values
+    for gf_id, (family, names, _, _) in _PLAIN_GFS.items():
+        binding = _KRAW_GF if family == "krawtchouk" else _CANONICAL
+        for relation in _INVARIANCE_RELATIONS:
+            spec = conn.get_relation(relation)
+            if spec.family == family:
+                source = spec.source(binding)
+                cases.append(IdentityCase("gf_invariance", {
+                    "generating_function": gf_id, "relation": relation,
+                    **_restrict(binding, names), **spec.params(source, source),
+                }, order=kraw_n if family == "krawtchouk" else order))
+    for check, (*_, binding) in TABLE_CHECKS.items():
+        exact = isinstance(binding, str)
+        cases.append(IdentityCase(check, {
+            **(_relation_params(binding) if exact else _Q_FAMILY),
+            "n_max": _TABLE_N_MAX[check],
+        }, field=EXACT if exact else tol10))
 
-    # invariance of the plain generating functions under degenerate relations
-    meixner_inv = [
-        ("meixner_product_gf", {}), ("meixner_exp_gf", {}),
-        ("meixner_gauss_gf", {"gamma": _CANONICAL["gamma"]}),
-    ]
-    for gf_id, extra in meixner_inv:
-        for relation, degenerate in (
-            ("meixner_alpha_to_beta", {"beta": _CANONICAL["alpha"]}),
-            ("meixner_type_c_to_d", {"d": _CANONICAL["c"]}),
-        ):
-            cases.append(IdentityCase("gf_invariance", {
-                "generating_function": gf_id, "relation": relation,
-                "x": _CANONICAL["x"], "alpha": _CANONICAL["alpha"],
-                "c": _CANONICAL["c"], **extra, **degenerate,
-            }, order=order))
-    kraw_inv = [
-        ("krawtchouk_exp_gf", {}),
-        ("krawtchouk_gauss_gf", {"gamma": _KRAW_GF["gamma"]}),
-    ]
-    for gf_id, extra in kraw_inv:
-        for relation, degenerate in (
-            ("krawtchouk_p_to_q_same_N", {"q": _KRAW_GF["p"]}),
-            ("krawtchouk_same_p_N_to_M", {"M": _KRAW_GF["N"]}),
-        ):
-            cases.append(IdentityCase("gf_invariance", {
-                "generating_function": gf_id, "relation": relation,
-                "x": _KRAW_GF["x"], "p": _KRAW_GF["p"], "N": _KRAW_GF["N"],
-                **extra, **degenerate,
-            }, order=_KRAW_GF["N"]))
+    def orth(identity, binding, field=EXACT, **index):
+        names = ORTHOGONALITY_IDS[identity][1]
+        return IdentityCase(identity, _restrict({**binding, **index}, names), field=field)
 
-    # power collection against the closed form, and the linear-solve oracle
-    cases.append(IdentityCase(
-        "power_collect_matches_closed_form",
-        {**_restrict(_CANONICAL, ("alpha", "beta", "c")), "n_max": 10},
-    ))
-    cases.append(IdentityCase(
-        "oracle_meixner_alpha",
-        {**_restrict(_CANONICAL, ("alpha", "beta", "c")), "n_max": 10},
-    ))
-    cases.append(IdentityCase("oracle_meixner_two_param",
-                              {**meix_conn, "n_max": 8}))
-    cases.append(IdentityCase("oracle_krawtchouk", {**_KRAW_CONN, "n_max": 4}))
-    cases.append(IdentityCase(
-        "oracle_al_salam_carlitz_1",
-        {"a_from": Fraction(1, 4), "a_to": Fraction(1, 5),
-         "q": Fraction(1, 3), "n_max": 6},
-        field=tol10,
-    ))
-
-    # orthogonality
-    tol9 = numeric(1e-9, 1e-9)
-    for n in range(5):
-        for m in range(n + 1):
-            cases.append(IdentityCase(
-                "meixner_orthogonality",
-                {"alpha": Fraction(2), "c": Fraction(1, 2), "n": n, "m": m},
-                field=tol9,
-            ))
-    for n in range(4):
-        cases.append(IdentityCase(
-            "meixner_sum_1f1_same_c",
-            {"alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 2),
-             "t": Fraction(1, 4), "n": n},
-            field=tol10,
-        ))
-        cases.append(IdentityCase(
-            "meixner_sum_1f1_two_param",
-            {"alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 2),
-             "d": Fraction(2, 5), "t": Fraction(1, 4), "n": n},
-            field=tol10,
-        ))
-        cases.append(IdentityCase(
-            "meixner_sum_2f1_same_c",
-            {"alpha": Fraction(2), "beta": Fraction(3), "gamma": Fraction(5, 4),
-             "c": Fraction(1, 2), "t": Fraction(1, 4), "n": n},
-            field=tol10,
-        ))
-        cases.append(IdentityCase(
-            "meixner_sum_2f1_two_param",
-            {"alpha": Fraction(2), "beta": Fraction(3), "gamma": Fraction(5, 4),
-             "c": Fraction(1, 2), "d": Fraction(2, 5), "t": Fraction(1, 5), "n": n},
-            field=tol10,
-        ))
-    for n in range(3):
-        kraw_orth = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5,
-                     "t": Fraction(1, 5), "n": n}
-        cases.append(IdentityCase("krawtchouk_sum_1f1", kraw_orth))
-        cases.append(IdentityCase("krawtchouk_sum_2f1",
-                                  {**kraw_orth, "gamma": Fraction(5, 4)}))
-
-    # rising-factorial bound grids
-    for name in _BOUND_GRIDS:
-        cases.append(IdentityCase(name, {}))
-
-    # catalog completeness and generating functions against direct evaluation
-    cases.append(IdentityCase("catalog_complete", {}))
-    cases.append(IdentityCase(
-        "gf_matches_eval",
-        {"family": "meixner", "x": _CANONICAL["x"],
-         "alpha": _CANONICAL["alpha"], "c": _CANONICAL["c"]},
-        order=order,
-    ))
-    cases.append(IdentityCase(
-        "gf_matches_eval",
-        {"family": "krawtchouk", "x": _KRAW_GF["x"], "p": _KRAW_GF["p"],
-         "N": _KRAW_GF["N"]},
-        order=6,
-    ))
+    cases += [orth("meixner_orthogonality", _LATTICE, tol9, n=n, m=m)
+              for n in range(5) for m in range(n + 1)]
+    # t = 1/5 in meixner_sum_2f1_two_param, whose domain |t| < cd/(c+d) = 2/9
+    # excludes 1/4
+    cases += [orth(identity, _LATTICE, tol10, n=n,
+                   t=Fraction(1, 5) if identity == "meixner_sum_2f1_two_param" else _LATTICE["t"])
+              for n in range(4) for identity in ORTHOGONALITY_IDS
+              if identity.startswith("meixner_sum")]
+    cases += [orth(identity, _KRAW_SUM, n=n)
+              for n in range(3) for identity in ORTHOGONALITY_IDS
+              if identity.startswith("krawtchouk")]
+    cases += [IdentityCase(name, {}) for name in (*_BOUND_GRIDS, "catalog_complete")]
+    for family, binding, case_order in (("meixner", _CANONICAL, order),
+                                        ("krawtchouk", _KRAW_GF, 6)):
+        names = ("x", *families.get_family(family).parameters)
+        cases.append(IdentityCase("gf_matches_eval", {"family": family,
+                                                      **_restrict(binding, names)},
+                                  order=case_order))
     return cases

@@ -216,7 +216,8 @@ def test_verify_acceptance_suite_exit_zero(capsys):
     ("--identity", "meixner_1f1_alpha_shift", "--x", "4", "--alpha", "3/2", "--beta", "7/3",
      "--c", "2/5", "--order", "3", "--x-max", "5"),
     ("--suite", "acceptance", "--order", "2", "--backend", "exact"),
-], ids=["suite-x-max", "gf-x-max", "suite-backend"])
+    ("--suite", "acceptance", "--order", "-1"),
+], ids=["suite-x-max", "gf-x-max", "suite-backend", "suite-negative-order"])
 def test_verify_refuses_flags_it_would_ignore(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
@@ -308,6 +309,27 @@ def test_suite_rejects_backend_it_would_ignore(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "acceptance", "--order", "4",
                        "--output", "json")
     assert code == 0 and json.loads(out)["summary"]["error"] == 0
+
+
+def test_suite_runs_at_order_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "acceptance", "--order", "0",
+                       "--output", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["summary"]["pass"] == payload["summary"]["total"]
+    orders = {r["case"]["order"] for r in payload["reports"]
+              if r["case"]["identity"] in ("meixner_1f1_two_param", "gf_invariance")}
+    assert orders == {0, 4}  # the Krawtchouk invariance cases run at N = 4
+
+
+def test_a_refusal_lists_each_allowed_name_once(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--identity", "gf_invariance",
+        "--param", "generating_function=meixner_exp_gf", "--param", "relation=meixner_type_c_to_d",
+        "--x", "4", "--alpha", "3/2", "--beta", "7/3", "--c", "1/3", "--d", "2/5", "--order", "4",
+    )
+    assert code == 1
+    assert ("does not take parameter(s) ['beta']; expected ['alpha', 'c', 'd',"
+            " 'generating_function', 'relation', 'x']") in out
 
 
 def test_exact_only_methods_reject_numeric_backend(capsys):

@@ -49,7 +49,6 @@ _FAMILY_ROUTES = {
 ALLOWLIST = {
     # the JSON read side: documents are written by every route, read by none
     "connection.ConnectionExpansion.from_json": "JSON read side, kept for report replay",
-    "connection.RelationSpec.params": "JSON read side of x-dependent tables",
     "fields.FieldTag.deserialize": "JSON read side",
     "fields.FieldTag.from_json": "JSON read side",
     "verify.IdentityCase.from_json": "JSON read side",
