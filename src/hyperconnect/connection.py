@@ -106,7 +106,6 @@ from .families import (
 from .series import (
     TruncatedSeries,
     binomial_power,
-    exp_series,
     hypergeometric_terms,
     q_binomial_series,
     q_exp_lower,
@@ -271,18 +270,45 @@ def _check_domain(spec, p, top):
 
 
 def _terms(declare, p, top):
-    """(field, rows n <= top) of C(n,k) g_{n-k} r_k / h_n, of the three rows
-    ``declare(**p)`` gives as (tops, z): g_m = prod (a)_m z^m, the
+    """(field, rows n <= top) of e(n,k) = C(n,k) g_{n-k} r_k / h_n, of the
+    three rows ``declare(**p)`` gives as (tops, z): g_m = prod (a)_m z^m, the
     ``series.hypergeometric_terms`` row of the tops and 1, as (1)_m = m!.
-    C(n,k) stays out of the rows: on doubles z^m / m! underflows to 0 for m
-    past about 150 where z^m does not."""
+    C(n,k) stays out of the rows.  Doubles run on term ratios instead, as
+    the rows leave the double range long before the entries do: e(n,n) =
+    r_n / h_n in n, then e(n,k) = e(n,k+1) (k+1) g_{n-k} r_k / ((n-k)
+    g_{n-k-1} r_{k+1}) down each row, each running value v 2**e, where v is
+    rescaled by a power of 2, which rounds nothing, once it leaves [2**-256,
+    2**256].  The domain rule keeps every r_k and h_n nonzero; a g that
+    vanishes ends its row in zeros."""
     rows = declare(**p)
     field = field_of(*[v for tops, z in rows for v in (*tops, z)])
+    if not field.is_exact:
+        # the term ratios g_{m+1}/g_m, r_{m+1}/r_m, h_{m+1}/h_m, m < top
+        g, r, h = ([math.prod([field.of(a) + m for a in tops], start=field.of(z))
+                    for m in range(top)] for tops, z in rows)
+        out, diagonal = [], (field.one(), 0)
+        try:
+            for n in range(top + 1):
+                (v, e), entries = diagonal, []
+                for k in range(n, -1, -1):
+                    if k < n:  # e(n,k) from e(n,k+1)
+                        v *= (k + 1) * g[n - k - 1] / ((n - k) * r[k])
+                    elif n:  # e(n,n) from e(n-1,n-1)
+                        v *= r[n - 1] / h[n - 1]
+                    if not 2.0**-256 <= abs(v) <= 2.0**256:
+                        s = math.frexp(abs(v))[1]
+                        v, e = complex(math.ldexp(v.real, -s), math.ldexp(v.imag, -s)), e + s
+                    if k == n:
+                        diagonal = v, e
+                    entries.append(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+                                   if e else v)
+                out.append((entries[::-1], 1))
+        except OverflowError:
+            raise DomainError("numeric scalar must be finite, got a table entry past"
+                              " the double range") from None
+        return field, out
     (g, g_den), (r, r_den), (h, h_den) = (hypergeometric_terms((*tops, 1), (), z, top, field)
                                           for tops, z in rows)
-    if not field.is_exact:
-        return field, [([math.comb(n, k) * g[n - k] * r[k] / h[n] for k in range(n + 1)], 1)
-                       for n in range(top + 1)]
     r = [v * h_den for v in r]
     return field, [([math.comb(n, k) * g[n - k] * r[k] for k in range(n + 1)],
                     g_den * r_den * h[n]) for n in range(top + 1)]
@@ -407,17 +433,17 @@ class RelationSpec:
     """One connection relation.  ``source_names`` and ``target_names`` send
     each family parameter to the case parameter bound to it on that side;
     ``entries(params, top)`` gives the table's (field, rows n <= top), or
-    the ``rows_at`` of a connection-type table, after the family's domain
-    rule.  An x-free entry, and a connection-type prefactor, is a
-    declaration read by an engine: ``_terms`` for three (tops, z) rows,
-    ``_gauss`` for one (tops, bottom, z) row."""
+    the ``rows_at`` callable of a connection-type table, after the family's
+    domain rule; ``connection_table`` makes a table x-dependent exactly when
+    it gets that callable.  An x-free entry, and a connection-type
+    prefactor, is a declaration read by an engine: ``_terms`` for three
+    (tops, z) rows, ``_gauss`` for one (tops, bottom, z) row."""
 
     id: str
     family: str
     source_names: dict
     target_names: dict
     entries: Callable
-    x_dependent: bool = False
 
     @property
     def names(self) -> tuple:
@@ -464,12 +490,10 @@ _RELATIONS = {
         RelationSpec("meixner_type_c_to_d", "meixner", _ALPHA_C,
                      {"alpha": "alpha", "c": "d"},
                      partial(_type_entries, partial(_terms, lambda alpha, **_: (
-                         ((), 1), ((alpha,), 1), ((alpha,), 1))), _c_to_d_kernels),
-                     x_dependent=True),
+                         ((), 1), ((alpha,), 1), ((alpha,), 1))), _c_to_d_kernels)),
         RelationSpec("meixner_type_alpha_c", "meixner", _ALPHA_C,
                      {"alpha": "beta", "c": "d"},
-                     partial(_type_entries, _alpha_c_prefactors, _alpha_c_kernels),
-                     x_dependent=True),
+                     partial(_type_entries, _alpha_c_prefactors, _alpha_c_kernels)),
         RelationSpec("krawtchouk_p_N_to_q_M", "krawtchouk", _P_N,
                      {"p": "q", "N": "M"},
                      partial(_gauss, lambda p, q, N, M: ((-M, 1), -N, q / p))),
@@ -516,9 +540,10 @@ def connection_table(relation_id: str, params, n_max: int,
     _check_domain(spec, params, n_max)
     table = dict(n_max=n_max, source=spec.source(params), target=spec.target(params),
                  field=field, method="closed-form", relation=relation_id)
-    if spec.x_dependent:
-        return ConnectionExpansion(rows=(), rows_at=spec.entries(params, n_max), **table)
-    made, rows = spec.entries(params, n_max)
+    entries = spec.entries(params, n_max)
+    if callable(entries):
+        return ConnectionExpansion(rows=(), rows_at=entries, **table)
+    made, rows = entries
     if not (made.is_exact and field.is_exact):
         rows = [field.common([field.of(v) for v in made.over(*row)]) for row in rows]
     return ConnectionExpansion(rows=rows, **table)
@@ -547,13 +572,6 @@ def _factor_ratio_series(factor, env_from, env_to, q, n_max, field) -> Truncated
                 " power collection needs an argument-free binomial ratio"
             )
         return binomial_power(kappa_from, delta, n_max, field)
-    if kind == "exponential":
-        delta = _probe(factor["kappa"], field, env_from, env_to)
-        if delta is None:
-            raise MethodNotApplicableError(
-                f"exponential rate {factor['kappa']!r} leaves an x-dependent ratio"
-            )
-        return exp_series(delta, n_max, field)
     if kind in ("qpoch_num", "qpoch_denom"):
         kappa_from = _probe(factor["kappa"], field, env_from)
         kappa_to = _probe(factor["kappa"], field, env_to)

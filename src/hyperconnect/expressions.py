@@ -7,7 +7,7 @@ ast module and evaluated against a name -> scalar environment, so the catalog
 stays a plain data file while remaining executable and introspectable.
 
 Allowed syntax: +, -, *, /, **, integer literals, names, and calls to
-poch(a, n), qpoch(a, q, n), factorial(n), cis(theta), sqrt(z), exp(z).
+poch(a, n), qpoch(a, q, n), factorial(n), cis(theta).
 ``i`` is the imaginary unit (numeric field only).  Exponents must be
 integers after simplification on the exact field.
 """
@@ -34,11 +34,9 @@ _FUNCTIONS = {
     "qpoch": q_pochhammer,
     "factorial": lambda n: math.factorial(as_index(n, "factorial argument")),
     "cis": _cis,
-    "sqrt": lambda z: cmath.sqrt(complex(z)),
-    "exp": lambda z: cmath.exp(complex(z)),
 }
 
-_NUMERIC_ONLY = {"cis", "sqrt", "exp"}
+_NUMERIC_ONLY = {"cis"}
 
 
 @functools.lru_cache(maxsize=1024)

@@ -44,7 +44,6 @@ from .fields import (
     as_index,
     field_of,
     is_integer_valued,
-    is_nonpositive_integer,
 )
 from .hyper import linear_arg, pfq, hyper_series_in_t
 from .series import (
@@ -131,10 +130,7 @@ def _check_domain(family: str, name: str, value, domain: str):
 
     if domain == "unrestricted":
         return
-    if domain == "not_nonpositive_integer":
-        if is_nonpositive_integer(value):
-            fail("outside {0, -1, -2, ...}")
-    elif domain == "not_zero_or_one":
+    if domain == "not_zero_or_one":
         if value == 0 or value == 1:
             fail("different from 0 and 1")
     elif domain == "nonzero":

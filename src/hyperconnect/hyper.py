@@ -4,10 +4,9 @@
 {0, -1, -2, ...} and sums the finite series exactly,
 with eager pole detection: a term whose numerator product is already zero
 contributes nothing, but a nonzero term over a vanishing denominator factor
-is reported as a pole instead of being divided through.  An exact sum runs
-on integers over one running denominator (``series.integer_term_ratios``,
-the same checks in the same order) and is reduced once; a double sum adds
-the ``series.hypergeometric_terms`` row up to its first zero.  The one
+is reported as a pole instead of being divided through.  On both fields the
+sum is that of the ``series.hypergeometric_terms`` row, exact on integers
+over the row's one denominator.  The one
 non-terminating sum, a lattice sum's closed form, goes through
 ``pfq_eval_with_tail``: complex doubles until the absolute term drops below
 1e-17 |partial sum| for five consecutive terms (guarding against
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -141,23 +139,8 @@ def pfq_eval(spec: HyperSpec, z):
     if degree is None:
         raise DomainError("a terminating sum needs a numerator parameter in {0, -1, -2, ...}")
     field = field_of(*spec.numerator, *spec.denominator, z)
-    if field.is_exact:
-        # the terms over one running denominator, one reduction at the end
-        term, den, total = 1, 1, 1
-        for step_num, step_den in integer_term_ratios(spec.numerator, spec.denominator, z, degree):
-            term *= step_num
-            if not term:
-                break
-            den *= step_den
-            total = total * step_den + term
-        return Fraction(total, den)
-    total, *terms = field.over(*hypergeometric_terms(spec.numerator, spec.denominator, z,
-                                                     degree, field))
-    for term in terms:
-        if term == 0:
-            break
-        total = total + term
-    return total
+    nums, den = hypergeometric_terms(spec.numerator, spec.denominator, z, degree, field)
+    return field.over([sum(nums)], den)[0]
 
 
 # -- multivariable kinds ----------------------------------------------------

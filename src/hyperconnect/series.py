@@ -153,20 +153,14 @@ class TruncatedSeries:
         self._check_field(other)
         return TruncatedSeries(self.field, map(sub, self.coefficients, other.coefficients))
 
-    def __neg__(self):
-        return TruncatedSeries(self.field, [-c for c in self.coefficients])
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
+            return NotImplemented
         self._check_field(other)
         n = min(self.order, other.order) + 1
         (left, da), (right, db) = self.row, other.row
         return TruncatedSeries._result(
             self.field, _cauchy_product(left[:n], right[:n]), da * db)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, scalar) -> "TruncatedSeries":
         s = self.field.of(scalar)

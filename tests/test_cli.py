@@ -85,6 +85,19 @@ def test_connect_json_round_trip(capsys):
     assert table.coefficient(1, 1) == Fraction(7, 3) / Fraction(3, 2)
 
 
+def test_connect_double_table_past_n_170(capsys):
+    # (alpha)_n passes the double range at n = 170; every entry stays below 42
+    code, out, err = run(
+        capsys, "connect", "--relation", "alpha_to_beta", "--alpha", "1.5",
+        "--beta", "2.25", "--c", "0.4", "--n-max", "200", "--backend", "numeric",
+        "--output", "csv",
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()]
+    assert [len(row) for row in rows] == [n + 2 for n in range(201)]
+    assert max(abs(complex(cell)) for row in rows for cell in row[1:]) < 42
+
+
 def test_connect_power_collection_and_linear_solve_agree(capsys):
     outputs = []
     for method in ("power-collection", "linear-solve"):

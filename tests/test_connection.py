@@ -622,7 +622,7 @@ def naive_reconstruction(relation, params, n_max, x_samples, table):
     for n in range(n_max + 1):
         for x in x_samples:
             wanted = family_eval(spec.family, n, x, source)
-            got = sum(table.coefficient(n, k, x if spec.x_dependent else None)
+            got = sum(table.coefficient(n, k, x if table.x_dependent else None)
                       * family_eval(spec.family, k, x, target) for k in range(n + 1))
             worst = max(worst, abs(complex(wanted) - complex(got)))
             if wanted != got:
@@ -636,6 +636,7 @@ class PerturbedTable:
 
     def __init__(self, table, n, k, x=None):
         self.table, self.at, self.x = table, (n, k), x
+        self.x_dependent = table.x_dependent
 
     def _nudged(self, n, x):
         return n == self.at[0] and (self.x is None or x == self.x)
@@ -958,6 +959,35 @@ def test_numeric_gauss_tables_equal_the_displayed_sum_to_rounding(relation, para
             assert abs(table[n][k] - want) <= 1e-12 * size, (n, k)
 
 
+@pytest.mark.parametrize("relation,params,n_max", [
+    # every entry is below 42, yet (alpha)_n alone passes the double range at n = 170
+    ("meixner_alpha_to_beta", {"alpha": 1.5, "beta": 2.25, "c": 0.4}, 200),
+    # the diagonal E^n, E = 1/(2^20 - 1), falls below the double range at
+    # n = 54, while e(n, 0) stays near 1
+    ("meixner_same_alpha_c_to_d", {"alpha": 1.5, "c": 0.5, "d": 2.0**-20}, 80),
+    # (alpha - beta)_m vanishes for m > 2: each row ends in zeros
+    ("meixner_alpha_to_beta", {"alpha": 1.5, "beta": 3.5, "c": 0.4}, 200),
+    ("krawtchouk_p_to_q_same_N", {"p": 0.25, "q": 0.75, "N": 200}, 200),
+], ids=["alpha-beta", "small-E", "vanishing-g", "krawtchouk"])
+def test_double_term_tables_past_n_170_equal_the_exact_table_at_the_doubles(relation,
+                                                                            params, n_max):
+    table = connection_table(relation, params, n_max, numeric())
+    exact = connection_table(relation, {k: Fraction(v) for k, v in params.items()}, n_max)
+    for n in range(n_max + 1):
+        for k, (got, want) in enumerate(zip(table.row(n), exact.row(n))):
+            if want == 0:
+                assert got == 0, (n, k)
+            else:  # below the normal range the two may round one subnormal apart
+                assert abs(got - float(want)) <= 1e-12 * abs(float(want)) + 5e-324, (n, k)
+
+
+def test_a_double_term_table_with_an_entry_past_the_double_range_is_refused():
+    # E is about 10^6, so e(n, n) = E^n passes the double range near n = 51
+    with pytest.raises(DomainError, match="double range"):
+        connection_table("meixner_same_alpha_c_to_d",
+                         {"alpha": 1.5, "c": 0.001, "d": 0.999}, 200, numeric())
+
+
 def fraction_divided_differences(values, abscissae):
     """Newton coefficients by the plain Fraction loop."""
     level, out = list(values), [values[0]]
@@ -1120,7 +1150,7 @@ def test_integer_bindings_give_the_fractions_of_fraction_bindings(relation):
     ints = {name: INTEGER_BINDINGS[spec.family][name] for name in spec.names}
     fractions = {name: Fraction(v) for name, v in ints.items()}
     got, want = connection_table(relation, ints, 3), connection_table(relation, fractions, 3)
-    for x in ((1, Fraction(1), Fraction(5, 2)) if spec.x_dependent else (None,)):
+    for x in ((1, Fraction(1), Fraction(5, 2)) if got.x_dependent else (None,)):
         for n in range(4):
             row = got.row(n, x)
             assert row == want.row(n, x) and all(type(v) is Fraction for v in row), (n, x)
@@ -1233,3 +1263,47 @@ def test_csv_cells_read_back_to_the_table(family, source, target):
         assert [parse(cell) for cell in cells] == table.row(n)
     if family == "al_salam_carlitz_1":
         assert any(c.imag for row in table.matrix() for c in row)
+
+
+# a second value for each parameter of an executable family, inside its domain;
+# alpha avoids {0, -1, ...}, where the Meixner normalization vanishes, and a, b
+# stay in (-1, 1), so no Al-Salam-Chihara normalization meets ab q^j = 1
+OTHER_VALUES = {
+    "alpha": small_rationals(-3, 5).filter(lambda v: v.denominator > 1 or v > 0),
+    "c": RATES,
+    "p": small_rationals(-2, 3).filter(bool),
+    "N": st.integers(4, 7),
+    "a": small_rationals(-1, 1).filter(bool),
+    "b": small_rationals(-1, 1),
+    "q": small_rationals(0, 1),
+    "theta": small_rationals(0, 3),
+}
+
+
+@settings(max_examples=300)
+@given(data=st.data(), family=st.sampled_from(EXECUTABLE),
+       convert=st.sampled_from([Fraction, float]), n_max=st.integers(0, 4))
+def test_power_collection_reconstructs_or_refuses_on_every_parameter(data, family, convert,
+                                                                     n_max):
+    """Each parameter varied on its own gives a table that reconstructs P_n at
+    sample arguments (theta for an x = cos theta family), or a refusal."""
+    descriptor = families_mod.get_family(family)
+    name = data.draw(st.sampled_from(sorted(descriptor.parameters)), "name")
+    source = {k: v if k == "N" else convert(v) for k, v in BINDINGS[family].items()}
+    value = data.draw(OTHER_VALUES[name], "value")
+    target = {**source, name: value if name == "N" else convert(value)}
+    try:
+        table = power_collect(family, source, target, n_max)
+    except MethodNotApplicableError:
+        return
+    points = ([(None, {"theta": convert(t)}) for t in (Fraction(1, 3), 1, 2)]
+              if descriptor.uses_theta else [(convert(x), {}) for x in (0, 1, Fraction(5, 2))])
+    for x, at in points:
+        want = families_mod.family_row(family, n_max, x, {**source, **at})
+        basis = families_mod.family_row(family, n_max, x, {**target, **at})
+        for n in range(n_max + 1):
+            got = sum(c * v for c, v in zip(table.row(n), basis))
+            if table.field.is_exact:
+                assert got == want[n], (name, n, x)
+            else:
+                assert table.field.eq(want[n], got), (name, n, x, want[n], got)

@@ -71,8 +71,6 @@ ALLOWLIST = {
     "series.TruncatedSeries.scale": "the linear-combination oracle's scalar",
     "series.TruncatedSeries.shifted": "the linear-combination oracle's t^k",
     "series.TruncatedSeries.__sub__": "series algebra the tests check directly",
-    "series.TruncatedSeries.__neg__": "series algebra the tests check directly",
-    "series.TruncatedSeries.__rmul__": "series algebra the tests check directly",
     "series.TruncatedSeries.__eq__": "value semantics the tests compare series with",
     "series.TruncatedSeries.__hash__": "value semantics the tests compare series with",
     "series.TruncatedSeries.from_json": "JSON read side",

@@ -77,6 +77,14 @@ def test_field_mismatch_is_an_error():
         exact * approx
 
 
+def test_a_scalar_multiplies_a_series_only_through_scale():
+    s = S(1, 2)
+    for product in (lambda: s * 3, lambda: 3 * s, lambda: -s):
+        with pytest.raises(TypeError):
+            product()
+    assert s.scale(-3) == S(-3, -6)
+
+
 def test_binomial_power_geometric():
     assert binomial_power(1, 1, 5).coefficients == (1, 1, 1, 1, 1, 1)
 

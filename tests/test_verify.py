@@ -1103,6 +1103,30 @@ def test_the_reported_escapes_of_non_numeric_values_are_error_reports():
     assert IdentityCase.from_json(named.as_json()) == named
 
 
+@pytest.mark.parametrize("change, refusal", [
+    ({"identity": ["meixner_orthogonality"]}, "identity ['meixner_orthogonality'] must be"),
+    ({"x_max": "300"}, "x_max '300' must be an integer"),
+    ({"x_max": None}, "x_max None must be an integer"),
+    ({"x_max": 3.5}, "x_max 3.5 must be an integer"),
+    # a bool is no count: read as 1 it would sum x = 0, 1 only
+    ({"x_max": True}, "x_max True must be an integer"),
+], ids=["identity-list", "x_max-str", "x_max-null", "x_max-float", "x_max-bool"])
+def test_a_malformed_case_document_is_an_error_report(change, refusal):
+    case = IdentityCase.from_json({**_ORTH.as_json(), **change})
+    good, report = batch_verify([_ORTH, case])
+    assert good.status == "pass"
+    assert report.status == "error" and refusal in report.detail
+
+
+def test_a_field_that_is_no_field_tag_is_an_error_report_on_every_route():
+    # JSON always reads a FieldTag back, so only the API can pass another value
+    cases = [dataclasses.replace(case, field=field) for case in acceptance_suite(4)
+             for field in ("numeric", None)]
+    reports = batch_verify(cases)
+    assert {r.status for r in reports} == {"error"}
+    assert all("must be a FieldTag" in r.detail for r in reports)
+
+
 # one value of each kind a parameter may hold: exact, double (-0.0 too),
 # complex, a name, a tuple, None, a non-finite double and a string
 ANY_PARAMETER = st.one_of(
