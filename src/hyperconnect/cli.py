@@ -183,9 +183,7 @@ def _cmd_connect(args) -> int:
                 relation_id = prefixed[0]
         spec = conn.get_relation(relation_id)
         _refuse_unused(params, spec.names, f"--relation {relation_id}")
-        missing = [name for name in spec.names if name not in params]
-        if missing:
-            raise DomainError(f"{relation_id} needs parameter(s) {missing}")
+        families.check_names(relation_id, params, spec.names)
         family, source, target = spec.family, spec.source(params), spec.target(params)
     else:
         if not (args.source and args.target and args.family):

@@ -98,9 +98,11 @@ from .fields import (EXACT, NUMERIC, FieldTag, as_index, field_of, is_exact_valu
 from .hyper import APPELL_F1, MultiVarSpec, factor_product, linear_arg, multivar_eval
 from .families import (
     FamilyDescriptor,
+    check_names,
     family_row,
     family_rows,
     get_family,
+    krawtchouk_sizes,
     normalization_at,
 )
 from .series import (
@@ -249,11 +251,12 @@ def _require_rows(n_max):
 def _check_domain(spec, p, top):
     """The family's rule on every case parameter the relation binds: alpha
     and beta avoid {0, -1, ...}, c and d avoid 0 and 1, p and q are nonzero,
-    and N <= M are integers.  A Krawtchouk table has degrees 0..N, so N >= 0
-    is checked first and degree N + 1 last."""
-    if spec.family == "krawtchouk":
-        cap = as_index(p["N"], "N")
-        _require(cap >= 0, f"need n <= N, got n = 0, N = {cap}")
+    and 0 <= n <= N <= M (``families.krawtchouk_sizes``).  A Krawtchouk
+    table has degrees 0..N, so its sizes are checked at degree 0 first and at
+    degree top last."""
+    kraw = spec.family == "krawtchouk"
+    if kraw:
+        krawtchouk_sizes(p)
     for name in spec.names:
         v = p[name]
         if name in ("alpha", "beta"):
@@ -262,11 +265,8 @@ def _check_domain(spec, p, top):
             _require(v != 0 and v != 1, f"{name} must avoid 0 and 1")
         elif name in ("p", "q"):
             _require(v != 0, f"{name} must be nonzero")
-        elif name == "M":
-            big = as_index(v, "M")
-            _require(cap <= big, f"need N <= M, got N = {cap}, M = {big}")
-    if spec.family == "krawtchouk":
-        _require(top <= cap, f"need n <= N, got n = {cap + 1}, N = {cap}")
+    if kraw:
+        krawtchouk_sizes(p, top)
 
 
 def _terms(declare, p, top):
@@ -533,9 +533,7 @@ def connection_table(relation_id: str, params, n_max: int,
     _require_rows(n_max)
     spec = get_relation(relation_id)
     params = _bind(params)
-    missing = set(spec.names) - set(params)
-    if missing:
-        raise DomainError(f"{relation_id} needs parameter(s) {sorted(missing)}")
+    check_names(relation_id, params, spec.names)
     params = {name: params[name] for name in spec.names}
     _check_domain(spec, params, n_max)
     table = dict(n_max=n_max, source=spec.source(params), target=spec.target(params),
@@ -605,13 +603,19 @@ def _probe(expr, field, env, minus=None):
     return first if all(field.eq(first, v) for v in rest) else None
 
 
-def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionExpansion:
-    """Connection coefficients by ratio expansion and power matching."""
+def _bind_pair(family_id, source, target, n_max: int):
+    """(descriptor, source, target, field) of a table from one binding of a
+    family to another up to degree n_max: both sides bound, on the field
+    ``FamilyDescriptor.field_for`` picks from both."""
     _require_rows(n_max)
     descriptor = get_family(family_id)
-    from_params = descriptor.bind(from_params)
-    to_params = descriptor.bind(to_params)
-    field = descriptor.field_for(*from_params.values(), *to_params.values())
+    source, target = descriptor.bind(source), descriptor.bind(target)
+    return descriptor, source, target, descriptor.field_for(*source.values(), *target.values())
+
+
+def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionExpansion:
+    """Connection coefficients by ratio expansion and power matching."""
+    descriptor, from_params, to_params, field = _bind_pair(family_id, from_params, to_params, n_max)
     varied = {
         name for name in descriptor.parameters
         if not field.eq(field.of(from_params[name]), field.of(to_params[name]))
@@ -769,11 +773,7 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     polynomial vanishes for j > k, so the system is triangular and solved by
     back substitution, exactly and fraction-free on the exact field.
     """
-    _require_rows(n_max)
-    descriptor = get_family(family_id)
-    from_params = descriptor.bind(from_params)
-    to_params = descriptor.bind(to_params)
-    field = descriptor.field_for(*from_params.values(), *to_params.values())
+    descriptor, from_params, to_params, field = _bind_pair(family_id, from_params, to_params, n_max)
     points = default_abscissae(descriptor, n_max, field) if abscissae is None else list(abscissae)
     if len(points) != n_max + 1:
         raise DomainError(f"need exactly {n_max + 1} sample abscissae")

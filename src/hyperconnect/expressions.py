@@ -56,6 +56,13 @@ def variables(expr: str) -> frozenset:
     return frozenset(names)
 
 
+def names_imaginary_unit(expr: str) -> bool:
+    """Whether an expression names the imaginary unit, as ``i`` or through
+    a numeric-only function such as cis(theta)."""
+    return any(isinstance(node, ast.Name) and (node.id == "i" or node.id in _NUMERIC_ONLY)
+               for node in ast.walk(_parse(expr)))
+
+
 def _power(base, exponent):
     if is_exact_value(exponent):
         exponent = Fraction(exponent)

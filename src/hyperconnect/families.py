@@ -8,6 +8,8 @@ connection-relation counts) stays in the file: ``catalog_as_json`` prints
 it and no computation reads it.  Factors of executable families expand to
 TruncatedSeries, on the field ``FamilyDescriptor.field_for`` picks from the
 bindings (the catalog marks no field); metadata-only families refuse it.
+Every module binds parameters by the rules stated once here:
+``check_names``, ``krawtchouk_sizes`` and ``degree_cap``.
 
 Evaluation routes:
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
 
@@ -89,7 +92,6 @@ class FamilyDescriptor:
     expansion: str | None
     normalization: str
     factors: tuple
-    truncate_at: str | None
 
     @property
     def is_expandable(self) -> bool:
@@ -99,34 +101,63 @@ class FamilyDescriptor:
     def uses_theta(self) -> bool:
         return self.argument == "cos_theta"
 
+    @cached_property
+    def _names_imaginary_unit(self) -> bool:
+        return any(expressions.names_imaginary_unit(expr) for expr in (
+            self.normalization, *[e for factor in self.factors for e in factor.expressions()]))
+
     def field_for(self, *values) -> FieldTag:
-        """The field a computation on these inputs runs in: numeric for an
-        x = cos theta family, as cos theta is irrational in general, else
-        ``field_of`` the values (exact when every value is exact)."""
-        return NUMERIC if self.uses_theta else field_of(*values)
+        """The field a computation on these inputs runs in: numeric for a
+        family whose formulas name the imaginary unit (i, or cis(theta) in
+        the x = cos theta families, as cos theta is irrational in general),
+        else ``field_of`` the values (exact when every value is exact)."""
+        return NUMERIC if self._names_imaginary_unit else field_of(*values)
 
     def bind(self, params) -> dict:
         """Validate a name -> value mapping against this descriptor."""
         params = dict(params)
-        missing = set(self.parameters) - set(params)
-        if missing:
-            raise DomainError(
-                f"{self.id} needs parameter(s) {sorted(missing)}"
-            )
-        unknown = set(params) - set(self.parameters)
-        if unknown:
-            raise DomainError(
-                f"{self.id} does not take parameter(s) {sorted(unknown)};"
-                f" expected {sorted(self.parameters)}"
-            )
+        check_names(self.id, params, self.parameters, self.parameters)
         for name, domain in self.parameters.items():
             _check_domain(self.id, name, params[name], domain)
         return params
 
 
+def check_names(owner: str, given, names, allowed=None):
+    """DomainError unless ``given`` binds every name of ``names`` and, when
+    ``allowed`` is given, no name outside it."""
+    missing = set(names) - set(given)
+    if missing:
+        raise DomainError(f"{owner} needs parameter(s) {sorted(missing)}")
+    unknown = set(given) - set(allowed) if allowed is not None else ()
+    if unknown:
+        raise DomainError(f"{owner} does not take parameter(s) {sorted(unknown)};"
+                          f" expected {sorted(set(allowed))}")
+
+
+def krawtchouk_sizes(params, n: int = 0) -> tuple:
+    """(N, M) of a binding as integers, M None when it binds none: K_n(x; p, N)
+    has the degrees 0 <= n <= N, and a relation or generating function from
+    size N to size M needs N <= M.  N < 0 fails the catalog domain of N."""
+    N, M = as_index(params["N"], "N"), params.get("M")
+    M = M if M is None else as_index(M, "M")
+    _check_domain("krawtchouk", "N", N, "nonnegative_integer")
+    if n > N:
+        raise DomainError(f"krawtchouk needs n <= N, got n = {n}, N = {N}")
+    if M is not None and N > M:
+        raise DomainError(f"krawtchouk needs N <= M, got N = {N}, M = {M}")
+    return N, M
+
+
+def degree_cap(order: int, params) -> int:
+    """The top degree of a sum to ``order`` over a binding: min(order, N)
+    when it binds a size N, whose family has degrees 0..N, else the order."""
+    return min(order, as_index(params["N"], "N")) if "N" in params else order
+
+
 def _check_domain(family: str, name: str, value, domain: str):
     def fail(requirement):
-        raise DomainError(f"{family}: parameter {name} = {value!r} must be {requirement}")
+        shown = value if field_of(value).is_exact else repr(value)  # -1 as int or Fraction
+        raise DomainError(f"{family}: parameter {name} = {shown} must be {requirement}")
 
     if domain == "unrestricted":
         return
@@ -174,7 +205,6 @@ def _load_registry():
             expansion=entry.get("expansion"),
             normalization=entry["normalization"],
             factors=factors,
-            truncate_at=entry.get("truncate_at"),
         )
         families[descriptor.id] = descriptor
     return MappingProxyType(families)
@@ -247,9 +277,9 @@ def _expand_factor(factor: Factor, env, q, order: int, field: FieldTag) -> Trunc
 def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -> TruncatedSeries:
     """Expand the family's generating function to a series of the given order.
 
-    Applies the truncation operator when the descriptor carries one (the
-    Krawtchouk generating function equals its own degree-N truncation), so
-    coefficients past the cutoff come back as exact zeros.
+    A family of size N is expanded to its ``degree_cap`` (the Krawtchouk
+    generating function equals its own degree-N truncation), so coefficients
+    past degree N come back as exact zeros.
     """
     descriptor = get_family(family_id)
     if not descriptor.is_expandable:
@@ -263,20 +293,12 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
     field = field or descriptor.field_for(x, *params.values())
     env = _environment(descriptor, x, params, field)
     q = env.get("q")
-    work_order = order
-    cutoff = None
-    if descriptor.truncate_at is not None:
-        cutoff = as_index(
-            expressions.evaluate(descriptor.truncate_at, env, field), "truncation order"
-        )
-        work_order = min(order, cutoff)
+    top = degree_cap(order, params)
     first, *rest = descriptor.factors
-    result = _expand_factor(first, env, q, work_order, field)
+    result = _expand_factor(first, env, q, top, field)
     for factor in rest:
-        result = result * _expand_factor(factor, env, q, work_order, field)
-    if cutoff is not None and order > work_order:
-        result = result.padded_to(order)
-    return result
+        result = result * _expand_factor(factor, env, q, top, field)
+    return result.padded_to(order)
 
 
 def normalization_at(descriptor: FamilyDescriptor, n: int, x, params, field: FieldTag):
@@ -334,9 +356,7 @@ def _gauss_row(descriptor, n_max: int, x, params) -> list:
         c = params["c"]
         b, w = params["alpha"], 1 - 1 / field_of(c).of(c)
     else:
-        p, b = params["p"], -as_index(params["N"], "N")
-        if n_max > -b:
-            raise DomainError(f"krawtchouk needs n <= N, got n = {n_max}, N = {-b}")
+        p, b = params["p"], -krawtchouk_sizes(params, n_max)[0]
         w = 1 / field_of(p).of(p)
     return field.over(*gauss_degree_row(-x, b, w, n_max, field))
 

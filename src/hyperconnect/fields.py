@@ -99,10 +99,11 @@ class FieldTag:
     @staticmethod
     def from_json(doc: dict) -> "FieldTag":
         """Inverse of ``as_json``; a numeric field without tolerances gets
-        the defaults."""
-        if doc["field"] == "exact":
-            return EXACT
-        return numeric(doc.get("atol", DEFAULT_ATOL), doc.get("rtol", DEFAULT_RTOL))
+        the defaults, and any other kind than exact is the FieldError of
+        ``__post_init__``."""
+        if doc["field"] == "numeric":
+            return numeric(doc.get("atol", DEFAULT_ATOL), doc.get("rtol", DEFAULT_RTOL))
+        return EXACT if doc["field"] == "exact" else FieldTag(doc["field"])
 
     def text(self, value) -> str:
         """A scalar as the CLI and CSV cells write it, which ``Fraction`` or

@@ -6,9 +6,9 @@ Every generalized generating function has the shape
 
 with coeff_n = prod_a (a)_n z^n / ((b)_n n!) P_n(x), P_n one Meixner or
 Krawtchouk polynomial.  Each is a row of ``GF_IDENTITIES`` (a ``GFSpec``:
-the lhs, coeff_n declared as its tops a, bottom b, z and P_n, inner_n, and
-whether the sum has the Krawtchouk degree-N truncation brackets), and one
-builder forms both sides as truncated series.  A local memo of the call
+the lhs, coeff_n declared as its tops a, bottom b, z and P_n, and
+inner_n), and one builder forms both sides as truncated series, a sum over
+a binding of N to its ``families.degree_cap``.  A local memo of the call
 makes each piece that does not depend on n once, on first use, and drops it
 on return: the row P_0..P_top (``families.family_row``, one
 ``series.gauss_degree_row``), the ``series.hypergeometric_terms`` row of
@@ -140,7 +140,9 @@ class IdentityCase:
             "identity": self.identity,
             "params": {k: _serialize_value(v, k) for k, v in sorted(self.params.items())},
             "order": self.order,
-            **self.field.as_json(),
+            # a field that is no FieldTag as its repr, refused again when read back
+            **(self.field.as_json() if isinstance(self.field, FieldTag)
+               else {"field": repr(self.field)}),
             "x_max": self.x_max,
         }
 
@@ -150,7 +152,9 @@ class IdentityCase:
             identity=doc["identity"],
             params={k: _deserialize_value(v, k) for k, v in doc["params"].items()},
             order=doc.get("order"),
-            field=FieldTag.from_json(doc),
+            # a kind that names no field is carried as it is, so the case is refused
+            field=(FieldTag.from_json(doc) if doc["field"] in ("exact", "numeric")
+                   else doc["field"]),
             x_max=doc.get("x_max", 300),
         )
 
@@ -235,18 +239,9 @@ class VerificationReport:
 
 
 def _require(case, names, allowed=None, order=None):
-    """DomainError unless the case binds every name in ``names``, no name
-    outside ``allowed`` (when given) and has an order >= 0 when ``order`` is
-    True, none when it is False."""
-    missing = set(names) - set(case.params)
-    if missing:
-        raise DomainError(f"{case.identity} needs parameter(s) {sorted(missing)}")
-    unknown = set(case.params) - set(allowed) if allowed is not None else ()
-    if unknown:
-        raise DomainError(
-            f"{case.identity} does not take parameter(s) {sorted(unknown)};"
-            f" expected {sorted(set(allowed))}"
-        )
+    """DomainError unless the case passes ``families.check_names`` and has an
+    order >= 0 when ``order`` is True, none when it is False."""
+    families.check_names(case.identity, case.params, names, allowed)
     if order and (case.order is None or case.order < 0):
         raise DomainError(f"{case.identity} needs an order >= 0, got {case.order}")
     if order is False and case.order is not None:
@@ -330,25 +325,21 @@ class GFSpec:
     bottom b or None, z, (family, x, params of P_n)).  ``inner(n, order,
     field, **params)`` builds inner_n, or gives (MultiVarSpec, shapes) for a
     multivariable inner_n, which the call lifts with one shared factor
-    product.  A capped spec carries the degree-N truncation brackets exactly
-    as displayed: the sum stops at n = N, lhs is built to order min(N, order)
-    and inner_n to min(N, order) - n, and both are zero-padded to the
-    requested order."""
+    product.  A spec that binds N carries the degree-N truncation brackets
+    exactly as displayed: the sum stops at n = N, lhs is built to order top
+    = ``families.degree_cap`` = min(N, order) and inner_n to top - n, and
+    both are zero-padded to the requested order."""
 
     lhs: Callable
     coeff: Callable
     inner: Callable
-    capped: bool = False
-
-    def _top(self, order, p):
-        return min(as_index(p["N"], "N"), order) if self.capped else order
 
     def lhs_series(self, order, field, **p) -> TruncatedSeries:
-        return self.lhs(self._top(order, p), field, **p).padded_to(order)
+        return self.lhs(families.degree_cap(order, p), field, **p).padded_to(order)
 
     def __call__(self, p, order, field):
         lhs = self.lhs_series(order, field, **p)
-        top = self._top(order, p)
+        top = families.degree_cap(order, p)
         tops, bottom, z, (family, x, params) = self.coeff(**p)
         made = {}  # the pieces that do not depend on n, each made once, on first use
 
@@ -497,47 +488,36 @@ GF_IDENTITIES = {
         _kraw_exp_1f1,
         lambda x, p, q, N, M, **_: ((-M,), -N, q / p, _krawtchouk(x, q, M)),
         lambda n, o, f, p, q, N, M, **_: _gauss_inner((), n - M, n - N, q / p, o, f),
-        capped=True,
     ), ("x", "p", "q", "N", "M")),
     "krawtchouk_1f1_degree_shift": (GFSpec(
         _kraw_exp_1f1,
         lambda x, p, N, M, **_: ((-M,), -N, 1, _krawtchouk(x, p, M)),
         lambda n, o, f, N, M, **_: hyper_series_in_t(
             pfq((Fraction(M - N),), (Fraction(n - N),)), linear_arg(1), o, f),
-        capped=True,
     ), ("x", "p", "N", "M")),
     "krawtchouk_1f1_prob_shift": (GFSpec(
         _kraw_exp_1f1,
         lambda x, p, q, N, **_: ((), None, q / p, _krawtchouk(x, q, N)),
         lambda n, o, f, p, q, **_: exp_series(1 - q / p, o, f),
-        capped=True,
     ), ("x", "p", "q", "N")),
     "krawtchouk_2f1_two_param": (GFSpec(
         _kraw_2f1,
         lambda x, p, q, N, M, gamma, **_: ((gamma, -M), -N, q / p, _krawtchouk(x, q, M)),
         lambda n, o, f, p, q, N, M, gamma, **_: _gauss_inner(
             (gamma + n,), n - M, n - N, q / p, o, f),
-        capped=True,
     ), ("x", "p", "q", "N", "M", "gamma")),
     "krawtchouk_2f1_degree_shift": (GFSpec(
         _kraw_2f1,
         lambda x, p, N, M, gamma, **_: ((gamma, -M), -N, 1, _krawtchouk(x, p, M)),
         lambda n, o, f, N, M, gamma, **_: hyper_series_in_t(
             pfq((gamma + n, Fraction(M - N)), (Fraction(n - N),)), linear_arg(1), o, f),
-        capped=True,
     ), ("x", "p", "N", "M", "gamma")),
     "krawtchouk_2f1_prob_shift": (GFSpec(
         _kraw_2f1,
         lambda x, p, q, N, gamma, **_: ((gamma,), None, q / p, _krawtchouk(x, q, N)),
         lambda n, o, f, p, q, gamma, **_: binomial_power(1 - q / p, gamma + n, o, f),
-        capped=True,
     ), ("x", "p", "q", "N", "gamma")),
 }
-
-
-def _check_kraw_sizes(cap, big):
-    if cap > big:
-        raise DomainError(f"need N <= M, got N = {cap}, M = {big}")
 
 
 def build_sides(case: IdentityCase):
@@ -550,13 +530,10 @@ def build_sides(case: IdentityCase):
         ) from None
     _require(case, names, allowed=names, order=True)
     params = {k: case.field.of(v) for k, v in case.params.items()}
-    for k in ("N", "M"):
-        if k in names:
-            params[k] = as_index(case.params[k], k)
-            if params[k] < 0:
-                raise DomainError(f"parameter {k} = {params[k]} must be a nonnegative integer")
-    if "M" in names:
-        _check_kraw_sizes(params["N"], params["M"])
+    if "N" in names:
+        params["N"], M = families.krawtchouk_sizes(case.params)
+        if M is not None:
+            params["M"] = M
     return spec(params, case.order, case.field)
 
 
@@ -847,12 +824,8 @@ def _orth_krawtchouk(case: IdentityCase, gf_id: str) -> VerificationReport:
     with (gamma)_n = 1 for the 1F1 form."""
     spec, names = GF_IDENTITIES[gf_id]
     p = {k: case.params[k] for k in names if k != "x"}
-    cap, big = as_index(p["N"], "N"), as_index(p["M"], "M")
-    p["N"], p["M"] = cap, big
     n, t, qq = as_index(case.params["n"], "n"), case.params["t"], p["q"]
-    _check_kraw_sizes(cap, big)
-    if n > cap:
-        raise DomainError("needs n <= N")
+    cap, big = p["N"], p["M"] = families.krawtchouk_sizes(p, n)
     lhs = Fraction(0)
     for x in range(big + 1):
         bracket = spec.lhs(cap, EXACT, **p, x=Fraction(x))
@@ -1003,7 +976,7 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
                   if k not in ("generating_function", "relation")}
         order, x = case.order, params["x"]
         bound = {**spec.source(params), **params}
-        n_cap = min(order, as_index(params["N"], "N")) if family == "krawtchouk" else order
+        n_cap = families.degree_cap(order, params)
         original = build(order, case.field, **bound)
         table = conn.connection_table(relation_id, params, n_cap, case.field)
         norms = case.field.over(*hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap,
@@ -1175,8 +1148,7 @@ def _check_gf_matches_eval(case):
     descriptor = families.get_family(params.pop("family"))
     x = params.pop("x", None)
     series = families.gf_expand(descriptor, x, params, case.order)
-    kraw = descriptor.id == "krawtchouk"
-    top = min(case.order, as_index(params["N"], "N")) if kraw else case.order
+    top = families.degree_cap(case.order, params)
     expected = TruncatedSeries(series.field, [
         families.normalization_at(descriptor, n, x, params, series.field) * p_n
         for n, p_n in enumerate(families.family_row(descriptor, top, x, params))])
@@ -1276,13 +1248,12 @@ def acceptance_suite(order: int = 12) -> list:
         raise DomainError(f"the acceptance suite needs an order >= 0, got {order}")
     tol9, tol10 = numeric(1e-9, 1e-9), numeric(1e-10, 0.0)
     kraw_n = _KRAW_GF["N"]
-    cases = [
-        IdentityCase(identity, _restrict(_KRAW_GF if spec.capped else _CANONICAL, names),
-                     order=min(order, kraw_n) if spec.capped else order)
-        for identity, (spec, names) in GF_IDENTITIES.items()
-    ]
+    cases = []
+    for identity, (_, names) in GF_IDENTITIES.items():
+        params = _restrict(_KRAW_GF if "N" in names else _CANONICAL, names)
+        cases.append(IdentityCase(identity, params, order=families.degree_cap(order, params)))
     for chain, (general, *_) in SPECIALIZATION_CHAINS.items():
-        if GF_IDENTITIES[general][0].capped:  # every name of _KRAW_GF, read or not
+        if "N" in GF_IDENTITIES[general][1]:  # every name of _KRAW_GF, read or not
             cases.append(IdentityCase(chain, _KRAW_GF, order=kraw_n))
         else:
             cases.append(IdentityCase(chain, _restrict(_CANONICAL, _chain_names(chain)),
@@ -1290,7 +1261,7 @@ def acceptance_suite(order: int = 12) -> list:
     for relation in conn.relation_ids():
         params = _relation_params(relation)  # a Krawtchouk table needs n_max <= N
         cases.append(IdentityCase(relation, {
-            **params, "n_max": min(_RELATION_N_MAX, params.get("N", _RELATION_N_MAX)),
+            **params, "n_max": families.degree_cap(_RELATION_N_MAX, params),
             "x_samples": _DEFAULT_X_SAMPLES,
         }))
     # each plain GF under each degenerate relation of its family: the target

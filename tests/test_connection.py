@@ -22,6 +22,7 @@ from hyperconnect import (
     SingularConfigurationError,
     SingularSampleError,
     UnknownIdentityError,
+    UnsupportedExpansionError,
     connect_linear_solve,
     connection_table,
     family_eval,
@@ -196,9 +197,9 @@ def test_krawtchouk_size_preconditions():
     # degree 0 is checked first, then p, then the degrees above 0
     with pytest.raises(DomainError, match="p must be nonzero"):
         coefficient("krawtchouk_p_N_to_q_M", {**KRAW, "p": 0}, 5, 1)
-    with pytest.raises(DomainError, match="need n <= N, got n = 0, N = -1"):
+    with pytest.raises(DomainError, match="krawtchouk: parameter N = -1 must be a nonnegative"):
         connection_table("krawtchouk_p_to_q_same_N", {**KRAW, "p": 0, "N": -1}, 3)
-    with pytest.raises(DomainError, match="need n <= N, got n = 5, N = 4"):
+    with pytest.raises(DomainError, match="krawtchouk needs n <= N, got n = 6, N = 4"):
         connection_table("krawtchouk_p_N_to_q_M", KRAW, 6)
 
 
@@ -1225,6 +1226,45 @@ def test_every_method_picks_the_field_of_field_for(family, convert):
     assert families_mod.gf_expand(family, x, params, 3).field == want
     assert power_collect(family, params, params, 3).field == want
     assert connect_linear_solve(family, params, params, 3).field == want
+
+
+# a rational in each catalog domain, and a second one for the varied side;
+# sizes N stay above the degrees 0..3 the tables below reach
+DOMAIN_VALUES = {
+    "unrestricted": (Fraction(1, 3), Fraction(2, 5)),
+    "not_zero_or_one": (Fraction(2, 5), Fraction(3, 7)),
+    "nonzero": (Fraction(1, 2), Fraction(1, 3)),
+    "nonnegative_integer": (6, 7),
+    "base": (Fraction(1, 3), Fraction(1, 4)),
+    "real": (Fraction(1, 2), Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("family, name", [
+    (descriptor.id, name) for descriptor in families_mod.catalog()
+    for name in descriptor.parameters])
+def test_power_collection_varies_any_parameter_of_any_family_on_rationals(family, name):
+    """A table, or the refusal of a method or a family that cannot expand
+    it, and no other error: c of continuous_dual_hahn, in (1 - t)^(c - ix),
+    once raised the exact field's FieldError on the imaginary unit."""
+    parameters = families_mod.get_family(family).parameters
+    source = {k: DOMAIN_VALUES[domain][0] for k, domain in parameters.items()}
+    target = {**source, name: DOMAIN_VALUES[parameters[name]][1]}
+    try:
+        table = power_collect(family, source, target, 3)
+    except (MethodNotApplicableError, UnsupportedExpansionError):
+        return
+    assert len(table.matrix()) == 4
+
+
+def test_rational_bindings_of_a_family_naming_i_give_the_double_bindings_table():
+    source = {"a": Fraction(1, 3), "b": Fraction(1, 4), "c": Fraction(1, 5)}
+    target = {**source, "c": Fraction(2, 5)}
+    exact = power_collect("continuous_dual_hahn", source, target, 4)
+    double = power_collect("continuous_dual_hahn", *({k: float(v) for k, v in side.items()}
+                                                     for side in (source, target)), 4)
+    assert exact.field == double.field == NUMERIC
+    assert exact.matrix() == double.matrix()
 
 
 @settings(max_examples=30)

@@ -35,7 +35,8 @@ from hyperconnect import TruncatedSeries, exp_series, pochhammer
 from hyperconnect import families as families_mod
 from hyperconnect import hyper as hyper_mod
 from hyperconnect import verify as verify_mod
-from hyperconnect.fields import deviation
+from hyperconnect.errors import FieldError
+from hyperconnect.fields import FieldTag, deviation
 
 CANON = {
     "x": Fraction(4), "alpha": Fraction(3, 2), "beta": Fraction(7, 3),
@@ -937,10 +938,10 @@ def test_each_build_makes_its_n_independent_pieces_once(monkeypatch):
     monkeypatch.setattr(hyper_mod, "_argument_factor", counted_factor)
     monkeypatch.setattr(families_mod, "family_row", counted_row)
     order = 12
-    for identity, (spec, names) in verify_mod.GF_IDENTITIES.items():
+    for identity, (_, names) in verify_mod.GF_IDENTITIES.items():
         family = identity.split("_")[0]
         params = pick(KRAW if family == "krawtchouk" else CANON, *names)
-        top = min(params["N"], order) if spec.capped else order
+        top = min(params["N"], order) if "N" in names else order
         arity = {"c_shift": 2, "two_param_triple": 3}.get(identity.split("_", 2)[2], 0)
         for _ in range(2):
             factors.clear()
@@ -1119,12 +1120,33 @@ def test_a_malformed_case_document_is_an_error_report(change, refusal):
 
 
 def test_a_field_that_is_no_field_tag_is_an_error_report_on_every_route():
-    # JSON always reads a FieldTag back, so only the API can pass another value
     cases = [dataclasses.replace(case, field=field) for case in acceptance_suite(4)
              for field in ("numeric", None)]
     reports = batch_verify(cases)
     assert {r.status for r in reports} == {"error"}
     assert all("must be a FieldTag" in r.detail for r in reports)
+
+
+def test_a_case_document_of_an_unknown_field_kind_is_an_error_report():
+    # an unknown kind read back as a numeric field with the default tolerances
+    with pytest.raises(FieldError, match="unknown field kind 'bogus'"):
+        FieldTag.from_json({"field": "bogus"})
+    case = IdentityCase.from_json({**acceptance_suite(4)[0].as_json(), "field": "bogus"})
+    assert case.field == "bogus"
+    [report] = batch_verify([case])
+    assert (report.status, report.detail) == (
+        "error", f"DomainError: {case.identity}: field 'bogus' must be a FieldTag")
+
+
+@pytest.mark.parametrize("field", ["numeric", None])
+def test_the_report_of_a_field_that_is_no_field_tag_round_trips(field):
+    # as_json read the field's own as_json, which a str or None lacks
+    [report] = batch_verify([dataclasses.replace(acceptance_suite(4)[0], field=field)])
+    back = VerificationReport.from_json(json.loads(json.dumps(report.as_json())))
+    assert back.case.field == repr(field)
+    assert (back.status, back.detail) == (report.status, report.detail)
+    [again] = batch_verify([back.case])
+    assert again.status == "error" and again.detail.endswith("must be a FieldTag")
 
 
 # one value of each kind a parameter may hold: exact, double (-0.0 too),
@@ -1255,18 +1277,21 @@ def test_exact_gf_case_beyond_the_double_range_compares_exactly():
     assert (report.status, report.deviation) == ("pass", 0.0)
 
 
-@pytest.mark.parametrize("identity, names, bad", [
-    ("krawtchouk_2f1_degree_shift", ("x", "p", "gamma"), {"N": -2, "M": 2}),
-    ("krawtchouk_1f1_two_param", ("x", "p", "q"), {"N": 2, "M": -1}),
-    ("chain_krawtchouk_2f1_p_equals_q", ("x", "p", "gamma"), {"N": -2, "M": 2}),
+_NEGATIVE_N = "krawtchouk: parameter N = -2 must be a nonnegative integer"
+
+
+@pytest.mark.parametrize("identity, names, bad, refusal", [
+    ("krawtchouk_2f1_degree_shift", ("x", "p", "gamma"), {"N": -2, "M": 2}, _NEGATIVE_N),
+    # M < 0 <= N is a size pair with N > M
+    ("krawtchouk_1f1_two_param", ("x", "p", "q"), {"N": 2, "M": -1},
+     "krawtchouk needs N <= M, got N = 2, M = -1"),
+    ("chain_krawtchouk_2f1_p_equals_q", ("x", "p", "gamma"), {"N": -2, "M": 2}, _NEGATIVE_N),
 ])
-def test_krawtchouk_gf_rows_refuse_a_negative_size(identity, names, bad):
+def test_krawtchouk_gf_rows_refuse_a_negative_size(identity, names, bad, refusal):
     given = {"x": Fraction(0), "p": Fraction(1, 2), "q": Fraction(1, 3), "gamma": Fraction(5, 4)}
     params = {**{k: given[k] for k in names}, **{k: Fraction(v) for k, v in bad.items()}}
     report = verify_case(IdentityCase(identity, params, order=4))
-    name, value = next((k, v) for k, v in bad.items() if v < 0)
-    assert (report.status, report.detail) == (
-        "error", f"DomainError: parameter {name} = {value} must be a nonnegative integer")
+    assert (report.status, report.detail) == ("error", f"DomainError: {refusal}")
 
 
 def test_repeated_gf_passes_leave_traced_memory_flat():
@@ -1351,7 +1376,7 @@ def test_a_relation_case_at_order_zero_checks_degree_zero_only():
     report = verify_case(case)
     assert (report.status, report.detail) == ("pass", None)
     unbounded = verify_case(IdentityCase(case.identity, case.params))
-    assert unbounded.status == "error" and "need n <= N, got n = 1, N = 0" in unbounded.detail
+    assert unbounded.status == "error" and "krawtchouk needs n <= N, got n = 8, N = 0" in unbounded.detail
 
 
 def test_a_relation_case_at_order_zero_passes_on_the_command_line(capsys):
