@@ -533,8 +533,7 @@ def connection_table(relation_id: str, params, n_max: int,
     _require_rows(n_max)
     spec = get_relation(relation_id)
     params = _bind(params)
-    check_names(relation_id, params, spec.names)
-    params = {name: params[name] for name in spec.names}
+    check_names(relation_id, params, spec.names, spec.names)
     _check_domain(spec, params, n_max)
     table = dict(n_max=n_max, source=spec.source(params), target=spec.target(params),
                  field=field, method="closed-form", relation=relation_id)
@@ -605,11 +604,15 @@ def _probe(expr, field, env, minus=None):
 
 def _bind_pair(family_id, source, target, n_max: int):
     """(descriptor, source, target, field) of a table from one binding of a
-    family to another up to degree n_max: both sides bound, on the field
+    family to another up to degree n_max: both sides bound, a Krawtchouk
+    side holding degree n_max (``families.krawtchouk_sizes``), on the field
     ``FamilyDescriptor.field_for`` picks from both."""
     _require_rows(n_max)
     descriptor = get_family(family_id)
     source, target = descriptor.bind(source), descriptor.bind(target)
+    if descriptor.id == "krawtchouk":
+        for side in (source, target):
+            krawtchouk_sizes(side, n_max)
     return descriptor, source, target, descriptor.field_for(*source.values(), *target.values())
 
 

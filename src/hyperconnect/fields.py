@@ -51,7 +51,7 @@ class FieldTag:
         elif self.kind == "numeric":
             if self.atol is None or self.rtol is None:
                 raise FieldError("numeric field needs atol and rtol")
-            if not (self.atol > 0.0) or self.rtol < 0.0:
+            if not (self.atol > 0.0 and self.rtol >= 0.0):  # a NaN fails both
                 raise FieldError("numeric tolerance must be positive")
         else:
             raise FieldError(f"unknown field kind {self.kind!r}")

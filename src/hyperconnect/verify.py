@@ -6,22 +6,28 @@ Every generalized generating function has the shape
 
 with coeff_n = prod_a (a)_n z^n / ((b)_n n!) P_n(x), P_n one Meixner or
 Krawtchouk polynomial.  Each is a row of ``GF_IDENTITIES`` (a ``GFSpec``:
-the lhs, coeff_n declared as its tops a, bottom b, z and P_n, and
-inner_n), and one builder forms both sides as truncated series, a sum over
-a binding of N to its ``families.degree_cap``.  A local memo of the call
-makes each piece that does not depend on n once, on first use, and drops it
-on return: the row P_0..P_top (``families.family_row``, one
-``series.gauss_degree_row``), the ``series.hypergeometric_terms`` row of
-prod_a (a)_n z^n / n!, the row (b)_n and, for a multivariable inner_n,
-the factor product to order top.  The rhs is one
-``series.linear_combination``, on integer numerators over one denominator on
-the exact field.  The three two-parameter Gauss inner_n,
-(1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) and, in the Krawtchouk 1F1 row,
-e^t 1F1(a; b; -w t), have the t^k coefficients (lam)_k / k! 2F1(-k, a; b; w)
-and 2F1(-k, a; b; w) / k!: each is one ``hypergeometric_terms`` row times
-one ``series.gauss_degree_row``, not a lift and a product per degree.  Their
-lhs keep the displayed Mobius lift, so that transformation is checked, not
-assumed.
+the closed form, coeff_n declared as its tops a, bottom b, z and P_n, and
+inner_n), and one builder forms both sides as truncated series, the sum,
+which it calls rhs, over a binding of N to its ``families.degree_cap``.
+The paper gets each identity by putting a connection relation into a plain
+generating function and swapping the sums, so the sum is a double sum whose
+n-shifted Pochhammer symbols merge: (a)_n (a+n)_k = (a)_(n+k).  The ten
+single-variable rows declare inner_n as an ``Inner`` (the tops and bottom
+that shift with n, the fixed tops, the scale), and the sum is built as two
+series products on integer rows: rhs = D . (A * H), ``.`` termwise, where
+A_n is coeff_n less the merged symbols (one ``series.hypergeometric_terms``
+row times the row P_0..P_top of ``families.family_row``), D_s the merged
+symbols and H the fixed pFq row.  The three Gauss rows, with inner_n
+(1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) or e^t 1F1(a; b; -w t), take
+rhs = (lam)_m . (e^t * ((a)_s / (b)_s . (A * e^(-w t)))).  A real double
+binding is built at its exact values, each coefficient rounded once: in
+doubles, A * e^(-w t) is a finite difference, which cancels.  The sum over
+n, one inner series per degree and one ``series.linear_combination``,
+stays for three cases: the four multivariable rows (their lifts share one
+factor product), complex bindings, and a vanishing (alpha)_n, whose
+PoleError the sum raises in its own order; it also words the refusal of a
+double binding, in the doubles.  The closed forms keep the
+displayed Mobius lift, so that transformation is checked, not assumed.
 
 Orthogonality identities are weighted sums over the lattice x = 0, 1, 2, ...
 The finite Krawtchouk sums are exact.  The infinite Meixner sums are rows of
@@ -76,6 +82,7 @@ import cmath
 import math
 import time
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -84,7 +91,7 @@ from typing import Callable
 
 from . import connection as conn
 from . import families
-from .errors import (ConvergenceError, DomainError, HyperconnectError, PoleError,
+from .errors import (ConvergenceError, DomainError, FieldError, HyperconnectError, PoleError,
                      UnknownIdentityError)
 from .fields import (
     EXACT,
@@ -117,8 +124,8 @@ from .pochhammer import (
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import (TruncatedSeries, binomial_power, exp_series, gauss_degree_row,
-                     hypergeometric_terms, linear_combination)
+from .series import (TruncatedSeries, _cauchy_product, binomial_power, exp_series,
+                     gauss_degree_row, hypergeometric_terms, linear_combination)
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,14 @@ class IdentityCase:
     x_max: int = 300
 
     def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        if isinstance(self.params, Mapping):  # anything else is refused by _check_values
+            object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def as_json(self) -> dict:
         return {
             "identity": self.identity,
-            "params": {k: _serialize_value(v, k) for k, v in sorted(self.params.items())},
+            "params": ({k: _serialize_value(v, k) for k, v in sorted(self.params.items())}
+                       if isinstance(self.params, MappingProxyType) else repr(self.params)),
             "order": self.order,
             # a field that is no FieldTag as its repr, refused again when read back
             **(self.field.as_json() if isinstance(self.field, FieldTag)
@@ -148,13 +157,21 @@ class IdentityCase:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IdentityCase":
+        """The case a document holds; params that are no object, a kind that
+        names no field and tolerances no field takes are carried as they
+        are, so that the case is refused."""
+        params, field = doc["params"], doc["field"]
+        if field in ("exact", "numeric"):
+            try:
+                field = FieldTag.from_json(doc)
+            except (FieldError, TypeError):
+                field = {k: doc[k] for k in ("field", "atol", "rtol") if k in doc}
         return cls(
             identity=doc["identity"],
-            params={k: _deserialize_value(v, k) for k, v in doc["params"].items()},
+            params=({k: _deserialize_value(v, k) for k, v in params.items()}
+                    if isinstance(params, dict) else params),
             order=doc.get("order"),
-            # a kind that names no field is carried as it is, so the case is refused
-            field=(FieldTag.from_json(doc) if doc["field"] in ("exact", "numeric")
-                   else doc["field"]),
+            field=field,
             x_max=doc.get("x_max", 300),
         )
 
@@ -182,8 +199,8 @@ def _deserialize_value(v, slot=None):
     if isinstance(v, str):
         try:
             return Fraction(v)
-        except ValueError:
-            return v  # a repr written for a value that is no number
+        except (ValueError, ZeroDivisionError):
+            return v  # a repr written for a value that is no number, or p/0
     if isinstance(v, list) and len(v) == 2 and all(isinstance(u, (int, float)) for u in v):
         return complex(v[0], v[1])
     if isinstance(v, list):
@@ -253,12 +270,14 @@ def _finite(value) -> bool:
 
 
 def _check_values(case):
-    """DomainError unless the identity is a string, the field a ``FieldTag``,
-    x_max an integer, the order None or an integer and every parameter a
-    finite number: a name where a route reads one, a sequence of them for
-    x_samples."""
+    """DomainError unless the identity is a string, the params a mapping,
+    the field a ``FieldTag``, x_max an integer, the order None or an integer
+    and every parameter a finite number: a name where a route reads one, a
+    sequence of them for x_samples."""
     if not isinstance(case.identity, str):
         raise DomainError(f"identity {case.identity!r} must be a name")
+    if not isinstance(case.params, MappingProxyType):
+        raise DomainError(f"{case.identity}: params {case.params!r} must map names to values")
     if not isinstance(case.field, FieldTag):
         raise DomainError(f"{case.identity}: field {case.field!r} must be a FieldTag")
     if not (isinstance(case.x_max, int) and is_exact_value(case.x_max)):
@@ -315,6 +334,21 @@ def _coefficient_rows(pairs):
 
 
 @dataclass(frozen=True)
+class Inner:
+    """A single-variable inner_n, declared at n = 0: the tops a (``shifted``)
+    and the bottom b of coeff_n enter it as a+n and b+n, which merge,
+    (a)_n (a+n)_k = (a)_(n+k).  inner_n = pFq(a+n, f; b+n; lam t) with the
+    ``fixed`` tops f, or with a ``gauss`` top a' the expansion
+    sum_k prod (a+n)_k / k! 2F1(-k, a'+n; b+n; lam) t^k."""
+
+    shifted: tuple = ()
+    bottom: object = None
+    fixed: tuple = ()
+    lam: object = 1
+    gauss: object = None
+
+
+@dataclass(frozen=True)
 class GFSpec:
     """lhs(t) = sum_n coeff_n t^n inner_n(t) with
 
@@ -322,25 +356,95 @@ class GFSpec:
 
     P_n a Meixner or Krawtchouk polynomial.  ``lhs(order, field, **params)``
     builds a series.  ``coeff(**params)`` declares coeff_n as (tops a,
-    bottom b or None, z, (family, x, params of P_n)).  ``inner(n, order,
-    field, **params)`` builds inner_n, or gives (MultiVarSpec, shapes) for a
-    multivariable inner_n, which the call lifts with one shared factor
-    product.  A spec that binds N carries the degree-N truncation brackets
-    exactly as displayed: the sum stops at n = N, lhs is built to order top
-    = ``families.degree_cap`` = min(N, order) and inner_n to top - n, and
-    both are zero-padded to the requested order."""
+    bottom b or None, z, (family, x, params of P_n)).  ``term(**params)``
+    declares a single-variable inner_n as an ``Inner``; ``multivar(n,
+    **params)`` gives (MultiVarSpec, shapes) of a multivariable one, which
+    the call lifts with one shared factor product.  A spec that binds N
+    carries the degree-N truncation brackets exactly as displayed: the sum
+    stops at n = N, lhs is built to order top = ``families.degree_cap`` =
+    min(N, order) and inner_n to top - n, and both are zero-padded to the
+    requested order."""
 
     lhs: Callable
     coeff: Callable
-    inner: Callable
+    term: Callable | None = None
+    multivar: Callable | None = None
 
     def lhs_series(self, order, field, **p) -> TruncatedSeries:
         return self.lhs(families.degree_cap(order, p), field, **p).padded_to(order)
+
+    def inner(self, n, order, field, **p) -> TruncatedSeries:
+        """A single-variable inner_n to ``order``, read from its declaration."""
+        term = self.term(**p)
+        tops = [a + n for a in term.shifted]
+        if term.gauss is not None:  # prod (a+n)_k / k! 2F1(-k, ...) to the last nonzero term
+            terms, den = hypergeometric_terms(tops, (), 1, order, field)
+            count = next((k for k, v in enumerate(terms) if not v), order + 1) - 1
+            gauss, gauss_den = gauss_degree_row(term.gauss + n, term.bottom + n, term.lam,
+                                                count, field)
+            return TruncatedSeries._result(
+                field, [v * g for v, g in zip(terms, gauss)] + terms[count + 1:], den * gauss_den)
+        bottoms = () if term.bottom is None else (term.bottom + n,)
+        return hyper_series_in_t(pfq((*tops, *term.fixed), bottoms), linear_arg(term.lam),
+                                 order, field)
+
+    def _product_row(self, p, top, bottom, field):
+        """The one rule that picks how the rhs is built: the ``_products`` row
+        at the exact binding (a real double at its exact value), or None for
+        the sum over n, which keeps a multivariable inner_n, a complex binding
+        (A * e^(-lam t) cancels in doubles), a bottom with (b)_top = 0 (the
+        sum raises its pole in its order, before a vanishing top cancels it)
+        and a double binding the products refuse (refused in doubles)."""
+        if (self.term is None or pochhammer(1 if bottom is None else bottom, top) == 0
+                or any(isinstance(v, complex) and v.imag for v in p.values())):
+            return None
+        try:
+            return self._products({k: Fraction(v.real) if isinstance(v, complex) else v
+                                   for k, v in p.items()}, top)
+        except HyperconnectError:
+            if field.is_exact:
+                raise
+            return None
+
+    def _products(self, p, top):
+        """The rhs row (nums, den) to order top: rhs = D . (A * H), ``.``
+        termwise, ``*`` a Cauchy product, A_n = coeff_n less the merged (a)_n
+        and (b)_n, D_s = prod (a)_s / (b)_s, H_k = prod (f)_k lam^k / k!.  A
+        Gauss inner_n gives rhs = D . (e^t * ((a')_s / (b)_s . (A *
+        e^(-lam t)))), D_m = prod (a)_m, as (-k)_j / k! = (-1)^j / (j! (k-j)!)."""
+        tops, _, z, (family, x, params) = self.coeff(**p)
+        term = self.term(**p)
+        poly, den = EXACT.common(families.family_row(family, top, x, params))
+        dens = [den]
+
+        def row(tops, bottoms=(), lam=1):
+            nums, den = hypergeometric_terms(tops, bottoms, lam, top)
+            dens.append(den)
+            return nums
+
+        rest = list(tops)
+        for a in (*term.shifted, *([] if term.gauss is None else [term.gauss])):
+            rest.remove(a)
+        bottoms = () if term.bottom is None else (term.bottom,)
+        nums = list(map(mul, row(rest, (), z), poly))
+        if term.gauss is None:
+            nums = _cauchy_product(nums, row(term.fixed, (), term.lam))
+        else:
+            nums = _cauchy_product(nums, row((), (), -term.lam))
+            nums = _cauchy_product(list(map(mul, row((term.gauss, 1), bottoms), nums)), row(()))
+            bottoms = ()
+        return list(map(mul, row((*term.shifted, 1), bottoms), nums)), math.prod(dens)
 
     def __call__(self, p, order, field):
         lhs = self.lhs_series(order, field, **p)
         top = families.degree_cap(order, p)
         tops, bottom, z, (family, x, params) = self.coeff(**p)
+        row = self._product_row(p, top, bottom, field)
+        if row is not None:  # doubles: the exact rhs at their values, rounded once
+            rhs = TruncatedSeries._result(EXACT, *row)
+            if not field.is_exact:
+                rhs = TruncatedSeries._result(field, rhs.coefficients)
+            return lhs, rhs.padded_to(order)
         made = {}  # the pieces that do not depend on n, each made once, on first use
 
         def once(key, make, *args):
@@ -349,10 +453,9 @@ class GFSpec:
             return made[key]
 
         def inner(n):
-            got = self.inner(n, top - n, field, **p)
-            if isinstance(got, TruncatedSeries):
-                return got
-            spec, shapes = got
+            if self.multivar is None:
+                return self.inner(n, top - n, field, **p)
+            spec, shapes = self.multivar(n, **p)
             product = once("product", factor_product, spec, shapes, top, field)
             return hyper_series_in_t(spec, shapes, top - n, field, product=product)
 
@@ -403,18 +506,6 @@ def _kraw_2f1(o, f, x, p, N, gamma, **_):
     )
 
 
-def _gauss_inner(tops, a, b, w, o, f):
-    """sum_k prod (lam)_k / k! 2F1(-k, a; b; w) t^k over lam in ``tops``:
-    the ``hypergeometric_terms`` row times the ``gauss_degree_row`` up to the
-    last nonzero term, as (1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) and
-    e^t 1F1(a; b; -w t) expand."""
-    terms, den = hypergeometric_terms(tops, (), 1, o, f)
-    count = next((k for k, v in enumerate(terms) if not v), o + 1) - 1
-    gauss, gauss_den = gauss_degree_row(a, b, w, count, f)
-    return TruncatedSeries._result(f, [v * g for v, g in zip(terms, gauss)] + terms[count + 1:],
-                                   den * gauss_den)
-
-
 def _ratio(c, d):
     """The argument scale of the two-parameter (c -> d) forms."""
     return d * (1 - c) / (c * (1 - d))
@@ -434,88 +525,82 @@ GF_IDENTITIES = {
     "meixner_1f1_two_param": (GFSpec(
         _meixner_1f1,
         lambda x, alpha, beta, c, d, **_: ((beta,), alpha, _ratio(c, d), _meixner(x, beta, d)),
-        lambda n, o, f, alpha, beta, c, d, **_: hyper_series_in_t(
-            pfq((beta + n,), (alpha + n,)), linear_arg(-_ratio(c, d)), o, f),
+        lambda alpha, beta, c, d, **_: Inner((beta,), alpha, lam=-_ratio(c, d)),
     ), ("x", "alpha", "beta", "c", "d")),
     "meixner_1f1_alpha_shift": (GFSpec(
         _meixner_exp_1f1,
         lambda x, alpha, beta, c, **_: ((beta,), alpha, 1, _meixner(x, beta, c)),
-        lambda n, o, f, alpha, beta, **_: hyper_series_in_t(
-            pfq((alpha - beta,), (alpha + n,)), linear_arg(1), o, f),
+        lambda alpha, beta, **_: Inner((), alpha, (alpha - beta,)),
     ), ("x", "alpha", "beta", "c")),
     "meixner_1f1_c_shift": (GFSpec(
         _meixner_exp_1f1,
         lambda x, alpha, d, **_: ((), None, 1, _meixner(x, alpha, d)),
-        lambda n, o, f, x, alpha, c, d, **_: (
+        multivar=lambda n, x, alpha, c, d, **_: (
             MultiVarSpec(HUMBERT_PHI2, (x, -x, alpha + n)),
             [linear_arg(1 / d), linear_arg(1 / c)]),
     ), ("x", "alpha", "c", "d")),
     "meixner_1f1_two_param_triple": (GFSpec(
         _meixner_exp_1f1,
         lambda x, alpha, beta, d, **_: ((beta,), alpha, 1, _meixner(x, beta, d)),
-        lambda n, o, f, x, alpha, beta, c, d, **_: (
+        multivar=lambda n, x, alpha, beta, c, d, **_: (
             MultiVarSpec(HUMBERT_PHI2_3, (x, -x, alpha - beta, alpha + n)),
             [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)]),
     ), ("x", "alpha", "beta", "c", "d")),
     "meixner_2f1_alpha_shift": (GFSpec(
         _meixner_2f1,
         lambda x, alpha, beta, c, gamma, **_: ((gamma, beta), alpha, 1, _meixner(x, beta, c)),
-        lambda n, o, f, alpha, beta, gamma, **_: hyper_series_in_t(
-            pfq((gamma + n, alpha - beta), (alpha + n,)), linear_arg(1), o, f),
+        lambda alpha, beta, gamma, **_: Inner((gamma,), alpha, (alpha - beta,)),
     ), ("x", "alpha", "beta", "c", "gamma")),
     "meixner_2f1_two_param": (GFSpec(
         _meixner_2f1,
         lambda x, alpha, beta, c, d, gamma, **_: (
             (gamma, beta), alpha, _ratio(c, d), _meixner(x, beta, d)),
-        lambda n, o, f, alpha, beta, c, d, gamma, **_: _gauss_inner(
-            (gamma + n,), beta + n, alpha + n, _ratio(c, d), o, f),
+        lambda alpha, beta, c, d, gamma, **_: Inner((gamma,), alpha, lam=_ratio(c, d),
+                                                    gauss=beta),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "meixner_2f1_c_shift": (GFSpec(
         _meixner_2f1,
         lambda x, alpha, d, gamma, **_: ((gamma,), None, 1, _meixner(x, alpha, d)),
-        lambda n, o, f, x, alpha, c, d, gamma, **_: (
+        multivar=lambda n, x, alpha, c, d, gamma, **_: (
             MultiVarSpec(APPELL_F1, (gamma + n, x, -x, alpha + n)),
             [linear_arg(1 / d), linear_arg(1 / c)]),
     ), ("x", "alpha", "c", "d", "gamma")),
     "meixner_2f1_two_param_triple": (GFSpec(
         _meixner_2f1,
         lambda x, alpha, beta, d, gamma, **_: ((gamma, beta), alpha, 1, _meixner(x, beta, d)),
-        lambda n, o, f, x, alpha, beta, c, d, gamma, **_: (
+        multivar=lambda n, x, alpha, beta, c, d, gamma, **_: (
             MultiVarSpec(LAURICELLA_FD3, (gamma + n, x, -x, alpha - beta, alpha + n)),
             [linear_arg(1 / d), linear_arg(1 / c), linear_arg(1)]),
     ), ("x", "alpha", "beta", "c", "d", "gamma")),
     "krawtchouk_1f1_two_param": (GFSpec(
         _kraw_exp_1f1,
         lambda x, p, q, N, M, **_: ((-M,), -N, q / p, _krawtchouk(x, q, M)),
-        lambda n, o, f, p, q, N, M, **_: _gauss_inner((), n - M, n - N, q / p, o, f),
+        lambda p, q, N, M, **_: Inner((), -N, lam=q / p, gauss=-M),
     ), ("x", "p", "q", "N", "M")),
     "krawtchouk_1f1_degree_shift": (GFSpec(
         _kraw_exp_1f1,
         lambda x, p, N, M, **_: ((-M,), -N, 1, _krawtchouk(x, p, M)),
-        lambda n, o, f, N, M, **_: hyper_series_in_t(
-            pfq((Fraction(M - N),), (Fraction(n - N),)), linear_arg(1), o, f),
+        lambda N, M, **_: Inner((), -N, (M - N,)),
     ), ("x", "p", "N", "M")),
     "krawtchouk_1f1_prob_shift": (GFSpec(
         _kraw_exp_1f1,
         lambda x, p, q, N, **_: ((), None, q / p, _krawtchouk(x, q, N)),
-        lambda n, o, f, p, q, **_: exp_series(1 - q / p, o, f),
+        lambda p, q, **_: Inner(lam=1 - q / p),
     ), ("x", "p", "q", "N")),
     "krawtchouk_2f1_two_param": (GFSpec(
         _kraw_2f1,
         lambda x, p, q, N, M, gamma, **_: ((gamma, -M), -N, q / p, _krawtchouk(x, q, M)),
-        lambda n, o, f, p, q, N, M, gamma, **_: _gauss_inner(
-            (gamma + n,), n - M, n - N, q / p, o, f),
+        lambda p, q, N, M, gamma, **_: Inner((gamma,), -N, lam=q / p, gauss=-M),
     ), ("x", "p", "q", "N", "M", "gamma")),
     "krawtchouk_2f1_degree_shift": (GFSpec(
         _kraw_2f1,
         lambda x, p, N, M, gamma, **_: ((gamma, -M), -N, 1, _krawtchouk(x, p, M)),
-        lambda n, o, f, N, M, gamma, **_: hyper_series_in_t(
-            pfq((gamma + n, Fraction(M - N)), (Fraction(n - N),)), linear_arg(1), o, f),
+        lambda N, M, gamma, **_: Inner((gamma,), -N, (M - N,)),
     ), ("x", "p", "N", "M", "gamma")),
     "krawtchouk_2f1_prob_shift": (GFSpec(
         _kraw_2f1,
         lambda x, p, q, N, gamma, **_: ((gamma,), None, q / p, _krawtchouk(x, q, N)),
-        lambda n, o, f, p, q, gamma, **_: binomial_power(1 - q / p, gamma + n, o, f),
+        lambda p, q, gamma, **_: Inner((gamma,), lam=1 - q / p),
     ), ("x", "p", "q", "N", "gamma")),
 }
 
@@ -978,7 +1063,8 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
         bound = {**spec.source(params), **params}
         n_cap = families.degree_cap(order, params)
         original = build(order, case.field, **bound)
-        table = conn.connection_table(relation_id, params, n_cap, case.field)
+        table = conn.connection_table(relation_id, {k: params[k] for k in spec.names}, n_cap,
+                                      case.field)
         norms = case.field.over(*hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap,
                                                       case.field))
         polys = _dot_target(families.family_row(family, n_cap, x, spec.target(params)))
@@ -1072,7 +1158,7 @@ def _check_tables(case: IdentityCase) -> VerificationReport:
 
     def table(how):
         if how == "closed_form":
-            return conn.connection_table(relation, p, n_max)
+            return conn.connection_table(relation, {k: p[k] for k in spec.names}, n_max)
         return getattr(conn, how)(family, {k: p[v] for k, v in source.items()},
                                   {k: p[v] for k, v in target.items()}, n_max)
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperconnect import IdentityCase, connection_table, family_eval, get_family, verify_case
+from hyperconnect import (IdentityCase, connection_table, family_eval, get_family, power_collect,
+                         verify_case)
 from hyperconnect.cli import main
 from hyperconnect.errors import DomainError
 
@@ -74,6 +75,10 @@ RULES = {
                               {"p": HALF, "q": THIRD, "N": 4, "m": 1}),
                         "krawtchouk_p_to_q_same_N does not take parameter(s) ['m'];"
                         " expected ['N', 'n_max', 'p', 'q', 'x_samples']"),
+        "connection_table": (
+            _call(_raised, connection_table, "krawtchouk_p_to_q_same_N",
+                  {"p": HALF, "q": THIRD, "N": 4, "m": 1}, 3),
+            "krawtchouk_p_to_q_same_N does not take parameter(s) ['m']; expected ['N', 'p', 'q']"),
         "bind": (_call(_raised, get_family("krawtchouk").bind, {"p": HALF, "N": 4, "m": 1}),
                  "krawtchouk does not take parameter(s) ['m']; expected ['N', 'p']"),
         "eval": (_cli("eval", "--family", "krawtchouk", "--n", 1, "--x", 1, "--p", "1/2",
@@ -114,6 +119,10 @@ RULES = {
         "connect by linear solve": (_cli("connect", "--family", "krawtchouk", *KRAW_PAIR,
                                          "--method", "linear-solve", "--n-max", 5),
                                     DEGREE_PAST_N),
+        "connect by power collection": (_cli("connect", "--family", "krawtchouk", *KRAW_PAIR,
+                                             "--n-max", 5), DEGREE_PAST_N),
+        "power_collect target": (_call(_raised, power_collect, "krawtchouk", {"p": HALF, "N": 6},
+                                       {"p": THIRD, "N": 4}, 5), DEGREE_PAST_N),
     },
     "N > M": {
         "relation case": (_call(_case, "krawtchouk_p_N_to_q_M",

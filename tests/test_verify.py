@@ -481,14 +481,15 @@ def test_krawtchouk_sums_keep_their_inline_verdict(monkeypatch, identity, gf_id,
     # the rhs is (t(q-1)/p)^n (gamma)_n / (-N)_n inner_n(t), so scaling inner_n
     # scales it; unscaled, it equals the exact lhs
     spec, names = verify_mod.GF_IDENTITIES[gf_id]
-    monkeypatch.setitem(verify_mod.GF_IDENTITIES, gf_id, (dataclasses.replace(
-        spec, inner=lambda *args, **kw: spec.inner(*args, **kw).scale(scale)), names))
+    inner = verify_mod.GFSpec.inner
+    monkeypatch.setattr(verify_mod.GFSpec, "inner",
+                        lambda self, *args, **kw: inner(self, *args, **kw).scale(scale))
     params = {"p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5, "t": Fraction(1, 5),
               "n": 2, **({"gamma": Fraction(5, 4)} if "gamma" in names else {})}
     p, q, N, t, n = (params[k] for k in ("p", "q", "N", "t", "n"))
     lhs = ((t * (q - 1) / p) ** n / pochhammer(-N, n)
            * (pochhammer(params["gamma"], n) if "gamma" in params else 1)
-           * spec.inner(n, N - n, EXACT, **pick(params, *names[1:])).evaluate(t))
+           * inner(spec, n, N - n, EXACT, **pick(params, *names[1:])).evaluate(t))
     report = verify_orthogonality_sum(IdentityCase(identity, params, field=field))
     assert report.status == ("pass" if scale == 1 else "fail")
     assert (report.status, repr(report.deviation), report.terms_summed, report.tail_bound) \
@@ -1417,3 +1418,27 @@ def test_every_declared_coefficient_passes_exactly_inside_its_domain(identity, d
     report = verify_gf_identity(IdentityCase(identity, params,
                                              order=data.draw(st.integers(0, 8), "order")))
     assert report.status == "pass", (report.first_failing_order, report.detail)
+
+
+_NUMERIC_DOC = {**acceptance_suite(4)[0].as_json(), **numeric().as_json()}
+
+
+@pytest.mark.parametrize("change, refusal", [
+    *[({key: value}, f"'{key}': {value!r}") for key in ("atol", "rtol")
+      for value in (-1, None, "x", [1])],
+    ({"atol": 0}, "'atol': 0"),
+    # a NaN tolerance would fail every comparison
+    ({"rtol": math.nan}, "'rtol': nan"),
+    ({"params": [1, 2]}, "params [1, 2] must map names to values"),
+    ({"params": "x=4"}, "params 'x=4' must map names to values"),
+    ({"params": {**_NUMERIC_DOC["params"], "alpha": "1/0"}},
+     "parameter alpha = '1/0' must be a finite number"),
+], ids=[*[f"{key}={value!r}" for key in ("atol", "rtol") for value in (-1, None, "x", [1])],
+        "atol=0", "rtol=nan", "params-list", "params-str", "alpha-1/0"])
+def test_a_case_document_no_case_reads_is_an_error_report(change, refusal):
+    case = IdentityCase.from_json({**_NUMERIC_DOC, **change})
+    [report] = batch_verify([case])
+    assert report.status == "error" and refusal in report.detail
+    # the refused case goes through JSON and is refused again
+    back = VerificationReport.from_json(json.loads(json.dumps(report.as_json(), allow_nan=False)))
+    assert verify_case(back.case).status == "error"
