@@ -247,9 +247,8 @@ def _cmd_verify(args) -> int:
     else:
         if not args.identity:
             raise DomainError("verify needs --suite or --identity")
-        if args.x_max is not None and not isinstance(
-                verify.ORTHOGONALITY_IDS.get(args.identity, (None,))[0], verify.LatticeSum):
-            raise DomainError(f"{args.identity} is no infinite lattice sum; drop --x-max")
+        if args.x_max is not None:
+            verify.check_x_max(args.identity)
         backend = args.backend or "exact"
         params = _collect_params(args, backend)
         if args.n_max is not None:

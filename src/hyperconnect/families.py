@@ -26,6 +26,10 @@ P_0..P_n_max at each of several arguments of one binding (family_row at
 one): one such row per argument for these two, and for the
 generating-function families one expansion to n_max per argument, over
 normalizations c_0..c_n_max evaluated once, as no c_n reads x.
+``gauss_row_form`` hands out the Meixner and Krawtchouk row itself,
+integers over one denominator when exact: the verifier builds its GF
+products from it and compares it, cross-multiplied, in an exact verdict,
+so no value is formed there unless the verdict finds a mismatch.
 
 The registry is built once at import and never mutated; descriptors are
 frozen, so all lookups and evaluations are thread-safe.
@@ -342,10 +346,12 @@ def family_eval(family_id, n, x, params):
     )
 
 
-def _gauss_row(descriptor, n_max: int, x, params) -> list:
-    """[P_0, ..., P_n_max] of Meixner or Krawtchouk at x: the row
-    2F1(-k, -x; b; w), k = 0..n_max, of ``gauss_degree_row``, with
-    (b, w) = (alpha, 1 - 1/c) or (-N, 1/p)."""
+def gauss_row_form(family_id, n_max: int, x, params) -> tuple:
+    """(field, nums, den) with [P_0, ..., P_n_max] of Meixner or Krawtchouk at
+    x = ``field.over(nums, den)``: the row 2F1(-k, -x; b; w), k = 0..n_max,
+    of ``gauss_degree_row``, with (b, w) = (alpha, 1 - 1/c) or (-N, 1/p).
+    An exact row is integers over one positive denominator, not reduced."""
+    descriptor = get_family(family_id)
     if x is None:
         raise DomainError(f"{descriptor.id} needs the argument x")
     params = descriptor.bind(params)
@@ -358,7 +364,13 @@ def _gauss_row(descriptor, n_max: int, x, params) -> list:
     else:
         p, b = params["p"], -krawtchouk_sizes(params, n_max)[0]
         w = 1 / field_of(p).of(p)
-    return field.over(*gauss_degree_row(-x, b, w, n_max, field))
+    return field, *gauss_degree_row(-x, b, w, n_max, field)
+
+
+def _gauss_row(descriptor, n_max: int, x, params) -> list:
+    """The values of ``gauss_row_form``."""
+    field, nums, den = gauss_row_form(descriptor, n_max, x, params)
+    return field.over(nums, den)
 
 
 def family_rows(family_id, n_max: int, xs, params) -> list:

@@ -253,6 +253,13 @@ def is_nonpositive_integer(value) -> bool:
     return value <= 0
 
 
+def rising_vanishes(b, count: int) -> bool:
+    """True when (b)_count = b (b+1) ... (b+count-1) is 0, that is when b is
+    one of 0, -1, ..., 1 - count.  It reads b, not the product: a double
+    b + j is exactly 0.0 only at b = -j, so the rule holds on every field."""
+    return is_nonpositive_integer(b) and -b.real < count
+
+
 def as_index(value, name: str = "index") -> int:
     if not is_integer_valued(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -45,7 +45,7 @@ from typing import Callable
 
 from .errors import DomainError, FieldError, PoleError
 from .fields import (EXACT, NUMERIC, FieldTag, as_numeric, field_of, integer_linear,
-                     is_nonpositive_integer)
+                     rising_vanishes)
 
 
 def _cauchy_product(left, right):
@@ -375,7 +375,7 @@ def gauss_degree_row(a, b, w, order: int, field: FieldTag = EXACT) -> tuple:
     b+k nears 0, as the Krawtchouk b = n - N makes it near k = N - n.
     """
     a, b, w = field.of(a), field.of(b), field.of(w)
-    if is_nonpositive_integer(b) and -b.real < order:
+    if rising_vanishes(b, order):
         return field.common([
             field.over([sum(nums)], den)[0]
             for nums, den in (hypergeometric_terms((-k, a), (b,), w, k, field)

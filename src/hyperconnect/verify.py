@@ -16,10 +16,11 @@ single-variable rows declare inner_n as an ``Inner`` (the tops and bottom
 that shift with n, the fixed tops, the scale), and the sum is built as two
 series products on integer rows: rhs = D . (A * H), ``.`` termwise, where
 A_n is coeff_n less the merged symbols (one ``series.hypergeometric_terms``
-row times the row P_0..P_top of ``families.family_row``), D_s the merged
-symbols and H the fixed pFq row.  The three Gauss rows, with inner_n
-(1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) or e^t 1F1(a; b; -w t), take
-rhs = (lam)_m . (e^t * ((a)_s / (b)_s . (A * e^(-w t)))).  A real double
+row times the integer row P_0..P_top of ``families.gauss_row_form``,
+reduced once), D_s the merged symbols and H the fixed pFq row.  The three
+Gauss rows, with inner_n (1-t)^(-lam) 2F1(lam, a; b; -w t/(1-t)) or e^t
+1F1(a; b; -w t), take rhs = (lam)_m . (e^t * ((a)_s / (b)_s . (A *
+e^(-w t)))).  A real double
 binding is built at its exact values, each coefficient rounded once: in
 doubles, A * e^(-w t) is a finite difference, which cancels.  The sum over
 n, one inner series per degree and one ``series.linear_combination``,
@@ -61,11 +62,16 @@ one dot product ``_dot`` of row n with P_0(x; target), P_1, ...: the
 reconstruction check compares it with P_n(x; source), and c_n times it is
 the t^n coefficient of the plain GF sum_n c_n t^n P_n(x; source).
 
-Every verdict follows one of two rules.  ``_agreement`` compares values one
-by one (series coefficients lowest order first, table entries, reconstructed
-values, the exact Krawtchouk sums): literal equality on the exact field,
-|a - b| <= atol + rtol max(|a|, |b|) on doubles; the first pair that differs
-fails at its order, with the worst |a - b| up to it as the deviation.
+Every verdict follows one of two rules.  ``_agreement`` compares entries
+one by one (series coefficients lowest order first, table entries,
+reconstructed values, the exact Krawtchouk sums): literal equality on the
+exact field, |a - b| <= atol + rtol max(|a|, |b|) on doubles; the first
+pair that differs fails at its order, with the worst |a - b| up to it as
+the deviation.  Each side hands over its rows as they are stored, integers
+over one denominator when exact (a series' reduced row, a table's row, which
+need not be reduced, the integer sum of ``_dot``, the source's Gauss row),
+and the exact field compares them by cross-multiplication: values are
+formed only at the first mismatch, for its deviation.
 ``_orth_report`` judges a sum against a closed form: pass when deviation +
 tail bound + rhs error <= atol + rtol |rhs|, 'inconclusive' (not 'fail')
 when the bound and the rhs error alone exceed that; the finite Krawtchouk
@@ -79,6 +85,7 @@ runs, so a malformed case becomes an 'error' report rather than an exception.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import time
 from collections import deque
@@ -102,6 +109,7 @@ from .fields import (
     integer_linear,
     is_exact_value,
     numeric,
+    rising_vanishes,
 )
 from .hyper import (
     APPELL_F1,
@@ -124,7 +132,7 @@ from .pochhammer import (
     rising_over_factorial_bound_holds,
     shifted_rising_bound_holds,
 )
-from .series import (TruncatedSeries, _cauchy_product, binomial_power, exp_series,
+from .series import (TruncatedSeries, _cauchy_product, _reduced, binomial_power, exp_series,
                      gauss_degree_row, hypergeometric_terms, linear_combination)
 
 
@@ -147,25 +155,24 @@ class IdentityCase:
         return {
             "identity": self.identity,
             "params": ({k: _serialize_value(v, k) for k, v in sorted(self.params.items())}
-                       if isinstance(self.params, MappingProxyType) else repr(self.params)),
+                       if isinstance(self.params, MappingProxyType) else _as_written(self.params)),
             "order": self.order,
-            # a field that is no FieldTag as its repr, refused again when read back
-            **(self.field.as_json() if isinstance(self.field, FieldTag)
-               else {"field": repr(self.field)}),
+            **_field_json(self.field),
             "x_max": self.x_max,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "IdentityCase":
         """The case a document holds; params that are no object, a kind that
-        names no field and tolerances no field takes are carried as they
-        are, so that the case is refused."""
+        names no field and tolerances no field takes (a non-finite one as
+        ``_json_float`` wrote it) are carried as they are, so that the case
+        is refused."""
         params, field = doc["params"], doc["field"]
         if field in ("exact", "numeric"):
             try:
                 field = FieldTag.from_json(doc)
             except (FieldError, TypeError):
-                field = {k: doc[k] for k in ("field", "atol", "rtol") if k in doc}
+                field = {k: _read_float(doc[k]) for k in ("field", "atol", "rtol") if k in doc}
         return cls(
             identity=doc["identity"],
             params=({k: _deserialize_value(v, k) for k, v in params.items()}
@@ -183,14 +190,17 @@ _NAME_SLOTS = ("generating_function", "relation", "family")
 def _serialize_value(v, slot=None):
     """A parameter as standard JSON: None, or a string in a name slot, as it
     is, a sequence item by item, a finite number as its field writes it
-    ('p/q' exact, [re, im] double), and any other value (a string outside the
-    name slots, a non-finite double, a bool) as its repr, which reads back as
-    a string, so the case read back is refused as the case was."""
+    ('p/q' exact, [re, im] double), a string that reads as no number as it
+    is, and any other value (a number-like string outside the name slots, a
+    non-finite double, a bool) as its repr, which reads back as a string, so
+    the case read back is refused as the case was."""
     if v is None or (slot in _NAME_SLOTS and isinstance(v, str)):
         return v
     if isinstance(v, (tuple, list)):
         return [_serialize_value(item) for item in v]
-    return field_of(v).serialize(v) if _finite(v) else repr(v)
+    if _finite(v):
+        return field_of(v).serialize(v)
+    return v if isinstance(v, str) and _deserialize_value(v) == v else repr(v)
 
 
 def _deserialize_value(v, slot=None):
@@ -210,12 +220,34 @@ def _deserialize_value(v, slot=None):
 
 def _json_float(value):
     """A float as standard JSON, which has no infinities or NaN: a non-finite
-    one as its text ('inf', '-inf', 'nan'), which float() reads back."""
+    one as its text ('inf', '-inf', 'nan'), which ``_read_float`` reads back."""
     return value if value is None or math.isfinite(value) else str(value)
 
 
 def _read_float(value):
-    return float(value) if isinstance(value, str) else value
+    return float(value) if value in ("inf", "-inf", "nan") else value
+
+
+def _as_written(value):
+    """A value no case reads as it came, when JSON reads it back as itself,
+    else as its repr: a string, refused again when read back."""
+    try:
+        if json.loads(json.dumps(value, allow_nan=False)) == value:
+            return value
+    except (TypeError, ValueError):
+        pass
+    return repr(value)
+
+
+def _field_json(field) -> dict:
+    """A field's keys in a case document: a ``FieldTag``'s own, refused
+    tolerances as ``from_json`` read them, else the value under 'field' as
+    ``_as_written`` writes it, a kind's bare name as its repr."""
+    if isinstance(field, FieldTag):
+        return field.as_json()
+    if isinstance(field, dict) and field.get("field") in ("exact", "numeric"):
+        return {k: _json_float(v) if isinstance(v, float) else v for k, v in field.items()}
+    return {"field": repr(field) if field in ("exact", "numeric") else _as_written(field)}
 
 
 @dataclass(frozen=True)
@@ -271,8 +303,9 @@ def _finite(value) -> bool:
 
 def _check_values(case):
     """DomainError unless the identity is a string, the params a mapping,
-    the field a ``FieldTag``, x_max an integer, the order None or an integer
-    and every parameter a finite number: a name where a route reads one, a
+    the field a ``FieldTag``, x_max an integer (the default unless the
+    identity reads one, ``check_x_max``), the order None or an integer and
+    every parameter a finite number: a name where a route reads one, a
     sequence of them for x_samples."""
     if not isinstance(case.identity, str):
         raise DomainError(f"identity {case.identity!r} must be a name")
@@ -282,6 +315,8 @@ def _check_values(case):
         raise DomainError(f"{case.identity}: field {case.field!r} must be a FieldTag")
     if not (isinstance(case.x_max, int) and is_exact_value(case.x_max)):
         raise DomainError(f"{case.identity}: x_max {case.x_max!r} must be an integer")
+    if case.x_max != IdentityCase.x_max:
+        check_x_max(case.identity)
     if case.order is not None and not (isinstance(case.order, int) and is_exact_value(case.order)):
         raise DomainError(f"{case.identity}: order {case.order!r} must be an integer")
     for name, value in case.params.items():
@@ -310,12 +345,30 @@ def _guard(case, run) -> VerificationReport:
     return VerificationReport(**{**report.__dict__, "case": case, "millis": millis})
 
 
+def _value(num, den):
+    """The value of a row entry num / den: the number itself over 1."""
+    return num if den == 1 else Fraction(num, den)
+
+
 def _agreement(case, field, rows) -> VerificationReport:
-    """rows yields (order, wanted, got, where); fail at the first pair the
-    field tells apart, with ``where`` as the detail and the worst gap up to
-    it as the deviation."""
+    """rows yields (order, wanted, got, where), wanted and got each an entry
+    (num, den) of a ``FieldTag.common`` row; fail at the first pair the field
+    tells apart, with ``where`` as the detail.  The exact field compares
+    integers by cross-multiplication and forms ``Fraction``s only for the
+    pair that differs, for the deviation (a double entry is its FieldError);
+    doubles compare values within the tolerance, the deviation the worst
+    |a - b| up to the failing pair."""
+    if field.is_exact:
+        for n, (a, da), (b, db), where in rows:
+            if type(a) is not int or type(b) is not int:  # a double: the field refuses it
+                field.of(a), field.of(b)
+            if a * db != b * da:
+                return VerificationReport(case, "fail", first_failing_order=n, detail=where,
+                                          deviation=deviation(Fraction(a, da), Fraction(b, db)))
+        return VerificationReport(case, "pass", deviation=0.0)
     worst = 0.0
     for n, wanted, got, where in rows:
+        wanted, got = _value(*wanted), _value(*got)
         worst = max(worst, deviation(wanted, got))
         if not field.eq(field.of(wanted), field.of(got)):
             return VerificationReport(case, "fail", deviation=worst,
@@ -324,10 +377,13 @@ def _agreement(case, field, rows) -> VerificationReport:
 
 
 def _coefficient_rows(pairs):
-    """The ``_agreement`` rows of pairs (left, right) of series of one order:
-    (i, left_i, right_i, None), lowest order first across every pair."""
-    return ((i, left.coefficients[i], right.coefficients[i], None)
-            for i in range(pairs[0][0].order + 1) for left, right in pairs)
+    """The ``_agreement`` rows of pairs (left, right) of series of one order,
+    read from their rows: (i, left entry i, right entry i, None), lowest
+    order first across every pair."""
+    rows = [(left.row, right.row) for left, right in pairs]
+    return ((i, (left[i], left_den), (right[i], right_den), None)
+            for i in range(pairs[0][0].order + 1)
+            for (left, left_den), (right, right_den) in rows)
 
 
 # -- generalized generating functions: one spec per identity, one builder ----
@@ -392,10 +448,11 @@ class GFSpec:
         """The one rule that picks how the rhs is built: the ``_products`` row
         at the exact binding (a real double at its exact value), or None for
         the sum over n, which keeps a multivariable inner_n, a complex binding
-        (A * e^(-lam t) cancels in doubles), a bottom with (b)_top = 0 (the
-        sum raises its pole in its order, before a vanishing top cancels it)
-        and a double binding the products refuse (refused in doubles)."""
-        if (self.term is None or pochhammer(1 if bottom is None else bottom, top) == 0
+        (A * e^(-lam t) cancels in doubles), a bottom b with (b)_top = 0, read
+        from b by ``fields.rising_vanishes`` (the sum raises its pole in its
+        order, before a vanishing top cancels it) and a double binding the
+        products refuse (refused in doubles)."""
+        if (self.term is None or (bottom is not None and rising_vanishes(bottom, top))
                 or any(isinstance(v, complex) and v.imag for v in p.values())):
             return None
         try:
@@ -414,7 +471,8 @@ class GFSpec:
         e^(-lam t)))), D_m = prod (a)_m, as (-k)_j / k! = (-1)^j / (j! (k-j)!)."""
         tops, _, z, (family, x, params) = self.coeff(**p)
         term = self.term(**p)
-        poly, den = EXACT.common(families.family_row(family, top, x, params))
+        # reduced once: the lcm of the reduced P_n's denominators
+        poly, den = _reduced(*families.gauss_row_form(family, top, x, params)[1:])
         dens = [den]
 
         def row(tops, bottoms=(), lam=1):
@@ -633,21 +691,22 @@ _DEFAULT_X_SAMPLES = (Fraction(0), Fraction(1), Fraction(5, 2), Fraction(4),
                       Fraction(-3, 7))
 
 
-def _dot_target(values):
-    """The target row P_0, P_1, ... at one x as ``_dot`` reads it."""
-    field = field_of(*values)
-    return values, field.common(values) if field.is_exact else None
+def _dot_target(form):
+    """The target row P_0, P_1, ... at one x, a ``families.gauss_row_form``,
+    as ``_dot`` reads it: reduced once when exact, so its denominator is the
+    lcm of the values' denominators."""
+    field, nums, den = form
+    return (field, *_reduced(nums, den)) if field.is_exact else form
 
 
 def _dot(form, target):
-    """sum_k c_{n,k} P_k for the row form (field, nums, den) of c_{n,k} and
-    a ``_dot_target`` row P: one integer dot product and one ``Fraction`` on
-    exact values, else the plain sum of the products of the values."""
-    (field, nums, den), (values, scaled) = form, target
-    if scaled is None or not field.is_exact:
-        return sum(map(mul, field.over(nums, den), values))
-    target_nums, target_den = scaled
-    return Fraction(sum(map(mul, nums, target_nums)), den * target_den)
+    """sum_k c_{n,k} P_k as a row entry (num, den), for the row form (field,
+    nums, den) of c_{n,k} and a ``_dot_target`` row P: one integer dot
+    product on exact values, else the sum of the values' products over 1."""
+    (field, nums, den), (target_field, target_nums, target_den) = form, target
+    if field.is_exact and target_field.is_exact:
+        return sum(map(mul, nums, target_nums)), den * target_den
+    return sum(map(mul, field.over(nums, den), target_field.over(target_nums, target_den))), 1
 
 
 def verify_connection_relation(relation_id: str, params, n_max: int,
@@ -656,13 +715,13 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
     """Reconstruction check: the table applied to target values gives back
     the source polynomial at every sample argument and every degree.
 
-    Degrees run outer and samples inner.  The source and target values
-    come from one ``families.family_rows`` call per side (one
-    ``series.gauss_degree_row`` per sample, so ``families.family_eval``
-    evaluates no degree on its own).  A reconstructed value is one ``_dot``
-    of the table's row form (``ConnectionExpansion.row_form``, read once
-    per degree for an x-free table) with the target row, put over one
-    denominator once per sample."""
+    Degrees run outer and samples inner.  The source and target rows are
+    one ``families.gauss_row_form`` per side and sample (so
+    ``families.family_eval`` evaluates no degree on its own).  A
+    reconstructed value is one ``_dot`` of the table's row form
+    (``ConnectionExpansion.row_form``, read once per degree for an x-free
+    table) with the target row, reduced once per sample, and the verdict
+    compares it with the source's entry as integers, no value formed."""
     case = IdentityCase(
         relation_id,
         {**dict(params), "n_max": n_max, "x_samples": tuple(x_samples)},
@@ -674,15 +733,16 @@ def verify_connection_relation(relation_id: str, params, n_max: int,
             raise DomainError(f"{relation_id} needs at least one x sample")
         spec = conn.get_relation(relation_id)
         table = conn.connection_table(relation_id, params, n_max, field)
-        source, target = (families.family_rows(spec.family, n_max, x_samples, binding)
+        source, target = ([families.gauss_row_form(spec.family, n_max, x, binding)
+                           for x in x_samples]
                           for binding in (spec.source(params), spec.target(params)))
-        target = [_dot_target(values) for values in target]
+        target = [_dot_target(form) for form in target]
 
         def rows():
             for n in range(n_max + 1):
                 form = None if table.x_dependent else table.row_form(n)
-                for i, x in enumerate(x_samples):
-                    yield (n, source[i][n], _dot(form or table.row_form(n, x), target[i]),
+                for (_, nums, den), x, row in zip(source, x_samples, target):
+                    yield (n, (nums[n], den), _dot(form or table.row_form(n, x), row),
                            f"reconstruction breaks at n = {n}, x = {x}")
 
         return _agreement(case, field, rows())
@@ -923,7 +983,9 @@ def _orth_krawtchouk(case: IdentityCase, gf_id: str) -> VerificationReport:
         * spec.inner(n, cap - n, EXACT, **p).evaluate(t)
     )
     if case.field.is_exact:  # the residual against 0: its deviation is rounded once
-        return replace(_agreement(case, EXACT, [(None, lhs - rhs, 0, None)]),
+        residual = EXACT.of(lhs - rhs)
+        return replace(_agreement(case, EXACT, [(None, (residual.numerator, residual.denominator),
+                                                 (0, 1), None)]),
                        terms_summed=big + 1, tail_bound=0.0)
     return _orth_report(case, lhs, 0.0, big + 1, rhs, 0.0)  # a finite sum leaves no tail
 
@@ -1005,6 +1067,13 @@ def verify_orthogonality_sum(case: IdentityCase) -> VerificationReport:
     return _guard(case, run)
 
 
+def check_x_max(identity):
+    """DomainError unless ``identity`` reads an x_max, as only an infinite
+    lattice sum does: a case sets one other than the default, or --x-max."""
+    if not isinstance(ORTHOGONALITY_IDS.get(identity, (None,))[0], LatticeSum):
+        raise DomainError(f"{identity} is no infinite lattice sum; drop --x-max")
+
+
 # -- invariance of plain generating functions under degenerate relations -----
 
 _PLAIN_GFS = {
@@ -1067,9 +1136,9 @@ def verify_gf_invariance(case: IdentityCase) -> VerificationReport:
                                       case.field)
         norms = case.field.over(*hypergeometric_terms([bound[a] for a in tops], (), 1, n_cap,
                                                       case.field))
-        polys = _dot_target(families.family_row(family, n_cap, x, spec.target(params)))
+        polys = _dot_target(families.gauss_row_form(family, n_cap, x, spec.target(params)))
         rebuilt = TruncatedSeries(case.field, [
-            c_n * _dot(table.row_form(n, x), polys) for n, c_n in enumerate(norms)])
+            c_n * _value(*_dot(table.row_form(n, x), polys)) for n, c_n in enumerate(norms)])
         return _agreement(case, case.field,
                           _coefficient_rows([(original, rebuilt.padded_to(order))]))
 
@@ -1163,10 +1232,14 @@ def _check_tables(case: IdentityCase) -> VerificationReport:
                                   {k: p[v] for k, v in target.items()}, n_max)
 
     left, right = table(left), table(right)
-    rows = ((n, a, b, f"tables disagree at n = {n}, k = {k}")
-            for n in range(left.n_max + 1)
-            for k, (a, b) in enumerate(zip(left.row(n), right.row(n))))
-    return _agreement(case, case.field, rows)
+
+    def rows():  # the rows as they are stored, which need not be reduced
+        for n in range(left.n_max + 1):
+            (_, a, a_den), (_, b, b_den) = left.row_form(n), right.row_form(n)
+            for k, (u, v) in enumerate(zip(a, b)):
+                yield n, (u, a_den), (v, b_den), f"tables disagree at n = {n}, k = {k}"
+
+    return _agreement(case, case.field, rows())
 
 
 _BOUND_GRIDS = {

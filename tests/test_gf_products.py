@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hyperconnect import EXACT, IdentityCase, PoleError, build_sides, numeric, verify_gf_identity
 from hyperconnect import families, verify
 from hyperconnect.errors import HyperconnectError
+from hyperconnect.fields import rising_vanishes
 from hyperconnect.pochhammer import pochhammer
 from hyperconnect.series import hypergeometric_terms, linear_combination
 
@@ -121,3 +122,19 @@ def test_complex_bindings_keep_the_sum_over_n(identity, data, order):
     got = outcome(lambda: build_sides(case))
     wanted = outcome(lambda: per_degree(identity, params, order, numeric()))
     assert got == wanted
+
+
+# b as each field holds it: exact, a double (-0.0 too) and a complex double,
+# real or not
+POLE_CANDIDATES = st.one_of(
+    EDGES, EDGES.map(float), st.just(-0.0),
+    st.builds(complex, st.one_of(EDGES.map(float), st.just(-0.0)),
+              st.sampled_from([0.0, -0.0, 0.5, -1.0])))
+
+
+@settings(max_examples=400)
+@given(b=POLE_CANDIDATES, top=st.integers(0, 8))
+def test_the_pole_rule_agrees_with_the_rising_factorial(b, top):
+    """The rule that sends a vanishing (b)_top to the sum over n reads b, not
+    the product (b)_top."""
+    assert rising_vanishes(b, top) == (pochhammer(b, top) == 0)

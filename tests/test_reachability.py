@@ -78,6 +78,9 @@ ALLOWLIST = {
     "connection._degenerate": "raises on a singular sample set",
     "families._check_domain.<locals>.fail": "raises on a parameter outside its domain",
     "series.TruncatedSeries.__setattr__": "raises on an attempt to mutate a series",
+    "verify._as_written": "writes the params or field of a case that is refused",
+    "verify.check_x_max": "entered only where a case or --x-max sets an x_max, which no"
+                          " route does",
     # x = cos theta families only, which the routes leave out
     "expressions._cis": "cis(theta) of the theta families' formulas",
 }

@@ -926,18 +926,18 @@ def test_exact_zero_repro_exits_inconclusive(capsys):
 
 def test_each_build_makes_its_n_independent_pieces_once(monkeypatch):
     factors, rows = [], []
-    argument_factor, family_row = hyper_mod._argument_factor, families_mod.family_row
+    argument_factor, row_form = hyper_mod._argument_factor, families_mod.gauss_row_form
 
     def counted_factor(*args):
         factors.append(args[2])
         return argument_factor(*args)
 
     def counted_row(family, n_max, *args):
-        rows.append((family, n_max))
-        return family_row(family, n_max, *args)
+        rows.append((families_mod.get_family(family).id, n_max))
+        return row_form(family, n_max, *args)
 
     monkeypatch.setattr(hyper_mod, "_argument_factor", counted_factor)
-    monkeypatch.setattr(families_mod, "family_row", counted_row)
+    monkeypatch.setattr(families_mod, "gauss_row_form", counted_row)
     order = 12
     for identity, (_, names) in verify_mod.GF_IDENTITIES.items():
         family = identity.split("_")[0]
@@ -1144,7 +1144,8 @@ def test_the_report_of_a_field_that_is_no_field_tag_round_trips(field):
     # as_json read the field's own as_json, which a str or None lacks
     [report] = batch_verify([dataclasses.replace(acceptance_suite(4)[0], field=field)])
     back = VerificationReport.from_json(json.loads(json.dumps(report.as_json())))
-    assert back.case.field == repr(field)
+    # a kind's bare name would read back as its FieldTag; None is written as it is
+    assert back.case.field == (repr(field) if field == "numeric" else field)
     assert (back.status, back.detail) == (report.status, report.detail)
     [again] = batch_verify([back.case])
     assert again.status == "error" and again.detail.endswith("must be a FieldTag")
@@ -1423,7 +1424,7 @@ def test_every_declared_coefficient_passes_exactly_inside_its_domain(identity, d
 _NUMERIC_DOC = {**acceptance_suite(4)[0].as_json(), **numeric().as_json()}
 
 
-@pytest.mark.parametrize("change, refusal", [
+_REFUSED_DOCUMENTS = [
     *[({key: value}, f"'{key}': {value!r}") for key in ("atol", "rtol")
       for value in (-1, None, "x", [1])],
     ({"atol": 0}, "'atol': 0"),
@@ -1433,8 +1434,13 @@ _NUMERIC_DOC = {**acceptance_suite(4)[0].as_json(), **numeric().as_json()}
     ({"params": "x=4"}, "params 'x=4' must map names to values"),
     ({"params": {**_NUMERIC_DOC["params"], "alpha": "1/0"}},
      "parameter alpha = '1/0' must be a finite number"),
-], ids=[*[f"{key}={value!r}" for key in ("atol", "rtol") for value in (-1, None, "x", [1])],
-        "atol=0", "rtol=nan", "params-list", "params-str", "alpha-1/0"])
+]
+_REFUSED_IDS = [*[f"{key}={value!r}" for key in ("atol", "rtol")
+                  for value in (-1, None, "x", [1])],
+                "atol=0", "rtol=nan", "params-list", "params-str", "alpha-1/0"]
+
+
+@pytest.mark.parametrize("change, refusal", _REFUSED_DOCUMENTS, ids=_REFUSED_IDS)
 def test_a_case_document_no_case_reads_is_an_error_report(change, refusal):
     case = IdentityCase.from_json({**_NUMERIC_DOC, **change})
     [report] = batch_verify([case])
@@ -1442,3 +1448,42 @@ def test_a_case_document_no_case_reads_is_an_error_report(change, refusal):
     # the refused case goes through JSON and is refused again
     back = VerificationReport.from_json(json.loads(json.dumps(report.as_json(), allow_nan=False)))
     assert verify_case(back.case).status == "error"
+
+
+@pytest.mark.parametrize("change, refusal", [
+    *_REFUSED_DOCUMENTS, ({"field": "bogus"}, "field 'bogus' must be a FieldTag"),
+], ids=[*_REFUSED_IDS, "field-bogus"])
+def test_a_refused_case_document_is_written_as_it_came(change, refusal):
+    case = IdentityCase.from_json({**_NUMERIC_DOC, **change})
+    back = IdentityCase.from_json(json.loads(json.dumps(case.as_json(), allow_nan=False)))
+    if any(isinstance(v, float) and math.isnan(v) for v in change.values()):
+        # NaN equals nothing, itself read back included: the documents agree
+        assert back.as_json() == case.as_json()
+    else:
+        assert back == case
+    [report], [again] = batch_verify([case]), batch_verify([back])
+    assert report.status == again.status == "error" and refusal in report.detail
+    assert again.detail == report.detail
+
+
+def test_an_x_max_no_route_reads_is_refused_as_on_the_command_line(capsys):
+    from hyperconnect.cli import main
+
+    params = pick(CANON, "x", "alpha", "beta", "c")
+    case = IdentityCase("meixner_1f1_alpha_shift", params, order=4, x_max=17)
+    finite_sum = IdentityCase("krawtchouk_sum_1f1", {
+        "p": Fraction(1, 2), "q": Fraction(1, 3), "N": 3, "M": 5, "t": Fraction(1, 5), "n": 1},
+        x_max=17)
+    refusal = "{} is no infinite lattice sum; drop --x-max"
+    reports = batch_verify([case, finite_sum])
+    assert [(r.status, r.detail) for r in reports] == [
+        ("error", "DomainError: " + refusal.format(c.identity)) for c in (case, finite_sum)]
+    assert case.as_json()["x_max"] == 17
+    # the default x_max is read by no route, and a lattice sum reads its own
+    assert verify_case(dataclasses.replace(case, x_max=300)).status == "pass"
+    lattice = verify_case(IdentityCase("meixner_orthogonality", {
+        "alpha": Fraction(2), "c": Fraction(1, 2), "n": 1, "m": 1}, field=numeric(), x_max=17))
+    assert lattice.terms_summed == 18
+    code = main(["verify", "--identity", "meixner_1f1_alpha_shift", "--x", "4", "--alpha", "3/2",
+                 "--beta", "7/3", "--c", "2/5", "--order", "4", "--x-max", "17"])
+    assert code == 2 and refusal.format(case.identity) in capsys.readouterr().err
