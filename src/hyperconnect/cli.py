@@ -261,6 +261,7 @@ def _cmd_verify(args) -> int:
             args.identity, params, order=args.order, field=_field_for(backend),
             **({} if args.x_max is None else {"x_max": args.x_max}),
         )]
+        verify.check_lattice_size(cases[0])
     reports = verify.batch_verify(cases)
     summary = verify.summarize(reports)
     if args.output == "json":

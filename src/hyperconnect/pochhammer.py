@@ -30,10 +30,14 @@ _INF_FACTOR_CUTOFF = 1e-17
 
 
 def pochhammer(a, n):
-    """Rising factorial (a)_n.  Satisfies (a)_{n+k} = (a)_n (a+n)_k."""
+    """Rising factorial (a)_n.  Satisfies (a)_{n+k} = (a)_n (a+n)_k.  An int
+    or ``Fraction`` a = p/q gives prod_j (p + j q) / q^n, one ``Fraction``."""
     n = as_index(n, "n")
     if n < 0:
         raise DomainError("pochhammer needs n >= 0")
+    if type(a) is int or type(a) is Fraction:
+        p, q = a.numerator, a.denominator
+        return Fraction(math.prod(range(p, p + n * q, q)), q**n)
     result = field_of(a).one()
     for j in range(n):
         result = result * (a + j)
@@ -41,8 +45,8 @@ def pochhammer(a, n):
 
 
 def pochhammer_row(a, top):
-    """(a)_0, ..., (a)_top by the term ratio (a)_{m+1} = (a)_m (a + m): the
-    loop of ``pochhammer``, so every value equals ``pochhammer(a, m)``."""
+    """(a)_0, ..., (a)_top by the term ratio (a)_{m+1} = (a)_m (a + m), so
+    every value equals ``pochhammer(a, m)`` (on doubles, by the same loop)."""
     row = [pochhammer(a, 0)]
     for m in range(top):
         row.append(row[-1] * (a + m))

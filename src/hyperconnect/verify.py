@@ -43,13 +43,13 @@ produced by the three-term recurrences
     (alpha+x) g(x+1) = (2x+alpha-(gamma+x)w) g(x) - x(1-w) g(x-1)
 
 so no cancellation-prone alternating sums are ever formed.  The sum runs on
-integer rows: M_n(x) is an integer row over one denominator (its
-coefficients in (-x)_k, a ``hypergeometric_terms`` row, cleared once), the
-kernel times the weight
-(beta)_x rate^x / x! is one integer recurrence whose denominators form a
-chain den_x = den_{x-1} step_x of small integer steps, and a forward Horner
-pass acc = acc step_x + term_x keeps the sum over the current den_x.  The
-sum is never reduced: the verdict reads its double as the integer quotient
+integer rows: M_n(x) is an integer row over one denominator (n running
+sums from its forward differences at x = 0), and one loop runs the kernel
+times the weight (beta)_x rate^x / x!, an integer recurrence whose
+denominators form a chain den_x = den_{x-1} step_x of small integer steps,
+and a forward Horner pass acc = acc step_x + term_x that keeps the sum over
+the current den_x, up to the budget of ``check_lattice_size``.  The sum is
+never reduced: the verdict reads its double as the integer quotient
 acc / den_{x_max}, which Python rounds correctly, so it is the double of the
 reduced fraction without a gcd of the ~8,000-bit pair, and the loop over x
 builds no ``Fraction`` per term.  The discarded tail is estimated by a
@@ -88,10 +88,10 @@ import cmath
 import json
 import math
 import time
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
 from typing import Callable
@@ -306,7 +306,7 @@ def _check_values(case):
     the field a ``FieldTag``, x_max an integer (the default unless the
     identity reads one, ``check_x_max``), the order None or an integer and
     every parameter a finite number: a name where a route reads one, a
-    sequence of them for x_samples."""
+    sequence of them for x_samples; a lattice sum within ``check_lattice_size``."""
     if not isinstance(case.identity, str):
         raise DomainError(f"identity {case.identity!r} must be a name")
     if not isinstance(case.params, MappingProxyType):
@@ -329,6 +329,7 @@ def _check_values(case):
             ok, what = _finite(value), "a finite number"
         if not ok:
             raise DomainError(f"{case.identity}: parameter {name} = {value!r} must be {what}")
+    check_lattice_size(case)
 
 
 def _guard(case, run) -> VerificationReport:
@@ -776,50 +777,42 @@ def _meixner_row(n: int, beta, d, count: int):
     """(row, den) with M_n(x; beta, d) = row[x] / den for x = 0..count-1.
 
     M_n(x) = sum_k a_k (-x)_k with a_k = (-n)_k z^k / ((beta)_k k!) and
-    z = 1 - 1/d; the a_k are put over one denominator once, and each row
-    entry is an integer Horner pass over (-x)_k = (-x)(1-x)...(k-1-x)."""
+    z = 1 - 1/d; the a_k are put over one denominator once.  As (-x)_k =
+    (-1)^k k! binom(x, k), the k-th forward difference of den M_n at x = 0
+    is (-1)^k k! den a_k, so the row is n running sums over integers, from
+    the constant n-th difference down."""
     coeffs, den = hypergeometric_terms((-n,), (beta,), 1 - 1 / d, n)
-    row = []
-    for x in range(count):
-        total = 0
-        for k in range(n, -1, -1):
-            total = coeffs[k] + (k - x) * total
-        row.append(total)
+    diffs = list(map(mul, coeffs, accumulate(range(-1, -n - 1, -1), mul, initial=1)))
+    row = [diffs.pop()] * count
+    for diff in reversed(diffs):
+        row = list(accumulate(row[:-1], initial=diff))
     return row, den
 
 
-def _kernel_weight_rows(kernel, beta, d, count: int):
-    """Yield (u_x, step_x) for x = 0..count-1 with
-
-        kernel(x) (beta)_x d^x / x! = u_x / (step_0 step_1 ... step_x),
-
-    all integers.  ``kernel`` is (p, q, s), linear polynomials as pairs, of
-    the recurrence p(x) f(x+1) = q(x) f(x) - s(x) f(x-1) with f(0) = 1 and
-    s(0) = 0.  With the weight ratio a(x)/b(x) = (beta+x) d/(x+1) the product
-    obeys u_{x+1} = a(x) (q(x) u_x - s(x) a(x-1) p(x-1) u_{x-1}) and
-    step_{x+1} = b(x) p(x), so every operation is an integer times a small one."""
+def _lattice_sum(poly, den, kernel, beta, d):
+    """sum_x poly[x] u_x / (den step_0 ... step_x), x = 0..len(poly)-1, with
+    kernel(x) (beta)_x d^x / x! = u_x / (step_0 ... step_x) in integers, as
+    the unreduced pair (acc, chain), sum = acc / chain, and the last four
+    terms as (term, chain) pairs (for the tail bound).  ``kernel`` is (p, q,
+    s), linear polynomials as pairs, of p(x) f(x+1) = q(x) f(x) - s(x) f(x-1)
+    with f(0) = 1 and s(0) = 0.  By the weight ratio a(x)/b(x) = (beta+x)
+    d/(x+1), u_{x+1} = (a(x) q(x)) u_x - (a(x) s(x) a(x-1) p(x-1)) u_{x-1}
+    and step_{x+1} = b(x) p(x), the small factors multiplied first, so u
+    costs two big-by-small products a step."""
     (p0, p1), (q0, q1), (s0, s1) = integer_linear(*kernel)
     (a0, a1), (b0, b1) = integer_linear((beta * d, d), (1, 1))
+    acc, chain, tail, last = 0, den, [], len(poly) - 4
     u_prev, u, ap_prev, step = 0, 1, 0, 1
-    for x in range(count):
-        yield u, step
-        a, p = a0 + a1 * x, p0 + p1 * x
-        u_prev, u = u, a * ((q0 + q1 * x) * u - (s0 + s1 * x) * ap_prev * u_prev)
-        ap_prev, step = a * p, (b0 + b1 * x) * p
-
-
-def _lattice_sum(poly, den, rows):
-    """sum_x poly[x] u_x / (den step_0 ... step_x) over the (u_x, step_x) of
-    ``rows``, by forward Horner on integers, as the unreduced pair
-    (acc, chain) with sum = acc / chain, and the last four terms as
-    (term, chain) pairs (for the tail bound)."""
-    acc, chain, tail = 0, den, deque(maxlen=4)
-    for value, (u, step) in zip(poly, rows):
+    for x, value in enumerate(poly):
         chain *= step
         term = value * u
         acc = acc * step + term
-        tail.append((term, chain))
-    return (acc, chain), list(tail)
+        if x >= last:
+            tail.append((term, chain))
+        a, p = a0 + a1 * x, p0 + p1 * x
+        u_prev, u = u, a * (q0 + q1 * x) * u - a * (s0 + s1 * x) * ap_prev * u_prev
+        ap_prev, step = a * p, (b0 + b1 * x) * p
+    return (acc, chain), tail
 
 
 def _closed_form(prefactor, nums, dens, z):
@@ -853,27 +846,18 @@ def _closed_form(prefactor, nums, dens, z):
 
 def _tail_bound(terms):
     """Geometric bound on the discarded tail from the observed decay of the
-    last four terms, each an exact (term, chain) pair worth term / chain;
-    None (no bound) when one of them vanishes exactly, because a zero says
-    nothing about the decay, or when the terms do not decay.  The integer
-    quotient term / chain is correctly rounded, so each magnitude is the
-    double of the reduced fraction without reducing it."""
-    if any(term == 0 for term, _ in terms[-4:]):
+    last terms (the last four of a sum), each an exact (term, chain) pair
+    worth term / chain; None (no bound) when one of them vanishes exactly,
+    because a zero says nothing about the decay, or when the terms do not
+    decay.  The integer quotient term / chain is correctly rounded, so each
+    magnitude is the double of the reduced fraction without reducing it."""
+    if any(term == 0 for term, _ in terms):
         return None
-    tail_abs = [abs(term / chain) for term, chain in terms[-4:]]
+    tail_abs = [abs(term / chain) for term, chain in terms]
     if all(t == 0.0 for t in tail_abs):  # nonzero, but below the double range
         return 0.0
-    ratios = [
-        tail_abs[i + 1] / tail_abs[i]
-        for i in range(len(tail_abs) - 1)
-        if tail_abs[i] > 0.0
-    ]
-    if not ratios:
-        return None
-    r = max(ratios)
-    if r >= 1.0:
-        return None
-    return tail_abs[-1] * r / (1.0 - r)
+    r = max((b / a for a, b in zip(tail_abs, tail_abs[1:]) if a > 0.0), default=1.0)
+    return None if r >= 1.0 else tail_abs[-1] * r / (1.0 - r)
 
 
 def _orth_report(case, lhs, bound, terms_summed, rhs_value, rhs_error) -> VerificationReport:
@@ -899,7 +883,7 @@ class LatticeSum:
 
     ``domain(**params)`` says where the identity holds (``needs`` says it in
     words), ``poly(**params)`` gives (beta, rate), ``kernel(**params)`` the
-    kernel's recurrence (p, q, s) as ``_kernel_weight_rows`` takes it,
+    kernel's recurrence (p, q, s) as ``_lattice_sum`` takes it,
     ``degrees(n, **params)`` the degrees k of the Meixner polynomials in the
     summand and ``rhs(n, **params)`` the closed form and its error."""
 
@@ -918,8 +902,6 @@ class LatticeSum:
         n = as_index(p.pop("n"), "n")
         if not self.domain(**p):
             raise DomainError(f"needs {self.needs}")
-        if case.x_max < 0:
-            raise DomainError(f"x_max must be >= 0, got {case.x_max}")
         degrees = self.degrees(n, **p)
         if min(degrees) < 0:
             raise DomainError(f"degrees must be >= 0, got {degrees}")
@@ -938,12 +920,11 @@ class LatticeSum:
         beta, rate = self.poly(**p)
         degrees = self.degrees(n, **p)
         rows = {k: _meixner_row(k, beta, rate, count) for k in set(degrees)}
-        poly, den = [1] * count, 1
-        for k in degrees:
+        poly, den = rows[degrees[0]]
+        for k in degrees[1:]:
             row, row_den = rows[k]
-            poly, den = [a * b for a, b in zip(poly, row)], den * row_den
-        return _lattice_sum(
-            poly, den, _kernel_weight_rows(self.kernel(**p), beta, rate, count))
+            poly, den = list(map(mul, poly, row)), den * row_den
+        return _lattice_sum(poly, den, self.kernel(**p), beta, rate)
 
 
 _CONSTANT_KERNEL = ((1, 0), (1, 0), (0, 0))  # f(x+1) = f(x) = 1
@@ -1072,6 +1053,24 @@ def check_x_max(identity):
     lattice sum does: a case sets one other than the default, or --x-max."""
     if not isinstance(ORTHOGONALITY_IDS.get(identity, (None,))[0], LatticeSum):
         raise DomainError(f"{identity} is no infinite lattice sum; drop --x-max")
+
+
+LATTICE_X_MAX, LATTICE_DEGREE = 10_000, 100
+
+
+def check_lattice_size(case):
+    """DomainError unless a lattice sum's x_max is in 0..``LATTICE_X_MAX`` and
+    its degrees n, m are at most ``LATTICE_DEGREE`` (one sum at both takes
+    about 3.4 s on a 2.1 GHz Xeon), so that no row past the budget is built."""
+    if not isinstance(ORTHOGONALITY_IDS.get(case.identity, (None,))[0], LatticeSum):
+        return
+    if not 0 <= case.x_max <= LATTICE_X_MAX:
+        raise DomainError(f"{case.identity}: x_max = {case.x_max} is outside the budget"
+                          f" 0 <= x_max <= {LATTICE_X_MAX}")
+    for name in ("n", "m"):
+        if case.params.get(name, 0).real > LATTICE_DEGREE:
+            raise DomainError(f"{case.identity}: {name} = {case.params[name]} is past the"
+                              f" budget {name} <= {LATTICE_DEGREE}")
 
 
 # -- invariance of plain generating functions under degenerate relations -----

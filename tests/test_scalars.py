@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperconnect import (
     EXACT,
@@ -42,6 +44,31 @@ def test_pochhammer_half():
 
 def test_pochhammer_negative_integer_hits_zero():
     assert pochhammer(-3, 5) == 0
+
+
+def loop_pochhammer(a, n):
+    """(a)_n as the running product a (a+1) ... (a+n-1) in the field of a."""
+    result = field_of(a).one()
+    for j in range(n):
+        result = result * (a + j)
+    return result
+
+
+@given(a=st.one_of(st.fractions(-20, 20, max_denominator=60), st.integers(-12, 0),
+                   st.integers(-10**6, 10**6)),
+       n=st.integers(0, 30))
+def test_rational_pochhammer_is_the_running_product(a, n):
+    got = pochhammer(a, n)
+    assert type(got) is Fraction and got == loop_pochhammer(Fraction(a), n)
+    assert pochhammer(a, 0) == 1
+
+
+def test_pochhammer_of_any_other_type_keeps_the_field_loop():
+    assert type(pochhammer(True, 3)) is complex and pochhammer(True, 3) == 6 + 0j
+    for a in (2.5, complex(1.5, -0.5), False):
+        for n in (0, 1, 4):
+            got = pochhammer(a, n)
+            assert type(got) is type(loop_pochhammer(a, n)) and got == loop_pochhammer(a, n)
 
 
 def test_pochhammer_rejects_negative_n():

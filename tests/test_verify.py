@@ -389,8 +389,9 @@ def test_confluent_sum_at_t_zero_degenerates_to_binomial_theorem():
     kernel = verify_mod._confluent_kernel(alpha=Fraction(2), c=Fraction(1, 2), t=Fraction(0))
     values = kernel_weight_values(kernel, Fraction(3), Fraction(1, 2), 40)
     assert all(v == weight(Fraction(3), Fraction(1, 2), x) for x, v in enumerate(values))
-    weights = kernel_weight_values(verify_mod._CONSTANT_KERNEL, Fraction(3), Fraction(1, 2), 200)
-    assert abs(float(sum(weights)) - (1 - 0.5) ** -3.0) < 1e-12
+    (acc, chain), _ = verify_mod._lattice_sum([1] * 200, 1, verify_mod._CONSTANT_KERNEL,
+                                              Fraction(3), Fraction(1, 2))
+    assert abs(acc / chain - (1 - 0.5) ** -3.0) < 1e-12
 
 
 def test_confluent_sum_matches_closed_form():
@@ -689,11 +690,12 @@ def poch(a, k):
 
 
 def kernel_weight_values(kernel, beta, d, count):
-    """kernel(x) (beta)_x d^x / x! as Fractions, from the engine's integer rows."""
-    values, chain = [], 1
-    for u, step in verify_mod._kernel_weight_rows(kernel, beta, d, count):
-        chain *= step
-        values.append(Fraction(u, chain))
+    """kernel(x) (beta)_x d^x / x! as Fractions, x = 0..count-1, each the last
+    term of the engine's sum of the unit polynomial up to x."""
+    values = []
+    for x in range(count):
+        _, tail = verify_mod._lattice_sum([1] * (x + 1), 1, kernel, beta, d)
+        values.append(Fraction(*tail[-1]))
     return values
 
 
@@ -861,17 +863,19 @@ def test_krawtchouk_gauss_inners_equal_the_series_they_expand(data, identity):
     assert got == _inner_oracle(tops, Fraction(n - big), Fraction(n - cap), q / p, order)
 
 
+LATTICE_DRAWS = {
+    "alpha": small_rationals(0, 6), "beta": small_rationals(0, 6),
+    "gamma": small_rationals(-3, 3), "c": small_rationals(0, 1),
+    "d": small_rationals(0, 1), "t": small_rationals(-1, 1), "m": st.integers(0, 6),
+}
+
+
 @settings(max_examples=20)
 @given(data=st.data())
 @pytest.mark.parametrize("identity", sorted(DIRECT_SUMMANDS))
 def test_lattice_sum_property(identity, data):
     engine, names = verify_mod.ORTHOGONALITY_IDS[identity]
-    draw = {
-        "alpha": small_rationals(0, 6), "beta": small_rationals(0, 6),
-        "gamma": small_rationals(-3, 3), "c": small_rationals(0, 1),
-        "d": small_rationals(0, 1), "t": small_rationals(-1, 1), "m": st.integers(0, 6),
-    }
-    params = {k: data.draw(draw[k], label=k) for k in names if k != "n"}
+    params = {k: data.draw(LATTICE_DRAWS[k], label=k) for k in names if k != "n"}
     assume(engine.domain(**params))
     n = data.draw(st.integers(0, 6), label="n")
     x_max = data.draw(st.integers(0, 24), label="x_max")
@@ -911,6 +915,111 @@ def test_diagonal_orthogonality_builds_the_row_once(monkeypatch):
             field=numeric(1e-9, 1e-9)))
         assert report.status == "pass"
         assert sorted(degrees) == built
+
+
+def horner_meixner_row(n, beta, d, count):
+    """The Meixner row by an integer Horner pass over (-x)_k at each x."""
+    from hyperconnect.series import hypergeometric_terms
+
+    coeffs, den = hypergeometric_terms((-n,), (beta,), 1 - 1 / d, n)
+    row = []
+    for x in range(count):
+        total = 0
+        for k in range(n, -1, -1):
+            total = coeffs[k] + (k - x) * total
+        row.append(total)
+    return row, den
+
+
+def stepwise_partial_sum(engine, n, x_max, **params):
+    """``LatticeSum.partial_sum`` as three stages: Horner rows, a generator of
+    the (u_x, step_x) of the kernel times the weight, and a Horner sum over
+    it that keeps a term for each x."""
+    from hyperconnect.fields import integer_linear
+
+    count = x_max + 1
+    beta, d = engine.poly(**params)
+    poly, den = [1] * count, 1
+    for k in engine.degrees(n, **params):
+        row, row_den = horner_meixner_row(k, beta, d, count)
+        poly, den = [a * b for a, b in zip(poly, row)], den * row_den
+
+    def kernel_weight_rows():
+        (p0, p1), (q0, q1), (s0, s1) = integer_linear(*engine.kernel(**params))
+        (a0, a1), (b0, b1) = integer_linear((beta * d, d), (1, 1))
+        u_prev, u, ap_prev, step = 0, 1, 0, 1
+        for x in range(count):
+            yield u, step
+            a, p = a0 + a1 * x, p0 + p1 * x
+            u_prev, u = u, a * ((q0 + q1 * x) * u - (s0 + s1 * x) * ap_prev * u_prev)
+            ap_prev, step = a * p, (b0 + b1 * x) * p
+
+    acc, chain, terms = 0, den, []
+    for value, (u, step) in zip(poly, kernel_weight_rows()):
+        chain *= step
+        term = value * u
+        acc = acc * step + term
+        terms.append((term, chain))
+    return (acc, chain), terms[-4:]
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 12))
+def test_meixner_row_by_running_sums_equals_the_horner_row(data, n):
+    count = data.draw(st.sampled_from(sorted({1, 2, max(n, 1), n + 1, 301})), "count")
+    beta = data.draw(small_rationals(-4, 6), "beta")
+    assume(not (beta.denominator == 1 and beta <= 0))  # (beta)_k vanishes: no row
+    d = data.draw(small_rationals(0, 2), "d")
+    assert verify_mod._meixner_row(n, beta, d, count) == horner_meixner_row(n, beta, d, count)
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+@pytest.mark.parametrize("identity", sorted(DIRECT_SUMMANDS))
+def test_partial_sum_forms_the_integers_of_the_stepwise_sum(identity, data):
+    engine, names = verify_mod.ORTHOGONALITY_IDS[identity]
+    params = {k: data.draw(LATTICE_DRAWS[k], label=k) for k in names if k != "n"}
+    assume(engine.domain(**params))
+    n = data.draw(st.integers(0, 7), label="n")
+    x_max = data.draw(st.one_of(st.integers(0, 8), st.just(300)), label="x_max")
+    assert engine.partial_sum(n, x_max, **params) == stepwise_partial_sum(
+        engine, n, x_max, **params)
+
+
+def test_a_lattice_sum_past_the_budget_is_refused_before_any_row(monkeypatch, capsys):
+    from hyperconnect.cli import main
+
+    def unbuilt(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(verify_mod, "_meixner_row", unbuilt)
+    params = {"alpha": Fraction(2), "c": Fraction(1, 2), "n": 1, "m": 1}
+    big = 10**19
+    refused = [
+        ({}, big, f"x_max = {big} is outside the budget 0 <= x_max <= 10000"),
+        ({}, verify_mod.LATTICE_X_MAX + 1, "x_max = 10001 is outside the budget"),
+        ({}, -1, "x_max = -1 is outside the budget"),
+        ({"n": big}, 300, f"n = {big} is past the budget n <= 100"),
+        ({"m": Fraction(101)}, 300, "m = 101 is past the budget m <= 100"),
+        ({"m": 100.5}, 300, "m = 100.5 is past the budget"),
+    ]
+    cases = [IdentityCase("meixner_orthogonality", {**params, **change}, field=numeric(),
+                          x_max=x_max) for change, x_max, _ in refused]
+    for report, (_, _, text) in zip(batch_verify(cases), refused):
+        assert report.status == "error"
+        assert report.detail.startswith("DomainError: meixner_orthogonality: " + text)
+    at_budget = IdentityCase("meixner_sum_1f1_same_c", {
+        "alpha": Fraction(2), "beta": Fraction(3), "c": Fraction(1, 2), "t": Fraction(1, 4),
+        "n": verify_mod.LATTICE_DEGREE}, field=numeric(), x_max=verify_mod.LATTICE_X_MAX)
+    assert verify_mod.check_lattice_size(at_budget) is None
+    flags = ["verify", "--identity", "meixner_orthogonality", "--alpha", "2", "--c", "1/2",
+             "--backend", "numeric"]
+    for extra, text in ((["--n", "1", "--m", "1", "--x-max", str(big)], "x_max = "),
+                        (["--n", "101", "--m", "1"], "n = 101 is past the budget"),
+                        (["--n", "1", "--m", "1000000"], "m = 1000000 is past")):
+        assert main(flags + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and text in err
 
 
 def test_exact_zero_repro_exits_inconclusive(capsys):
