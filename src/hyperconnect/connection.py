@@ -59,17 +59,19 @@
   from/to ratio does not involve the argument x, checked on probe points
   within the field's tolerance; the coefficients are x-independent by
   construction.  Each normalization c_n is evaluated once per degree and
-  side.
+  side; an exact row is the ratio row times the target normalizations
+  over one denominator, over c_n(source): no Fraction per entry.
 
 * connect_linear_solve: the independent oracle.  Sample both families on
-  n_max+1 distinct abscissae (one ``families.family_rows`` call per side,
-  one per theta for an x = cos theta family), take divided differences
-  (which grade by degree, making the system triangular), and
-  back-substitute.  On the exact field the solve is fraction-free: each
-  Newton table runs on integers (each level over the lcm of its abscissa
-  gaps), the level factors the source and target tables share cancel, and
-  back substitution keeps its unknowns over the product of the pivots,
-  which is every row's denominator.
+  n_max+1 distinct abscissae, take divided differences (which grade by
+  degree, making the system triangular), and back-substitute.  Doubles
+  sample one ``families.family_rows`` call per side (one per theta for an
+  x = cos theta family).  The exact solve is fraction-free: it reads one
+  ``families.family_row_forms`` call per side as integers, each degree's
+  samples over their least common denominator (``_exact_samples``), runs
+  each Newton table on integers at one gap schedule, degree k's to level
+  k, and keeps the unknowns over the product of the pivots, which is
+  every row's denominator.
 
 Both generic methods run on the field ``FamilyDescriptor.field_for`` picks,
 as ``families.gf_expand`` does.
@@ -100,6 +102,7 @@ from .families import (
     FamilyDescriptor,
     check_names,
     family_row,
+    family_row_forms,
     family_rows,
     get_family,
     krawtchouk_sizes,
@@ -642,15 +645,23 @@ def power_collect(family_id, from_params, to_params, n_max: int) -> ConnectionEx
         for factor in hit:
             ratio = ratio * _factor_ratio_series(factor, env_from, env_to, q, n_max, field)
 
-    r = ratio.coefficients
-    target_norms = []
-    rows = []
+    source_norms, target_norms = [], []
     for n in range(n_max + 1):
         c_n = field.of(normalization_at(descriptor, n, None, from_params, field))
         if c_n == 0:
             raise DomainError(f"source normalization vanishes at n = {n}")
+        source_norms.append(c_n)
         target_norms.append(field.of(normalization_at(descriptor, n, None, to_params, field)))
-        rows.append(field.common([r[n - k] * target_norms[k] / c_n for k in range(n + 1)]))
+    r, r_den = ratio.row
+    if field.is_exact:  # row n: [r_{n-k} t_k v] over r_den t_den u for c_n = u / v
+        t, t_den = field.common(target_norms)
+        rows = []
+        for n, c_n in enumerate(source_norms):
+            u, v = _positive_over(c_n)
+            rows.append(([r[n - k] * t[k] * v for k in range(n + 1)], r_den * t_den * u))
+    else:
+        rows = [([r[n - k] * target_norms[k] / c_n for k in range(n + 1)], 1)
+                for n, c_n in enumerate(source_norms)]
     return ConnectionExpansion(n_max, from_params, to_params, rows, field=field,
                                method="power-collection")
 
@@ -725,36 +736,69 @@ def _back_substitution(source_dd, target_dd, field: FieldTag):
     return rows
 
 
-def _integer_newton(values, points):
-    """The Newton table of exact ``values`` over integer ``points`` as
-    (tops, den, lcms): level j's output is tops[j] / (den L_1 ... L_j),
-    L_j = lcms[j - 1] the lcm of the level-j gaps g_i = X_{i+j} - X_i.
-    With level j - 1 as N_i / D, level j is (N_{i+1} - N_i) (L_j / g_i) /
-    (D L_j), so every level stays on integers."""
-    level, den = EXACT.common(values)
-    tops, lcms = [level[0]], []
-    for j in range(1, len(level)):
-        gaps = [points[i + j] - points[i] for i in range(len(level) - 1)]
+def _positive_over(c):
+    """(u, v) with u > 0 and c = u / v, for a nonzero Fraction c."""
+    return (c.numerator, c.denominator) if c > 0 else (-c.numerator, -c.denominator)
+
+
+def _exact_samples(forms):
+    """Per degree n, (ints, den) with P_n(x_i) = ints[i] / den, the
+    ``EXACT.common`` form of the values, from the ``family_row_forms`` of
+    the x_i: with row i's entry n scaled to m_i over the lcm L of the rows' dens
+    and c_n = u / v, P_n(x_i) = v m_i / (L u), whose least common
+    denominator is L u / gcd(L u, v gcd(m_i))."""
+    common = math.lcm(*[den for _, _, den, _ in forms])
+    scales = [common // den for _, _, den, _ in forms]
+    norms = forms[0][3]
+    out = []
+    for n in range(len(forms[0][1])):
+        ints = [row[n] * s for (_, row, _, _), s in zip(forms, scales)]
+        u, v = (1, 1) if norms is None else _positive_over(norms[n])
+        den = common * u
+        g = math.gcd(den, v * math.gcd(*ints))
+        out.append(([m * v // g for m in ints], den // g))
+    return out
+
+
+def _gap_schedule(points):
+    """Per level j >= 1 of a Newton table over integer ``points``, the
+    multipliers L_j / g_i, L_j the lcm of the level's gaps g_i = X_{i+j} -
+    X_i."""
+    schedule = []
+    for j in range(1, len(points)):
+        gaps = [b - a for a, b in zip(points, points[j:])]
         if 0 in gaps:
             raise SingularSampleError("duplicate sample abscissae; choose distinct points")
         common = math.lcm(*gaps)
-        level = [(b - a) * (common // g) for a, b, g in zip(level, level[1:], gaps)]
+        schedule.append([common // g for g in gaps])
+    return schedule
+
+
+def _integer_newton(level, schedule):
+    """The Newton table of the integers ``level`` (values over one
+    denominator) at the levels of ``schedule``: level j's output is tops[j]
+    / (L_1 ... L_j) over that denominator.  With level j - 1 as N_i / D,
+    level j is (N_{i+1} - N_i) (L_j / g_i) / (D L_j), so every level stays on
+    integers."""
+    tops = [level[0]]
+    for scales in schedule:
+        level = [(b - a) * s for a, b, s in zip(level, level[1:], scales)]
         tops.append(level[0])
-        lcms.append(common)
-    return tops, den, lcms
+    return tops
 
 
 def _fraction_free_solve(source, target):
-    """``_back_substitution`` on the integer Newton tables (tops, den, _)
-    of ``_integer_newton`` over one set of points.  Level j of every table
-    carries the same factor 1 / (L_1 ... L_j) (E^j at abscissae X_i / E),
-    which cancels, so with y_k = c_{k,n} E_n / D_k (E_n, D_k the tables'
-    dens) the system is s_n[j] = sum_k y_k t_k[j] on integers.  Each y_k
-    is kept over the product P of the pivots t_j[j] used so far: a new
-    pivot scales the known y_k and P.  Row n is [y_k D_k] over P E_n."""
-    t = [tops for tops, _, _ in target]
+    """``_back_substitution`` on the integer Newton tables (tops, den) of
+    ``_integer_newton`` over one set of points, table k to level k.  Level
+    j of every table carries the same factor 1 / (L_1 ... L_j) (E^j at
+    abscissae X_i / E), which cancels, so with y_k = c_{k,n} E_n / D_k (E_n,
+    D_k the tables' dens) the system is s_n[j] = sum_k y_k t_k[j] on
+    integers.  Each y_k is kept over the product P of the pivots t_j[j] used
+    so far: a new pivot scales the known y_k and P.  Row n is [y_k D_k] over
+    P E_n."""
+    t = [tops for tops, _ in target]
     rows = []
-    for n, (s, source_den, _) in enumerate(source):
+    for n, (s, source_den) in enumerate(source):
         ys, product = [0] * (n + 1), 1
         for j in range(n, -1, -1):
             pivot = t[j][j]
@@ -764,7 +808,7 @@ def _fraction_free_solve(source, target):
             ys[j + 1:] = [y * pivot for y in ys[j + 1:]]
             ys[j] = residue
             product *= pivot
-        rows.append(([y * den for y, (_, den, _) in zip(ys, target)], product * source_den))
+        rows.append(([y * den for y, (_, den) in zip(ys, target)], product * source_den))
     return rows
 
 
@@ -780,12 +824,21 @@ def connect_linear_solve(family_id, from_params, to_params, n_max: int,
     points = default_abscissae(descriptor, n_max, field) if abscissae is None else list(abscissae)
     if len(points) != n_max + 1:
         raise DomainError(f"need exactly {n_max + 1} sample abscissae")
-    xs, source_vals = _sample(descriptor, from_params, n_max, points)
-    _, target_vals = _sample(descriptor, to_params, n_max, points)
-    xs, _ = field.common([field.of(v) for v in xs])
-    newton, solve = ((_integer_newton, _fraction_free_solve) if field.is_exact else
-                     (_divided_differences, partial(_back_substitution, field=field)))
-    source_dd, target_dd = ([newton([field.of(v) for v in row], xs) for row in vals]
-                            for vals in (source_vals, target_vals))
-    return ConnectionExpansion(n_max, from_params, to_params, solve(source_dd, target_dd),
-                               field=field, method="linear-solve")
+    if field.is_exact and descriptor.is_expandable:  # else family_eval refuses the family
+        forms = [family_row_forms(descriptor, n_max, points, side)
+                 for side in (from_params, to_params)]
+        xs, _ = field.common([field.of(v) for v in points])
+        schedule = _gap_schedule(xs)
+        source_dd, target_dd = ([(_integer_newton(ints, schedule[:n]), den)
+                                 for n, (ints, den) in enumerate(_exact_samples(side))]
+                                for side in forms)
+        rows = _fraction_free_solve(source_dd, target_dd)
+    else:
+        xs, source_vals = _sample(descriptor, from_params, n_max, points)
+        _, target_vals = _sample(descriptor, to_params, n_max, points)
+        xs, _ = field.common([field.of(v) for v in xs])
+        source_dd, target_dd = ([_divided_differences([field.of(v) for v in row], xs)
+                                 for row in vals] for vals in (source_vals, target_vals))
+        rows = _back_substitution(source_dd, target_dd, field)
+    return ConnectionExpansion(n_max, from_params, to_params, rows, field=field,
+                               method="linear-solve")

@@ -21,11 +21,11 @@ Evaluation routes:
 Meixner and Krawtchouk values come from one kernel on both fields: the row
 2F1(-k, -x; b; w), k = 0..n, of ``series.gauss_degree_row``, Gauss's
 contiguous relation in the degree, exact on rationals and the exact sum at
-the double arguments, rounded once, on doubles.  family_rows gives
-P_0..P_n_max at each of several arguments of one binding (family_row at
-one): one such row per argument for these two, and for the
-generating-function families one expansion to n_max per argument, over
-normalizations c_0..c_n_max evaluated once, as no c_n reads x.
+the double arguments, rounded once, on doubles.  family_row_forms gives
+P_0..P_n_max at several arguments of one binding as rows: one such row per
+argument for these two, and for the generating-function families one
+``gf_expand`` row per argument over c_0..c_n_max, evaluated once, as no c_n
+reads x; family_rows (family_row at one argument) gives their values.
 ``gauss_row_form`` hands out the Meixner and Krawtchouk row itself,
 integers over one denominator when exact: the verifier builds its GF
 products from it and compares it, cross-multiplied, in an exact verdict,
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
@@ -55,6 +56,7 @@ from .fields import (
 from .hyper import linear_arg, pfq, hyper_series_in_t
 from .series import (
     TruncatedSeries,
+    _cauchy_product,
     binomial_power,
     exp_series,
     gauss_degree_row,
@@ -283,7 +285,9 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
 
     A family of size N is expanded to its ``degree_cap`` (the Krawtchouk
     generating function equals its own degree-N truncation), so coefficients
-    past degree N come back as exact zeros.
+    past degree N come back as exact zeros.  The factors' rows are multiplied
+    and make one series: one reduction when exact, one check on doubles,
+    whose values are the factor series' multiplied with ``*``.
     """
     descriptor = get_family(family_id)
     if not descriptor.is_expandable:
@@ -298,11 +302,12 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
     env = _environment(descriptor, x, params, field)
     q = env.get("q")
     top = degree_cap(order, params)
-    first, *rest = descriptor.factors
-    result = _expand_factor(first, env, q, top, field)
-    for factor in rest:
-        result = result * _expand_factor(factor, env, q, top, field)
-    return result.padded_to(order)
+    (nums, den), *rest = [_expand_factor(factor, env, q, top, field).row
+                          for factor in descriptor.factors]
+    for right, right_den in rest:
+        nums, den = _cauchy_product(nums, right), den * right_den
+    zero = 0 if field.is_exact else field.zero()
+    return TruncatedSeries._result(field, [*nums, *[zero] * (order - top)], den)
 
 
 def normalization_at(descriptor: FamilyDescriptor, n: int, x, params, field: FieldTag):
@@ -325,8 +330,7 @@ def poly_from_gf(family_id, n: int, x, params):
     """P_n as the t^n generating-function coefficient over the normalization."""
     descriptor = get_family(family_id)
     series = gf_expand(descriptor, x, params, n)
-    return series.coefficient(n) / _normalization(descriptor, n, descriptor.bind(params),
-                                                  series.field)
+    return series.coefficient(n) / _normalization(descriptor, n, params, series.field)
 
 
 def family_eval(family_id, n, x, params):
@@ -373,35 +377,50 @@ def _gauss_row(descriptor, n_max: int, x, params) -> list:
     return field.over(nums, den)
 
 
-def family_rows(family_id, n_max: int, xs, params) -> list:
-    """[P_0, ..., P_n_max] at each x of ``xs`` (None for an x = cos theta
-    family, whose theta is a binding), each equal to family_eval's value.
-
-    Meixner and Krawtchouk rows are one ``gauss_degree_row`` each, the
-    kernel family_eval reads too.  A family evaluated from its generating
-    function expands it once to n_max per x: the t^n coefficient of a
-    product does not depend on the order the factors are truncated at, so
-    every degree reads the same bits.  The normalizations c_0..c_n_max read
-    no x, so they are evaluated once per field the rows run in, not once
-    per x."""
+def family_row_forms(family_id, n_max: int, xs, params) -> list:
+    """Per x of ``xs`` (None for an x = cos theta family), (field, nums, den,
+    norms) with P_n(x) = nums[n] / (den norms[n]), n <= n_max: a Meixner or
+    Krawtchouk ``gauss_row_form``, norms None, which family_eval reads too,
+    or the ``gf_expand`` row to n_max (the t^n coefficient of a product does
+    not depend on the order the factors are truncated at, so every degree
+    reads the same bits) over c_0..c_n_max, evaluated once per field."""
     descriptor = get_family(family_id)
-    if not descriptor.is_expandable or n_max < 0:
-        return [[family_eval(descriptor, n, x, params) for n in range(n_max + 1)]
-                for x in xs]
     if descriptor.id in ("meixner", "krawtchouk"):
-        return [_gauss_row(descriptor, n_max, x, params) for x in xs]
+        return [(*gauss_row_form(descriptor, n_max, x, params), None) for x in xs]
     if not descriptor.uses_theta and any(x is None for x in xs):
         raise DomainError(f"{descriptor.id} needs the argument x")
     params = descriptor.bind(params)
     norms = {}
-    rows = []
+    forms = []
     for x in xs:
         series = gf_expand(descriptor, x, params, n_max)
         if series.field not in norms:
             norms[series.field] = [_normalization(descriptor, n, params, series.field)
                                    for n in range(n_max + 1)]
-        rows.append([c / c_n for c, c_n in zip(series.coefficients, norms[series.field])])
-    return rows
+        forms.append((series.field, *series.row, norms[series.field]))
+    return forms
+
+
+def _over_norms(field, nums, den, norms) -> list:
+    """The values nums[n] / (den norms[n]), or ``field.over(nums, den)`` when
+    norms is None: a ``Fraction`` each when exact, the plain quotients on
+    doubles."""
+    if norms is None:
+        return field.over(nums, den)
+    if field.is_exact:
+        return [Fraction(v * c.denominator, den * c.numerator) for v, c in zip(nums, norms)]
+    return [v / c for v, c in zip(nums, norms)]
+
+
+def family_rows(family_id, n_max: int, xs, params) -> list:
+    """[P_0, ..., P_n_max] at each x of ``xs`` (None for an x = cos theta
+    family, whose theta is a binding), each equal to family_eval's value:
+    the values of ``family_row_forms``."""
+    descriptor = get_family(family_id)
+    if not descriptor.is_expandable or n_max < 0:
+        return [[family_eval(descriptor, n, x, params) for n in range(n_max + 1)]
+                for x in xs]
+    return [_over_norms(*form) for form in family_row_forms(descriptor, n_max, xs, params)]
 
 
 def family_row(family_id, n_max: int, x, params) -> list:

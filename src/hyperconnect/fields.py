@@ -23,6 +23,7 @@ that form, so its ``Fraction``s are formed by ``over`` when first read.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,11 +208,11 @@ def as_numeric(value) -> complex:
         raise FieldError("bool is not a scalar")
     else:
         try:  # an exact value past the double range is as infinite as its double
-            v = complex(value.numerator / value.denominator if isinstance(value, Fraction)
+            v = complex(value.numerator / value.denominator if is_exact_value(value)
                         else value)
         except OverflowError:
             v = complex(math.inf if value > 0 else -math.inf)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+    if not cmath.isfinite(v):
         raise DomainError(f"numeric scalar must be finite, got {value!r}")
     return v
 

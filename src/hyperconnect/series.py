@@ -11,7 +11,9 @@ An exact series is stored as its row: integer numerators over one positive
 denominator, reduced once by a single ``math.gcd(den, *nums)`` when the row
 is stored.  The canonical ``Fraction``s are formed the first time
 ``coefficients`` is read, and kept.  A double series stores its values over
-1, so every double keeps its bits.
+1, so every double keeps its bits.  Each double is checked once by
+``as_numeric`` (a complex by its type and ``cmath.isfinite``): in its
+stream, or where ``_result`` stores a product.
 
 ``hypergeometric_terms`` builds every row prod (a_i)_k / prod (b_j)_k
 lam^k / k! in the package, ``binomial_power`` (1F0) and ``exp_series``
@@ -92,15 +94,15 @@ class TruncatedSeries:
         object.__setattr__(self, "_values", values)
 
     @classmethod
-    def _result(cls, field: FieldTag, nums, den=1) -> "TruncatedSeries":
+    def _result(cls, field: FieldTag, nums, den=1, checked=False) -> "TruncatedSeries":
         """The series of the row nums[i] / den (den 1 on doubles).  An exact
-        row is stored reduced; doubles are checked, so an overflow to inf
-        raises DomainError."""
+        row is stored reduced; doubles are checked by ``as_numeric`` unless
+        ``checked`` says they were, so an overflow to inf raises DomainError."""
         series = object.__new__(cls)
         if field.is_exact:
             series._fill(field, *_reduced(nums, den), None)
         else:
-            values = tuple([as_numeric(v) for v in nums])
+            values = tuple(nums) if checked else tuple([as_numeric(v) for v in nums])
             series._fill(field, values, 1, values)
         return series
 
@@ -244,7 +246,8 @@ class CoefficientStream:
     ratio: Callable[[int], object]
 
     def coefficients(self, order: int, field: FieldTag):
-        out = [field.of(self.first)]
+        of = field.of if field.is_exact else as_numeric
+        out = [of(self.first)]
         for k in range(order):
             current = out[-1]
             if current == 0:
@@ -254,12 +257,13 @@ class CoefficientStream:
                 step = self.ratio(k)
             except ZeroDivisionError:
                 raise PoleError(f"term ratio has a pole at index {k}") from None
-            out.append(field.of(current * step))
+            out.append(of(current * step))
         return out
 
     def series(self, order: int, field: FieldTag) -> TruncatedSeries:
-        """The series of ``coefficients``, which ``field.of`` has checked."""
-        return TruncatedSeries._result(field, *field.common(self.coefficients(order, field)))
+        """The series of ``coefficients``, whose doubles are checked there."""
+        return TruncatedSeries._result(field, *field.common(self.coefficients(order, field)),
+                                       checked=True)
 
 def geometric_stream() -> CoefficientStream:
     return CoefficientStream(Fraction(1), lambda k: Fraction(1))
@@ -418,13 +422,14 @@ def gauss_degree_row(a, b, w, order: int, field: FieldTag = EXACT) -> tuple:
 def binomial_power(kappa, a, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """(1 - kappa t)^(-a) = 1F0(a;; kappa t): coefficient (a)_n kappa^n / n!."""
     kappa, a = field.of(kappa), field.of(a)
-    return TruncatedSeries._result(field, *hypergeometric_terms([a], [], kappa, order, field))
+    return TruncatedSeries._result(field, *hypergeometric_terms([a], [], kappa, order, field),
+                                   checked=True)
 
 
 def exp_series(kappa, order: int, field: FieldTag = EXACT) -> TruncatedSeries:
     """exp(kappa t) = 0F0(;; kappa t): coefficient kappa^n / n!."""
     return TruncatedSeries._result(
-        field, *hypergeometric_terms([], [], field.of(kappa), order, field))
+        field, *hypergeometric_terms([], [], field.of(kappa), order, field), checked=True)
 
 
 def linear_combination(terms, order: int, field: FieldTag) -> TruncatedSeries:

@@ -1010,10 +1010,13 @@ EXACT_POINTS = st.one_of(st.integers(-30, 30), small_rationals(-6, 6, max_den=12
 
 
 def integer_newton_levels(values, abscissae):
-    """The Newton coefficients from ``_integer_newton``'s (tops, den, lcms)
-    over the abscissae put over one denominator, one Fraction per level."""
+    """The Newton coefficients from ``_integer_newton`` on the values over
+    one denominator, at the ``_gap_schedule`` of the abscissae over one
+    denominator, one Fraction per level."""
     points, scale = EXACT.common(abscissae)
-    tops, den, lcms = connection_mod._integer_newton(values, points)
+    level, den = EXACT.common(values)
+    tops = connection_mod._integer_newton(level, connection_mod._gap_schedule(points))
+    lcms = [math.lcm(*[b - a for a, b in zip(points, points[j:])]) for j in range(1, len(points))]
     return [Fraction(top * scale**j, den * math.prod(lcms[:j])) for j, top in enumerate(tops)]
 
 
@@ -1073,7 +1076,7 @@ def test_fraction_free_solve_equals_the_fraction_back_substitution(data, size):
         drawn = data.draw(st.lists(st.tuples(st.lists(entries, min_size=size, max_size=size),
                                              st.integers(1, 12)),
                                    min_size=size, max_size=size), label)
-        return ([(tops, den, None) for tops, den in drawn],
+        return (drawn,
                 [[Fraction(t) * g / den for t, g in zip(tops, factors)] for tops, den in drawn])
 
     (source, source_dd), (target, target_dd) = tables("source"), tables("target")
