@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import os
@@ -107,6 +108,21 @@ def _emit(document: str, path):
             fh.write(document)
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Exact values written in full: the interpreter's limit on the digits of
+    an integer's text, which still guards every value read, is lifted while
+    a document is formed and written."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # 0: no limit, as before CPython 3.10.7 or when switched off
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _field_for(backend: str):
     return EXACT if backend == "exact" else numeric()
 
@@ -126,13 +142,15 @@ def _cmd_eval(args) -> int:
     n = params.pop("n", None)
     if n is None:
         raise DomainError("eval needs --n (the degree)")
+    verify.check_size("eval", "n", n)
     x = params.pop("x", None)
     value = families.family_eval(args.family, n, x, params)
     field = numeric() if args.backend == "numeric" else _agreed_field(args, field_of(value))
-    if args.output == "json":
-        _emit(json.dumps({"value": field.serialize(value)}, indent=2), args.output_path)
-    else:
-        _emit(field.text(value), args.output_path)
+    with _all_digits():
+        if args.output == "json":
+            _emit(json.dumps({"value": field.serialize(value)}, indent=2), args.output_path)
+        else:
+            _emit(field.text(value), args.output_path)
     return 0
 
 
@@ -143,14 +161,15 @@ def _cmd_expand(args) -> int:
     field = numeric() if args.backend == "numeric" else None
     series = families.gf_expand(args.family, x, params, args.order, field)
     _agreed_field(args, series.field)
-    if args.output == "json":
-        _emit(json.dumps(series.as_json(), indent=2), args.output_path)
-    elif args.output == "csv":
-        rows = [f"{j},{series.field.text(c)}"
-                for j, c in enumerate(series.coefficients)]
-        _emit("\n".join(["order," + str(series.order)] + rows), args.output_path)
-    else:
-        _emit(repr(series), args.output_path)
+    with _all_digits():
+        if args.output == "json":
+            _emit(json.dumps(series.as_json(), indent=2), args.output_path)
+        elif args.output == "csv":
+            rows = [f"{j},{series.field.text(c)}"
+                    for j, c in enumerate(series.coefficients)]
+            _emit("\n".join(["order," + str(series.order)] + rows), args.output_path)
+        else:
+            _emit(repr(series), args.output_path)
     return 0
 
 
@@ -203,20 +222,17 @@ def _cmd_connect(args) -> int:
     else:
         table = getattr(conn, _METHODS[method])(family, source, target, args.n_max)
         _agreed_field(args, table.field)
-    if args.output == "json":
-        _emit(json.dumps(table.as_json(), indent=2), args.output_path)
-    elif args.output == "csv":
-        _emit(table.to_csv(), args.output_path)
-    else:
-        if table.x_dependent:
+    with _all_digits():
+        if args.output == "json":
+            _emit(json.dumps(table.as_json(), indent=2), args.output_path)
+        elif args.output == "csv":
+            _emit(table.to_csv(), args.output_path)
+        elif table.x_dependent:
             _emit(f"connection-type table ({table.relation}); coefficients take x",
                   args.output_path)
         else:
-            lines = [
-                " ".join(table.field.text(c) for c in row)
-                for row in table.matrix()
-            ]
-            _emit("\n".join(lines), args.output_path)
+            _emit("\n".join(" ".join(table.field.text(c) for c in row)
+                            for row in table.matrix()), args.output_path)
     return 0
 
 

@@ -44,8 +44,10 @@
   kernel row K_0..K_n_max once per x; row n at x is the prefactor row
   times K_n..K_0, entry by entry.  As (x)_j / (-x-j+1)_m = (-1)^m
   (x)_{j-m}, the type_c_to_d kernel is K_j d^j / j! = [t^j] (1 - t d/c)^x
-  (1 - t)^-x, one Cauchy product of two rows.  The F1 kernels at one x
-  share the factor product sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!.
+  (1 - t)^-x, one Cauchy product of two rows.  The F1 kernel K_j is
+  sum_M (-j)_M/(beta-alpha-j+1)_M P_M, M <= j, with P the row of sum (-x)_m
+  (t/c)^m/m! * sum (x)_m (t/d)^m/m!, one Cauchy product per x: one dot
+  product of its joint row, built once per table and field, with P.
   An entry that cannot be formed (a prefactor at a 0/0 point, a kernel at
   a pole) holds its error and raises it where it is read.
 
@@ -95,9 +97,8 @@ from .errors import (
     SingularSampleError,
     UnknownIdentityError,
 )
-from .fields import (EXACT, NUMERIC, FieldTag, as_index, field_of, is_exact_value,
+from .fields import (EXACT, NUMERIC, FieldTag, as_index, as_numeric, field_of, is_exact_value,
                      is_nonpositive_integer)
-from .hyper import APPELL_F1, MultiVarSpec, factor_product, linear_arg, multivar_eval
 from .families import (
     FamilyDescriptor,
     check_names,
@@ -110,6 +111,7 @@ from .families import (
 )
 from .series import (
     TruncatedSeries,
+    _cauchy_product,
     binomial_power,
     hypergeometric_terms,
     q_binomial_series,
@@ -340,12 +342,12 @@ def _terminating_gauss_rows(row):
 
 
 # A connection-type relation declares prefactors(params, top), which gives
-# (field, rows) as the x-free engines do, and kernels(params, x, top), which
-# gives (field, (nums, den)) of K_0..K_top at x, a failing K_j holding its
-# error.
+# (field, rows) as the x-free engines do, and kernels(params, x, top, memo),
+# which gives (field, (nums, den)) of K_0..K_top at x, a failing K_j holding
+# its error; memo is a dict the table keeps for the x-free parts.
 
 
-def _c_to_d_kernels(p, x, top):
+def _c_to_d_kernels(p, x, top, memo):
     """K_j = (x)_j d^-j 2F1(-j, -x; -x-j+1; d/c) = j!/d^j [t^j] (1 - t d/c)^x
     (1 - t)^-x.  At a negative integer x the displayed 2F1 meets the pole of
     (-x-j+1)_m at m = x+j-1 before -j ends it, for every j > -x: K_j holds
@@ -377,29 +379,42 @@ def _alpha_c_prefactors(p, top):
     return field, rows
 
 
-def _alpha_c_f1(p, j, x):
-    """F1(-j, -x, x; beta-alpha-j+1) and its arguments (1/c, 1/d)."""
-    alpha, beta, c, d = p["alpha"], p["beta"], p["c"], p["d"]
-    return MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1)), (1 / c, 1 / d)
+def _f1_row(p, x, top, field):
+    """The row P_M, M <= top, of the product sum (-x)_m (t/c)^m/m! * sum (x)_m
+    (t/d)^m/m!: one Cauchy product of two ``hypergeometric_terms`` rows, with
+    the bits and the finiteness check of ``hyper.factor_product``."""
+    (a, a_den), (b, b_den) = (hypergeometric_terms((s,), (), field.of(1 / p[name]), top, field)
+                              for s, name in ((-x, "c"), (x, "d")))
+    row = _cauchy_product(a, b)
+    return (row if field.is_exact else [as_numeric(v) for v in row]), a_den * b_den
 
 
-def _alpha_c_product(p, x, top):
-    spec, args = _alpha_c_f1(p, 0, x)
-    return factor_product(spec, [linear_arg(a) for a in args], top,
-                          field_of(*spec.params, *args))
+def _f1_kernel(joint, row, p, x, j, field):
+    """sum_M J[M] P_M, M <= j, as (numerator, den), of the joint row J and
+    the ``_f1_row`` P, its own to j when ``row`` holds an error, summed as
+    ``hyper.multivar_eval`` sums its shells; a held joint row raises."""
+    if isinstance(joint, Exception):
+        raise joint
+    nums, den = _f1_row(p, x, j, field) if isinstance(row, Exception) else row
+    return sum(map(mul, joint[0], nums)), joint[1] * den
 
 
-def _alpha_c_kernels(p, x, top):
-    """F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d), each over the factor product
-    sum (-x)_m (t/c)^m/m! * sum (x)_m (t/d)^m/m!, which no j changes; a
-    product that cannot be formed leaves each kernel its own."""
+def _alpha_c_kernels(p, x, top, joints):
+    """K_j = F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d) = sum_M J_j[M] P_M, j <=
+    top, over one denominator: J_j = (-j)_M/(beta-alpha-j+1)_M, once per
+    field, and one ``_f1_row`` P to top.  A P that cannot be formed to top
+    leaves each K_j its own, and a pole in J_j is held in K_j."""
     field = field_of(x, *p.values())
-    product = _held(_alpha_c_product, p, x, top)
-    values = [_held(multivar_eval, *_alpha_c_f1(p, j, x),
-                    product=None if isinstance(product, Exception) else product)
-              for j in range(top + 1)]
-    nums, den = field.common([0 if isinstance(v, Exception) else v for v in values])
-    return field, ([v if isinstance(v, Exception) else m for v, m in zip(values, nums)], den)
+    if field not in joints:
+        joints[field] = [_held(hypergeometric_terms, (Fraction(-j), 1),
+                               (p["beta"] - p["alpha"] - j + 1,), 1, j, field)
+                         for j in range(top + 1)]
+    row = _held(_f1_row, p, x, top, field)
+    kernels = [_held(_f1_kernel, joint, row, p, x, j, field)
+               for j, joint in enumerate(joints[field])]
+    den = math.lcm(*[k[1] for k in kernels if not isinstance(k, Exception)])
+    return field, ([k if isinstance(k, Exception) else k[0] if k[1] == den
+                    else k[0] * (den // k[1]) for k in kernels], den)
 
 
 def _type_entries(prefactors, kernels, params, top):
@@ -408,9 +423,10 @@ def _type_entries(prefactors, kernels, params, top):
     exact and the other doubles, a row is the values of one times the values
     of the other over 1, as ``Fraction`` * ``complex`` is."""
     made, rows = prefactors(params, top)
+    memo = {}
 
     def rows_at(x):
-        field, (kernel, kernel_den) = kernels(params, x, top)
+        field, (kernel, kernel_den) = kernels(params, x, top, memo)
         if made.is_exact == field.is_exact:
             return field, [([_times(v, kernel[n - k]) for k, v in enumerate(nums)],
                             den * kernel_den) for n, (nums, den) in enumerate(rows)]

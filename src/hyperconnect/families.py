@@ -16,7 +16,8 @@ Evaluation routes:
 * meixner:    M_n(x; alpha, c) = 2F1(-n, -x; alpha; 1 - 1/c)
 * krawtchouk: K_n(x; p, N)     = 2F1(-n, -x; -N; 1/p), n <= N
 * charlier and the executable q-families: coefficient extraction from the
-  generating function divided by the normalization.
+  generating function divided by the normalization, the t^n coefficient
+  alone formed, bit for bit as ``gf_expand`` forms it.
 
 Meixner and Krawtchouk values come from one kernel on both fields: the row
 2F1(-k, -x; b; w), k = 0..n, of ``series.gauss_degree_row``, Gauss's
@@ -50,6 +51,7 @@ from .fields import (
     NUMERIC,
     FieldTag,
     as_index,
+    as_numeric,
     field_of,
     is_integer_valued,
 )
@@ -280,16 +282,10 @@ def _expand_factor(factor: Factor, env, q, order: int, field: FieldTag) -> Trunc
     raise UnsupportedExpansionError(f"factor kind {kind!r} has no executable expansion")
 
 
-def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -> TruncatedSeries:
-    """Expand the family's generating function to a series of the given order.
-
-    A family of size N is expanded to its ``degree_cap`` (the Krawtchouk
-    generating function equals its own degree-N truncation), so coefficients
-    past degree N come back as exact zeros.  The factors' rows are multiplied
-    and make one series: one reduction when exact, one check on doubles,
-    whose values are the factor series' multiplied with ``*``.
-    """
-    descriptor = get_family(family_id)
+def _factor_rows(descriptor: FamilyDescriptor, x, params, order: int, field) -> tuple:
+    """(field, env, top, rows): the ``_expand_factor`` row of each factor to
+    top = ``degree_cap``, on ``field`` or the one ``field_for`` picks, and the
+    environment they were evaluated in."""
     if not descriptor.is_expandable:
         raise UnsupportedExpansionError(
             f"family {descriptor.id} is metadata-only; its generating function"
@@ -302,8 +298,21 @@ def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -
     env = _environment(descriptor, x, params, field)
     q = env.get("q")
     top = degree_cap(order, params)
-    (nums, den), *rest = [_expand_factor(factor, env, q, top, field).row
-                          for factor in descriptor.factors]
+    return field, env, top, [_expand_factor(factor, env, q, top, field).row
+                             for factor in descriptor.factors]
+
+
+def gf_expand(family_id, x, params, order: int, field: FieldTag | None = None) -> TruncatedSeries:
+    """Expand the family's generating function to a series of the given order.
+
+    A family of size N is expanded to its ``degree_cap`` (the Krawtchouk
+    generating function equals its own degree-N truncation), so coefficients
+    past degree N come back as exact zeros.  The factors' rows are multiplied
+    and make one series: one reduction when exact, one check on doubles,
+    whose values are the factor series' multiplied with ``*``.
+    """
+    field, _, top, ((nums, den), *rest) = _factor_rows(get_family(family_id), x, params,
+                                                       order, field)
     for right, right_den in rest:
         nums, den = _cauchy_product(nums, right), den * right_den
     zero = 0 if field.is_exact else field.zero()
@@ -317,20 +326,32 @@ def normalization_at(descriptor: FamilyDescriptor, n: int, x, params, field: Fie
     return expressions.evaluate(descriptor.normalization, env, field)
 
 
-def _normalization(descriptor, n: int, params, field: FieldTag):
-    """c_n at x = None, as no catalog normalization reads x; DomainError
-    when it vanishes."""
-    c_n = normalization_at(descriptor, n, None, params, field)
+def _nonvanishing(descriptor, n: int, c_n):
+    """c_n, or DomainError when it vanishes."""
     if c_n == 0:
         raise DomainError(f"{descriptor.id}: normalization vanishes at n = {n}")
     return c_n
 
 
 def poly_from_gf(family_id, n: int, x, params):
-    """P_n as the t^n generating-function coefficient over the normalization."""
+    """P_n as the t^n generating-function coefficient over c_n, both in one
+    environment: the product of every factor row but the last, then one dot
+    product with the last, added in ``_cauchy_product``'s order."""
     descriptor = get_family(family_id)
-    series = gf_expand(descriptor, x, params, n)
-    return series.coefficient(n) / _normalization(descriptor, n, params, series.field)
+    field, env, top, ((nums, den), *rest) = _factor_rows(descriptor, x, params, n, None)
+    value = nums[n] if top == n else 0
+    if rest and top == n:
+        *middle, (last, last_den) = rest
+        for right, right_den in middle:
+            nums, den = _cauchy_product(nums, right), den * right_den
+        value, den = 0, den * last_den
+        for i, a in enumerate(nums):
+            if a and last[n - i]:
+                value += a * last[n - i]
+    value = Fraction(value, den) if field.is_exact else as_numeric(value)
+    env["n"] = field.of(n)
+    return value / _nonvanishing(descriptor, n,
+                                 expressions.evaluate(descriptor.normalization, env, field))
 
 
 def family_eval(family_id, n, x, params):
@@ -395,8 +416,10 @@ def family_row_forms(family_id, n_max: int, xs, params) -> list:
     for x in xs:
         series = gf_expand(descriptor, x, params, n_max)
         if series.field not in norms:
-            norms[series.field] = [_normalization(descriptor, n, params, series.field)
-                                   for n in range(n_max + 1)]
+            norms[series.field] = [
+                _nonvanishing(descriptor, n, normalization_at(descriptor, n, None, params,
+                                                              series.field))
+                for n in range(n_max + 1)]
         forms.append((series.field, *series.row, norms[series.field]))
     return forms
 

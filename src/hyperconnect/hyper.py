@@ -31,10 +31,9 @@ the product of the two denominators.  That product does not involve the
 joint parameters, so a caller lifting many series that differ only in them
 (the inner_n of one generating-function build) builds it once with
 ``factor_product`` and hands it to every lift.  Scalar multivariable sums
-terminate on a joint numerator in {0, -1, -2, ...}, add the same shells on
-their numerators into one value, and take a shared product the same way
-(``multivar_eval(..., product=...)``, as the connection-type F1 kernels at
-one argument do).
+(``multivar_eval``) terminate on a joint numerator in {0, -1, -2, ...} and
+add the same shells on their numerators into one value; the connection-type
+F1 kernels form them as dot products on rows of their own.
 """
 
 from __future__ import annotations
@@ -226,15 +225,9 @@ def _multivar_row(spec: MultiVarSpec, shapes, order: int, field: FieldTag,
     return [j * c for j, c in zip(joint, nums)], joint_den * den
 
 
-def multivar_eval(spec: MultiVarSpec, args: Sequence,
-                  product: TruncatedSeries | None = None):
+def multivar_eval(spec: MultiVarSpec, args: Sequence):
     """Scalar value of the terminating double/triple series at the given
-    arguments: the joint numerator must lie in {0, -1, -2, ...}.
-    ``product`` hands in the factor product (``factor_product`` at lam_i*t
-    with the arguments as the lam_i, in the field of the sum) when sums that
-    differ only in joint parameters share it; it must reach the highest
-    shell formed.
-    """
+    arguments: the joint numerator must lie in {0, -1, -2, ...}."""
     if len(args) != spec.arity:
         raise DomainError(f"{spec.kind} takes {spec.arity} arguments")
     a = spec.joint_numerator
@@ -242,8 +235,7 @@ def multivar_eval(spec: MultiVarSpec, args: Sequence,
         raise DomainError(f"{spec.kind} sums need a joint numerator in {{0, -1, -2, ...}}")
     field = field_of(*spec.params, *args)
     degree = -as_index(a.real if isinstance(a, complex) else a)
-    shells, den = _multivar_row(spec, [linear_arg(field.of(x)) for x in args], degree, field,
-                                product)
+    shells, den = _multivar_row(spec, [linear_arg(field.of(x)) for x in args], degree, field)
     return field.over([sum(shells)], den)[0]
 
 

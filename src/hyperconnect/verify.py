@@ -200,16 +200,19 @@ _NAME_SLOTS = ("generating_function", "relation", "family")
 def _serialize_value(v, slot=None):
     """A parameter as standard JSON: None, or a string in a name slot, as it
     is, a sequence item by item, a finite number as its field writes it
-    ('p/q' exact, [re, im] double), a string that reads as no number as it
-    is, and any other value (a number-like string outside the name slots, a
-    non-finite double, a bool) as its repr, which reads back as a string, so
-    the case read back is refused as the case was."""
+    ('p/q' exact, [re, im] double), a string that reads as no number and an
+    object as they are (``_as_written``), and any other value (a
+    number-like string outside the name slots, a non-finite double, a bool)
+    as its repr, which reads back as a string, so the case read back is
+    refused as the case was."""
     if v is None or (slot in _NAME_SLOTS and isinstance(v, str)):
         return v
     if isinstance(v, (tuple, list)):
         return [_serialize_value(item) for item in v]
     if _finite(v):
         return field_of(v).serialize(v)
+    if isinstance(v, dict):
+        return _as_written(v)
     return v if isinstance(v, str) and _deserialize_value(v) == v else repr(v)
 
 
@@ -225,7 +228,7 @@ def _deserialize_value(v, slot=None):
         return complex(v[0], v[1])
     if isinstance(v, list):
         return tuple([_deserialize_value(item) for item in v])
-    return Fraction(v)
+    return v if isinstance(v, dict) else Fraction(v)  # an object is refused as it came
 
 
 def _json_float(value):

@@ -527,6 +527,48 @@ def test_expand_refuses_a_negative_order(capsys):
     assert "usage error: expand: order = -2 is outside the budget 0 <= order <= 200" in err
 
 
+@pytest.mark.parametrize("n", ["100000", "201", "-1"])
+def test_eval_refuses_a_degree_past_the_budget_before_any_row(capsys, monkeypatch, n):
+    monkeypatch.setattr("hyperconnect.families.family_eval", None)  # reached: a TypeError
+    code, out, err = run(capsys, "eval", "--family", "meixner", "--n", n, "--x", "4",
+                         "--alpha", "3/2", "--c", "2/5")
+    assert (code, out) == (2, "")
+    assert f"usage error: eval: n = {n} is outside the budget 0 <= n <= 200" in err
+
+
+_BIG = "1/" + "7" * 250  # a value read well inside the limit, whose powers are not
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--family", "charlier", "--x", "1/3", "--a", _BIG, "--order", "20",
+     "--output", "csv"),
+    ("expand", "--family", "charlier", "--x", "1/3", "--a", _BIG, "--order", "20",
+     "--output", "json"),
+    ("eval", "--family", "charlier", "--n", "20", "--x", "1/3", "--a", _BIG, "--output", "json"),
+    ("eval", "--family", "charlier", "--n", "20", "--x", "1/3", "--a", _BIG, "--output", "text"),
+    ("connect", "--relation", "alpha_to_beta", "--alpha", _BIG, "--beta", "1/3", "--c", "1/2",
+     "--n-max", "20", "--output", "csv"),
+    ("connect", "--relation", "alpha_to_beta", "--alpha", _BIG, "--beta", "1/3", "--c", "1/2",
+     "--n-max", "20", "--output", "text"),
+], ids=["expand-csv", "expand-json", "eval-json", "eval-text", "connect-csv", "connect-text"])
+def test_exact_output_past_the_digit_limit_is_written_in_full(capsys, argv):
+    """Exact values past the interpreter's 4,300 digits for an integer's text
+    are written in full, and the limit, which guards every value read, is
+    back once the document is written."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_value_past_the_digit_limit_is_still_refused_as_input(capsys):
+    code, out, err = run(capsys, "eval", "--family", "charlier", "--n", "2", "--x", "1/3",
+                         "--a", "1/" + "7" * 4301)
+    assert (code, out) == (2, "")
+    assert "usage error: cannot parse rational literal" in err
+
+
 @pytest.mark.parametrize("n_max", ["-1", "-2"])
 @pytest.mark.parametrize("argv", [
     ("--family", "meixner", "--source", "alpha=1,c=1/2", "--target", "alpha=2,c=1/2"),

@@ -33,7 +33,7 @@ from hyperconnect import (
     relation_ids,
     verify_connection_relation,
 )
-from hyperconnect.fields import EXACT, NUMERIC
+from hyperconnect.fields import EXACT, NUMERIC, field_of
 from hyperconnect.hyper import APPELL_F1, MultiVarSpec
 
 ALPHA, BETA, C, D = Fraction(3, 2), Fraction(7, 3), Fraction(2, 5), Fraction(3, 7)
@@ -555,8 +555,9 @@ def test_singular_offset_raises_from_the_entry_not_the_table():
 
 def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
     """Per sample: one Gauss degree row per side, so family_eval gives no
-    degree on its own; one kernel per (n - k, x); and for type_alpha_c one F1
-    factor product, which every kernel at that x shares."""
+    degree on its own; and for type_alpha_c one F1 product row P, which
+    every kernel at that x reads, with no Appell F1 sum or factor product
+    of its own."""
     n_max = 6
     calls = {}
 
@@ -569,8 +570,8 @@ def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((families_mod, "family_eval"), (connection_mod, "multivar_eval"),
-                         (connection_mod, "factor_product"), (hyper_mod, "factor_product")):
+    for module, name in ((families_mod, "family_eval"), (connection_mod, "_f1_row"),
+                         (hyper_mod, "multivar_eval"), (hyper_mod, "factor_product")):
         calls[module.__name__, name] = 0
         counting(module, name)
     for relation in ("meixner_type_alpha_c", "meixner_alpha_to_beta", "krawtchouk_p_N_to_q_M"):
@@ -581,10 +582,9 @@ def test_reconstruction_evaluates_each_polynomial_and_kernel_once(monkeypatch):
         assert report.status == "pass", report
         assert calls[families_mod.__name__, "family_eval"] == 0
         type_alpha_c = relation == "meixner_type_alpha_c"
-        kernels = (top + 1) * len(X_SAMPLES) if type_alpha_c else 0
-        assert calls[connection_mod.__name__, "multivar_eval"] == kernels
-        assert calls[connection_mod.__name__, "factor_product"] == (
+        assert calls[connection_mod.__name__, "_f1_row"] == (
             len(X_SAMPLES) if type_alpha_c else 0)
+        assert calls[hyper_mod.__name__, "multivar_eval"] == 0
         assert calls[hyper_mod.__name__, "factor_product"] == 0
 
 
@@ -1112,30 +1112,56 @@ def test_exact_linear_solve_equals_the_fraction_solve_on_random_abscissae(data, 
     assert all(type(c) is Fraction for row in table.matrix() for c in row)
 
 
-def f1_kernel_or_error(spec, args, **kwargs):
+def f1_kernel_or_error(spec, args):
+    """multivar_eval's value, or its error as 'type: message'."""
     try:
-        return repr(multivar_eval(spec, args, **kwargs))
-    except PoleError as exc:
-        return f"PoleError: {exc}"
+        return multivar_eval(spec, args)
+    except HyperconnectError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def kernels_and_f1_sums(params, x, n_max):
+    """The kernel row at x and multivar_eval's F1 sums, each a value in its
+    field (a repr on doubles) or an error as 'type: message'."""
+    field, (nums, den) = connection_mod._alpha_c_kernels(params, x, n_max, {})
+    assert field == field_of(x, *params.values())
+    shown = repr if not field.is_exact else (lambda v: (type(v), v))
+    got = [f"{type(v).__name__}: {v}" if isinstance(v, Exception)
+           else shown(field.over([v], den)[0]) for v in nums]
+    want = [f1_kernel_or_error(MultiVarSpec(APPELL_F1, (
+        Fraction(-j), -x, x, params["beta"] - params["alpha"] - j + 1)),
+        (1 / params["c"], 1 / params["d"])) for j in range(n_max + 1)]
+    return got, [v if isinstance(v, str) else shown(v) for v in want]
 
 
 @pytest.mark.parametrize("arguments", [
-    st.integers(-4, 8), small_rationals(-4, 8),
+    st.integers(-4, 8), small_rationals(-4, 8), st.floats(-3, 3),
     st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
-], ids=["integer", "rational", "complex"])
+], ids=["integer", "rational", "double", "complex"])
 @settings(max_examples=15)
-@given(data=st.data(), alpha=small_rationals(-4, 5), beta=small_rationals(-4, 5), c=RATES,
-       d=RATES, n_max=st.integers(0, 8))
-def test_shared_f1_product_gives_each_kernel_bit_for_bit(arguments, data, alpha, beta, c, d,
-                                                         n_max):
-    x = data.draw(arguments, "x")
-    params = {"alpha": alpha, "beta": beta, "c": c, "d": d}
-    product = connection_mod._alpha_c_product(params, x, n_max)
-    assert product.field == (NUMERIC if isinstance(x, complex) else EXACT)
-    for j in range(n_max + 1):
-        spec = MultiVarSpec(APPELL_F1, (Fraction(-j), -x, x, beta - alpha - j + 1))
-        assert f1_kernel_or_error(spec, (1 / c, 1 / d), product=product) == (
-            f1_kernel_or_error(spec, (1 / c, 1 / d)))
+@given(data=st.data(), alpha=small_rationals(-4, 5), offset=st.one_of(
+    small_rationals(-4, 5), st.integers(-3, 8)), c=RATES, d=RATES, n_max=st.integers(0, 8))
+def test_f1_kernels_are_the_appell_f1_sums(arguments, data, alpha, offset, c, d, n_max):
+    """Each K_j of the kernel row at x, one dot product with the P row, is
+    multivar_eval's F1(-j, -x, x; beta-alpha-j+1; 1/c, 1/d): the same
+    Fraction on exact arguments, the same repr on doubles, and the same
+    error where an integer offset beta - alpha puts a pole in the joint row."""
+    params = {"alpha": alpha, "beta": alpha + offset, "c": c, "d": d}
+    got, want = kernels_and_f1_sums(params, data.draw(arguments, "x"), n_max)
+    assert got == want
+
+
+@pytest.mark.parametrize("c, d, x", [
+    (1e-160, Fraction(2, 5), 3.5),  # (1/c)^2 / 2 leaves the double range
+    (1e-200, 1e-150, 1),  # each row finite to m = 2, their product's t^2 term not
+], ids=["factor", "product"])
+def test_an_f1_row_past_the_double_range_leaves_each_kernel_its_own(c, d, x):
+    """The P row to top cannot be formed: K_0 and K_1 are still formed, each
+    from its own row, and every later K_j holds the error its F1 sum raises."""
+    params = {"alpha": Fraction(1, 2), "beta": Fraction(7, 3), "c": c, "d": d}
+    got, want = kernels_and_f1_sums(params, x, 5)
+    assert got == want
+    assert [v.split(":")[0] for v in got[2:]] == ["DomainError"] * 4
 
 
 # -- one row per relation, one field rule ------------------------------------

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconnect import EXACT, NUMERIC, DomainError, FieldError
 from hyperconnect.expressions import evaluate, variables
@@ -91,3 +93,88 @@ def test_each_formula_is_parsed_once_and_values_are_not_kept(monkeypatch):
     assert variables(expr) == {"x", "alpha"}
     assert values == [1, Fraction(4, 3), Fraction(5, 3), 2]
     assert parsed == [expr]
+
+
+def walk(node, env, field):
+    """The reference: a plain walk of the parse tree, each node checked as it
+    is reached, which the compiled closures must match value for value and
+    refusal for refusal."""
+    import ast
+
+    from hyperconnect.expressions import _FUNCTIONS, _NUMERIC_ONLY, _power
+
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, bool) or not isinstance(node.value, int):
+            raise DomainError(f"only integer literals are allowed in catalog formulas,"
+                              f" got {node.value!r}")
+        return field.of(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "i":
+            if field.is_exact:
+                raise FieldError("the imaginary unit needs the numeric field")
+            return complex(0.0, 1.0)
+        if node.id not in env:
+            raise DomainError(f"unbound parameter {node.id!r}")
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        value = walk(node.operand, env, field)
+        return -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.BinOp):
+        left, right = walk(node.left, env, field), walk(node.right, env, field)
+        ops = {ast.Add: lambda: left + right, ast.Sub: lambda: left - right,
+               ast.Mult: lambda: left * right, ast.Pow: lambda: _power(left, right)}
+        if isinstance(node.op, ast.Div):
+            if right == 0:
+                raise DomainError("division by zero in catalog formula")
+            return left / right
+        if type(node.op) not in ops:
+            raise DomainError(f"operator {type(node.op).__name__} not allowed")
+        return ops[type(node.op)]()
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+            raise DomainError("only the documented catalog functions may be called")
+        if field.is_exact and node.func.id in _NUMERIC_ONLY:
+            raise FieldError(f"{node.func.id}() needs the numeric field")
+        return _FUNCTIONS[node.func.id](*[walk(arg, env, field) for arg in node.args])
+    raise DomainError(f"syntax {type(node).__name__} not allowed in catalog formulas")
+
+
+# leaves, and the operands of ** and of calls, which stay leaves so that no
+# drawn formula builds a tower of powers
+LEAVES = st.sampled_from(["x", "alpha", "n", "q", "i", "missing", "0", "1", "2", "3", "1.5",
+                          "'text'", "True", "x.denominator"])
+FORMULAS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.builds("-({})".format, inner), st.builds("+({})".format, inner),
+    st.builds("not ({})".format, inner),
+    st.builds("({}) {} ({})".format, inner, st.sampled_from(["+", "-", "*", "/", "%", "//"]),
+              inner),
+    st.builds("({}) ** {}".format, inner, LEAVES),
+    st.builds("{}({})".format, st.sampled_from(["factorial", "cis", "open"]), LEAVES),
+    st.builds("poch({}, {})".format, LEAVES, LEAVES),
+    st.builds("qpoch({}, {}, {})".format, LEAVES, LEAVES, LEAVES),
+    st.builds("({}) if x else 1".format, inner)), max_leaves=6)
+
+
+def outcome(f):
+    """(type, repr) of f's value, or of the error it raises, with its message."""
+    try:
+        value = f()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+@settings(max_examples=300)
+@given(expr=FORMULAS)
+def test_compiled_formulas_give_the_walks_values_and_refusals(expr):
+    """Each formula, compiled once per field kind, gives the value a walk of
+    its tree gives, and raises the walk's error, type and message, at the
+    node the walk reaches first."""
+    import ast
+
+    values = {"x": Fraction(3, 2), "alpha": Fraction(-2), "n": Fraction(3), "q": Fraction(1, 3)}
+    for field in (EXACT, NUMERIC):
+        env = {name: field.of(v) for name, v in values.items()}
+        tree = ast.parse(expr, mode="eval").body
+        assert outcome(lambda: evaluate(expr, env, field)) == outcome(
+            lambda: walk(tree, env, field)), (expr, field.kind)

@@ -285,6 +285,54 @@ def test_theta_families_take_argument_through_theta():
         family_eval("meixner", 2, None, MEIXNER)
 
 
+SCALARS = st.one_of(small_rationals(-3, 3), st.floats(-3, 3), st.just(-0.0),
+                   st.builds(complex, st.floats(-2, 2), st.sampled_from([0.0, -0.0, 0.5])))
+
+
+@st.composite
+def gf_bindings(draw):
+    """(family, params) of a family that poly_from_gf evaluates, exact or
+    double, with a nonvanishing normalization."""
+    family = draw(st.sampled_from(["charlier", "al_salam_carlitz_1", "al_salam_carlitz_2",
+                                   "meixner", "krawtchouk"]))
+    nonzero = SCALARS.filter(lambda v: v != 0)
+    if family == "meixner":
+        return family, {"alpha": draw(st.one_of(small_rationals(0, 4), st.floats(0.25, 4))),
+                        "c": draw(nonzero.filter(lambda v: v != 1))}
+    if family == "krawtchouk":
+        return family, {"p": draw(nonzero), "N": draw(st.integers(0, 5))}
+    params = {"a": draw(nonzero)}
+    if family != "charlier":
+        params["q"] = draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5), 0.3, 0.7]))
+    return family, params
+
+
+def outcome(f):
+    """(type, repr) of f's value, or of the error it raises, with its message."""
+    try:
+        value = f()
+    except (HyperconnectError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+@settings(max_examples=120)
+@given(binding=gf_bindings(), n=st.integers(0, 10), x=SCALARS)
+def test_one_coefficient_value_is_the_expanded_coefficient(binding, n, x):
+    """poly_from_gf forms only the t^n coefficient, and it is gf_expand's
+    coefficient n over c_n: the same Fraction, the same double by repr,
+    -0.0 included, and zero past a Krawtchouk degree cap."""
+    family, params = binding
+
+    def expanded():
+        series = gf_expand(family, x, params, n)
+        c_n = normalization_at(get_family(family), n, None, params, series.field)
+        return series.coefficient(n) / c_n
+
+    want, got = (outcome(f) for f in (expanded, lambda: poly_from_gf(family, n, x, params)))
+    assert got == want
+
+
 def test_normalization_zero_is_an_error():
     # Meixner normalization (alpha)_n / n! vanishes at alpha = -N once n > N
     with pytest.raises(DomainError, match="normalization"):

@@ -385,12 +385,6 @@ def test_terminating_multivar_eval_matches_simplex_sum(kind, params, lams):
     # the value at arguments lam_i is the series at lam_i t evaluated at t = 1
     want = sum(_simplex_coefficients(spec, lams, degree))
     assert multivar_eval(spec, lams) == want
-    # a factor product of any order >= the degree is shared; a shorter one is refused
-    shapes = [linear_arg(lam) for lam in lams]
-    for order in (degree, degree + 3):
-        assert multivar_eval(spec, lams, product=factor_product(spec, shapes, order, EXACT)) == want
-    with pytest.raises(DomainError):
-        multivar_eval(spec, lams, product=factor_product(spec, shapes, degree - 1, EXACT))
 
 
 def test_mobius_lift_matches_composition():

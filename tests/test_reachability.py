@@ -57,6 +57,9 @@ ALLOWLIST = {
     "verify._read_float": "JSON read side",
     # the oracle the tests check the Mobius lift against
     "series.compose": "oracle of the Mobius lift; the benchmark tracer wraps it",
+    "hyper.multivar_eval": "public terminating Appell/Lauricella/Humbert sum, exported, the"
+                           " tests' oracle of the F1 connection kernels; the benchmark"
+                           " tracer wraps it",
     "hyper.pfq_eval": "public terminating sum, the tests' oracle of the Gauss degree rows;"
                       " the benchmark tracer wraps it",
     "connection.ConnectionExpansion.coefficient": "public entry reader; the benchmark's"
@@ -71,11 +74,16 @@ ALLOWLIST = {
     "series.TruncatedSeries.scale": "the linear-combination oracle's scalar",
     "series.TruncatedSeries.shifted": "the linear-combination oracle's t^k",
     "series.TruncatedSeries.__sub__": "series algebra the tests check directly",
+    "series.TruncatedSeries.coefficient": "public coefficient reader; the tests' oracle of the"
+                                          " one-coefficient family values",
     "series.TruncatedSeries.__eq__": "value semantics the tests compare series with",
     "series.TruncatedSeries.__hash__": "value semantics the tests compare series with",
     "series.TruncatedSeries.from_json": "JSON read side",
     # error-only helpers: entered only when an input is malformed
     "connection._degenerate": "raises on a singular sample set",
+    "expressions._refusal": "refuses a formula outside the catalog grammar, which no catalog"
+                            " formula is",
+    "expressions._refusal.<locals>.refuse": "raises on a formula outside the catalog grammar",
     "families._check_domain.<locals>.fail": "raises on a parameter outside its domain",
     "series.TruncatedSeries.__setattr__": "raises on an attempt to mutate a series",
     "verify._as_written": "writes the params or field of a case that is refused",

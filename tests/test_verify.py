@@ -1625,10 +1625,16 @@ _REFUSED_DOCUMENTS = [
     ({"params": "x=4"}, "params 'x=4' must map names to values"),
     ({"params": {**_NUMERIC_DOC["params"], "alpha": "1/0"}},
      "parameter alpha = '1/0' must be a finite number"),
+    # a JSON object as a parameter, also inside a sequence
+    ({"params": {**_NUMERIC_DOC["params"], "alpha": {"p": 3, "q": [2]}}},
+     "parameter alpha = {'p': 3, 'q': [2]} must be a finite number"),
+    ({"params": {**_NUMERIC_DOC["params"], "x": [{}, "1/2"]}},
+     "parameter x = ({}, Fraction(1, 2)) must be a finite number"),
 ]
 _REFUSED_IDS = [*[f"{key}={value!r}" for key in ("atol", "rtol")
                   for value in (-1, None, "x", [1])],
-                "atol=0", "rtol=nan", "params-list", "params-str", "alpha-1/0"]
+                "atol=0", "rtol=nan", "params-list", "params-str", "alpha-1/0",
+                "alpha-object", "x-object-in-list"]
 
 
 @pytest.mark.parametrize("change, refusal", _REFUSED_DOCUMENTS, ids=_REFUSED_IDS)
@@ -1655,6 +1661,12 @@ def test_a_refused_case_document_is_written_as_it_came(change, refusal):
     [report], [again] = batch_verify([case]), batch_verify([back])
     assert report.status == again.status == "error" and refusal in report.detail
     assert again.detail == report.detail
+
+
+def test_an_object_parameter_is_written_back_as_it_came():
+    params = {**_NUMERIC_DOC["params"], "alpha": {"p": 3, "q": [2]}, "x": [{}, "1/2"]}
+    case = IdentityCase.from_json({**_NUMERIC_DOC, "params": params})
+    assert json.loads(json.dumps(case.as_json()))["params"] == params
 
 
 def test_an_x_max_no_route_reads_is_refused_as_on_the_command_line(capsys):
